@@ -34,7 +34,6 @@ from .derivatives import (
 )
 from .groebner import (
     FeasibilityVerdict,
-    PolySystem,
     ToricIdeal,
     groebner_basis,
     ideal_members_to_zero,
@@ -49,9 +48,6 @@ from .poly import (
     Polynomial,
     grevlex_key,
     parse_polynomial,
-    partial_derivative,
-    substitute_line,
-    support,
 )
 from .polytope import (
     Face,

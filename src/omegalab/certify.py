@@ -17,6 +17,7 @@ cross-validation on small instances.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,7 @@ from .groebner import (
     toric_ideal,
     torus_feasible,
 )
+from .guards import ResourceLimit
 from .poly import Exponent, Polynomial, grevlex_key
 from .polytope import LatticePolytope, base_polytope, faces, is_smooth, lattice_points
 from .setfunc import rank_from_support, truncate, truncation_sum
@@ -139,16 +141,12 @@ def is_lorentzian(h: Polynomial) -> LorentzianReport:
         raise ValueError("Lorentzian test needs degree at least 2")
     nonneg = all(c > 0 for c in h.terms.values())
     mcx, _ = is_mconvex(h.support())
-    failures = []
-    for multi in combinations_with_replacement(range(h.nvars), d - 2):
-        g = h
-        for i in multi:
-            g = g.partial_derivative(i)
-        if g.is_zero:
-            continue
-        count = positive_eigenvalue_count(_quadratic_hessian(g))
-        if count > 1:
-            failures.append(multi)
+    multisets = combinations_with_replacement(range(h.nvars), d - 2)
+    failures = [
+        multi
+        for multi, g in zip(multisets, all_partials(h, d - 2))
+        if not g.is_zero and positive_eigenvalue_count(_quadratic_hessian(g)) > 1
+    ]
     return LorentzianReport(
         mconvex=mcx,
         nonneg_coeffs=nonneg,
@@ -199,43 +197,49 @@ def centre_disjoint(
     Enumerates all faces of the base polytope of the k-th truncation of the
     support rank function; the centre meets the variety iff some face's
     restricted derivative system has a torus zero.  The first feasible face
-    in the deterministic face order is reported as witness.
+    in the deterministic face order is reported as witness.  The system of a
+    face is the span basis restricted to the derivative monomials on it: the
+    same span as the restricted partials, hence the same ideal.
     """
     space = derivative_space(h, k)
-    rho = rank_from_support(h.support())
-    body = base_polytope(truncate(rho, k))
-    face_list = faces(body)
-    partials = [g for g in all_partials(h, k) if not g.is_zero]
-
-    centre_dim = len(space.columns) - space.span_dimension
-    witness = None
-    detail = None
-    undecided = False
-    for face in face_list:
-        allowed = frozenset(face.lattice_points)
-        gens = [r for r in (_restrict(g, allowed) for g in partials) if not r.is_zero]
-        verdict = torus_feasible(gens, nvars=h.nvars, max_pairs=max_pairs)
-        if verdict.is_feasible:
-            witness = face.vertices
-            detail = f"torus point on the face orbit ({verdict.method})"
-            break
-        if verdict.status == "undecided":
-            undecided = True
-    if witness is not None:
-        disjoint = "no"
-    elif undecided:
-        disjoint = "undecided"
-    else:
-        disjoint = "yes"
-    return OrderReport(
+    report = functools.partial(
+        OrderReport,
         k=k,
         span_dim=space.span_dimension,
         num_monomials=len(space.columns),
-        centre_dim=centre_dim,
-        disjoint=disjoint,
-        witness_face=witness,
-        detail=detail,
+        centre_dim=len(space.columns) - space.span_dimension,
     )
+    try:
+        body = base_polytope(truncate(rank_from_support(h.support()), k))
+    except ResourceLimit as exc:
+        return report(disjoint="undecided", detail=f"order-{k} truncation polytope: {exc}")
+
+    # The derivative monomials lie in the truncation polytope, so the ones on
+    # a face are those tight at every facet containing it.
+    tight_at = [
+        frozenset(
+            j
+            for j, (a, b) in enumerate(body.inequalities)
+            if sum(x * y for x, y in zip(a, column)) == b
+        )
+        for column in space.columns
+    ]
+    undecided = None
+    for face in faces(body):
+        allowed = {c for c, tight in zip(space.columns, tight_at) if face.facets <= tight}
+        gens = [r for r in (_restrict(g, allowed) for g in space.basis) if not r.is_zero]
+        verdict = torus_feasible(gens, nvars=h.nvars, max_pairs=max_pairs)
+        if verdict.is_feasible:
+            return report(
+                disjoint="no",
+                witness_face=face.vertices,
+                detail=f"torus point on the face orbit ({verdict.method})",
+            )
+        if verdict.status == "undecided" and undecided is None:
+            undecided = f"{verdict.method} undecided on a face orbit: {verdict.certificate}"
+    if undecided is not None:
+        return report(disjoint="undecided", detail=undecided)
+    return report(disjoint="yes")
 
 
 def oracle_centre_disjoint(

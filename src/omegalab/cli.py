@@ -27,13 +27,7 @@ from .derivatives import derivative_space, projection_centre
 from .groebner import DEFAULT_MAX_PAIRS
 from .guards import ResourceLimit
 from .poly import ParseError, Polynomial, parse_polynomial
-from .polytope import (
-    DEFAULT_SCAN_CELLS,
-    base_polytope,
-    faces,
-    is_simple,
-    is_smooth,
-)
+from .polytope import base_polytope, faces, is_simple, is_smooth
 from .polytope import independence_polytope as build_independence
 from .setfunc import (
     SetFunction,
@@ -78,18 +72,6 @@ def _add_common(parser: argparse.ArgumentParser, needs_poly: bool = True) -> Non
         type=int,
         default=DEFAULT_MAX_PAIRS,
         help="Groebner pair-queue cap before reporting undecided",
-    )
-    parser.add_argument(
-        "--max-lattice-scan",
-        type=int,
-        default=DEFAULT_SCAN_CELLS,
-        help="lattice-point scan cell cap",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker cap (reserved; the current engine is sequential)",
     )
 
 
@@ -141,6 +123,8 @@ def _cmd_certify(args) -> int:
         )
         if report.witness_face:
             line += f", witness face vertices {[list(v) for v in report.witness_face]}"
+        elif report.detail:
+            line += f" ({report.detail})"
         lines.append(line)
     lines.append(f"verdict: {cert.verdict}")
     if cert.polytope is not None:
@@ -251,7 +235,7 @@ def _cmd_polytope(args) -> int:
         body = base_polytope(f)
     else:
         body = build_independence(f)
-    face_list = faces(body, max_cells=args.max_lattice_scan)
+    face_list = faces(body)
     simple, _ = is_simple(body, face_list)
     smooth, _ = is_smooth(body, face_list)
     payload = {

@@ -38,17 +38,6 @@ UNDECIDED = "undecided"
 
 
 @dataclass(frozen=True)
-class PolySystem:
-    nvars: int
-    generators: tuple[Polynomial, ...]
-
-    def __post_init__(self):
-        for g in self.generators:
-            if g.nvars != self.nvars:
-                raise ValueError("generator variable count mismatch")
-
-
-@dataclass(frozen=True)
 class FeasibilityVerdict:
     status: str  # feasible | infeasible | undecided
     method: str  # linear-algebra | groebner | toric-oracle
@@ -421,20 +410,18 @@ def torus_feasible_linear(gens: Sequence[Polynomial]) -> FeasibilityVerdict:
 
 
 def torus_feasible(
-    system: PolySystem | Sequence[Polynomial],
+    system: Sequence[Polynomial],
     nvars: int | None = None,
     max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> FeasibilityVerdict:
     """Common zero with all coordinates nonzero, over the algebraic closure."""
-    if isinstance(system, PolySystem):
-        gens = list(system.generators)
-        nvars = system.nvars
-    else:
-        gens = list(system)
-        if nvars is None:
-            if not gens:
-                raise ValueError("cannot infer the variable count of an empty system")
-            nvars = gens[0].nvars
+    gens = list(system)
+    if nvars is None:
+        if not gens:
+            raise ValueError("cannot infer the variable count of an empty system")
+        nvars = gens[0].nvars
+    if any(g.nvars != nvars for g in gens):
+        raise ValueError("generator variable count mismatch")
     live = [g for g in gens if not g.is_zero]
     for g in live:
         if not g.is_homogeneous:

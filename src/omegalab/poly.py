@@ -425,15 +425,3 @@ def parse_polynomial(text: str, variable_order: Sequence[str]) -> Polynomial:
 
     return Polynomial(nvars, acc)
 
-
-def support(p: Polynomial) -> frozenset[Exponent]:
-    """Exact key set of the polynomial's terms."""
-    return p.support()
-
-
-def partial_derivative(p: Polynomial, index: int) -> Polynomial:
-    return p.partial_derivative(index)
-
-
-def substitute_line(p: Polynomial, base: Sequence, direction: Sequence) -> list[Fraction]:
-    return p.substitute_line(base, direction)

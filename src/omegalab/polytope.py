@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .guards import ResourceLimit
-from .linalg import smith_normal_form, snf_divisors  # re-exported surface
 from .setfunc import SetFunction, is_matroid, is_polymatroid
 
 __all__ = [
@@ -35,8 +34,6 @@ __all__ = [
     "faces",
     "is_simple",
     "is_smooth",
-    "smith_normal_form",
-    "snf_divisors",
     "enumerate_basic_vertices",
 ]
 
@@ -84,12 +81,16 @@ class LatticePolytope:
 
 @dataclass(frozen=True)
 class Face:
-    """Nonempty face given by its vertex indices into the parent polytope."""
+    """Nonempty face given by its vertex indices into the parent polytope.
+
+    `facets` holds the indices into the parent's `inequalities` of the facets
+    containing the face; the face is the parent cut by those facets' equalities.
+    """
 
     vertex_indices: tuple[int, ...]
     vertices: tuple[Point, ...]
     dim: int
-    lattice_points: tuple[Point, ...]
+    facets: frozenset[int]
 
 
 # -- affine chart helpers --------------------------------------------------------
@@ -466,7 +467,7 @@ def lattice_points(
 # -- faces, simplicity, smoothness ---------------------------------------------------
 
 
-def faces(p: LatticePolytope, *, max_cells: int = DEFAULT_SCAN_CELLS) -> list[Face]:
+def faces(p: LatticePolytope) -> list[Face]:
     """All nonempty faces as the meet-closure of facet vertex incidences."""
     nverts = len(p.vertices)
     full = frozenset(range(nverts))
@@ -486,22 +487,13 @@ def faces(p: LatticePolytope, *, max_cells: int = DEFAULT_SCAN_CELLS) -> list[Fa
                     new.append(meet)
         frontier = new
 
-    points = lattice_points(p, max_cells=max_cells)
     result = []
-    for vertex_set in closed:
+    while closed:  # popping frees each vertex set once its face is built
+        vertex_set = closed.pop()
         members = sorted(vertex_set)
         face_vertices = tuple(p.vertices[i] for i in members)
-        tight = [
-            (a, b)
-            for (a, b), fs in zip(p.inequalities, facet_sets)
-            if vertex_set <= fs
-        ]
-        face_points = tuple(
-            pt for pt in points if all(_dot(a, pt) == b for a, b in tight)
-        )
-        result.append(
-            Face(tuple(members), face_vertices, _affine_rank(face_vertices), face_points)
-        )
+        facets = frozenset(j for j, fs in enumerate(facet_sets) if vertex_set <= fs)
+        result.append(Face(tuple(members), face_vertices, _affine_rank(face_vertices), facets))
     result.sort(key=lambda f: (f.dim, f.vertex_indices))
     return result
 
@@ -555,7 +547,7 @@ def is_smooth(
             if coords is None:
                 return False, v
             rows.append(coords)
-        divisors = snf_divisors(rows)
+        divisors = linalg.snf_divisors(rows)
         if len(divisors) != p.dim or any(d != 1 for d in divisors):
             return False, v
     return True, None

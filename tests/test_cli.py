@@ -203,19 +203,43 @@ def test_certify_undecided_exit_three(capsys):
     assert "undecided" in out
 
 
-def test_lattice_scan_guard_flag(capsys):
-    code, _, err = run(
+def test_certify_json_pair_cap_named_in_detail(capsys):
+    code, out, _ = run(
         capsys,
-        "polytope",
-        "--matroid",
-        "12,13,14,23,24,34",
-        "--function",
-        "bar",
-        "--max-lattice-scan",
-        "2",
+        "certify",
+        "--format",
+        "json",
+        "--max-pairs",
+        "1",
+        "--vars",
+        "w,x,y,z",
+        SMOOTH_CUBIC_TEXT,
     )
     assert code == 3
-    assert "undecided" in err
+    payload = json.loads(out)
+    assert payload["verdict"] == "undecided"
+    undecided = [r for r in payload["k_reports"] if r["disjoint"] == "undecided"]
+    assert undecided
+    assert all("pair queue cap 1" in r["detail"] for r in undecided)
+
+
+def test_certify_greedy_guard_named_in_detail(capsys):
+    names = [f"x{i}" for i in range(1, 10)]
+    text = " + ".join(f"{a}*{b}" for i, a in enumerate(names) for b in names[i + 1 :])
+    code, out, _ = run(
+        capsys, "certify", "--format", "json", "--vars", ",".join(names), text
+    )
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["verdict"] == "undecided"
+    assert payload["polytope"] is None
+    (report,) = payload["k_reports"]
+    assert report["k"] == 1
+    assert report["disjoint"] == "undecided"
+    assert "greedy enumeration capped at n <= 8" in report["detail"]
+    code, out, _ = run(capsys, "certify", "--vars", ",".join(names), text)
+    assert code == 3
+    assert "disjoint=undecided (order-1 truncation polytope: greedy enumeration" in out
 
 
 def test_probe_command(capsys):

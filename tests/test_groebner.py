@@ -7,7 +7,6 @@ from itertools import product
 import pytest
 
 from omegalab import (
-    PolySystem,
     Polynomial,
     ResourceLimit,
     groebner_basis,
@@ -135,7 +134,7 @@ def test_torus_feasible_undecided_propagates():
 
 def test_poly_system_validates_variable_count():
     with pytest.raises(ValueError):
-        PolySystem(2, (Polynomial.zero(3),))
+        torus_feasible([Polynomial.zero(3)], nvars=2)
 
 
 def _rational_torus_witness(gens, nvars, bound=3):

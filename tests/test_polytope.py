@@ -223,10 +223,28 @@ def test_faces_octahedron_count():
 
 def test_faces_segment_lattice_points():
     seg = polytope_from_points([(0,), (2,)])
+    assert seg.inequalities == (((-1,), 0), ((1,), 2))
     fl = faces(seg)
-    assert len(fl) == 3
-    whole = [f for f in fl if f.dim == 1][0]
-    assert whole.lattice_points == ((0,), (1,), (2,))
+    assert [(f.vertices, f.facets) for f in fl] == [
+        (((0,),), frozenset({0})),
+        (((2,),), frozenset({1})),
+        (((0,), (2,)), frozenset()),
+    ]
+    assert lattice_points(seg) == [(0,), (1,), (2,)]
+
+
+def test_face_facets_are_the_inequalities_tight_at_its_vertices():
+    rng = random.Random(4242)
+    for _ in range(25):
+        n = rng.randint(2, 4)
+        body = base_polytope(random_polymatroid(rng, n, 4))
+        for face in faces(body):
+            tight = {
+                j
+                for j, (a, b) in enumerate(body.inequalities)
+                if all(sum(x * y for x, y in zip(a, v)) == b for v in face.vertices)
+            }
+            assert face.facets == tight
 
 
 def test_cube_is_simple_and_smooth():
