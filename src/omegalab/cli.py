@@ -57,6 +57,26 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 64, not argparse's 2, which
+    certify reserves for not-applicable.  Subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    message = f"expected a positive integer, got {text!r}"
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(message)
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, needs_poly: bool = True) -> None:
     if needs_poly:
         parser.add_argument("polynomial", nargs="?", help="inline polynomial text")
@@ -69,7 +89,7 @@ def _add_common(parser: argparse.ArgumentParser, needs_poly: bool = True) -> Non
     )
     parser.add_argument(
         "--max-pairs",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_MAX_PAIRS,
         help="Groebner pair-queue cap before reporting undecided",
     )
@@ -331,7 +351,7 @@ def _cmd_probe(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="omegalab",
         description="Exact smoothness certificates for gradient-map resolutions.",
     )
@@ -375,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         "probe-smoothable", help="random-coefficient probe over a fixed support"
     )
     _add_common(p_probe)
-    p_probe.add_argument("--trials", type=int, default=5)
+    p_probe.add_argument("--trials", type=_positive_int, default=5)
     p_probe.add_argument("--seed", type=int, default=0)
     p_probe.set_defaults(func=_cmd_probe)
 

@@ -16,6 +16,7 @@ answer.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -96,15 +97,27 @@ def _mono_div(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def normal_form(f: IntPoly, basis: Sequence[IntPoly], key: OrderKey) -> IntPoly:
-    """Full multivariate division remainder, fraction-free."""
+def normal_form(
+    f: IntPoly,
+    basis: Sequence[IntPoly],
+    key: OrderKey,
+    leads: Sequence[Exponent] | None = None,
+) -> IntPoly:
+    """Full multivariate division remainder, fraction-free.
+
+    `leads`, when given, holds the leading monomial of each basis element
+    under `key`, in basis order; otherwise they are computed here.
+    """
     rem = dict(f)
     out: IntPoly = {}
-    leads = [(max(g, key=key), g) for g in basis if g]
+    if leads is None:
+        basis = [g for g in basis if g]
+        leads = [max(g, key=key) for g in basis]
+    reducers = list(zip(leads, basis))
     while rem:
         lm = max(rem, key=key)
         reducer = None
-        for lead, g in leads:
+        for lead, g in reducers:
             if _mono_divides(lead, lm):
                 reducer = (lead, g)
                 break
@@ -155,8 +168,10 @@ def buchberger_intdicts(
     """Reduced Groebner basis of integer term dictionaries.
 
     Normal pair-selection strategy with the coprime-leading-term and chain
-    criteria; raises ResourceLimit once more than `max_pairs` pairs have been
-    treated.
+    criteria.  Each pair is keyed once, when it is created, by the order key
+    of the lcm of its leading monomials with the pair's indices breaking
+    ties, and pairs are popped from a heap in that order.  Raises
+    ResourceLimit once more than `max_pairs` pairs have been treated.
     """
     basis: list[IntPoly] = []
     for g in gens:
@@ -166,14 +181,13 @@ def buchberger_intdicts(
     if not basis:
         return []
     leads = [max(g, key=key) for g in basis]
-    pending: set[tuple[int, int]] = {
-        (i, j) for i, j in combinations(range(len(basis)), 2)
-    }
+    # the set answers the chain criterion's membership tests, the heap the order
+    pending: set[tuple[int, int]] = set(combinations(range(len(basis)), 2))
+    queue = [(key(_mono_lcm(leads[i], leads[j])), (i, j)) for i, j in pending]
+    heapq.heapify(queue)
     treated = 0
-    while pending:
-        pair = min(
-            pending, key=lambda ij: (key(_mono_lcm(leads[ij[0]], leads[ij[1]])), ij)
-        )
+    while queue:
+        _, pair = heapq.heappop(queue)
         pending.discard(pair)
         treated += 1
         if treated > max_pairs:
@@ -197,18 +211,21 @@ def buchberger_intdicts(
         if chain:
             continue
         s = _s_poly(basis[i], basis[j], key)
-        r = normal_form(s, basis, key)
+        r = normal_form(s, basis, key, leads)
         if r:
+            lr = max(r, key=key)
+            t = len(basis)
             basis.append(r)
-            leads.append(max(r, key=key))
-            t = len(basis) - 1
+            leads.append(lr)
             for a in range(t):
                 pending.add((a, t))
-    return _reduce_basis(basis, key)
+                heapq.heappush(queue, (key(_mono_lcm(leads[a], lr)), (a, t)))
+    return _reduce_basis(basis, leads, key)
 
 
-def _reduce_basis(basis: Sequence[IntPoly], key: OrderKey) -> list[IntPoly]:
-    leads = [max(g, key=key) for g in basis]
+def _reduce_basis(
+    basis: Sequence[IntPoly], leads: Sequence[Exponent], key: OrderKey
+) -> list[IntPoly]:
     keep: list[int] = []
     for i, lead in enumerate(leads):
         redundant = False
@@ -222,10 +239,12 @@ def _reduce_basis(basis: Sequence[IntPoly], key: OrderKey) -> list[IntPoly]:
         if not redundant:
             keep.append(i)
     minimal = [basis[i] for i in keep]
+    minimal_leads = [leads[i] for i in keep]
     reduced = []
     for i, g in enumerate(minimal):
         others = [h for j, h in enumerate(minimal) if j != i]
-        r = normal_form(g, others, key)
+        other_leads = [m for j, m in enumerate(minimal_leads) if j != i]
+        r = normal_form(g, others, key, other_leads)
         if r:
             reduced.append(r)
     reduced.sort(key=lambda g: key(max(g, key=key)))

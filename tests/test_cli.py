@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from omegalab.cli import main
 
 from helpers import SINGULAR_CUBIC_TEXT, SMOOTH_CUBIC_TEXT
@@ -278,6 +280,49 @@ def test_analyze_command(capsys):
 def test_analyze_rejects_constant(capsys):
     code, _, err = run(capsys, "analyze", "--vars", "x", "3")
     assert code == 64
+
+
+def usage_exit(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_malformed_flag_value_exits_usage(capsys):
+    code, err = usage_exit(capsys, "certify", "--vars", "x,y", "x*y", "--max-pairs", "abc")
+    assert code == 64
+    assert "usage:" in err
+    assert "--max-pairs" in err
+
+
+def test_unknown_flag_exits_usage(capsys):
+    code, err = usage_exit(capsys, "certify", "--vars", "x,y", "x*y", "--jobs", "2")
+    assert code == 64
+    assert "unrecognized arguments: --jobs 2" in err
+
+
+def test_help_exits_zero(capsys):
+    for argv in (("--help",), ("certify", "--help")):
+        code, _ = usage_exit(capsys, *argv)
+        assert code == 0
+
+
+def test_max_pairs_must_be_positive(capsys):
+    for value in ("-5", "0"):
+        code, err = usage_exit(
+            capsys, "certify", "--vars", "x,y", "x*y", "--max-pairs", value
+        )
+        assert code == 64
+        assert f"argument --max-pairs: expected a positive integer, got '{value}'" in err
+
+
+def test_trials_must_be_positive(capsys):
+    for value in ("-3", "0"):
+        code, err = usage_exit(
+            capsys, "probe-smoothable", "--vars", "x,y", "x*y", "--trials", value
+        )
+        assert code == 64
+        assert f"argument --trials: expected a positive integer, got '{value}'" in err
 
 
 def test_no_command_prints_usage(capsys):

@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from omegalab import (
     Polynomial,
     ResourceLimit,
+    elementary_symmetric,
     groebner_basis,
     ideal_members_to_zero,
     parse_polynomial,
@@ -87,6 +88,44 @@ def test_pair_cap_raises_resource_limit():
     ]
     with pytest.raises(ResourceLimit):
         groebner_basis(gens, max_pairs=1)
+
+
+def test_pair_queue_order_pinned_by_cap_thresholds():
+    # The smallest cap that lets each computation finish counts the pairs it
+    # treats, chain- and coprime-skipped ones included.  Any change that drops,
+    # adds or reorders pairs moves these values.
+    def assert_threshold(run, threshold):
+        run(threshold)
+        with pytest.raises(ResourceLimit):
+            run(threshold - 1)
+
+    gens = [
+        P("x^3 - 2*x*y", ["x", "y", "z"]),
+        P("x^2*y - 2*y^2 + x*z", ["x", "y", "z"]),
+        P("y^3 - x*z^2", ["x", "y", "z"]),
+    ]
+    assert_threshold(lambda cap: groebner_basis(gens, max_pairs=cap), 28)
+    for d, threshold in ((2, 120), (3, 105)):
+        points = sorted(elementary_symmetric(d, 5).support())
+        assert_threshold(lambda cap: toric_ideal(points, max_pairs=cap), threshold)
+
+
+def test_basis_independent_of_generator_order():
+    rng = random.Random(66)
+    for _ in range(20):
+        nvars = rng.randint(3, 4)
+        gens = []
+        while len(gens) < 3:
+            g = poly_to_intdict(random_sparse_polynomial(rng, nvars, 3, 4))
+            if g and g not in gens:
+                gens.append(g)
+        basis = buchberger_intdicts(gens, grevlex_key)
+        shuffled = list(gens)
+        while shuffled == gens:
+            rng.shuffle(shuffled)
+        assert buchberger_intdicts(shuffled, grevlex_key) == basis
+        for f, g in combinations(basis, 2):
+            assert not normal_form(_s_poly(f, g, grevlex_key), basis, grevlex_key)
 
 
 def test_linear_feasibility_examples():
