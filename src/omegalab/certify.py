@@ -44,6 +44,11 @@ VERDICT_FAILS = "criterion-fails"
 VERDICT_NOT_APPLICABLE = "not-applicable"
 VERDICT_UNDECIDED = "undecided"
 
+# Total-degree cap of certify_smooth: the number of partials, and with it the
+# work, grows with the degree; above the cap the verdict is undecided before
+# any order runs.
+MAX_CERTIFY_DEGREE = 12
+
 
 # -- M-convexity ---------------------------------------------------------------------
 
@@ -306,9 +311,10 @@ class SmoothnessCertificate:
     k_reports: tuple[OrderReport, ...]
     verdict: str
     polytope: LatticePolytope | None
+    detail: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "polynomial": self.polynomial,
             "n": self.nvars,
             "d": self.degree,
@@ -318,6 +324,9 @@ class SmoothnessCertificate:
             "verdict": self.verdict,
             "polytope": self.polytope.to_json_dict() if self.polytope else None,
         }
+        if self.detail:
+            out["detail"] = self.detail
+        return out
 
 
 def certify_smooth(
@@ -330,9 +339,12 @@ def certify_smooth(
 
     Verdicts: "smooth-toric" when the support is M-convex and every order's
     centre is disjoint (the emitted polytope is then the summed-truncation
-    base polytope, asserted smooth); "criterion-fails" on any intersection
+    base polytope, checked smooth); "criterion-fails" on any intersection
     (sufficiency only: this does not prove singularity); "not-applicable"
-    for non-M-convex support; "undecided" when a resource guard fired.
+    for non-M-convex support; "undecided" when a resource guard fired (the
+    total degree exceeds MAX_CERTIFY_DEGREE, or an order was undecided) or
+    the summed-truncation polytope failed its smoothness self-check, with
+    `detail` naming which.
     """
     if h.is_zero:
         raise ValueError("polynomial must be nonzero")
@@ -347,6 +359,11 @@ def certify_smooth(
     echo = text if text is not None else h.to_string([f"x{i+1}" for i in range(h.nvars)])
 
     mcx, mcx_witness = is_mconvex(h.support())
+    if d > MAX_CERTIFY_DEGREE:
+        return SmoothnessCertificate(
+            echo, h.nvars, d, mcx, mcx_witness, None, (), VERDICT_UNDECIDED, None,
+            detail=f"degree guard: total degree {d} exceeds the cap {MAX_CERTIFY_DEGREE}",
+        )
     lorentzian = is_lorentzian(h) if with_lorentzian else None
 
     if not mcx:
@@ -355,6 +372,7 @@ def certify_smooth(
         )
 
     reports = tuple(centre_disjoint(h, k, max_pairs) for k in range(1, d))
+    detail = None
     if any(r.disjoint == "no" for r in reports):
         verdict = VERDICT_FAILS
         body = None
@@ -367,11 +385,13 @@ def certify_smooth(
         body = base_polytope(truncation_sum(rho, 1))
         smooth, witness = is_smooth(body)
         if not smooth:
-            raise AssertionError(
-                f"summed-truncation polytope unexpectedly not smooth at {witness}"
+            verdict, body = VERDICT_UNDECIDED, None
+            detail = (
+                "summed-truncation self-check: the polytope is not smooth "
+                f"at vertex {list(witness)}"
             )
     return SmoothnessCertificate(
-        echo, h.nvars, d, True, None, lorentzian, reports, verdict, body
+        echo, h.nvars, d, True, None, lorentzian, reports, verdict, body, detail
     )
 
 

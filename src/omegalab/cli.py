@@ -147,6 +147,8 @@ def _cmd_certify(args) -> int:
             line += f" ({report.detail})"
         lines.append(line)
     lines.append(f"verdict: {cert.verdict}")
+    if cert.detail:
+        lines.append(f"detail: {cert.detail}")
     if cert.polytope is not None:
         lines.append(
             f"toric polytope: {len(cert.polytope.vertices)} vertices, dim {cert.polytope.dim}"
@@ -418,6 +420,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except ResourceLimit as exc:
         print(f"undecided: {exc}", file=sys.stderr)
+        payload = {"command": args.command, "status": "undecided", "detail": str(exc)}
+        _emit(args, payload, [])
         return EXIT_UNDECIDED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

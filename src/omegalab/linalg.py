@@ -1,60 +1,93 @@
 """Exact linear algebra over the rationals and the integers.
 
-Rational routines work on lists of Fraction rows; integer routines keep
-everything in arbitrary-precision ints.  Smith normal form returns the
-divisor matrix together with the unimodular transforms, which is what the
-lattice-smoothness test and integer kernels are built on.
+Every elimination runs on one fraction-free (Bareiss) kernel over Python
+ints; rational rows are first scaled by the lcm of their denominators, which
+changes neither the row space nor the reduced echelon form, and Fractions are
+formed only in returned rows.  Smith normal form returns the divisor matrix
+together with the unimodular transforms, which is what the lattice-smoothness
+test and integer kernels are built on.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
 
 
-def _to_fractions(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+def _rationals(row: Sequence) -> list:
+    return [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+
+
+def _int_row(row: Sequence) -> list[int]:
+    """The row scaled by the lcm of its denominators, as ints."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    values = _rationals(row)
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values]
+
+
+def _echelon(
+    mat: list[list[int]], ncols: int, reduced: bool
+) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) elimination of integer rows, in place.
+
+    Pivots are sought in the first `ncols` columns.  Returns the pivot rows,
+    their pivot columns and the last pivot d.  Without `reduced` the pivot
+    rows are a row echelon form.  With `reduced` the rows above each pivot
+    are cleared as well (fraction-free Gauss-Jordan): every pivot entry ends
+    equal to d and the pivot rows are d times the reduced row echelon form.
+    """
+    nrows = len(mat)
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        for i in range(r, nrows):
+            if mat[i][c]:
+                break
+        else:
+            continue
+        mat[r], mat[i] = mat[i], mat[r]
+        top = mat[r]
+        p = top[c]
+        for i in range(0 if reduced else r + 1, nrows):
+            if i == r:
+                continue
+            row = mat[i]
+            f = row[c]
+            if f:
+                mat[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                mat[i] = [p * x // prev for x in row]
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return mat[:r], pivots, prev
 
 
 def rref(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    mat = _to_fractions(rows)
+    mat = [_int_row(row) for row in rows]
     if ncols is None:
         ncols = len(mat[0]) if mat else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    reduced, pivots, d = _echelon(mat, ncols, True)
+    return [[Fraction(x, d) for x in row] for row in reduced], pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[0])
+    mat = [_int_row(row) for row in rows]
+    return len(_echelon(mat, len(mat[0]) if mat else 0, False)[1])
 
 
 def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
     """Canonical basis of {v : M v = 0}, one vector per free column of the RREF."""
-    reduced, pivots = rref(rows, ncols)
+    reduced, pivots, d = _echelon([_int_row(row) for row in rows], ncols, True)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -62,16 +95,15 @@ def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for row, p in zip(reduced, pivots):
-            vec[p] = -row[f]
+            vec[p] = Fraction(-row[f], d)
         basis.append(vec)
     return basis
 
 
 def in_row_space(rows: Sequence[Sequence], vector: Sequence) -> bool:
     """True iff `vector` is a rational combination of the rows."""
-    base = _to_fractions(rows)
-    r0 = rank(base)
-    return rank(base + [[Fraction(x) for x in vector]]) == r0
+    base = [_int_row(row) for row in rows]
+    return rank(base + [_int_row(vector)]) == rank(base)
 
 
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
@@ -79,56 +111,44 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
 
     Free variables are set to zero.
     """
-    mat = _to_fractions(rows)
-    if not mat:
+    rows = list(rows)
+    if not rows:
         return [] if all(Fraction(b) == 0 for b in rhs) else None
-    ncols = len(mat[0])
-    augmented = [row + [Fraction(b)] for row, b in zip(mat, rhs)]
-    reduced, pivots = rref(augmented, ncols + 1)
+    ncols = len(rows[0])
+    mat = [_int_row([*row, b]) for row, b in zip(rows, rhs)]
+    reduced, pivots, d = _echelon(mat, ncols + 1, True)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
     for row, p in zip(reduced, pivots):
-        x[p] = row[ncols]
+        x[p] = Fraction(row[ncols], d)
     return x
 
 
 def char_poly(matrix: Sequence[Sequence]) -> list[Fraction]:
     """Characteristic polynomial coefficients [c_n, ..., c_1, c_0] of det(tI - M).
 
-    Uses the Faddeev-LeVerrier recurrence; exact for rational matrices.
-    Returned list starts with the leading coefficient 1.
+    Runs the Faddeev-LeVerrier recurrence over the integers on L*M, where L
+    is the lcm of the denominators: the division by k is then exact, and the
+    coefficient of t^(n-k) is the integer one divided by L^k.  Returned list
+    starts with the leading coefficient 1.
     """
-    mat = _to_fractions(matrix)
-    n = len(mat)
-    if any(len(row) != n for row in mat):
+    rows = [_rationals(row) for row in matrix]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    coeffs = [Fraction(1)]
-    aux = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    mat = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    coeffs = [1]
     prod = mat
     for k in range(1, n + 1):
         if k > 1:
-            prod = _mat_mul(mat, aux)
-        trace = sum(prod[i][i] for i in range(n))
-        ck = -trace / k
+            cols = list(zip(*aux))
+            prod = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in mat]
+        ck = -sum(prod[i][i] for i in range(n)) // k
         coeffs.append(ck)
-        aux = [[prod[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
-    return coeffs
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m, p = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0)] * p for _ in range(n)]
-    for i in range(n):
-        for k in range(m):
-            aik = a[i][k]
-            if not aik:
-                continue
-            row_b = b[k]
-            row_o = out[i]
-            for j in range(p):
-                row_o[j] += aik * row_b[j]
-    return out
+        aux = [[x + ck if i == j else x for j, x in enumerate(row)] for i, row in enumerate(prod)]
+    return [Fraction(c, scale**k) for k, c in enumerate(coeffs)]
 
 
 def descartes_positive_roots(coeffs: Sequence[Fraction]) -> int:
@@ -156,12 +176,7 @@ def primitive_vector(vec: Sequence[int]) -> tuple[int, ...]:
 
 def clear_denominators(vec: Sequence) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (direction only)."""
-    fracs = [Fraction(x) for x in vec]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
-    return primitive_vector(ints)
+    return primitive_vector(_int_row(vec))
 
 
 def smith_normal_form(
@@ -278,10 +293,17 @@ def integer_lattice_coordinates(
     basis: Sequence[Sequence[int]], vector: Sequence[int]
 ) -> list[int] | None:
     """Express `vector` in the given integer lattice basis; None if impossible."""
-    rows = [[Fraction(b[i]) for b in basis] for i in range(len(vector))]
-    sol = solve(rows, vector)
-    if sol is None:
+    if not vector:
+        return []  # no equations: the empty solution, as `solve` returns
+    ncols = len(basis)
+    mat = [_int_row([*(b[i] for b in basis), vector[i]]) for i in range(len(vector))]
+    reduced, pivots, d = _echelon(mat, ncols + 1, True)
+    if ncols in pivots:
         return None
-    if any(c.denominator != 1 for c in sol):
-        return None
-    return [int(c) for c in sol]
+    coords = [0] * ncols
+    for row, p in zip(reduced, pivots):
+        q, rem = divmod(row[ncols], d)
+        if rem:
+            return None
+        coords[p] = q
+    return coords

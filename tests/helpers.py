@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from omegalab import (
     Polynomial,
@@ -150,3 +150,58 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
         for rest in _compositions(total - first, parts - 1):
             out.append((first,) + rest)
     return out
+
+
+# -- textbook references for the elimination kernel (test-only) ---------------------
+
+
+def reference_rref(rows, ncols=None):
+    """Fraction Gauss-Jordan: (nonzero rows of the RREF, pivot columns)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if ncols is None:
+        ncols = len(mat[0]) if mat else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                factor = mat[i][c]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return mat[: len(pivots)], pivots
+
+
+def reference_solve(rows, rhs):
+    """One solution of M x = b with free variables zero, or None."""
+    if not rows:
+        return [] if all(Fraction(b) == 0 for b in rhs) else None
+    ncols = len(rows[0])
+    reduced, pivots = reference_rref([list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(reduced, pivots):
+        x[p] = row[ncols]
+    return x
+
+
+def reference_char_poly(matrix):
+    """det(tI - M) coefficients from sums of principal minors (Leibniz formula)."""
+    n = len(matrix)
+
+    def det(idx):
+        total = Fraction(0)
+        for perm in permutations(range(len(idx))):
+            inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
+            term = Fraction(-1) ** inversions
+            for i, j in enumerate(perm):
+                term *= Fraction(matrix[idx[i]][idx[j]])
+            total += term
+        return total
+
+    return [(-1) ** k * sum(det(s) for s in combinations(range(n), k)) for k in range(n + 1)]

@@ -252,6 +252,35 @@ def test_certificate_lattice_points_match_support_sums():
         assert sums == set(lattice_points(cert.polytope))
 
 
+def test_certify_degree_guard_fires_before_any_order():
+    from omegalab.certify import MAX_CERTIFY_DEGREE
+
+    h = parse_polynomial(f"x^{MAX_CERTIFY_DEGREE}*y", ["x", "y"])
+    cert = certify_smooth(h)
+    assert cert.verdict == "undecided"
+    assert cert.k_reports == () and cert.polytope is None and cert.lorentzian is None
+    assert cert.detail == (
+        f"degree guard: total degree {MAX_CERTIFY_DEGREE + 1} exceeds the cap {MAX_CERTIFY_DEGREE}"
+    )
+    at_cap = certify_smooth(parse_polynomial(f"x^{MAX_CERTIFY_DEGREE - 1}*y", ["x", "y"]))
+    assert at_cap.verdict == "smooth-toric" and at_cap.detail is None
+
+
+def test_failed_self_check_is_undecided(monkeypatch):
+    import omegalab.certify
+
+    def not_smooth(body):
+        return False, body.vertices[-1]
+
+    monkeypatch.setattr(omegalab.certify, "is_smooth", not_smooth)
+    cert = certify_smooth(elementary_symmetric(2, 3))
+    assert cert.verdict == "undecided"
+    assert cert.polytope is None
+    assert all(r.disjoint == "yes" for r in cert.k_reports)
+    assert cert.detail == "summed-truncation self-check: the polytope is not smooth at vertex [1, 0, 0]"
+    assert cert.to_json_dict()["detail"] == cert.detail
+
+
 def test_certificate_json_shape():
     cert = certify_smooth(elementary_symmetric(2, 3))
     data = cert.to_json_dict()

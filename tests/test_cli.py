@@ -244,6 +244,54 @@ def test_certify_greedy_guard_named_in_detail(capsys):
     assert "disjoint=undecided (order-1 truncation polytope: greedy enumeration" in out
 
 
+def test_certify_degree_guard_text_and_json(capsys):
+    code, out, _ = run(capsys, "certify", "--vars", "x,y", "x^300*y^300")
+    assert code == 3
+    assert "verdict: undecided" in out
+    assert "detail: degree guard: total degree 600 exceeds the cap 12" in out
+    code, out, _ = run(capsys, "certify", "--format", "json", "--vars", "x,y", "x^300*y^300")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["verdict"] == "undecided"
+    assert payload["k_reports"] == [] and payload["polytope"] is None
+    assert payload["detail"] == "degree guard: total degree 600 exceeds the cap 12"
+
+
+def test_probe_degree_guard_is_undecided(capsys):
+    code, out, _ = run(
+        capsys, "probe-smoothable", "--format", "json", "--vars", "x,y", "x^7*y^6", "--trials", "2"
+    )
+    assert code == 0
+    assert json.loads(out)["counts"] == {"undecided": 2}
+
+
+def test_certify_failed_self_check_prints_payload(capsys, monkeypatch):
+    import omegalab.certify
+
+    monkeypatch.setattr(omegalab.certify, "is_smooth", lambda body: (False, body.vertices[0]))
+    code, out, _ = run(capsys, "certify", "--format", "json", "--vars", "x,y,z", "x*y+x*z+y*z")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["verdict"] == "undecided" and payload["polytope"] is None
+    assert payload["detail"].startswith("summed-truncation self-check")
+
+
+def test_resource_limit_prints_json_payload(capsys):
+    code, out, err = run(
+        capsys, "polytope", "--matroid", "12,13", "--ground-set", "9", "--format", "json"
+    )
+    assert code == 3
+    assert err == "undecided: greedy enumeration capped at n <= 8\n"
+    assert json.loads(out) == {
+        "schema": "omegalab/1",
+        "command": "polytope",
+        "status": "undecided",
+        "detail": "greedy enumeration capped at n <= 8",
+    }
+    code, out, _ = run(capsys, "polytope", "--matroid", "12,13", "--ground-set", "9")
+    assert code == 3 and out == ""
+
+
 def test_probe_command(capsys):
     code, out, _ = run(
         capsys,

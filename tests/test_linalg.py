@@ -7,6 +7,7 @@ from omegalab.linalg import (
     char_poly,
     clear_denominators,
     descartes_positive_roots,
+    in_row_space,
     integer_kernel_basis,
     integer_lattice_coordinates,
     kernel_basis,
@@ -16,6 +17,8 @@ from omegalab.linalg import (
     snf_divisors,
     solve,
 )
+
+from helpers import reference_char_poly, reference_rref, reference_solve
 
 
 def test_rref_and_rank():
@@ -118,3 +121,106 @@ def test_char_poly_block_matrix():
 def test_descartes_skips_zero_coefficients():
     # t^3 - t = t(t-1)(t+1): one positive root
     assert descartes_positive_roots([1, 0, -1, 0]) == 1
+
+
+# -- the integer kernel against a Fraction Gauss-Jordan reference ------------------
+
+
+def _entry(rng, kind):
+    if kind == "int":
+        return rng.randint(-3, 3)
+    if kind == "sparse":
+        return rng.choice((0, 0, 0, 1, -1, 2))
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+
+
+def _matrix(rng, m, n, kind):
+    rows = [[_entry(rng, kind) for _ in range(n)] for _ in range(m)]
+    if m > 1 and rng.random() < 0.5:  # a dependent row
+        a, b = rng.sample(range(m), 2)
+        c = rng.randint(-2, 2)
+        rows[a] = [x + c * y for x, y in zip(rows[a], rows[b])]
+    if m and rng.random() < 0.2:
+        rows[rng.randrange(m)] = [0] * n
+    return rows
+
+
+def _reference_lattice_coordinates(basis, vector):
+    sol = reference_solve([[b[i] for b in basis] for i in range(len(vector))], vector)
+    if sol is None or any(c.denominator != 1 for c in sol):
+        return None
+    return [int(c) for c in sol]
+
+
+def test_elimination_matches_fraction_reference():
+    rng = random.Random(5)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(400)]
+    for m, n in shapes:
+        kind = rng.choice(("int", "sparse", "rational"))
+        rows = _matrix(rng, m, n, kind)
+        reduced, pivots = reference_rref(rows, n)
+        assert rref(rows, n) == (reduced, pivots)
+        assert rank(rows) == len(pivots)
+        kernel = []
+        for f in (c for c in range(n) if c not in pivots):
+            vec = [Fraction(0)] * n
+            vec[f] = Fraction(1)
+            for row, p in zip(reduced, pivots):
+                vec[p] = -row[f]
+            kernel.append(vec)
+        assert kernel_basis(rows, n) == kernel
+
+        x = [_entry(rng, kind) for _ in range(n)]
+        consistent = [sum(Fraction(a) * b for a, b in zip(row, x)) for row in rows]
+        for rhs in (consistent, [_entry(rng, kind) for _ in range(m)]):
+            assert solve(rows, rhs) == reference_solve(rows, rhs)
+
+        combination = [rng.randint(-2, 2) for _ in rows]
+        inside = [sum(Fraction(c) * row[j] for c, row in zip(combination, rows)) for j in range(n)]
+        for vec in (inside, [_entry(rng, kind) for _ in range(n)]):
+            expected = len(reference_rref(rows + [vec], n)[1]) == len(pivots)
+            assert in_row_space(rows, vec) == expected
+        assert in_row_space(rows, inside)
+
+
+def test_lattice_coordinates_match_fraction_reference():
+    rng = random.Random(6)
+    seen_none = seen_coords = 0
+    for _ in range(400):
+        n, k = rng.randint(0, 5), rng.randint(0, 4)
+        basis = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+        coords = [rng.randint(-3, 3) for _ in range(k)]
+        inside = tuple(sum(c * b[i] for c, b in zip(coords, basis)) for i in range(n))
+        doubled = [tuple(2 * x for x in b) for b in basis]  # inside has half-integral coordinates
+        outside = tuple(rng.randint(-3, 3) for _ in range(n))
+        for lattice, vector in ((basis, inside), (doubled, inside), (basis, outside)):
+            got = integer_lattice_coordinates(lattice, vector)
+            assert got == _reference_lattice_coordinates(lattice, vector)
+            if got is None:
+                seen_none += 1
+            else:
+                seen_coords += 1
+                assert [sum(c * b[i] for c, b in zip(got, lattice)) for i in range(n)] == list(vector)
+    assert seen_none > 100 and seen_coords > 100
+    assert integer_lattice_coordinates([(2, 0), (0, 2)], (1, 0)) is None
+    assert integer_lattice_coordinates([(1, 0, 0)], (0, 1, 0)) is None
+
+
+def test_empty_and_inconsistent_systems():
+    assert rref([]) == ([], []) and rank([]) == 0
+    assert rank([[], []]) == 0 and kernel_basis([[], []], 0) == []
+    assert kernel_basis([], 2) == [[1, 0], [0, 1]]
+    assert solve([], []) == [] and solve([], [1]) is None
+    assert solve([[], []], [0, 1]) is None
+    assert solve([[0, 0]], [0]) == [0, 0]
+
+
+def test_char_poly_matches_principal_minor_reference():
+    rng = random.Random(7)
+    for _ in range(150):
+        n = rng.randint(0, 5)
+        m = _matrix(rng, n, n, rng.choice(("int", "sparse", "rational")))
+        if rng.random() < 0.5:
+            m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        assert char_poly(m) == reference_char_poly(m)

@@ -1,5 +1,6 @@
 """Lattice polytopes: construction, faces, simplicity, smoothness, sums."""
 
+import hashlib
 import random
 from itertools import permutations
 
@@ -21,7 +22,7 @@ from omegalab import (
     truncate,
     truncation_sum,
 )
-from omegalab.derivatives import derivative_support
+from omegalab.derivatives import derivative_support, elementary_symmetric
 from omegalab.guards import ResourceLimit
 from omegalab.poly import parse_polynomial
 
@@ -31,6 +32,7 @@ from helpers import (
     random_matroid,
     random_mconvex_support,
     random_polymatroid,
+    reference_rref,
 )
 
 U24 = SetFunction.uniform_matroid(2, 4)
@@ -245,6 +247,30 @@ def test_face_facets_are_the_inequalities_tight_at_its_vertices():
                 if all(sum(x * y for x, y in zip(a, v)) == b for v in face.vertices)
             }
             assert face.facets == tight
+
+
+def test_face_dims_pinned_on_hypersimplices_and_summed_truncations():
+    # f-vectors and SHA-256 of [(vertex_indices, dim), ...] in faces() order
+    pins = {
+        (3, 5, "base"): ([10, 30, 30, 10, 1], "52396cdfea0177b3426cf6f673fd50267aedb0efe7da2faa2ca5e8d0cd96f604"),
+        (3, 5, "summed"): ([20, 40, 30, 10, 1], "325ff90de769f77d77281749b5fc5ee22a62da084fb655599e8518ef22c8e3a0"),
+        (4, 6, "base"): ([15, 60, 80, 45, 12, 1], "89165011645956d105989aef3619f9bdd2103b499da8a7ff55b1c28f199615ca"),
+        (4, 6, "summed"): (
+            [120, 300, 290, 135, 27, 1],
+            "d33ffaac6aab23c7fa1f669f87741e98958bc458752839e5a8a09a66921d4484",
+        ),
+    }
+    for (d, n, which), (fvector, digest) in pins.items():
+        rho = rank_from_support(elementary_symmetric(d, n).support())
+        body = base_polytope(truncation_sum(rho, 1) if which == "summed" else rho)
+        fl = faces(body)
+        assert [sum(1 for f in fl if f.dim == k) for k in range(body.dim + 1)] == fvector
+        listing = repr([(f.vertex_indices, f.dim) for f in fl]).encode()
+        assert hashlib.sha256(listing).hexdigest() == digest
+        for f in fl:
+            v0 = f.vertices[0]
+            diffs = [[a - b for a, b in zip(v, v0)] for v in f.vertices[1:]]
+            assert f.dim == len(reference_rref(diffs, n)[1])
 
 
 def test_cube_is_simple_and_smooth():
