@@ -44,10 +44,14 @@ VERDICT_FAILS = "criterion-fails"
 VERDICT_NOT_APPLICABLE = "not-applicable"
 VERDICT_UNDECIDED = "undecided"
 
-# Total-degree cap of certify_smooth: the number of partials, and with it the
-# work, grows with the degree; above the cap the verdict is undecided before
-# any order runs.
+# Total-degree cap of certify_smooth and is_lorentzian: the number of partials,
+# and with it the work, grows with the degree; above the cap the verdict is
+# undecided before any order runs, and the Lorentzian test raises
+# ResourceLimit before it builds a partial.
 MAX_CERTIFY_DEGREE = 12
+
+# Cap on smoothable_probe's trials: each trial is one full certificate.
+MAX_PROBE_TRIALS = 10_000
 
 
 # -- M-convexity ---------------------------------------------------------------------
@@ -136,6 +140,10 @@ def positive_eigenvalue_count(matrix: Sequence[Sequence[Fraction]]) -> int:
     return linalg.descartes_positive_roots(linalg.char_poly(matrix))
 
 
+def _degree_guard(d: int) -> str:
+    return f"degree guard: total degree {d} exceeds the cap {MAX_CERTIFY_DEGREE}"
+
+
 def is_lorentzian(h: Polynomial) -> LorentzianReport:
     """Nonnegative coefficients, M-convex support, and every iterated Hessian
     with at most one positive eigenvalue."""
@@ -144,6 +152,8 @@ def is_lorentzian(h: Polynomial) -> LorentzianReport:
     d = h.total_degree
     if d < 2:
         raise ValueError("Lorentzian test needs degree at least 2")
+    if d > MAX_CERTIFY_DEGREE:
+        raise ResourceLimit(_degree_guard(d))
     nonneg = all(c > 0 for c in h.terms.values())
     mcx, _ = is_mconvex(h.support())
     multisets = combinations_with_replacement(range(h.nvars), d - 2)
@@ -362,7 +372,7 @@ def certify_smooth(
     if d > MAX_CERTIFY_DEGREE:
         return SmoothnessCertificate(
             echo, h.nvars, d, mcx, mcx_witness, None, (), VERDICT_UNDECIDED, None,
-            detail=f"degree guard: total degree {d} exceeds the cap {MAX_CERTIFY_DEGREE}",
+            detail=_degree_guard(d),
         )
     lorentzian = is_lorentzian(h) if with_lorentzian else None
 
@@ -425,8 +435,10 @@ def smoothable_probe(
 
     A sampling probe for generic behavior over a fixed M-convex support, not
     a decision procedure.  Coefficients are uniform integers in 1..max_coeff
-    from a seeded generator.
+    from a seeded generator; at most MAX_PROBE_TRIALS trials.
     """
+    if trials > MAX_PROBE_TRIALS:
+        raise ValueError(f"trials {trials} exceeds the cap {MAX_PROBE_TRIALS}")
     pts = sorted({tuple(int(x) for x in p) for p in support})
     mcx, witness = is_mconvex(pts)
     if not mcx:

@@ -23,7 +23,7 @@ from .certify import (
     is_mconvex,
     smoothable_probe,
 )
-from .derivatives import derivative_space, projection_centre
+from .derivatives import derivative_space
 from .groebner import DEFAULT_MAX_PAIRS
 from .guards import ResourceLimit
 from .poly import ParseError, Polynomial, parse_polynomial
@@ -192,19 +192,19 @@ def _cmd_analyze(args) -> int:
     per_k = []
     for k in range(1, max(h.total_degree, 1)):
         space = derivative_space(h, k)
-        centre = projection_centre(space)
+        centre_dim = len(space.columns) - space.span_dimension
         per_k.append(
             {
                 "k": k,
                 "m_k": space.span_dimension,
                 "num_monomials": len(space.columns),
-                "centre_dim": len(centre),
+                "centre_dim": centre_dim,
                 "basis": [p.to_string(names) for p in space.basis],
             }
         )
         lines.append(
             f"k={k}: span dim {space.span_dimension}, {len(space.columns)} monomials, "
-            f"centre dim {len(centre)}"
+            f"centre dim {centre_dim}"
         )
         for p in space.basis:
             lines.append(f"    {p.to_string(names)}")

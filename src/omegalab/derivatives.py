@@ -27,8 +27,7 @@ class DerivativeSpace:
     order: int
     nvars: int
     basis: tuple[Polynomial, ...]
-    support_union: frozenset[Exponent]
-    columns: tuple[Exponent, ...]  # support_union sorted descending grevlex
+    columns: tuple[Exponent, ...]  # union of the partials' supports, descending grevlex
     matrix: tuple[tuple[Fraction, ...], ...]  # len(basis) x len(columns)
 
     @property
@@ -100,7 +99,6 @@ def derivative_space(h: Polynomial, k: int) -> DerivativeSpace:
         order=k,
         nvars=h.nvars,
         basis=tuple(basis),
-        support_union=frozenset(support),
         columns=columns,
         matrix=tuple(matrix),
     )

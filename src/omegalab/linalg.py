@@ -282,7 +282,7 @@ def integer_kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> list[tu
     if not rows:
         return [tuple(1 if i == j else 0 for j in range(ncols)) for i in range(ncols)]
     d, _, v = smith_normal_form(rows)
-    r = len(snf_divisors(rows))
+    r = sum(1 for i in range(min(len(d), ncols)) if d[i][i])
     basis = []
     for j in range(r, ncols):
         basis.append(tuple(v[i][j] for i in range(ncols)))

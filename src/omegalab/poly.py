@@ -14,7 +14,7 @@ monomials is graded reverse lexicographic with the first variable largest.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -83,14 +83,6 @@ class Polynomial:
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
         return cls(nvars, {(0,) * nvars: Fraction(value)})
-
-    @classmethod
-    def from_terms(cls, nvars: int, items: Iterable[tuple[Sequence[int], object]]) -> "Polynomial":
-        acc: dict[Exponent, Fraction] = {}
-        for exponent, coeff in items:
-            key = tuple(int(e) for e in exponent)
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
-        return cls(nvars, acc)
 
     # -- basic queries ---------------------------------------------------------
 

@@ -2,11 +2,16 @@
 
 Polytopes are stored with an exact integer V-representation plus an
 irredundant integer H-representation (facet inequalities and affine-hull
-equations).  Vertex enumeration for independence and base polytopes uses the
-classical greedy/prefix rule over permutations; generic hulls (Newton
-polytopes, point-set sums) use a brute-force facet search with exact
-orientation tests, working inside the saturated direction lattice so that
-lower-dimensional polytopes are handled exactly.
+equations).  Candidate points for independence and base polytopes come from
+the classical greedy/prefix rule over permutations; generic hulls (Newton
+polytopes, point-set sums) get their candidate inequalities from a
+brute-force facet search with exact orientation tests, working inside the
+saturated direction lattice so that lower-dimensional polytopes are handled
+exactly.  Every combinatorial fact is then read off the point-facet
+incidences, with no further elimination: the dimension is the ambient
+dimension less the number of affine-hull equations, the facets are the
+maximal proper tight sets, a vertex is the only point on every facet through
+it, and a face's dimension follows from the meets of the face lattice.
 """
 
 from __future__ import annotations
@@ -96,17 +101,9 @@ class Face:
 # -- affine chart helpers --------------------------------------------------------
 
 
-def _direction_lattice(points: Sequence[Point], ambient: int) -> list[tuple[int, ...]]:
-    """Basis of the saturated lattice spanned by differences of the points."""
-    if len(points) <= 1:
-        return []
-    v0 = points[0]
-    diffs = [[p[i] - v0[i] for i in range(ambient)] for p in points[1:]]
-    normal_rows = linalg.kernel_basis(diffs, ambient)
-    if not normal_rows:
-        return [tuple(1 if i == j else 0 for j in range(ambient)) for i in range(ambient)]
-    int_rows = [linalg.clear_denominators(row) for row in normal_rows]
-    return linalg.integer_kernel_basis(int_rows, ambient)
+def _direction_lattice(equations: Sequence[Inequality], ambient: int) -> list[tuple[int, ...]]:
+    """Basis of the saturated lattice of directions in the affine hull."""
+    return linalg.integer_kernel_basis([a for a, _ in equations], ambient)
 
 
 def _equations_from_points(points: Sequence[Point], ambient: int) -> tuple[Inequality, ...]:
@@ -125,13 +122,6 @@ def _coords(basis: Sequence[tuple[int, ...]], v0: Point, p: Point) -> tuple[int,
     if sol is None:
         raise ValueError("point does not lie in the affine lattice of the polytope")
     return tuple(sol)
-
-
-def _affine_rank(points: Sequence[Point]) -> int:
-    if len(points) <= 1:
-        return 0
-    v0 = points[0]
-    return linalg.rank([[p[i] - v0[i] for i in range(len(v0))] for p in points[1:]])
 
 
 def _canonical_inequality(
@@ -158,57 +148,49 @@ def _canonical_inequality(
 
 def _assemble(
     ambient: int,
-    points: Sequence[Point],
+    points: Iterable[Point],
     candidates: Iterable[Inequality],
-    points_are_vertices: bool,
+    equations: tuple[Inequality, ...] | None = None,
 ) -> LatticePolytope:
-    """Build a polytope from a complete candidate inequality set.
+    """Build the hull of the points from a complete candidate inequality set.
 
-    `candidates` must all be valid on the points and must include every facet.
+    `candidates` must all be valid on the points and must include every facet;
+    `equations` is the affine hull of the points when the caller has it.
     """
     pts = sorted(set(points))
     if not pts:
         raise ValueError("a polytope needs at least one point")
-    equations = _equations_from_points(pts, ambient)
-    dim = _affine_rank(pts)
+    if equations is None:
+        equations = _equations_from_points(pts, ambient)
 
-    facets: list[Inequality] = []
-    tight_sets: dict[frozenset[int], Inequality] = {}
-    if dim > 0:
-        eq_rref, eq_pivots = linalg.rref([list(a) for a, _ in equations], ambient)
-        for a, b in candidates:
-            values = [_dot(a, p) for p in pts]
-            top = max(values)
-            if top > b:
-                raise ValueError("candidate inequality is violated by the point set")
-            if top < b:
-                continue
-            tight = frozenset(i for i, v in enumerate(values) if v == b)
-            if len(tight) == len(pts):
-                continue  # affine-hull equation, not a facet
-            if frozenset(tight) in tight_sets:
-                continue
-            if _affine_rank([pts[i] for i in tight]) == dim - 1:
-                tight_sets[frozenset(tight)] = _canonical_inequality(
-                    a, pts, eq_rref, eq_pivots
-                )
-        facets = sorted(tight_sets.values())
+    # Tight sets as bitmasks over the points, each with the first candidate
+    # tight there and its point indices.
+    tight_sets: dict[int, tuple[tuple[int, ...], list[int]]] = {}
+    for a, b in candidates:
+        values = [_dot(a, p) for p in pts]
+        if max(values) > b:
+            raise ValueError("candidate inequality is violated by the point set")
+        on = [i for i, v in enumerate(values) if v == b]
+        if on and len(on) < len(pts):  # tight at every point: an equation
+            tight_sets.setdefault(sum(1 << i for i in on), (a, on))
 
-    if points_are_vertices or dim == 0:
-        verts = pts
-    else:
-        verts = []
-        eq_rows = [list(a) for a, _ in equations]
-        for i, p in enumerate(pts):
-            rows = list(eq_rows)
-            for tight, ineq in tight_sets.items():
-                if i in tight:
-                    rows.append(list(ineq[0]))
-            if linalg.rank(rows) == ambient:
-                verts.append(p)
-        verts = sorted(verts)
+    # The facets are the maximal proper tight sets: each face lies in a facet.
+    facet_masks: list[int] = []
+    for mask in sorted(tight_sets, key=int.bit_count, reverse=True):
+        if all(mask & f != mask for f in facet_masks):
+            facet_masks.append(mask)
+    eq_rref, eq_pivots = linalg.rref([list(a) for a, _ in equations], ambient)
+    facets = sorted(
+        _canonical_inequality(tight_sets[m][0], pts, eq_rref, eq_pivots) for m in facet_masks
+    )
 
-    return LatticePolytope(ambient, tuple(verts), tuple(facets), equations, dim)
+    # A vertex is the only point on every facet through it.
+    meet = [(1 << len(pts)) - 1] * len(pts)
+    for mask in facet_masks:
+        for i in tight_sets[mask][1]:
+            meet[i] &= mask
+    verts = tuple(p for i, p in enumerate(pts) if meet[i] == 1 << i)
+    return LatticePolytope(ambient, verts, tuple(facets), equations, ambient - len(equations))
 
 
 # -- polymatroid polytopes --------------------------------------------------------
@@ -259,14 +241,14 @@ def independence_polytope(f: SetFunction) -> LatticePolytope:
     """Polytope {x >= 0 : sum over S of x_i <= f(S)} with greedy vertices."""
     _require_polymatroid(f)
     points = _greedy_points(f, bases_only=False)
-    return _assemble(f.n, points, _submodular_candidates(f), points_are_vertices=True)
+    return _assemble(f.n, points, _submodular_candidates(f))
 
 
 def base_polytope(f: SetFunction) -> LatticePolytope:
     """Face of the independence polytope at the rank equation."""
     _require_polymatroid(f)
     points = _greedy_points(f, bases_only=True)
-    return _assemble(f.n, points, _submodular_candidates(f), points_are_vertices=True)
+    return _assemble(f.n, points, _submodular_candidates(f))
 
 
 def matroid_staircase_vertices(f: SetFunction) -> set[Point]:
@@ -310,10 +292,11 @@ def polytope_from_points(
     ambient = len(pts[0])
     if ambient > MAX_HULL_AMBIENT_DIM:
         raise ResourceLimit(f"hull search capped at ambient dimension {MAX_HULL_AMBIENT_DIM}")
-    basis = _direction_lattice(pts, ambient)
+    equations = _equations_from_points(pts, ambient)
+    basis = _direction_lattice(equations, ambient)
     dim = len(basis)
     if dim == 0:
-        return _assemble(ambient, pts, [], points_are_vertices=True)
+        return _assemble(ambient, pts, [], equations)
     v0 = pts[0]
     charted = [_coords(basis, v0, p) for p in pts]
     if comb(len(pts), dim) > max_subsets:
@@ -349,38 +332,22 @@ def polytope_from_points(
         a_int = linalg.clear_denominators(a)
         candidates.append((a_int, max(_dot(a_int, p) for p in pts)))
 
-    return _assemble(ambient, pts, candidates, points_are_vertices=False)
+    return _assemble(ambient, pts, candidates, equations)
 
 
-def _is_indicator_structured(p: LatticePolytope) -> bool:
-    """True when every facet normal is an indicator or negated indicator vector."""
-    for a, _ in p.inequalities:
-        nonzero = {x for x in a if x}
-        if nonzero not in ({1}, {-1}):
-            return False
-    return True
+def _edges_in_arrangement(p: LatticePolytope) -> bool:
+    """True when every edge is parallel to some e_i or e_i - e_j.
 
-
-def _signed_lex_vertices(points: Sequence[Point], ambient: int) -> set[Point]:
-    """All vertices exposed by chambers of the coordinate/braid arrangement.
-
-    Complete for polytopes whose normal fan coarsens that arrangement's fan
-    (sums of polymatroid polytopes); every returned point is a vertex of the
-    hull of `points` unconditionally.
+    Then the normal fan coarsens the fan of the arrangement of the hyperplanes
+    x_i = 0 and x_i = x_j, whose rays are (negated) indicator vectors.
     """
-    out: set[Point] = set()
-    for order in permutations(range(ambient)):
-        for split in range(ambient + 1):
-            # priorities: maximize order[:split], then minimize in reverse
-            priorities = [(var, True) for var in order[:split]]
-            priorities += [(var, False) for var in reversed(order[split:])]
-            cand = list(points)
-            for var, want_max in priorities:
-                values = [p[var] for p in cand]
-                target = max(values) if want_max else min(values)
-                cand = [p for p in cand if p[var] == target]
-            out.add(cand[0])
-    return out
+    for f in faces(p):
+        if f.dim == 1:
+            u, v = f.vertices
+            step = sorted(x for x in linalg.primitive_vector([b - a for a, b in zip(u, v)]) if x)
+            if step not in ([1], [-1], [-1, 1]):
+                return False
+    return True
 
 
 def minkowski_sum(
@@ -396,20 +363,19 @@ def minkowski_sum(
 
     if (
         ambient <= MAX_HULL_AMBIENT_DIM
-        and _is_indicator_structured(p)
-        and _is_indicator_structured(q)
+        and _edges_in_arrangement(p)
+        and _edges_in_arrangement(q)
     ):
-        # Both normal fans coarsen the coordinate/braid arrangement, hence so
-        # does the sum's; its facet normals are (negated) indicator vectors and
-        # its vertices are exposed by arrangement chambers.
-        verts = sorted(_signed_lex_vertices(sums, ambient))
+        # Each edge of the sum is parallel to an edge of a summand, so the
+        # sum's normal fan coarsens the arrangement's too: every facet normal
+        # is a (negated) indicator vector.
         candidates: list[Inequality] = []
         for mask in range(1, 1 << ambient):
             normal = tuple(1 if mask >> i & 1 else 0 for i in range(ambient))
             candidates.append((normal, max(_dot(normal, s) for s in sums)))
             neg = tuple(-x for x in normal)
             candidates.append((neg, max(_dot(neg, s) for s in sums)))
-        return _assemble(ambient, verts, candidates, points_are_vertices=True)
+        return _assemble(ambient, sums, candidates)
 
     return polytope_from_points(sums)
 
@@ -468,18 +434,21 @@ def lattice_points(
 
 
 def faces(p: LatticePolytope) -> list[Face]:
-    """All nonempty faces as the meet-closure of facet vertex incidences."""
-    nverts = len(p.vertices)
-    full = frozenset(range(nverts))
-    facet_sets = []
-    for a, b in p.inequalities:
-        facet_sets.append(frozenset(i for i, v in enumerate(p.vertices) if _dot(a, v) == b))
+    """All nonempty faces as the meet-closure of facet vertex incidences.
 
-    closed: set[frozenset[int]] = {full}
+    A face's dimension is one more than the largest among its nonempty proper
+    meets with the facets (its own facets are among them); a vertex has none.
+    """
+    facet_masks = [
+        sum(1 << i for i, v in enumerate(p.vertices) if _dot(a, v) == b)
+        for a, b in p.inequalities
+    ]
+    full = (1 << len(p.vertices)) - 1
+    closed = {full}
     frontier = [full]
     while frontier:
-        new: list[frozenset[int]] = []
-        for fs in facet_sets:
+        new: list[int] = []
+        for fs in facet_masks:
             for cur in frontier:
                 meet = cur & fs
                 if meet and meet not in closed:
@@ -487,13 +456,17 @@ def faces(p: LatticePolytope) -> list[Face]:
                     new.append(meet)
         frontier = new
 
+    dims: dict[int, int] = {}
     result = []
-    while closed:  # popping frees each vertex set once its face is built
-        vertex_set = closed.pop()
-        members = sorted(vertex_set)
-        face_vertices = tuple(p.vertices[i] for i in members)
-        facets = frozenset(j for j, fs in enumerate(facet_sets) if vertex_set <= fs)
-        result.append(Face(tuple(members), face_vertices, _affine_rank(face_vertices), facets))
+    for mask in sorted(closed, key=int.bit_count):  # meets come before the face
+        dims[mask] = 1 + max(
+            (dims[m] for fs in facet_masks if (m := mask & fs) and m != mask), default=-1
+        )
+        members = tuple(i for i, bit in enumerate(reversed(bin(mask))) if bit == "1")
+        facets = frozenset(j for j, fs in enumerate(facet_masks) if mask & fs == mask)
+        result.append(
+            Face(members, tuple(p.vertices[i] for i in members), dims[mask], facets)
+        )
     result.sort(key=lambda f: (f.dim, f.vertex_indices))
     return result
 
@@ -532,7 +505,7 @@ def is_smooth(
     simple, witness = is_simple(p, face_list)
     if not simple:
         return False, witness
-    basis = _direction_lattice(p.vertices, p.ambient_dim)
+    basis = _direction_lattice(p.equations, p.ambient_dim)
     edges_at: dict[int, list[Point]] = {i: [] for i in range(len(p.vertices))}
     for f in face_list:
         if f.dim == 1:
@@ -574,8 +547,8 @@ def enumerate_basic_vertices(p: LatticePolytope) -> set[tuple[Fraction, ...]]:
             a, b = p.inequalities[j]
             rows.append([Fraction(x) for x in a])
             rhs.append(Fraction(b))
-        if linalg.rank(rows) != n:
-            continue
+        if linalg.kernel_basis(rows, n):
+            continue  # the subsystem has no unique solution
         sol = linalg.solve(rows, rhs)
         if sol is None:
             continue

@@ -205,3 +205,56 @@ def reference_char_poly(matrix):
         return total
 
     return [(-1) ** k * sum(det(s) for s in combinations(range(n), k)) for k in range(n + 1)]
+
+
+def reference_kernel(rows, ncols):
+    """Basis of {v : M v = 0}, one vector per free column of the RREF."""
+    reduced, pivots = reference_rref(rows, ncols)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def reference_affine_rank(points):
+    """Rank of the differences of the points from the first one."""
+    if len(points) <= 1:
+        return 0
+    diffs = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+    return len(reference_rref(diffs, len(points[0]))[1])
+
+
+def reference_hull(points):
+    """(dim, facet tight sets, sorted vertices) of a point cloud by rank tests alone.
+
+    Every facet holds dim affinely independent points of the cloud, so each
+    such set whose hyperplane within the affine hull leaves the cloud on one
+    side gives a facet; its tight set is the points on that hyperplane.  A
+    point is a vertex when the affine-hull equations and the normals of the
+    facets through it have full rank.
+    """
+    pts = sorted(set(points))
+    n = len(pts[0])
+    dim = reference_affine_rank(pts)
+    hull_eqs = reference_kernel([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]], n)
+    normals = {}
+    for subset in combinations(pts, dim) if dim else ():
+        if reference_affine_rank(subset) != dim - 1:
+            continue
+        diffs = [[a - b for a, b in zip(p, subset[0])] for p in subset[1:]]
+        (normal,) = reference_kernel(diffs + hull_eqs, n)
+        values = [sum(a * x for a, x in zip(normal, p)) for p in pts]
+        level = values[pts.index(subset[0])]
+        if max(values) == level or min(values) == level:
+            tight = frozenset(p for p, v in zip(pts, values) if v == level)
+            normals[tight] = normal
+    vertices = [
+        p
+        for p in pts
+        if len(reference_rref(hull_eqs + [a for t, a in normals.items() if p in t], n)[1]) == n
+    ]
+    return dim, set(normals), vertices

@@ -74,8 +74,16 @@ def test_lorentzian_single_square():
 
 
 def test_lorentzian_degree_guard():
+    from omegalab.certify import MAX_CERTIFY_DEGREE
+    from omegalab.guards import ResourceLimit
+
     with pytest.raises(ValueError):
         is_lorentzian(parse_polynomial("x1 + x2", ["x1", "x2"]))
+    over = parse_polynomial(f"x^{MAX_CERTIFY_DEGREE}*y", ["x", "y"])
+    with pytest.raises(ResourceLimit, match=f"total degree {MAX_CERTIFY_DEGREE + 1} exceeds"):
+        is_lorentzian(over)
+    at_cap = parse_polynomial(f"x^{MAX_CERTIFY_DEGREE - 1}*y", ["x", "y"])
+    assert is_lorentzian(at_cap).is_lorentzian
 
 
 def test_lorentzian_negative_coefficient_flagged():

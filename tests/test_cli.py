@@ -265,6 +265,34 @@ def test_probe_degree_guard_is_undecided(capsys):
     assert json.loads(out)["counts"] == {"undecided": 2}
 
 
+def test_analyze_and_lorentzian_degree_guard_text_and_json(capsys):
+    detail = "degree guard: total degree 600 exceeds the cap 12"
+    for command in ("analyze", "lorentzian"):
+        code, out, err = run(capsys, command, "--vars", "x,y", "x^300*y^300")
+        assert code == 3 and out == ""
+        assert err == f"undecided: {detail}\n"
+        code, out, _ = run(capsys, command, "--format", "json", "--vars", "x,y", "x^300*y^300")
+        assert code == 3
+        assert json.loads(out) == {
+            "schema": "omegalab/1",
+            "command": command,
+            "status": "undecided",
+            "detail": detail,
+        }
+    code, _, err = run(capsys, "lorentzian", "--vars", "x,y,z", "x^100*y^100*z^100")
+    assert code == 3 and "total degree 300 exceeds the cap 12" in err
+
+
+def test_probe_trials_cap_exits_usage(capsys):
+    for fmt in ("text", "json"):
+        code, out, err = run(
+            capsys, "probe-smoothable", "--format", fmt, "--vars", "x,y", "x*y",
+            "--trials", "10001",
+        )
+        assert code == 64 and out == ""
+        assert err == "error: trials 10001 exceeds the cap 10000\n"
+
+
 def test_certify_failed_self_check_prints_payload(capsys, monkeypatch):
     import omegalab.certify
 

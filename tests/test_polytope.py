@@ -32,6 +32,8 @@ from helpers import (
     random_matroid,
     random_mconvex_support,
     random_polymatroid,
+    reference_affine_rank,
+    reference_hull,
     reference_rref,
 )
 
@@ -152,7 +154,7 @@ def test_minkowski_guard():
 def test_minkowski_fast_path_matches_brute_force_hull():
     from math import comb
 
-    from omegalab.polytope import _affine_rank
+    from omegalab.linalg import rank
 
     rng = random.Random(31337)
     count = 0
@@ -165,7 +167,8 @@ def test_minkowski_fast_path_matches_brute_force_hull():
         sums = sorted(
             {tuple(a + b for a, b in zip(u, w)) for u in p.vertices for w in q.vertices}
         )
-        if comb(len(sums), _affine_rank(sums)) > 60000:
+        dim = rank([[a - b for a, b in zip(s, sums[0])] for s in sums[1:]])
+        if comb(len(sums), dim) > 60000:
             continue
         fast = minkowski_sum(p, q)
         slow = polytope_from_points(sums)
@@ -173,6 +176,29 @@ def test_minkowski_fast_path_matches_brute_force_hull():
         assert set(fast.inequalities) == set(slow.inequalities)
         assert fast.equations == slow.equations
         count += 1
+
+
+def test_minkowski_sum_equals_hull_of_sums_off_the_arrangement():
+    # Facet normals that are (negated) indicator vectors do not make a normal
+    # fan coarsen the coordinate/braid arrangement: the corner (1, 1, 1) is on
+    # no edge parallel to e_i or e_i - e_j, and the segment's and triangle's
+    # affine hulls have equations that are not indicator vectors.
+    corner = polytope_from_points([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)])
+    segment = polytope_from_points([(1, 1, 2, 2), (2, 0, 1, 3)])
+    triangle = polytope_from_points([(0, 0, 2, 2), (1, 2, 0, 2), (2, 1, 2, 0)])
+    pairs = [(corner, polytope_from_points([(0, 0, 0)])), (segment, triangle)]
+    rng = random.Random(515)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        pairs.append(
+            (
+                polytope_from_points([tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(5)]),
+                polytope_from_points([tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(3)]),
+            )
+        )
+    for p, q in pairs:
+        sums = [tuple(a + b for a, b in zip(u, w)) for u in p.vertices for w in q.vertices]
+        assert minkowski_sum(p, q) == polytope_from_points(sums)
 
 
 def test_minkowski_matches_sum_function_random():
@@ -271,6 +297,61 @@ def test_face_dims_pinned_on_hypersimplices_and_summed_truncations():
             v0 = f.vertices[0]
             diffs = [[a - b for a, b in zip(v, v0)] for v in f.vertices[1:]]
             assert f.dim == len(reference_rref(diffs, n)[1])
+
+
+def test_hull_incidences_match_rank_reference():
+    # clouds in 1-4 ambient dimensions, of every dimension up to the ambient
+    # one, with centroids of 2-4 points added (chart coordinates are multiples
+    # of 12): edge-interior, facet-interior and interior points, and repeats
+    rng = random.Random(6061)
+    dims_seen = set()
+    non_vertices = 0
+    for _ in range(220):
+        n = rng.randint(1, 4)
+        k = rng.randint(0, n)
+        chart = [tuple(12 * rng.randint(-2, 2) for _ in range(k)) for _ in range(rng.randint(1, 6))]
+        for _ in range(rng.randint(0, 3)):
+            group = [rng.choice(chart) for _ in range(rng.randint(2, 4))]
+            chart.append(tuple(sum(c) // len(group) for c in zip(*group)))
+        embed = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+        shift = [rng.randint(-3, 3) for _ in range(n)]
+        pts = {
+            tuple(s + sum(e * x for e, x in zip(row, c)) for row, s in zip(embed, shift))
+            for c in chart
+        }
+        dim, _, vertices = _assert_matches_reference_hull(polytope_from_points(pts), pts)
+        dims_seen.add(dim)
+        non_vertices += len(pts) - len(vertices)
+    assert dims_seen == {0, 1, 2, 3, 4} and non_vertices > 50
+
+
+def test_polymatroid_and_sum_incidences_match_rank_reference():
+    # greedy points and indicator candidates, of which many are not facets
+    rng = random.Random(6062)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        f, g = random_polymatroid(rng, n, 3), random_polymatroid(rng, n, 2)
+        for body in (base_polytope(f), independence_polytope(f)):
+            _assert_matches_reference_hull(body, body.vertices)
+        if n == 4:
+            continue  # the reference hull of a sum in dimension 4 is slow
+        p, q = base_polytope(f), independence_polytope(g)
+        sums = {tuple(a + b for a, b in zip(u, w)) for u in p.vertices for w in q.vertices}
+        _assert_matches_reference_hull(minkowski_sum(p, q), sums)
+
+
+def _assert_matches_reference_hull(body, pts):
+    reference = dim, facet_sets, vertices = reference_hull(pts)
+    assert body.dim == dim
+    assert list(body.vertices) == vertices
+    tight_sets = {
+        frozenset(p for p in set(pts) if sum(x * y for x, y in zip(a, p)) == b)
+        for a, b in body.inequalities
+    }
+    assert tight_sets == facet_sets and len(body.inequalities) == len(facet_sets)
+    for face in faces(body):
+        assert face.dim == reference_affine_rank(face.vertices)
+    return reference
 
 
 def test_cube_is_simple_and_smooth():
