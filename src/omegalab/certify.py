@@ -10,9 +10,10 @@ which is emitted with the certificate.
 
 The per-order test decomposes the toric variety into torus orbits indexed by
 the faces of the truncation polytope and decides torus feasibility of each
-face-restricted derivative system.  An independent Groebner oracle (toric
-ideal plus centre forms, checked chart by chart) is provided for
-cross-validation on small instances.
+face-restricted derivative system.  One certificate computes the support's
+M-convexity, its rank function rho and each distinct truncation polytope
+once.  An independent Groebner oracle (toric ideal plus centre forms,
+checked chart by chart) is provided for cross-validation on small instances.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .groebner import (
 from .guards import ResourceLimit
 from .poly import Exponent, Polynomial, grevlex_key
 from .polytope import LatticePolytope, base_polytope, faces, is_smooth, lattice_points
-from .setfunc import rank_from_support, truncate, truncation_sum
+from .setfunc import SetFunction, rank_from_support, truncate, truncation_sum
 
 VERDICT_SMOOTH = "smooth-toric"
 VERDICT_FAILS = "criterion-fails"
@@ -154,12 +155,15 @@ def is_lorentzian(h: Polynomial) -> LorentzianReport:
         raise ValueError("Lorentzian test needs degree at least 2")
     if d > MAX_CERTIFY_DEGREE:
         raise ResourceLimit(_degree_guard(d))
+    return _lorentzian(h, is_mconvex(h.support())[0])
+
+
+def _lorentzian(h: Polynomial, mcx: bool) -> LorentzianReport:
     nonneg = all(c > 0 for c in h.terms.values())
-    mcx, _ = is_mconvex(h.support())
-    multisets = combinations_with_replacement(range(h.nvars), d - 2)
+    multisets = combinations_with_replacement(range(h.nvars), h.total_degree - 2)
     failures = [
         multi
-        for multi, g in zip(multisets, all_partials(h, d - 2))
+        for multi, g in zip(multisets, all_partials(h, h.total_degree - 2))
         if not g.is_zero and positive_eigenvalue_count(_quadratic_hessian(g)) > 1
     ]
     return LorentzianReport(
@@ -216,6 +220,10 @@ def centre_disjoint(
     face is the span basis restricted to the derivative monomials on it: the
     same span as the restricted partials, hence the same ideal.
     """
+    return _decide(h, k, rank_from_support(h.support()), {}, max_pairs)
+
+
+def _decide(h: Polynomial, k: int, rho: SetFunction, built: dict, max_pairs: int) -> OrderReport:
     space = derivative_space(h, k)
     report = functools.partial(
         OrderReport,
@@ -224,8 +232,9 @@ def centre_disjoint(
         num_monomials=len(space.columns),
         centre_dim=len(space.columns) - space.span_dimension,
     )
+    truncation = truncate(rho, k)  # of rank d - k, so no two orders share one
     try:
-        body = base_polytope(truncate(rank_from_support(h.support()), k))
+        body = built[truncation] = base_polytope(truncation)
     except ResourceLimit as exc:
         return report(disjoint="undecided", detail=f"order-{k} truncation polytope: {exc}")
 
@@ -265,10 +274,12 @@ def oracle_centre_disjoint(
     Builds the toric ideal of the truncation polytope's lattice points, adds
     the centre's defining linear forms, and tests projective emptiness by
     saturation on each affine chart.  Returns "yes" (disjoint) or "no".
+    Raises ValueError when the derivative support does not fill the
+    truncation polytope, and ResourceLimit above MAX_TORIC_POINTS (12)
+    points, at the pair cap, or at the greedy or lattice-scan cap.
     """
     space = derivative_space(h, k)
-    rho = rank_from_support(h.support())
-    body = base_polytope(truncate(rho, k))
+    body = base_polytope(truncate(rank_from_support(h.support()), k))
     pts = sorted(lattice_points(body), key=grevlex_key, reverse=True)
     if set(pts) != set(space.columns):
         raise ValueError(
@@ -343,7 +354,6 @@ def certify_smooth(
     h: Polynomial,
     text: str | None = None,
     max_pairs: int = DEFAULT_MAX_PAIRS,
-    with_lorentzian: bool = True,
 ) -> SmoothnessCertificate:
     """Run the full sufficiency pipeline on a homogeneous polynomial.
 
@@ -374,14 +384,16 @@ def certify_smooth(
             echo, h.nvars, d, mcx, mcx_witness, None, (), VERDICT_UNDECIDED, None,
             detail=_degree_guard(d),
         )
-    lorentzian = is_lorentzian(h) if with_lorentzian else None
+    lorentzian = _lorentzian(h, mcx)
 
     if not mcx:
         return SmoothnessCertificate(
             echo, h.nvars, d, False, mcx_witness, lorentzian, (), VERDICT_NOT_APPLICABLE, None
         )
 
-    reports = tuple(centre_disjoint(h, k, max_pairs) for k in range(1, d))
+    rho = rank_from_support(h.support())
+    built: dict[SetFunction, LatticePolytope] = {}
+    reports = tuple(_decide(h, k, rho, built, max_pairs) for k in range(1, d))
     detail = None
     if any(r.disjoint == "no" for r in reports):
         verdict = VERDICT_FAILS
@@ -391,8 +403,8 @@ def certify_smooth(
         body = None
     else:
         verdict = VERDICT_SMOOTH
-        rho = rank_from_support(h.support())
-        body = base_polytope(truncation_sum(rho, 1))
+        summed = truncation_sum(rho, 1)  # the order-1 truncation when d = 2
+        body = built[summed] if summed in built else base_polytope(summed)
         smooth, witness = is_smooth(body)
         if not smooth:
             verdict, body = VERDICT_UNDECIDED, None
@@ -451,9 +463,7 @@ def smoothable_probe(
     verdicts = []
     for _ in range(trials):
         terms = {p: Fraction(rng.randint(1, max_coeff)) for p in pts}
-        cert = certify_smooth(
-            Polynomial(nvars, terms), max_pairs=max_pairs, with_lorentzian=False
-        )
+        cert = certify_smooth(Polynomial(nvars, terms), max_pairs=max_pairs)
         verdicts.append(cert.verdict)
     counts: dict[str, int] = {}
     for v in verdicts:

@@ -162,7 +162,7 @@ def test_criterion_05_elementary_symmetric_family():
     started = time.time()
     for n in range(2, 6):
         for d in range(2, n + 1):
-            cert = certify_smooth(elementary_symmetric(d, n), with_lorentzian=False)
+            cert = certify_smooth(elementary_symmetric(d, n))
             assert cert.verdict == "smooth-toric", (d, n)
             staircase = tuple(range(d - 1, 0, -1)) + (0,) * (n - d + 1)
             assert set(cert.polytope.vertices) == set(permutations(staircase)), (d, n)

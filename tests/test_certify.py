@@ -226,7 +226,7 @@ def test_certify_scaling_invariance():
     h = parse_polynomial(PLANE_CUBIC_TEXT, X123)
     base = certify_smooth(h)
     for c in (Fraction(3), Fraction(-2, 7)):
-        scaled = certify_smooth(h.scale(c), with_lorentzian=False)
+        scaled = certify_smooth(h.scale(c))
         assert scaled.verdict == base.verdict
         assert scaled.polytope.vertices == base.polytope.vertices
 
@@ -250,7 +250,7 @@ def test_certificate_lattice_points_match_support_sums():
         elementary_symmetric(2, 4),
         parse_polynomial(SMOOTH_CUBIC_TEXT, WXYZ),
     ):
-        cert = certify_smooth(h, with_lorentzian=False)
+        cert = certify_smooth(h)
         assert cert.verdict == "smooth-toric"
         d = h.total_degree
         sums = {(0,) * h.nvars}
@@ -304,6 +304,45 @@ def test_certificate_json_shape():
     }
     assert data["verdict"] == "smooth-toric"
     assert data["k_reports"][0]["disjoint"] == "yes"
+
+
+def test_certificate_builds_each_intermediate_once(monkeypatch):
+    import omegalab.certify as certify
+
+    # Builds of rho, of base polytopes and M-convexity checks, in that order.
+    counts = dict.fromkeys(("rank_from_support", "base_polytope", "is_mconvex"), 0)
+    for name in counts:
+
+        def counted(*args, _name=name, _fn=getattr(certify, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(certify, name, counted)
+    cases = [
+        (elementary_symmetric(2, 4), "smooth-toric", (1, 1, 1)),
+        (elementary_symmetric(3, 5), "smooth-toric", (1, 3, 1)),
+        (parse_polynomial("x1^3 + x1*x2^2 + x3^3", X123), "not-applicable", (0, 0, 1)),
+    ]
+    for h, verdict, builds in cases:
+        for _ in range(2):  # the second call builds as much again: nothing is kept
+            counts.update(dict.fromkeys(counts, 0))
+            assert certify_smooth(h).verdict == verdict
+            assert tuple(counts.values()) == builds, h
+
+
+def test_certificate_orders_match_centre_disjoint():
+    rng = random.Random(4242)
+    checked = 0
+    while checked < 20:
+        n = rng.randint(2, 4)
+        d = rng.randint(2, 4)
+        supp = random_mconvex_support(rng, n, d)
+        if any(all(p[i] == 0 for p in supp) for i in range(n)):
+            continue
+        h = random_positive_polynomial(rng, supp, max_coeff=20)
+        cert = certify_smooth(h)
+        assert cert.k_reports == tuple(centre_disjoint(h, k) for k in range(1, d)), supp
+        checked += 1
 
 
 def test_oracle_agrees_on_small_instances():
