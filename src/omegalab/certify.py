@@ -10,9 +10,10 @@ which is emitted with the certificate.
 
 The per-order test decomposes the toric variety into torus orbits indexed by
 the faces of the truncation polytope and decides torus feasibility of each
-face-restricted derivative system.  One certificate computes the support's
-M-convexity, its rank function rho and each distinct truncation polytope
-once.  An independent Groebner oracle (toric ideal plus centre forms,
+face-restricted derivative system, one face per orbit of the variable swaps
+fixing the polynomial.  One certificate computes the support's M-convexity,
+its rank function rho, its swaps and each truncation polytope with its face
+lattice once.  An independent Groebner oracle (toric ideal plus centre forms,
 checked chart by chart) is provided for cross-validation on small instances.
 """
 
@@ -37,7 +38,7 @@ from .groebner import (
 )
 from .guards import ResourceLimit
 from .poly import Exponent, Polynomial, grevlex_key
-from .polytope import LatticePolytope, base_polytope, faces, is_smooth, lattice_points
+from .polytope import Face, LatticePolytope, base_polytope, faces, is_smooth, lattice_points
 from .setfunc import SetFunction, rank_from_support, truncate, truncation_sum
 
 VERDICT_SMOOTH = "smooth-toric"
@@ -145,9 +146,10 @@ def _degree_guard(d: int) -> str:
     return f"degree guard: total degree {d} exceeds the cap {MAX_CERTIFY_DEGREE}"
 
 
-def is_lorentzian(h: Polynomial) -> LorentzianReport:
+def is_lorentzian(h: Polynomial, mconvex: bool | None = None) -> LorentzianReport:
     """Nonnegative coefficients, M-convex support, and every iterated Hessian
-    with at most one positive eigenvalue."""
+    with at most one positive eigenvalue; `mconvex`, when given, is the
+    support's known M-convexity."""
     if h.is_zero or not h.is_homogeneous:
         raise ValueError("polynomial must be nonzero and homogeneous")
     d = h.total_degree
@@ -155,22 +157,20 @@ def is_lorentzian(h: Polynomial) -> LorentzianReport:
         raise ValueError("Lorentzian test needs degree at least 2")
     if d > MAX_CERTIFY_DEGREE:
         raise ResourceLimit(_degree_guard(d))
-    return _lorentzian(h, is_mconvex(h.support())[0])
-
-
-def _lorentzian(h: Polynomial, mcx: bool) -> LorentzianReport:
+    if mconvex is None:
+        mconvex = is_mconvex(h.support())[0]
     nonneg = all(c > 0 for c in h.terms.values())
-    multisets = combinations_with_replacement(range(h.nvars), h.total_degree - 2)
+    multisets = combinations_with_replacement(range(h.nvars), d - 2)
     failures = [
         multi
-        for multi, g in zip(multisets, all_partials(h, h.total_degree - 2))
+        for multi, g in zip(multisets, all_partials(h, d - 2))
         if not g.is_zero and positive_eigenvalue_count(_quadratic_hessian(g)) > 1
     ]
     return LorentzianReport(
-        mconvex=mcx,
+        mconvex=mconvex,
         nonneg_coeffs=nonneg,
         hessian_failures=tuple(failures),
-        is_lorentzian=nonneg and mcx and not failures,
+        is_lorentzian=nonneg and mconvex and not failures,
     )
 
 
@@ -208,6 +208,29 @@ def _restrict(p: Polynomial, allowed: frozenset[Exponent] | set[Exponent]) -> Po
     return Polynomial(p.nvars, {e: c for e, c in p.items() if e in allowed})
 
 
+def _swap(e: tuple, i: int, j: int) -> tuple:
+    return tuple(e[j] if t == i else e[i] if t == j else x for t, x in enumerate(e))
+
+
+def _swap_generators(h: Polynomial) -> list[tuple[int, int]]:
+    """Generators of the variable swaps fixing h: adjacent swaps within blocks.
+
+    Variables i and j share a block iff swapping them fixes h's coefficients.
+    That is an equivalence, as (i k) = (i j)(j k)(i j), so these swaps
+    generate the product of the symmetric groups on the blocks.
+    """
+    terms = h.terms
+    blocks: list[list[int]] = []
+    for i in range(h.nvars):
+        for block in blocks:
+            if all(terms.get(_swap(e, block[0], i)) == c for e, c in terms.items()):
+                block.append(i)
+                break
+        else:
+            blocks.append([i])
+    return [pair for block in blocks for pair in zip(block, block[1:])]
+
+
 def centre_disjoint(
     h: Polynomial, k: int, max_pairs: int = DEFAULT_MAX_PAIRS
 ) -> OrderReport:
@@ -218,12 +241,15 @@ def centre_disjoint(
     restricted derivative system has a torus zero.  The first feasible face
     in the deterministic face order is reported as witness.  The system of a
     face is the span basis restricted to the derivative monomials on it: the
-    same span as the restricted partials, hence the same ideal.
+    same span as the restricted partials, hence the same ideal.  Faces in the
+    orbit of an infeasible face under the variable swaps fixing h are skipped.
     """
-    return _decide(h, k, rank_from_support(h.support()), {}, max_pairs)
+    return _decide(h, k, rank_from_support(h.support()), {}, max_pairs, _swap_generators(h))
 
 
-def _decide(h: Polynomial, k: int, rho: SetFunction, built: dict, max_pairs: int) -> OrderReport:
+def _decide(
+    h: Polynomial, k: int, rho: SetFunction, built: dict, max_pairs: int, swaps: list
+) -> OrderReport:
     space = derivative_space(h, k)
     report = functools.partial(
         OrderReport,
@@ -234,9 +260,14 @@ def _decide(h: Polynomial, k: int, rho: SetFunction, built: dict, max_pairs: int
     )
     truncation = truncate(rho, k)  # of rank d - k, so no two orders share one
     try:
-        body = built[truncation] = base_polytope(truncation)
+        body = base_polytope(truncation)
     except ResourceLimit as exc:
         return report(disjoint="undecided", detail=f"order-{k} truncation polytope: {exc}")
+    face_list = faces(body)
+    built[truncation] = body, face_list
+    # A swap fixing h maps the polytope onto itself, so it permutes the vertices.
+    index = {v: i for i, v in enumerate(body.vertices)}
+    perms = [[index[_swap(v, i, j)] for v in body.vertices] for i, j in swaps]
 
     # The derivative monomials lie in the truncation polytope, so the ones on
     # a face are those tight at every facet containing it.
@@ -248,8 +279,11 @@ def _decide(h: Polynomial, k: int, rho: SetFunction, built: dict, max_pairs: int
         )
         for column in space.columns
     ]
-    undecided = None
-    for face in faces(body):
+    settled: set[tuple[int, ...]] = set()  # faces in an infeasible orbit
+    undecided = []
+    for face in face_list:
+        if face.vertex_indices in settled:
+            continue
         allowed = {c for c, tight in zip(space.columns, tight_at) if face.facets <= tight}
         gens = [r for r in (_restrict(g, allowed) for g in space.basis) if not r.is_zero]
         verdict = torus_feasible(gens, nvars=h.nvars, max_pairs=max_pairs)
@@ -259,11 +293,19 @@ def _decide(h: Polynomial, k: int, rho: SetFunction, built: dict, max_pairs: int
                 witness_face=face.vertices,
                 detail=f"torus point on the face orbit ({verdict.method})",
             )
-        if verdict.status == "undecided" and undecided is None:
-            undecided = f"{verdict.method} undecided on a face orbit: {verdict.certificate}"
-    if undecided is not None:
-        return report(disjoint="undecided", detail=undecided)
-    return report(disjoint="yes")
+        if verdict.status == "undecided":
+            detail = f"{verdict.method} undecided on a face orbit: {verdict.certificate}"
+            undecided.append((face.vertex_indices, detail))
+        elif perms:  # infeasible: settle the orbit
+            orbit = [face.vertex_indices]
+            while orbit:
+                cur = orbit.pop()
+                if cur not in settled:
+                    settled.add(cur)
+                    orbit += [tuple(sorted(perm[x] for x in cur)) for perm in perms]
+    # A face at the pair cap is undecided only if no face of its orbit was infeasible.
+    detail = next((d for key, d in undecided if key not in settled), None)
+    return report(disjoint="undecided" if detail else "yes", detail=detail)
 
 
 def oracle_centre_disjoint(
@@ -384,7 +426,7 @@ def certify_smooth(
             echo, h.nvars, d, mcx, mcx_witness, None, (), VERDICT_UNDECIDED, None,
             detail=_degree_guard(d),
         )
-    lorentzian = _lorentzian(h, mcx)
+    lorentzian = is_lorentzian(h, mcx)
 
     if not mcx:
         return SmoothnessCertificate(
@@ -392,8 +434,9 @@ def certify_smooth(
         )
 
     rho = rank_from_support(h.support())
-    built: dict[SetFunction, LatticePolytope] = {}
-    reports = tuple(_decide(h, k, rho, built, max_pairs) for k in range(1, d))
+    swaps = _swap_generators(h)
+    built: dict[SetFunction, tuple[LatticePolytope, list[Face]]] = {}
+    reports = tuple(_decide(h, k, rho, built, max_pairs, swaps) for k in range(1, d))
     detail = None
     if any(r.disjoint == "no" for r in reports):
         verdict = VERDICT_FAILS
@@ -404,8 +447,8 @@ def certify_smooth(
     else:
         verdict = VERDICT_SMOOTH
         summed = truncation_sum(rho, 1)  # the order-1 truncation when d = 2
-        body = built[summed] if summed in built else base_polytope(summed)
-        smooth, witness = is_smooth(body)
+        body, face_list = built[summed] if summed in built else (base_polytope(summed), None)
+        smooth, witness = is_smooth(body, face_list)
         if not smooth:
             verdict, body = VERDICT_UNDECIDED, None
             detail = (

@@ -186,7 +186,7 @@ def _cmd_analyze(args) -> int:
     }
     lines.append(f"rank table: {rho_table}")
     if h.total_degree >= 2:
-        lor = is_lorentzian(h)
+        lor = is_lorentzian(h, mcx)
         payload["lorentzian"] = lor.to_json_dict()
         lines.append(f"Lorentzian: {lor.is_lorentzian}")
     per_k = []

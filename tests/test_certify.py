@@ -16,7 +16,7 @@ from omegalab import (
     parse_polynomial,
     smoothable_probe,
 )
-from omegalab.certify import positive_eigenvalue_count, _quadratic_hessian
+from omegalab.certify import positive_eigenvalue_count, _quadratic_hessian, _restrict
 from omegalab.derivatives import derivative_support, elementary_symmetric
 
 from helpers import (
@@ -277,7 +277,7 @@ def test_certify_degree_guard_fires_before_any_order():
 def test_failed_self_check_is_undecided(monkeypatch):
     import omegalab.certify
 
-    def not_smooth(body):
+    def not_smooth(body, face_list=None):
         return False, body.vertices[-1]
 
     monkeypatch.setattr(omegalab.certify, "is_smooth", not_smooth)
@@ -328,6 +328,22 @@ def test_certificate_builds_each_intermediate_once(monkeypatch):
             counts.update(dict.fromkeys(counts, 0))
             assert certify_smooth(h).verdict == verdict
             assert tuple(counts.values()) == builds, h
+
+
+def test_quadric_self_check_reuses_the_order_one_face_lattice(monkeypatch):
+    import omegalab.certify
+    import omegalab.polytope
+
+    calls = []
+
+    def counted(*args, _real=omegalab.polytope.faces, **kwargs):
+        calls.append(args)
+        return _real(*args, **kwargs)
+
+    for module in (omegalab.certify, omegalab.polytope):
+        monkeypatch.setattr(module, "faces", counted)
+    assert certify_smooth(elementary_symmetric(2, 4)).verdict == "smooth-toric"
+    assert len(calls) == 1
 
 
 def test_certificate_orders_match_centre_disjoint():
@@ -403,3 +419,170 @@ def test_probe_empty():
 def test_probe_rejects_non_mconvex():
     with pytest.raises(ValueError):
         smoothable_probe({(1, 1, 0), (0, 0, 2)}, trials=1)
+
+
+# -- one face per symmetry orbit ----------------------------------------------------
+
+
+def _permuted(h, perm):
+    """h with variable i renamed to variable perm[i]."""
+    return Polynomial(h.nvars, {_move(e, perm): c for e, c in h.items()})
+
+
+def _move(point, perm):
+    out = [0] * len(point)
+    for i, v in enumerate(point):
+        out[perm[i]] = v
+    return tuple(out)
+
+
+def _rescaled(h, lam):
+    """h(lam_1 x_1, ..., lam_n x_n)."""
+    terms = {}
+    for e, c in h.items():
+        for lam_i, e_i in zip(lam, e):
+            c *= lam_i**e_i
+        terms[e] = c
+    return Polynomial(h.nvars, terms)
+
+
+def test_swap_generators_are_the_adjacent_swaps_of_each_block():
+    from omegalab.certify import _swap_generators
+
+    assert _swap_generators(elementary_symmetric(3, 5)) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    x4 = ["x1", "x2", "x3", "x4"]
+    # distinct scales break every swap of e(2,4), but the swap inside a
+    # monomial fixes it whatever its coefficient
+    assert _swap_generators(_rescaled(elementary_symmetric(2, 4), (1, 2, 3, 5))) == []
+    matching = _rescaled(parse_polynomial("x1*x2 + x3*x4", x4), (1, 2, 3, 5))
+    assert matching.terms == {(1, 1, 0, 0): 2, (0, 0, 1, 1): 15}
+    assert _swap_generators(matching) == [(0, 1), (2, 3)]
+    two_blocks = parse_polynomial(
+        "x1*x2 + 2*x3*x4 + x1*x3 + x1*x4 + x2*x3 + x2*x4", x4
+    )
+    assert _swap_generators(two_blocks) == [(0, 1), (2, 3)]
+    # every swap fixes the support of e(2,3); with these coefficients none
+    # fixes h, then only (x2 x3) does
+    assert _swap_generators(parse_polynomial("x1*x2 + 2*x1*x3 + 3*x2*x3", X123)) == []
+    assert _swap_generators(parse_polynomial("x1*x2 + x1*x3 + 2*x2*x3", X123)) == [(1, 2)]
+    assert _swap_generators(parse_polynomial(SINGULAR_CUBIC_TEXT, WXYZ)) == [(1, 2)]
+
+
+def test_one_torus_feasibility_call_per_face_orbit(monkeypatch):
+    import omegalab.certify as certify
+
+    calls = []
+
+    def counted(*args, _real=certify.torus_feasible, **kwargs):
+        calls.append(args)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "torus_feasible", counted)
+    for (d, n), orbits in {(3, 6): 15, (4, 6): 25, (3, 7): 18}.items():
+        calls.clear()
+        assert certify_smooth(elementary_symmetric(d, n)).verdict == "smooth-toric"
+        assert len(calls) == orbits, (d, n)
+    calls.clear()
+    cert = certify_smooth(parse_polynomial(SINGULAR_CUBIC_TEXT, WXYZ))
+    assert len(calls) == 25
+    assert cert.k_reports[0].witness_face == ((1, 0, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0))
+
+
+def _cap_on_calls(monkeypatch, capped_calls):
+    """Make the given torus feasibility calls (counted from 1) hit the pair cap."""
+    import omegalab.certify as certify
+
+    system = [
+        parse_polynomial("x^3 - 2*x*y*z + y*z^2", ["x", "y", "z"]),
+        parse_polynomial("x^2*y - 2*y^2*z + x*z^2", ["x", "y", "z"]),
+    ]
+    capped = certify.torus_feasible(system, max_pairs=1)
+    assert capped.status == "undecided"
+    calls = []
+
+    def stub(*args, _real=certify.torus_feasible, **kwargs):
+        calls.append(args)
+        return capped if len(calls) in capped_calls else _real(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "torus_feasible", stub)
+    return capped
+
+
+def test_capped_face_in_an_infeasible_orbit_is_decided(monkeypatch):
+    # e(2,3) at order 1: the simplex, faces ordered vertices (one orbit) first
+    _cap_on_calls(monkeypatch, {1})
+    report = centre_disjoint(elementary_symmetric(2, 3), 1)
+    assert report.disjoint == "yes" and report.detail is None
+
+
+def test_capped_orbit_stays_undecided(monkeypatch):
+    capped = _cap_on_calls(monkeypatch, {1, 2, 3})
+    report = centre_disjoint(elementary_symmetric(2, 3), 1)
+    assert report.disjoint == "undecided"
+    assert report.detail == f"groebner undecided on a face orbit: {capped.certificate}"
+
+
+def _metamorphic_inputs(rng, count):
+    inputs = [parse_polynomial(t, WXYZ) for t in (SINGULAR_CUBIC_TEXT, SMOOTH_CUBIC_TEXT)]
+    inputs.append(parse_polynomial(PLANE_CUBIC_TEXT, X123))
+    while len(inputs) < count:
+        n, d = rng.randint(2, 4), rng.randint(2, 3)
+        supp = random_mconvex_support(rng, n, d)
+        if all(any(p[i] for p in supp) for i in range(n)):
+            # small coefficients, so that some inputs have swaps fixing them
+            inputs.append(random_positive_polynomial(rng, supp, max_coeff=2))
+    return inputs
+
+
+def test_certificate_is_invariant_under_variable_permutation():
+    from omegalab import base_polytope, faces, rank_from_support, truncate
+    from omegalab.derivatives import derivative_space
+    from omegalab.groebner import torus_feasible
+
+    rng = random.Random(8080)
+    witnesses = 0
+    for h in _metamorphic_inputs(rng, 15):
+        perm = rng.sample(range(h.nvars), h.nvars)
+        base, moved = certify_smooth(h), certify_smooth(_permuted(h, perm))
+        assert moved.verdict == base.verdict, h
+        for r, s in zip(base.k_reports, moved.k_reports, strict=True):
+            assert (r.disjoint, r.span_dim, r.num_monomials, r.centre_dim) == (
+                s.disjoint, s.span_dim, s.num_monomials, s.centre_dim
+            ), (h, r.k)
+            if s.disjoint != "no":
+                continue
+            # the witness, moved back, is a face of h's order-s.k truncation
+            # polytope whose restricted system has a torus point
+            inverse = [perm.index(i) for i in range(h.nvars)]
+            witness = {_move(v, inverse) for v in s.witness_face}
+            body = base_polytope(truncate(rank_from_support(h.support()), s.k))
+            face = next(f for f in faces(body) if set(f.vertices) == witness)
+            space = derivative_space(h, s.k)
+            facets = [body.inequalities[j] for j in face.facets]
+            on_face = {
+                c for c in space.columns
+                if all(sum(x * y for x, y in zip(a, c)) == b for a, b in facets)
+            }
+            gens = [_restrict(g, on_face) for g in space.basis]
+            assert torus_feasible([g for g in gens if not g.is_zero], nvars=h.nvars).is_feasible
+            witnesses += 1
+        if base.polytope is not None:
+            assert moved.polytope.vertices == tuple(
+                sorted(_move(v, perm) for v in base.polytope.vertices)
+            )
+    assert witnesses >= 3
+
+
+def test_certificate_is_invariant_under_diagonal_rescaling():
+    # rescaling keeps the support, the polytopes and the face order, but
+    # shrinks the swap group: the orbit walk is checked against a fuller one
+    rng = random.Random(9090)
+    inputs = _metamorphic_inputs(rng, 10)
+    inputs += [elementary_symmetric(3, 5), elementary_symmetric(4, 6)]
+    for h in inputs:
+        lam = [1] * h.nvars
+        while not 1 < len(set(lam)) < max(h.nvars, 3):  # some equal, some distinct
+            lam = [rng.randint(1, 3) for _ in range(h.nvars)]
+        base, scaled = certify_smooth(h), certify_smooth(_rescaled(h, lam))
+        assert scaled.k_reports == base.k_reports, (h, lam)
+        assert scaled.polytope == base.polytope, (h, lam)

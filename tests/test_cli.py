@@ -296,7 +296,7 @@ def test_probe_trials_cap_exits_usage(capsys):
 def test_certify_failed_self_check_prints_payload(capsys, monkeypatch):
     import omegalab.certify
 
-    monkeypatch.setattr(omegalab.certify, "is_smooth", lambda body: (False, body.vertices[0]))
+    monkeypatch.setattr(omegalab.certify, "is_smooth", lambda body, face_list=None: (False, body.vertices[0]))
     code, out, _ = run(capsys, "certify", "--format", "json", "--vars", "x,y,z", "x*y+x*z+y*z")
     assert code == 3
     payload = json.loads(out)
@@ -351,6 +351,24 @@ def test_analyze_command(capsys):
     assert data["k_spaces"][0]["m_k"] == 3
     assert data["k_spaces"][0]["num_monomials"] == 5
     assert data["k_spaces"][0]["centre_dim"] == 2
+
+
+def test_analyze_checks_mconvexity_once(capsys, monkeypatch):
+    import omegalab.certify
+    import omegalab.cli
+
+    calls = []
+
+    def counted(*args, _real=omegalab.certify.is_mconvex, **kwargs):
+        calls.append(args)
+        return _real(*args, **kwargs)
+
+    for module in (omegalab.certify, omegalab.cli):
+        monkeypatch.setattr(module, "is_mconvex", counted)
+    e34 = "x1*x2*x3 + x1*x2*x4 + x1*x3*x4 + x2*x3*x4"
+    code, out, _ = run(capsys, "analyze", "--format", "json", "--vars", "x1,x2,x3,x4", e34)
+    assert code == 0 and json.loads(out)["lorentzian"]["mconvex"] is True
+    assert len(calls) == 1
 
 
 def test_analyze_rejects_constant(capsys):
