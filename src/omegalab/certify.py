@@ -39,7 +39,7 @@ from .groebner import (
 from .guards import ResourceLimit
 from .poly import Exponent, Polynomial, grevlex_key
 from .polytope import Face, LatticePolytope, base_polytope, faces, is_smooth, lattice_points
-from .setfunc import SetFunction, rank_from_support, truncate, truncation_sum
+from .setfunc import MAX_GROUND_SET, SetFunction, rank_from_support, truncate, truncation_sum
 
 VERDICT_SMOOTH = "smooth-toric"
 VERDICT_FAILS = "criterion-fails"
@@ -54,6 +54,9 @@ MAX_CERTIFY_DEGREE = 12
 
 # Cap on smoothable_probe's trials: each trial is one full certificate.
 MAX_PROBE_TRIALS = 10_000
+
+# smoothable_probe draws each coefficient uniformly from 1..PROBE_MAX_COEFF.
+PROBE_MAX_COEFF = 1000
 
 
 # -- M-convexity ---------------------------------------------------------------------
@@ -404,8 +407,9 @@ def certify_smooth(
     base polytope, checked smooth); "criterion-fails" on any intersection
     (sufficiency only: this does not prove singularity); "not-applicable"
     for non-M-convex support; "undecided" when a resource guard fired (the
-    total degree exceeds MAX_CERTIFY_DEGREE, or an order was undecided) or
-    the summed-truncation polytope failed its smoothness self-check, with
+    total degree exceeds MAX_CERTIFY_DEGREE, the number of variables exceeds
+    the ground-set cap MAX_GROUND_SET, or an order was undecided) or the
+    summed-truncation polytope failed its smoothness self-check, with
     `detail` naming which.
     """
     if h.is_zero:
@@ -421,10 +425,12 @@ def certify_smooth(
     echo = text if text is not None else h.to_string([f"x{i+1}" for i in range(h.nvars)])
 
     mcx, mcx_witness = is_mconvex(h.support())
-    if d > MAX_CERTIFY_DEGREE:
+    guard = _degree_guard(d) if d > MAX_CERTIFY_DEGREE else None
+    if guard is None and h.nvars > MAX_GROUND_SET:
+        guard = f"ground-set guard: {h.nvars} variables exceed the cap {MAX_GROUND_SET}"
+    if guard:
         return SmoothnessCertificate(
-            echo, h.nvars, d, mcx, mcx_witness, None, (), VERDICT_UNDECIDED, None,
-            detail=_degree_guard(d),
+            echo, h.nvars, d, mcx, mcx_witness, None, (), VERDICT_UNDECIDED, None, detail=guard
         )
     lorentzian = is_lorentzian(h, mcx)
 
@@ -483,14 +489,14 @@ def smoothable_probe(
     support: Iterable[Exponent],
     trials: int,
     seed: int = 0,
-    max_coeff: int = 1000,
     max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> ProbeReport:
     """Sample random positive-coefficient polynomials with the given support.
 
     A sampling probe for generic behavior over a fixed M-convex support, not
-    a decision procedure.  Coefficients are uniform integers in 1..max_coeff
-    from a seeded generator; at most MAX_PROBE_TRIALS trials.
+    a decision procedure.  Coefficients are uniform integers in
+    1..PROBE_MAX_COEFF from a seeded generator; at most MAX_PROBE_TRIALS
+    trials.
     """
     if trials > MAX_PROBE_TRIALS:
         raise ValueError(f"trials {trials} exceeds the cap {MAX_PROBE_TRIALS}")
@@ -505,7 +511,7 @@ def smoothable_probe(
     rng = random.Random(seed)
     verdicts = []
     for _ in range(trials):
-        terms = {p: Fraction(rng.randint(1, max_coeff)) for p in pts}
+        terms = {p: Fraction(rng.randint(1, PROBE_MAX_COEFF)) for p in pts}
         cert = certify_smooth(Polynomial(nvars, terms), max_pairs=max_pairs)
         verdicts.append(cert.verdict)
     counts: dict[str, int] = {}

@@ -2,16 +2,20 @@
 
 Polytopes are stored with an exact integer V-representation plus an
 irredundant integer H-representation (facet inequalities and affine-hull
-equations).  Candidate points for independence and base polytopes come from
-the classical greedy/prefix rule over permutations; generic hulls (Newton
-polytopes, point-set sums) get their candidate inequalities from a
-brute-force facet search with exact orientation tests, working inside the
-saturated direction lattice so that lower-dimensional polytopes are handled
-exactly.  Every combinatorial fact is then read off the point-facet
-incidences, with no further elimination: the dimension is the ambient
-dimension less the number of affine-hull equations, the facets are the
-maximal proper tight sets, a vertex is the only point on every facet through
-it, and a face's dimension follows from the meets of the face lattice.
+equations).  Independence and base polytopes take the greedy (prefix
+marginal) vectors as points, built in one pass over distinct prefix states,
+and these also check that f is a polymatroid: given f(empty set) = 0, they
+satisfy every x(S) <= f(S) iff f is submodular (Ichiishi 1981), and each
+marginal is a coordinate of one, so -x_i <= 0 holds iff f is monotone.
+Generic hulls (Newton polytopes, point-set sums) get their candidate
+inequalities from a brute-force facet search with exact orientation tests,
+working inside the saturated direction lattice so that lower-dimensional
+polytopes are handled exactly.  Every combinatorial fact is then read off
+the point-facet incidences, with no further elimination: the dimension is
+the ambient dimension less the number of affine-hull equations, the facets
+are the maximal proper tight sets, a vertex is the only point on every facet
+through it, and a face's dimension follows from the meets of the face
+lattice.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .guards import ResourceLimit
-from .setfunc import SetFunction, is_matroid, is_polymatroid
+from .setfunc import SetFunction, is_matroid
 
 __all__ = [
     "LatticePolytope",
@@ -44,7 +48,7 @@ __all__ = [
 
 MAX_GREEDY_GROUND_SET = 8
 MAX_HULL_AMBIENT_DIM = 6
-DEFAULT_HULL_SUBSETS = 500_000
+MAX_HULL_SUBSETS = 500_000
 DEFAULT_SCAN_CELLS = 5_000_000
 
 Point = tuple[int, ...]
@@ -154,14 +158,13 @@ def _assemble(
 ) -> LatticePolytope:
     """Build the hull of the points from a complete candidate inequality set.
 
-    `candidates` must all be valid on the points and must include every facet;
-    `equations` is the affine hull of the points when the caller has it.
+    `candidates` must include every facet, and one violated by a point raises
+    ValueError; `equations` is the affine hull of the points when the caller
+    has it.
     """
     pts = sorted(set(points))
     if not pts:
         raise ValueError("a polytope needs at least one point")
-    if equations is None:
-        equations = _equations_from_points(pts, ambient)
 
     # Tight sets as bitmasks over the points, each with the first candidate
     # tight there and its point indices.
@@ -169,7 +172,7 @@ def _assemble(
     for a, b in candidates:
         values = [_dot(a, p) for p in pts]
         if max(values) > b:
-            raise ValueError("candidate inequality is violated by the point set")
+            raise ValueError(f"inequality {list(a)}.x <= {b} is violated by a point")
         on = [i for i, v in enumerate(values) if v == b]
         if on and len(on) < len(pts):  # tight at every point: an equation
             tight_sets.setdefault(sum(1 << i for i in on), (a, on))
@@ -179,6 +182,8 @@ def _assemble(
     for mask in sorted(tight_sets, key=int.bit_count, reverse=True):
         if all(mask & f != mask for f in facet_masks):
             facet_masks.append(mask)
+    if equations is None:
+        equations = _equations_from_points(pts, ambient)
     eq_rref, eq_pivots = linalg.rref([list(a) for a, _ in equations], ambient)
     facets = sorted(
         _canonical_inequality(tight_sets[m][0], pts, eq_rref, eq_pivots) for m in facet_masks
@@ -196,59 +201,49 @@ def _assemble(
 # -- polymatroid polytopes --------------------------------------------------------
 
 
-def _require_polymatroid(f: SetFunction) -> None:
-    report = is_polymatroid(f)
-    if not report.ok:
-        raise ValueError(f"not a polymatroid; violating pair {report.violating_pair}")
+def _greedy_points(f: SetFunction) -> list[set[Point]]:
+    """Greedy points of the j-element prefixes, j = 0..n, as n + 1 levels.
 
-
-def _greedy_points(f: SetFunction, bases_only: bool) -> set[Point]:
+    Each distinct (prefix mask, point) state grows by every element e outside
+    the prefix, with coordinate f(mask | e) - f(mask), so no state of the n!
+    orders is built twice."""
     n = f.n
     if n > MAX_GREEDY_GROUND_SET:
         raise ResourceLimit(f"greedy enumeration capped at n <= {MAX_GREEDY_GROUND_SET}")
-    out: set[Point] = set()
-    for order in permutations(range(n)):
-        point = [0] * n
-        mask = 0
-        prev = 0
-        if not bases_only:
-            out.add(tuple(point))
-        for element in order:
-            mask |= 1 << element
-            value = f.values[mask]
-            point[element] = value - prev
-            prev = value
-            if not bases_only:
-                out.add(tuple(point))
-        if bases_only:
-            out.add(tuple(point))
-    return out
+    values = f.values
+    if values[0] != 0:
+        raise ValueError(f"not a polymatroid: f(empty set) = {values[0]}, not 0")
+    states = {(0, (0,) * n)}
+    levels = [{(0,) * n}]
+    for _ in range(n):
+        states = {
+            (mask | 1 << e, point[:e] + (values[mask | 1 << e] - values[mask],) + point[e + 1 :])
+            for mask, point in states
+            for e in range(n)
+            if not mask >> e & 1
+        }
+        levels.append({point for _, point in states})
+    return levels
 
 
 def _submodular_candidates(f: SetFunction) -> list[Inequality]:
+    """x(S) <= f(S) for every nonempty S, then -x_i <= 0 for every i."""
     n = f.n
-    cands: list[Inequality] = []
-    for mask in range(1, 1 << n):
-        normal = tuple(1 if mask >> i & 1 else 0 for i in range(n))
-        cands.append((normal, f.values[mask]))
-    for i in range(n):
-        normal = tuple(-1 if j == i else 0 for j in range(n))
-        cands.append((normal, 0))
-    return cands
+    sums = [(tuple(mask >> i & 1 for i in range(n)), f.values[mask]) for mask in range(1, 1 << n)]
+    return sums + [(tuple(-1 if j == i else 0 for j in range(n)), 0) for i in range(n)]
 
 
 def independence_polytope(f: SetFunction) -> LatticePolytope:
     """Polytope {x >= 0 : sum over S of x_i <= f(S)} with greedy vertices."""
-    _require_polymatroid(f)
-    points = _greedy_points(f, bases_only=False)
-    return _assemble(f.n, points, _submodular_candidates(f))
+    return _assemble(f.n, set().union(*_greedy_points(f)), _submodular_candidates(f))
 
 
 def base_polytope(f: SetFunction) -> LatticePolytope:
-    """Face of the independence polytope at the rank equation."""
-    _require_polymatroid(f)
-    points = _greedy_points(f, bases_only=True)
-    return _assemble(f.n, points, _submodular_candidates(f))
+    """Face of the independence polytope at the rank equation.
+
+    Both constructors raise ValueError when f is not a polymatroid.
+    """
+    return _assemble(f.n, _greedy_points(f)[-1], _submodular_candidates(f))
 
 
 def matroid_staircase_vertices(f: SetFunction) -> set[Point]:
@@ -262,11 +257,7 @@ def matroid_staircase_vertices(f: SetFunction) -> set[Point]:
         raise ValueError("not a matroid rank function")
     n, d = f.n, f.rank
     out: set[Point] = set()
-    bases = [
-        mask
-        for mask in range(1 << n)
-        if bin(mask).count("1") == d and f.values[mask] == d
-    ]
+    bases = [mask for mask in range(1 << n) if mask.bit_count() == f.values[mask] == d]
     for mask in bases:
         elements = [i for i in range(n) if mask >> i & 1]
         for assignment in permutations(range(1, d + 1)):
@@ -282,9 +273,7 @@ def matroid_staircase_vertices(f: SetFunction) -> set[Point]:
 # -- generic hulls ----------------------------------------------------------------
 
 
-def polytope_from_points(
-    points: Iterable[Sequence[int]], *, max_subsets: int = DEFAULT_HULL_SUBSETS
-) -> LatticePolytope:
+def polytope_from_points(points: Iterable[Sequence[int]]) -> LatticePolytope:
     """Convex hull via brute-force facet search with exact orientation tests."""
     pts = sorted({tuple(int(x) for x in p) for p in points})
     if not pts:
@@ -299,7 +288,7 @@ def polytope_from_points(
         return _assemble(ambient, pts, [], equations)
     v0 = pts[0]
     charted = [_coords(basis, v0, p) for p in pts]
-    if comb(len(pts), dim) > max_subsets:
+    if comb(len(pts), dim) > MAX_HULL_SUBSETS:
         raise ResourceLimit(
             f"facet search over {len(pts)} points in dimension {dim} exceeds the cap"
         )

@@ -24,8 +24,9 @@ class GroundSetTooLarge(ValueError):
     pass
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
+def _require_ground_set(n: int) -> None:  # before any 2^n table is built
+    if n > MAX_GROUND_SET:
+        raise GroundSetTooLarge(f"ground set of size {n} exceeds the cap {MAX_GROUND_SET}")
 
 
 def mask_to_set(mask: int) -> tuple[int, ...]:
@@ -57,8 +58,7 @@ class SetFunction:
     def __init__(self, n: int, values: Sequence[int]):
         if n < 0:
             raise ValueError("ground-set size must be nonnegative")
-        if n > MAX_GROUND_SET:
-            raise GroundSetTooLarge(f"ground set of size {n} exceeds the cap {MAX_GROUND_SET}")
+        _require_ground_set(n)
         if len(values) != 1 << n:
             raise ValueError(f"expected {1 << n} values, got {len(values)}")
         self.n = n
@@ -98,7 +98,8 @@ class SetFunction:
 
     @classmethod
     def uniform_matroid(cls, rank: int, n: int) -> "SetFunction":
-        return cls(n, [min(_popcount(mask), rank) for mask in range(1 << n)])
+        _require_ground_set(n)
+        return cls(n, [min(mask.bit_count(), rank) for mask in range(1 << n)])
 
     @classmethod
     def from_bases(cls, n: int, bases: Sequence[Iterable[int]]) -> "SetFunction":
@@ -110,10 +111,11 @@ class SetFunction:
         if not bases:
             raise ValueError("at least one basis is required")
         masks = [set_to_mask(b) for b in bases]
-        sizes = {_popcount(m) for m in masks}
+        sizes = {m.bit_count() for m in masks}
         if len(sizes) != 1:
             raise ValueError("bases must share one cardinality")
-        values = [max(_popcount(b & mask) for b in masks) for mask in range(1 << n)]
+        _require_ground_set(n)
+        values = [max((b & mask).bit_count() for b in masks) for mask in range(1 << n)]
         return cls(n, values)
 
 
@@ -176,6 +178,7 @@ def rank_from_support(supp: Iterable[Exponent]) -> SetFunction:
     degrees = {sum(p) for p in points}
     if len(degrees) != 1:
         raise ValueError("support is not homogeneous")
+    _require_ground_set(n)
     values = []
     for mask in range(1 << n):
         idx = [i for i in range(n) if mask >> i & 1]
@@ -222,7 +225,7 @@ def is_inseparable(f: SetFunction, mask: int) -> bool:
 
     Subsets of size at most one are inseparable by convention.
     """
-    if _popcount(mask) <= 1:
+    if mask.bit_count() <= 1:
         return True
     fm = f.values[mask]
     for part, rest in _proper_splits(mask):
@@ -300,7 +303,7 @@ def check_simplicity_conditions(f: SetFunction) -> SimplicityReport:
                 return SimplicityReport(False, "meet-join", (s, t))
 
     for union in range(size):
-        if _popcount(union) < 2:
+        if union.bit_count() < 2:
             continue
         superset_ok = any(
             insep[s] and f.values[s] == f.values[union]
@@ -345,6 +348,7 @@ def polymatroid_from_hyperbolic(h: Polynomial, base: Sequence) -> SetFunction:
     if h.evaluate(point) == 0:
         raise ValueError("polynomial vanishes at the base point")
     n = h.nvars
+    _require_ground_set(n)
     values = []
     for mask in range(1 << n):
         direction = [Fraction(1) if mask >> i & 1 else Fraction(0) for i in range(n)]

@@ -152,6 +152,22 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     return out
 
 
+def reference_greedy_points(f: SetFunction, bases_only: bool) -> set[tuple[int, ...]]:
+    """Greedy points by a walk over all n! orders: every prefix's, or the full ones."""
+    out = set()
+    for order in permutations(range(f.n)):
+        point, mask = [0] * f.n, 0
+        if not bases_only:
+            out.add(tuple(point))
+        for element in order:
+            point[element] = f.values[mask | 1 << element] - f.values[mask]
+            mask |= 1 << element
+            if not bases_only:
+                out.add(tuple(point))
+        out.add(tuple(point))
+    return out
+
+
 # -- textbook references for the elimination kernel (test-only) ---------------------
 
 

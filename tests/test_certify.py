@@ -1,6 +1,7 @@
 """M-convexity, Lorentzian signatures, disjointness, certificates."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -328,6 +329,30 @@ def test_certificate_builds_each_intermediate_once(monkeypatch):
             counts.update(dict.fromkeys(counts, 0))
             assert certify_smooth(h).verdict == verdict
             assert tuple(counts.values()) == builds, h
+
+
+def test_certificate_runs_no_polymatroid_axiom_scan(monkeypatch):
+    import omegalab.setfunc as setfunc
+
+    calls = []
+
+    def counted(f, _fn=setfunc.is_polymatroid):
+        calls.append(f)
+        return _fn(f)
+
+    for module in list(sys.modules.values()):
+        if module and module.__name__.startswith("omegalab") and hasattr(module, "is_polymatroid"):
+            monkeypatch.setattr(module, "is_polymatroid", counted)
+    assert certify_smooth(elementary_symmetric(3, 5)).verdict == "smooth-toric"
+    assert calls == []
+
+
+def test_ground_set_guard_is_undecided():
+    names = [f"x{i}" for i in range(1, 22)]
+    cert = certify_smooth(parse_polynomial(" + ".join(f"x1*{v}" for v in names), names))
+    assert cert.verdict == "undecided"
+    assert cert.k_reports == () and cert.polytope is None and cert.lorentzian is None
+    assert cert.detail == "ground-set guard: 21 variables exceed the cap 20"
 
 
 def test_quadric_self_check_reuses_the_order_one_face_lattice(monkeypatch):

@@ -257,6 +257,19 @@ def test_certify_degree_guard_text_and_json(capsys):
     assert payload["detail"] == "degree guard: total degree 600 exceeds the cap 12"
 
 
+def test_certify_ground_set_guard_text_and_json(capsys):
+    names = [f"x{i}" for i in range(1, 22)]
+    text = " + ".join(f"x1*{v}" for v in names)
+    detail = "ground-set guard: 21 variables exceed the cap 20"
+    code, out, _ = run(capsys, "certify", "--format", "json", "--vars", ",".join(names), text)
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["verdict"] == "undecided" and payload["detail"] == detail
+    assert payload["k_reports"] == [] and payload["polytope"] is None
+    code, out, _ = run(capsys, "certify", "--vars", ",".join(names), text)
+    assert code == 3 and f"detail: {detail}" in out
+
+
 def test_probe_degree_guard_is_undecided(capsys):
     code, out, _ = run(
         capsys, "probe-smoothable", "--format", "json", "--vars", "x,y", "x^7*y^6", "--trials", "2"

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -12,6 +13,7 @@ from omegalab import (
     enumerate_basic_vertices,
     faces,
     independence_polytope,
+    is_polymatroid,
     is_simple,
     is_smooth,
     lattice_points,
@@ -33,6 +35,7 @@ from helpers import (
     random_mconvex_support,
     random_polymatroid,
     reference_affine_rank,
+    reference_greedy_points,
     reference_hull,
     reference_rref,
 )
@@ -438,3 +441,59 @@ def test_polytope_json_shape():
 def test_hull_ambient_guard():
     with pytest.raises(ResourceLimit):
         polytope_from_points([tuple([0] * 7), tuple([1] * 7)])
+
+
+def _axiom_corpus(rng: random.Random, count: int):
+    """Set functions on n = 0..6: random tables, perturbed sums of uniform-matroid
+    ranks, sums less a 0/1 modular function (submodular, often not monotone),
+    and sums with a nonzero value at the empty set."""
+    for i in range(count):
+        n = rng.randint(0, 6)
+        kind = i % 4
+        if kind == 0:
+            yield SetFunction(n, [0] + [rng.randint(0, 4) for _ in range((1 << n) - 1)])
+            continue
+        values = [0] * (1 << n)
+        for _ in range(rng.randint(1, 3)):
+            rank = rng.randint(0, 3)
+            values = [v + min(mask.bit_count(), rank) for mask, v in enumerate(values)]
+        if kind == 1:
+            values[rng.randrange(1 << n)] += rng.choice((-1, 1))
+        elif kind == 2:
+            weights = [rng.randint(0, 1) for _ in range(n)]
+            values = [v - sum(w for j, w in enumerate(weights) if mask >> j & 1)
+                      for mask, v in enumerate(values)]
+        else:
+            values[0] = rng.choice((-1, 1))
+        yield SetFunction(n, values)
+
+
+def test_polytopes_reject_exactly_the_non_polymatroids():
+    only = Counter()  # non-polymatroids by the one axiom they break, when just one
+    for f in _axiom_corpus(random.Random(909), 2000):
+        report = is_polymatroid(f)
+        for build, bases_only in ((base_polytope, True), (independence_polytope, False)):
+            if report.ok:
+                assert set(build(f).vertices) == reference_greedy_points(f, bases_only)
+            else:
+                with pytest.raises(ValueError):
+                    build(f)
+        axioms = {
+            "normalized": report.is_normalized,
+            "monotone": report.is_monotone,
+            "submodular": report.is_submodular,
+        }
+        broken = [name for name, holds in axioms.items() if not holds]
+        if len(broken) == 1:
+            only[broken[0]] += 1
+    assert set(only) == {"normalized", "monotone", "submodular"}
+    assert min(only.values()) >= 50, only
+
+
+def test_non_polymatroid_errors_name_the_axiom_or_inequality():
+    with pytest.raises(ValueError, match=r"not a polymatroid: f\(empty set\) = 1, not 0"):
+        independence_polytope(SetFunction(1, [1, 1]))
+    with pytest.raises(ValueError, match=r"inequality \[1, 0\]\.x <= 1 is violated"):
+        base_polytope(SetFunction(2, [0, 1, 1, 3]))  # not submodular
+    with pytest.raises(ValueError, match=r"inequality \[-1, 0\]\.x <= 0 is violated"):
+        base_polytope(SetFunction(2, [0, 1, 1, 0]))  # not monotone

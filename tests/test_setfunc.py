@@ -62,6 +62,17 @@ def test_ground_set_guard():
         SetFunction(21, [0] * (1 << 21))
 
 
+def test_table_builders_check_the_ground_set_cap():
+    one_point = tuple(1 if i == 0 else 0 for i in range(21))
+    for build in (
+        lambda: rank_from_support([one_point]),
+        lambda: SetFunction.from_bases(21, [[1]]),
+        lambda: SetFunction.uniform_matroid(1, 21),
+    ):
+        with pytest.raises(GroundSetTooLarge, match="ground set of size 21 exceeds the cap 20"):
+            build()
+
+
 def test_rank_from_support_symmetric():
     rho = rank_from_support(elementary_symmetric(2, 3).support())
     assert rho.values[set_to_mask([1])] == 1
