@@ -38,7 +38,7 @@ from .groebner import (
 )
 from .guards import ResourceLimit
 from .poly import Exponent, Polynomial, grevlex_key
-from .polytope import Face, LatticePolytope, base_polytope, faces, is_smooth, lattice_points
+from .polytope import LatticePolytope, base_polytope, faces, is_smooth, lattice_points
 from .setfunc import MAX_GROUND_SET, SetFunction, rank_from_support, truncate, truncation_sum
 
 VERDICT_SMOOTH = "smooth-toric"
@@ -266,8 +266,7 @@ def _decide(
         body = base_polytope(truncation)
     except ResourceLimit as exc:
         return report(disjoint="undecided", detail=f"order-{k} truncation polytope: {exc}")
-    face_list = faces(body)
-    built[truncation] = body, face_list
+    built[truncation] = body
     # A swap fixing h maps the polytope onto itself, so it permutes the vertices.
     index = {v: i for i, v in enumerate(body.vertices)}
     perms = [[index[_swap(v, i, j)] for v in body.vertices] for i, j in swaps]
@@ -284,7 +283,7 @@ def _decide(
     ]
     settled: set[tuple[int, ...]] = set()  # faces in an infeasible orbit
     undecided = []
-    for face in face_list:
+    for face in faces(body):
         if face.vertex_indices in settled:
             continue
         allowed = {c for c, tight in zip(space.columns, tight_at) if face.facets <= tight}
@@ -441,7 +440,7 @@ def certify_smooth(
 
     rho = rank_from_support(h.support())
     swaps = _swap_generators(h)
-    built: dict[SetFunction, tuple[LatticePolytope, list[Face]]] = {}
+    built: dict[SetFunction, LatticePolytope] = {}
     reports = tuple(_decide(h, k, rho, built, max_pairs, swaps) for k in range(1, d))
     detail = None
     if any(r.disjoint == "no" for r in reports):
@@ -453,8 +452,8 @@ def certify_smooth(
     else:
         verdict = VERDICT_SMOOTH
         summed = truncation_sum(rho, 1)  # the order-1 truncation when d = 2
-        body, face_list = built[summed] if summed in built else (base_polytope(summed), None)
-        smooth, witness = is_smooth(body, face_list)
+        body = built[summed] if summed in built else base_polytope(summed)
+        smooth, witness = is_smooth(body)
         if not smooth:
             verdict, body = VERDICT_UNDECIDED, None
             detail = (

@@ -27,7 +27,7 @@ from .derivatives import derivative_space
 from .groebner import DEFAULT_MAX_PAIRS
 from .guards import ResourceLimit
 from .poly import ParseError, Polynomial, parse_polynomial
-from .polytope import base_polytope, faces, is_simple, is_smooth
+from .polytope import base_polytope, is_simple, is_smooth
 from .polytope import independence_polytope as build_independence
 from .setfunc import (
     SetFunction,
@@ -77,21 +77,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_poly: bool = True) -> None:
-    if needs_poly:
-        parser.add_argument("polynomial", nargs="?", help="inline polynomial text")
-        parser.add_argument("--file", help="read the polynomial from this .poly file")
-        parser.add_argument(
-            "--vars", help="comma-separated variable order, e.g. --vars x,y,z,w"
-        )
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("polynomial", nargs="?", help="inline polynomial text")
+    parser.add_argument("--file", help="read the polynomial from this .poly file")
+    parser.add_argument("--vars", help="comma-separated variable order, e.g. --vars x,y,z,w")
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    parser.add_argument(
-        "--max-pairs",
-        type=_positive_int,
-        default=DEFAULT_MAX_PAIRS,
-        help="Groebner pair-queue cap before reporting undecided",
     )
 
 
@@ -257,9 +248,8 @@ def _cmd_polytope(args) -> int:
         body = base_polytope(f)
     else:
         body = build_independence(f)
-    face_list = faces(body)
-    simple, _ = is_simple(body, face_list)
-    smooth, _ = is_smooth(body, face_list)
+    simple, _ = is_simple(body)
+    smooth, _ = is_smooth(body)
     payload = {
         "command": "polytope",
         "function": args.function,
@@ -401,6 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--seed", type=int, default=0)
     p_probe.set_defaults(func=_cmd_probe)
 
+    for p in (p_certify, p_probe):  # the commands that run Groebner bases
+        p.add_argument(
+            "--max-pairs",
+            type=_positive_int,
+            default=DEFAULT_MAX_PAIRS,
+            help="Groebner pair-queue cap before reporting undecided",
+        )
     return parser
 
 

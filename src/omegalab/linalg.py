@@ -3,9 +3,9 @@
 Every elimination runs on one fraction-free (Bareiss) kernel over Python
 ints; rational rows are first scaled by the lcm of their denominators, which
 changes neither the row space nor the reduced echelon form, and Fractions are
-formed only in returned rows.  Smith normal form returns the divisor matrix
-together with the unimodular transforms, which is what the lattice-smoothness
-test and integer kernels are built on.
+formed only in returned rows; the same kernel gives the determinants of the
+lattice-smoothness test.  Smith normal form returns the divisor matrix
+together with the unimodular transforms, which integer kernels are built on.
 """
 
 from __future__ import annotations
@@ -98,6 +98,12 @@ def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
             vec[p] = Fraction(-row[f], d)
         basis.append(vec)
     return basis
+
+
+def abs_det(rows: Sequence[Sequence[int]]) -> int:
+    """|det M| of a square integer matrix: Bareiss's last pivot is +-det M."""
+    reduced, _, d = _echelon([list(row) for row in rows], len(rows), False)
+    return abs(d) if len(reduced) == len(rows) else 0
 
 
 def in_row_space(rows: Sequence[Sequence], vector: Sequence) -> bool:

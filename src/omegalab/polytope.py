@@ -15,15 +15,19 @@ the point-facet incidences, with no further elimination: the dimension is
 the ambient dimension less the number of affine-hull equations, the facets
 are the maximal proper tight sets, a vertex is the only point on every facet
 through it, and a face's dimension follows from the meets of the face
-lattice.
+lattice.  Simplicity and smoothness need no face lattice: a vertex is simple
+when it lies on dim facets, each of its edges is then the meet of all but one
+of them, and lattice smoothness is one determinant per vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
 from math import comb
+from operator import and_
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -49,7 +53,8 @@ __all__ = [
 MAX_GREEDY_GROUND_SET = 8
 MAX_HULL_AMBIENT_DIM = 6
 MAX_HULL_SUBSETS = 500_000
-DEFAULT_SCAN_CELLS = 5_000_000
+MAX_SCAN_CELLS = 5_000_000
+MAX_VERTEX_PRODUCT = 10**6
 
 Point = tuple[int, ...]
 Inequality = tuple[tuple[int, ...], int]  # normal a, bound b meaning a.x <= b
@@ -339,13 +344,11 @@ def _edges_in_arrangement(p: LatticePolytope) -> bool:
     return True
 
 
-def minkowski_sum(
-    p: LatticePolytope, q: LatticePolytope, *, max_vertex_product: int = 10**6
-) -> LatticePolytope:
+def minkowski_sum(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
     """Convex hull of pairwise vertex sums with irredundant V- and H-rep."""
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if len(p.vertices) * len(q.vertices) > max_vertex_product:
+    if len(p.vertices) * len(q.vertices) > MAX_VERTEX_PRODUCT:
         raise ResourceLimit("vertex product exceeds the desk-scale cap")
     ambient = p.ambient_dim
     sums = sorted({tuple(a + b for a, b in zip(u, w)) for u in p.vertices for w in q.vertices})
@@ -372,9 +375,7 @@ def minkowski_sum(
 # -- lattice points ----------------------------------------------------------------
 
 
-def lattice_points(
-    p: LatticePolytope, *, max_cells: int = DEFAULT_SCAN_CELLS
-) -> list[Point]:
+def lattice_points(p: LatticePolytope) -> list[Point]:
     """All integer points of the polytope, by pruned bounding-box scan."""
     n = p.ambient_dim
     lo = [min(v[i] for v in p.vertices) for i in range(n)]
@@ -393,7 +394,7 @@ def lattice_points(
         suffix_min.append(row)
 
     out: list[Point] = []
-    budget = [max_cells]
+    budget = [MAX_SCAN_CELLS]
     point = [0] * n
 
     def rec(i: int, partial: list[int]) -> None:
@@ -422,16 +423,21 @@ def lattice_points(
 # -- faces, simplicity, smoothness ---------------------------------------------------
 
 
+def _facet_masks(p: LatticePolytope) -> list[int]:
+    """Each facet's vertex set, as a bitmask over the vertices."""
+    return [
+        sum(1 << i for i, v in enumerate(p.vertices) if _dot(a, v) == b)
+        for a, b in p.inequalities
+    ]
+
+
 def faces(p: LatticePolytope) -> list[Face]:
     """All nonempty faces as the meet-closure of facet vertex incidences.
 
     A face's dimension is one more than the largest among its nonempty proper
     meets with the facets (its own facets are among them); a vertex has none.
     """
-    facet_masks = [
-        sum(1 << i for i, v in enumerate(p.vertices) if _dot(a, v) == b)
-        for a, b in p.inequalities
-    ]
+    facet_masks = _facet_masks(p)
     full = (1 << len(p.vertices)) - 1
     closed = {full}
     frontier = [full]
@@ -460,57 +466,44 @@ def faces(p: LatticePolytope) -> list[Face]:
     return result
 
 
-def is_simple(
-    p: LatticePolytope, face_list: list[Face] | None = None
-) -> tuple[bool, Point | None]:
+def _simple_witness(p: LatticePolytope, masks: list[int]) -> Point | None:
+    """The first vertex not on exactly dim facets, hence not on exactly dim
+    edges (Ziegler, Lectures on Polytopes, 2.5), if any."""
+    counts = ((v, sum(m >> i & 1 for m in masks)) for i, v in enumerate(p.vertices))
+    return next((v for v, count in counts if count != p.dim), None)
+
+
+def is_simple(p: LatticePolytope) -> tuple[bool, Point | None]:
     """Every vertex on exactly dim edges; returns (verdict, witness vertex)."""
-    if p.dim == 0:
-        return True, None
-    if face_list is None:
-        face_list = faces(p)
-    degree = [0] * len(p.vertices)
-    for f in face_list:
-        if f.dim == 1:
-            for i in f.vertex_indices:
-                degree[i] += 1
-    for i, v in enumerate(p.vertices):
-        if degree[i] != p.dim:
-            return False, v
-    return True, None
+    witness = _simple_witness(p, _facet_masks(p))
+    return witness is None, witness
 
 
-def is_smooth(
-    p: LatticePolytope, face_list: list[Face] | None = None
-) -> tuple[bool, Point | None]:
-    """Simple with a unimodular primitive edge basis at every vertex.
+def is_smooth(p: LatticePolytope) -> tuple[bool, Point | None]:
+    """Simple with a lattice basis of primitive edge vectors at every vertex.
 
-    Unimodularity is tested inside the saturated direction lattice of the
-    affine hull, via Smith normal form of the edge-direction matrix.
+    At a simple vertex each edge is the meet of all but one of its dim facets.
+    The primitive edge vectors U lie in the saturated direction lattice with
+    basis B, so U = T B for an integer T, and they are a lattice basis iff
+    |det T| = 1, iff |det U_R| = |det B_R| on pivot columns R of B.
     """
-    if p.dim == 0:
-        return True, None
-    if face_list is None:
-        face_list = faces(p)
-    simple, witness = is_simple(p, face_list)
-    if not simple:
+    masks = _facet_masks(p)
+    witness = _simple_witness(p, masks)
+    if witness is not None:
         return False, witness
+    full = (1 << len(p.vertices)) - 1
     basis = _direction_lattice(p.equations, p.ambient_dim)
-    edges_at: dict[int, list[Point]] = {i: [] for i in range(len(p.vertices))}
-    for f in face_list:
-        if f.dim == 1:
-            i, j = f.vertex_indices
-            edges_at[i].append(p.vertices[j])
-            edges_at[j].append(p.vertices[i])
+    _, cols = linalg.rref(basis)
+    index = linalg.abs_det([[b[c] for c in cols] for b in basis])
     for i, v in enumerate(p.vertices):
+        at = [m for m in masks if m >> i & 1]
         rows = []
-        for w in edges_at[i]:
-            direction = linalg.primitive_vector([w[k] - v[k] for k in range(p.ambient_dim)])
-            coords = linalg.integer_lattice_coordinates(basis, direction)
-            if coords is None:
-                return False, v
-            rows.append(coords)
-        divisors = linalg.snf_divisors(rows)
-        if len(divisors) != p.dim or any(d != 1 for d in divisors):
+        for j in range(p.dim):
+            edge = reduce(and_, at[:j] + at[j + 1 :], full) ^ 1 << i
+            w = p.vertices[edge.bit_length() - 1]
+            u = linalg.primitive_vector([w[c] - v[c] for c in range(p.ambient_dim)])
+            rows.append([u[c] for c in cols])
+        if linalg.abs_det(rows) != index:
             return False, v
     return True, None
 

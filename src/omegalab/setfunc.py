@@ -14,13 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .guards import ResourceLimit
 from .poly import Exponent, Polynomial
 
 MAX_GROUND_SET = 20
 MAX_PARTITION_GROUND_SET = 8
 
 
-class GroundSetTooLarge(ValueError):
+class GroundSetTooLarge(ResourceLimit):
     pass
 
 

@@ -15,10 +15,12 @@ from omegalab import (
     Polynomial,
     SetFunction,
     base_polytope,
+    faces,
     is_matroid,
     is_mconvex,
     is_polymatroid,
     lattice_points,
+    linalg,
 )
 
 SINGULAR_CUBIC_TEXT = (
@@ -274,3 +276,56 @@ def reference_hull(points):
         if len(reference_rref(hull_eqs + [a for t, a in normals.items() if p in t], n)[1]) == n
     ]
     return dim, set(normals), vertices
+
+
+# -- face-lattice references for simplicity and smoothness (test-only) ------------
+
+
+def reference_is_simple(p):
+    """Every vertex on exactly dim edges of the face lattice; (verdict, witness)."""
+    if p.dim == 0:
+        return True, None
+    face_list = faces(p)
+    degree = [0] * len(p.vertices)
+    for f in face_list:
+        if f.dim == 1:
+            for i in f.vertex_indices:
+                degree[i] += 1
+    for i, v in enumerate(p.vertices):
+        if degree[i] != p.dim:
+            return False, v
+    return True, None
+
+
+def reference_is_smooth(p):
+    """Simple, with a unimodular primitive edge basis at every vertex.
+
+    Each edge of the face lattice is written in a basis of the saturated
+    direction lattice of the affine hull, and a vertex is smooth when the
+    Smith normal form of its edge coordinates has dim divisors, all 1.
+    """
+    if p.dim == 0:
+        return True, None
+    face_list = faces(p)
+    simple, witness = reference_is_simple(p)
+    if not simple:
+        return False, witness
+    basis = linalg.integer_kernel_basis([a for a, _ in p.equations], p.ambient_dim)
+    edges_at = {i: [] for i in range(len(p.vertices))}
+    for f in face_list:
+        if f.dim == 1:
+            i, j = f.vertex_indices
+            edges_at[i].append(p.vertices[j])
+            edges_at[j].append(p.vertices[i])
+    for i, v in enumerate(p.vertices):
+        rows = []
+        for w in edges_at[i]:
+            direction = linalg.primitive_vector([w[k] - v[k] for k in range(p.ambient_dim)])
+            coords = linalg.integer_lattice_coordinates(basis, direction)
+            if coords is None:
+                return False, v
+            rows.append(coords)
+        divisors = linalg.snf_divisors(rows)
+        if len(divisors) != p.dim or any(d != 1 for d in divisors):
+            return False, v
+    return True, None

@@ -19,7 +19,6 @@ from omegalab import (
     certify_smooth,
     check_simplicity_conditions,
     derivative_space,
-    faces,
     is_lorentzian,
     is_mconvex,
     is_simple,
@@ -74,9 +73,8 @@ def test_criterion_01_uniform_matroid_polytopes():
     summed = base_polytope(truncation_sum(u24))
     assert set(summed.vertices) == set(permutations((2, 1, 0, 0)))
     assert len(summed.vertices) == 12
-    fl = faces(summed)
-    assert is_simple(summed, fl) == (True, None)
-    assert is_smooth(summed, fl) == (True, None)
+    assert is_simple(summed) == (True, None)
+    assert is_smooth(summed) == (True, None)
     _report(1, "uniform-matroid polytopes (simplex, octahedron, truncated tetrahedron)")
 
 
@@ -181,9 +179,8 @@ def test_criterion_06_random_polymatroid_suite():
         f = random_polymatroid(rng, n, 4)
         summed = truncation_sum(f)
         body = base_polytope(summed)
-        fl = faces(body)
-        assert is_simple(body, fl)[0], (trial, f.values)
-        assert is_smooth(body, fl)[0], (trial, f.values)
+        assert is_simple(body)[0], (trial, f.values)
+        assert is_smooth(body)[0], (trial, f.values)
         assert check_simplicity_conditions(summed).holds, (trial, f.values)
     for trial in range(50):
         n = rng.randint(2, 5)
@@ -218,9 +215,8 @@ def test_criterion_08_negative_control_simple_not_smooth():
     b2 = derivative_support(h, 2)
     sums = {tuple(a + b for a, b in zip(p, q)) for p in b1 for q in b2}
     body = polytope_from_points(sums)
-    fl = faces(body)
-    assert is_simple(body, fl)[0] is True
-    assert is_smooth(body, fl)[0] is False
+    assert is_simple(body)[0] is True
+    assert is_smooth(body)[0] is False
     _report(8, "non-M-convex control: summed supports hull is simple, not smooth")
 
 

@@ -278,7 +278,7 @@ def test_certify_degree_guard_fires_before_any_order():
 def test_failed_self_check_is_undecided(monkeypatch):
     import omegalab.certify
 
-    def not_smooth(body, face_list=None):
+    def not_smooth(body):
         return False, body.vertices[-1]
 
     monkeypatch.setattr(omegalab.certify, "is_smooth", not_smooth)
@@ -369,6 +369,29 @@ def test_quadric_self_check_reuses_the_order_one_face_lattice(monkeypatch):
         monkeypatch.setattr(module, "faces", counted)
     assert certify_smooth(elementary_symmetric(2, 4)).verdict == "smooth-toric"
     assert len(calls) == 1
+
+
+def test_self_check_builds_no_face_lattice_lattice_coordinates_or_smith_form(monkeypatch):
+    import omegalab.certify
+    import omegalab.linalg
+    import omegalab.polytope
+
+    counts = dict.fromkeys(("faces", "integer_lattice_coordinates", "snf_divisors"), 0)
+
+    def counter(name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    faces = counter("faces", omegalab.polytope.faces)
+    for module in (omegalab.certify, omegalab.polytope):
+        monkeypatch.setattr(module, "faces", faces)
+    for name in ("integer_lattice_coordinates", "snf_divisors"):
+        monkeypatch.setattr(omegalab.linalg, name, counter(name, getattr(omegalab.linalg, name)))
+    assert certify_smooth(elementary_symmetric(3, 5)).verdict == "smooth-toric"
+    assert counts == {"faces": 2, "integer_lattice_coordinates": 0, "snf_divisors": 0}
 
 
 def test_certificate_orders_match_centre_disjoint():

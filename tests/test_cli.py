@@ -270,6 +270,24 @@ def test_certify_ground_set_guard_text_and_json(capsys):
     assert code == 3 and f"detail: {detail}" in out
 
 
+def test_analyze_and_polytope_ground_set_guard_text_and_json(capsys):
+    names = [f"x{i}" for i in range(1, 22)]
+    text = " + ".join(f"x1*{v}" for v in names)
+    detail = "ground set of size 21 exceeds the cap 20"
+    for command in ("analyze", "polytope"):
+        code, out, err = run(capsys, command, "--vars", ",".join(names), text)
+        assert code == 3 and out == ""
+        assert err == f"undecided: {detail}\n"
+        code, out, _ = run(capsys, command, "--format", "json", "--vars", ",".join(names), text)
+        assert code == 3
+        assert json.loads(out) == {
+            "schema": "omegalab/1",
+            "command": command,
+            "status": "undecided",
+            "detail": detail,
+        }
+
+
 def test_probe_degree_guard_is_undecided(capsys):
     code, out, _ = run(
         capsys, "probe-smoothable", "--format", "json", "--vars", "x,y", "x^7*y^6", "--trials", "2"
@@ -309,7 +327,7 @@ def test_probe_trials_cap_exits_usage(capsys):
 def test_certify_failed_self_check_prints_payload(capsys, monkeypatch):
     import omegalab.certify
 
-    monkeypatch.setattr(omegalab.certify, "is_smooth", lambda body, face_list=None: (False, body.vertices[0]))
+    monkeypatch.setattr(omegalab.certify, "is_smooth", lambda body: (False, body.vertices[0]))
     code, out, _ = run(capsys, "certify", "--format", "json", "--vars", "x,y,z", "x*y+x*z+y*z")
     assert code == 3
     payload = json.loads(out)
@@ -406,6 +424,15 @@ def test_unknown_flag_exits_usage(capsys):
     code, err = usage_exit(capsys, "certify", "--vars", "x,y", "x*y", "--jobs", "2")
     assert code == 64
     assert "unrecognized arguments: --jobs 2" in err
+
+
+def test_max_pairs_only_on_the_groebner_commands(capsys):
+    code, err = usage_exit(capsys, "mconvex", "--vars", "x,y", "x*y", "--max-pairs", "5")
+    assert code == 64
+    assert "unrecognized arguments: --max-pairs 5" in err
+    for command in ("certify", "probe-smoothable"):
+        code, _, _ = run(capsys, command, "--vars", "x,y", "x*y", "--max-pairs", "5")
+        assert code == 0
 
 
 def test_help_exits_zero(capsys):

@@ -4,9 +4,11 @@ import hashlib
 import random
 from collections import Counter
 from itertools import permutations
+from math import gcd, prod
 
 import pytest
 
+import omegalab.polytope
 from omegalab import (
     SetFunction,
     base_polytope,
@@ -17,6 +19,7 @@ from omegalab import (
     is_simple,
     is_smooth,
     lattice_points,
+    linalg,
     matroid_staircase_vertices,
     minkowski_sum,
     polytope_from_points,
@@ -37,6 +40,8 @@ from helpers import (
     reference_affine_rank,
     reference_greedy_points,
     reference_hull,
+    reference_is_simple,
+    reference_is_smooth,
     reference_rref,
 )
 
@@ -84,9 +89,8 @@ def test_base_polytope_simplex_octahedron_truncated_tetrahedron():
     summed = base_polytope(truncation_sum(U24))
     assert set(summed.vertices) == perms_of((2, 1, 0, 0))
     assert len(summed.vertices) == 12
-    fl = faces(summed)
-    assert is_simple(summed, fl) == (True, None)
-    assert is_smooth(summed, fl) == (True, None)
+    assert is_simple(summed) == (True, None)
+    assert is_smooth(summed) == (True, None)
 
 
 def test_matroid_staircase_vertices_examples():
@@ -148,10 +152,11 @@ def test_minkowski_generic_fallback_path():
     assert summed.vertices == expected.vertices
 
 
-def test_minkowski_guard():
+def test_minkowski_guard(monkeypatch):
+    monkeypatch.setattr(omegalab.polytope, "MAX_VERTEX_PRODUCT", 10)
     body = base_polytope(truncation_sum(U24))
     with pytest.raises(ResourceLimit):
-        minkowski_sum(body, body, max_vertex_product=10)
+        minkowski_sum(body, body)
 
 
 def test_minkowski_fast_path_matches_brute_force_hull():
@@ -230,10 +235,11 @@ def test_lattice_points_equal_support_for_plane_cubic():
     assert set(lattice_points(base_polytope(rho))) == set(h.support())
 
 
-def test_lattice_points_guard():
+def test_lattice_points_guard(monkeypatch):
+    monkeypatch.setattr(omegalab.polytope, "MAX_SCAN_CELLS", 3)
     body = base_polytope(truncation_sum(U24))
     with pytest.raises(ResourceLimit):
-        lattice_points(body, max_cells=3)
+        lattice_points(body)
 
 
 def test_faces_triangle():
@@ -359,16 +365,14 @@ def _assert_matches_reference_hull(body, pts):
 
 def test_cube_is_simple_and_smooth():
     cube = polytope_from_points([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
-    fl = faces(cube)
-    assert is_simple(cube, fl) == (True, None)
-    assert is_smooth(cube, fl) == (True, None)
+    assert is_simple(cube) == (True, None)
+    assert is_smooth(cube) == (True, None)
 
 
 def test_skew_simplex_simple_but_not_smooth():
     body = polytope_from_points([(0, 0), (1, 0), (1, 2)])
-    fl = faces(body)
-    assert is_simple(body, fl)[0]
-    smooth, witness = is_smooth(body, fl)
+    assert is_simple(body)[0]
+    smooth, witness = is_smooth(body)
     assert not smooth and witness == (0, 0)
 
 
@@ -378,9 +382,8 @@ def test_derivative_support_sum_simple_not_smooth():
     b2 = derivative_support(h, 2)
     sums = {tuple(a + b for a, b in zip(p, q)) for p in b1 for q in b2}
     body = polytope_from_points(sums)
-    fl = faces(body)
-    assert is_simple(body, fl)[0]
-    assert not is_smooth(body, fl)[0]
+    assert is_simple(body)[0]
+    assert not is_smooth(body)[0]
 
 
 def test_summed_truncation_polytopes_smooth_random():
@@ -389,9 +392,8 @@ def test_summed_truncation_polytopes_smooth_random():
         n = rng.randint(1, 5)
         f = random_polymatroid(rng, n, 4)
         body = base_polytope(truncation_sum(f))
-        fl = faces(body)
-        simple, _ = is_simple(body, fl)
-        smooth, _ = is_smooth(body, fl)
+        simple, _ = is_simple(body)
+        smooth, _ = is_smooth(body)
         assert simple and smooth
 
 
@@ -403,9 +405,63 @@ def test_smooth_implies_simple_on_mixed_examples():
         polytope_from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
     ]
     for body in examples:
-        fl = faces(body)
-        if is_smooth(body, fl)[0]:
-            assert is_simple(body, fl)[0]
+        if is_smooth(body)[0]:
+            assert is_simple(body)[0]
+
+
+def _smoothness_corpus(rng: random.Random, count: int) -> list:
+    """Polymatroid base, independence and summed polytopes, full-dimensional
+    hulls, and hulls of lattice points spanned by random integer generators,
+    whose direction lattice often projects with index above 1."""
+    out = []
+    while len(out) < count:
+        kind = len(out) % 4
+        if kind == 0:
+            f = random_polymatroid(rng, rng.randint(1, 4), 4)
+            out += [base_polytope(f), independence_polytope(f), base_polytope(truncation_sum(f))]
+        elif kind == 1:
+            ambient = rng.randint(2, 3)
+            size = rng.randint(1, 7)
+            points = [tuple(rng.randint(0, 3) for _ in range(ambient)) for _ in range(size)]
+            out.append(polytope_from_points(points))
+        else:
+            ambient = rng.randint(3, 4)
+            rank = rng.randint(1, ambient - 1)
+            gens = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(rank)]
+            points = []
+            for _ in range(rng.randint(2, 7)):
+                c = [rng.randint(0, 2) for _ in gens]
+                points.append(tuple(sum(x * g[j] for x, g in zip(c, gens)) for j in range(ambient)))
+            out.append(polytope_from_points(points))
+    return out
+
+
+def _projection_index(body) -> int:
+    """Index of the direction lattice's projection onto its pivot coordinates."""
+    basis = linalg.integer_kernel_basis([a for a, _ in body.equations], body.ambient_dim)
+    if not basis:
+        return 1
+    _, cols = reference_rref(basis)
+    divisors = linalg.snf_divisors([[b[c] for c in cols] for b in basis])
+    return prod(divisors)
+
+
+def test_simplicity_and_smoothness_match_the_face_lattice_reference():
+    rng = random.Random(2024)
+    counts = Counter()
+    for body in _smoothness_corpus(rng, 1200):
+        simple, smooth = is_simple(body), is_smooth(body)
+        assert simple == reference_is_simple(body), body
+        assert smooth == reference_is_smooth(body), body
+        counts["smooth" if smooth[0] else "simple" if simple[0] else "not simple"] += 1
+        if smooth[0]:
+            counts["smooth, index > 1"] += _projection_index(body) > 1
+            counts["smooth, long edge"] += any(
+                f.dim == 1 and gcd(*(a - b for a, b in zip(*f.vertices))) > 1
+                for f in faces(body)
+            )
+    assert sum(counts[k] for k in ("smooth", "simple", "not simple")) >= 1200
+    assert min(counts.values()) >= 40, counts
 
 
 def test_greedy_vertices_match_basic_feasible_points():
