@@ -14,7 +14,8 @@ face-restricted derivative system, one face per orbit of the variable swaps
 fixing the polynomial.  One certificate computes the support's M-convexity,
 its rank function rho, its swaps and each truncation polytope with its face
 lattice once.  An independent Groebner oracle (toric ideal plus centre forms,
-checked chart by chart) is provided for cross-validation on small instances.
+decided by one Groebner basis and the finiteness theorem) is provided for
+cross-validation on small instances.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .derivatives import all_partials, derivative_space
 from .groebner import (
     DEFAULT_MAX_PAIRS,
     buchberger_intdicts,
-    is_unit_ideal,
     poly_to_intdict,
     toric_ideal,
     torus_feasible,
@@ -316,8 +316,8 @@ def oracle_centre_disjoint(
     """Independent disjointness decision via the toric ideal.
 
     Builds the toric ideal of the truncation polytope's lattice points, adds
-    the centre's defining linear forms, and tests projective emptiness by
-    saturation on each affine chart.  Returns "yes" (disjoint) or "no".
+    the centre's defining linear forms, and tests projective emptiness with
+    one Groebner basis.  Returns "yes" (disjoint) or "no".
     Raises ValueError when the derivative support does not fill the
     truncation polytope, and ResourceLimit above MAX_TORIC_POINTS (12)
     points, at the pair cap, or at the greedy or lattice-scan cap.
@@ -329,37 +329,19 @@ def oracle_centre_disjoint(
         raise ValueError(
             "oracle requires the derivative support to fill the truncation polytope"
         )
-    ideal = toric_ideal(pts, max_pairs)
-    nz = len(pts)
-    centre_rows: list[dict] = []
-    for row in space.matrix:
-        form = {}
-        for i, c in enumerate(row):
-            if c:
-                e = [0] * nz
-                e[i] = 1
-                form[tuple(e)] = c
-        centre_rows.append(form)
-    base_gens = [poly_to_intdict(g) for g in ideal.generators]
-    base_gens += [
-        poly_to_intdict(Polynomial(nz, form)) for form in centre_rows if form
-    ]
-    for chart in range(nz):
-        substituted = []
-        for g in base_gens:
-            acc: dict = {}
-            for m, c in g.items():
-                mm = list(m)
-                mm[chart] = 0
-                key = tuple(mm)
-                acc[key] = acc.get(key, 0) + c
-            acc = {m: c for m, c in acc.items() if c}
-            if acc:
-                substituted.append(acc)
-        gb = buchberger_intdicts(substituted, grevlex_key, max_pairs)
-        if not is_unit_ideal(gb):
-            return "no"
-    return "yes"
+    nz = len(pts)  # variable z_i <-> pts[i] == space.columns[i]
+    gens = [poly_to_intdict(g) for g in toric_ideal(pts, max_pairs).generators]
+    z = [tuple(int(i == j) for j in range(nz)) for i in range(nz)]  # z[i] is z_i
+    gens += [{z[i]: int(c) for i, c in enumerate(row) if c} for row in space.matrix]
+    # The toric ideal and the centre forms are homogeneous, so the projective
+    # variety is empty iff the affine cone is {0}, iff the cone is finite, iff
+    # every z_i has a pure power (1 included) among the leading monomials of a
+    # Groebner basis (Cox, Little & O'Shea, Ideals, Varieties, and
+    # Algorithms, ch. 5, sec. 3, the finiteness theorem).
+    gb = buchberger_intdicts(gens, grevlex_key, max_pairs)
+    leads = [max(g, key=grevlex_key) for g in gb]
+    pure = {i for m in leads for i in range(nz) if m[i] == sum(m)}
+    return "yes" if len(pure) == nz else "no"
 
 
 # -- full certificate -----------------------------------------------------------------

@@ -12,6 +12,7 @@ certify exit codes: 0 smooth-toric, 1 criterion-fails, 2 not-applicable,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -222,32 +223,31 @@ def _parse_setfunction_arg(args) -> SetFunction:
             raise UsageError(f"bad set function JSON: {exc}")
     else:
         raise UsageError("give --matroid or --setfunction")
-    report = is_polymatroid(f)
-    if not report.ok:
-        s, t = report.violating_pair
-        raise UsageError(
-            f"not a polymatroid: violating pair S={mask_to_set(s)}, T={mask_to_set(t)}"
-        )
     return f
 
 
 def _cmd_polytope(args) -> int:
+    build = build_independence if args.function == "independence" else base_polytope
     if args.matroid or args.setfunction:
         f = _parse_setfunction_arg(args)
+        try:
+            body = build(f)  # the greedy pass is the polymatroid check, for bar too
+        except ValueError:
+            # past the greedy guard n <= 8, so the 4^n scan is cheap
+            s, t = is_polymatroid(f).violating_pair
+            raise UsageError(
+                f"not a polymatroid: violating pair S={mask_to_set(s)}, T={mask_to_set(t)}"
+            )
     elif args.polynomial or args.file:
         h, _, _ = _read_polynomial(args)
         if h.is_zero or not h.is_homogeneous:
             raise UsageError("polynomial input must be nonzero homogeneous")
         f = rank_from_support(h.support())
+        body = None if args.function == "bar" else build(f)
     else:
         raise UsageError("give --matroid, --setfunction, or a polynomial")
     if args.function == "bar":
-        f = truncation_sum(f)
-        body = base_polytope(f)
-    elif args.function == "base":
-        body = base_polytope(f)
-    else:
-        body = build_independence(f)
+        body = base_polytope(truncation_sum(f))
     simple, _ = is_simple(body)
     smooth, _ = is_smooth(body)
     payload = {
@@ -342,7 +342,9 @@ def _cmd_probe(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="omegalab",
         description="Exact smoothness certificates for gradient-map resolutions.",

@@ -9,15 +9,16 @@ satisfy every x(S) <= f(S) iff f is submodular (Ichiishi 1981), and each
 marginal is a coordinate of one, so -x_i <= 0 holds iff f is monotone.
 Generic hulls (Newton polytopes, point-set sums) get their candidate
 inequalities from a brute-force facet search with exact orientation tests,
-working inside the saturated direction lattice so that lower-dimensional
-polytopes are handled exactly.  Every combinatorial fact is then read off
-the point-facet incidences, with no further elimination: the dimension is
-the ambient dimension less the number of affine-hull equations, the facets
-are the maximal proper tight sets, a vertex is the only point on every facet
-through it, and a face's dimension follows from the meets of the face
-lattice.  Simplicity and smoothness need no face lattice: a vertex is simple
-when it lies on dim facets, each of its edges is then the meet of all but one
-of them, and lattice smoothness is one determinant per vertex.
+working in the chart of the affine hull by its free coordinates so that
+lower-dimensional polytopes are handled exactly.  Every combinatorial fact
+is then read off the point-facet incidences, with no further elimination:
+the dimension is the ambient dimension less the number of affine-hull
+equations, the facets are the maximal proper tight sets, a vertex is the
+only point on every facet through it, and a face's dimension follows from
+the meets of the face lattice.  Simplicity and smoothness need no face
+lattice: a vertex is simple when it lies on dim facets, each of its edges is
+then the meet of all but one of them, and lattice smoothness is one
+determinant per vertex.
 """
 
 from __future__ import annotations
@@ -123,14 +124,6 @@ def _equations_from_points(points: Sequence[Point], ambient: int) -> tuple[Inequ
         a = linalg.clear_denominators(row)
         eqs.append((a, _dot(a, v0)))
     return tuple(sorted(eqs))
-
-
-def _coords(basis: Sequence[tuple[int, ...]], v0: Point, p: Point) -> tuple[int, ...]:
-    diff = [p[i] - v0[i] for i in range(len(v0))]
-    sol = linalg.integer_lattice_coordinates(basis, diff)
-    if sol is None:
-        raise ValueError("point does not lie in the affine lattice of the polytope")
-    return tuple(sol)
 
 
 def _canonical_inequality(
@@ -279,7 +272,13 @@ def matroid_staircase_vertices(f: SetFunction) -> set[Point]:
 
 
 def polytope_from_points(points: Iterable[Sequence[int]]) -> LatticePolytope:
-    """Convex hull via brute-force facet search with exact orientation tests."""
+    """Convex hull via brute-force facet search with exact orientation tests.
+
+    The search runs in the chart of the affine hull by its free coordinates:
+    the hull is a graph over the non-pivot columns of the equations' RREF, so
+    a chart normal lifts to the ambient normal with the same entries on those
+    columns and 0 elsewhere.
+    """
     pts = sorted({tuple(int(x) for x in p) for p in points})
     if not pts:
         raise ValueError("a polytope needs at least one point")
@@ -287,45 +286,35 @@ def polytope_from_points(points: Iterable[Sequence[int]]) -> LatticePolytope:
     if ambient > MAX_HULL_AMBIENT_DIM:
         raise ResourceLimit(f"hull search capped at ambient dimension {MAX_HULL_AMBIENT_DIM}")
     equations = _equations_from_points(pts, ambient)
-    basis = _direction_lattice(equations, ambient)
-    dim = len(basis)
-    if dim == 0:
-        return _assemble(ambient, pts, [], equations)
-    v0 = pts[0]
-    charted = [_coords(basis, v0, p) for p in pts]
+    pivots = set(linalg.rref([a for a, _ in equations], ambient)[1])
+    free = [i for i in range(ambient) if i not in pivots]
+    dim = len(free)
     if comb(len(pts), dim) > MAX_HULL_SUBSETS:
         raise ResourceLimit(
             f"facet search over {len(pts)} points in dimension {dim} exceeds the cap"
         )
+    charted = [[p[i] for i in free] for p in pts]
 
+    # the hyperplane w.x = b through each affinely independent dim-subset
     normals: set[tuple[tuple[int, ...], int]] = set()
-    for subset in combinations(range(len(pts)), dim):
-        first = charted[subset[0]]
-        diffs = [
-            [charted[j][i] - first[i] for i in range(dim)] for j in subset[1:]
-        ]
-        kern = linalg.kernel_basis(diffs, dim)
+    for subset in combinations(charted, dim):
+        kern = linalg.kernel_basis([[*c, -1] for c in subset], dim + 1)
         if len(kern) != 1:
             continue
-        w = linalg.clear_denominators(kern[0])
+        *w, b = linalg.clear_denominators(kern[0])
         values = [_dot(w, c) for c in charted]
-        b = _dot(w, first)
         top, bottom = max(values), min(values)
         if top == b and bottom < b:
-            normals.add((w, b))
+            normals.add((tuple(w), b))
         elif bottom == b and top > b:
             normals.add((tuple(-x for x in w), -b))
 
-    # lift chart normals to ambient functionals with the same restriction
     candidates: list[Inequality] = []
-    basis_rows = [[Fraction(x) for x in bv] for bv in basis]
-    for w, _ in sorted(normals):
-        a = linalg.solve(basis_rows, w)
-        if a is None:
-            raise AssertionError("facet normal failed to lift")
-        a_int = linalg.clear_denominators(a)
-        candidates.append((a_int, max(_dot(a_int, p) for p in pts)))
-
+    for w, b in normals:
+        a = [0] * ambient
+        for i, x in zip(free, w):
+            a[i] = x
+        candidates.append((tuple(a), b))
     return _assemble(ambient, pts, candidates, equations)
 
 

@@ -106,11 +106,16 @@ class SetFunction:
     def from_bases(cls, n: int, bases: Sequence[Iterable[int]]) -> "SetFunction":
         """Rank table r(S) = max |B & S| over the given basis family.
 
-        The family is not validated here; run is_polymatroid / is_matroid on
-        the result to reject non-matroid input.
+        Raises ValueError on an element outside 1..n.  The family is not
+        otherwise validated; run is_polymatroid / is_matroid on the result to
+        reject non-matroid input.
         """
         if not bases:
             raise ValueError("at least one basis is required")
+        bases = [list(b) for b in bases]
+        outside = [e for b in bases for e in b if not 1 <= e <= n]
+        if outside:
+            raise ValueError(f"basis element {outside[0]} lies outside the ground set 1..{n}")
         masks = [set_to_mask(b) for b in bases]
         sizes = {m.bit_count() for m in masks}
         if len(sizes) != 1:

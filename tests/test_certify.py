@@ -444,6 +444,47 @@ def test_oracle_agrees_on_random_supports():
             checked += 1
 
 
+def test_oracle_decides_with_one_groebner_basis_after_the_toric_ideal(monkeypatch):
+    import omegalab.certify
+    import omegalab.groebner
+
+    calls = []
+
+    def counted(*args, _real=omegalab.groebner.buchberger_intdicts, **kwargs):
+        calls.append(args)
+        return _real(*args, **kwargs)
+
+    for module in (omegalab.certify, omegalab.groebner):
+        monkeypatch.setattr(module, "buchberger_intdicts", counted)
+    h = elementary_symmetric(3, 5)
+    nz = len(derivative_support(h, 1))
+    assert nz == 10
+    assert oracle_centre_disjoint(h, 1) == "yes"
+    # toric_ideal: one saturation step per variable and a final basis; then one
+    assert len(calls) == nz + 2
+
+
+def test_oracle_agrees_on_a_corpus_with_intersecting_centres():
+    from omegalab import base_polytope, rank_from_support, truncate
+
+    rng = random.Random(3)
+    answers = []
+    while len(answers) < 60:
+        n = rng.randint(2, 4)
+        d = rng.randint(2, 4)
+        supp = random_mconvex_support(rng, n, d)
+        if any(all(p[i] == 0 for p in supp) for i in range(n)):
+            continue
+        h = random_positive_polynomial(rng, supp, max_coeff=3)
+        for k in range(1, d):
+            if len(lattice_points(base_polytope(truncate(rank_from_support(supp), k)))) > 10:
+                continue
+            oracle = oracle_centre_disjoint(h, k)
+            assert oracle == centre_disjoint(h, k).disjoint, (supp, k)
+            answers.append(oracle)
+    assert answers.count("no") >= 5
+
+
 def test_probe_symmetric_support_all_smooth():
     report = smoothable_probe(elementary_symmetric(3, 3).support(), trials=5, seed=7)
     assert report.counts == {"smooth-toric": 5}

@@ -384,6 +384,57 @@ def test_analyze_command(capsys):
     assert data["k_spaces"][0]["centre_dim"] == 2
 
 
+def test_matroid_element_outside_the_ground_set_exits_usage(capsys):
+    code, out, err = run(
+        capsys, "polytope", "--matroid", "13,23", "--ground-set", "2", "--format", "json"
+    )
+    assert code == 64 and out == ""
+    assert err == "error: basis element 3 lies outside the ground set 1..2\n"
+
+
+def test_polytope_reaches_the_greedy_guard_without_the_polymatroid_scan(capsys, monkeypatch):
+    import omegalab.cli
+
+    calls = []
+
+    def counted(*args, _real=omegalab.cli.is_polymatroid, **kwargs):
+        calls.append(args)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(omegalab.cli, "is_polymatroid", counted)
+    code, out, err = run(
+        capsys, "polytope", "--matroid", "12,13", "--ground-set", "20", "--format", "json"
+    )
+    assert code == 3 and json.loads(out)["status"] == "undecided"
+    assert err == "undecided: greedy enumeration capped at n <= 8\n"
+    assert calls == []
+    # a non-polymatroid within the guard still names its violating pair
+    code, _, err = run(capsys, "polytope", "--setfunction", '{"n": 2, "values": [0, 2, 2, 1]}')
+    assert code == 64 and "violating pair" in err and len(calls) == 1
+    code, _, err = run(
+        capsys, "polytope", "--function", "bar", "--setfunction", '{"n": 2, "values": [0, 2, 0, 1]}'
+    )
+    assert code == 64 and "violating pair" in err and len(calls) == 2
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    import omegalab.cli
+
+    run(capsys, "rank", "--vars", "x,y", "x*y", "--at", "1,1", "--dir", "1,0")
+    built = []
+    real_init = omegalab.cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(omegalab.cli._Parser, "__init__", counted)
+    for _ in range(3):
+        code, out, _ = run(capsys, "rank", "--vars", "x,y", "x*y", "--at", "1,1", "--dir", "1,0")
+        assert code == 0 and out == "rank: 1\n"
+    assert built == []
+
+
 def test_analyze_checks_mconvexity_once(capsys, monkeypatch):
     import omegalab.certify
     import omegalab.cli

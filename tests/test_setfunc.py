@@ -73,6 +73,14 @@ def test_table_builders_check_the_ground_set_cap():
             build()
 
 
+def test_from_bases_rejects_elements_outside_the_ground_set():
+    with pytest.raises(ValueError, match="basis element 3 lies outside the ground set 1..2"):
+        SetFunction.from_bases(2, [[1, 3], [2, 3]])
+    with pytest.raises(ValueError, match="basis element 0 lies outside"):
+        SetFunction.from_bases(3, [[0, 1]])
+    assert SetFunction.from_bases(3, [[1, 3], [2, 3]]).rank == 2
+
+
 def test_rank_from_support_symmetric():
     rho = rank_from_support(elementary_symmetric(2, 3).support())
     assert rho.values[set_to_mask([1])] == 1
