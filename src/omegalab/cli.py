@@ -28,11 +28,12 @@ from .derivatives import derivative_space
 from .groebner import DEFAULT_MAX_PAIRS
 from .guards import ResourceLimit
 from .poly import ParseError, Polynomial, parse_polynomial
-from .polytope import base_polytope, is_simple, is_smooth
+from .polytope import base_polytope, is_simple, is_smooth, require_greedy
 from .polytope import independence_polytope as build_independence
 from .setfunc import (
     SetFunction,
     ZeroRestrictionError,
+    basis_masks,
     hyperbolic_rank,
     is_polymatroid,
     mask_to_set,
@@ -215,6 +216,8 @@ def _parse_setfunction_arg(args) -> SetFunction:
             except ValueError:
                 raise UsageError(f"bad basis {chunk!r}; write e.g. 12,13,14,23,24,34")
         n = args.ground_set or max(max(b) for b in bases)
+        basis_masks(n, bases)  # a bad family exits 64 first
+        require_greedy(n)  # every polytope command stops here, before the 2^n table
         f = SetFunction.from_bases(n, bases)
     elif args.setfunction:
         try:

@@ -1,7 +1,5 @@
 """Buchberger engine and torus feasibility over the rationals.
 
-Polynomials enter as exact `Polynomial` values and are handled internally as
-primitive integer term dictionaries (content-stripped after every reduction).
 The engine provides reduced Groebner bases, ideal membership, coordinate
 saturation for homogeneous ideals, toric ideals of point configurations, and
 the torus-feasibility decisions used by the smoothness criterion:
@@ -9,6 +7,19 @@ the torus-feasibility decisions used by the smoothness criterion:
   * a linear fast path deciding feasibility by exact kernel computations,
   * a general path that dehomogenizes, adjoins an inverted variable product,
     and tests whether the saturated ideal is the unit ideal.
+
+Polynomials enter as exact `Polynomial` values or integer term dictionaries
+keyed by exponent tuples.  Inside the Buchberger kernel a monomial is one int
+K = top * 2^s - E: E packs the exponents in w-bit fields, placed by the
+order's ranking of the variables, and top is the degree (plus, for an
+elimination order, the eliminated exponent shifted above it).  K's integer
+order is the monomial order and K is linear in the exponents, so a product is
+`+` and a leading term is `max`; E = ceil(K / 2^s) * 2^s - K, and divisibility
+and lcm are tests on each field's top (guard) bit.  Every popped leading
+monomial must keep its degree below the guard bit; otherwise the call runs
+again with fields twice as wide.  Terms are primitive integer dictionaries,
+content-stripped after every reduction, and exponent tuples appear only at
+the boundary: inputs, returned bases and the public `normal_form`.
 
 Resource caps surface as the explicit verdict "undecided", never as a wrong
 answer.
@@ -21,7 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from operator import mul
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .guards import ResourceLimit
 from .linalg import integer_kernel_basis, kernel_basis
@@ -56,17 +68,18 @@ class FeasibilityVerdict:
 # -- integer term dictionaries -----------------------------------------------------
 
 
-def _content_strip(p: IntPoly, key: OrderKey) -> IntPoly:
-    """Divide by the coefficient gcd and make the leading coefficient positive."""
+def _content_strip(p: dict, key: OrderKey | None = None) -> dict:
+    """Divide by the coefficient gcd and make the leading coefficient positive.
+
+    Terms are keyed by exponent tuples ordered by `key`, or by packed ints."""
     p = {m: c for m, c in p.items() if c}
     if not p:
         return {}
     g = 0
     for c in p.values():
-        g = gcd(g, abs(c))
-    lead = max(p, key=key)
-    sign = 1 if p[lead] > 0 else -1
-    g *= sign
+        g = gcd(g, c)
+    if p[max(p, key=key)] < 0:
+        g = -g
     return {m: c // g for m, c in p.items()}
 
 
@@ -81,186 +94,232 @@ def intdict_to_poly(p: IntPoly, nvars: int) -> Polynomial:
     return Polynomial(nvars, {m: Fraction(c) for m, c in p.items()})
 
 
-def _mono_mul(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+# -- packed monomials ----------------------------------------------------------------
 
 
-def _mono_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+class MonomialOrder(NamedTuple):
+    """Grevlex after a ranking of the variables: variable ranking[j] owns field j.
 
-
-def _mono_divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _mono_div(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def normal_form(
-    f: IntPoly,
-    basis: Sequence[IntPoly],
-    key: OrderKey,
-    leads: Sequence[Exponent] | None = None,
-) -> IntPoly:
-    """Full multivariate division remainder, fraction-free.
-
-    `leads`, when given, holds the leading monomial of each basis element
-    under `key`, in basis order; otherwise they are computed here.
+    Monomials compare by degree, then by the top field's exponent (less wins),
+    then the next field down.  With `eliminate` the top field's exponent comes
+    before the degree and more of it wins: an elimination order for it.
     """
-    rem = dict(f)
-    out: IntPoly = {}
-    if leads is None:
-        basis = [g for g in basis if g]
-        leads = [max(g, key=key) for g in basis]
-    reducers = list(zip(leads, basis))
+
+    ranking: tuple[int, ...]
+    eliminate: bool = False
+
+
+Order = OrderKey | MonomialOrder  # the kernel accepts grevlex_key or a MonomialOrder
+
+
+class _Overflow(Exception):
+    """A popped leading monomial reached the guard bit of the degree field."""
+
+
+# (lead fields E, lead K, polynomial) of a content-stripped basis element
+Reducer = tuple[int, int, dict[int, int]]
+
+
+class _Packing:
+    """Packed monomials (see the module docstring) of one order with w-bit fields."""
+
+    def __init__(self, order: MonomialOrder, w: int):
+        n = len(order.ranking)
+        self.w, self.s, self.mask, self.half = w, w * n, (1 << w) - 1, 1 << (w - 1)
+        self.guard = sum(self.half << (w * j) for j in range(n))
+        self.shifts = [w * order.ranking.index(v) for v in range(n)]
+        self.weights = [(1 << self.s) - (1 << sh) for sh in self.shifts]
+        self.elim_shift = self.s - w if order.eliminate else self.s
+        if order.eliminate:
+            self.weights[order.ranking[-1]] += 1 << (self.s + w)
+
+    def encode(self, p: IntPoly) -> dict[int, int]:
+        return {sum(map(mul, m, self.weights)): c for m, c in p.items() if c}
+
+    def exponents(self, k: int) -> int:
+        top = -(-k >> self.s)
+        return (top << self.s) - k
+
+    def decode(self, p: dict[int, int]) -> IntPoly:
+        out = {}
+        for k, c in p.items():
+            e = self.exponents(k)
+            out[tuple(e >> sh & self.mask for sh in self.shifts)] = c
+        return out
+
+    def lcm(self, a: int, b: int) -> int:
+        """K of the lcm of two monomials given by their in-range fields E."""
+        d = a - b + self.guard  # no field borrows
+        ge = d & self.guard  # guard bit set where a's field is at least b's
+        e = b + (d & (ge - (ge >> (self.w - 1))))  # field-wise max
+        # the degree (below mask), plus the eliminated exponent shifted above it
+        top = e % self.mask + (e >> self.elim_shift << self.w)
+        return (top << self.s) - e
+
+    def reducer(self, g: dict[int, int]) -> Reducer:
+        lead = max(g)
+        return self.exponents(lead), lead, g
+
+
+def _run_packed(key: Order, polys: list[IntPoly], run: Callable):
+    """`run(packing, packed polys)` with fields wide enough for the inputs.
+
+    On overflow the whole call runs again with fields twice as wide, so the
+    answer never depends on the width.
+    """
+    nvars = len(next(m for p in polys for m in p))
+    order = MonomialOrder(tuple(range(nvars))) if key is grevlex_key else key
+    if not isinstance(order, MonomialOrder) or len(order.ranking) != nvars:
+        raise TypeError("the order must be grevlex_key or a MonomialOrder of every variable")
+    width = max(8, max(sum(m) for p in polys for m in p).bit_length() + 1)
+    while True:
+        packing = _Packing(order, width)
+        try:
+            return run(packing, [packing.encode(p) for p in polys])
+        except _Overflow:
+            width *= 2
+
+
+def _reduce(pk: _Packing, f: dict[int, int], reducers: Sequence[Reducer]) -> dict[int, int]:
+    """Full multivariate division remainder, fraction-free, content-stripped.
+
+    Raises _Overflow when a popped leading monomial's degree reaches the
+    guard bit, so every term ever formed is the sum of two in-range monomials.
+    """
+    s, guard, half = pk.s, pk.guard, pk.half
+    rem, out = dict(f), {}
     while rem:
-        lm = max(rem, key=key)
-        reducer = None
-        for lead, g in reducers:
-            if _mono_divides(lead, lm):
-                reducer = (lead, g)
+        lm = max(rem)
+        top = -(-lm >> s)
+        if top & half:
+            raise _Overflow
+        lm_guarded = (top << s) - lm + guard
+        for e, lead, g in reducers:
+            if (lm_guarded - e) & guard == guard:  # lead divides lm
                 break
-        if reducer is None:
+        else:
             out[lm] = rem.pop(lm)
             continue
-        lead, g = reducer
-        c = rem[lm]
-        lc = g[lead]  # positive after content stripping
-        d = gcd(abs(c), lc)
-        mult_rem = lc // d
-        mult_g = c // d
+        c, lc = rem[lm], g[lead]
+        d = gcd(c, lc)
+        mult_rem, mult_g = lc // d, c // d
         if mult_rem != 1:
             rem = {m: v * mult_rem for m, v in rem.items()}
             out = {m: v * mult_rem for m, v in out.items()}
-        shift = _mono_div(lm, lead)
+        shift = lm - lead
         for m, v in g.items():
-            mm = _mono_mul(m, shift)
-            nv = rem.get(mm, 0) - mult_g * v
-            if nv:
-                rem[mm] = nv
+            m += shift
+            v = rem.get(m, 0) - mult_g * v
+            if v:
+                rem[m] = v
             else:
-                rem.pop(mm, None)
-    return _content_strip(out, key)
+                del rem[m]
+    return _content_strip(out)
 
 
-def _s_poly(f: IntPoly, g: IntPoly, key: OrderKey) -> IntPoly:
-    lf = max(f, key=key)
-    lg = max(g, key=key)
-    cf, cg = f[lf], g[lg]
-    d = gcd(abs(cf), abs(cg))
-    lcm = _mono_lcm(lf, lg)
-    sf = _mono_div(lcm, lf)
-    sg = _mono_div(lcm, lg)
-    out: IntPoly = {}
-    for m, v in f.items():
-        mm = _mono_mul(m, sf)
-        out[mm] = out.get(mm, 0) + v * (cg // d)
+def _s_poly(pk: _Packing, f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
+    lf, lg = max(f), max(g)
+    lcm = pk.lcm(pk.exponents(lf), pk.exponents(lg))
+    d = gcd(f[lf], g[lg])
+    mf, mg, sf, sg = g[lg] // d, f[lf] // d, lcm - lf, lcm - lg
+    out = {m + sf: v * mf for m, v in f.items()}
     for m, v in g.items():
-        mm = _mono_mul(m, sg)
-        out[mm] = out.get(mm, 0) - v * (cf // d)
-    return _content_strip(out, key)
+        out[m + sg] = out.get(m + sg, 0) - v * mg
+    return _content_strip(out)
 
 
-def buchberger_intdicts(
-    gens: Iterable[IntPoly], key: OrderKey, max_pairs: int = DEFAULT_MAX_PAIRS
-) -> list[IntPoly]:
-    """Reduced Groebner basis of integer term dictionaries.
-
-    Normal pair-selection strategy with the coprime-leading-term and chain
-    criteria.  Each pair is keyed once, when it is created, by the order key
-    of the lcm of its leading monomials with the pair's indices breaking
-    ties, and pairs are popped from a heap in that order.  Raises
-    ResourceLimit once more than `max_pairs` pairs have been treated.
-    """
-    basis: list[IntPoly] = []
+def _buchberger(pk: _Packing, gens: list[dict[int, int]], max_pairs: int) -> list[dict]:
+    basis: list[Reducer] = []
     for g in gens:
-        g = _content_strip(g, key)
-        if g and g not in basis:
-            basis.append(g)
-    if not basis:
-        return []
-    leads = [max(g, key=key) for g in basis]
+        g = _content_strip(g)
+        if g and all(g != h for _, _, h in basis):
+            basis.append(pk.reducer(g))
+    guard = pk.guard
     # the set answers the chain criterion's membership tests, the heap the order
     pending: set[tuple[int, int]] = set(combinations(range(len(basis)), 2))
-    queue = [(key(_mono_lcm(leads[i], leads[j])), (i, j)) for i, j in pending]
+    queue = [(pk.lcm(basis[i][0], basis[j][0]), i, j) for i, j in pending]
     heapq.heapify(queue)
     treated = 0
     while queue:
-        _, pair = heapq.heappop(queue)
-        pending.discard(pair)
+        lcm, i, j = heapq.heappop(queue)
+        pending.discard((i, j))
         treated += 1
         if treated > max_pairs:
             raise ResourceLimit(f"pair queue cap {max_pairs} exceeded")
-        i, j = pair
-        li, lj = leads[i], leads[j]
-        lcm = _mono_lcm(li, lj)
-        if lcm == _mono_mul(li, lj):
+        if lcm == basis[i][1] + basis[j][1]:
             continue  # coprime leading terms
-        chain = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if not _mono_divides(leads[k], lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pending and b not in pending:
-                chain = True
-                break
-        if chain:
-            continue
-        s = _s_poly(basis[i], basis[j], key)
-        r = normal_form(s, basis, key, leads)
+        lcm_guarded = pk.exponents(lcm) + guard
+        if any(
+            (lcm_guarded - e) & guard == guard
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, (e, _, _) in enumerate(basis)
+            if k != i and k != j
+        ):
+            continue  # chain criterion
+        r = _reduce(pk, _s_poly(pk, basis[i][2], basis[j][2]), basis)
         if r:
-            lr = max(r, key=key)
             t = len(basis)
-            basis.append(r)
-            leads.append(lr)
+            basis.append(pk.reducer(r))
             for a in range(t):
                 pending.add((a, t))
-                heapq.heappush(queue, (key(_mono_lcm(leads[a], lr)), (a, t)))
-    return _reduce_basis(basis, leads, key)
+                heapq.heappush(queue, (pk.lcm(basis[a][0], basis[t][0]), a, t))
+    # minimal basis: a strict divisor always wins; among equal leads keep the first
+    minimal = [
+        (e, lead, g)
+        for i, (e, lead, g) in enumerate(basis)
+        if not any(
+            (e + guard - f) & guard == guard and (other != lead or j < i)
+            for j, (f, other, _) in enumerate(basis)
+            if j != i
+        )
+    ]
+    reduced = [_reduce(pk, g, minimal[:i] + minimal[i + 1 :]) for i, (*_, g) in enumerate(minimal)]
+    return sorted((r for r in reduced if r), key=max)
 
 
-def _reduce_basis(
-    basis: Sequence[IntPoly], leads: Sequence[Exponent], key: OrderKey
+# -- public boundary: exponent tuples in and out ---------------------------------------
+
+
+def normal_form(f: IntPoly, basis: Sequence[IntPoly], key: Order) -> IntPoly:
+    """Full multivariate division remainder, fraction-free, under `key`."""
+
+    def run(pk: _Packing, packed: list[dict[int, int]]) -> IntPoly:
+        return pk.decode(_reduce(pk, packed[0], [pk.reducer(g) for g in packed[1:] if g]))
+
+    return _run_packed(key, [f, *basis], run) if f else {}
+
+
+def buchberger_intdicts(
+    gens: Iterable[IntPoly], key: Order, max_pairs: int = DEFAULT_MAX_PAIRS
 ) -> list[IntPoly]:
-    keep: list[int] = []
-    for i, lead in enumerate(leads):
-        redundant = False
-        for j, other in enumerate(leads):
-            if i == j:
-                continue
-            # a strict divisor always wins; among equal leads keep the first
-            if _mono_divides(other, lead) and (other != lead or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(i)
-    minimal = [basis[i] for i in keep]
-    minimal_leads = [leads[i] for i in keep]
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = [h for j, h in enumerate(minimal) if j != i]
-        other_leads = [m for j, m in enumerate(minimal_leads) if j != i]
-        r = normal_form(g, others, key, other_leads)
-        if r:
-            reduced.append(r)
-    reduced.sort(key=lambda g: key(max(g, key=key)))
-    return reduced
+    """Reduced Groebner basis of integer term dictionaries.
+
+    `key` is grevlex_key or a MonomialOrder.  Normal pair-selection strategy
+    with the coprime-leading-term and chain criteria.  Each pair is keyed
+    once, when it is created, by the lcm of its leading monomials with the
+    pair's indices breaking ties, and pairs are popped from a heap in that
+    order.  Raises ResourceLimit once more than `max_pairs` pairs have been
+    treated.  The basis is sorted by ascending leading monomial.
+    """
+
+    def run(pk: _Packing, packed: list[dict[int, int]]) -> list[IntPoly]:
+        return [pk.decode(g) for g in _buchberger(pk, packed, max_pairs)]
+
+    gens = [g for g in gens if g]
+    return _run_packed(key, gens, run) if gens else []
 
 
 def groebner_basis(
     gens: Sequence[Polynomial],
-    key: OrderKey = grevlex_key,
+    key: Order = grevlex_key,
     max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> list[Polynomial]:
     """Reduced Groebner basis (primitive integer normalization, sorted by lead)."""
     if not gens:
         return []
     nvars = gens[0].nvars
-    out = buchberger_intdicts([poly_to_intdict(g, key) for g in gens], key, max_pairs)
+    out = buchberger_intdicts([poly_to_intdict(g) for g in gens], key, max_pairs)
     return [intdict_to_poly(g, nvars) for g in out]
 
 
@@ -269,26 +328,18 @@ def is_unit_ideal(gb: Sequence[IntPoly]) -> bool:
 
 
 def ideal_members_to_zero(
-    members: Iterable[Polynomial], gb: Sequence[Polynomial], key: OrderKey = grevlex_key
+    members: Iterable[Polynomial], gb: Sequence[Polynomial], key: Order = grevlex_key
 ) -> bool:
-    basis = [poly_to_intdict(g, key) for g in gb]
-    return all(
-        not normal_form(poly_to_intdict(p, key), basis, key) for p in members
-    )
+    basis = [poly_to_intdict(g) for g in gb]
+    return all(not normal_form(poly_to_intdict(p), basis, key) for p in members)
 
 
 # -- homogeneous coordinate saturation ----------------------------------------------
 
 
-def _cheap_variable_key(nvars: int, var: int) -> OrderKey:
+def _cheap_variable_order(nvars: int, var: int) -> MonomialOrder:
     """Graded reverse lexicographic order in which `var` is the cheapest variable."""
-    order = [i for i in range(nvars) if i != var] + [var]
-    rev = list(reversed(order))
-
-    def key(m: Exponent) -> tuple:
-        return (sum(m), tuple(-m[i] for i in rev))
-
-    return key
+    return MonomialOrder(tuple(i for i in range(nvars) if i != var) + (var,))
 
 
 def _divide_out(g: IntPoly, var: int) -> IntPoly:
@@ -322,8 +373,7 @@ def saturate_coordinates(
         if not _is_standard_homogeneous(g):
             raise ValueError("coordinate saturation requires homogeneous generators")
     for var in range(nvars):
-        key = _cheap_variable_key(nvars, var)
-        gb = buchberger_intdicts(current, key, max_pairs)
+        gb = buchberger_intdicts(current, _cheap_variable_order(nvars, var), max_pairs)
         current = [_divide_out(g, var) for g in gb]
     return buchberger_intdicts(current, grevlex_key, max_pairs)
 
@@ -335,13 +385,10 @@ def saturate_by_product_elimination(
     eliminate t, return the elimination ideal's basis.  Used as a cross-check
     oracle for saturate_coordinates."""
 
-    def elim_key(m: Exponent) -> tuple:
-        return (m[nvars], grevlex_key(m[:nvars]))
-
     extended = [{m + (0,): c for m, c in g.items()} for g in gens if g]
-    product = tuple([1] * nvars + [1])
-    extended.append({product: 1, (0,) * (nvars + 1): -1})
-    gb = buchberger_intdicts(extended, elim_key, max_pairs)
+    extended.append({(1,) * (nvars + 1): 1, (0,) * (nvars + 1): -1})
+    t_first = MonomialOrder(tuple(range(nvars + 1)), eliminate=True)
+    gb = buchberger_intdicts(extended, t_first, max_pairs)
     out = []
     for g in gb:
         if all(m[nvars] == 0 for m in g):

@@ -199,6 +199,12 @@ def _assemble(
 # -- polymatroid polytopes --------------------------------------------------------
 
 
+def require_greedy(n: int) -> None:
+    """The greedy guard of every base and independence polytope on n elements."""
+    if n > MAX_GREEDY_GROUND_SET:
+        raise ResourceLimit(f"greedy enumeration capped at n <= {MAX_GREEDY_GROUND_SET}")
+
+
 def _greedy_points(f: SetFunction) -> list[set[Point]]:
     """Greedy points of the j-element prefixes, j = 0..n, as n + 1 levels.
 
@@ -206,8 +212,7 @@ def _greedy_points(f: SetFunction) -> list[set[Point]]:
     the prefix, with coordinate f(mask | e) - f(mask), so no state of the n!
     orders is built twice."""
     n = f.n
-    if n > MAX_GREEDY_GROUND_SET:
-        raise ResourceLimit(f"greedy enumeration capped at n <= {MAX_GREEDY_GROUND_SET}")
+    require_greedy(n)
     values = f.values
     if values[0] != 0:
         raise ValueError(f"not a polymatroid: f(empty set) = {values[0]}, not 0")

@@ -106,23 +106,28 @@ class SetFunction:
     def from_bases(cls, n: int, bases: Sequence[Iterable[int]]) -> "SetFunction":
         """Rank table r(S) = max |B & S| over the given basis family.
 
-        Raises ValueError on an element outside 1..n.  The family is not
+        Raises ValueError as `basis_masks` does.  The family is not
         otherwise validated; run is_polymatroid / is_matroid on the result to
         reject non-matroid input.
         """
-        if not bases:
-            raise ValueError("at least one basis is required")
-        bases = [list(b) for b in bases]
-        outside = [e for b in bases for e in b if not 1 <= e <= n]
-        if outside:
-            raise ValueError(f"basis element {outside[0]} lies outside the ground set 1..{n}")
-        masks = [set_to_mask(b) for b in bases]
-        sizes = {m.bit_count() for m in masks}
-        if len(sizes) != 1:
-            raise ValueError("bases must share one cardinality")
+        masks = basis_masks(n, bases)
         _require_ground_set(n)
         values = [max((b & mask).bit_count() for b in masks) for mask in range(1 << n)]
         return cls(n, values)
+
+
+def basis_masks(n: int, bases: Sequence[Iterable[int]]) -> list[int]:
+    """Bitmasks of a nonempty basis family of one size over 1..n, else ValueError."""
+    if not bases:
+        raise ValueError("at least one basis is required")
+    bases = [list(b) for b in bases]
+    outside = [e for b in bases for e in b if not 1 <= e <= n]
+    if outside:
+        raise ValueError(f"basis element {outside[0]} lies outside the ground set 1..{n}")
+    masks = [set_to_mask(b) for b in bases]
+    if len({m.bit_count() for m in masks}) != 1:
+        raise ValueError("bases must share one cardinality")
+    return masks
 
 
 @dataclass(frozen=True)

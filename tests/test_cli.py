@@ -524,3 +524,33 @@ def test_exit_codes_are_pure_verdict_function(capsys):
     ]:
         code, _, _ = run(capsys, *argv)
         assert code == expected
+
+
+def test_matroid_greedy_guard_fires_before_the_rank_table(capsys, monkeypatch):
+    from omegalab import SetFunction
+
+    calls = []
+    real = SetFunction.from_bases.__func__
+
+    def counted(cls, *args):
+        calls.append(args)
+        return real(cls, *args)
+
+    monkeypatch.setattr(SetFunction, "from_bases", classmethod(counted))
+    code, out, err = run(
+        capsys, "polytope", "--matroid", "12,13", "--ground-set", "20", "--format", "json"
+    )
+    assert code == 3 and calls == []
+    assert err == "undecided: greedy enumeration capped at n <= 8\n"
+    assert json.loads(out) == {
+        "schema": "omegalab/1",
+        "command": "polytope",
+        "status": "undecided",
+        "detail": "greedy enumeration capped at n <= 8",
+    }
+    # the basis-element range check still comes first, and within the guard
+    # the table is built as before
+    code, _, err = run(capsys, "polytope", "--matroid", "10,20", "--ground-set", "20")
+    assert code == 64 and err == "error: basis element 0 lies outside the ground set 1..20\n"
+    assert run(capsys, "polytope", "--matroid", "12,13,23")[0] == 0
+    assert calls == [(3, [[1, 2], [1, 3], [2, 3]])]

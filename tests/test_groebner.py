@@ -1,5 +1,6 @@
 """Groebner engine, torus feasibility, toric ideals."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -24,7 +25,6 @@ from omegalab.groebner import (
     poly_to_intdict,
     saturate_by_product_elimination,
     saturate_coordinates,
-    _s_poly,
 )
 from omegalab.linalg import integer_kernel_basis
 from omegalab.poly import grevlex_key
@@ -34,6 +34,18 @@ from helpers import PLANE_CUBIC_TEXT, X123, random_sparse_polynomial
 
 def P(text, names):
     return parse_polynomial(text, names)
+
+
+def s_poly(f, g):
+    """S-polynomial of integer term dicts under grevlex, computed on exponent tuples."""
+    lf, lg = (max(p, key=grevlex_key) for p in (f, g))
+    lcm = tuple(map(max, lf, lg))
+    out = {}
+    for p, lead, scale in ((f, lf, g[lg]), (g, lg, -f[lf])):
+        for m, c in p.items():
+            mm = tuple(x + y - z for x, y, z in zip(m, lcm, lead))
+            out[mm] = out.get(mm, 0) + scale * c
+    return {m: c for m, c in out.items() if c}
 
 
 def test_groebner_monomial_pair_is_stable():
@@ -76,7 +88,7 @@ def test_groebner_spolys_and_inputs_reduce_to_zero():
         basis = [poly_to_intdict(g) for g in gb]
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
-                s = _s_poly(basis[i], basis[j], grevlex_key)
+                s = s_poly(basis[i], basis[j])
                 assert not normal_form(s, basis, grevlex_key)
 
 
@@ -110,6 +122,88 @@ def test_pair_queue_order_pinned_by_cap_thresholds():
         assert_threshold(lambda cap: toric_ideal(points, max_pairs=cap), threshold)
 
 
+QUARTIC_TEXT = (
+    "2*x1^2*x2^2 + 2*x1^2*x2*x3 + 2*x1*x2^2*x3 + 2*x1^2*x2*x4 + 2*x1*x2^2*x4 + x1^2*x3*x4"
+    " + x1*x2*x3*x4 + x2^2*x3*x4 + 2*x1^2*x4^2 + x1*x2*x4^2 + x2^2*x4^2 + x1*x3*x4^2"
+    " + x2*x3*x4^2"
+)
+
+
+def test_reduction_sequence_pinned(monkeypatch):
+    # The number of S-polynomials reduced and a SHA-256 over each of them, as
+    # sorted exponent-tuple terms, in the order Buchberger forms them.  The
+    # values were taken from the exponent-tuple kernel this one replaced; any
+    # change that drops, adds, reorders or alters a reduction moves them.
+    import omegalab.groebner
+    from omegalab.derivatives import derivative_space
+
+    real = omegalab.groebner._s_poly
+    seen = []
+
+    def traced(packing, f, g):
+        s = real(packing, f, g)
+        seen.append(repr(sorted(packing.decode(s).items())))
+        return s
+
+    monkeypatch.setattr(omegalab.groebner, "_s_poly", traced)
+    e35 = elementary_symmetric(3, 5)
+    quartic = P(QUARTIC_TEXT, ["x1", "x2", "x3", "x4"])
+    runs = [
+        (lambda: toric_ideal(sorted(elementary_symmetric(2, 5).support())), 243,
+         "e8fda8e9dca35499ab8d956c9709d6dc7c4d41d71ae6319c040c6be69a8f14d9"),
+        (lambda: torus_feasible(derivative_space(e35, 1).basis, nvars=5), 20,
+         "2dccce12408f2abb0d5ee32838eb1ac970939e6da501d1e5cd6e9cb86688add9"),
+        (lambda: torus_feasible(derivative_space(quartic, 1).basis, nvars=4), 100,
+         "e07a5ad9810399d668ae5d3e3ab58bb4c6505d3037602063062029f34ad42258"),
+    ]
+    for run, count, digest in runs:
+        seen.clear()
+        run()
+        assert len(seen) == count
+        assert hashlib.sha256("".join(seen).encode()).hexdigest() == digest
+
+
+def test_field_overflow_gives_the_same_basis(monkeypatch):
+    import omegalab.groebner
+
+    widths = []
+    real = omegalab.groebner._Packing.__init__
+
+    def recorded(self, order, width):
+        widths.append(width)
+        real(self, order, width)
+
+    monkeypatch.setattr(omegalab.groebner._Packing, "__init__", recorded)
+    names = ["x", "y", "z"]
+    gb = groebner_basis([P("x^40000*y - z^40001", names), P("x*z - y^2", names)])
+    assert [g.terms for g in gb] == [
+        {(0, 2, 0): 1, (1, 0, 1): -1},
+        {(40000, 1, 0): 1, (0, 0, 40001): -1},
+        {(40001, 0, 1): 1, (0, 1, 40001): -1},
+    ]
+    # xy(x^32768 - y^32768) saturates to x^32768 - y^32768
+    sat = saturate_by_product_elimination([{(32769, 1): 1, (1, 32769): -1}], 2)
+    assert sat == [{(32768, 0): 1, (0, 32768): -1}]
+    sat = saturate_by_product_elimination(
+        [{(40000, 1, 0): 1, (0, 2, 39999): -1}, {(1, 0, 1): 1, (0, 2, 0): -1}], 3
+    )
+    assert sat == [
+        {(0, 2, 0): 1, (1, 0, 1): -1},
+        {(39999, 1, 0): 1, (0, 0, 40000): -1},
+        {(40000, 0, 0): 1, (0, 1, 39999): -1},
+    ]
+    # Degree 127 fits 8-bit fields; the basis reaches degree 191, so the call
+    # runs again with wider fields and gives the exponent-tuple kernel's basis.
+    widths.clear()
+    gb = groebner_basis([P("x^127 - z^127", names), P("x*y - z^2", names)])
+    assert widths == [8, 16]
+    assert len(gb) == 66 and max(sum(m) for g in gb for m in g.terms) == 191
+    digest = hashlib.sha256(repr([sorted(g.terms.items()) for g in gb]).encode())
+    assert digest.hexdigest() == (
+        "3f93c521cbe9eda006237131bfecb4c3abb190f1d9a34695f854e3ede19dab0c"
+    )
+
+
 def test_basis_independent_of_generator_order():
     rng = random.Random(66)
     for _ in range(20):
@@ -125,7 +219,7 @@ def test_basis_independent_of_generator_order():
             rng.shuffle(shuffled)
         assert buchberger_intdicts(shuffled, grevlex_key) == basis
         for f, g in combinations(basis, 2):
-            assert not normal_form(_s_poly(f, g, grevlex_key), basis, grevlex_key)
+            assert not normal_form(s_poly(f, g), basis, grevlex_key)
 
 
 def test_linear_feasibility_examples():
