@@ -25,10 +25,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
-from .derivatives import all_partials, derivative_space
+from .derivatives import all_partials, derivative_space, partials_guard
 from .groebner import (
     DEFAULT_MAX_PAIRS,
     buchberger_intdicts,
@@ -207,10 +208,6 @@ class OrderReport:
         return out
 
 
-def _restrict(p: Polynomial, allowed: frozenset[Exponent] | set[Exponent]) -> Polynomial:
-    return Polynomial(p.nvars, {e: c for e, c in p.items() if e in allowed})
-
-
 def _swap(e: tuple, i: int, j: int) -> tuple:
     return tuple(e[j] if t == i else e[i] if t == j else x for t, x in enumerate(e))
 
@@ -273,21 +270,19 @@ def _decide(
 
     # The derivative monomials lie in the truncation polytope, so the ones on
     # a face are those tight at every facet containing it.
+    facets = body.inequalities
     tight_at = [
-        frozenset(
-            j
-            for j, (a, b) in enumerate(body.inequalities)
-            if sum(x * y for x, y in zip(a, column)) == b
-        )
-        for column in space.columns
+        (i, c, {j for j, (a, b) in enumerate(facets) if sum(map(mul, a, c)) == b})
+        for i, c in enumerate(space.columns)
     ]
+    rows = [[int(x) for x in row] for row in space.matrix]  # integral entries
     settled: set[tuple[int, ...]] = set()  # faces in an infeasible orbit
     undecided = []
     for face in faces(body):
         if face.vertex_indices in settled:
             continue
-        allowed = {c for c, tight in zip(space.columns, tight_at) if face.facets <= tight}
-        gens = [r for r in (_restrict(g, allowed) for g in space.basis) if not r.is_zero]
+        on = [(i, c) for i, c, tight in tight_at if face.facets <= tight]
+        gens = [g for g in ({c: row[i] for i, c in on if row[i]} for row in rows) if g]
         verdict = torus_feasible(gens, nvars=h.nvars, max_pairs=max_pairs)
         if verdict.is_feasible:
             return report(
@@ -389,9 +384,9 @@ def certify_smooth(
     (sufficiency only: this does not prove singularity); "not-applicable"
     for non-M-convex support; "undecided" when a resource guard fired (the
     total degree exceeds MAX_CERTIFY_DEGREE, the number of variables exceeds
-    the ground-set cap MAX_GROUND_SET, or an order was undecided) or the
-    summed-truncation polytope failed its smoothness self-check, with
-    `detail` naming which.
+    the ground-set cap MAX_GROUND_SET, the order-(d-1) partials exceed
+    MAX_PARTIALS, or an order was undecided) or the summed-truncation
+    polytope failed its smoothness self-check, with `detail` naming which.
     """
     if h.is_zero:
         raise ValueError("polynomial must be nonzero")
@@ -409,6 +404,7 @@ def certify_smooth(
     guard = _degree_guard(d) if d > MAX_CERTIFY_DEGREE else None
     if guard is None and h.nvars > MAX_GROUND_SET:
         guard = f"ground-set guard: {h.nvars} variables exceed the cap {MAX_GROUND_SET}"
+    guard = guard or partials_guard(h.nvars, d - 1)  # the highest order built
     if guard:
         return SmoothnessCertificate(
             echo, h.nvars, d, mcx, mcx_witness, None, (), VERDICT_UNDECIDED, None, detail=guard

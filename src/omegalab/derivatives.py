@@ -15,9 +15,22 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from . import linalg
+from .guards import ResourceLimit
 from .poly import Exponent, Polynomial, grevlex_key
 from .polytope import base_polytope, lattice_points
 from .setfunc import rank_from_support, truncate
+
+# Cap on the number C(n+k-1, k) of order-k partials in n variables, checked
+# before any partial is built.
+MAX_PARTIALS = 10_000
+
+
+def partials_guard(nvars: int, k: int) -> str | None:
+    """The partial-count guard's message when the order-k partials exceed the cap."""
+    count = comb(nvars + k - 1, k) if nvars else int(k == 0)
+    if count > MAX_PARTIALS:
+        return f"partial-count guard: {count} order-{k} partials exceed the cap {MAX_PARTIALS}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -44,9 +57,13 @@ class DerivativeSpace:
 
 
 def all_partials(h: Polynomial, k: int) -> list[Polynomial]:
-    """Every order-k partial derivative, one per multiset of variable indices."""
+    """Every order-k partial derivative, one per multiset of variable indices.
+
+    Raises ResourceLimit above MAX_PARTIALS partials, before building any."""
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
+    if guard := partials_guard(h.nvars, k):
+        raise ResourceLimit(guard)
     out = []
     for multi in combinations_with_replacement(range(h.nvars), k):
         g = h
@@ -58,10 +75,7 @@ def all_partials(h: Polynomial, k: int) -> list[Polynomial]:
 
 def derivative_support(h: Polynomial, k: int) -> frozenset[Exponent]:
     """Union of the supports of all order-k partials."""
-    acc: set[Exponent] = set()
-    for g in all_partials(h, k):
-        acc |= g.support()
-    return frozenset(acc)
+    return frozenset().union(*(g.support() for g in all_partials(h, k)))
 
 
 def derivative_space(h: Polynomial, k: int) -> DerivativeSpace:
@@ -71,9 +85,7 @@ def derivative_space(h: Polynomial, k: int) -> DerivativeSpace:
     if not 1 <= k < h.total_degree:
         raise ValueError(f"order {k} out of range 1..{h.total_degree - 1}")
     partials = [g for g in all_partials(h, k) if not g.is_zero]
-    support: set[Exponent] = set()
-    for g in partials:
-        support |= g.support()
+    support = set().union(*(g.support() for g in partials))
     columns = tuple(sorted(support, key=grevlex_key, reverse=True))
     column_index = {c: i for i, c in enumerate(columns)}
     rows = []
@@ -83,25 +95,9 @@ def derivative_space(h: Polynomial, k: int) -> DerivativeSpace:
             row[column_index[exponent]] = coeff
         rows.append(row)
     reduced, _ = linalg.rref(rows, len(columns))
-
-    basis = []
-    matrix = []
-    for row in reduced:
-        scaled = linalg.clear_denominators(row)
-        matrix.append(tuple(Fraction(x) for x in scaled))
-        basis.append(
-            Polynomial(
-                h.nvars,
-                {columns[i]: Fraction(x) for i, x in enumerate(scaled) if x},
-            )
-        )
-    return DerivativeSpace(
-        order=k,
-        nvars=h.nvars,
-        basis=tuple(basis),
-        columns=columns,
-        matrix=tuple(matrix),
-    )
+    matrix = tuple(tuple(map(Fraction, linalg.clear_denominators(row))) for row in reduced)
+    basis = tuple(Polynomial(h.nvars, {c: x for c, x in zip(columns, row) if x}) for row in matrix)
+    return DerivativeSpace(k, h.nvars, basis, columns, matrix)
 
 
 def projection_centre(space: DerivativeSpace) -> list[list[Fraction]]:

@@ -4,22 +4,24 @@ The engine provides reduced Groebner bases, ideal membership, coordinate
 saturation for homogeneous ideals, toric ideals of point configurations, and
 the torus-feasibility decisions used by the smoothness criterion:
 
-  * a linear fast path deciding feasibility by exact kernel computations,
+  * a linear fast path deciding feasibility by one integer kernel,
   * a general path that dehomogenizes, adjoins an inverted variable product,
     and tests whether the saturated ideal is the unit ideal.
 
 Polynomials enter as exact `Polynomial` values or integer term dictionaries
-keyed by exponent tuples.  Inside the Buchberger kernel a monomial is one int
-K = top * 2^s - E: E packs the exponents in w-bit fields, placed by the
-order's ranking of the variables, and top is the degree (plus, for an
-elimination order, the eliminated exponent shifted above it).  K's integer
-order is the monomial order and K is linear in the exponents, so a product is
-`+` and a leading term is `max`; E = ceil(K / 2^s) * 2^s - K, and divisibility
-and lcm are tests on each field's top (guard) bit.  Every popped leading
-monomial must keep its degree below the guard bit; otherwise the call runs
-again with fields twice as wide.  Terms are primitive integer dictionaries,
-content-stripped after every reduction, and exponent tuples appear only at
-the boundary: inputs, returned bases and the public `normal_form`.
+(IntPoly) keyed by exponent tuples; torus feasibility turns a `Polynomial`
+into an IntPoly once, at entry, and runs on IntPolys alone.  Inside the
+Buchberger kernel a monomial is one int K = top * 2^s - E: E packs the
+exponents in w-bit fields, placed by the order's ranking of the variables,
+and top is the degree (plus, for an elimination order, the eliminated
+exponent shifted above it).  K's integer order is the monomial order and K is
+linear in the exponents, so a product is `+` and a leading term is `max`;
+E = ceil(K / 2^s) * 2^s - K, and divisibility and lcm are tests on each
+field's top (guard) bit.  Every popped leading monomial must keep its degree
+below the guard bit; otherwise the call runs again with fields twice as wide.
+Terms are primitive integer dictionaries, content-stripped after every
+reduction, and exponent tuples appear only at the boundary: inputs, returned
+bases and the public `normal_form`.
 
 Resource caps surface as the explicit verdict "undecided", never as a wrong
 answer.
@@ -444,23 +446,16 @@ def toric_ideal(
 # -- torus feasibility ---------------------------------------------------------------
 
 
-def torus_feasible_linear(gens: Sequence[Polynomial]) -> FeasibilityVerdict:
-    """Feasibility for homogeneous linear systems by exact kernel computation.
+def _linear_verdict(live: list[IntPoly], nvars: int) -> FeasibilityVerdict:
+    """Decide nonzero homogeneous degree-1 generators on their integer rows.
 
     The solution space K is torus-feasible iff it is contained in no
     coordinate hyperplane (a finite union of proper subspaces cannot cover a
     subspace over an infinite field).
     """
-    live = [g for g in gens if not g.is_zero]
-    if not live:
-        raise ValueError("linear path needs at least one nonzero generator")
-    nvars = live[0].nvars
-    for g in live:
-        if g.total_degree != 1 or not g.is_homogeneous:
-            raise ValueError("linear path requires homogeneous degree-1 generators")
     rows = []
     for g in live:
-        row = [Fraction(0)] * nvars
+        row = [0] * nvars
         for exponent, coeff in g.items():
             row[exponent.index(1)] = coeff
         rows.append(row)
@@ -469,66 +464,73 @@ def torus_feasible_linear(gens: Sequence[Polynomial]) -> FeasibilityVerdict:
         return FeasibilityVerdict(INFEASIBLE, "linear-algebra", ("zero-kernel", None))
     for i in range(nvars):
         if all(vec[i] == 0 for vec in kernel):
-            return FeasibilityVerdict(
-                INFEASIBLE, "linear-algebra", ("coordinate-hyperplane", i)
-            )
+            return FeasibilityVerdict(INFEASIBLE, "linear-algebra", ("coordinate-hyperplane", i))
     return FeasibilityVerdict(FEASIBLE, "linear-algebra", ("kernel-basis", kernel))
 
 
+def torus_feasible_linear(gens: Sequence[Polynomial]) -> FeasibilityVerdict:
+    """Feasibility for homogeneous linear systems by exact kernel computation."""
+    live = [poly_to_intdict(g) for g in gens if not g.is_zero]
+    if not live:
+        raise ValueError("linear path needs at least one nonzero generator")
+    if any(sum(m) != 1 for g in live for m in g):
+        raise ValueError("linear path requires homogeneous degree-1 generators")
+    return _linear_verdict(live, gens[0].nvars)
+
+
 def torus_feasible(
-    system: Sequence[Polynomial],
+    system: Iterable[IntPoly | Polynomial],
     nvars: int | None = None,
     max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> FeasibilityVerdict:
-    """Common zero with all coordinates nonzero, over the algebraic closure."""
-    gens = list(system)
+    """Common zero with all coordinates nonzero, over the algebraic closure.
+
+    The generators are integer term dictionaries (IntPoly) or Polynomials; a
+    Polynomial becomes an IntPoly by poly_to_intdict at entry, so both take
+    the same path.  Linear systems are decided by one integer kernel, others
+    by the unit-ideal test of the dehomogenized Rabinowitsch system.
+    """
+    sizes: set[int] = set()
+    live: list[IntPoly] = []
+    for g in system:
+        if isinstance(g, Polynomial):
+            sizes.add(g.nvars)
+            g = poly_to_intdict(g)
+        sizes.update(map(len, g))
+        if g := {m: c for m, c in g.items() if c}:
+            live.append(g)
+    nvars = max(sizes, default=None) if nvars is None else nvars
     if nvars is None:
-        if not gens:
-            raise ValueError("cannot infer the variable count of an empty system")
-        nvars = gens[0].nvars
-    if any(g.nvars != nvars for g in gens):
+        raise ValueError("cannot infer the variable count of an empty system")
+    if sizes - {nvars}:
         raise ValueError("generator variable count mismatch")
-    live = [g for g in gens if not g.is_zero]
-    for g in live:
-        if not g.is_homogeneous:
-            raise ValueError("torus feasibility requires homogeneous generators")
+    if not all(map(_is_standard_homogeneous, live)):
+        raise ValueError("torus feasibility requires homogeneous generators")
     if not live:
         return FeasibilityVerdict(FEASIBLE, "linear-algebra", ("empty-system", None))
-    if any(g.total_degree == 0 for g in live):
+    degrees = [sum(next(iter(g))) for g in live]
+    if 0 in degrees:
         return FeasibilityVerdict(INFEASIBLE, "linear-algebra", ("constant", None))
     for g in live:
         if len(g) == 1:
-            exponent = next(iter(g.support()))
-            return FeasibilityVerdict(INFEASIBLE, "linear-algebra", ("monomial", exponent))
-    if all(g.total_degree == 1 for g in live):
-        return torus_feasible_linear(live)
+            return FeasibilityVerdict(INFEASIBLE, "linear-algebra", ("monomial", next(iter(g))))
+    if all(d == 1 for d in degrees):
+        return _linear_verdict(live, nvars)
 
-    occurring = sorted(
-        {i for g in live for exponent in g.support() for i in range(nvars) if exponent[i]}
-    )
-    pivot = occurring[-1]
-    others = [i for i in occurring if i != pivot]
-    # dehomogenize at the pivot variable and compactify to the occurring ones
-    remap = {var: pos for pos, var in enumerate(others)}
-    small_n = len(others) + 1  # trailing slot for the inverted product variable
-    dehomogenized: list[IntPoly] = []
-    for g in live:
-        acc: IntPoly = {}
-        for exponent, coeff in poly_to_intdict(g).items():
-            mm = [0] * small_n
-            for var, pos in remap.items():
-                mm[pos] = exponent[var]
-            key = tuple(mm)
-            acc[key] = acc.get(key, 0) + coeff
-        dehomogenized.append({m: c for m, c in acc.items() if c})
-    product = tuple([1] * (small_n - 1) + [1])
-    dehomogenized.append({product: 1, (0,) * small_n: -1})
+    occurring = sorted({i for g in live for exponent in g for i in range(nvars) if exponent[i]})
+    # dehomogenize at the last occurring variable, which homogeneity makes
+    # injective on each generator's terms, and keep only the occurring ones;
+    # the trailing slot is the inverted product variable
+    others = occurring[:-1]
+    dehomogenized = [
+        {tuple(exponent[var] for var in others) + (0,): c for exponent, c in g.items()}
+        for g in live
+    ]
+    dehomogenized.append({(1,) * len(occurring): 1, (0,) * len(occurring): -1})
     try:
         gb = buchberger_intdicts(dehomogenized, grevlex_key, max_pairs)
     except ResourceLimit as exc:
         return FeasibilityVerdict(UNDECIDED, "groebner", str(exc))
     if is_unit_ideal(gb):
-        return FeasibilityVerdict(
-            INFEASIBLE, "groebner", ("unit-saturated-ideal", None)
-        )
+        return FeasibilityVerdict(INFEASIBLE, "groebner", ("unit-saturated-ideal", None))
     return FeasibilityVerdict(FEASIBLE, "groebner", ("proper-saturated-ideal", None))

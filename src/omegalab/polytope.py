@@ -65,6 +65,16 @@ def _dot(a: Sequence[int], x: Sequence[int]) -> int:
     return sum(p * q for p, q in zip(a, x))
 
 
+def _values(a: Sequence[int], columns: Sequence[Sequence[int]], count: int) -> list[int]:
+    """a.x at each of `count` points given by their coordinate columns: one
+    column is added per nonzero entry of a."""
+    values = [0] * count
+    for c, column in zip(a, columns):
+        if c:
+            values = [v + c * x for v, x in zip(values, column)]
+    return values
+
+
 @dataclass(frozen=True)
 class LatticePolytope:
     """Bounded lattice polytope with exact V- and H-representations."""
@@ -77,13 +87,9 @@ class LatticePolytope:
 
     def contains(self, point: Sequence) -> bool:
         vals = [Fraction(x) for x in point]
-        for a, b in self.equations:
-            if sum(Fraction(c) * v for c, v in zip(a, vals)) != b:
-                return False
-        for a, b in self.inequalities:
-            if sum(Fraction(c) * v for c, v in zip(a, vals)) > b:
-                return False
-        return True
+        return all(_dot(a, vals) == b for a, b in self.equations) and all(
+            _dot(a, vals) <= b for a, b in self.inequalities
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,11 +117,6 @@ class Face:
 # -- affine chart helpers --------------------------------------------------------
 
 
-def _direction_lattice(equations: Sequence[Inequality], ambient: int) -> list[tuple[int, ...]]:
-    """Basis of the saturated lattice of directions in the affine hull."""
-    return linalg.integer_kernel_basis([a for a, _ in equations], ambient)
-
-
 def _equations_from_points(points: Sequence[Point], ambient: int) -> tuple[Inequality, ...]:
     v0 = points[0]
     diffs = [[p[i] - v0[i] for i in range(ambient)] for p in points[1:]]
@@ -128,7 +129,7 @@ def _equations_from_points(points: Sequence[Point], ambient: int) -> tuple[Inequ
 
 def _canonical_inequality(
     a: Sequence,
-    pts: Sequence[Point],
+    tight: Point,
     eq_rref: Sequence[Sequence[Fraction]],
     eq_pivots: Sequence[int],
 ) -> Inequality:
@@ -137,7 +138,9 @@ def _canonical_inequality(
     Normals supporting the same facet differ by an equation-normal
     combination; eliminating the equation pivot coordinates and rescaling to
     a primitive integer vector makes the representative construction-path
-    independent.  The bound is recomputed as the maximum over the points.
+    independent.  That moves a.x by one constant on the affine hull and
+    scales it by a positive factor, so the bound is the new normal's value at
+    a point `tight` where a was tight.
     """
     vec = [Fraction(x) for x in a]
     for row, pivot in zip(eq_rref, eq_pivots):
@@ -145,7 +148,7 @@ def _canonical_inequality(
         if factor:
             vec = [x - factor * y for x, y in zip(vec, row)]
     reduced = linalg.clear_denominators(vec)
-    return reduced, max(_dot(reduced, p) for p in pts)
+    return reduced, _dot(reduced, tight)
 
 
 def _assemble(
@@ -166,9 +169,10 @@ def _assemble(
 
     # Tight sets as bitmasks over the points, each with the first candidate
     # tight there and its point indices.
+    columns = list(zip(*pts))
     tight_sets: dict[int, tuple[tuple[int, ...], list[int]]] = {}
     for a, b in candidates:
-        values = [_dot(a, p) for p in pts]
+        values = _values(a, columns, len(pts))
         if max(values) > b:
             raise ValueError(f"inequality {list(a)}.x <= {b} is violated by a point")
         on = [i for i, v in enumerate(values) if v == b]
@@ -184,7 +188,8 @@ def _assemble(
         equations = _equations_from_points(pts, ambient)
     eq_rref, eq_pivots = linalg.rref([list(a) for a, _ in equations], ambient)
     facets = sorted(
-        _canonical_inequality(tight_sets[m][0], pts, eq_rref, eq_pivots) for m in facet_masks
+        _canonical_inequality(a, pts[on[0]], eq_rref, eq_pivots)
+        for a, on in map(tight_sets.get, facet_masks)
     )
 
     # A vertex is the only point on every facet through it.
@@ -419,8 +424,9 @@ def lattice_points(p: LatticePolytope) -> list[Point]:
 
 def _facet_masks(p: LatticePolytope) -> list[int]:
     """Each facet's vertex set, as a bitmask over the vertices."""
+    columns, count = list(zip(*p.vertices)), len(p.vertices)
     return [
-        sum(1 << i for i, v in enumerate(p.vertices) if _dot(a, v) == b)
+        sum(1 << i for i, v in enumerate(_values(a, columns, count)) if v == b)
         for a, b in p.inequalities
     ]
 
@@ -486,7 +492,7 @@ def is_smooth(p: LatticePolytope) -> tuple[bool, Point | None]:
     if witness is not None:
         return False, witness
     full = (1 << len(p.vertices)) - 1
-    basis = _direction_lattice(p.equations, p.ambient_dim)
+    basis = linalg.integer_kernel_basis([a for a, _ in p.equations], p.ambient_dim)
     _, cols = linalg.rref(basis)
     index = linalg.abs_det([[b[c] for c in cols] for b in basis])
     for i, v in enumerate(p.vertices):

@@ -190,10 +190,12 @@ def rank_from_support(supp: Iterable[Exponent]) -> SetFunction:
     if len(degrees) != 1:
         raise ValueError("support is not homogeneous")
     _require_ground_set(n)
-    values = []
-    for mask in range(1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        values.append(max(sum(p[i] for i in idx) for p in points))
+    values = None
+    for p in set(points):
+        table = [0]  # the subset sums of p, by mask: one addition per mask
+        for x in p:
+            table += [v + x for v in table]
+        values = table if values is None else [a if a >= b else b for a, b in zip(values, table)]
     return SetFunction(n, values)
 
 
@@ -211,12 +213,8 @@ def truncation_sum(f: SetFunction, start: int = 0) -> SetFunction:
     d = f.rank
     if not 0 <= start <= d:
         raise ValueError(f"start index {start} out of range 0..{d}")
-    values = [0] * (1 << f.n)
-    for k in range(start, d + 1):
-        cap = d - k
-        for mask, v in enumerate(f.values):
-            values[mask] += min(cap, v)
-    return SetFunction(f.n, values)
+    caps = range(d - start + 1)  # d - k for k = start..d
+    return SetFunction(f.n, [sum(min(cap, v) for cap in caps) for v in f.values])
 
 
 def _proper_splits(mask: int):

@@ -17,7 +17,7 @@ from omegalab import (
     parse_polynomial,
     smoothable_probe,
 )
-from omegalab.certify import positive_eigenvalue_count, _quadratic_hessian, _restrict
+from omegalab.certify import positive_eigenvalue_count, _quadratic_hessian
 from omegalab.derivatives import derivative_support, elementary_symmetric
 
 from helpers import (
@@ -623,6 +623,11 @@ def _metamorphic_inputs(rng, count):
     return inputs
 
 
+def _restrict(p, allowed):
+    """The terms of p whose exponents lie in `allowed`."""
+    return Polynomial(p.nvars, {e: c for e, c in p.items() if e in allowed})
+
+
 def test_certificate_is_invariant_under_variable_permutation():
     from omegalab import base_polytope, faces, rank_from_support, truncate
     from omegalab.derivatives import derivative_space
@@ -675,3 +680,20 @@ def test_certificate_is_invariant_under_diagonal_rescaling():
         base, scaled = certify_smooth(h), certify_smooth(_rescaled(h, lam))
         assert scaled.k_reports == base.k_reports, (h, lam)
         assert scaled.polytope == base.polytope, (h, lam)
+
+
+def test_partial_count_guard_is_undecided(monkeypatch):
+    import omegalab.derivatives
+
+    names = [f"x{i}" for i in range(1, 13)]
+    cert = certify_smooth(parse_polynomial("*".join(names), names))
+    assert cert.verdict == "undecided"
+    assert cert.k_reports == () and cert.polytope is None and cert.lorentzian is None
+    assert cert.detail == "partial-count guard: 705432 order-11 partials exceed the cap 10000"
+    # the highest order built is d - 1: e(3,4) builds C(5,2) = 10 partials at k = 2
+    monkeypatch.setattr(omegalab.derivatives, "MAX_PARTIALS", 10)
+    assert certify_smooth(elementary_symmetric(3, 4)).verdict == "smooth-toric"
+    monkeypatch.setattr(omegalab.derivatives, "MAX_PARTIALS", 9)
+    cert = certify_smooth(elementary_symmetric(3, 4))
+    assert cert.verdict == "undecided" and cert.k_reports == ()
+    assert cert.detail == "partial-count guard: 10 order-2 partials exceed the cap 9"

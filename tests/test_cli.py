@@ -554,3 +554,27 @@ def test_matroid_greedy_guard_fires_before_the_rank_table(capsys, monkeypatch):
     assert code == 64 and err == "error: basis element 0 lies outside the ground set 1..20\n"
     assert run(capsys, "polytope", "--matroid", "12,13,23")[0] == 0
     assert calls == [(3, [[1, 2], [1, 3], [2, 3]])]
+
+
+def test_partial_count_guard_text_and_json(capsys):
+    names = ",".join(f"x{i}" for i in range(1, 13))
+    text = "*".join(f"x{i}" for i in range(1, 13))
+    code, out, _ = run(capsys, "certify", "--format", "json", "--vars", names, text)
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["verdict"] == "undecided" and payload["k_reports"] == []
+    assert payload["detail"] == (
+        "partial-count guard: 705432 order-11 partials exceed the cap 10000"
+    )
+    detail = "partial-count guard: 352716 order-10 partials exceed the cap 10000"
+    for command in ("analyze", "lorentzian"):
+        code, out, err = run(capsys, command, "--vars", names, text)
+        assert code == 3 and out == "" and err == f"undecided: {detail}\n"
+        code, out, _ = run(capsys, command, "--format", "json", "--vars", names, text)
+        assert code == 3
+        assert json.loads(out) == {
+            "schema": "omegalab/1",
+            "command": command,
+            "status": "undecided",
+            "detail": detail,
+        }

@@ -256,3 +256,25 @@ def test_binomial_identity_rejects_bad_parameters():
         binomial_identity_check(3, 4, 1)
     with pytest.raises(ValueError):
         binomial_identity_check(4, 3, 3)
+
+
+def test_partial_count_guard_fires_before_any_partial(monkeypatch):
+    import omegalab.derivatives
+    from omegalab.guards import ResourceLimit
+
+    names = [f"x{i}" for i in range(1, 13)]
+    h = parse_polynomial("*".join(names), names)
+    built = []
+    monkeypatch.setattr(Polynomial, "partial_derivative", lambda *args: built.append(args))
+    with pytest.raises(ResourceLimit) as excinfo:
+        all_partials(h, 10)
+    assert str(excinfo.value) == (
+        "partial-count guard: 352716 order-10 partials exceed the cap 10000"
+    )
+    assert built == []
+    monkeypatch.undo()
+    # C(n+k-1, k) partials: 3 first partials of e(2,3) are at a cap of 3, not above it
+    monkeypatch.setattr(omegalab.derivatives, "MAX_PARTIALS", 3)
+    assert len(all_partials(elementary_symmetric(2, 3), 1)) == 3
+    with pytest.raises(ResourceLimit, match="6 order-2 partials exceed the cap 3"):
+        derivative_support(elementary_symmetric(3, 3), 2)

@@ -278,9 +278,9 @@ def _rational_torus_witness(gens, nvars, bound=3):
     return None
 
 
-def test_feasibility_agrees_with_rational_witness_search():
+def _witness_search_systems():
+    """Seeded (nvars, generators): 1-2 random homogeneous forms of degree 1-3."""
     rng = random.Random(63)
-    found = 0
     for _ in range(120):
         nvars = rng.randint(2, 3)
         gens = []
@@ -295,16 +295,12 @@ def test_feasibility_agrees_with_rational_witness_search():
             g = Polynomial(nvars, terms)
             if not g.is_zero:
                 gens.append(g)
-        if not gens:
-            continue
-        witness = _rational_torus_witness(gens, nvars, bound=2)
-        if witness is not None:
-            assert torus_feasible(gens, nvars=nvars).is_feasible
-            found += 1
-    assert found >= 10
+        if gens:
+            yield nvars, gens
 
 
-def test_linear_path_agrees_with_groebner_path():
+def _linear_systems():
+    """Seeded (nvars, generators): 1-4 random linear forms."""
     rng = random.Random(64)
     for _ in range(60):
         nvars = rng.randint(2, 4)
@@ -323,13 +319,63 @@ def test_linear_path_agrees_with_groebner_path():
                     },
                 )
             )
-        if not gens:
-            continue
+        if gens:
+            yield nvars, gens
+
+
+def test_feasibility_agrees_with_rational_witness_search():
+    found = 0
+    for nvars, gens in _witness_search_systems():
+        witness = _rational_torus_witness(gens, nvars, bound=2)
+        if witness is not None:
+            assert torus_feasible(gens, nvars=nvars).is_feasible
+            found += 1
+    assert found >= 10
+
+
+def test_linear_path_agrees_with_groebner_path():
+    for nvars, gens in _linear_systems():
         fast = torus_feasible_linear(gens)
         # force the general machinery by squaring every generator
         squared = [g * g for g in gens]
         slow = torus_feasible(squared, nvars=nvars)
         assert fast.status == slow.status, (gens, fast, slow)
+
+
+def test_integer_and_polynomial_generators_agree():
+    systems = list(_witness_search_systems())
+    for nvars, gens in _linear_systems():
+        systems += [(nvars, gens), (nvars, [g * g for g in gens])]
+    methods = set()
+    for nvars, gens in systems:
+        exact = torus_feasible(gens, nvars=nvars)
+        ints = [poly_to_intdict(g) for g in gens]
+        # a rescaled, non-primitive system has the same zeros and certificate
+        scaled = [{m: -6 * c for m, c in g.items()} for g in ints]
+        for system in (ints, scaled):
+            assert torus_feasible(system, nvars=nvars) == exact, (gens, exact)
+            assert torus_feasible(system) == exact, (gens, exact)
+        methods.add((exact.method, exact.certificate[0]))
+    assert {
+        ("linear-algebra", "kernel-basis"),
+        ("linear-algebra", "zero-kernel"),
+        ("linear-algebra", "monomial"),
+        ("groebner", "unit-saturated-ideal"),
+        ("groebner", "proper-saturated-ideal"),
+    } <= methods
+
+
+def test_torus_feasible_rejects_malformed_integer_generators():
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        torus_feasible([{(1, 0): 1, (0, 1): -1}], nvars=3)
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        torus_feasible([{(1, 0): 1, (0, 1): -1}, {(1, 0, 0): 1, (0, 0, 1): 2}])
+    with pytest.raises(ValueError, match="homogeneous"):
+        torus_feasible([{(2, 0): 1, (0, 1): -1}])
+    with pytest.raises(ValueError, match="homogeneous"):
+        torus_feasible([{(1, 1): 1, (2, 0): 3}, {(1, 0): 1, (0, 0): -1}], nvars=2)
+    with pytest.raises(ValueError, match="cannot infer"):
+        torus_feasible([{}])
 
 
 def test_saturation_routes_agree_on_lattice_ideals():

@@ -3,8 +3,9 @@
 import hashlib
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -42,6 +43,7 @@ from helpers import (
     reference_hull,
     reference_is_simple,
     reference_is_smooth,
+    reference_kernel,
     reference_rref,
 )
 
@@ -553,3 +555,87 @@ def test_non_polymatroid_errors_name_the_axiom_or_inequality():
         base_polytope(SetFunction(2, [0, 1, 1, 3]))  # not submodular
     with pytest.raises(ValueError, match=r"inequality \[-1, 0\]\.x <= 0 is violated"):
         base_polytope(SetFunction(2, [0, 1, 1, 0]))  # not monotone
+
+
+def _primitive(vec):
+    """The positive multiple of a nonzero rational vector that is a primitive integer one."""
+    scale = lcm(*(Fraction(x).denominator for x in vec))
+    ints = [int(x * scale) for x in vec]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def _dot(a, p):
+    return sum(x * y for x, y in zip(a, p))
+
+
+def _dot_product_assembly(n, points, candidates):
+    """(vertices, inequalities, equations) of the hull of the points, from a
+    complete candidate set, each candidate evaluated by one dot product per
+    point and each facet bound taken as a maximum over the points."""
+    pts = sorted(set(points))
+    diffs = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
+    normals = map(_primitive, reference_kernel(diffs, n))
+    equations = tuple(sorted((a, _dot(a, pts[0])) for a in normals))
+    tight = {}
+    for a, b in candidates:
+        assert max(_dot(a, p) for p in pts) <= b
+        on = frozenset(i for i, p in enumerate(pts) if _dot(a, p) == b)
+        if on and len(on) < len(pts):
+            tight.setdefault(on, a)
+    facet_sets = [s for s in tight if not any(s < t for t in tight)]
+    eq_rref, eq_pivots = reference_rref([a for a, _ in equations], n)
+    inequalities = []
+    for s in facet_sets:
+        vec = [Fraction(x) for x in tight[s]]
+        for row, pivot in zip(eq_rref, eq_pivots):
+            factor = vec[pivot]
+            vec = [x - factor * y for x, y in zip(vec, row)]
+        a = _primitive(vec)
+        inequalities.append((a, max(_dot(a, p) for p in pts)))
+    vertices = []
+    for i, p in enumerate(pts):
+        meet = set(range(len(pts)))
+        for s in facet_sets:
+            if i in s:
+                meet &= s
+        if meet == {i}:
+            vertices.append(p)
+    return tuple(vertices), tuple(sorted(inequalities)), equations
+
+
+def _brute_rank(points, n):
+    return [
+        max(sum(p[i] for i in range(n) if mask >> i & 1) for p in points)
+        for mask in range(1 << n)
+    ]
+
+
+def test_rank_and_polymatroid_polytopes_match_dot_product_references():
+    # seeded M-convex supports, their truncations and truncation sums: the
+    # rank function of each truncation polytope's lattice points is the truncation
+    rng = random.Random(1313)
+    cases = [(2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2)]
+    checked = 0
+    for n, d in cases:
+        support = random_mconvex_support(rng, n, d)
+        rho = rank_from_support(support)
+        assert list(rho.values) == _brute_rank(support, n)
+        functions = [truncate(rho, k) for k in range(d + 1)]
+        functions += [truncation_sum(rho), truncation_sum(rho, 1)]
+        for f in functions:
+            supp = lattice_points(base_polytope(f))
+            assert list(rank_from_support(supp).values) == _brute_rank(supp, n) == list(f.values)
+            candidates = [
+                (tuple(mask >> i & 1 for i in range(n)), f.values[mask])
+                for mask in range(1, 1 << n)
+            ]
+            candidates += [(tuple(-int(i == j) for j in range(n)), 0) for i in range(n)]
+            for build, bases_only in ((base_polytope, True), (independence_polytope, False)):
+                body = build(f)
+                reference = _dot_product_assembly(
+                    n, reference_greedy_points(f, bases_only), candidates
+                )
+                assert (body.vertices, body.inequalities, body.equations) == reference, (f, build)
+                checked += 1
+    assert checked == 2 * sum(d + 3 for _, d in cases)
