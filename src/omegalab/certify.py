@@ -22,14 +22,16 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
-from .derivatives import all_partials, derivative_space, partials_guard
+from .derivatives import derivative_space, partials_guard
 from .groebner import (
     DEFAULT_MAX_PAIRS,
     buchberger_intdicts,
@@ -122,21 +124,6 @@ class LorentzianReport:
         }
 
 
-def _quadratic_hessian(q: Polynomial) -> list[list[Fraction]]:
-    n = q.nvars
-    h = [[Fraction(0)] * n for _ in range(n)]
-    for exponent, coeff in q.items():
-        live = [i for i, e in enumerate(exponent) if e]
-        if len(live) == 1:
-            i = live[0]
-            h[i][i] = 2 * coeff
-        else:
-            i, j = live
-            h[i][j] = coeff
-            h[j][i] = coeff
-    return h
-
-
 def positive_eigenvalue_count(matrix: Sequence[Sequence[Fraction]]) -> int:
     """Exact count for a symmetric rational matrix via its characteristic polynomial.
 
@@ -161,15 +148,31 @@ def is_lorentzian(h: Polynomial, mconvex: bool | None = None) -> LorentzianRepor
         raise ValueError("Lorentzian test needs degree at least 2")
     if d > MAX_CERTIFY_DEGREE:
         raise ResourceLimit(_degree_guard(d))
+    if guard := partials_guard(h.nvars, d - 2):
+        raise ResourceLimit(guard)
     if mconvex is None:
         mconvex = is_mconvex(h.support())[0]
     nonneg = all(c > 0 for c in h.terms.values())
-    multisets = combinations_with_replacement(range(h.nvars), d - 2)
-    failures = [
-        multi
-        for multi, g in zip(multisets, all_partials(h, d - 2))
-        if not g.is_zero and positive_eigenvalue_count(_quadratic_hessian(g)) > 1
-    ]
+    # A term c_m x^m puts c_m * m! (m! = prod m_l!) at (i, j) of the Hessian of
+    # the order-(d-2) partial at the multiset a = m - e_i - e_j.  The entries are
+    # scaled by the lcm of h's denominators, which keeps the eigenvalues' signs.
+    n = h.nvars
+    scale = lcm(*(c.denominator for c in h.terms.values()))
+    hessians: dict[Exponent, list[list[int]]] = defaultdict(lambda: [[0] * n for _ in range(n)])
+    for m, c in h.items():
+        weight = c.numerator * (scale // c.denominator) * prod(map(factorial, m))
+        for i, j in combinations_with_replacement([i for i in range(n) if m[i]], 2):
+            a = list(m)
+            a[i] -= 1
+            a[j] -= 1
+            if a[i] >= 0:
+                hessian = hessians[tuple(a)]
+                hessian[i][j] = hessian[j][i] = weight
+    failures = sorted(
+        tuple(i for i in range(n) for _ in range(a[i]))  # a as a multiset
+        for a, hessian in hessians.items()
+        if positive_eigenvalue_count(hessian) > 1
+    )
     return LorentzianReport(
         mconvex=mconvex,
         nonneg_coeffs=nonneg,
@@ -275,14 +278,13 @@ def _decide(
         (i, c, {j for j, (a, b) in enumerate(facets) if sum(map(mul, a, c)) == b})
         for i, c in enumerate(space.columns)
     ]
-    rows = [[int(x) for x in row] for row in space.matrix]  # integral entries
     settled: set[tuple[int, ...]] = set()  # faces in an infeasible orbit
     undecided = []
     for face in faces(body):
         if face.vertex_indices in settled:
             continue
         on = [(i, c) for i, c, tight in tight_at if face.facets <= tight]
-        gens = [g for g in ({c: row[i] for i, c in on if row[i]} for row in rows) if g]
+        gens = [g for g in ({c: row[i] for i, c in on if row[i]} for row in space.matrix) if g]
         verdict = torus_feasible(gens, nvars=h.nvars, max_pairs=max_pairs)
         if verdict.is_feasible:
             return report(
@@ -327,7 +329,7 @@ def oracle_centre_disjoint(
     nz = len(pts)  # variable z_i <-> pts[i] == space.columns[i]
     gens = [poly_to_intdict(g) for g in toric_ideal(pts, max_pairs).generators]
     z = [tuple(int(i == j) for j in range(nz)) for i in range(nz)]  # z[i] is z_i
-    gens += [{z[i]: int(c) for i, c in enumerate(row) if c} for row in space.matrix]
+    gens += [{z[i]: c for i, c in enumerate(row) if c} for row in space.matrix]
     # The toric ideal and the centre forms are homogeneous, so the projective
     # variety is empty iff the affine cone is {0}, iff the cone is finite, iff
     # every z_i has a pure power (1 included) among the leading monomials of a

@@ -215,14 +215,14 @@ def _parse_setfunction_arg(args) -> SetFunction:
                 bases.append([int(ch) for ch in chunk])
             except ValueError:
                 raise UsageError(f"bad basis {chunk!r}; write e.g. 12,13,14,23,24,34")
-        n = args.ground_set or max(max(b) for b in bases)
+        n = args.ground_set or max((max(b) for b in bases), default=0)  # no basis: exits 64 below
         basis_masks(n, bases)  # a bad family exits 64 first
         require_greedy(n)  # every polytope command stops here, before the 2^n table
         f = SetFunction.from_bases(n, bases)
     elif args.setfunction:
         try:
             f = SetFunction.from_json(args.setfunction)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:  # TypeError: JSON of the wrong shape
             raise UsageError(f"bad set function JSON: {exc}")
     else:
         raise UsageError("give --matroid or --setfunction")
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--matroid", help='basis list, e.g. --matroid "12,13,14,23,24,34"'
     )
     p_polytope.add_argument("--setfunction", help='JSON {"n": ..., "values": [...]}')
-    p_polytope.add_argument("--ground-set", type=int, help="ground-set size for --matroid")
+    p_polytope.add_argument("--ground-set", type=_positive_int, help="ground-set size of --matroid")
     p_polytope.set_defaults(func=_cmd_polytope)
 
     p_mconvex = sub.add_parser("mconvex", help="exchange-axiom check of the support")

@@ -5,6 +5,11 @@ order partials, the union of their supports, a canonical echelon basis of
 their span, and the coefficient matrix of that basis over the support
 monomials (the matrix of the linear projection from monomial coordinates to
 the derivative span).  The kernel of that matrix is the projection centre.
+
+The partials are read off the coefficients: for a multiset a of variable
+indices, the order-|a| partial of sum c_m x^m is the sum over m >= a of
+c_m * prod_l m_l!/(m_l - a_l)! * x^(m - a), with no cancellation, as
+distinct m give distinct m - a.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, perm, prod
+from operator import sub
 
 from . import linalg
 from .guards import ResourceLimit
@@ -41,7 +47,7 @@ class DerivativeSpace:
     nvars: int
     basis: tuple[Polynomial, ...]
     columns: tuple[Exponent, ...]  # union of the partials' supports, descending grevlex
-    matrix: tuple[tuple[Fraction, ...], ...]  # len(basis) x len(columns)
+    matrix: tuple[tuple[int, ...], ...]  # len(basis) x len(columns), primitive rows
 
     @property
     def span_dimension(self) -> int:
@@ -56,26 +62,30 @@ class DerivativeSpace:
         }
 
 
-def all_partials(h: Polynomial, k: int) -> list[Polynomial]:
-    """Every order-k partial derivative, one per multiset of variable indices.
-
-    Raises ResourceLimit above MAX_PARTIALS partials, before building any."""
+def _partial_terms(h: Polynomial, k: int) -> list[dict[Exponent, Fraction]]:
+    """The term dicts of all_partials(h, k), in its order and with its guard."""
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
     if guard := partials_guard(h.nvars, k):
         raise ResourceLimit(guard)
     out = []
     for multi in combinations_with_replacement(range(h.nvars), k):
-        g = h
-        for i in multi:
-            g = g.partial_derivative(i)
-        out.append(g)
+        a = [multi.count(i) for i in range(h.nvars)]
+        shifted = ((tuple(map(sub, m, a)), m, c) for m, c in h.items())
+        out.append({e: c * prod(map(perm, m, a)) for e, m, c in shifted if min(e, default=0) >= 0})
     return out
+
+
+def all_partials(h: Polynomial, k: int) -> list[Polynomial]:
+    """Every order-k partial derivative, one per multiset of variable indices.
+
+    Raises ResourceLimit above MAX_PARTIALS partials, before building any."""
+    return [Polynomial(h.nvars, g) for g in _partial_terms(h, k)]
 
 
 def derivative_support(h: Polynomial, k: int) -> frozenset[Exponent]:
     """Union of the supports of all order-k partials."""
-    return frozenset().union(*(g.support() for g in all_partials(h, k)))
+    return frozenset().union(*_partial_terms(h, k))
 
 
 def derivative_space(h: Polynomial, k: int) -> DerivativeSpace:
@@ -84,25 +94,17 @@ def derivative_space(h: Polynomial, k: int) -> DerivativeSpace:
         raise ValueError("polynomial must be nonzero and homogeneous")
     if not 1 <= k < h.total_degree:
         raise ValueError(f"order {k} out of range 1..{h.total_degree - 1}")
-    partials = [g for g in all_partials(h, k) if not g.is_zero]
-    support = set().union(*(g.support() for g in partials))
-    columns = tuple(sorted(support, key=grevlex_key, reverse=True))
-    column_index = {c: i for i, c in enumerate(columns)}
-    rows = []
-    for g in partials:
-        row = [Fraction(0)] * len(columns)
-        for exponent, coeff in g.items():
-            row[column_index[exponent]] = coeff
-        rows.append(row)
-    reduced, _ = linalg.rref(rows, len(columns))
-    matrix = tuple(tuple(map(Fraction, linalg.clear_denominators(row))) for row in reduced)
+    partials = [g for g in _partial_terms(h, k) if g]
+    columns = tuple(sorted(set().union(*partials), key=grevlex_key, reverse=True))
+    reduced, _ = linalg.rref([[g.get(c, 0) for c in columns] for g in partials], len(columns))
+    matrix = tuple(linalg.clear_denominators(row) for row in reduced)
     basis = tuple(Polynomial(h.nvars, {c: x for c, x in zip(columns, row) if x}) for row in matrix)
     return DerivativeSpace(k, h.nvars, basis, columns, matrix)
 
 
 def projection_centre(space: DerivativeSpace) -> list[list[Fraction]]:
     """Canonical kernel basis of the projection matrix (echelon form)."""
-    return linalg.kernel_basis([list(row) for row in space.matrix], len(space.columns))
+    return linalg.kernel_basis(space.matrix, len(space.columns))
 
 
 def span_contains(space: DerivativeSpace, p: Polynomial) -> bool:
@@ -111,11 +113,7 @@ def span_contains(space: DerivativeSpace, p: Polynomial) -> bool:
         return True
     if not p.support() <= set(space.columns):
         return False
-    column_index = {c: i for i, c in enumerate(space.columns)}
-    vector = [Fraction(0)] * len(space.columns)
-    for exponent, coeff in p.items():
-        vector[column_index[exponent]] = coeff
-    return linalg.in_row_space([list(row) for row in space.matrix], vector)
+    return linalg.in_row_space(space.matrix, [p.coefficient(c) for c in space.columns])
 
 
 def check_derivative_supports(h: Polynomial) -> list[int]:

@@ -17,7 +17,7 @@ from omegalab import (
     parse_polynomial,
     smoothable_probe,
 )
-from omegalab.certify import positive_eigenvalue_count, _quadratic_hessian
+from omegalab.certify import positive_eigenvalue_count
 from omegalab.derivatives import derivative_support, elementary_symmetric
 
 from helpers import (
@@ -93,13 +93,77 @@ def test_lorentzian_negative_coefficient_flagged():
     assert not report.is_lorentzian
 
 
+def _hessian(q):
+    """The Hessian of a quadratic form, by iterated partial derivatives."""
+    n, origin = q.nvars, (0,) * q.nvars
+    return [
+        [q.partial_derivative(i).partial_derivative(j).coefficient(origin) for j in range(n)]
+        for i in range(n)
+    ]
+
+
 def test_hessian_eigenvalue_count():
     q = parse_polynomial("x1*x2", ["x1", "x2"])
-    assert positive_eigenvalue_count(_quadratic_hessian(q)) == 1
+    assert positive_eigenvalue_count(_hessian(q)) == 1
     q2 = parse_polynomial("x1^2 + x2^2", ["x1", "x2"])
-    assert positive_eigenvalue_count(_quadratic_hessian(q2)) == 2
+    assert positive_eigenvalue_count(_hessian(q2)) == 2
     q3 = Polynomial.zero(2)
-    assert positive_eigenvalue_count(_quadratic_hessian(q3)) == 0
+    assert positive_eigenvalue_count(_hessian(q3)) == 0
+
+
+def test_hessian_failures_match_iterated_partials():
+    from itertools import combinations_with_replacement
+
+    rng = random.Random(73)
+    for trial in range(60):
+        n, d = rng.randint(1, 4), rng.randint(2, 5)
+        terms = {}
+        for _ in range(rng.randint(1, 8)):
+            exponent = [0] * n
+            for _ in range(d):
+                exponent[rng.randrange(n)] += 1
+            coeff = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+            terms[tuple(exponent)] = coeff
+        h = Polynomial(n, terms)
+        expected = []
+        for multi in combinations_with_replacement(range(n), d - 2):
+            g = h
+            for i in multi:
+                g = g.partial_derivative(i)
+            if positive_eigenvalue_count(_hessian(g)) > 1:
+                expected.append(multi)
+        report = is_lorentzian(h)
+        assert report.hessian_failures == tuple(expected), (trial, h)
+        assert report.nonneg_coeffs == all(c > 0 for c in terms.values())
+
+
+def test_lorentzian_partial_count_guard_fires_before_any_hessian(monkeypatch):
+    import omegalab.certify
+    from omegalab.guards import ResourceLimit
+
+    walked = []
+    monkeypatch.setattr(
+        omegalab.certify, "combinations_with_replacement", lambda *args: walked.append(args)
+    )
+    names = [f"x{i}" for i in range(1, 13)]
+    with pytest.raises(ResourceLimit) as excinfo:
+        is_lorentzian(parse_polynomial("*".join(names), names))
+    assert str(excinfo.value) == (
+        "partial-count guard: 352716 order-10 partials exceed the cap 10000"
+    )
+    assert walked == []
+
+
+def test_certificate_builds_no_partial_polynomial(monkeypatch):
+    import omegalab.certify
+    import omegalab.derivatives
+
+    calls = []
+    monkeypatch.setattr(Polynomial, "partial_derivative", lambda *args: calls.append(args))
+    for module in (omegalab.derivatives, omegalab.certify):
+        monkeypatch.setattr(module, "all_partials", lambda *a: calls.append(a), raising=False)
+    assert certify_smooth(elementary_symmetric(4, 6)).verdict == "smooth-toric"
+    assert calls == []
 
 
 def test_lorentzian_implies_mconvex_random():

@@ -578,3 +578,28 @@ def test_partial_count_guard_text_and_json(capsys):
             "status": "undecided",
             "detail": detail,
         }
+
+
+@pytest.mark.parametrize(
+    "text", ["[1,2]", "null", '{"n": 2, "values": 5}', '{"n": null, "values": []}']
+)
+def test_setfunction_json_of_the_wrong_shape_exits_usage(capsys, text):
+    code, out, err = run(capsys, "polytope", "--setfunction", text)
+    assert code == 64 and out == ""
+    assert err.startswith("error: bad set function JSON: ") and err.count("\n") == 1
+
+
+def test_ground_set_must_be_positive(capsys):
+    for value in ("0", "-2"):
+        code, err = usage_exit(
+            capsys, "polytope", "--matroid", "12,13", f"--ground-set={value}"
+        )
+        assert code == 64
+        assert f"argument --ground-set: expected a positive integer, got '{value}'" in err
+
+
+def test_matroid_without_a_basis_exits_usage(capsys):
+    for text in (",", " , "):
+        code, out, err = run(capsys, "polytope", "--matroid", text)
+        assert code == 64 and out == ""
+        assert err == "error: at least one basis is required\n"

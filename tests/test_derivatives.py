@@ -30,6 +30,7 @@ from helpers import (
     X123,
     random_mconvex_support,
     random_positive_polynomial,
+    random_sparse_polynomial,
 )
 
 
@@ -120,6 +121,23 @@ def test_span_dimension_independent_of_partial_order():
         rng.shuffle(partials)
         rows = [[g.coefficient(c) for c in columns] for g in partials]
         assert rank(rows) == space.span_dimension
+
+
+def test_all_partials_match_iterated_partial_derivatives():
+    from itertools import combinations_with_replacement
+
+    rng = random.Random(22)
+    for _ in range(40):
+        n, d = rng.randint(1, 4), rng.randint(1, 4)
+        h = random_sparse_polynomial(rng, n, d, rng.randint(1, 10))
+        for k in range(d + 2):
+            expected = []
+            for multi in combinations_with_replacement(range(n), k):
+                g = h
+                for i in multi:
+                    g = g.partial_derivative(i)
+                expected.append(g)
+            assert all_partials(h, k) == expected, (h, k)
 
 
 def test_support_union_covers_each_partial():
@@ -264,8 +282,10 @@ def test_partial_count_guard_fires_before_any_partial(monkeypatch):
 
     names = [f"x{i}" for i in range(1, 13)]
     h = parse_polynomial("*".join(names), names)
-    built = []
-    monkeypatch.setattr(Polynomial, "partial_derivative", lambda *args: built.append(args))
+    built = []  # every partial is built while walking the multisets
+    monkeypatch.setattr(
+        omegalab.derivatives, "combinations_with_replacement", lambda *args: built.append(args)
+    )
     with pytest.raises(ResourceLimit) as excinfo:
         all_partials(h, 10)
     assert str(excinfo.value) == (
