@@ -35,11 +35,8 @@ from .derivatives import (
 from .groebner import (
     FeasibilityVerdict,
     ToricIdeal,
-    groebner_basis,
-    ideal_members_to_zero,
     toric_ideal,
     torus_feasible,
-    torus_feasible_linear,
 )
 from .guards import ResourceLimit
 from .linalg import smith_normal_form, snf_divisors

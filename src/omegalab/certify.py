@@ -30,16 +30,14 @@ from math import factorial, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
-from . import linalg
 from .derivatives import derivative_space, partials_guard
 from .groebner import (
     DEFAULT_MAX_PAIRS,
     buchberger_intdicts,
-    poly_to_intdict,
     toric_ideal,
     torus_feasible,
 )
-from .guards import ResourceLimit
+from .guards import MAX_CERTIFY_DEGREE, ResourceLimit, degree_guard
 from .poly import Exponent, Polynomial, grevlex_key
 from .polytope import LatticePolytope, base_polytope, faces, is_smooth, lattice_points
 from .setfunc import MAX_GROUND_SET, SetFunction, rank_from_support, truncate, truncation_sum
@@ -48,12 +46,6 @@ VERDICT_SMOOTH = "smooth-toric"
 VERDICT_FAILS = "criterion-fails"
 VERDICT_NOT_APPLICABLE = "not-applicable"
 VERDICT_UNDECIDED = "undecided"
-
-# Total-degree cap of certify_smooth and is_lorentzian: the number of partials,
-# and with it the work, grows with the degree; above the cap the verdict is
-# undecided before any order runs, and the Lorentzian test raises
-# ResourceLimit before it builds a partial.
-MAX_CERTIFY_DEGREE = 12
 
 # Cap on smoothable_probe's trials: each trial is one full certificate.
 MAX_PROBE_TRIALS = 10_000
@@ -125,16 +117,39 @@ class LorentzianReport:
 
 
 def positive_eigenvalue_count(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Exact count for a symmetric rational matrix via its characteristic polynomial.
+    """Exact count for a symmetric rational matrix by Sylvester's law of inertia.
 
-    The matrix is real symmetric, hence real rooted, so the count equals the
-    number of sign changes in the characteristic coefficient sequence.
+    On the matrix scaled by the lcm of its denominators, a nonzero diagonal
+    pivot p counts if p > 0 and leaves sign(p) (p A' - a a^T) / |previous p|,
+    a positive multiple of the Schur complement (the division is Bareiss's,
+    exact); a zero diagonal with a_ij != 0 first gets row and column j added
+    to row and column i, making a_ii = 2 a_ij.
     """
-    return linalg.descartes_positive_roots(linalg.char_poly(matrix))
-
-
-def _degree_guard(d: int) -> str:
-    return f"degree guard: total degree {d} exceeds the cap {MAX_CERTIFY_DEGREE}"
+    rows = [[x if type(x) is int else Fraction(x) for x in row] for row in matrix]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix must be square")
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    count, prev = 0, 1
+    while a:
+        i = next((i for i in range(len(a)) if a[i][i]), None)
+        if i is None:
+            i, j = next(((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x), (0, 0))
+            if i == j:
+                break  # the zero matrix
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
+        p, pivot = a[i][i], a[i]
+        count += p > 0
+        s = (1 if p > 0 else -1) * abs(prev)
+        a = [
+            [(p * x - pivot[r] * pivot[c]) // s for c, x in enumerate(row) if c != i]
+            for r, row in enumerate(a)
+            if r != i
+        ]
+        prev = p
+    return count
 
 
 def is_lorentzian(h: Polynomial, mconvex: bool | None = None) -> LorentzianReport:
@@ -146,9 +161,7 @@ def is_lorentzian(h: Polynomial, mconvex: bool | None = None) -> LorentzianRepor
     d = h.total_degree
     if d < 2:
         raise ValueError("Lorentzian test needs degree at least 2")
-    if d > MAX_CERTIFY_DEGREE:
-        raise ResourceLimit(_degree_guard(d))
-    if guard := partials_guard(h.nvars, d - 2):
+    if guard := degree_guard(d) or partials_guard(h.nvars, d - 2):
         raise ResourceLimit(guard)
     if mconvex is None:
         mconvex = is_mconvex(h.support())[0]
@@ -327,7 +340,7 @@ def oracle_centre_disjoint(
             "oracle requires the derivative support to fill the truncation polytope"
         )
     nz = len(pts)  # variable z_i <-> pts[i] == space.columns[i]
-    gens = [poly_to_intdict(g) for g in toric_ideal(pts, max_pairs).generators]
+    gens = list(toric_ideal(pts, max_pairs).generators)
     z = [tuple(int(i == j) for j in range(nz)) for i in range(nz)]  # z[i] is z_i
     gens += [{z[i]: c for i, c in enumerate(row) if c} for row in space.matrix]
     # The toric ideal and the centre forms are homogeneous, so the projective
@@ -335,7 +348,7 @@ def oracle_centre_disjoint(
     # every z_i has a pure power (1 included) among the leading monomials of a
     # Groebner basis (Cox, Little & O'Shea, Ideals, Varieties, and
     # Algorithms, ch. 5, sec. 3, the finiteness theorem).
-    gb = buchberger_intdicts(gens, grevlex_key, max_pairs)
+    gb = buchberger_intdicts(gens, max_pairs=max_pairs)
     leads = [max(g, key=grevlex_key) for g in gb]
     pure = {i for m in leads for i in range(nz) if m[i] == sum(m)}
     return "yes" if len(pure) == nz else "no"
@@ -403,7 +416,7 @@ def certify_smooth(
     echo = text if text is not None else h.to_string([f"x{i+1}" for i in range(h.nvars)])
 
     mcx, mcx_witness = is_mconvex(h.support())
-    guard = _degree_guard(d) if d > MAX_CERTIFY_DEGREE else None
+    guard = degree_guard(d)
     if guard is None and h.nvars > MAX_GROUND_SET:
         guard = f"ground-set guard: {h.nvars} variables exceed the cap {MAX_GROUND_SET}"
     guard = guard or partials_guard(h.nvars, d - 1)  # the highest order built

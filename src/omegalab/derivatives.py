@@ -97,13 +97,13 @@ def derivative_space(h: Polynomial, k: int) -> DerivativeSpace:
     partials = [g for g in _partial_terms(h, k) if g]
     columns = tuple(sorted(set().union(*partials), key=grevlex_key, reverse=True))
     reduced, _ = linalg.rref([[g.get(c, 0) for c in columns] for g in partials], len(columns))
-    matrix = tuple(linalg.clear_denominators(row) for row in reduced)
+    matrix = tuple(reduced)
     basis = tuple(Polynomial(h.nvars, {c: x for c, x in zip(columns, row) if x}) for row in matrix)
     return DerivativeSpace(k, h.nvars, basis, columns, matrix)
 
 
-def projection_centre(space: DerivativeSpace) -> list[list[Fraction]]:
-    """Canonical kernel basis of the projection matrix (echelon form)."""
+def projection_centre(space: DerivativeSpace) -> list[tuple[int, ...]]:
+    """Canonical kernel basis of the projection matrix (primitive integer rows)."""
     return linalg.kernel_basis(space.matrix, len(space.columns))
 
 

@@ -8,9 +8,10 @@ the torus-feasibility decisions used by the smoothness criterion:
   * a general path that dehomogenizes, adjoins an inverted variable product,
     and tests whether the saturated ideal is the unit ideal.
 
-Polynomials enter as exact `Polynomial` values or integer term dictionaries
-(IntPoly) keyed by exponent tuples; torus feasibility turns a `Polynomial`
-into an IntPoly once, at entry, and runs on IntPolys alone.  Inside the
+Every operation takes and returns integer term dictionaries (IntPoly) keyed by
+exponent tuples, toric generators included; only `torus_feasible` also accepts
+a `Polynomial`, which it turns into an IntPoly once, at entry.  A monomial
+order is a `MonomialOrder`, or None for grevlex in index order.  Inside the
 Buchberger kernel a monomial is one int K = top * 2^s - E: E packs the
 exponents in w-bit fields, placed by the order's ranking of the variables,
 and top is the degree (plus, for an elimination order, the eliminated
@@ -30,8 +31,7 @@ answer.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -42,7 +42,6 @@ from .linalg import integer_kernel_basis, kernel_basis
 from .poly import Exponent, Polynomial, grevlex_key
 
 IntPoly = dict[Exponent, int]
-OrderKey = Callable[[Exponent], tuple]
 
 DEFAULT_MAX_PAIRS = 100_000
 MAX_TORIC_POINTS = 12
@@ -70,7 +69,7 @@ class FeasibilityVerdict:
 # -- integer term dictionaries -----------------------------------------------------
 
 
-def _content_strip(p: dict, key: OrderKey | None = None) -> dict:
+def _content_strip(p: dict, key: Callable[[Exponent], tuple] | None = None) -> dict:
     """Divide by the coefficient gcd and make the leading coefficient positive.
 
     Terms are keyed by exponent tuples ordered by `key`, or by packed ints."""
@@ -85,15 +84,11 @@ def _content_strip(p: dict, key: OrderKey | None = None) -> dict:
     return {m: c // g for m, c in p.items()}
 
 
-def poly_to_intdict(p: Polynomial, key: OrderKey = grevlex_key) -> IntPoly:
+def poly_to_intdict(p: Polynomial) -> IntPoly:
     lcm = 1
     for c in p.terms.values():
         lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    return _content_strip({m: int(c * lcm) for m, c in p.items()}, key)
-
-
-def intdict_to_poly(p: IntPoly, nvars: int) -> Polynomial:
-    return Polynomial(nvars, {m: Fraction(c) for m, c in p.items()})
+    return _content_strip({m: int(c * lcm) for m, c in p.items()}, grevlex_key)
 
 
 # -- packed monomials ----------------------------------------------------------------
@@ -109,9 +104,6 @@ class MonomialOrder(NamedTuple):
 
     ranking: tuple[int, ...]
     eliminate: bool = False
-
-
-Order = OrderKey | MonomialOrder  # the kernel accepts grevlex_key or a MonomialOrder
 
 
 class _Overflow(Exception):
@@ -163,16 +155,16 @@ class _Packing:
         return self.exponents(lead), lead, g
 
 
-def _run_packed(key: Order, polys: list[IntPoly], run: Callable):
+def _run_packed(order: MonomialOrder | None, polys: list[IntPoly], run: Callable):
     """`run(packing, packed polys)` with fields wide enough for the inputs.
 
-    On overflow the whole call runs again with fields twice as wide, so the
-    answer never depends on the width.
+    None is grevlex in index order.  On overflow the whole call runs again
+    with fields twice as wide, so the answer never depends on the width.
     """
     nvars = len(next(m for p in polys for m in p))
-    order = MonomialOrder(tuple(range(nvars))) if key is grevlex_key else key
-    if not isinstance(order, MonomialOrder) or len(order.ranking) != nvars:
-        raise TypeError("the order must be grevlex_key or a MonomialOrder of every variable")
+    order = order or MonomialOrder(tuple(range(nvars)))
+    if len(order.ranking) != nvars:
+        raise ValueError("the order must rank every variable")
     width = max(8, max(sum(m) for p in polys for m in p).bit_length() + 1)
     while True:
         packing = _Packing(order, width)
@@ -283,21 +275,26 @@ def _buchberger(pk: _Packing, gens: list[dict[int, int]], max_pairs: int) -> lis
 # -- public boundary: exponent tuples in and out ---------------------------------------
 
 
-def normal_form(f: IntPoly, basis: Sequence[IntPoly], key: Order) -> IntPoly:
-    """Full multivariate division remainder, fraction-free, under `key`."""
+def normal_form(
+    f: IntPoly, basis: Sequence[IntPoly], order: MonomialOrder | None = None
+) -> IntPoly:
+    """Full multivariate division remainder, fraction-free, under `order`
+    (None: grevlex in index order)."""
 
     def run(pk: _Packing, packed: list[dict[int, int]]) -> IntPoly:
         return pk.decode(_reduce(pk, packed[0], [pk.reducer(g) for g in packed[1:] if g]))
 
-    return _run_packed(key, [f, *basis], run) if f else {}
+    return _run_packed(order, [f, *basis], run) if f else {}
 
 
 def buchberger_intdicts(
-    gens: Iterable[IntPoly], key: Order, max_pairs: int = DEFAULT_MAX_PAIRS
+    gens: Iterable[IntPoly],
+    order: MonomialOrder | None = None,
+    max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> list[IntPoly]:
     """Reduced Groebner basis of integer term dictionaries.
 
-    `key` is grevlex_key or a MonomialOrder.  Normal pair-selection strategy
+    `order` defaults to grevlex in index order.  Normal pair-selection strategy
     with the coprime-leading-term and chain criteria.  Each pair is keyed
     once, when it is created, by the lcm of its leading monomials with the
     pair's indices breaking ties, and pairs are popped from a heap in that
@@ -309,31 +306,11 @@ def buchberger_intdicts(
         return [pk.decode(g) for g in _buchberger(pk, packed, max_pairs)]
 
     gens = [g for g in gens if g]
-    return _run_packed(key, gens, run) if gens else []
-
-
-def groebner_basis(
-    gens: Sequence[Polynomial],
-    key: Order = grevlex_key,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-) -> list[Polynomial]:
-    """Reduced Groebner basis (primitive integer normalization, sorted by lead)."""
-    if not gens:
-        return []
-    nvars = gens[0].nvars
-    out = buchberger_intdicts([poly_to_intdict(g) for g in gens], key, max_pairs)
-    return [intdict_to_poly(g, nvars) for g in out]
+    return _run_packed(order, gens, run) if gens else []
 
 
 def is_unit_ideal(gb: Sequence[IntPoly]) -> bool:
     return any(g and max(sum(m) for m in g) == 0 for g in gb)
-
-
-def ideal_members_to_zero(
-    members: Iterable[Polynomial], gb: Sequence[Polynomial], key: Order = grevlex_key
-) -> bool:
-    basis = [poly_to_intdict(g) for g in gb]
-    return all(not normal_form(poly_to_intdict(p), basis, key) for p in members)
 
 
 # -- homogeneous coordinate saturation ----------------------------------------------
@@ -377,7 +354,7 @@ def saturate_coordinates(
     for var in range(nvars):
         gb = buchberger_intdicts(current, _cheap_variable_order(nvars, var), max_pairs)
         current = [_divide_out(g, var) for g in gb]
-    return buchberger_intdicts(current, grevlex_key, max_pairs)
+    return buchberger_intdicts(current, max_pairs=max_pairs)
 
 
 def saturate_by_product_elimination(
@@ -395,7 +372,7 @@ def saturate_by_product_elimination(
     for g in gb:
         if all(m[nvars] == 0 for m in g):
             out.append({m[:nvars]: c for m, c in g.items()})
-    return buchberger_intdicts(out, grevlex_key, max_pairs)
+    return buchberger_intdicts(out, max_pairs=max_pairs)
 
 
 # -- toric ideals -------------------------------------------------------------------
@@ -406,10 +383,7 @@ class ToricIdeal:
     """Toric ideal of a point configuration, in one variable per point."""
 
     points: tuple[Exponent, ...]  # descending grevlex; column i <-> variable z_i
-    generators: tuple[Polynomial, ...]  # reduced Groebner basis, grevlex
-
-    def contains(self, p: Polynomial) -> bool:
-        return ideal_members_to_zero([p], list(self.generators))
+    generators: tuple[IntPoly, ...] = field(hash=False)  # reduced Groebner basis, grevlex
 
 
 def toric_ideal(
@@ -437,10 +411,7 @@ def toric_ideal(
         if plus == minus:
             continue
         gens.append({plus: 1, minus: -1})
-    saturated = saturate_coordinates(gens, len(pts), max_pairs)
-    return ToricIdeal(
-        tuple(pts), tuple(intdict_to_poly(g, len(pts)) for g in saturated)
-    )
+    return ToricIdeal(tuple(pts), tuple(saturate_coordinates(gens, len(pts), max_pairs)))
 
 
 # -- torus feasibility ---------------------------------------------------------------
@@ -466,16 +437,6 @@ def _linear_verdict(live: list[IntPoly], nvars: int) -> FeasibilityVerdict:
         if all(vec[i] == 0 for vec in kernel):
             return FeasibilityVerdict(INFEASIBLE, "linear-algebra", ("coordinate-hyperplane", i))
     return FeasibilityVerdict(FEASIBLE, "linear-algebra", ("kernel-basis", kernel))
-
-
-def torus_feasible_linear(gens: Sequence[Polynomial]) -> FeasibilityVerdict:
-    """Feasibility for homogeneous linear systems by exact kernel computation."""
-    live = [poly_to_intdict(g) for g in gens if not g.is_zero]
-    if not live:
-        raise ValueError("linear path needs at least one nonzero generator")
-    if any(sum(m) != 1 for g in live for m in g):
-        raise ValueError("linear path requires homogeneous degree-1 generators")
-    return _linear_verdict(live, gens[0].nvars)
 
 
 def torus_feasible(
@@ -528,7 +489,7 @@ def torus_feasible(
     ]
     dehomogenized.append({(1,) * len(occurring): 1, (0,) * len(occurring): -1})
     try:
-        gb = buchberger_intdicts(dehomogenized, grevlex_key, max_pairs)
+        gb = buchberger_intdicts(dehomogenized, max_pairs=max_pairs)
     except ResourceLimit as exc:
         return FeasibilityVerdict(UNDECIDED, "groebner", str(exc))
     if is_unit_ideal(gb):

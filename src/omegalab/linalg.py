@@ -2,10 +2,12 @@
 
 Every elimination runs on one fraction-free (Bareiss) kernel over Python
 ints; rational rows are first scaled by the lcm of their denominators, which
-changes neither the row space nor the reduced echelon form, and Fractions are
-formed only in returned rows; the same kernel gives the determinants of the
-lattice-smoothness test.  Smith normal form returns the divisor matrix
-together with the unimodular transforms, which integer kernels are built on.
+changes neither the row space nor the reduced echelon form.  RREF rows and
+kernel vectors come back as primitive integer vectors, the rational ones up
+to a positive scale; only `solve` returns Fractions.  The same kernel gives
+the determinants of the lattice-smoothness test.  Smith normal form returns
+the divisor matrix together with the unimodular transforms, which integer
+kernels are built on.
 """
 
 from __future__ import annotations
@@ -14,18 +16,14 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-Matrix = list[list[Fraction]]
-
-
-def _rationals(row: Sequence) -> list:
-    return [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+IntRows = list[tuple[int, ...]]
 
 
 def _int_row(row: Sequence) -> list[int]:
     """The row scaled by the lcm of its denominators, as ints."""
     if all(type(x) is int for x in row):
         return list(row)
-    values = _rationals(row)
+    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     scale = lcm(*(x.denominator for x in values))
     return [x.numerator * (scale // x.denominator) for x in values]
 
@@ -71,13 +69,15 @@ def _echelon(
     return mat[:r], pivots, prev
 
 
-def rref(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
+def rref(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[IntRows, list[int]]:
+    """Reduced row echelon form: (nonzero rows, pivot column indices), each row
+    scaled to a primitive integer vector with a positive pivot entry."""
     mat = [_int_row(row) for row in rows]
     if ncols is None:
         ncols = len(mat[0]) if mat else 0
     reduced, pivots, d = _echelon(mat, ncols, True)
-    return [[Fraction(x, d) for x in row] for row in reduced], pivots
+    sign = 1 if d > 0 else -1
+    return [primitive_vector([sign * x for x in row]) for row in reduced], pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -85,18 +85,19 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(_echelon(mat, len(mat[0]) if mat else 0, False)[1])
 
 
-def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
-    """Canonical basis of {v : M v = 0}, one vector per free column of the RREF."""
+def kernel_basis(rows: Sequence[Sequence], ncols: int) -> IntRows:
+    """Canonical basis of {v : M v = 0}, one vector per free column f of the
+    RREF: 1 at f and -RREF[i][f] at pivot i, scaled to be primitive integer."""
     reduced, pivots, d = _echelon([_int_row(row) for row in rows], ncols, True)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    sign = 1 if d > 0 else -1
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
+    for f in (c for c in range(ncols) if c not in pivot_set):
+        vec = [0] * ncols
+        vec[f] = abs(d)
         for row, p in zip(reduced, pivots):
-            vec[p] = Fraction(-row[f], d)
-        basis.append(vec)
+            vec[p] = -sign * row[f]
+        basis.append(primitive_vector(vec))
     return basis
 
 
@@ -131,58 +132,13 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
     return x
 
 
-def char_poly(matrix: Sequence[Sequence]) -> list[Fraction]:
-    """Characteristic polynomial coefficients [c_n, ..., c_1, c_0] of det(tI - M).
-
-    Runs the Faddeev-LeVerrier recurrence over the integers on L*M, where L
-    is the lcm of the denominators: the division by k is then exact, and the
-    coefficient of t^(n-k) is the integer one divided by L^k.  Returned list
-    starts with the leading coefficient 1.
-    """
-    rows = [_rationals(row) for row in matrix]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    mat = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
-    coeffs = [1]
-    prod = mat
-    for k in range(1, n + 1):
-        if k > 1:
-            cols = list(zip(*aux))
-            prod = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in mat]
-        ck = -sum(prod[i][i] for i in range(n)) // k
-        coeffs.append(ck)
-        aux = [[x + ck if i == j else x for j, x in enumerate(row)] for i, row in enumerate(prod)]
-    return [Fraction(c, scale**k) for k, c in enumerate(coeffs)]
-
-
-def descartes_positive_roots(coeffs: Sequence[Fraction]) -> int:
-    """Number of sign changes in a coefficient sequence (zeros skipped).
-
-    For a polynomial known to have only real roots this equals the number of
-    strictly positive roots counted with multiplicity.
-    """
-    signs = [1 if c > 0 else -1 for c in coeffs if c]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 # -- integer routines -----------------------------------------------------------
 
 
 def primitive_vector(vec: Sequence[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (zero vector unchanged)."""
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(int(x)))
-    if g <= 1:
-        return tuple(int(x) for x in vec)
-    return tuple(int(x) // g for x in vec)
-
-
-def clear_denominators(vec: Sequence) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector (direction only)."""
-    return primitive_vector(_int_row(vec))
+    g = gcd(*vec)
+    return tuple(x // g for x in vec) if g > 1 else tuple(vec)
 
 
 def smith_normal_form(

@@ -120,17 +120,13 @@ class Face:
 def _equations_from_points(points: Sequence[Point], ambient: int) -> tuple[Inequality, ...]:
     v0 = points[0]
     diffs = [[p[i] - v0[i] for i in range(ambient)] for p in points[1:]]
-    eqs = []
-    for row in linalg.kernel_basis(diffs, ambient):
-        a = linalg.clear_denominators(row)
-        eqs.append((a, _dot(a, v0)))
-    return tuple(sorted(eqs))
+    return tuple(sorted((a, _dot(a, v0)) for a in linalg.kernel_basis(diffs, ambient)))
 
 
 def _canonical_inequality(
     a: Sequence,
     tight: Point,
-    eq_rref: Sequence[Sequence[Fraction]],
+    eq_rref: Sequence[Sequence[int]],
     eq_pivots: Sequence[int],
 ) -> Inequality:
     """Unique facet representative: reduce the normal modulo the affine hull.
@@ -142,12 +138,12 @@ def _canonical_inequality(
     scales it by a positive factor, so the bound is the new normal's value at
     a point `tight` where a was tight.
     """
-    vec = [Fraction(x) for x in a]
-    for row, pivot in zip(eq_rref, eq_pivots):
+    vec = list(a)
+    for row, pivot in zip(eq_rref, eq_pivots):  # integer RREF rows, row[pivot] > 0
         factor = vec[pivot]
         if factor:
-            vec = [x - factor * y for x, y in zip(vec, row)]
-    reduced = linalg.clear_denominators(vec)
+            vec = [row[pivot] * x - factor * y for x, y in zip(vec, row)]
+    reduced = linalg.primitive_vector(vec)
     return reduced, _dot(reduced, tight)
 
 
@@ -311,7 +307,7 @@ def polytope_from_points(points: Iterable[Sequence[int]]) -> LatticePolytope:
         kern = linalg.kernel_basis([[*c, -1] for c in subset], dim + 1)
         if len(kern) != 1:
             continue
-        *w, b = linalg.clear_denominators(kern[0])
+        *w, b = kern[0]
         values = [_dot(w, c) for c in charted]
         top, bottom = max(values), min(values)
         if top == b and bottom < b:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .guards import ResourceLimit
+from .guards import ResourceLimit, degree_guard
 from .poly import Exponent, Polynomial
 
 MAX_GROUND_SET = 20
@@ -94,8 +94,13 @@ class SetFunction:
 
     @classmethod
     def from_json(cls, text: str) -> "SetFunction":
+        """Read {"n": ..., "values": [...]}; ValueError on a non-integer n or value."""
         data = json.loads(text)
-        return cls(int(data["n"]), [int(v) for v in data["values"]])
+        n, values = data["n"], list(data["values"])
+        for x in (n, *values):
+            if type(x) is not int:  # JSON 1.7 is a float and true a bool: never truncate
+                raise ValueError(f"{json.dumps(x)} is not an integer")
+        return cls(n, values)
 
     @classmethod
     def uniform_matroid(cls, rank: int, n: int) -> "SetFunction":
@@ -344,7 +349,12 @@ class ZeroRestrictionError(ValueError):
 
 
 def hyperbolic_rank(h: Polynomial, base: Sequence, direction: Sequence) -> int:
-    """Degree of t -> h(base + t*direction); error if identically zero."""
+    """Degree of t -> h(base + t*direction); error if identically zero.
+
+    Raises ResourceLimit above MAX_CERTIFY_DEGREE; the work is quadratic in the degree.
+    """
+    if guard := degree_guard(h.total_degree):
+        raise ResourceLimit(guard)
     coeffs = h.substitute_line(base, direction)
     if not coeffs:
         raise ZeroRestrictionError("polynomial vanishes identically on the line")

@@ -3,6 +3,7 @@
 import random
 import sys
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -29,6 +30,7 @@ from helpers import (
     random_mconvex_support,
     random_positive_polynomial,
     random_product_of_linear_forms,
+    reference_char_poly,
 )
 
 
@@ -109,6 +111,52 @@ def test_hessian_eigenvalue_count():
     assert positive_eigenvalue_count(_hessian(q2)) == 2
     q3 = Polynomial.zero(2)
     assert positive_eigenvalue_count(_hessian(q3)) == 0
+
+
+def _symmetric_draw(rng, n, kind):
+    """A seeded symmetric rational matrix of the given kind, denominators 1-3."""
+    if kind == "negative-definite":  # -(B B^T + I)
+        b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        return [
+            [-sum(x * y for x, y in zip(b[i], b[j])) - (i == j) for j in range(n)]
+            for i in range(n)
+        ]
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    if kind == "zero-diagonal":
+        for i in range(n):
+            m[i][i] = 0
+    elif kind == "singular" and n > 1:  # the last row and column repeat the first
+        m[-1] = list(m[0])
+        for row in m:
+            row[-1] = row[0]
+        m[-1][-1] = m[0][0]
+    return m
+
+
+def test_inertia_count_matches_characteristic_polynomial():
+    # A real symmetric matrix has only real eigenvalues, so the sign changes
+    # of det(tI - M) count the positive ones (Descartes' rule).
+    rng = random.Random(74)
+    kinds = ("random", "zero-diagonal", "singular", "negative-definite")
+    zero_diagonal = 0
+    for trial in range(600):
+        n = rng.randint(1, 5)
+        kind = kinds[trial % len(kinds)]
+        m = _symmetric_draw(rng, n, kind)
+        signs = [c > 0 for c in reference_char_poly(m) if c]
+        expected = sum(a != b for a, b in zip(signs, signs[1:]))
+        assert positive_eigenvalue_count(m) == expected, m
+        if kind == "negative-definite":
+            assert expected == 0
+        # a zero diagonal with an entry off it runs the row-and-column addition
+        zero_diagonal += kind == "zero-diagonal" and any(any(row) for row in m)
+    assert zero_diagonal >= 100
+    # zero diagonals with known spectra: {2, -1, -1} and {1, -1, 2}
+    assert positive_eigenvalue_count([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == 1
+    assert positive_eigenvalue_count([[0, 1, 0], [1, 0, 0], [0, 0, 2]]) == 2
 
 
 def test_hessian_failures_match_iterated_partials():
@@ -234,7 +282,7 @@ def test_singular_cubic_explicit_intersection_point():
 
     ideal = toric_ideal(space.columns)
     for g in ideal.generators:
-        assert g.evaluate(vec) == 0
+        assert sum(c * prod(v**e for v, e in zip(vec, m)) for m, c in g.items()) == 0
 
 
 def test_centre_disjoint_smooth_cubic_all_orders():

@@ -176,6 +176,21 @@ def test_rank_command(capsys):
     assert "rank: 1" in out
 
 
+def test_rank_stops_at_the_degree_guard(capsys):
+    args = ("--vars", "x,y", "--at", "1,1", "--dir", "1,1", "--format", "json")
+    code, out, _ = run(capsys, "rank", "x^11*y", *args)
+    assert code == 0 and json.loads(out)["rank"] == 12
+    code, out, err = run(capsys, "rank", "x^12*y", *args)
+    detail = "degree guard: total degree 13 exceeds the cap 12"
+    assert code == 3 and err == f"undecided: {detail}\n"
+    assert json.loads(out) == {
+        "schema": "omegalab/1",
+        "command": "rank",
+        "status": "undecided",
+        "detail": detail,
+    }
+
+
 def test_rank_zero_line_is_input_error(capsys):
     code, _, err = run(
         capsys,
@@ -581,7 +596,17 @@ def test_partial_count_guard_text_and_json(capsys):
 
 
 @pytest.mark.parametrize(
-    "text", ["[1,2]", "null", '{"n": 2, "values": 5}', '{"n": null, "values": []}']
+    "text",
+    [
+        "[1,2]",
+        "null",
+        '{"n": 2, "values": 5}',
+        '{"n": null, "values": []}',
+        '{"n": 2, "values": [0, 1.7, 1, 2]}',
+        '{"n": 2.9, "values": [0, 1, 1, 2]}',
+        '{"n": true, "values": [0, 1]}',
+        '{"n": 1, "values": [0, false]}',
+    ],
 )
 def test_setfunction_json_of_the_wrong_shape_exits_usage(capsys, text):
     code, out, err = run(capsys, "polytope", "--setfunction", text)

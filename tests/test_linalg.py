@@ -2,11 +2,9 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from omegalab.linalg import (
-    char_poly,
-    clear_denominators,
-    descartes_positive_roots,
     in_row_space,
     integer_kernel_basis,
     integer_lattice_coordinates,
@@ -18,7 +16,7 @@ from omegalab.linalg import (
     solve,
 )
 
-from helpers import reference_char_poly, reference_rref, reference_solve
+from helpers import reference_kernel, reference_rref, reference_solve
 
 
 def test_rref_and_rank():
@@ -98,31 +96,6 @@ def test_integer_lattice_coordinates():
     assert integer_lattice_coordinates(basis, (1, 1, 1)) is None
 
 
-def test_clear_denominators():
-    assert clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
-    assert clear_denominators([Fraction(-2), Fraction(4)]) == (-1, 2)
-
-
-def test_char_poly_known_matrix():
-    # all-ones off-diagonal 3x3: eigenvalues 2, -1, -1
-    m = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
-    coeffs = char_poly(m)
-    assert coeffs == [1, 0, -3, -2]
-    assert descartes_positive_roots(coeffs) == 1
-
-
-def test_char_poly_block_matrix():
-    m = [[0, 1, 0], [1, 0, 0], [0, 0, 2]]
-    coeffs = char_poly(m)
-    # roots 1, -1, 2
-    assert descartes_positive_roots(coeffs) == 2
-
-
-def test_descartes_skips_zero_coefficients():
-    # t^3 - t = t(t-1)(t+1): one positive root
-    assert descartes_positive_roots([1, 0, -1, 0]) == 1
-
-
 # -- the integer kernel against a Fraction Gauss-Jordan reference ------------------
 
 
@@ -145,6 +118,14 @@ def _matrix(rng, m, n, kind):
     return rows
 
 
+def _primitive(vec):
+    """The primitive integer vector with the direction of a rational vector."""
+    scale = lcm(*(Fraction(x).denominator for x in vec))
+    ints = [int(x * scale) for x in vec]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g else tuple(ints)
+
+
 def _reference_lattice_coordinates(basis, vector):
     sol = reference_solve([[b[i] for b in basis] for i in range(len(vector))], vector)
     if sol is None or any(c.denominator != 1 for c in sol):
@@ -160,16 +141,9 @@ def test_elimination_matches_fraction_reference():
         kind = rng.choice(("int", "sparse", "rational"))
         rows = _matrix(rng, m, n, kind)
         reduced, pivots = reference_rref(rows, n)
-        assert rref(rows, n) == (reduced, pivots)
+        assert rref(rows, n) == ([_primitive(row) for row in reduced], pivots)
         assert rank(rows) == len(pivots)
-        kernel = []
-        for f in (c for c in range(n) if c not in pivots):
-            vec = [Fraction(0)] * n
-            vec[f] = Fraction(1)
-            for row, p in zip(reduced, pivots):
-                vec[p] = -row[f]
-            kernel.append(vec)
-        assert kernel_basis(rows, n) == kernel
+        assert kernel_basis(rows, n) == [_primitive(vec) for vec in reference_kernel(rows, n)]
 
         x = [_entry(rng, kind) for _ in range(n)]
         consistent = [sum(Fraction(a) * b for a, b in zip(row, x)) for row in rows]
@@ -210,17 +184,9 @@ def test_lattice_coordinates_match_fraction_reference():
 def test_empty_and_inconsistent_systems():
     assert rref([]) == ([], []) and rank([]) == 0
     assert rank([[], []]) == 0 and kernel_basis([[], []], 0) == []
-    assert kernel_basis([], 2) == [[1, 0], [0, 1]]
+    assert kernel_basis([], 2) == [(1, 0), (0, 1)]
+    assert rref([[0, 0], [2, -4]]) == ([(1, -2)], [0])
+    assert kernel_basis([[0, 0, 2, -4]], 4) == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 1)]
     assert solve([], []) == [] and solve([], [1]) is None
     assert solve([[], []], [0, 1]) is None
     assert solve([[0, 0]], [0]) == [0, 0]
-
-
-def test_char_poly_matches_principal_minor_reference():
-    rng = random.Random(7)
-    for _ in range(150):
-        n = rng.randint(0, 5)
-        m = _matrix(rng, n, n, rng.choice(("int", "sparse", "rational")))
-        if rng.random() < 0.5:
-            m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-        assert char_poly(m) == reference_char_poly(m)

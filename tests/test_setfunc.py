@@ -244,6 +244,19 @@ def test_hyperbolic_rank_examples():
         hyperbolic_rank(Polynomial.zero(2), [1, 1], [1, 0])
 
 
+def test_hyperbolic_rank_degree_guard_fires_before_any_expansion(monkeypatch):
+    from omegalab.certify import MAX_CERTIFY_DEGREE
+    from omegalab.guards import ResourceLimit
+
+    at_cap = parse_polynomial(f"x^{MAX_CERTIFY_DEGREE - 1}*y", ["x", "y"])
+    assert hyperbolic_rank(at_cap, [1, 1], [1, 1]) == 12
+    over = parse_polynomial(f"x^{MAX_CERTIFY_DEGREE}*y", ["x", "y"])
+    monkeypatch.setattr(Polynomial, "substitute_line", lambda *a: pytest.fail("expanded"))
+    with pytest.raises(ResourceLimit) as err:
+        hyperbolic_rank(over, [1, 1], [1, 1])
+    assert str(err.value) == "degree guard: total degree 13 exceeds the cap 12"
+
+
 def test_polymatroid_from_hyperbolic_matches_support_rank():
     s = elementary_symmetric(2, 3)
     assert polymatroid_from_hyperbolic(s, [1, 1, 1]) == rank_from_support(s.support())
@@ -290,6 +303,18 @@ def test_positive_polynomials_match_support_rank_random():
 def test_json_round_trip():
     text = U24.to_json()
     assert SetFunction.from_json(text) == U24
+
+
+def test_json_names_a_non_integer_value():
+    for text, bad in (
+        ('{"n": 2, "values": [0, 1.7, 1, 2]}', "1.7"),
+        ('{"n": 2.9, "values": [0, 1, 1, 2]}', "2.9"),
+        ('{"n": true, "values": [0, 1]}', "true"),
+        ('{"n": 1, "values": [0, "1"]}', '"1"'),
+    ):
+        with pytest.raises(ValueError) as err:
+            SetFunction.from_json(text)
+        assert str(err.value) == f"{bad} is not an integer"
 
 
 def test_from_bases_uniform():
