@@ -39,7 +39,7 @@ from .groebner import (
 )
 from .guards import MAX_CERTIFY_DEGREE, ResourceLimit, degree_guard
 from .poly import Exponent, Polynomial, grevlex_key
-from .polytope import LatticePolytope, base_polytope, faces, is_smooth, lattice_points
+from .polytope import LatticePolytope, base_polytope, faces, is_simple, lattice_points
 from .setfunc import MAX_GROUND_SET, SetFunction, rank_from_support, truncate, truncation_sum
 
 VERDICT_SMOOTH = "smooth-toric"
@@ -298,7 +298,7 @@ def _decide(
             continue
         on = [(i, c) for i, c, tight in tight_at if face.facets <= tight]
         gens = [g for g in ({c: row[i] for i, c in on if row[i]} for row in space.matrix) if g]
-        verdict = torus_feasible(gens, nvars=h.nvars, max_pairs=max_pairs)
+        verdict = torus_feasible(gens, max_pairs=max_pairs)
         if verdict.is_feasible:
             return report(
                 disjoint="no",
@@ -395,13 +395,14 @@ def certify_smooth(
 
     Verdicts: "smooth-toric" when the support is M-convex and every order's
     centre is disjoint (the emitted polytope is then the summed-truncation
-    base polytope, checked smooth); "criterion-fails" on any intersection
-    (sufficiency only: this does not prove singularity); "not-applicable"
-    for non-M-convex support; "undecided" when a resource guard fired (the
-    total degree exceeds MAX_CERTIFY_DEGREE, the number of variables exceeds
-    the ground-set cap MAX_GROUND_SET, the order-(d-1) partials exceed
-    MAX_PARTIALS, or an order was undecided) or the summed-truncation
-    polytope failed its smoothness self-check, with `detail` naming which.
+    base polytope, checked simple, which is smoothness for a polymatroid
+    polytope); "criterion-fails" on any intersection (sufficiency only: this
+    does not prove singularity); "not-applicable" for non-M-convex support;
+    "undecided" when a resource guard fired (the total degree exceeds
+    MAX_CERTIFY_DEGREE, the number of variables exceeds the ground-set cap
+    MAX_GROUND_SET, the order-(d-1) partials exceed MAX_PARTIALS, or an
+    order was undecided) or the summed-truncation polytope failed its
+    smoothness self-check, with `detail` naming which.
     """
     if h.is_zero:
         raise ValueError("polynomial must be nonzero")
@@ -446,7 +447,7 @@ def certify_smooth(
         verdict = VERDICT_SMOOTH
         summed = truncation_sum(rho, 1)  # the order-1 truncation when d = 2
         body = built[summed] if summed in built else base_polytope(summed)
-        smooth, witness = is_smooth(body)
+        smooth, witness = is_simple(body)
         if not smooth:
             verdict, body = VERDICT_UNDECIDED, None
             detail = (

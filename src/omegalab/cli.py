@@ -28,7 +28,7 @@ from .derivatives import derivative_space
 from .groebner import DEFAULT_MAX_PAIRS
 from .guards import ResourceLimit
 from .poly import ParseError, Polynomial, parse_polynomial
-from .polytope import base_polytope, is_simple, is_smooth, require_greedy
+from .polytope import base_polytope, is_simple, require_greedy
 from .polytope import independence_polytope as build_independence
 from .setfunc import (
     SetFunction,
@@ -218,18 +218,21 @@ def _parse_setfunction_arg(args) -> SetFunction:
         n = args.ground_set or max((max(b) for b in bases), default=0)  # no basis: exits 64 below
         basis_masks(n, bases)  # a bad family exits 64 first
         require_greedy(n)  # every polytope command stops here, before the 2^n table
-        f = SetFunction.from_bases(n, bases)
-    elif args.setfunction:
-        try:
-            f = SetFunction.from_json(args.setfunction)
-        except (ValueError, KeyError, TypeError) as exc:  # TypeError: JSON of the wrong shape
-            raise UsageError(f"bad set function JSON: {exc}")
-    else:
-        raise UsageError("give --matroid or --setfunction")
-    return f
+        return SetFunction.from_bases(n, bases)
+    try:
+        return SetFunction.from_json(args.setfunction)
+    except (ValueError, KeyError, TypeError) as exc:  # TypeError: JSON of the wrong shape
+        raise UsageError(f"bad set function JSON: {exc}")
 
 
 def _cmd_polytope(args) -> int:
+    given = [s for s in (args.matroid, args.setfunction, args.polynomial or args.file) if s]
+    if not given:
+        raise UsageError("give --matroid, --setfunction, or a polynomial")
+    if len(given) > 1:
+        raise UsageError("give only one of --matroid, --setfunction, or a polynomial")
+    if args.ground_set and not args.matroid:
+        raise UsageError("--ground-set applies to --matroid only")
     build = build_independence if args.function == "independence" else base_polytope
     if args.matroid or args.setfunction:
         f = _parse_setfunction_arg(args)
@@ -241,31 +244,29 @@ def _cmd_polytope(args) -> int:
             raise UsageError(
                 f"not a polymatroid: violating pair S={mask_to_set(s)}, T={mask_to_set(t)}"
             )
-    elif args.polynomial or args.file:
+    else:
         h, _, _ = _read_polynomial(args)
         if h.is_zero or not h.is_homogeneous:
             raise UsageError("polynomial input must be nonzero homogeneous")
         f = rank_from_support(h.support())
         body = None if args.function == "bar" else build(f)
-    else:
-        raise UsageError("give --matroid, --setfunction, or a polynomial")
     if args.function == "bar":
         body = base_polytope(truncation_sum(f))
+    # every body is a polymatroid polytope, where simple is smooth
     simple, _ = is_simple(body)
-    smooth, _ = is_smooth(body)
     payload = {
         "command": "polytope",
         "function": args.function,
         **body.to_json_dict(),
         "simple": simple,
-        "smooth": smooth,
+        "smooth": simple,
     }
     lines = [
         f"{args.function} polytope: dim {body.dim}, {len(body.vertices)} vertices, "
         f"{len(body.inequalities)} facets",
         f"vertices: {[list(v) for v in body.vertices]}",
         f"simple: {simple}",
-        f"smooth: {smooth}",
+        f"smooth: {simple}",
     ]
     _emit(args, payload, lines)
     return 0

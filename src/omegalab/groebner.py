@@ -9,11 +9,12 @@ the torus-feasibility decisions used by the smoothness criterion:
     and tests whether the saturated ideal is the unit ideal.
 
 Every operation takes and returns integer term dictionaries (IntPoly) keyed by
-exponent tuples, toric generators included; only `torus_feasible` also accepts
-a `Polynomial`, which it turns into an IntPoly once, at entry.  A monomial
-order is a `MonomialOrder`, or None for grevlex in index order.  Inside the
-Buchberger kernel a monomial is one int K = top * 2^s - E: E packs the
-exponents in w-bit fields, placed by the order's ranking of the variables,
+exponent tuples, toric generators included; a caller holding a `Polynomial`
+converts it with `poly_to_intdict`.  A monomial order is a `MonomialOrder`, or
+None for grevlex in index order.
+
+Inside the Buchberger kernel a monomial is one int K = top * 2^s - E: E packs
+the exponents in w-bit fields, placed by the order's ranking of the variables,
 and top is the degree (plus, for an elimination order, the eliminated
 exponent shifted above it).  K's integer order is the monomial order and K is
 linear in the exponents, so a product is `+` and a leading term is `max`;
@@ -54,7 +55,7 @@ UNDECIDED = "undecided"
 @dataclass(frozen=True)
 class FeasibilityVerdict:
     status: str  # feasible | infeasible | undecided
-    method: str  # linear-algebra | groebner | toric-oracle
+    method: str  # linear-algebra | groebner
     certificate: object = None
 
     @property
@@ -440,35 +441,28 @@ def _linear_verdict(live: list[IntPoly], nvars: int) -> FeasibilityVerdict:
 
 
 def torus_feasible(
-    system: Iterable[IntPoly | Polynomial],
-    nvars: int | None = None,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
+    system: Iterable[IntPoly], max_pairs: int = DEFAULT_MAX_PAIRS
 ) -> FeasibilityVerdict:
     """Common zero with all coordinates nonzero, over the algebraic closure.
 
-    The generators are integer term dictionaries (IntPoly) or Polynomials; a
-    Polynomial becomes an IntPoly by poly_to_intdict at entry, so both take
-    the same path.  Linear systems are decided by one integer kernel, others
-    by the unit-ideal test of the dehomogenized Rabinowitsch system.
+    The generators are integer term dictionaries (IntPoly), and the variable
+    count is the length of their exponents.  Linear systems are decided by
+    one integer kernel, others by the unit-ideal test of the dehomogenized
+    Rabinowitsch system.
     """
     sizes: set[int] = set()
     live: list[IntPoly] = []
     for g in system:
-        if isinstance(g, Polynomial):
-            sizes.add(g.nvars)
-            g = poly_to_intdict(g)
         sizes.update(map(len, g))
         if g := {m: c for m, c in g.items() if c}:
             live.append(g)
-    nvars = max(sizes, default=None) if nvars is None else nvars
-    if nvars is None:
-        raise ValueError("cannot infer the variable count of an empty system")
-    if sizes - {nvars}:
+    if len(sizes) > 1:
         raise ValueError("generator variable count mismatch")
     if not all(map(_is_standard_homogeneous, live)):
         raise ValueError("torus feasibility requires homogeneous generators")
     if not live:
         return FeasibilityVerdict(FEASIBLE, "linear-algebra", ("empty-system", None))
+    (nvars,) = sizes
     degrees = [sum(next(iter(g))) for g in live]
     if 0 in degrees:
         return FeasibilityVerdict(INFEASIBLE, "linear-algebra", ("constant", None))

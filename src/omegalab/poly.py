@@ -69,10 +69,6 @@ class Polynomial:
         return cls(nvars, {})
 
     @classmethod
-    def monomial(cls, nvars: int, exponent: Sequence[int], coeff=1) -> "Polynomial":
-        return cls(nvars, {tuple(exponent): Fraction(coeff)})
-
-    @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range")

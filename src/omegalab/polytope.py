@@ -16,9 +16,10 @@ the dimension is the ambient dimension less the number of affine-hull
 equations, the facets are the maximal proper tight sets, a vertex is the
 only point on every facet through it, and a face's dimension follows from
 the meets of the face lattice.  Simplicity and smoothness need no face
-lattice: a vertex is simple when it lies on dim facets, each of its edges is
-then the meet of all but one of them, and lattice smoothness is one
-determinant per vertex.
+lattice: a vertex is simple when it lies on dim facets.  On a polymatroid
+polytope simple is already smooth (see `is_simple`); for a generic lattice
+polytope each edge at a simple vertex is the meet of all but one of its
+facets, and lattice smoothness is one determinant per vertex.
 """
 
 from __future__ import annotations
@@ -462,31 +463,37 @@ def faces(p: LatticePolytope) -> list[Face]:
     return result
 
 
-def _simple_witness(p: LatticePolytope, masks: list[int]) -> Point | None:
-    """The first vertex not on exactly dim facets, hence not on exactly dim
-    edges (Ziegler, Lectures on Polytopes, 2.5), if any."""
-    counts = ((v, sum(m >> i & 1 for m in masks)) for i, v in enumerate(p.vertices))
-    return next((v for v, count in counts if count != p.dim), None)
-
-
 def is_simple(p: LatticePolytope) -> tuple[bool, Point | None]:
-    """Every vertex on exactly dim edges; returns (verdict, witness vertex)."""
-    witness = _simple_witness(p, _facet_masks(p))
+    """Every vertex on exactly dim edges; returns (verdict, witness vertex).
+
+    A vertex is on exactly dim edges iff it is on exactly dim facets (Ziegler,
+    Lectures on Polytopes, 2.5), and the witness is the first vertex that is
+    not.  On a polymatroid polytope (every `base_polytope` and
+    `independence_polytope`) simple is the same as lattice smooth: each edge
+    is parallel to some e_i or e_i - e_j (Topkis 1984), so the dim primitive
+    edge vectors at a simple vertex are independent columns of a totally
+    unimodular matrix and form a lattice basis (Schrijver 1986, ch. 19).
+    """
+    masks = _facet_masks(p)
+    counts = ((v, sum(m >> i & 1 for m in masks)) for i, v in enumerate(p.vertices))
+    witness = next((v for v, count in counts if count != p.dim), None)
     return witness is None, witness
 
 
 def is_smooth(p: LatticePolytope) -> tuple[bool, Point | None]:
     """Simple with a lattice basis of primitive edge vectors at every vertex.
 
-    At a simple vertex each edge is the meet of all but one of its dim facets.
-    The primitive edge vectors U lie in the saturated direction lattice with
-    basis B, so U = T B for an integer T, and they are a lattice basis iff
-    |det T| = 1, iff |det U_R| = |det B_R| on pivot columns R of B.
+    The determinant test for a generic lattice polytope; on a polymatroid
+    polytope `is_simple` gives the same answer.  At a simple vertex each edge
+    is the meet of all but one of its dim facets.  The primitive edge vectors
+    U lie in the saturated direction lattice with basis B, so U = T B for an
+    integer T, and they are a lattice basis iff |det T| = 1, iff
+    |det U_R| = |det B_R| on pivot columns R of B.
     """
-    masks = _facet_masks(p)
-    witness = _simple_witness(p, masks)
-    if witness is not None:
+    simple, witness = is_simple(p)
+    if not simple:
         return False, witness
+    masks = _facet_masks(p)
     full = (1 << len(p.vertices)) - 1
     basis = linalg.integer_kernel_basis([a for a, _ in p.equations], p.ambient_dim)
     _, cols = linalg.rref(basis)

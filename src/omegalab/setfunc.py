@@ -254,16 +254,6 @@ class SimplicityReport:
     kind: str | None = None  # "meet-join" or "partition"
     witness: tuple | None = None
 
-    def describe(self) -> str:
-        if self.holds:
-            return "simplicity conditions hold"
-        if self.kind == "meet-join":
-            s, t = self.witness
-            return f"meet-join condition fails at S={mask_to_set(s)}, T={mask_to_set(t)}"
-        parts, s = self.witness
-        shown = ", ".join(str(mask_to_set(p)) for p in parts)
-        return f"partition condition fails at parts ({shown}) inside S={mask_to_set(s)}"
-
 
 def _partitions_of_mask(mask: int):
     """All partitions of the subset `mask` into >= 1 nonempty blocks."""

@@ -393,7 +393,7 @@ def test_failed_self_check_is_undecided(monkeypatch):
     def not_smooth(body):
         return False, body.vertices[-1]
 
-    monkeypatch.setattr(omegalab.certify, "is_smooth", not_smooth)
+    monkeypatch.setattr(omegalab.certify, "is_simple", not_smooth)
     cert = certify_smooth(elementary_symmetric(2, 3))
     assert cert.verdict == "undecided"
     assert cert.polytope is None
@@ -692,10 +692,11 @@ def test_one_torus_feasibility_call_per_face_orbit(monkeypatch):
 def _cap_on_calls(monkeypatch, capped_calls):
     """Make the given torus feasibility calls (counted from 1) hit the pair cap."""
     import omegalab.certify as certify
+    from omegalab.groebner import poly_to_intdict
 
     system = [
-        parse_polynomial("x^3 - 2*x*y*z + y*z^2", ["x", "y", "z"]),
-        parse_polynomial("x^2*y - 2*y^2*z + x*z^2", ["x", "y", "z"]),
+        poly_to_intdict(parse_polynomial("x^3 - 2*x*y*z + y*z^2", ["x", "y", "z"])),
+        poly_to_intdict(parse_polynomial("x^2*y - 2*y^2*z + x*z^2", ["x", "y", "z"])),
     ]
     capped = certify.torus_feasible(system, max_pairs=1)
     assert capped.status == "undecided"
@@ -743,7 +744,7 @@ def _restrict(p, allowed):
 def test_certificate_is_invariant_under_variable_permutation():
     from omegalab import base_polytope, faces, rank_from_support, truncate
     from omegalab.derivatives import derivative_space
-    from omegalab.groebner import torus_feasible
+    from omegalab.groebner import poly_to_intdict, torus_feasible
 
     rng = random.Random(8080)
     witnesses = 0
@@ -769,8 +770,8 @@ def test_certificate_is_invariant_under_variable_permutation():
                 c for c in space.columns
                 if all(sum(x * y for x, y in zip(a, c)) == b for a, b in facets)
             }
-            gens = [_restrict(g, on_face) for g in space.basis]
-            assert torus_feasible([g for g in gens if not g.is_zero], nvars=h.nvars).is_feasible
+            gens = [poly_to_intdict(_restrict(g, on_face)) for g in space.basis]
+            assert torus_feasible(gens).is_feasible
             witnesses += 1
         if base.polytope is not None:
             assert moved.polytope.vertices == tuple(

@@ -342,7 +342,7 @@ def test_probe_trials_cap_exits_usage(capsys):
 def test_certify_failed_self_check_prints_payload(capsys, monkeypatch):
     import omegalab.certify
 
-    monkeypatch.setattr(omegalab.certify, "is_smooth", lambda body: (False, body.vertices[0]))
+    monkeypatch.setattr(omegalab.certify, "is_simple", lambda body: (False, body.vertices[0]))
     code, out, _ = run(capsys, "certify", "--format", "json", "--vars", "x,y,z", "x*y+x*z+y*z")
     assert code == 3
     payload = json.loads(out)
@@ -628,3 +628,25 @@ def test_matroid_without_a_basis_exits_usage(capsys):
         code, out, err = run(capsys, "polytope", "--matroid", text)
         assert code == 64 and out == ""
         assert err == "error: at least one basis is required\n"
+
+
+ONE_INPUT = "error: give only one of --matroid, --setfunction, or a polynomial\n"
+GROUND_SET = "error: --ground-set applies to --matroid only\n"
+PAIR = '{"n": 2, "values": [0, 1, 1, 2]}'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--matroid", "12,13", "--setfunction", PAIR], ONE_INPUT),
+        (["--matroid", "12", "--vars", "x,y", "x*y"], ONE_INPUT),
+        (["--matroid", "12", "--vars", "x,y", "--file", "h.poly"], ONE_INPUT),
+        (["--setfunction", PAIR, "--vars", "x,y", "x*y"], ONE_INPUT),
+        (["--setfunction", PAIR, "--ground-set", "5"], GROUND_SET),
+        (["--vars", "x,y", "x*y", "--ground-set", "2"], GROUND_SET),
+    ],
+)
+def test_polytope_conflicting_inputs_exit_usage(capsys, argv, message):
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "polytope", "--format", fmt, *argv)
+        assert (code, out, err) == (64, "", message)

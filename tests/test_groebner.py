@@ -38,6 +38,10 @@ def I(text, names):
     return poly_to_intdict(P(text, names))
 
 
+def _ints(polys):
+    return [poly_to_intdict(g) for g in polys]
+
+
 def s_poly(f, g):
     """S-polynomial of integer term dicts under grevlex, computed on exponent tuples."""
     lf, lg = (max(p, key=grevlex_key) for p in (f, g))
@@ -152,9 +156,9 @@ def test_reduction_sequence_pinned(monkeypatch):
     runs = [
         (lambda: toric_ideal(sorted(elementary_symmetric(2, 5).support())), 243,
          "e8fda8e9dca35499ab8d956c9709d6dc7c4d41d71ae6319c040c6be69a8f14d9"),
-        (lambda: torus_feasible(derivative_space(e35, 1).basis, nvars=5), 20,
+        (lambda: torus_feasible(_ints(derivative_space(e35, 1).basis)), 20,
          "2dccce12408f2abb0d5ee32838eb1ac970939e6da501d1e5cd6e9cb86688add9"),
-        (lambda: torus_feasible(derivative_space(quartic, 1).basis, nvars=4), 100,
+        (lambda: torus_feasible(_ints(derivative_space(quartic, 1).basis)), 100,
          "e07a5ad9810399d668ae5d3e3ab58bb4c6505d3037602063062029f34ad42258"),
     ]
     for run, count, digest in runs:
@@ -228,52 +232,54 @@ def test_basis_independent_of_generator_order():
 
 def test_linear_feasibility_examples():
     names = ["x1", "x2"]
-    assert torus_feasible([P("x1 - x2", names)]).is_feasible
-    verdict = torus_feasible([P("x1 + x2", names), P("x1 - x2", names)])
+    assert torus_feasible([I("x1 - x2", names)]).is_feasible
+    verdict = torus_feasible([I("x1 + x2", names), I("x1 - x2", names)])
     assert verdict.is_infeasible
     assert verdict.certificate[0] == "zero-kernel"
     # kernel contained in a coordinate hyperplane (a lone monomial such as x1
     # is settled before the linear path, by the monomial shortcut)
     names = ["x1", "x2", "x3"]
-    verdict2 = torus_feasible([P("x1 + x2", names), P("x1 - x2", names)])
+    verdict2 = torus_feasible([I("x1 + x2", names), I("x1 - x2", names)])
     assert verdict2.is_infeasible
     assert verdict2.certificate == ("coordinate-hyperplane", 0)
 
 
 def test_torus_feasible_quadric_examples():
     names = ["x1", "x2"]
-    assert torus_feasible([P("x1^2 - x2^2", names)]).is_feasible
-    verdict = torus_feasible([P("x1^2 + x2^2", names), P("x1*x2", names)])
+    assert torus_feasible([I("x1^2 - x2^2", names)]).is_feasible
+    verdict = torus_feasible([I("x1^2 + x2^2", names), I("x1*x2", names)])
     assert verdict.is_infeasible
 
 
 def test_torus_feasible_monomial_shortcut():
-    verdict = torus_feasible([P("3*x1^2*x2", ["x1", "x2"])])
+    verdict = torus_feasible([I("3*x1^2*x2", ["x1", "x2"])])
     assert verdict.is_infeasible
     assert verdict.certificate[0] == "monomial"
 
 
 def test_torus_feasible_empty_system():
-    assert torus_feasible([], nvars=3).is_feasible
+    assert torus_feasible([]).is_feasible
+    # zero generators carry no equation, whatever their exponent length
+    assert torus_feasible([{}, {(0, 0, 0): 0}]).is_feasible
 
 
 def test_torus_feasible_requires_homogeneous():
     with pytest.raises(ValueError):
-        torus_feasible([P("x1^2 + x2", ["x1", "x2"])])
+        torus_feasible([I("x1^2 + x2", ["x1", "x2"])])
 
 
 def test_torus_feasible_undecided_propagates():
     gens = [
-        P("x^3 - 2*x*y*z + y*z^2", ["x", "y", "z"]),
-        P("x^2*y - 2*y^2*z + x*z^2", ["x", "y", "z"]),
+        I("x^3 - 2*x*y*z + y*z^2", ["x", "y", "z"]),
+        I("x^2*y - 2*y^2*z + x*z^2", ["x", "y", "z"]),
     ]
     verdict = torus_feasible(gens, max_pairs=1)
     assert verdict.status == "undecided"
 
 
 def test_poly_system_validates_variable_count():
-    with pytest.raises(ValueError):
-        torus_feasible([Polynomial.zero(3)], nvars=2)
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        torus_feasible([I("x1 - x2", ["x1", "x2", "x3"]), I("x1 - x2", ["x1", "x2"])])
 
 
 def _rational_torus_witness(gens, nvars, bound=3):
@@ -334,17 +340,17 @@ def test_feasibility_agrees_with_rational_witness_search():
     for nvars, gens in _witness_search_systems():
         witness = _rational_torus_witness(gens, nvars, bound=2)
         if witness is not None:
-            assert torus_feasible(gens, nvars=nvars).is_feasible
+            assert torus_feasible(_ints(gens)).is_feasible
             found += 1
     assert found >= 10
 
 
 def test_linear_path_agrees_with_groebner_path():
     for nvars, gens in _linear_systems():
-        fast = torus_feasible(gens, nvars=nvars)
+        fast = torus_feasible(_ints(gens))
         # force the general machinery by squaring every generator
         squared = [g * g for g in gens]
-        slow = torus_feasible(squared, nvars=nvars)
+        slow = torus_feasible(_ints(squared))
         assert fast.status == slow.status, (gens, fast, slow)
 
 
@@ -353,14 +359,12 @@ def test_integer_and_polynomial_generators_agree():
     for nvars, gens in _linear_systems():
         systems += [(nvars, gens), (nvars, [g * g for g in gens])]
     methods = set()
-    for nvars, gens in systems:
-        exact = torus_feasible(gens, nvars=nvars)
-        ints = [poly_to_intdict(g) for g in gens]
+    for _, gens in systems:
+        ints = _ints(gens)
+        exact = torus_feasible(ints)
         # a rescaled, non-primitive system has the same zeros and certificate
         scaled = [{m: -6 * c for m, c in g.items()} for g in ints]
-        for system in (ints, scaled):
-            assert torus_feasible(system, nvars=nvars) == exact, (gens, exact)
-            assert torus_feasible(system) == exact, (gens, exact)
+        assert torus_feasible(scaled) == exact, (gens, exact)
         methods.add((exact.method, exact.certificate[0]))
     assert {
         ("linear-algebra", "kernel-basis"),
@@ -373,15 +377,11 @@ def test_integer_and_polynomial_generators_agree():
 
 def test_torus_feasible_rejects_malformed_integer_generators():
     with pytest.raises(ValueError, match="variable count mismatch"):
-        torus_feasible([{(1, 0): 1, (0, 1): -1}], nvars=3)
-    with pytest.raises(ValueError, match="variable count mismatch"):
         torus_feasible([{(1, 0): 1, (0, 1): -1}, {(1, 0, 0): 1, (0, 0, 1): 2}])
     with pytest.raises(ValueError, match="homogeneous"):
         torus_feasible([{(2, 0): 1, (0, 1): -1}])
     with pytest.raises(ValueError, match="homogeneous"):
-        torus_feasible([{(1, 1): 1, (2, 0): 3}, {(1, 0): 1, (0, 0): -1}], nvars=2)
-    with pytest.raises(ValueError, match="cannot infer"):
-        torus_feasible([{}])
+        torus_feasible([{(1, 1): 1, (2, 0): 3}, {(1, 0): 1, (0, 0): -1}])
 
 
 def test_saturation_routes_agree_on_lattice_ideals():

@@ -466,6 +466,48 @@ def test_simplicity_and_smoothness_match_the_face_lattice_reference():
     assert min(counts.values()) >= 40, counts
 
 
+def _direct_sum(f: SetFunction, g: SetFunction) -> SetFunction:
+    """f on the first f.n elements and g on the rest."""
+    low = (1 << f.n) - 1
+    return SetFunction(
+        f.n + g.n, [f.values[m & low] + g.values[m >> f.n] for m in range(1 << f.n + g.n)]
+    )
+
+
+def _polymatroid_draw(rng: random.Random, kind: int) -> SetFunction:
+    """Kind 0 a polymatroid, 1 a matroid, 2 a direct sum of two of either,
+    3 the summed truncation of either."""
+    def piece(n):
+        return random_polymatroid(rng, n, 3) if rng.random() < 0.5 else random_matroid(rng, n, 3)
+
+    if kind == 0:
+        return random_polymatroid(rng, rng.randint(1, 5), 4)
+    if kind == 1:
+        return random_matroid(rng, rng.randint(1, 5), 3)
+    if kind == 2:
+        split = rng.randint(1, 4)
+        return _direct_sum(piece(split), piece(rng.randint(1, 5 - split)))
+    return truncation_sum(piece(rng.randint(1, 4)))
+
+
+def test_simple_is_smooth_on_polymatroid_polytopes():
+    # Every edge of a polymatroid polytope is parallel to some e_i or
+    # e_i - e_j (Topkis 1984), so the certificate reads smoothness as simplicity.
+    rng = random.Random(1984)
+    counts = Counter()
+    for draw in range(400):
+        f = _polymatroid_draw(rng, draw % 4)
+        base = base_polytope(f)
+        counts["disconnected"] += f.n - base.dim >= 2  # n - dim is the component count
+        counts["looped"] += any(f.values[1 << i] == 0 for i in range(f.n))
+        for body in (base, independence_polytope(f)):
+            simple = is_simple(body)
+            assert is_smooth(body) == simple, f.values
+            assert reference_is_smooth(body)[0] == simple[0], f.values
+            counts["not simple"] += not simple[0]
+    assert min(counts[k] for k in ("disconnected", "looped", "not simple")) >= 40, counts
+
+
 def test_greedy_vertices_match_basic_feasible_points():
     from fractions import Fraction
 
