@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -165,15 +165,15 @@ def is_lorentzian(h: Polynomial, mconvex: bool | None = None) -> LorentzianRepor
         raise ResourceLimit(guard)
     if mconvex is None:
         mconvex = is_mconvex(h.support())[0]
-    nonneg = all(c > 0 for c in h.terms.values())
+    terms = h.integer_terms()[1]
+    nonneg = all(c > 0 for c in terms.values())
     # A term c_m x^m puts c_m * m! (m! = prod m_l!) at (i, j) of the Hessian of
-    # the order-(d-2) partial at the multiset a = m - e_i - e_j.  The entries are
-    # scaled by the lcm of h's denominators, which keeps the eigenvalues' signs.
+    # the order-(d-2) partial at the multiset a = m - e_i - e_j.  The entries
+    # come from h's integer view, whose positive scale keeps the eigenvalues' signs.
     n = h.nvars
-    scale = lcm(*(c.denominator for c in h.terms.values()))
     hessians: dict[Exponent, list[list[int]]] = defaultdict(lambda: [[0] * n for _ in range(n)])
-    for m, c in h.items():
-        weight = c.numerator * (scale // c.denominator) * prod(map(factorial, m))
+    for m, c in terms.items():
+        weight = c * prod(map(factorial, m))
         for i, j in combinations_with_replacement([i for i in range(n) if m[i]], 2):
             a = list(m)
             a[i] -= 1
@@ -507,7 +507,4 @@ def smoothable_probe(
         terms = {p: Fraction(rng.randint(1, PROBE_MAX_COEFF)) for p in pts}
         cert = certify_smooth(Polynomial(nvars, terms), max_pairs=max_pairs)
         verdicts.append(cert.verdict)
-    counts: dict[str, int] = {}
-    for v in verdicts:
-        counts[v] = counts.get(v, 0) + 1
-    return ProbeReport(trials, seed, tuple(verdicts), counts)
+    return ProbeReport(trials, seed, tuple(verdicts), dict(Counter(verdicts)))

@@ -233,6 +233,8 @@ def _cmd_polytope(args) -> int:
         raise UsageError("give only one of --matroid, --setfunction, or a polynomial")
     if args.ground_set and not args.matroid:
         raise UsageError("--ground-set applies to --matroid only")
+    if args.vars and (args.matroid or args.setfunction):
+        raise UsageError("--vars applies to a polynomial only")
     build = build_independence if args.function == "independence" else base_polytope
     if args.matroid or args.setfunction:
         f = _parse_setfunction_arg(args)

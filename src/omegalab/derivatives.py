@@ -9,11 +9,14 @@ the derivative span).  The kernel of that matrix is the projection centre.
 The partials are read off the coefficients: for a multiset a of variable
 indices, the order-|a| partial of sum c_m x^m is the sum over m >= a of
 c_m * prod_l m_l!/(m_l - a_l)! * x^(m - a), with no cancellation, as
-distinct m give distinct m - a.
+distinct m give distinct m - a.  They are read off h's integer view s*h
+(`Polynomial.integer_terms`), whose positive scale changes neither supports
+nor primitive echelon rows; only `all_partials` divides by s again.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -41,17 +44,24 @@ def partials_guard(nvars: int, k: int) -> str | None:
 
 @dataclass(frozen=True)
 class DerivativeSpace:
-    """Echelon basis of the span of all order-k partials of one polynomial."""
+    """Echelon basis of the span of all order-k partials of one polynomial,
+    stored once as the integer `matrix`; `basis` builds its rows as polynomials."""
 
     order: int
     nvars: int
-    basis: tuple[Polynomial, ...]
     columns: tuple[Exponent, ...]  # union of the partials' supports, descending grevlex
-    matrix: tuple[tuple[int, ...], ...]  # len(basis) x len(columns), primitive rows
+    matrix: tuple[tuple[int, ...], ...]  # m_k x len(columns), primitive RREF rows
 
     @property
     def span_dimension(self) -> int:
-        return len(self.basis)
+        return len(self.matrix)
+
+    @property
+    def basis(self) -> tuple[Polynomial, ...]:
+        return tuple(
+            Polynomial(self.nvars, {c: x for c, x in zip(self.columns, row) if x})
+            for row in self.matrix
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -62,30 +72,33 @@ class DerivativeSpace:
         }
 
 
-def _partial_terms(h: Polynomial, k: int) -> list[dict[Exponent, Fraction]]:
-    """The term dicts of all_partials(h, k), in its order and with its guard."""
+def _partial_terms(h: Polynomial, k: int) -> tuple[int, list[dict[Exponent, int]]]:
+    """(s, the int term dicts of s times all_partials(h, k)), in its order and
+    with its guard, for s the scale of h's integer view."""
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
     if guard := partials_guard(h.nvars, k):
         raise ResourceLimit(guard)
+    s, terms = h.integer_terms()
     out = []
     for multi in combinations_with_replacement(range(h.nvars), k):
         a = [multi.count(i) for i in range(h.nvars)]
-        shifted = ((tuple(map(sub, m, a)), m, c) for m, c in h.items())
+        shifted = ((tuple(map(sub, m, a)), m, c) for m, c in terms.items())
         out.append({e: c * prod(map(perm, m, a)) for e, m, c in shifted if min(e, default=0) >= 0})
-    return out
+    return s, out
 
 
 def all_partials(h: Polynomial, k: int) -> list[Polynomial]:
     """Every order-k partial derivative, one per multiset of variable indices.
 
     Raises ResourceLimit above MAX_PARTIALS partials, before building any."""
-    return [Polynomial(h.nvars, g) for g in _partial_terms(h, k)]
+    s, partials = _partial_terms(h, k)
+    return [Polynomial(h.nvars, {e: Fraction(c, s) for e, c in g.items()}) for g in partials]
 
 
 def derivative_support(h: Polynomial, k: int) -> frozenset[Exponent]:
     """Union of the supports of all order-k partials."""
-    return frozenset().union(*_partial_terms(h, k))
+    return frozenset().union(*_partial_terms(h, k)[1])
 
 
 def derivative_space(h: Polynomial, k: int) -> DerivativeSpace:
@@ -94,12 +107,10 @@ def derivative_space(h: Polynomial, k: int) -> DerivativeSpace:
         raise ValueError("polynomial must be nonzero and homogeneous")
     if not 1 <= k < h.total_degree:
         raise ValueError(f"order {k} out of range 1..{h.total_degree - 1}")
-    partials = [g for g in _partial_terms(h, k) if g]
+    partials = [g for g in _partial_terms(h, k)[1] if g]
     columns = tuple(sorted(set().union(*partials), key=grevlex_key, reverse=True))
     reduced, _ = linalg.rref([[g.get(c, 0) for c in columns] for g in partials], len(columns))
-    matrix = tuple(reduced)
-    basis = tuple(Polynomial(h.nvars, {c: x for c, x in zip(columns, row) if x}) for row in matrix)
-    return DerivativeSpace(k, h.nvars, basis, columns, matrix)
+    return DerivativeSpace(k, h.nvars, columns, tuple(reduced))
 
 
 def projection_centre(space: DerivativeSpace) -> list[tuple[int, ...]]:
@@ -139,13 +150,8 @@ def elementary_symmetric(degree: int, nvars: int) -> Polynomial:
     """Sum of all squarefree degree-d monomials in n variables."""
     if not 1 <= degree <= nvars:
         raise ValueError("need 1 <= degree <= nvars")
-    terms = {}
-    for subset in combinations(range(nvars), degree):
-        exponent = [0] * nvars
-        for i in subset:
-            exponent[i] = 1
-        terms[tuple(exponent)] = Fraction(1)
-    return Polynomial(nvars, terms)
+    subsets = combinations(range(nvars), degree)
+    return Polynomial(nvars, {tuple(int(i in s) for i in range(nvars)): 1 for s in subsets})
 
 
 @dataclass(frozen=True)
@@ -172,24 +178,14 @@ def binomial_identity_report(n: int, d: int, k: int) -> SubsetIdentityReport:
         raise ValueError("need 1 <= k < d")
     size = d - k
     coefficient = comb(n + k - 1 - d, n - d)
-    holds = True
-    nonzero_seen = False
+    holds, nonzero_seen = True, False
     for i in range(n):
         others = [j for j in range(n) if j != i]
-        lhs: dict[frozenset, int] = {}
-        for s in combinations(others, size):
-            lhs[frozenset(s)] = coefficient
-        rhs: dict[frozenset, int] = {}
-        for t in combinations(others, n - k):
-            for s in combinations(t, size):
-                key = frozenset(s)
-                rhs[key] = rhs.get(key, 0) + 1
-        lhs = {s: c for s, c in lhs.items() if c}
-        rhs = {s: c for s, c in rhs.items() if c}
-        if lhs or rhs:
-            nonzero_seen = True
-        if lhs != rhs:
-            holds = False
+        lhs = {frozenset(s): coefficient for s in combinations(others, size)}  # coefficient > 0
+        tops = combinations(others, n - k)
+        rhs = Counter(frozenset(s) for t in tops for s in combinations(t, size))
+        nonzero_seen |= bool(lhs or rhs)
+        holds &= lhs == dict(rhs)
     return SubsetIdentityReport(holds, coefficient, not nonzero_seen)
 
 

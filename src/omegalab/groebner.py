@@ -86,10 +86,7 @@ def _content_strip(p: dict, key: Callable[[Exponent], tuple] | None = None) -> d
 
 
 def poly_to_intdict(p: Polynomial) -> IntPoly:
-    lcm = 1
-    for c in p.terms.values():
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    return _content_strip({m: int(c * lcm) for m, c in p.items()}, grevlex_key)
+    return _content_strip(p.integer_terms()[1], grevlex_key)
 
 
 # -- packed monomials ----------------------------------------------------------------

@@ -14,6 +14,7 @@ monomials is graded reverse lexicographic with the first variable largest.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -88,6 +89,12 @@ class Polynomial:
 
     def items(self) -> Iterator[tuple[Exponent, Fraction]]:
         return iter(self._terms.items())
+
+    def integer_terms(self) -> tuple[int, dict[Exponent, int]]:
+        """(s, {m: s * c_m}) for s the lcm of the coefficients' denominators;
+        (1, {}) for the zero polynomial."""
+        s = lcm(*(c.denominator for c in self._terms.values()))
+        return s, {m: c.numerator * (s // c.denominator) for m, c in self._terms.items()}
 
     def coefficient(self, exponent: Sequence[int]) -> Fraction:
         return self._terms.get(tuple(exponent), Fraction(0))

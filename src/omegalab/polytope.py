@@ -14,8 +14,9 @@ lower-dimensional polytopes are handled exactly.  Every combinatorial fact
 is then read off the point-facet incidences, with no further elimination:
 the dimension is the ambient dimension less the number of affine-hull
 equations, the facets are the maximal proper tight sets, a vertex is the
-only point on every facet through it, and a face's dimension follows from
-the meets of the face lattice.  Simplicity and smoothness need no face
+only point on every facet through it (the polytope keeps each facet's
+vertices as `facet_masks`), and a face's dimension follows from the meets
+of the face lattice.  Simplicity and smoothness need no face
 lattice: a vertex is simple when it lies on dim facets.  On a polymatroid
 polytope simple is already smooth (see `is_simple`); for a generic lattice
 polytope each edge at a simple vertex is the meet of all but one of its
@@ -24,7 +25,7 @@ facets, and lattice smoothness is one determinant per vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
@@ -78,13 +79,18 @@ def _values(a: Sequence[int], columns: Sequence[Sequence[int]], count: int) -> l
 
 @dataclass(frozen=True)
 class LatticePolytope:
-    """Bounded lattice polytope with exact V- and H-representations."""
+    """Bounded lattice polytope with exact V- and H-representations.
+
+    `facet_masks[j]` is the bitmask of the vertices on `inequalities[j]`, built
+    with the polytope; the other fields determine it, so ==, repr and JSON skip it.
+    """
 
     ambient_dim: int
     vertices: tuple[Point, ...]  # lexicographically sorted, irredundant
     inequalities: tuple[Inequality, ...]  # facet-defining, valid on the polytope
     equations: tuple[Inequality, ...]  # affine hull, a.x == b
     dim: int
+    facet_masks: tuple[int, ...] = field(compare=False, repr=False)
 
     def contains(self, point: Sequence) -> bool:
         vals = [Fraction(x) for x in point]
@@ -184,18 +190,22 @@ def _assemble(
     if equations is None:
         equations = _equations_from_points(pts, ambient)
     eq_rref, eq_pivots = linalg.rref([list(a) for a, _ in equations], ambient)
-    facets = sorted(
-        _canonical_inequality(a, pts[on[0]], eq_rref, eq_pivots)
-        for a, on in map(tight_sets.get, facet_masks)
-    )
 
     # A vertex is the only point on every facet through it.
     meet = [(1 << len(pts)) - 1] * len(pts)
     for mask in facet_masks:
         for i in tight_sets[mask][1]:
             meet[i] &= mask
-    verts = tuple(p for i, p in enumerate(pts) if meet[i] == 1 << i)
-    return LatticePolytope(ambient, verts, tuple(facets), equations, ambient - len(equations))
+    vertex_index = {i: j for j, i in enumerate(k for k in range(len(pts)) if meet[k] == 1 << k)}
+    facets = []
+    for mask in facet_masks:
+        a, on = tight_sets[mask]
+        if len(vertex_index) < len(pts):  # the tight set's vertices, by vertex index
+            mask = sum(1 << vertex_index[i] for i in on if i in vertex_index)
+        facets.append((_canonical_inequality(a, pts[on[0]], eq_rref, eq_pivots), mask))
+    inequalities, masks = zip(*sorted(facets)) if facets else ((), ())
+    verts = tuple(map(pts.__getitem__, vertex_index))
+    return LatticePolytope(ambient, verts, inequalities, equations, ambient - len(equations), masks)
 
 
 # -- polymatroid polytopes --------------------------------------------------------
@@ -419,22 +429,13 @@ def lattice_points(p: LatticePolytope) -> list[Point]:
 # -- faces, simplicity, smoothness ---------------------------------------------------
 
 
-def _facet_masks(p: LatticePolytope) -> list[int]:
-    """Each facet's vertex set, as a bitmask over the vertices."""
-    columns, count = list(zip(*p.vertices)), len(p.vertices)
-    return [
-        sum(1 << i for i, v in enumerate(_values(a, columns, count)) if v == b)
-        for a, b in p.inequalities
-    ]
-
-
 def faces(p: LatticePolytope) -> list[Face]:
     """All nonempty faces as the meet-closure of facet vertex incidences.
 
     A face's dimension is one more than the largest among its nonempty proper
     meets with the facets (its own facets are among them); a vertex has none.
     """
-    facet_masks = _facet_masks(p)
+    facet_masks = p.facet_masks
     full = (1 << len(p.vertices)) - 1
     closed = {full}
     frontier = [full]
@@ -474,8 +475,7 @@ def is_simple(p: LatticePolytope) -> tuple[bool, Point | None]:
     edge vectors at a simple vertex are independent columns of a totally
     unimodular matrix and form a lattice basis (Schrijver 1986, ch. 19).
     """
-    masks = _facet_masks(p)
-    counts = ((v, sum(m >> i & 1 for m in masks)) for i, v in enumerate(p.vertices))
+    counts = ((v, sum(m >> i & 1 for m in p.facet_masks)) for i, v in enumerate(p.vertices))
     witness = next((v for v, count in counts if count != p.dim), None)
     return witness is None, witness
 
@@ -493,13 +493,12 @@ def is_smooth(p: LatticePolytope) -> tuple[bool, Point | None]:
     simple, witness = is_simple(p)
     if not simple:
         return False, witness
-    masks = _facet_masks(p)
     full = (1 << len(p.vertices)) - 1
     basis = linalg.integer_kernel_basis([a for a, _ in p.equations], p.ambient_dim)
     _, cols = linalg.rref(basis)
     index = linalg.abs_det([[b[c] for c in cols] for b in basis])
     for i, v in enumerate(p.vertices):
-        at = [m for m in masks if m >> i & 1]
+        at = [m for m in p.facet_masks if m >> i & 1]
         rows = []
         for j in range(p.dim):
             edge = reduce(and_, at[:j] + at[j + 1 :], full) ^ 1 << i

@@ -206,11 +206,21 @@ def test_certificate_builds_no_partial_polynomial(monkeypatch):
     import omegalab.certify
     import omegalab.derivatives
 
+    e46 = elementary_symmetric(4, 6)
+    cubic = parse_polynomial(SINGULAR_CUBIC_TEXT, WXYZ)
     calls = []
+    init = Polynomial.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted_init)
     monkeypatch.setattr(Polynomial, "partial_derivative", lambda *args: calls.append(args))
     for module in (omegalab.derivatives, omegalab.certify):
         monkeypatch.setattr(module, "all_partials", lambda *a: calls.append(a), raising=False)
-    assert certify_smooth(elementary_symmetric(4, 6)).verdict == "smooth-toric"
+    assert certify_smooth(e46).verdict == "smooth-toric"
+    assert [centre_disjoint(cubic, k).disjoint for k in (1, 2)] == ["no", "yes"]
     assert calls == []
 
 

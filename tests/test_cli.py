@@ -632,6 +632,7 @@ def test_matroid_without_a_basis_exits_usage(capsys):
 
 ONE_INPUT = "error: give only one of --matroid, --setfunction, or a polynomial\n"
 GROUND_SET = "error: --ground-set applies to --matroid only\n"
+VARS = "error: --vars applies to a polynomial only\n"
 PAIR = '{"n": 2, "values": [0, 1, 1, 2]}'
 
 
@@ -644,6 +645,8 @@ PAIR = '{"n": 2, "values": [0, 1, 1, 2]}'
         (["--setfunction", PAIR, "--vars", "x,y", "x*y"], ONE_INPUT),
         (["--setfunction", PAIR, "--ground-set", "5"], GROUND_SET),
         (["--vars", "x,y", "x*y", "--ground-set", "2"], GROUND_SET),
+        (["--matroid", "12", "--vars", "x,y"], VARS),
+        (["--setfunction", PAIR, "--vars", "x,y,z", "--function", "bar"], VARS),
     ],
 )
 def test_polytope_conflicting_inputs_exit_usage(capsys, argv, message):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -9,6 +10,28 @@ from omegalab import ParseError, Polynomial, parse_polynomial
 from omegalab.derivatives import elementary_symmetric
 
 from helpers import SINGULAR_CUBIC_TEXT, WXYZ, random_sparse_polynomial
+
+
+def test_integer_terms_scale_by_the_lcm_of_the_denominators():
+    rng = random.Random(29)
+    cases = [Polynomial.zero(3)]
+    for _ in range(80):
+        nvars = rng.randint(1, 4)
+        terms = {
+            tuple(rng.randint(0, 3) for _ in range(nvars)): Fraction(
+                rng.randint(-9, 9), rng.randint(1, 12)
+            )
+            for _ in range(rng.randint(0, 6))
+        }
+        cases.append(Polynomial(nvars, terms))
+    assert any(c < 0 for p in cases for c in p.terms.values())
+    assert any(c.denominator > 1 for p in cases for c in p.terms.values())
+    for p in cases:
+        s, ints = p.integer_terms()
+        assert s == lcm(*(c.denominator for c in p.terms.values()))
+        assert set(ints) == p.support()
+        assert all(type(v) is int and Fraction(v, s) == p.coefficient(m) for m, v in ints.items())
+    assert Polynomial.zero(2).integer_terms() == (1, {})
 
 
 def test_parse_combines_like_terms():

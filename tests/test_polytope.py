@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm, prod
+from operator import mul
 
 import pytest
 
@@ -681,3 +682,34 @@ def test_rank_and_polymatroid_polytopes_match_dot_product_references():
                 assert (body.vertices, body.inequalities, body.equations) == reference, (f, build)
                 checked += 1
     assert checked == 2 * sum(d + 3 for _, d in cases)
+
+
+def test_facet_masks_are_the_vertices_tight_at_each_facet():
+    rng = random.Random(91)
+    bodies, with_interior = [], 0
+
+    def summed(p, q):
+        body = minkowski_sum(p, q)
+        sums = {tuple(map(sum, zip(u, w))) for u in p.vertices for w in q.vertices}
+        return body, len(sums) > len(body.vertices)
+
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        f, g = random_polymatroid(rng, n, 3), random_polymatroid(rng, n, 3)
+        body, interior = summed(base_polytope(f), base_polytope(g))  # the arrangement path
+        bodies += [base_polytope(f), independence_polytope(f), body]
+        with_interior += interior
+    for _ in range(25):
+        n = rng.randint(1, 3)
+        cloud = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 8))]
+        p = polytope_from_points(cloud)
+        body, interior = summed(p, p)
+        bodies += [p, body]
+        with_interior += interior + (len(set(cloud)) > len(p.vertices))
+    assert with_interior >= 40
+    for body in bodies:
+        assert len(body.facet_masks) == len(body.inequalities)
+        for mask, (a, b) in zip(body.facet_masks, body.inequalities):
+            tight = [i for i, v in enumerate(body.vertices) if sum(map(mul, a, v)) == b]
+            assert mask == sum(1 << i for i in tight)
+        assert "facet_masks" not in repr(body) and "facet_masks" not in body.to_json_dict()
