@@ -14,6 +14,7 @@ from .certify import (
     SmoothnessCertificate,
     centre_disjoint,
     certify_smooth,
+    check_derivative_supports,
     is_lorentzian,
     is_mconvex,
     oracle_centre_disjoint,
@@ -23,9 +24,7 @@ from .certify import (
 from .derivatives import (
     DerivativeSpace,
     all_partials,
-    binomial_identity_check,
     binomial_identity_report,
-    check_derivative_supports,
     derivative_space,
     derivative_support,
     elementary_symmetric,

@@ -13,9 +13,10 @@ the faces of the truncation polytope and decides torus feasibility of each
 face-restricted derivative system, one face per orbit of the variable swaps
 fixing the polynomial.  One certificate computes the support's M-convexity,
 its rank function rho, its swaps and each truncation polytope with its face
-lattice once.  An independent Groebner oracle (toric ideal plus centre forms,
-decided by one Groebner basis and the finiteness theorem) is provided for
-cross-validation on small instances.
+lattice once, after its guards (rho only below the greedy guard).  An
+independent Groebner oracle (toric ideal plus centre forms, decided by one
+Groebner basis and the finiteness theorem) and a derivative-support check
+are provided for cross-validation on small instances.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial, lcm, prod
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .derivatives import derivative_space, partials_guard
+from .derivatives import derivative_space, derivative_support, partials_guard
 from .groebner import (
     DEFAULT_MAX_PAIRS,
     buchberger_intdicts,
@@ -40,6 +41,7 @@ from .groebner import (
 from .guards import MAX_CERTIFY_DEGREE, ResourceLimit, degree_guard
 from .poly import Exponent, Polynomial, grevlex_key
 from .polytope import LatticePolytope, base_polytope, faces, is_simple, lattice_points
+from .polytope import require_greedy
 from .setfunc import MAX_GROUND_SET, SetFunction, rank_from_support, truncate, truncation_sum
 
 VERDICT_SMOOTH = "smooth-toric"
@@ -260,12 +262,13 @@ def centre_disjoint(
     same span as the restricted partials, hence the same ideal.  Faces in the
     orbit of an infeasible face under the variable swaps fixing h are skipped.
     """
-    return _decide(h, k, rank_from_support(h.support()), {}, max_pairs, _swap_generators(h))
+    return _decide(h, k, lambda: rank_from_support(h.support()), max_pairs, _swap_generators(h))[0]
 
 
 def _decide(
-    h: Polynomial, k: int, rho: SetFunction, built: dict, max_pairs: int, swaps: list
-) -> OrderReport:
+    h: Polynomial, k: int, rho: Callable[[], SetFunction], max_pairs: int, swaps: list
+) -> tuple[OrderReport, LatticePolytope | None]:
+    """(order-k report, truncation polytope or None); rho() runs past the greedy guard only."""
     space = derivative_space(h, k)
     report = functools.partial(
         OrderReport,
@@ -274,12 +277,11 @@ def _decide(
         num_monomials=len(space.columns),
         centre_dim=len(space.columns) - space.span_dimension,
     )
-    truncation = truncate(rho, k)  # of rank d - k, so no two orders share one
     try:
-        body = base_polytope(truncation)
+        require_greedy(h.nvars)  # before rho's 2^n table
+        body = base_polytope(truncate(rho(), k))
     except ResourceLimit as exc:
-        return report(disjoint="undecided", detail=f"order-{k} truncation polytope: {exc}")
-    built[truncation] = body
+        return report(disjoint="undecided", detail=f"order-{k} truncation polytope: {exc}"), None
     # A swap fixing h maps the polytope onto itself, so it permutes the vertices.
     index = {v: i for i, v in enumerate(body.vertices)}
     perms = [[index[_swap(v, i, j)] for v in body.vertices] for i, j in swaps]
@@ -304,7 +306,7 @@ def _decide(
                 disjoint="no",
                 witness_face=face.vertices,
                 detail=f"torus point on the face orbit ({verdict.method})",
-            )
+            ), body
         if verdict.status == "undecided":
             detail = f"{verdict.method} undecided on a face orbit: {verdict.certificate}"
             undecided.append((face.vertex_indices, detail))
@@ -317,7 +319,7 @@ def _decide(
                     orbit += [tuple(sorted(perm[x] for x in cur)) for perm in perms]
     # A face at the pair cap is undecided only if no face of its orbit was infeasible.
     detail = next((d for key, d in undecided if key not in settled), None)
-    return report(disjoint="undecided" if detail else "yes", detail=detail)
+    return report(disjoint="undecided" if detail else "yes", detail=detail), body
 
 
 def oracle_centre_disjoint(
@@ -354,6 +356,25 @@ def oracle_centre_disjoint(
     return "yes" if len(pure) == nz else "no"
 
 
+def check_derivative_supports(h: Polynomial) -> list[int]:
+    """Orders k where the derivative support differs from the truncation polytope.
+
+    Compares, for every 0 <= k <= deg(h), the union of order-k partial
+    supports with the lattice points of the base polytope of the k-th
+    truncation of the support rank function.  Expected empty for M-convex
+    support; reported literally otherwise.
+    """
+    if h.is_zero or not h.is_homogeneous:
+        raise ValueError("polynomial must be nonzero and homogeneous")
+    rho = rank_from_support(h.support())
+    failures = []
+    for k in range(h.total_degree + 1):
+        expected = set(lattice_points(base_polytope(truncate(rho, k))))
+        if set(derivative_support(h, k)) != expected:
+            failures.append(k)
+    return failures
+
+
 # -- full certificate -----------------------------------------------------------------
 
 
@@ -362,7 +383,7 @@ class SmoothnessCertificate:
     polynomial: str
     nvars: int
     degree: int
-    mconvex: bool
+    mconvex: bool | None  # None: a guard fired before the M-convexity scan
     mconvex_witness: tuple | None
     lorentzian: LorentzianReport | None
     k_reports: tuple[OrderReport, ...]
@@ -402,7 +423,8 @@ def certify_smooth(
     MAX_CERTIFY_DEGREE, the number of variables exceeds the ground-set cap
     MAX_GROUND_SET, the order-(d-1) partials exceed MAX_PARTIALS, or an
     order was undecided) or the summed-truncation polytope failed its
-    smoothness self-check, with `detail` naming which.
+    smoothness self-check, with `detail` naming which.  The first three fire
+    before the M-convexity scan and leave `mconvex` None.
     """
     if h.is_zero:
         raise ValueError("polynomial must be nonzero")
@@ -416,15 +438,15 @@ def certify_smooth(
             raise ValueError(f"variable index {i} does not occur in the polynomial")
     echo = text if text is not None else h.to_string([f"x{i+1}" for i in range(h.nvars)])
 
-    mcx, mcx_witness = is_mconvex(h.support())
     guard = degree_guard(d)
     if guard is None and h.nvars > MAX_GROUND_SET:
         guard = f"ground-set guard: {h.nvars} variables exceed the cap {MAX_GROUND_SET}"
-    guard = guard or partials_guard(h.nvars, d - 1)  # the highest order built
-    if guard:
+    guard = guard or partials_guard(h.nvars, d - 1)  # the highest order computed
+    if guard:  # before the O(|S|^2 n^2) M-convexity scan
         return SmoothnessCertificate(
-            echo, h.nvars, d, mcx, mcx_witness, None, (), VERDICT_UNDECIDED, None, detail=guard
+            echo, h.nvars, d, None, None, None, (), VERDICT_UNDECIDED, None, detail=guard
         )
+    mcx, mcx_witness = is_mconvex(h.support())
     lorentzian = is_lorentzian(h, mcx)
 
     if not mcx:
@@ -432,10 +454,10 @@ def certify_smooth(
             echo, h.nvars, d, False, mcx_witness, lorentzian, (), VERDICT_NOT_APPLICABLE, None
         )
 
-    rho = rank_from_support(h.support())
+    rho = functools.cache(lambda: rank_from_support(h.support()))  # made once, if at all
     swaps = _swap_generators(h)
-    built: dict[SetFunction, LatticePolytope] = {}
-    reports = tuple(_decide(h, k, rho, built, max_pairs, swaps) for k in range(1, d))
+    decided = [_decide(h, k, rho, max_pairs, swaps) for k in range(1, d)]
+    reports = tuple(report for report, _ in decided)
     detail = None
     if any(r.disjoint == "no" for r in reports):
         verdict = VERDICT_FAILS
@@ -445,8 +467,9 @@ def certify_smooth(
         body = None
     else:
         verdict = VERDICT_SMOOTH
-        summed = truncation_sum(rho, 1)  # the order-1 truncation when d = 2
-        body = built[summed] if summed in built else base_polytope(summed)
+        # For d = 2 the summed truncation is order 1's, as truncate(rho, 2) is 0;
+        # for d >= 3 its rank d(d-1)/2 exceeds every order's rank d - k.
+        body = decided[0][1] if d == 2 else base_polytope(truncation_sum(rho(), 1))
         smooth, witness = is_simple(body)
         if not smooth:
             verdict, body = VERDICT_UNDECIDED, None

@@ -124,7 +124,7 @@ def _cmd_certify(args) -> int:
         f"polynomial: {cert.polynomial}",
         f"variables:  {', '.join(names)}",
         f"degree {cert.degree} in {cert.nvars} variables",
-        f"M-convex support: {cert.mconvex}",
+        f"M-convex support: {'not checked' if cert.mconvex is None else cert.mconvex}",
     ]
     if cert.lorentzian is not None:
         lines.append(f"Lorentzian: {cert.lorentzian.is_lorentzian}")
@@ -156,8 +156,8 @@ def _cmd_analyze(args) -> int:
     if h.is_zero or not h.is_homogeneous or h.total_degree < 1:
         raise UsageError("analyze needs a nonzero homogeneous polynomial of degree >= 1")
     supp = sorted(h.support())
+    rho = rank_from_support(supp)  # its ground-set guard first
     mcx, witness = is_mconvex(supp)
-    rho = rank_from_support(supp)
     payload: dict = {
         "command": "analyze",
         "polynomial": text,
@@ -235,23 +235,22 @@ def _cmd_polytope(args) -> int:
         raise UsageError("--ground-set applies to --matroid only")
     if args.vars and (args.matroid or args.setfunction):
         raise UsageError("--vars applies to a polynomial only")
-    build = build_independence if args.function == "independence" else base_polytope
     if args.matroid or args.setfunction:
         f = _parse_setfunction_arg(args)
-        try:
-            body = build(f)  # the greedy pass is the polymatroid check, for bar too
-        except ValueError:
-            # past the greedy guard n <= 8, so the 4^n scan is cheap
-            s, t = is_polymatroid(f).violating_pair
-            raise UsageError(
-                f"not a polymatroid: violating pair S={mask_to_set(s)}, T={mask_to_set(t)}"
-            )
     else:
         h, _, _ = _read_polynomial(args)
         if h.is_zero or not h.is_homogeneous:
             raise UsageError("polynomial input must be nonzero homogeneous")
         f = rank_from_support(h.support())
-        body = None if args.function == "bar" else build(f)
+    build = build_independence if args.function == "independence" else base_polytope
+    try:
+        body = build(f)  # the greedy pass is the polymatroid check, for bar too
+    except ValueError:
+        # past the greedy guard n <= 8, so the 4^n scan is cheap
+        s, t = is_polymatroid(f).violating_pair
+        raise UsageError(
+            f"not a polymatroid: violating pair S={mask_to_set(s)}, T={mask_to_set(t)}"
+        )
     if args.function == "bar":
         body = base_polytope(truncation_sum(f))
     # every body is a polymatroid polytope, where simple is smooth

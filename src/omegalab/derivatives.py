@@ -26,8 +26,6 @@ from operator import sub
 from . import linalg
 from .guards import ResourceLimit
 from .poly import Exponent, Polynomial, grevlex_key
-from .polytope import base_polytope, lattice_points
-from .setfunc import rank_from_support, truncate
 
 # Cap on the number C(n+k-1, k) of order-k partials in n variables, checked
 # before any partial is built.
@@ -62,14 +60,6 @@ class DerivativeSpace:
             Polynomial(self.nvars, {c: x for c, x in zip(self.columns, row) if x})
             for row in self.matrix
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.order,
-            "m_k": self.span_dimension,
-            "monomials": [list(c) for c in self.columns],
-            "matrix": [[str(x) for x in row] for row in self.matrix],
-        }
 
 
 def _partial_terms(h: Polynomial, k: int) -> tuple[int, list[dict[Exponent, int]]]:
@@ -127,25 +117,6 @@ def span_contains(space: DerivativeSpace, p: Polynomial) -> bool:
     return linalg.in_row_space(space.matrix, [p.coefficient(c) for c in space.columns])
 
 
-def check_derivative_supports(h: Polynomial) -> list[int]:
-    """Orders k where the derivative support differs from the truncation polytope.
-
-    Compares, for every 0 <= k <= deg(h), the union of order-k partial
-    supports with the lattice points of the base polytope of the k-th
-    truncation of the support rank function.  Expected empty for M-convex
-    support; reported literally otherwise.
-    """
-    if h.is_zero or not h.is_homogeneous:
-        raise ValueError("polynomial must be nonzero and homogeneous")
-    rho = rank_from_support(h.support())
-    failures = []
-    for k in range(h.total_degree + 1):
-        expected = set(lattice_points(base_polytope(truncate(rho, k))))
-        if set(derivative_support(h, k)) != expected:
-            failures.append(k)
-    return failures
-
-
 def elementary_symmetric(degree: int, nvars: int) -> Polynomial:
     """Sum of all squarefree degree-d monomials in n variables."""
     if not 1 <= degree <= nvars:
@@ -187,7 +158,3 @@ def binomial_identity_report(n: int, d: int, k: int) -> SubsetIdentityReport:
         nonzero_seen |= bool(lhs or rhs)
         holds &= lhs == dict(rhs)
     return SubsetIdentityReport(holds, coefficient, not nonzero_seen)
-
-
-def binomial_identity_check(n: int, d: int, k: int) -> bool:
-    return binomial_identity_report(n, d, k).holds

@@ -4,10 +4,11 @@ Every elimination runs on one fraction-free (Bareiss) kernel over Python
 ints; rational rows are first scaled by the lcm of their denominators, which
 changes neither the row space nor the reduced echelon form.  RREF rows and
 kernel vectors come back as primitive integer vectors, the rational ones up
-to a positive scale; only `solve` returns Fractions.  The same kernel gives
-the determinants of the lattice-smoothness test.  Smith normal form returns
-the divisor matrix together with the unimodular transforms, which integer
-kernels are built on.
+to a positive scale; only `solve` returns Fractions, and lattice
+coordinates are its integral answers.  The same kernel gives the
+determinants of the lattice-smoothness test.  Smith normal form returns the
+divisor matrix together with the unimodular transforms, read off one
+augmented matrix, which integer kernels are built on.
 """
 
 from __future__ import annotations
@@ -147,85 +148,48 @@ def smith_normal_form(
     """Smith normal form: returns (D, U, V) with U @ M @ V = D.
 
     D is diagonal with nonnegative elementary divisors d_1 | d_2 | ...;
-    U and V are unimodular.  Exact over the integers.
+    U and V are unimodular.  Exact over the integers.  Each elementary
+    operation runs once on W = [[M, I_m], [I_n, 0]]: row operations on the
+    first m rows carry U beside M, column operations on the first n columns
+    carry V below it.
     """
-    a = [[int(x) for x in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, factor):
-        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, factor):
-        for row in a:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    w = [[int(x) for x in row] + [int(i == j) for j in range(m)] for i, row in enumerate(matrix)]
+    w += [[int(i == j) for j in range(n)] + [0] * m for i in range(n)]
     t = 0
     while t < min(m, n):
-        # locate a nonzero pivot with minimal absolute value
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = abs(a[i][j])
-                if x and (best is None or x < best):
-                    best = x
-                    pivot = (i, j)
-        if pivot is None:
+        # a nonzero pivot of least absolute value, the first in row-major order
+        entries = [(abs(w[i][j]), i, j) for i in range(t, m) for j in range(t, n) if w[i][j]]
+        if not entries:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        if a[t][t] < 0:
-            negate_row(t)
+        _, i, j = min(entries)
+        w[t], w[i] = w[i], w[t]
+        for row in w:
+            row[t], row[j] = row[j], row[t]
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
+        p = w[t][t]
         dirty = False
         for i in range(t + 1, m):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                add_row(t, i, -q)
-                if a[i][t]:
-                    dirty = True
+            if q := w[i][t] // p:
+                w[i] = [x - q * y for x, y in zip(w[i], w[t])]
+                dirty |= w[i][t] != 0
         for j in range(t + 1, n):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                add_col(t, j, -q)
-                if a[t][j]:
-                    dirty = True
+            if q := w[t][j] // p:
+                for row in w:
+                    row[j] -= q * row[t]
+                dirty |= w[t][j] != 0
         if dirty:
             continue
-        # pivot must divide every remaining entry; otherwise fold one in and redo
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
-        t += 1
-
-    return a, u, v
+        # the pivot must divide every remaining entry; otherwise fold one in and redo
+        rest = range(t + 1, n)
+        offender = next((i for i in range(t + 1, m) if any(w[i][j] % p for j in rest)), None)
+        if offender is None:
+            t += 1
+        else:
+            w[t] = [x + y for x, y in zip(w[t], w[offender])]
+    return [row[:n] for row in w[:m]], [row[n:] for row in w[:m]], [row[:n] for row in w[m:]]
 
 
 def snf_divisors(matrix: Sequence[Sequence[int]]) -> list[int]:
@@ -255,17 +219,7 @@ def integer_lattice_coordinates(
     basis: Sequence[Sequence[int]], vector: Sequence[int]
 ) -> list[int] | None:
     """Express `vector` in the given integer lattice basis; None if impossible."""
-    if not vector:
-        return []  # no equations: the empty solution, as `solve` returns
-    ncols = len(basis)
-    mat = [_int_row([*(b[i] for b in basis), vector[i]]) for i in range(len(vector))]
-    reduced, pivots, d = _echelon(mat, ncols + 1, True)
-    if ncols in pivots:
+    x = solve([[b[i] for b in basis] for i in range(len(vector))], vector)
+    if x is None or any(c.denominator != 1 for c in x):
         return None
-    coords = [0] * ncols
-    for row, p in zip(reduced, pivots):
-        q, rem = divmod(row[ncols], d)
-        if rem:
-            return None
-        coords[p] = q
-    return coords
+    return [int(c) for c in x]

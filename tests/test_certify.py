@@ -477,6 +477,49 @@ def test_ground_set_guard_is_undecided():
     assert cert.detail == "ground-set guard: 21 variables exceed the cap 20"
 
 
+def _count_calls(monkeypatch, name):
+    import omegalab.certify
+
+    calls = []
+
+    def counted(*args, _real=getattr(omegalab.certify, name)):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(omegalab.certify, name, counted)
+    return calls
+
+
+def test_guards_fire_before_the_mconvexity_scan(monkeypatch):
+    calls = _count_calls(monkeypatch, "is_mconvex")
+    names = [f"x{i}" for i in range(1, 13)]
+    cases = [
+        (elementary_symmetric(3, 21), "ground-set guard: 21 variables exceed the cap 20"),
+        (parse_polynomial("x1^12*x2", names[:2]), "degree guard: total degree 13 exceeds the cap 12"),
+        (
+            parse_polynomial("*".join(names), names),
+            "partial-count guard: 705432 order-11 partials exceed the cap 10000",
+        ),
+    ]
+    for h, detail in cases:
+        cert = certify_smooth(h)
+        assert (cert.verdict, cert.detail) == ("undecided", detail)
+        assert cert.mconvex is None and cert.mconvex_witness is None
+        assert cert.to_json_dict()["mconvex"] is None
+    assert calls == []
+
+
+def test_past_the_greedy_guard_rho_is_not_built(monkeypatch):
+    calls = _count_calls(monkeypatch, "rank_from_support")
+    cert = certify_smooth(elementary_symmetric(2, 9))
+    (report,) = cert.k_reports
+    assert cert.verdict == "undecided" and cert.mconvex is True
+    assert (report.span_dim, report.num_monomials, report.centre_dim) == (9, 9, 0)
+    assert report.detail == "order-1 truncation polytope: greedy enumeration capped at n <= 8"
+    assert centre_disjoint(elementary_symmetric(2, 9), 1) == report
+    assert calls == []
+
+
 def test_quadric_self_check_reuses_the_order_one_face_lattice(monkeypatch):
     import omegalab.certify
     import omegalab.polytope

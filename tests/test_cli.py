@@ -264,12 +264,14 @@ def test_certify_degree_guard_text_and_json(capsys):
     assert code == 3
     assert "verdict: undecided" in out
     assert "detail: degree guard: total degree 600 exceeds the cap 12" in out
+    assert "M-convex support: not checked\n" in out
     code, out, _ = run(capsys, "certify", "--format", "json", "--vars", "x,y", "x^300*y^300")
     assert code == 3
     payload = json.loads(out)
     assert payload["verdict"] == "undecided"
     assert payload["k_reports"] == [] and payload["polytope"] is None
     assert payload["detail"] == "degree guard: total degree 600 exceeds the cap 12"
+    assert payload["mconvex"] is None
 
 
 def test_certify_ground_set_guard_text_and_json(capsys):
@@ -634,6 +636,9 @@ ONE_INPUT = "error: give only one of --matroid, --setfunction, or a polynomial\n
 GROUND_SET = "error: --ground-set applies to --matroid only\n"
 VARS = "error: --vars applies to a polynomial only\n"
 PAIR = '{"n": 2, "values": [0, 1, 1, 2]}'
+# a quadric whose support rank function is not submodular
+QUADRIC = ["--vars", "x1,x2,x3,x4,x5", "x3*x4 + x2*x3 + x1*x5 + x1*x2"]
+NOT_POLYMATROID = "error: not a polymatroid: violating pair S=(1, 3), T=(1, 4)\n"
 
 
 @pytest.mark.parametrize(
@@ -647,6 +652,9 @@ PAIR = '{"n": 2, "values": [0, 1, 1, 2]}'
         (["--vars", "x,y", "x*y", "--ground-set", "2"], GROUND_SET),
         (["--matroid", "12", "--vars", "x,y"], VARS),
         (["--setfunction", PAIR, "--vars", "x,y,z", "--function", "bar"], VARS),
+        (QUADRIC, NOT_POLYMATROID),
+        ([*QUADRIC, "--function", "bar"], NOT_POLYMATROID),
+        ([*QUADRIC, "--function", "independence"], NOT_POLYMATROID),
     ],
 )
 def test_polytope_conflicting_inputs_exit_usage(capsys, argv, message):

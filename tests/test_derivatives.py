@@ -15,7 +15,6 @@ from omegalab import (
 )
 from omegalab.derivatives import (
     all_partials,
-    binomial_identity_check,
     binomial_identity_report,
     elementary_symmetric,
     projection_centre,
@@ -171,14 +170,6 @@ def test_support_union_equals_directional_derivative_support():
             assert g.support() == derivative_support(h, k)
 
 
-def test_derivative_space_json_shape():
-    h = parse_polynomial(PLANE_CUBIC_TEXT, X123)
-    data = derivative_space(h, 1).to_json_dict()
-    assert data["k"] == 1 and data["m_k"] == 3
-    assert len(data["monomials"]) == 5
-    assert all(isinstance(entry, str) for row in data["matrix"] for entry in row)
-
-
 def test_centre_dimension_formula():
     rng = random.Random(33)
     for _ in range(15):
@@ -248,7 +239,7 @@ def test_elementary_symmetric_construction():
 def test_binomial_identity_small_cases():
     report = binomial_identity_report(4, 2, 1)
     assert report.holds and report.coefficient == 1 and not report.both_sides_zero
-    assert binomial_identity_check(5, 3, 1)
+    assert binomial_identity_report(5, 3, 1).holds
     report2 = binomial_identity_report(5, 3, 1)
     assert report2.coefficient == 1
 
@@ -271,9 +262,9 @@ def test_binomial_identity_full_range():
 
 def test_binomial_identity_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        binomial_identity_check(3, 4, 1)
+        binomial_identity_report(3, 4, 1)
     with pytest.raises(ValueError):
-        binomial_identity_check(4, 3, 3)
+        binomial_identity_report(4, 3, 3)
 
 
 def test_partial_count_guard_fires_before_any_partial(monkeypatch):
