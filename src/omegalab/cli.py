@@ -38,6 +38,7 @@ from .setfunc import (
     is_polymatroid,
     mask_to_set,
     rank_from_support,
+    require_ground_set,
     truncation_sum,
 )
 
@@ -109,8 +110,9 @@ def _read_polynomial(args) -> tuple[Polynomial, list[str], str]:
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps({"schema": SCHEMA, **payload}, indent=2, sort_keys=True))
+    if args.format == "json":  # streamed: the indented text of a large polytope is never held whole
+        json.dump({"schema": SCHEMA, **payload}, sys.stdout, indent=2, sort_keys=True)
+        print()
     else:
         for line in text_lines:
             print(line)
@@ -241,10 +243,12 @@ def _cmd_polytope(args) -> int:
         h, _, _ = _read_polynomial(args)
         if h.is_zero or not h.is_homogeneous:
             raise UsageError("polynomial input must be nonzero homogeneous")
+        require_ground_set(h.nvars)
+        require_greedy(h.nvars)  # both guards before rho's 2^n table
         f = rank_from_support(h.support())
     build = build_independence if args.function == "independence" else base_polytope
     try:
-        body = build(f)  # the greedy pass is the polymatroid check, for bar too
+        body = build(f)  # the constructor runs the polymatroid check, for bar too
     except ValueError:
         # past the greedy guard n <= 8, so the 4^n scan is cheap
         s, t = is_polymatroid(f).violating_pair

@@ -2,25 +2,25 @@
 
 Polytopes are stored with an exact integer V-representation plus an
 irredundant integer H-representation (facet inequalities and affine-hull
-equations).  Independence and base polytopes take the greedy (prefix
-marginal) vectors as points, built in one pass over distinct prefix states,
-and these also check that f is a polymatroid: given f(empty set) = 0, they
-satisfy every x(S) <= f(S) iff f is submodular (Ichiishi 1981), and each
-marginal is a coordinate of one, so -x_i <= 0 holds iff f is monotone.
-Generic hulls (Newton polytopes, point-set sums) get their candidate
-inequalities from a brute-force facet search with exact orientation tests,
-working in the chart of the affine hull by its free coordinates so that
-lower-dimensional polytopes are handled exactly.  Every combinatorial fact
-is then read off the point-facet incidences, with no further elimination:
-the dimension is the ambient dimension less the number of affine-hull
-equations, the facets are the maximal proper tight sets, a vertex is the
-only point on every facet through it (the polytope keeps each facet's
-vertices as `facet_masks`), and a face's dimension follows from the meets
-of the face lattice.  Simplicity and smoothness need no face
-lattice: a vertex is simple when it lies on dim facets.  On a polymatroid
-polytope simple is already smooth (see `is_simple`); for a generic lattice
-polytope each edge at a simple vertex is the meet of all but one of its
-facets, and lattice smoothness is one determinant per vertex.
+equations), with each facet's vertices as `facet_masks`.  Independence and
+base polytopes P(f) and B(f) are read off f's table.  One check makes f a
+polymatroid, else raises ValueError naming the axiom and a witness: f(empty
+set) = 0 and diminishing marginals, f(S+i) - f(S) >= f(S+i+j) - f(S+j) >= 0
+for i, j outside S.  The vertices are the greedy vectors, over prefixes closed
+under elements of marginal 0; the equations are x(C) = f(C) for the
+components C of f on B(f) and x_i = 0 for the loops i on P(f); the facets are
+the maximal proper vertex sets tight at some x(S) <= f(S), or -x_i <= 0 on
+P(f), with x(S) summed at every vertex at once.  Generic hulls (Newton
+polytopes, point-set sums) get candidate inequalities from a brute-force
+facet search with exact orientation tests, in the chart of the affine hull by
+its free coordinates, and read the rest off the point-facet incidences: the
+facets are the maximal proper tight sets and a vertex is the only point on
+every facet through it.  A face's dimension follows from the meets of the
+face lattice.  Simplicity needs no face lattice: a vertex is simple when it
+lies on dim facets.  On a polymatroid polytope simple is already smooth (see
+`is_simple`); for a generic lattice polytope each edge at a simple vertex is
+the meet of all but one of its facets, and lattice smoothness is one
+determinant per vertex.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
 from math import comb
-from operator import and_
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 from . import linalg
 from .guards import ResourceLimit
-from .setfunc import SetFunction, is_matroid
+from .setfunc import SetFunction, is_matroid, mask_to_set
 
 __all__ = [
     "LatticePolytope",
@@ -58,6 +58,7 @@ MAX_HULL_AMBIENT_DIM = 6
 MAX_HULL_SUBSETS = 500_000
 MAX_SCAN_CELLS = 5_000_000
 MAX_VERTEX_PRODUCT = 10**6
+_ZERO_FLAGS = bytes.maketrans(b"\0\x80", b"10")  # a field's top byte: 1 where the field is 0
 
 Point = tuple[int, ...]
 Inequality = tuple[tuple[int, ...], int]  # normal a, bound b meaning a.x <= b
@@ -65,16 +66,6 @@ Inequality = tuple[tuple[int, ...], int]  # normal a, bound b meaning a.x <= b
 
 def _dot(a: Sequence[int], x: Sequence[int]) -> int:
     return sum(p * q for p, q in zip(a, x))
-
-
-def _values(a: Sequence[int], columns: Sequence[Sequence[int]], count: int) -> list[int]:
-    """a.x at each of `count` points given by their coordinate columns: one
-    column is added per nonzero entry of a."""
-    values = [0] * count
-    for c, column in zip(a, columns):
-        if c:
-            values = [v + c * x for v, x in zip(values, column)]
-    return values
 
 
 @dataclass(frozen=True)
@@ -130,30 +121,6 @@ def _equations_from_points(points: Sequence[Point], ambient: int) -> tuple[Inequ
     return tuple(sorted((a, _dot(a, v0)) for a in linalg.kernel_basis(diffs, ambient)))
 
 
-def _canonical_inequality(
-    a: Sequence,
-    tight: Point,
-    eq_rref: Sequence[Sequence[int]],
-    eq_pivots: Sequence[int],
-) -> Inequality:
-    """Unique facet representative: reduce the normal modulo the affine hull.
-
-    Normals supporting the same facet differ by an equation-normal
-    combination; eliminating the equation pivot coordinates and rescaling to
-    a primitive integer vector makes the representative construction-path
-    independent.  That moves a.x by one constant on the affine hull and
-    scales it by a positive factor, so the bound is the new normal's value at
-    a point `tight` where a was tight.
-    """
-    vec = list(a)
-    for row, pivot in zip(eq_rref, eq_pivots):  # integer RREF rows, row[pivot] > 0
-        factor = vec[pivot]
-        if factor:
-            vec = [row[pivot] * x - factor * y for x, y in zip(vec, row)]
-    reduced = linalg.primitive_vector(vec)
-    return reduced, _dot(reduced, tight)
-
-
 def _assemble(
     ambient: int,
     points: Iterable[Point],
@@ -163,36 +130,30 @@ def _assemble(
     """Build the hull of the points from a complete candidate inequality set.
 
     `candidates` must include every facet, and one violated by a point raises
-    ValueError; `equations` is the affine hull of the points when the caller
-    has it.
+    ValueError; `equations` is the points' affine hull when the caller has it.
     """
     pts = sorted(set(points))
     if not pts:
         raise ValueError("a polytope needs at least one point")
 
-    # Tight sets as bitmasks over the points, each with the first candidate
-    # tight there and its point indices.
+    # Tight sets as point masks, each with the first candidate tight there and its points.
     columns = list(zip(*pts))
     tight_sets: dict[int, tuple[tuple[int, ...], list[int]]] = {}
     for a, b in candidates:
-        values = _values(a, columns, len(pts))
+        values = [0] * len(pts)  # a.x at every point, a column per nonzero entry of a
+        for c, column in zip(a, columns):
+            if c:
+                values = [v + c * x for v, x in zip(values, column)]
         if max(values) > b:
             raise ValueError(f"inequality {list(a)}.x <= {b} is violated by a point")
         on = [i for i, v in enumerate(values) if v == b]
         if on and len(on) < len(pts):  # tight at every point: an equation
             tight_sets.setdefault(sum(1 << i for i in on), (a, on))
 
-    # The facets are the maximal proper tight sets: each face lies in a facet.
-    facet_masks: list[int] = []
-    for mask in sorted(tight_sets, key=int.bit_count, reverse=True):
-        if all(mask & f != mask for f in facet_masks):
-            facet_masks.append(mask)
     if equations is None:
         equations = _equations_from_points(pts, ambient)
-    eq_rref, eq_pivots = linalg.rref([list(a) for a, _ in equations], ambient)
-
-    # A vertex is the only point on every facet through it.
-    meet = [(1 << len(pts)) - 1] * len(pts)
+    facet_masks = _maximal(tight_sets)
+    meet = [(1 << len(pts)) - 1] * len(pts)  # a vertex: the only point on every facet through it
     for mask in facet_masks:
         for i in tight_sets[mask][1]:
             meet[i] &= mask
@@ -202,10 +163,41 @@ def _assemble(
         a, on = tight_sets[mask]
         if len(vertex_index) < len(pts):  # the tight set's vertices, by vertex index
             mask = sum(1 << vertex_index[i] for i in on if i in vertex_index)
-        facets.append((_canonical_inequality(a, pts[on[0]], eq_rref, eq_pivots), mask))
-    inequalities, masks = zip(*sorted(facets)) if facets else ((), ())
-    verts = tuple(map(pts.__getitem__, vertex_index))
-    return LatticePolytope(ambient, verts, inequalities, equations, ambient - len(equations), masks)
+        facets.append((a, mask))
+    return _polytope(ambient, list(map(pts.__getitem__, vertex_index)), facets, equations)
+
+
+def _maximal(masks: Iterable[int]) -> list[int]:
+    """The maximal masks: the facets among the proper tight sets, as each face lies in one."""
+    out: list[int] = []
+    for mask in sorted(masks, key=int.bit_count, reverse=True):
+        if all(mask & m != mask for m in out):
+            out.append(mask)
+    return out
+
+
+def _polytope(
+    ambient: int, verts: list[Point], facets: list, equations: tuple[Inequality, ...]
+) -> LatticePolytope:
+    """The polytope of the vertices, each facet given by a normal and its vertex mask.
+
+    Normals supporting one facet differ by an equation-normal combination, so
+    eliminating the equations' pivot coordinates and rescaling to a primitive
+    integer vector gives each facet one representative.  That moves a.x by one
+    constant on the affine hull and scales it by a positive factor, so the
+    bound is the new normal's value at any vertex of the facet.
+    """
+    eq_rref, eq_pivots = linalg.rref([list(a) for a, _ in equations], ambient)
+    canonical = []
+    for a, mask in facets:
+        for row, pivot in zip(eq_rref, eq_pivots):  # integer RREF rows, row[pivot] > 0
+            if factor := a[pivot]:
+                a = [row[pivot] * x - factor * y for x, y in zip(a, row)]
+        a = linalg.primitive_vector(a)
+        canonical.append(((a, _dot(a, verts[(mask & -mask).bit_length() - 1])), mask))
+    inequalities, masks = zip(*sorted(canonical)) if canonical else ((), ())
+    dim = ambient - len(equations)
+    return LatticePolytope(ambient, tuple(verts), inequalities, equations, dim, masks)
 
 
 # -- polymatroid polytopes --------------------------------------------------------
@@ -217,48 +209,98 @@ def require_greedy(n: int) -> None:
         raise ResourceLimit(f"greedy enumeration capped at n <= {MAX_GREEDY_GROUND_SET}")
 
 
-def _greedy_points(f: SetFunction) -> list[set[Point]]:
-    """Greedy points of the j-element prefixes, j = 0..n, as n + 1 levels.
-
-    Each distinct (prefix mask, point) state grows by every element e outside
-    the prefix, with coordinate f(mask | e) - f(mask), so no state of the n!
-    orders is built twice."""
-    n = f.n
-    require_greedy(n)
-    values = f.values
+def _check_polymatroid(f: SetFunction) -> None:
+    """ValueError naming the broken axiom and a witness unless f(empty set) = 0 and
+    the marginals diminish: f(S+i) - f(S) >= f(S+i+j) - f(S+j) >= 0 for i, j not in S."""
+    values, full = f.values, (1 << f.n) - 1
     if values[0] != 0:
         raise ValueError(f"not a polymatroid: f(empty set) = {values[0]}, not 0")
-    states = {(0, (0,) * n)}
-    levels = [{(0,) * n}]
-    for _ in range(n):
+    for s, fs in enumerate(values):
+        out = [1 << e for e in range(f.n) if not s >> e & 1]
+        for a, i in enumerate(out):
+            for j in out[a + 1 :]:
+                if values[s | i] - fs < values[s | i | j] - values[s | j]:
+                    raise ValueError(
+                        "not a polymatroid: not submodular, f(S+i) - f(S) < f(S+i+j) - f(S+j) "
+                        f"at S={list(mask_to_set(s))}, i={i.bit_length()}, j={j.bit_length()}"
+                    )
+            if s | i == full and values[full] < fs:  # i's marginals diminish to this one
+                where = f"at S={list(mask_to_set(s))}, i={i.bit_length()}"
+                raise ValueError(f"not a polymatroid: not monotone, f(S+i) < f(S) {where}")
+
+
+def _polymatroid_polytope(f: SetFunction, bases_only: bool) -> LatticePolytope:
+    """B(f) or P(f), read off f's table once it passes the check.
+
+    Past the check an element of marginal 0 at a prefix keeps marginal 0 at
+    every larger one, so a greedy state (prefix mask, point) jumps to its
+    closure.  Each greedy point is the only maximiser of a weight vector with
+    distinct nonzero entries, as no edge is orthogonal to it, so it is a vertex.
+    """
+    n, values = f.n, f.values
+    require_greedy(n)
+    _check_polymatroid(f)
+    size, full = 1 << n, (1 << n) - 1
+    closures: dict[int, int] = {}  # prefix mask: the elements of marginal 0 there
+
+    def closure(mask: int) -> int:
+        if mask not in closures:
+            closures[mask] = sum(1 << e for e in range(n) if values[mask | 1 << e] == values[mask])
+        return closures[mask]
+
+    states, points = {(closure(0), (0,) * n)}, set()
+    while states:
+        points |= {point for mask, point in states if mask == full or not bases_only}
         states = {
-            (mask | 1 << e, point[:e] + (values[mask | 1 << e] - values[mask],) + point[e + 1 :])
+            (closure(m), point[:e] + (values[m] - values[mask],) + point[e + 1 :])
             for mask, point in states
             for e in range(n)
-            if not mask >> e & 1
+            if (m := mask | 1 << e) != mask
         }
-        levels.append({point for _, point in states})
-    return levels
+    verts = sorted(points)
+    if bases_only:  # the components: each element's least separator
+        separators = [t for t in range(1, size) if values[t] + values[full ^ t] == values[full]]
+        parts = {reduce(and_, (t for t in separators if t >> i & 1)) for i in range(n)}
+    else:  # the loops
+        parts = {1 << i for i in range(n) if values[1 << i] == 0}
+    equations = tuple(sorted((_normal(c, n), values[c]) for c in parts))
+
+    # One field of `width` bytes per vertex holds f(E) below its top bit, so
+    # adding top - ones to a nonnegative slack sets the top bit iff it is not 0.
+    width, count = (values[full].bit_length() + 8) // 8, len(verts)
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * count, "little")
+    top = ones << 8 * width - 1
+
+    def tight(slack: int) -> int:  # the mask of the vertices where the slack is 0
+        flags = ((slack + top - ones) & top).to_bytes(width * count, "little")[width - 1 :: width]
+        return int(flags.translate(_ZERO_FLAGS)[::-1], 2)
+
+    packed = (b"".join(v[i].to_bytes(width, "little") for v in verts) for i in range(n))
+    columns = [int.from_bytes(column, "little") for column in packed]
+    sums = [0] * size  # x(S) at every vertex
+    named: dict[int, int] = {}  # tight mask: S for x(S) <= f(S), or -{i} for -x_i <= 0
+    for s in range(1, size):
+        sums[s] = sums[s & s - 1] + columns[(s & -s).bit_length() - 1]
+        named.setdefault(tight(values[s] * ones - sums[s]), s)
+    for i in range(0 if bases_only else n):
+        named.setdefault(tight(columns[i]), -1 << i)
+    proper = named.keys() - {0, (1 << count) - 1}  # tight at every vertex: an equation
+    return _polytope(n, verts, [(_normal(named[m], n), m) for m in _maximal(proper)], equations)
 
 
-def _submodular_candidates(f: SetFunction) -> list[Inequality]:
-    """x(S) <= f(S) for every nonempty S, then -x_i <= 0 for every i."""
-    n = f.n
-    sums = [(tuple(mask >> i & 1 for i in range(n)), f.values[mask]) for mask in range(1, 1 << n)]
-    return sums + [(tuple(-1 if j == i else 0 for j in range(n)), 0) for i in range(n)]
+def _normal(code: int, n: int) -> tuple[int, ...]:
+    """The indicator vector of the set code, or its negative for the code -set."""
+    return tuple((abs(code) >> i & 1) * (1 if code > 0 else -1) for i in range(n))
 
 
 def independence_polytope(f: SetFunction) -> LatticePolytope:
-    """Polytope {x >= 0 : sum over S of x_i <= f(S)} with greedy vertices."""
-    return _assemble(f.n, set().union(*_greedy_points(f)), _submodular_candidates(f))
+    """P(f) = {x >= 0 : x(S) <= f(S)}; ValueError when f is not a polymatroid."""
+    return _polymatroid_polytope(f, bases_only=False)
 
 
 def base_polytope(f: SetFunction) -> LatticePolytope:
-    """Face of the independence polytope at the rank equation.
-
-    Both constructors raise ValueError when f is not a polymatroid.
-    """
-    return _assemble(f.n, _greedy_points(f)[-1], _submodular_candidates(f))
+    """B(f), the face of P(f) at x(E) = f(E); ValueError when f is not a polymatroid."""
+    return _polymatroid_polytope(f, bases_only=True)
 
 
 def matroid_staircase_vertices(f: SetFunction) -> set[Point]:
@@ -276,10 +318,8 @@ def matroid_staircase_vertices(f: SetFunction) -> set[Point]:
     for mask in bases:
         elements = [i for i in range(n) if mask >> i & 1]
         for assignment in permutations(range(1, d + 1)):
-            point = [0] * n
-            for element, value in zip(elements, assignment):
-                point[element] = value
-            out.add(tuple(point))
+            value = dict(zip(elements, assignment))
+            out.add(tuple(value.get(i, 0) for i in range(n)))
     if not bases:
         out.add((0,) * n)
     return out
@@ -326,12 +366,9 @@ def polytope_from_points(points: Iterable[Sequence[int]]) -> LatticePolytope:
         elif bottom == b and top > b:
             normals.add((tuple(-x for x in w), -b))
 
-    candidates: list[Inequality] = []
-    for w, b in normals:
-        a = [0] * ambient
-        for i, x in zip(free, w):
-            a[i] = x
-        candidates.append((tuple(a), b))
+    chart = {i: k for k, i in enumerate(free)}  # the chart coordinate of each free column
+    lift = [[w[chart[i]] if i in chart else 0 for i in range(ambient)] for w, _ in normals]
+    candidates = [(tuple(a), b) for a, (_, b) in zip(lift, normals)]
     return _assemble(ambient, pts, candidates, equations)
 
 
@@ -359,21 +396,12 @@ def minkowski_sum(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
     ambient = p.ambient_dim
     sums = sorted({tuple(a + b for a, b in zip(u, w)) for u in p.vertices for w in q.vertices})
 
-    if (
-        ambient <= MAX_HULL_AMBIENT_DIM
-        and _edges_in_arrangement(p)
-        and _edges_in_arrangement(q)
-    ):
+    if ambient <= MAX_HULL_AMBIENT_DIM and _edges_in_arrangement(p) and _edges_in_arrangement(q):
         # Each edge of the sum is parallel to an edge of a summand, so the
         # sum's normal fan coarsens the arrangement's too: every facet normal
         # is a (negated) indicator vector.
-        candidates: list[Inequality] = []
-        for mask in range(1, 1 << ambient):
-            normal = tuple(1 if mask >> i & 1 else 0 for i in range(ambient))
-            candidates.append((normal, max(_dot(normal, s) for s in sums)))
-            neg = tuple(-x for x in normal)
-            candidates.append((neg, max(_dot(neg, s) for s in sums)))
-        return _assemble(ambient, sums, candidates)
+        normals = [_normal(c, ambient) for m in range(1, 1 << ambient) for c in (m, -m)]
+        return _assemble(ambient, sums, [(a, max(_dot(a, s) for s in sums)) for a in normals])
 
     return polytope_from_points(sums)
 
@@ -388,8 +416,7 @@ def lattice_points(p: LatticePolytope) -> list[Point]:
     hi = [max(v[i] for v in p.vertices) for i in range(n)]
     constraints: list[Inequality] = list(p.inequalities)
     for a, b in p.equations:
-        constraints.append((a, b))
-        constraints.append((tuple(-x for x in a), -b))
+        constraints += [(a, b), (tuple(-x for x in a), -b)]
 
     # suffix_min[c][i] = minimal achievable contribution of coordinates i.. to a.x
     suffix_min = []
@@ -457,9 +484,7 @@ def faces(p: LatticePolytope) -> list[Face]:
         )
         members = tuple(i for i, bit in enumerate(reversed(bin(mask))) if bit == "1")
         facets = frozenset(j for j, fs in enumerate(facet_masks) if mask & fs == mask)
-        result.append(
-            Face(members, tuple(p.vertices[i] for i in members), dims[mask], facets)
-        )
+        result.append(Face(members, tuple(p.vertices[i] for i in members), dims[mask], facets))
     result.sort(key=lambda f: (f.dim, f.vertex_indices))
     return result
 
@@ -474,10 +499,18 @@ def is_simple(p: LatticePolytope) -> tuple[bool, Point | None]:
     is parallel to some e_i or e_i - e_j (Topkis 1984), so the dim primitive
     edge vectors at a simple vertex are independent columns of a totally
     unimodular matrix and form a lattice basis (Schrijver 1986, ch. 19).
+    The counts are bit-sliced: plane k holds bit k of each vertex's count, and
+    each facet mask ripples through the planes as a carry.
     """
-    counts = ((v, sum(m >> i & 1 for m in p.facet_masks)) for i, v in enumerate(p.vertices))
-    witness = next((v for v, count in counts if count != p.dim), None)
-    return witness is None, witness
+    planes: list[int] = []
+    for carry in p.facet_masks:
+        for k, plane in enumerate(planes):
+            planes[k], carry = plane ^ carry, plane & carry
+        if carry:
+            planes.append(carry)
+    full = (1 << len(p.vertices)) - 1  # each vertex is on at least dim facets: planes cover dim
+    wrong = reduce(or_, (plane ^ full * (p.dim >> k & 1) for k, plane in enumerate(planes)), 0)
+    return (False, p.vertices[(wrong & -wrong).bit_length() - 1]) if wrong else (True, None)
 
 
 def is_smooth(p: LatticePolytope) -> tuple[bool, Point | None]:
@@ -523,14 +556,9 @@ def enumerate_basic_vertices(p: LatticePolytope) -> set[tuple[Fraction, ...]]:
     eq_rows = [[Fraction(x) for x in a] for a, _ in p.equations]
     eq_rhs = [Fraction(b) for _, b in p.equations]
     out: set[tuple[Fraction, ...]] = set()
-    idx = range(len(p.inequalities))
-    for subset in combinations(idx, min(p.dim, len(p.inequalities))):
-        rows = list(eq_rows)
-        rhs = list(eq_rhs)
-        for j in subset:
-            a, b = p.inequalities[j]
-            rows.append([Fraction(x) for x in a])
-            rhs.append(Fraction(b))
+    for subset in combinations(range(len(p.inequalities)), min(p.dim, len(p.inequalities))):
+        rows = eq_rows + [[Fraction(x) for x in p.inequalities[j][0]] for j in subset]
+        rhs = eq_rhs + [Fraction(p.inequalities[j][1]) for j in subset]
         if linalg.kernel_basis(rows, n):
             continue  # the subsystem has no unique solution
         sol = linalg.solve(rows, rhs)

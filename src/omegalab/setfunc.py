@@ -25,7 +25,7 @@ class GroundSetTooLarge(ResourceLimit):
     pass
 
 
-def _require_ground_set(n: int) -> None:  # before any 2^n table is built
+def require_ground_set(n: int) -> None:  # before any 2^n table is built
     if n > MAX_GROUND_SET:
         raise GroundSetTooLarge(f"ground set of size {n} exceeds the cap {MAX_GROUND_SET}")
 
@@ -59,7 +59,7 @@ class SetFunction:
     def __init__(self, n: int, values: Sequence[int]):
         if n < 0:
             raise ValueError("ground-set size must be nonnegative")
-        _require_ground_set(n)
+        require_ground_set(n)
         if len(values) != 1 << n:
             raise ValueError(f"expected {1 << n} values, got {len(values)}")
         self.n = n
@@ -104,7 +104,7 @@ class SetFunction:
 
     @classmethod
     def uniform_matroid(cls, rank: int, n: int) -> "SetFunction":
-        _require_ground_set(n)
+        require_ground_set(n)
         return cls(n, [min(mask.bit_count(), rank) for mask in range(1 << n)])
 
     @classmethod
@@ -116,7 +116,7 @@ class SetFunction:
         reject non-matroid input.
         """
         masks = basis_masks(n, bases)
-        _require_ground_set(n)
+        require_ground_set(n)
         values = [max((b & mask).bit_count() for b in masks) for mask in range(1 << n)]
         return cls(n, values)
 
@@ -194,7 +194,7 @@ def rank_from_support(supp: Iterable[Exponent]) -> SetFunction:
     degrees = {sum(p) for p in points}
     if len(degrees) != 1:
         raise ValueError("support is not homogeneous")
-    _require_ground_set(n)
+    require_ground_set(n)
     values = None
     for p in set(points):
         table = [0]  # the subset sums of p, by mask: one addition per mask
@@ -357,7 +357,7 @@ def polymatroid_from_hyperbolic(h: Polynomial, base: Sequence) -> SetFunction:
     if h.evaluate(point) == 0:
         raise ValueError("polynomial vanishes at the base point")
     n = h.nvars
-    _require_ground_set(n)
+    require_ground_set(n)
     values = []
     for mask in range(1 << n):
         direction = [Fraction(1) if mask >> i & 1 else Fraction(0) for i in range(n)]

@@ -543,6 +543,27 @@ def test_exit_codes_are_pure_verdict_function(capsys):
         assert code == expected
 
 
+def test_polynomial_polytope_guards_fire_before_the_rank_table(capsys, monkeypatch):
+    import omegalab.cli
+
+    calls = []
+
+    def counted(*args, _real=omegalab.cli.rank_from_support):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(omegalab.cli, "rank_from_support", counted)
+    names = [f"x{i}" for i in range(1, 21)]
+    e220 = " + ".join(f"{a}*{b}" for k, a in enumerate(names) for b in names[k + 1 :])
+    code, out, err = run(capsys, "polytope", "--format", "json", "--vars", ",".join(names), e220)
+    assert code == 3 and calls == []
+    assert err == "undecided: greedy enumeration capped at n <= 8\n"
+    assert json.loads(out)["detail"] == "greedy enumeration capped at n <= 8"
+    # within the guards the table is built once
+    code, out, _ = run(capsys, "polytope", "--vars", "x,y,z", "x*y + x*z + y*z")
+    assert code == 0 and len(calls) == 1 and "3 vertices" in out
+
+
 def test_matroid_greedy_guard_fires_before_the_rank_table(capsys, monkeypatch):
     from omegalab import SetFunction
 
