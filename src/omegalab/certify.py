@@ -26,9 +26,9 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import factorial, lcm, prod
-from operator import mul
+from operator import and_, mul, or_
 from typing import Callable, Iterable, Sequence
 
 from .derivatives import derivative_space, derivative_support, partials_guard
@@ -62,10 +62,14 @@ PROBE_MAX_COEFF = 1000
 def is_mconvex(
     points: Iterable[Exponent],
 ) -> tuple[bool, tuple[Exponent, Exponent, int] | None]:
-    """Brute-force exchange-axiom check.
+    """Exchange-axiom check as one cover test per (x, i).
 
     Returns (True, None) or (False, (x, y, i)) for the first exchange
-    direction with no valid completion, in deterministic scan order.
+    direction with no valid completion, scanning x, then y, then i in sorted
+    order.  With the support B indexed by bit, the y with y_i < x_i must lie
+    in the union, over the j with x - e_i + e_j in B, of the y with y_j > x_j
+    and y + e_i - e_j in B.  The tables of both sets are built once, so the
+    test costs O(|B| n^2) operations on |B|-bit ints, not O(|B|^2 n^2) pairs.
     """
     pts = sorted({tuple(int(v) for v in p) for p in points})
     if not pts:
@@ -74,28 +78,31 @@ def is_mconvex(
         raise ValueError("points must have equal coordinate sums")
     if any(v < 0 for p in pts for v in p):
         raise ValueError("points must be nonnegative")
-    index = set(pts)
-    n = len(pts[0])
-    for x in pts:
-        for y in pts:
-            for i in range(n):
-                if x[i] <= y[i]:
-                    continue
-                ok = False
-                for j in range(n):
-                    if x[j] >= y[j]:
-                        continue
-                    xx = list(x)
-                    xx[i] -= 1
-                    xx[j] += 1
-                    yy = list(y)
-                    yy[i] += 1
-                    yy[j] -= 1
-                    if tuple(xx) in index and tuple(yy) in index:
-                        ok = True
-                        break
-                if not ok:
-                    return False, (x, y, i)
+    n, d = len(pts[0]), sum(pts[0])
+    weight = [(d + 1) ** t for t in range(n)]  # base-(d+1) digits: a unit move is one addition
+    code = {sum(map(mul, p, weight)): k for k, p in enumerate(pts)}
+    move = [[0] * n for _ in range(n)]  # move[i][j]: the y with y + e_i - e_j in B
+    at = [[0] * (d + 1) for _ in range(n)]  # at[j][v]: the y with y_j == v
+    for c, k in code.items():
+        y = pts[k]
+        for j in range(n):
+            at[j][y[j]] |= 1 << k
+            if y[j]:
+                for i in range(n):
+                    if i != j and c + weight[i] - weight[j] in code:
+                        move[i][j] |= 1 << k
+    below = [list(accumulate(row, or_, initial=0)) for row in at]  # below[j][v]: y_j < v
+    above = [list(accumulate(row[:0:-1], or_, initial=0))[::-1] for row in at]  # and y_j > v
+    for k, x in enumerate(pts):
+        fails = [0] * n  # fails[i]: the y with y_i < x_i that no j completes
+        for i in range(n):
+            if x[i]:
+                cover = (above[j][x[j]] & move[i][j] for j in range(n) if move[j][i] >> k & 1)
+                fails[i] = below[i][x[i]] & ~functools.reduce(or_, cover, 0)
+        if any(fails):
+            y = min(f & -f for f in fails if f)  # the lowest y, then its lowest i
+            i = next(i for i, f in enumerate(fails) if f & y)
+            return False, (x, pts[y.bit_length() - 1], i)
     return True, None
 
 
@@ -235,13 +242,18 @@ def _swap_generators(h: Polynomial) -> list[tuple[int, int]]:
 
     Variables i and j share a block iff swapping them fixes h's coefficients.
     That is an equivalence, as (i k) = (i j)(j k)(i j), so these swaps
-    generate the product of the symmetric groups on the blocks.
+    generate the product of the symmetric groups on the blocks.  A swap of i
+    and j maps i's sorted (exponent, coefficient) column onto j's, so equal
+    columns are tested first.
     """
-    terms = h.terms
+    terms = h.integer_terms()[1]  # a positive multiple of h: the same swaps fix it
+    column = [sorted((e[i], c) for e, c in terms.items()) for i in range(h.nvars)]
     blocks: list[list[int]] = []
     for i in range(h.nvars):
         for block in blocks:
-            if all(terms.get(_swap(e, block[0], i)) == c for e, c in terms.items()):
+            if column[block[0]] == column[i] and all(
+                terms.get(_swap(e, block[0], i)) == c for e, c in terms.items()
+            ):
                 block.append(i)
                 break
         else:
@@ -287,19 +299,23 @@ def _decide(
     perms = [[index[_swap(v, i, j)] for v in body.vertices] for i, j in swaps]
 
     # The derivative monomials lie in the truncation polytope, so the ones on
-    # a face are those tight at every facet containing it.
-    facets = body.inequalities
-    tight_at = [
-        (i, c, {j for j, (a, b) in enumerate(facets) if sum(map(mul, a, c)) == b})
-        for i, c in enumerate(space.columns)
+    # a face are those tight at every facet containing it: bit i of a facet's
+    # mask is column i, and each basis row keeps its nonzero (bit, column, value).
+    columns = space.columns
+    tight = [
+        sum(1 << i for i, c in enumerate(columns) if sum(map(mul, a, c)) == b)
+        for a, b in body.inequalities
     ]
+    rows = [[(1 << i, c, x) for i, (c, x) in enumerate(zip(columns, r)) if x] for r in space.matrix]
+    rows = [(sum(bit for bit, _, _ in row), row) for row in rows]  # (mask, entries)
+    every = (1 << len(columns)) - 1
     settled: set[tuple[int, ...]] = set()  # faces in an infeasible orbit
     undecided = []
     for face in faces(body):
         if face.vertex_indices in settled:
             continue
-        on = [(i, c) for i, c, tight in tight_at if face.facets <= tight]
-        gens = [g for g in ({c: row[i] for i, c in on if row[i]} for row in space.matrix) if g]
+        on = functools.reduce(and_, (tight[j] for j in face.facets), every)
+        gens = [{c: x for bit, c, x in row if bit & on} for mask, row in rows if mask & on]
         verdict = torus_feasible(gens, max_pairs=max_pairs)
         if verdict.is_feasible:
             return report(
@@ -442,7 +458,7 @@ def certify_smooth(
     if guard is None and h.nvars > MAX_GROUND_SET:
         guard = f"ground-set guard: {h.nvars} variables exceed the cap {MAX_GROUND_SET}"
     guard = guard or partials_guard(h.nvars, d - 1)  # the highest order computed
-    if guard:  # before the O(|S|^2 n^2) M-convexity scan
+    if guard:  # before the M-convexity scan
         return SmoothnessCertificate(
             echo, h.nvars, d, None, None, None, (), VERDICT_UNDECIDED, None, detail=guard
         )

@@ -449,18 +449,22 @@ def torus_feasible(
     """
     sizes: set[int] = set()
     live: list[IntPoly] = []
-    for g in system:
+    degrees: list[int] = []
+    homogeneous = True
+    for g in system:  # one pass; a count mismatch outranks an inhomogeneous generator
         sizes.update(map(len, g))
         if g := {m: c for m, c in g.items() if c}:
             live.append(g)
+            degree, *rest = {sum(m) for m in g}
+            degrees.append(degree)
+            homogeneous = homogeneous and not rest
     if len(sizes) > 1:
         raise ValueError("generator variable count mismatch")
-    if not all(map(_is_standard_homogeneous, live)):
+    if not homogeneous:
         raise ValueError("torus feasibility requires homogeneous generators")
     if not live:
         return FeasibilityVerdict(FEASIBLE, "linear-algebra", ("empty-system", None))
     (nvars,) = sizes
-    degrees = [sum(next(iter(g))) for g in live]
     if 0 in degrees:
         return FeasibilityVerdict(INFEASIBLE, "linear-algebra", ("constant", None))
     for g in live:

@@ -479,12 +479,15 @@ def faces(p: LatticePolytope) -> list[Face]:
     dims: dict[int, int] = {}
     result = []
     for mask in sorted(closed, key=int.bit_count):  # meets come before the face
-        dims[mask] = 1 + max(
-            (dims[m] for fs in facet_masks if (m := mask & fs) and m != mask), default=-1
-        )
+        dim, facets = -1, []
+        for j, fs in enumerate(facet_masks):  # one scan: the facets, and the proper meets
+            if (m := mask & fs) == mask:
+                facets.append(j)
+            elif m and dims[m] > dim:
+                dim = dims[m]
+        dims[mask] = dim = dim + 1
         members = tuple(i for i, bit in enumerate(reversed(bin(mask))) if bit == "1")
-        facets = frozenset(j for j, fs in enumerate(facet_masks) if mask & fs == mask)
-        result.append(Face(members, tuple(p.vertices[i] for i in members), dims[mask], facets))
+        result.append(Face(members, tuple(p.vertices[i] for i in members), dim, frozenset(facets)))
     result.sort(key=lambda f: (f.dim, f.vertex_indices))
     return result
 

@@ -144,6 +144,40 @@ def all_mconvex_sets(n: int, degree: int) -> list[frozenset]:
     return out
 
 
+def reference_is_mconvex(points):
+    """The exchange axiom by the scan over every (x, y, i, j) of the support."""
+    pts = sorted({tuple(int(v) for v in p) for p in points})
+    if not pts:
+        raise ValueError("M-convexity is defined for nonempty point sets")
+    if len({sum(p) for p in pts}) != 1:
+        raise ValueError("points must have equal coordinate sums")
+    if any(v < 0 for p in pts for v in p):
+        raise ValueError("points must be nonnegative")
+    index = set(pts)
+    n = len(pts[0])
+    for x in pts:
+        for y in pts:
+            for i in range(n):
+                if x[i] <= y[i]:
+                    continue
+                ok = False
+                for j in range(n):
+                    if x[j] >= y[j]:
+                        continue
+                    xx = list(x)
+                    xx[i] -= 1
+                    xx[j] += 1
+                    yy = list(y)
+                    yy[i] += 1
+                    yy[j] -= 1
+                    if tuple(xx) in index and tuple(yy) in index:
+                        ok = True
+                        break
+                if not ok:
+                    return False, (x, y, i)
+    return True, None
+
+
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     if parts == 1:
         return [(total,)]

@@ -3,6 +3,7 @@
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 import pytest
@@ -22,6 +23,7 @@ from omegalab.certify import positive_eigenvalue_count
 from omegalab.derivatives import derivative_support, elementary_symmetric
 
 from helpers import (
+    _compositions,
     PLANE_CUBIC_TEXT,
     SINGULAR_CUBIC_TEXT,
     SMOOTH_CUBIC_TEXT,
@@ -31,6 +33,7 @@ from helpers import (
     random_positive_polynomial,
     random_product_of_linear_forms,
     reference_char_poly,
+    reference_is_mconvex,
 )
 
 
@@ -57,6 +60,52 @@ def test_mconvex_rejects_bad_input():
         is_mconvex(set())
     with pytest.raises(ValueError):
         is_mconvex({(1, 0), (2, 0)})
+
+
+def _perturbed(rng: random.Random, points: list, grid: list) -> list:
+    """The points less one of them, or plus a grid point not among them."""
+    extra = [p for p in grid if p not in points]
+    if len(points) > 1 and (not extra or rng.random() < 0.5):
+        dropped = rng.choice(points)
+        return [p for p in points if p != dropped]
+    return points + rng.sample(extra, min(1, len(extra)))
+
+
+def test_mconvex_cover_test_matches_the_pair_scan():
+    rng = random.Random(20)
+    sets = []
+    for _ in range(300):  # the degree-2 points of a random rank-2 polymatroid
+        n = rng.randint(3, 7)
+        support = random_mconvex_support(rng, n, 2)
+        sets += [support, _perturbed(rng, support, _compositions(2, n))]
+    for n in range(1, 9):
+        for d in range(1, n + 1):
+            support = sorted(elementary_symmetric(d, n).support())
+            sets += [support, _perturbed(rng, support, _compositions(d, n))]
+    for _ in range(2400):
+        grid = _compositions(rng.randint(1, 4), rng.randint(1, 5))
+        sets.append(rng.sample(grid, rng.randint(1, len(grid))))
+    failing = 0
+    for points in sets:
+        got = is_mconvex(points)
+        assert got == reference_is_mconvex(points), points
+        failing += not got[0]
+    assert len(sets) >= 3000 and failing >= 1000, (len(sets), failing)
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([], "nonempty point sets"),
+        ([(1, 0), (2, 0)], "equal coordinate sums"),
+        ([(2, -1), (0, 0)], "equal coordinate sums"),  # before the sign test
+        ([(1, -1), (0, 0)], "must be nonnegative"),
+    ],
+)
+def test_mconvex_errors_match_the_pair_scan(points, message):
+    for check in (is_mconvex, reference_is_mconvex):
+        with pytest.raises(ValueError, match=message):
+            check(points)
 
 
 def test_lorentzian_symmetric_quadratic():
@@ -720,6 +769,44 @@ def test_swap_generators_are_the_adjacent_swaps_of_each_block():
     assert _swap_generators(parse_polynomial("x1*x2 + 2*x1*x3 + 3*x2*x3", X123)) == []
     assert _swap_generators(parse_polynomial("x1*x2 + x1*x3 + 2*x2*x3", X123)) == [(1, 2)]
     assert _swap_generators(parse_polynomial(SINGULAR_CUBIC_TEXT, WXYZ)) == [(1, 2)]
+
+
+def test_swap_generators_match_a_brute_force_transposition_test():
+    from omegalab.certify import _swap_generators
+
+    def transposed(e, i, j):
+        e = list(e)
+        e[i], e[j] = e[j], e[i]
+        return tuple(e)
+
+    rng = random.Random(7)
+    columns_only = 0  # pairs with equal column signatures that no swap fixes
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        planted = [rng.randrange(3) for _ in range(n)]  # block label of each variable
+        terms = {}
+        for _ in range(rng.randint(1, 4)):  # the orbit of a monomial under the planted blocks
+            orbit = [tuple(rng.randint(0, 1) for _ in range(n))]
+            for e in orbit:
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        if planted[i] == planted[j] and transposed(e, i, j) not in orbit:
+                            orbit.append(transposed(e, i, j))
+            c = Fraction(rng.randint(1, 2), rng.randint(1, 2))
+            terms.update((e, c) for e in orbit if any(e))
+        h = Polynomial(n, terms)
+        column = [sorted((e[i], c) for e, c in h.items()) for i in range(n)]
+        fixes = [
+            [{transposed(e, i, j): c for e, c in h.items()} == h.terms for j in range(n)]
+            for i in range(n)
+        ]
+        blocks = sorted({tuple(j for j in range(n) if fixes[i][j]) for i in range(n)})
+        columns_only += sum(
+            column[i] == column[j] and not fixes[i][j] for i, j in combinations(range(n), 2)
+        )
+        assert all(planted[i] != planted[j] or fixes[i][j] for i in range(n) for j in range(n))
+        assert _swap_generators(h) == [pair for b in blocks for pair in zip(b, b[1:])], h.terms
+    assert columns_only >= 5, columns_only
 
 
 def test_one_torus_feasibility_call_per_face_orbit(monkeypatch):

@@ -268,6 +268,21 @@ def test_torus_feasible_requires_homogeneous():
         torus_feasible([I("x1^2 + x2", ["x1", "x2"])])
 
 
+def test_torus_feasible_validation_order():
+    inhomogeneous = {(2, 0): 1, (1, 0): 1}
+    for system in ([inhomogeneous, {(1, 0, 0): 1}], [{(1, 0, 0): 1}, inhomogeneous]):
+        with pytest.raises(ValueError, match="generator variable count mismatch"):
+            torus_feasible(system)
+    with pytest.raises(ValueError, match="requires homogeneous generators"):
+        torus_feasible([{(1, 1): 1}, inhomogeneous])
+    # zero coefficients go before the homogeneity test
+    verdict = torus_feasible([{(2, 0): 1, (0, 2): -1, (1, 0): 0}])
+    assert verdict.is_feasible and verdict.method == "groebner"
+    verdict = torus_feasible([{(1, 1): 3, (1, 0): 0}])
+    assert verdict.is_infeasible and verdict.certificate == ("monomial", (1, 1))
+    assert torus_feasible([{}]).is_feasible
+
+
 def test_torus_feasible_undecided_propagates():
     gens = [
         I("x^3 - 2*x*y*z + y*z^2", ["x", "y", "z"]),
