@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 from math import factorial, lcm, prod
-from operator import and_, mul, or_
+from operator import mul, or_
 from typing import Callable, Iterable, Sequence
 
 from .derivatives import derivative_space, derivative_support, partials_guard
@@ -74,6 +74,8 @@ def is_mconvex(
     pts = sorted({tuple(int(v) for v in p) for p in points})
     if not pts:
         raise ValueError("M-convexity is defined for nonempty point sets")
+    if len(set(map(len, pts))) != 1:
+        raise ValueError("points must have equal length")
     if len({sum(p) for p in pts}) != 1:
         raise ValueError("points must have equal coordinate sums")
     if any(v < 0 for p in pts for v in p):
@@ -294,28 +296,34 @@ def _decide(
         body = base_polytope(truncate(rho(), k))
     except ResourceLimit as exc:
         return report(disjoint="undecided", detail=f"order-{k} truncation polytope: {exc}"), None
-    # A swap fixing h maps the polytope onto itself, so it permutes the vertices.
-    index = {v: i for i, v in enumerate(body.vertices)}
-    perms = [[index[_swap(v, i, j)] for v in body.vertices] for i, j in swaps]
+    # A swap fixing h maps the polytope onto itself, so it permutes the vertices:
+    # each perm maps a vertex's bit to its image's, and a face's mask to its image's.
+    index = {v: 1 << t for t, v in enumerate(body.vertices)}
+    perms = [{bit: index[_swap(v, i, j)] for v, bit in index.items()} for i, j in swaps]
 
-    # The derivative monomials lie in the truncation polytope, so the ones on
-    # a face are those tight at every facet containing it: bit i of a facet's
+    # The derivative monomials lie in the truncation polytope, so the ones off
+    # a face are those off some facet containing it: bit i of a facet's `off`
     # mask is column i, and each basis row keeps its nonzero (bit, column, value).
+    # A row wholly on a face passes its prebuilt dict; only a cut row is rebuilt.
     columns = space.columns
-    tight = [
-        sum(1 << i for i, c in enumerate(columns) if sum(map(mul, a, c)) == b)
-        for a, b in body.inequalities
-    ]
-    rows = [[(1 << i, c, x) for i, (c, x) in enumerate(zip(columns, r)) if x] for r in space.matrix]
-    rows = [(sum(bit for bit, _, _ in row), row) for row in rows]  # (mask, entries)
     every = (1 << len(columns)) - 1
-    settled: set[tuple[int, ...]] = set()  # faces in an infeasible orbit
+    off = {
+        1 << j: every ^ sum(1 << i for i, c in enumerate(columns) if sum(map(mul, a, c)) == b)
+        for j, (a, b) in enumerate(body.inequalities)
+    }
+    rows = [[(1 << i, c, x) for i, (c, x) in enumerate(zip(columns, r)) if x] for r in space.matrix]
+    rows = [(sum(bit for bit, _, _ in row), row, {c: x for _, c, x in row}) for row in rows]
+    settled: set[int] = set()  # vertex masks of the faces in an infeasible orbit
     undecided = []
     for face in faces(body):
-        if face.vertex_indices in settled:
+        if face.mask in settled:
             continue
-        on = functools.reduce(and_, (tight[j] for j in face.facets), every)
-        gens = [{c: x for bit, c, x in row if bit & on} for mask, row in rows if mask & on]
+        on = every ^ _image(face.facet_mask, off)
+        gens = [
+            whole if mask & on == mask else {c: x for bit, c, x in row if bit & on}
+            for mask, row, whole in rows
+            if mask & on
+        ]
         verdict = torus_feasible(gens, max_pairs=max_pairs)
         if verdict.is_feasible:
             return report(
@@ -325,17 +333,26 @@ def _decide(
             ), body
         if verdict.status == "undecided":
             detail = f"{verdict.method} undecided on a face orbit: {verdict.certificate}"
-            undecided.append((face.vertex_indices, detail))
+            undecided.append((face.mask, detail))
         elif perms:  # infeasible: settle the orbit
-            orbit = [face.vertex_indices]
+            orbit = [face.mask]
             while orbit:
                 cur = orbit.pop()
                 if cur not in settled:
                     settled.add(cur)
-                    orbit += [tuple(sorted(perm[x] for x in cur)) for perm in perms]
+                    orbit += [_image(cur, perm) for perm in perms]
     # A face at the pair cap is undecided only if no face of its orbit was infeasible.
     detail = next((d for key, d in undecided if key not in settled), None)
     return report(disjoint="undecided" if detail else "yes", detail=detail), body
+
+
+def _image(mask: int, bits: dict[int, int]) -> int:
+    """The OR of bits[b] over the set bits b of mask."""
+    out = 0
+    while mask:
+        out |= bits[mask & -mask]
+        mask &= mask - 1
+    return out
 
 
 def oracle_centre_disjoint(

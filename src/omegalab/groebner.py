@@ -453,9 +453,11 @@ def torus_feasible(
     homogeneous = True
     for g in system:  # one pass; a count mismatch outranks an inhomogeneous generator
         sizes.update(map(len, g))
-        if g := {m: c for m, c in g.items() if c}:
+        if 0 in g.values():  # the only copy: the caller's dicts are never changed
+            g = {m: c for m, c in g.items() if c}
+        if g:
             live.append(g)
-            degree, *rest = {sum(m) for m in g}
+            degree, *rest = set(map(sum, g))
             degrees.append(degree)
             homogeneous = homogeneous and not rest
     if len(sizes) > 1:

@@ -31,7 +31,7 @@ from functools import reduce
 from itertools import combinations, permutations
 from math import comb
 from operator import and_, or_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .guards import ResourceLimit
@@ -98,18 +98,32 @@ class LatticePolytope:
         }
 
 
-@dataclass(frozen=True)
-class Face:
-    """Nonempty face given by its vertex indices into the parent polytope.
+class Face(NamedTuple):
+    """Nonempty face of a parent polytope, held as bit masks.
 
-    `facets` holds the indices into the parent's `inequalities` of the facets
-    containing the face; the face is the parent cut by those facets' equalities.
+    Bit i of `mask` is the parent's vertex i, and bit j of `facet_mask` is
+    the parent's `inequalities[j]`, a facet containing the face; the face is
+    the parent cut by those facets' equalities.  `parent_vertices` is the
+    parent's own vertex tuple.  `vertex_indices`, `vertices` and `facets` are
+    read off the masks on access.
     """
 
-    vertex_indices: tuple[int, ...]
-    vertices: tuple[Point, ...]
     dim: int
-    facets: frozenset[int]
+    mask: int
+    facet_mask: int
+    parent_vertices: tuple[Point, ...]
+
+    @property
+    def vertex_indices(self) -> tuple[int, ...]:
+        return mask_to_set(self.mask, 0)
+
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        return tuple(map(self.parent_vertices.__getitem__, mask_to_set(self.mask, 0)))
+
+    @property
+    def facets(self) -> frozenset[int]:
+        return frozenset(mask_to_set(self.facet_mask, 0))
 
 
 # -- affine chart helpers --------------------------------------------------------
@@ -461,9 +475,15 @@ def faces(p: LatticePolytope) -> list[Face]:
 
     A face's dimension is one more than the largest among its nonempty proper
     meets with the facets (its own facets are among them); a vertex has none.
+    The faces come by dimension, then by `vertex_indices` in lexicographic
+    order.  Two faces of one dimension are incomparable, so neither index
+    tuple is a prefix of the other and that order is the descending order of
+    the bit-reversed masks; each face but the polytope is the meet of its
+    facets, so its reversed mask is the meet of theirs.
     """
-    facet_masks = p.facet_masks
-    full = (1 << len(p.vertices)) - 1
+    facet_masks, verts = p.facet_masks, p.vertices
+    count = len(verts)
+    full = (1 << count) - 1
     closed = {full}
     frontier = [full]
     while frontier:
@@ -476,20 +496,20 @@ def faces(p: LatticePolytope) -> list[Face]:
                     new.append(meet)
         frontier = new
 
+    flipped = [(1 << j, int(f"{fs:0{count}b}"[::-1], 2)) for j, fs in enumerate(facet_masks)]
     dims: dict[int, int] = {}
-    result = []
+    by_key: dict[int, Face] = {}  # dim, then the complemented reversed mask
     for mask in sorted(closed, key=int.bit_count):  # meets come before the face
-        dim, facets = -1, []
-        for j, fs in enumerate(facet_masks):  # one scan: the facets, and the proper meets
+        dim, on, rev = -1, 0, full
+        for fs, (bit, flip) in zip(facet_masks, flipped):  # the facets, and the proper meets
             if (m := mask & fs) == mask:
-                facets.append(j)
+                on |= bit
+                rev &= flip
             elif m and dims[m] > dim:
                 dim = dims[m]
         dims[mask] = dim = dim + 1
-        members = tuple(i for i, bit in enumerate(reversed(bin(mask))) if bit == "1")
-        result.append(Face(members, tuple(p.vertices[i] for i in members), dim, frozenset(facets)))
-    result.sort(key=lambda f: (f.dim, f.vertex_indices))
-    return result
+        by_key[dim << count | full ^ rev] = Face(dim, mask, on, verts)
+    return [by_key[key] for key in sorted(by_key)]
 
 
 def is_simple(p: LatticePolytope) -> tuple[bool, Point | None]:

@@ -30,16 +30,9 @@ def require_ground_set(n: int) -> None:  # before any 2^n table is built
         raise GroundSetTooLarge(f"ground set of size {n} exceeds the cap {MAX_GROUND_SET}")
 
 
-def mask_to_set(mask: int) -> tuple[int, ...]:
-    """Bitmask to sorted tuple of 1-based elements."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+def mask_to_set(mask: int, start: int = 1) -> tuple[int, ...]:
+    """Bitmask to sorted tuple of its elements, bit 0 being element `start`."""
+    return tuple(i for i, bit in enumerate(reversed(bin(mask)), start) if bit == "1")
 
 
 def set_to_mask(elements: Iterable[int]) -> int:
@@ -190,6 +183,8 @@ def rank_from_support(supp: Iterable[Exponent]) -> SetFunction:
     points = [tuple(int(x) for x in p) for p in supp]
     if not points:
         raise ValueError("support is empty")
+    if len(set(map(len, points))) != 1:
+        raise ValueError("points must have equal length")
     n = len(points[0])
     degrees = {sum(p) for p in points}
     if len(degrees) != 1:

@@ -8,8 +8,11 @@ weakening the suite.
 from __future__ import annotations
 
 import random
+import sys
+import types
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 from omegalab import (
     Polynomial,
@@ -22,6 +25,16 @@ from omegalab import (
     lattice_points,
     linalg,
 )
+
+
+def bench_fixtures() -> types.ModuleType:
+    """bench/fixtures.py, executed without writing anything under bench/."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "fixtures.py"
+    module = types.ModuleType("bench_fixtures")
+    sys.modules[module.__name__] = module  # dataclasses looks the module up
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
 
 SINGULAR_CUBIC_TEXT = (
     "8*w*x^2 + 20*w*x*y + 8*w*y^2 + 42*w*x*z + 42*w*y*z + 49*w*z^2"
@@ -312,7 +325,40 @@ def reference_hull(points):
     return dim, set(normals), vertices
 
 
-# -- face-lattice references for simplicity and smoothness (test-only) ------------
+# -- face-lattice references: the listing, simplicity, smoothness (test-only) -----
+
+
+def reference_faces(p):
+    """The face listing built with tuples and sets: (vertex_indices, vertices,
+    dim, facets) per face, sorted on (dim, vertex_indices)."""
+    facet_masks = p.facet_masks
+    full = (1 << len(p.vertices)) - 1
+    closed = {full}
+    frontier = [full]
+    while frontier:
+        new = []
+        for fs in facet_masks:
+            for cur in frontier:
+                meet = cur & fs
+                if meet and meet not in closed:
+                    closed.add(meet)
+                    new.append(meet)
+        frontier = new
+
+    dims = {}
+    result = []
+    for mask in sorted(closed, key=int.bit_count):  # meets come before the face
+        dim, facets = -1, []
+        for j, fs in enumerate(facet_masks):
+            if (m := mask & fs) == mask:
+                facets.append(j)
+            elif m and dims[m] > dim:
+                dim = dims[m]
+        dims[mask] = dim = dim + 1
+        members = tuple(i for i, bit in enumerate(reversed(bin(mask))) if bit == "1")
+        result.append((members, tuple(p.vertices[i] for i in members), dim, frozenset(facets)))
+    result.sort(key=lambda f: (f[2], f[0]))
+    return result
 
 
 def reference_is_simple(p):

@@ -29,6 +29,7 @@ from helpers import (
     SMOOTH_CUBIC_TEXT,
     WXYZ,
     X123,
+    bench_fixtures,
     random_mconvex_support,
     random_positive_polynomial,
     random_product_of_linear_forms,
@@ -106,6 +107,17 @@ def test_mconvex_errors_match_the_pair_scan(points, message):
     for check in (is_mconvex, reference_is_mconvex):
         with pytest.raises(ValueError, match=message):
             check(points)
+
+
+def test_mixed_point_lengths_raise():
+    # checked right after emptiness, so before the coordinate sums
+    for points in ({(1, 0), (1,)}, {(1, 0), (0, 1, 0)}, {(1, 0), (2,)}):
+        with pytest.raises(ValueError, match="points must have equal length"):
+            is_mconvex(points)
+    with pytest.raises(ValueError, match="points must have equal length"):
+        smoothable_probe([(1, 1), (2, 0), (0, 1, 1)], trials=1)
+    with pytest.raises(ValueError, match="nonempty point sets"):
+        smoothable_probe([], trials=1)
 
 
 def test_lorentzian_symmetric_quadratic():
@@ -827,6 +839,42 @@ def test_one_torus_feasibility_call_per_face_orbit(monkeypatch):
     cert = certify_smooth(parse_polynomial(SINGULAR_CUBIC_TEXT, WXYZ))
     assert len(calls) == 25
     assert cert.k_reports[0].witness_face == ((1, 0, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0))
+
+
+def test_orbit_images_of_face_masks_match_the_index_tuple_images():
+    # every swap fixing h, not only the generators, at every order of the ladder fixtures
+    from omegalab import base_polytope, faces, rank_from_support, truncate
+    from omegalab.certify import _image, _swap
+
+    fixtures = bench_fixtures()
+    images = 0
+    for name, _ in fixtures.LADDER:
+        if name in fixtures.GUARDED:
+            continue
+        f = fixtures.fixture(name)
+        h = parse_polynomial(f.text, list(f.names))
+        terms = h.integer_terms()[1]
+        swaps = [
+            (i, j)
+            for i, j in combinations(range(h.nvars), 2)
+            if all(terms.get(_swap(e, i, j)) == c for e, c in terms.items())
+        ]
+        rho = rank_from_support(h.support())
+        for k in range(1, h.total_degree):
+            body = base_polytope(truncate(rho, k))
+            listing = faces(body)
+            masks = {face.mask for face in listing}
+            index = {v: t for t, v in enumerate(body.vertices)}
+            for i, j in swaps:
+                perm = [index[_swap(v, i, j)] for v in body.vertices]
+                bits = {1 << t: 1 << x for t, x in enumerate(perm)}
+                for face in listing:
+                    image = tuple(sorted(perm[x] for x in face.vertex_indices))  # the old key
+                    mask = sum(1 << x for x in image)
+                    assert _image(face.mask, bits) == mask, (name, k, i, j)
+                    assert mask in masks
+                    images += 1
+    assert images >= 40000, images
 
 
 def _cap_on_calls(monkeypatch, capped_calls):

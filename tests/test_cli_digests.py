@@ -17,23 +17,14 @@ import hashlib
 import io
 import json
 import random
-import sys
 import types
 from pathlib import Path
 
 from omegalab.cli import main
 
-ROOT = Path(__file__).resolve().parent.parent
+from helpers import bench_fixtures
+
 DIGESTS = Path(__file__).resolve().parent / "cli_digests.json"
-
-
-def _bench_fixtures() -> types.ModuleType:
-    """bench/fixtures.py, executed without writing anything under bench/."""
-    path = ROOT / "bench" / "fixtures.py"
-    module = types.ModuleType("bench_fixtures")
-    sys.modules[module.__name__] = module  # dataclasses looks the module up
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
-    return module
 
 
 def _rational_variants(fixtures: types.ModuleType, ladder: list) -> list:
@@ -57,7 +48,7 @@ def _rational_variants(fixtures: types.ModuleType, ladder: list) -> list:
 
 
 def _calls():
-    fixtures = _bench_fixtures()
+    fixtures = bench_fixtures()
     ladder = [fixtures.fixture(name) for name, _ in fixtures.LADDER]
     variants = _rational_variants(fixtures, ladder)
     for command, inputs in (

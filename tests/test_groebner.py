@@ -1,5 +1,6 @@
 """Groebner engine, torus feasibility, toric ideals."""
 
+import copy
 import hashlib
 import random
 from fractions import Fraction
@@ -281,6 +282,19 @@ def test_torus_feasible_validation_order():
     verdict = torus_feasible([{(1, 1): 3, (1, 0): 0}])
     assert verdict.is_infeasible and verdict.certificate == ("monomial", (1, 1))
     assert torus_feasible([{}]).is_feasible
+
+
+def test_torus_feasible_leaves_its_inputs_unchanged():
+    # the certificate passes one dict to many calls, so no call may change it
+    for system in (
+        [{(2, 0, 0): 1, (0, 1, 1): -1, (1, 0, 0): 0}, {(0, 2, 0): 1, (0, 0, 2): -1}],
+        [{(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): 0}, {(0, 1, 0): 1, (0, 0, 1): -1}],
+        [{(1, 1, 0): 2, (1, 0, 0): 0}, {(0, 1, 1): 1, (0, 2, 0): 1}],
+    ):
+        before = copy.deepcopy(system)
+        first, second = torus_feasible(system), torus_feasible(system)
+        assert first == second
+        assert system == before
 
 
 def test_torus_feasible_undecided_propagates():

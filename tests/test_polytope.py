@@ -40,6 +40,7 @@ from helpers import (
     random_mconvex_support,
     random_polymatroid,
     reference_affine_rank,
+    reference_faces,
     reference_greedy_points,
     reference_hull,
     reference_is_simple,
@@ -285,6 +286,29 @@ def test_face_facets_are_the_inequalities_tight_at_its_vertices():
                 if all(sum(x * y for x, y in zip(a, v)) == b for v in face.vertices)
             }
             assert face.facets == tight
+
+
+def test_faces_match_the_tuple_and_set_reference():
+    # the listing built from bin strings, frozensets and a sort on index tuples
+    rng = random.Random(7171)
+    kinds = Counter()
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        f = random_polymatroid(rng, n, 3)
+        bodies = {"base": base_polytope(f), "independence": independence_polytope(f)}
+        if n <= 4:
+            bodies["summed"] = base_polytope(truncation_sum(f))
+        ambient = rng.randint(1, 3)
+        pts = {tuple(rng.randint(-2, 2) for _ in range(ambient)) for _ in range(rng.randint(1, 8))}
+        bodies["hull"] = polytope_from_points(pts)
+        for kind, body in bodies.items():
+            listing = faces(body)
+            got = [(face.vertex_indices, face.vertices, face.dim, face.facets) for face in listing]
+            assert got == reference_faces(body), (kind, body)
+            assert all(face.parent_vertices is body.vertices for face in listing)
+            assert all(type(face.facets) is frozenset for face in listing)
+            kinds[kind] += 1
+    assert sum(kinds.values()) >= 300 and min(kinds.values()) >= 60, kinds
 
 
 def test_face_dims_pinned_on_hypersimplices_and_summed_truncations():

@@ -30,6 +30,7 @@ U24 = SetFunction.uniform_matroid(2, 4)
 def test_mask_roundtrip():
     assert mask_to_set(set_to_mask([1, 3])) == (1, 3)
     assert mask_to_set(0) == ()
+    assert mask_to_set(0b1010, 0) == (1, 3)
 
 
 def test_uniform_matroid_is_polymatroid():
@@ -104,10 +105,14 @@ def test_rank_from_support_basis_indicators():
 
 
 def test_rank_from_support_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="support is empty"):
         rank_from_support(set())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="support is not homogeneous"):
         rank_from_support({(1, 0), (2, 0)})
+    # mixed lengths, checked right after emptiness
+    for points in ([(1, 0), (0, 1, 0)], [(1,), (0, 1)], [(1, 0), (2,)]):
+        with pytest.raises(ValueError, match="points must have equal length"):
+            rank_from_support(points)
 
 
 def test_truncate_uniform():
