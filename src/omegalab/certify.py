@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 from math import factorial, lcm, prod
-from operator import mul, or_
+from operator import itemgetter, mul, or_
 from typing import Callable, Iterable, Sequence
 
 from .derivatives import derivative_space, derivative_support, partials_guard
@@ -235,8 +235,11 @@ class OrderReport:
         return out
 
 
-def _swap(e: tuple, i: int, j: int) -> tuple:
-    return tuple(e[j] if t == i else e[i] if t == j else x for t, x in enumerate(e))
+def _transposition(n: int, i: int, j: int) -> Callable[[Sequence], tuple]:
+    """The map from an n-tuple to it with entries i and j exchanged (i != j)."""
+    order = list(range(n))
+    order[i], order[j] = j, i
+    return itemgetter(*order)
 
 
 def _swap_generators(h: Polynomial) -> list[tuple[int, int]]:
@@ -253,9 +256,10 @@ def _swap_generators(h: Polynomial) -> list[tuple[int, int]]:
     blocks: list[list[int]] = []
     for i in range(h.nvars):
         for block in blocks:
-            if column[block[0]] == column[i] and all(
-                terms.get(_swap(e, block[0], i)) == c for e, c in terms.items()
-            ):
+            if column[block[0]] != column[i]:
+                continue
+            swap = _transposition(h.nvars, block[0], i)
+            if all(terms.get(swap(e)) == c for e, c in terms.items()):
                 block.append(i)
                 break
         else:
@@ -276,13 +280,15 @@ def centre_disjoint(
     same span as the restricted partials, hence the same ideal.  Faces in the
     orbit of an infeasible face under the variable swaps fixing h are skipped.
     """
-    return _decide(h, k, lambda: rank_from_support(h.support()), max_pairs, _swap_generators(h))[0]
+    return _decide(
+        h, k, lambda: rank_from_support(h.support()), max_pairs, lambda: _swap_generators(h)
+    )[0]
 
 
 def _decide(
-    h: Polynomial, k: int, rho: Callable[[], SetFunction], max_pairs: int, swaps: list
+    h: Polynomial, k: int, rho: Callable[[], SetFunction], max_pairs: int, swaps: Callable[[], list]
 ) -> tuple[OrderReport, LatticePolytope | None]:
-    """(order-k report, truncation polytope or None); rho() runs past the greedy guard only."""
+    """(order-k report, truncation polytope or None); rho(), swaps() run past the greedy guard."""
     space = derivative_space(h, k)
     report = functools.partial(
         OrderReport,
@@ -299,7 +305,8 @@ def _decide(
     # A swap fixing h maps the polytope onto itself, so it permutes the vertices:
     # each perm maps a vertex's bit to its image's, and a face's mask to its image's.
     index = {v: 1 << t for t, v in enumerate(body.vertices)}
-    perms = [{bit: index[_swap(v, i, j)] for v, bit in index.items()} for i, j in swaps]
+    swapped = [_transposition(h.nvars, i, j) for i, j in swaps()]
+    perms = [{bit: index[swap(v)] for v, bit in index.items()} for swap in swapped]
 
     # The derivative monomials lie in the truncation polytope, so the ones off
     # a face are those off some facet containing it: bit i of a facet's `off`
@@ -466,8 +473,8 @@ def certify_smooth(
     d = h.total_degree
     if d < 2:
         raise ValueError("degree must be at least 2")
-    for i in range(h.nvars):
-        if all(e[i] == 0 for e in h.support()):
+    for i, column in enumerate(zip(*h.support())):
+        if not any(column):
             raise ValueError(f"variable index {i} does not occur in the polynomial")
     echo = text if text is not None else h.to_string([f"x{i+1}" for i in range(h.nvars)])
 
@@ -488,7 +495,7 @@ def certify_smooth(
         )
 
     rho = functools.cache(lambda: rank_from_support(h.support()))  # made once, if at all
-    swaps = _swap_generators(h)
+    swaps = functools.cache(lambda: _swap_generators(h))  # made once, if at all
     decided = [_decide(h, k, rho, max_pairs, swaps) for k in range(1, d)]
     reports = tuple(report for report, _ in decided)
     detail = None

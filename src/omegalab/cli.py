@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import SCHEMA
 from .certify import (
+    SmoothnessCertificate,
     certify_smooth,
     is_lorentzian,
     is_mconvex,
@@ -122,6 +123,11 @@ def _cmd_certify(args) -> int:
     h, names, text = _read_polynomial(args)
     cert = certify_smooth(h, text=text, max_pairs=args.max_pairs)
     payload = {"command": "certify", **cert.to_json_dict()}
+    _emit(args, payload, _certificate_lines(cert, names) if args.format == "text" else [])
+    return VERDICT_EXIT_CODES[cert.verdict]
+
+
+def _certificate_lines(cert: SmoothnessCertificate, names: list[str]) -> list[str]:
     lines = [
         f"polynomial: {cert.polynomial}",
         f"variables:  {', '.join(names)}",
@@ -149,8 +155,7 @@ def _cmd_certify(args) -> int:
             f"toric polytope: {len(cert.polytope.vertices)} vertices, dim {cert.polytope.dim}"
         )
         lines.append(f"vertices: {[list(v) for v in cert.polytope.vertices]}")
-    _emit(args, payload, lines)
-    return VERDICT_EXIT_CODES[cert.verdict]
+    return lines
 
 
 def _cmd_analyze(args) -> int:

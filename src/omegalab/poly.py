@@ -13,11 +13,13 @@ monomials is graded reverse lexicographic with the first variable largest.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
+_INT = frozenset({int})  # an exponent of these entries needs no int()
 
 
 class ParseError(ValueError):
@@ -49,17 +51,20 @@ class Polynomial:
         clean: dict[Exponent, Fraction] = {}
         if terms:
             for exponent, coeff in terms.items():
-                exponent = tuple(int(e) for e in exponent)
+                if type(exponent) is not tuple or not _INT.issuperset(map(type, exponent)):
+                    exponent = tuple(map(int, exponent))
                 if len(exponent) != nvars:
                     raise ValueError(
                         f"exponent {exponent} has length {len(exponent)}, expected {nvars}"
                     )
-                if any(e < 0 for e in exponent):
+                if exponent and min(exponent) < 0:
                     raise ValueError(f"negative exponent in {exponent}")
-                coeff = Fraction(coeff)
+                if type(coeff) is not Fraction:
+                    coeff = Fraction(coeff)
                 if coeff:
-                    clean[exponent] = clean.get(exponent, Fraction(0)) + coeff
-            clean = {e: c for e, c in clean.items() if c}
+                    clean[exponent] = clean[exponent] + coeff if exponent in clean else coeff
+            if len(clean) < len(terms):  # a zero term, or like terms added, perhaps to 0
+                clean = {e: c for e, c in clean.items() if c}
         self._terms = clean
         self._hash: int | None = None
 
@@ -300,56 +305,26 @@ def _univ_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 # factor     := varname ['^' positive-integer]
 # coefficient:= integer ['/' positive-integer]
 #
-# Whitespace is ignored.  A bare coefficient is accepted as a constant term.
+# Whitespace (str.isspace, regex \s) is ignored between tokens.  An integer is
+# a run of decimal digits (str.isdecimal, regex \d, what int() reads); a name is
+# a run of str.isalnum characters and '_' (regex \w).  A term that starts with
+# a digit starts with its coefficient.  A bare coefficient is a constant term.
 
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
-
-    def take(self) -> str:
-        ch = self.peek()
-        if ch:
-            self.pos += 1
-        return ch
-
-    def read_integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
-
-    def read_name(self) -> tuple[str, int]:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected a variable name", start)
-        return self.text[start : self.pos], start
+_FACTOR = r"\w+\s*(?:\^\s*\d+\s*)?"
+_FACTORS = rf"({_FACTOR}(?:\*\s*{_FACTOR})*)"
+# The longest well-formed term at a position, trailing whitespace included:
+# sign, numerator, denominator, factors after a coefficient, factors alone.
+_TERM = re.compile(
+    rf"\s*([+-]?)\s*(?:(\d+)\s*(?:/\s*(\d+)\s*)?(?:\*\s*{_FACTORS})?|(?!\d){_FACTORS})?"
+)
+_POWERED = re.compile(r"(\w+)\s*(?:\^\s*(\d+))?")
 
 
 def parse_polynomial(text: str, variable_order: Sequence[str]) -> Polynomial:
     """Parse polynomial text into canonical sparse form.
 
     Like terms are combined and zero terms dropped.  Unknown variable names
-    and syntax errors raise ParseError with the offending position.
+    and syntax errors raise ParseError with the offending 0-based position.
     """
     names = list(variable_order)
     if not names:
@@ -359,64 +334,53 @@ def parse_polynomial(text: str, variable_order: Sequence[str]) -> Polynomial:
     index = {name: i for i, name in enumerate(names)}
     nvars = len(names)
 
-    tok = _Tokenizer(text)
-    acc: dict[Exponent, Fraction] = {}
-
-    def read_factor() -> tuple[int, int]:
-        name, start = tok.read_name()
-        if name not in index:
-            raise ParseError(f"unknown variable {name!r}", start)
-        power = 1
-        if tok.peek() == "^":
-            tok.take()
-            where = tok.pos
-            power = tok.read_integer()
-            if power <= 0:
-                raise ParseError("exponent must be positive", where)
-        return index[name], power
-
-    def read_term(sign: int) -> None:
-        coeff = Fraction(sign)
-        exponent = [0] * nvars
-        ch = tok.peek()
-        if ch.isdigit():
-            numerator = tok.read_integer()
-            denominator = 1
-            if tok.peek() == "/":
-                tok.take()
-                where = tok.pos
-                denominator = tok.read_integer()
-                if denominator <= 0:
-                    raise ParseError("denominator must be positive", where)
-            coeff *= Fraction(numerator, denominator)
-            if tok.peek() != "*":
-                # bare constant term
-                acc[tuple(exponent)] = acc.get(tuple(exponent), Fraction(0)) + coeff
-                return
-            tok.take()
-        var, power = read_factor()
-        exponent[var] += power
-        while tok.peek() == "*":
-            tok.take()
-            var, power = read_factor()
-            exponent[var] += power
-        key = tuple(exponent)
-        acc[key] = acc.get(key, Fraction(0)) + coeff
-
-    if tok.peek() == "":
-        raise ParseError("empty polynomial text", tok.pos)
-    sign = 1
-    if tok.peek() in "+-":
-        sign = -1 if tok.take() == "-" else 1
-    read_term(sign)
+    # One match per term; a coefficient stays an int unless it has a denominator.
+    acc: dict[Exponent, int | Fraction] = {}
+    pos, end = 0, len(text)
     while True:
-        ch = tok.peek()
-        if ch == "":
-            break
-        if ch not in "+-":
-            raise ParseError(f"unexpected character {ch!r}", tok.pos)
-        tok.take()
-        read_term(-1 if ch == "-" else 1)
-
-    return Polynomial(nvars, acc)
-
+        m = _TERM.match(text, pos)
+        sign, num, den, after, alone = m.groups()
+        pos = m.end()
+        if num is None and alone is None:
+            if sign or pos < end:
+                raise ParseError("expected a variable name", pos)
+            raise ParseError("empty polynomial text", pos)
+        coeff = int(num) if num else 1
+        if sign == "-":
+            coeff = -coeff
+        if den:
+            if not int(den):
+                raise ParseError("denominator must be positive", text.index("/", m.end(2)) + 1)
+            coeff = Fraction(coeff, int(den))
+        exponent = [0] * nvars
+        factors = ()
+        if after or alone:
+            start = m.start(4 if after else 5)
+            factors = _POWERED.findall(text, start, pos)
+            for name, digits in factors:
+                var = index.get(name)
+                power = int(digits) if digits else 1
+                if var is None or not power:  # the first such factor: find where it is
+                    bad = list(_POWERED.finditer(text, start, pos))[factors.index((name, digits))]
+                    if var is None:
+                        raise ParseError(f"unknown variable {name!r}", bad.start())
+                    raise ParseError("exponent must be positive", text.index("^", bad.end(1)) + 1)
+                exponent[var] += power
+        key = tuple(exponent)
+        acc[key] = acc.get(key, 0) + coeff
+        if pos == end:
+            return Polynomial(nvars, acc)
+        ch = text[pos]
+        if ch in "+-":
+            continue
+        # '*' may follow any term, '/' a bare numerator, '^' a last factor without a
+        # power; then its operand is missing.  Anything else is a stray character.
+        if ch == "*":
+            expected = "a variable name"
+        elif ch == "/" and num and not (den or after):
+            expected = "an integer"
+        elif ch == "^" and factors and not factors[-1][1]:
+            expected = "an integer"
+        else:
+            raise ParseError(f"unexpected character {ch!r}", pos)
+        raise ParseError(f"expected {expected}", end - len(text[pos + 1 :].lstrip()))

@@ -15,6 +15,7 @@ from itertools import combinations, permutations
 from pathlib import Path
 
 from omegalab import (
+    ParseError,
     Polynomial,
     SetFunction,
     base_polytope,
@@ -409,3 +410,124 @@ def reference_is_smooth(p):
         if len(divisors) != p.dim or any(d != 1 for d in divisors):
             return False, v
     return True, None
+
+
+class _Tokenizer:
+    """One character at a time, whitespace skipped before every token."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        if self.pos >= len(self.text):
+            return ""
+        return self.text[self.pos]
+
+    def take(self) -> str:
+        ch = self.peek()
+        if ch:
+            self.pos += 1
+        return ch
+
+    def read_integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            raise ParseError("expected an integer", start)
+        return int(self.text[start : self.pos])
+
+    def read_name(self) -> tuple[str, int]:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and (
+            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+        ):
+            self.pos += 1
+        if self.pos == start:
+            raise ParseError("expected a variable name", start)
+        return self.text[start : self.pos], start
+
+
+def reference_parse_polynomial(text: str, variable_order) -> Polynomial:
+    """The character-at-a-time parser that omegalab.poly.parse_polynomial replaced.
+
+    It reads non-decimal digits such as '²' as digits, so int() raises a bare
+    ValueError on them; every other text gives the same Polynomial or ParseError.
+    """
+    names = list(variable_order)
+    if not names:
+        raise ValueError("variable_order must be nonempty")
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate variable names")
+    index = {name: i for i, name in enumerate(names)}
+    nvars = len(names)
+
+    tok = _Tokenizer(text)
+    acc: dict[tuple, Fraction] = {}
+
+    def read_factor() -> tuple[int, int]:
+        name, start = tok.read_name()
+        if name not in index:
+            raise ParseError(f"unknown variable {name!r}", start)
+        power = 1
+        if tok.peek() == "^":
+            tok.take()
+            where = tok.pos
+            power = tok.read_integer()
+            if power <= 0:
+                raise ParseError("exponent must be positive", where)
+        return index[name], power
+
+    def read_term(sign: int) -> None:
+        coeff = Fraction(sign)
+        exponent = [0] * nvars
+        ch = tok.peek()
+        if ch.isdigit():
+            numerator = tok.read_integer()
+            denominator = 1
+            if tok.peek() == "/":
+                tok.take()
+                where = tok.pos
+                denominator = tok.read_integer()
+                if denominator <= 0:
+                    raise ParseError("denominator must be positive", where)
+            coeff *= Fraction(numerator, denominator)
+            if tok.peek() != "*":
+                # bare constant term
+                acc[tuple(exponent)] = acc.get(tuple(exponent), Fraction(0)) + coeff
+                return
+            tok.take()
+        var, power = read_factor()
+        exponent[var] += power
+        while tok.peek() == "*":
+            tok.take()
+            var, power = read_factor()
+            exponent[var] += power
+        key = tuple(exponent)
+        acc[key] = acc.get(key, Fraction(0)) + coeff
+
+    if tok.peek() == "":
+        raise ParseError("empty polynomial text", tok.pos)
+    sign = 1
+    if tok.peek() in "+-":
+        sign = -1 if tok.take() == "-" else 1
+    read_term(sign)
+    while True:
+        ch = tok.peek()
+        if ch == "":
+            break
+        if ch not in "+-":
+            raise ParseError(f"unexpected character {ch!r}", tok.pos)
+        tok.take()
+        read_term(-1 if ch == "-" else 1)
+
+    return Polynomial(nvars, acc)
+

@@ -514,6 +514,28 @@ def test_certificate_builds_each_intermediate_once(monkeypatch):
             assert tuple(counts.values()) == builds, h
 
 
+def test_certificate_finds_swaps_once_and_only_past_the_greedy_guard(monkeypatch):
+    import omegalab.certify as certify
+
+    calls = []
+
+    def counted(h, _fn=certify._swap_generators):
+        calls.append(h)
+        return _fn(h)
+
+    monkeypatch.setattr(certify, "_swap_generators", counted)
+    cases = [
+        (elementary_symmetric(2, 4), "smooth-toric", 1),
+        (elementary_symmetric(3, 5), "smooth-toric", 1),  # two orders, one scan
+        (parse_polynomial("x1^3 + x1*x2^2 + x3^3", X123), "not-applicable", 0),
+        (elementary_symmetric(2, 9), "undecided", 0),  # every order stops at the greedy guard
+    ]
+    for h, verdict, scans in cases:
+        calls.clear()
+        assert certify_smooth(h).verdict == verdict
+        assert len(calls) == scans, h
+
+
 def test_certificate_runs_no_polymatroid_axiom_scan(monkeypatch):
     import omegalab.setfunc as setfunc
 
@@ -844,7 +866,10 @@ def test_one_torus_feasibility_call_per_face_orbit(monkeypatch):
 def test_orbit_images_of_face_masks_match_the_index_tuple_images():
     # every swap fixing h, not only the generators, at every order of the ladder fixtures
     from omegalab import base_polytope, faces, rank_from_support, truncate
-    from omegalab.certify import _image, _swap
+    from omegalab.certify import _image
+
+    def swap(e, i, j):
+        return tuple(e[j] if t == i else e[i] if t == j else x for t, x in enumerate(e))
 
     fixtures = bench_fixtures()
     images = 0
@@ -857,7 +882,7 @@ def test_orbit_images_of_face_masks_match_the_index_tuple_images():
         swaps = [
             (i, j)
             for i, j in combinations(range(h.nvars), 2)
-            if all(terms.get(_swap(e, i, j)) == c for e, c in terms.items())
+            if all(terms.get(swap(e, i, j)) == c for e, c in terms.items())
         ]
         rho = rank_from_support(h.support())
         for k in range(1, h.total_degree):
@@ -866,7 +891,7 @@ def test_orbit_images_of_face_masks_match_the_index_tuple_images():
             masks = {face.mask for face in listing}
             index = {v: t for t, v in enumerate(body.vertices)}
             for i, j in swaps:
-                perm = [index[_swap(v, i, j)] for v in body.vertices]
+                perm = [index[swap(v, i, j)] for v in body.vertices]
                 bits = {1 << t: 1 << x for t, x in enumerate(perm)}
                 for face in listing:
                     image = tuple(sorted(perm[x] for x in face.vertex_indices))  # the old key

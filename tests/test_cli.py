@@ -24,6 +24,17 @@ def test_certify_smooth_exit_zero(capsys):
     assert "[[0, 0, 1], [0, 1, 0], [1, 0, 0]]" in out
 
 
+def test_certify_json_formats_no_text_lines(capsys, monkeypatch):
+    import omegalab.cli as cli
+
+    lines = []
+    monkeypatch.setattr(cli, "_certificate_lines", lambda *a: lines.append(a) or ["text"])
+    code, out, _ = run(capsys, "certify", "--format", "json", "--vars", "x,y", "x*y")
+    assert code == 0 and json.loads(out)["verdict"] == "smooth-toric" and lines == []
+    code, out, _ = run(capsys, "certify", "--vars", "x,y", "x*y")
+    assert code == 0 and out == "text\n" and len(lines) == 1
+
+
 def test_certify_singular_cubic_exit_one(capsys, tmp_path):
     path = tmp_path / "cubic.poly"
     path.write_text(SINGULAR_CUBIC_TEXT + "\n")
@@ -58,6 +69,12 @@ def test_parse_error_goes_to_stderr_with_position(capsys):
     code, _, err = run(capsys, "certify", "--vars", "x,y", "x + q*y")
     assert code == 64
     assert "position 4" in err
+    for text, message in [
+        ("x^²*y", "expected an integer (at position 2)"),
+        ("x*2y", "unknown variable '2y' (at position 2)"),
+    ]:
+        code, out, err = run(capsys, "certify", "--vars", "x,y", text)
+        assert (code, out, err) == (64, "", f"parse error: {message}\n"), text
 
 
 def test_certify_json_schema(capsys):

@@ -1,6 +1,8 @@
 """Parser, arithmetic, differentiation, and line substitution."""
 
 import random
+import re
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -9,7 +11,12 @@ import pytest
 from omegalab import ParseError, Polynomial, parse_polynomial
 from omegalab.derivatives import elementary_symmetric
 
-from helpers import SINGULAR_CUBIC_TEXT, WXYZ, random_sparse_polynomial
+from helpers import (
+    SINGULAR_CUBIC_TEXT,
+    WXYZ,
+    random_sparse_polynomial,
+    reference_parse_polynomial,
+)
 
 
 def test_integer_terms_scale_by_the_lcm_of_the_denominators():
@@ -72,6 +79,130 @@ def test_parse_syntax_error_reports_position():
         parse_polynomial("", ["x"])
     with pytest.raises(ParseError):
         parse_polynomial("x^0", ["x"])
+
+
+def test_parse_non_decimal_digits_raise_a_parse_error_at_the_digit():
+    # '²' passes str.isdigit but not int(): the reference parser raises a bare ValueError
+    cases = [("x^²", 2), ("x^ ²*y", 3), ("1²*x", 1), ("²*x", 0), ("1/²", 2), ("x^2²", 3)]
+    for text, position in cases:
+        with pytest.raises(ValueError) as old:
+            reference_parse_polynomial(text, ["x", "y"])
+        assert not isinstance(old.value, ParseError)
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, ["x", "y"])
+        assert err.value.position == position and text[position] in "²", text
+    # a decimal digit of another script is a digit, as int() reads it
+    assert parse_polynomial("١*x + ٢/٣*y", ["x", "y"]) == parse_polynomial("x + 2/3*y", "xy")
+
+
+def test_parser_character_classes_are_the_str_predicates():
+    # the parser's \s, \w and \d are exactly str.isspace, str.isalnum or '_', and str.isdecimal
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", chars) == list(filter(str.isspace, chars))
+    assert re.findall(r"[^\W_]", chars) == list(filter(str.isalnum, chars))
+    assert re.findall(r"\d", chars) == list(filter(str.isdecimal, chars))
+
+
+_NAMES = ["x", "y", "z1", "w_2", "é", "3a"]
+_SPACES = ["", "", "", " ", "  ", "\t", "\n", "\xa0", "\u2003"]
+_STRAY = ["+", "-", "*", "^", "/", "0", "7", "٣", "²", "q", "2y", "x", "#", ".", " ", "\xa0", "("]
+_STRAY += ["**", "^0", "/0", "+-", "3a"]
+
+
+def _random_text(rng: random.Random) -> str:
+    """A well-formed polynomial over _NAMES with random spacing, signs, fractions and powers."""
+
+    def sp() -> str:
+        return rng.choice(_SPACES)
+
+    terms = []
+    for t in range(rng.randint(1, 5)):
+        sign = rng.choice(["+", "-"]) if t else rng.choice(["", "", "+", "-"])
+        tokens = []
+        if rng.random() < 0.5:
+            tokens.append(str(rng.randint(0, 40)))
+            if rng.random() < 0.4:
+                tokens[-1] += sp() + "/" + sp() + str(rng.randint(1, 12))
+        for _ in range(rng.randint(0 if tokens else 1, 4)):  # names may repeat
+            factor = rng.choice(_NAMES[:-1] if not tokens and rng.random() < 0.5 else _NAMES)
+            if rng.random() < 0.4:
+                factor += sp() + "^" + sp() + str(rng.randint(1, 4))
+            tokens.append(factor)
+        if tokens[0] == "3a":  # a leading digit starts a coefficient
+            tokens.insert(0, "2")
+        terms.append(sp() + sign + sp() + (sp() + "*" + sp()).join(tokens) + sp())
+    return "".join(terms)
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 2)):
+        at = rng.randint(0, len(text))
+        kind = rng.randrange(3)
+        if kind == 0:
+            text = text[:at] + rng.choice(_STRAY) + text[at:]
+        elif kind == 1:
+            text = text[:at] + text[at + 1 :]
+        else:
+            text = text[:at] + rng.choice(_STRAY) + text[at + 1 :]
+    return text
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text, _NAMES)
+    except ParseError as exc:
+        return (str(exc), exc.position)
+
+
+def test_parse_matches_the_reference_parser_on_random_texts():
+    rng = random.Random(22)
+    texts = ["", " \xa0", "x*2y", "2x", "x^ 0", "1/0*x", "1/ *x", "--x", "x +", "x*  ", "x^^2"]
+    texts += ["x^2^3", "2^3", "x/2", "1/2/3", "q*", "x # y", "١*x", "x^²", "@"]
+    for _ in range(1200):
+        text = _random_text(rng)
+        texts += [text, _mutate(rng, text)]
+    outcomes = {"valid": 0, "error": 0, "digit": 0}
+    for text in texts:
+        new = _outcome(parse_polynomial, text)
+        try:
+            old = _outcome(reference_parse_polynomial, text)
+        except ValueError:  # '²' read as a digit: now a ParseError at that character
+            assert isinstance(new, tuple), text
+            assert text[new[1]].isdigit() and not text[new[1]].isdecimal(), text
+            outcomes["digit"] += 1
+            continue
+        assert new == old, text
+        outcomes["valid" if isinstance(new, Polynomial) else "error"] += 1
+    assert sum(outcomes.values()) >= 2000
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_constructor_keeps_the_types_it_accepts():
+    p = Polynomial(2, {(1, 1): 3})
+    assert p.terms == {(1, 1): Fraction(3)} and type(p.coefficient((1, 1))) is Fraction
+
+    class Pairs(list):  # a mapping read through items(), so its exponents may be lists
+        def items(self):
+            return iter(self)
+
+    for exponent in ([1, 1], (True, 1), (1.9, 1), ("1", True)):
+        q = Polynomial(2, Pairs([(exponent, Fraction(3))]))
+        assert q == p and all(type(e) is int for m in q.terms for e in m), exponent
+    assert Polynomial(2, {(1, 1): 1.5, (0, 2): "2/3", (2, 0): True}) == Polynomial(
+        2, {(1, 1): Fraction(3, 2), (0, 2): Fraction(2, 3), (2, 0): Fraction(1)}
+    )
+    assert Polynomial(1, Pairs([((1,), Fraction(1)), ([True], -1)])).is_zero
+    for nvars, terms, error in [
+        (2, {(1, -1): 1}, ValueError),
+        (2, {(1,): 1}, ValueError),
+        (2, {("a", 1): 1}, ValueError),
+        (2, {(None, 1): 1}, TypeError),
+        (2, {(1, 1): "x"}, ValueError),
+        (2, {(1, 1): None}, TypeError),
+        (2, {(1, 1): [3]}, TypeError),
+    ]:
+        with pytest.raises(error):
+            Polynomial(nvars, terms)
 
 
 def test_singular_cubic_expansion_matches_hand_expansion():
