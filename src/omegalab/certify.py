@@ -13,10 +13,11 @@ the faces of the truncation polytope and decides torus feasibility of each
 face-restricted derivative system, one face per orbit of the variable swaps
 fixing the polynomial.  One certificate computes the support's M-convexity,
 its rank function rho, its swaps and each truncation polytope with its face
-lattice once, after its guards (rho only below the greedy guard).  An
-independent Groebner oracle (toric ideal plus centre forms, decided by one
-Groebner basis and the finiteness theorem) and a derivative-support check
-are provided for cross-validation on small instances.
+lattice once, after its guards (rho only below the greedy guard), and skips
+the polymatroid axiom check: rho of an M-convex support, its truncations and
+their sum are polymatroids.  An independent Groebner oracle (toric ideal plus
+centre forms, decided by one Groebner basis and the finiteness theorem) and a
+derivative-support check are provided for cross-validation on small instances.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .groebner import (
 from .guards import MAX_CERTIFY_DEGREE, ResourceLimit, degree_guard
 from .poly import Exponent, Polynomial, grevlex_key
 from .polytope import LatticePolytope, base_polytope, faces, is_simple, lattice_points
-from .polytope import require_greedy
-from .setfunc import MAX_GROUND_SET, SetFunction, rank_from_support, truncate, truncation_sum
+from .polytope import _polymatroid_polytope, require_greedy
+from .setfunc import MAX_GROUND_SET, rank_from_support, truncate, truncation_sum
 
 VERDICT_SMOOTH = "smooth-toric"
 VERDICT_FAILS = "criterion-fails"
@@ -280,15 +281,15 @@ def centre_disjoint(
     same span as the restricted partials, hence the same ideal.  Faces in the
     orbit of an infeasible face under the variable swaps fixing h are skipped.
     """
-    return _decide(
-        h, k, lambda: rank_from_support(h.support()), max_pairs, lambda: _swap_generators(h)
-    )[0]
+    truncation = lambda k: base_polytope(truncate(rank_from_support(h.support()), k))  # any h
+    return _decide(h, k, truncation, max_pairs, lambda: _swap_generators(h))[0]
 
 
 def _decide(
-    h: Polynomial, k: int, rho: Callable[[], SetFunction], max_pairs: int, swaps: Callable[[], list]
+    h: Polynomial, k: int, truncation: Callable[[int], LatticePolytope], max_pairs: int,
+    swaps: Callable[[], list],
 ) -> tuple[OrderReport, LatticePolytope | None]:
-    """(order-k report, truncation polytope or None); rho(), swaps() run past the greedy guard."""
+    """(order-k report, truncation polytope or None); truncation(k), swaps() run past the guard."""
     space = derivative_space(h, k)
     report = functools.partial(
         OrderReport,
@@ -299,7 +300,7 @@ def _decide(
     )
     try:
         require_greedy(h.nvars)  # before rho's 2^n table
-        body = base_polytope(truncate(rho(), k))
+        body = truncation(k)
     except ResourceLimit as exc:
         return report(disjoint="undecided", detail=f"order-{k} truncation polytope: {exc}"), None
     # A swap fixing h maps the polytope onto itself, so it permutes the vertices:
@@ -496,7 +497,8 @@ def certify_smooth(
 
     rho = functools.cache(lambda: rank_from_support(h.support()))  # made once, if at all
     swaps = functools.cache(lambda: _swap_generators(h))  # made once, if at all
-    decided = [_decide(h, k, rho, max_pairs, swaps) for k in range(1, d)]
+    truncation = lambda k: _polymatroid_polytope(truncate(rho(), k), True)  # rho is a polymatroid
+    decided = [_decide(h, k, truncation, max_pairs, swaps) for k in range(1, d)]
     reports = tuple(report for report, _ in decided)
     detail = None
     if any(r.disjoint == "no" for r in reports):
@@ -509,7 +511,7 @@ def certify_smooth(
         verdict = VERDICT_SMOOTH
         # For d = 2 the summed truncation is order 1's, as truncate(rho, 2) is 0;
         # for d >= 3 its rank d(d-1)/2 exceeds every order's rank d - k.
-        body = decided[0][1] if d == 2 else base_polytope(truncation_sum(rho(), 1))
+        body = decided[0][1] if d == 2 else _polymatroid_polytope(truncation_sum(rho(), 1), True)
         smooth, witness = is_simple(body)
         if not smooth:
             verdict, body = VERDICT_UNDECIDED, None

@@ -29,8 +29,7 @@ from .derivatives import derivative_space
 from .groebner import DEFAULT_MAX_PAIRS
 from .guards import ResourceLimit
 from .poly import ParseError, Polynomial, parse_polynomial
-from .polytope import base_polytope, is_simple, require_greedy
-from .polytope import independence_polytope as build_independence
+from .polytope import _polymatroid_polytope, is_simple, require_greedy
 from .setfunc import (
     SetFunction,
     ZeroRestrictionError,
@@ -107,7 +106,10 @@ def _read_polynomial(args) -> tuple[Polynomial, list[str], str]:
             raise UsageError(f"cannot read {args.file}: {exc}")
     else:
         text = args.polynomial
-    return parse_polynomial(text, names), names, text
+    try:
+        return parse_polynomial(text, names), names, text
+    except ValueError as exc:  # a ParseError blames the text, any other the variable order
+        raise exc if isinstance(exc, ParseError) else UsageError(f"--vars: {exc}")
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -251,17 +253,13 @@ def _cmd_polytope(args) -> int:
         require_ground_set(h.nvars)
         require_greedy(h.nvars)  # both guards before rho's 2^n table
         f = rank_from_support(h.support())
-    build = build_independence if args.function == "independence" else base_polytope
-    try:
-        body = build(f)  # the constructor runs the polymatroid check, for bar too
-    except ValueError:
-        # past the greedy guard n <= 8, so the 4^n scan is cheap
-        s, t = is_polymatroid(f).violating_pair
-        raise UsageError(
-            f"not a polymatroid: violating pair S={mask_to_set(s)}, T={mask_to_set(t)}"
-        )
-    if args.function == "bar":
-        body = base_polytope(truncation_sum(f))
+    require_greedy(f.n)  # before the axiom scan, for --setfunction too
+    report = is_polymatroid(f)
+    if not report.ok:
+        s, t = map(mask_to_set, report.violating_pair)
+        raise UsageError(f"not a polymatroid: violating pair S={s}, T={t}")
+    f = truncation_sum(f) if args.function == "bar" else f  # a sum of polymatroids is one
+    body = _polymatroid_polytope(f, bases_only=args.function != "independence")
     # every body is a polymatroid polytope, where simple is smooth
     simple, _ = is_simple(body)
     payload = {

@@ -324,11 +324,14 @@ def parse_polynomial(text: str, variable_order: Sequence[str]) -> Polynomial:
     """Parse polynomial text into canonical sparse form.
 
     Like terms are combined and zero terms dropped.  Unknown variable names
-    and syntax errors raise ParseError with the offending 0-based position.
+    and syntax errors raise ParseError with the offending 0-based position; an
+    empty order, a repeated name or one no text can name (not \\w+) raise ValueError.
     """
     names = list(variable_order)
     if not names:
         raise ValueError("variable_order must be nonempty")
+    if bad := [name for name in names if not re.fullmatch(r"\w+", name)]:
+        raise ValueError(f"variable name {bad[0]!r} is not a run of letters, digits and '_'")
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names")
     index = {name: i for i, name in enumerate(names)}

@@ -3,24 +3,23 @@
 Polytopes are stored with an exact integer V-representation plus an
 irredundant integer H-representation (facet inequalities and affine-hull
 equations), with each facet's vertices as `facet_masks`.  Independence and
-base polytopes P(f) and B(f) are read off f's table.  One check makes f a
-polymatroid, else raises ValueError naming the axiom and a witness: f(empty
-set) = 0 and diminishing marginals, f(S+i) - f(S) >= f(S+i+j) - f(S+j) >= 0
-for i, j outside S.  The vertices are the greedy vectors, over prefixes closed
-under elements of marginal 0; the equations are x(C) = f(C) for the
-components C of f on B(f) and x_i = 0 for the loops i on P(f); the facets are
-the maximal proper vertex sets tight at some x(S) <= f(S), or -x_i <= 0 on
-P(f), with x(S) summed at every vertex at once.  Generic hulls (Newton
-polytopes, point-set sums) get candidate inequalities from a brute-force
-facet search with exact orientation tests, in the chart of the affine hull by
-its free coordinates, and read the rest off the point-facet incidences: the
-facets are the maximal proper tight sets and a vertex is the only point on
-every facet through it.  A face's dimension follows from the meets of the
-face lattice.  Simplicity needs no face lattice: a vertex is simple when it
-lies on dim facets.  On a polymatroid polytope simple is already smooth (see
-`is_simple`); for a generic lattice polytope each edge at a simple vertex is
-the meet of all but one of its facets, and lattice smoothness is one
-determinant per vertex.
+base polytopes P(f) and B(f) are read off f's table.  The public constructors
+run `setfunc.is_polymatroid` on f, else raise ValueError naming the broken
+axiom and its witness; the certificate's truncations of rho, a polymatroid, go
+unchecked.  The vertices are the greedy vectors, over prefixes closed under
+elements of marginal 0; the equations are x(C) = f(C) for the components C of
+f on B(f) and x_i = 0 for the loops i on P(f); the facets are the maximal
+proper vertex sets tight at some x(S) <= f(S), or -x_i <= 0 on P(f), with x(S)
+summed at every vertex at once.  Generic hulls (Newton polytopes, point-set
+sums) get candidate inequalities from a brute-force facet search with exact
+orientation tests, in the chart of the affine hull by its free coordinates,
+and read the rest off the point-facet incidences: the facets are the maximal
+proper tight sets and a vertex is the only point on every facet through it.  A
+face's dimension follows from the meets of the face lattice.  Simplicity needs
+no face lattice: a vertex is simple when it lies on dim facets.  On a
+polymatroid polytope simple is already smooth (see `is_simple`); for a generic
+lattice polytope each edge at a simple vertex is the meet of all but one of
+its facets, and lattice smoothness is one determinant per vertex.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .guards import ResourceLimit
-from .setfunc import SetFunction, is_matroid, mask_to_set
+from .setfunc import SetFunction, is_matroid, is_polymatroid, mask_to_set
 
 __all__ = [
     "LatticePolytope",
@@ -223,37 +222,35 @@ def require_greedy(n: int) -> None:
         raise ResourceLimit(f"greedy enumeration capped at n <= {MAX_GREEDY_GROUND_SET}")
 
 
-def _check_polymatroid(f: SetFunction) -> None:
-    """ValueError naming the broken axiom and a witness unless f(empty set) = 0 and
-    the marginals diminish: f(S+i) - f(S) >= f(S+i+j) - f(S+j) >= 0 for i, j not in S."""
-    values, full = f.values, (1 << f.n) - 1
-    if values[0] != 0:
-        raise ValueError(f"not a polymatroid: f(empty set) = {values[0]}, not 0")
-    for s, fs in enumerate(values):
-        out = [1 << e for e in range(f.n) if not s >> e & 1]
-        for a, i in enumerate(out):
-            for j in out[a + 1 :]:
-                if values[s | i] - fs < values[s | i | j] - values[s | j]:
-                    raise ValueError(
-                        "not a polymatroid: not submodular, f(S+i) - f(S) < f(S+i+j) - f(S+j) "
-                        f"at S={list(mask_to_set(s))}, i={i.bit_length()}, j={j.bit_length()}"
-                    )
-            if s | i == full and values[full] < fs:  # i's marginals diminish to this one
-                where = f"at S={list(mask_to_set(s))}, i={i.bit_length()}"
-                raise ValueError(f"not a polymatroid: not monotone, f(S+i) < f(S) {where}")
+def _require_polymatroid(f: SetFunction) -> SetFunction:
+    """f past the greedy guard, which bounds the axiom scan; else ValueError naming a witness."""
+    require_greedy(f.n)
+    report = is_polymatroid(f)
+    if not report.is_normalized:
+        raise ValueError(f"not a polymatroid: f(empty set) = {f.values[0]}, not 0")
+    if report.ok:
+        return f
+    a, b = report.violating_pair
+    s = a & b
+    where = f"at S={list(mask_to_set(s))}, i={(a ^ s or b ^ s).bit_length()}"
+    if s == a:  # (S, S+i)
+        raise ValueError(f"not a polymatroid: not monotone, f(S+i) < f(S) {where}")
+    raise ValueError(  # (S+i, S+j)
+        "not a polymatroid: not submodular, f(S+i) - f(S) < f(S+i+j) - f(S+j) "
+        f"{where}, j={(b ^ s).bit_length()}"
+    )
 
 
 def _polymatroid_polytope(f: SetFunction, bases_only: bool) -> LatticePolytope:
-    """B(f) or P(f), read off f's table once it passes the check.
+    """B(f) or P(f), read off the table of a polymatroid f, which is not checked.
 
-    Past the check an element of marginal 0 at a prefix keeps marginal 0 at
+    For a polymatroid an element of marginal 0 at a prefix keeps marginal 0 at
     every larger one, so a greedy state (prefix mask, point) jumps to its
     closure.  Each greedy point is the only maximiser of a weight vector with
     distinct nonzero entries, as no edge is orthogonal to it, so it is a vertex.
     """
     n, values = f.n, f.values
     require_greedy(n)
-    _check_polymatroid(f)
     size, full = 1 << n, (1 << n) - 1
     closures: dict[int, int] = {}  # prefix mask: the elements of marginal 0 there
 
@@ -309,12 +306,12 @@ def _normal(code: int, n: int) -> tuple[int, ...]:
 
 def independence_polytope(f: SetFunction) -> LatticePolytope:
     """P(f) = {x >= 0 : x(S) <= f(S)}; ValueError when f is not a polymatroid."""
-    return _polymatroid_polytope(f, bases_only=False)
+    return _polymatroid_polytope(_require_polymatroid(f), bases_only=False)
 
 
 def base_polytope(f: SetFunction) -> LatticePolytope:
     """B(f), the face of P(f) at x(E) = f(E); ValueError when f is not a polymatroid."""
-    return _polymatroid_polytope(f, bases_only=True)
+    return _polymatroid_polytope(_require_polymatroid(f), bases_only=True)
 
 
 def matroid_staircase_vertices(f: SetFunction) -> set[Point]:

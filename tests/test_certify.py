@@ -493,8 +493,9 @@ def test_certificate_json_shape():
 def test_certificate_builds_each_intermediate_once(monkeypatch):
     import omegalab.certify as certify
 
-    # Builds of rho, of base polytopes and M-convexity checks, in that order.
-    counts = dict.fromkeys(("rank_from_support", "base_polytope", "is_mconvex"), 0)
+    # Builds of rho, of base polytopes (by the unchecked greedy builder, as rho and
+    # its truncations are polymatroids) and M-convexity checks, in that order.
+    counts = dict.fromkeys(("rank_from_support", "_polymatroid_polytope", "is_mconvex"), 0)
     for name in counts:
 
         def counted(*args, _name=name, _fn=getattr(certify, name), **kwargs):

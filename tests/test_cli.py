@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from omegalab import SetFunction, truncation_sum
 from omegalab.cli import main
 
 from helpers import SINGULAR_CUBIC_TEXT, SMOOTH_CUBIC_TEXT
@@ -75,6 +76,12 @@ def test_parse_error_goes_to_stderr_with_position(capsys):
     ]:
         code, out, err = run(capsys, "certify", "--vars", "x,y", text)
         assert (code, out, err) == (64, "", f"parse error: {message}\n"), text
+
+
+def test_a_vars_entry_no_text_can_name_is_blamed_on_vars(capsys):
+    code, out, err = run(capsys, "certify", "--vars", "x.1,y", "x.1*y")
+    assert (code, out) == (64, "")
+    assert err == "error: --vars: variable name 'x.1' is not a run of letters, digits and '_'\n"
 
 
 def test_certify_json_schema(capsys):
@@ -449,6 +456,25 @@ def test_polytope_reaches_the_greedy_guard_without_the_polymatroid_scan(capsys, 
         capsys, "polytope", "--function", "bar", "--setfunction", '{"n": 2, "values": [0, 2, 0, 1]}'
     )
     assert code == 64 and "violating pair" in err and len(calls) == 2
+
+
+def test_polytope_bar_builds_only_the_summed_polytope(capsys, monkeypatch):
+    import omegalab.cli
+    import omegalab.polytope
+
+    built = []
+
+    def counted(f, *args, _real=omegalab.polytope._polymatroid_polytope, **kwargs):
+        built.append(f)
+        return _real(f, *args, **kwargs)
+
+    for module in (omegalab.cli, omegalab.polytope):  # whatever path reaches the greedy builder
+        monkeypatch.setattr(module, "_polymatroid_polytope", counted)
+    code, out, _ = run(
+        capsys, "polytope", "--matroid", "12,13,14,23,24,34", "--function", "bar", "--format", "json"
+    )
+    assert code == 0 and len(json.loads(out)["vertices"]) == 12
+    assert built == [truncation_sum(SetFunction.uniform_matroid(2, 4))]
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):

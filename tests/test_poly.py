@@ -330,6 +330,13 @@ def test_substitute_line_degree_bounds():
     assert len(coeffs) - 1 == s.total_degree
 
 
+def test_variable_order_entry_no_text_can_name_raises_value_error():
+    for names, bad in ((["x-1", "y"], "'x-1'"), (["x", "y z"], "'y z'"), (["x", ""], "''")):
+        with pytest.raises(ValueError, match=f"^variable name {bad} is not a run") as exc:
+            parse_polynomial("y^2", names)
+        assert not isinstance(exc.value, ParseError)  # the order is at fault, not the text
+
+
 def test_scaling_and_arithmetic():
     p = parse_polynomial("x^2 - 2*x*y", ["x", "y"])
     assert p.scale(Fraction(1, 2)).coefficient((2, 0)) == Fraction(1, 2)

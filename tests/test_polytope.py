@@ -43,6 +43,7 @@ from helpers import (
     reference_faces,
     reference_greedy_points,
     reference_hull,
+    reference_is_polymatroid,
     reference_is_simple,
     reference_is_smooth,
     reference_kernel,
@@ -613,6 +614,27 @@ def test_polytopes_reject_exactly_the_non_polymatroids():
             only[broken[0]] += 1
     assert set(only) == {"normalized", "monotone", "submodular"}
     assert min(only.values()) >= 50, only
+
+
+def test_local_axiom_check_matches_the_pair_scan():
+    """Same flags as the exhaustive pair scan; the witness is a local violation of
+    an axiom the report marks broken: (S, S+i) or (S+i, S+j), or (0, 0)."""
+    for f in _axiom_corpus(random.Random(2024), 3000):
+        report, reference = is_polymatroid(f), reference_is_polymatroid(f)
+        flags = (report.is_normalized, report.is_monotone, report.is_submodular)
+        assert flags == (reference.is_normalized, reference.is_monotone, reference.is_submodular)
+        if report.ok:
+            assert report.violating_pair is None
+            continue
+        a, b = report.violating_pair
+        v, s = f.values, a & b
+        if not report.is_normalized:
+            assert (a, b) == (0, 0)
+        elif s == a:
+            assert (b ^ s).bit_count() == 1 and v[a] > v[b] and not report.is_monotone
+        else:
+            assert (a ^ s).bit_count() == (b ^ s).bit_count() == 1
+            assert v[a] + v[b] < v[a | b] + v[s] and not report.is_submodular
 
 
 NOT_SUBMODULAR = (  # the witness of SetFunction(2, [0, 1, 1, 3])

@@ -22,7 +22,12 @@ from omegalab import (
 from omegalab.derivatives import elementary_symmetric
 from omegalab.setfunc import GroundSetTooLarge, mask_to_set, set_to_mask
 
-from helpers import random_polymatroid, random_positive_polynomial, random_mconvex_support
+from helpers import (
+    all_mconvex_sets,
+    random_mconvex_support,
+    random_polymatroid,
+    random_positive_polynomial,
+)
 
 U24 = SetFunction.uniform_matroid(2, 4)
 
@@ -199,6 +204,22 @@ def test_truncations_are_polymatroids():
         f = random_polymatroid(rng, n, 4)
         for k in range(f.rank + 1):
             assert is_polymatroid(truncate(f, k)).ok
+
+
+def test_mconvex_support_rank_truncations_and_sum_are_polymatroids():
+    """The certificate builds these polytopes without the axiom check: rho of an
+    M-convex support, each truncation and the summed truncation are polymatroids."""
+    grids = ((2, 2), (3, 2), (3, 3), (4, 2), (2, 4))
+    supports = [sorted(s) for n, d in grids for s in all_mconvex_sets(n, d)]
+    assert len(supports) == 275
+    rng = random.Random(41)
+    for _ in range(30):
+        supports.append(random_mconvex_support(rng, rng.randint(2, 5), rng.randint(2, 4)))
+    for support in supports:
+        rho = rank_from_support(support)
+        derived = [rho, *(truncate(rho, k) for k in range(rho.rank + 1)), truncation_sum(rho, 1)]
+        for f in derived:
+            assert is_polymatroid(f).ok, (support, f)
 
 
 def test_simplicity_conditions_hold_after_truncation_sum():
