@@ -174,7 +174,7 @@ def _cmd_analyze(args) -> int:
         "d": h.total_degree,
         "support": [list(e) for e in supp],
         "mconvex": mcx,
-        "rho": json.loads(rho.to_json()),
+        "rho": {"n": rho.n, "values": list(rho.values)},
     }
     lines = [
         f"polynomial: {text}",

@@ -6,10 +6,13 @@ their span, and the coefficient matrix of that basis over the support
 monomials (the matrix of the linear projection from monomial coordinates to
 the derivative span).  The kernel of that matrix is the projection centre.
 
-The partials are read off the coefficients: for a multiset a of variable
-indices, the order-|a| partial of sum c_m x^m is the sum over m >= a of
-c_m * prod_l m_l!/(m_l - a_l)! * x^(m - a), with no cancellation, as
-distinct m give distinct m - a.  They are read off h's integer view s*h
+The partials are read off the terms: for a multiset a of variable indices,
+the order-|a| partial of sum c_m x^m is the sum over m >= a of
+c_m * prod_l m_l!/(m_l - a_l)! * x^(m - a), with no cancellation, as distinct
+m give distinct m - a.  Each term is visited once, for the size-k multisets a
+over its own support only (an a asking more of a variable than m holds meets a
+zero factor), so the work follows the terms produced, under the partial-count
+cap per term.  They are read off h's integer view s*h
 (`Polynomial.integer_terms`), whose positive scale changes neither supports
 nor primitive echelon rows; only `all_partials` divides by s again.
 """
@@ -20,8 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, perm, prod
-from operator import sub
+from math import comb
 
 from . import linalg
 from .guards import ResourceLimit
@@ -70,12 +72,16 @@ def _partial_terms(h: Polynomial, k: int) -> tuple[int, list[dict[Exponent, int]
     if guard := partials_guard(h.nvars, k):
         raise ResourceLimit(guard)
     s, terms = h.integer_terms()
-    out = []
-    for multi in combinations_with_replacement(range(h.nvars), k):
-        a = [multi.count(i) for i in range(h.nvars)]
-        shifted = ((tuple(map(sub, m, a)), m, c) for m, c in terms.items())
-        out.append({e: c * prod(map(perm, m, a)) for e, m, c in shifted if min(e, default=0) >= 0})
-    return s, out
+    out = {a: {} for a in combinations_with_replacement(range(h.nvars), k)}
+    for m, c in terms.items():
+        for a in combinations_with_replacement([i for i, x in enumerate(m) if x], k):
+            e, coefficient = list(m), c
+            for i in a:  # the falling factorial m_i (m_i - 1) ... (m_i - a_i + 1)
+                coefficient *= e[i]
+                e[i] -= 1
+            if coefficient:
+                out[a][tuple(e)] = coefficient
+    return s, list(out.values())
 
 
 def all_partials(h: Polynomial, k: int) -> list[Polynomial]:

@@ -406,8 +406,6 @@ def toric_ideal(
     for u in lattice:
         plus = tuple(max(x, 0) for x in u)
         minus = tuple(max(-x, 0) for x in u)
-        if plus == minus:
-            continue
         gens.append({plus: 1, minus: -1})
     return ToricIdeal(tuple(pts), tuple(saturate_coordinates(gens, len(pts), max_pairs)))
 

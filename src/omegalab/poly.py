@@ -19,7 +19,6 @@ from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
-_INT = frozenset({int})  # an exponent of these entries needs no int()
 
 
 class ParseError(ValueError):
@@ -42,7 +41,7 @@ def grevlex_key(exponent: Sequence[int]) -> tuple:
 class Polynomial:
     """Immutable sparse polynomial with rational coefficients."""
 
-    __slots__ = ("nvars", "_terms", "_hash")
+    __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Fraction] | None = None):
         if nvars < 0:
@@ -51,8 +50,9 @@ class Polynomial:
         clean: dict[Exponent, Fraction] = {}
         if terms:
             for exponent, coeff in terms.items():
-                if type(exponent) is not tuple or not _INT.issuperset(map(type, exponent)):
-                    exponent = tuple(map(int, exponent))
+                exponent = tuple(exponent)
+                if bad := [x for x in exponent if type(x) is not int]:  # never truncate
+                    raise ValueError(f"exponent entry {bad[0]!r} is not an int")
                 if len(exponent) != nvars:
                     raise ValueError(
                         f"exponent {exponent} has length {len(exponent)}, expected {nvars}"
@@ -66,7 +66,6 @@ class Polynomial:
             if len(clean) < len(terms):  # a zero term, or like terms added, perhaps to 0
                 clean = {e: c for e, c in clean.items() if c}
         self._terms = clean
-        self._hash: int | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -143,11 +142,7 @@ class Polynomial:
         return Polynomial(self.nvars, acc)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_compatible(other)
-        acc = dict(self._terms)
-        for exponent, coeff in other._terms.items():
-            acc[exponent] = acc.get(exponent, Fraction(0)) - coeff
-        return Polynomial(self.nvars, acc)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.nvars, {e: -c for e, c in self._terms.items()})
@@ -184,9 +179,7 @@ class Polynomial:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self._terms.items())))
-        return self._hash
+        return hash((self.nvars, frozenset(self._terms.items())))
 
     # -- calculus and evaluation -------------------------------------------------
 
@@ -325,13 +318,16 @@ def parse_polynomial(text: str, variable_order: Sequence[str]) -> Polynomial:
 
     Like terms are combined and zero terms dropped.  Unknown variable names
     and syntax errors raise ParseError with the offending 0-based position; an
-    empty order, a repeated name or one no text can name (not \\w+) raise ValueError.
+    empty order, a repeated name, or one no term can start with (not \\w+, or a
+    leading digit, which starts a coefficient) raise ValueError.
     """
     names = list(variable_order)
     if not names:
         raise ValueError("variable_order must be nonempty")
     if bad := [name for name in names if not re.fullmatch(r"\w+", name)]:
         raise ValueError(f"variable name {bad[0]!r} is not a run of letters, digits and '_'")
+    if bad := [name for name in names if name[0].isdecimal()]:
+        raise ValueError(f"variable name {bad[0]!r} starts with a digit")
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names")
     index = {name: i for i, name in enumerate(names)}

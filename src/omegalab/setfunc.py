@@ -55,8 +55,10 @@ class SetFunction:
         require_ground_set(n)
         if len(values) != 1 << n:
             raise ValueError(f"expected {1 << n} values, got {len(values)}")
+        if bad := [v for v in values if type(v) is not int]:  # never truncate
+            raise ValueError(f"set function value {bad[0]!r} is not an int")
         self.n = n
-        self.values = tuple(int(v) for v in values)
+        self.values = tuple(values)
 
     def __getitem__(self, mask: int) -> int:
         return self.values[mask]
@@ -301,23 +303,17 @@ def check_simplicity_conditions(f: SetFunction) -> SimplicityReport:
     for union in range(size):
         if union.bit_count() < 2:
             continue
-        superset_ok = any(
-            insep[s] and f.values[s] == f.values[union]
-            for s in range(size)
-            if (s & union) == union
-        )
-        if not superset_ok:
-            continue
         fu = f.values[union]
+        witness_s = next(
+            (s for s in range(size) if (s & union) == union and insep[s] and f.values[s] == fu),
+            None,
+        )
+        if witness_s is None:
+            continue
         for blocks in _partitions_of_mask(union):
             if len(blocks) < 2:
                 continue
             if fu >= sum(f.values[b] for b in blocks):
-                witness_s = next(
-                    s
-                    for s in range(size)
-                    if (s & union) == union and insep[s] and f.values[s] == fu
-                )
                 return SimplicityReport(False, "partition", (tuple(blocks), witness_s))
 
     return SimplicityReport(True)

@@ -11,7 +11,9 @@ import random
 import sys
 import types
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
+from math import perm, prod
+from operator import sub
 from pathlib import Path
 
 from omegalab import (
@@ -25,6 +27,8 @@ from omegalab import (
     lattice_points,
     linalg,
 )
+from omegalab.derivatives import partials_guard
+from omegalab.guards import ResourceLimit
 from omegalab.setfunc import PolymatroidCheckReport
 
 
@@ -351,6 +355,25 @@ def reference_hull(points):
         if len(reference_rref(hull_eqs + [a for t, a in normals.items() if p in t], n)[1]) == n
     ]
     return dim, set(normals), vertices
+
+
+# -- the order-k partials by the multiset-major scan (test-only) -----------------------
+
+
+def reference_partial_terms(h: Polynomial, k: int) -> tuple[int, list[dict[tuple, int]]]:
+    """The scan that omegalab.derivatives._partial_terms replaced: every order-k
+    multiset against every term, keeping the terms whose exponent stays nonnegative."""
+    if k < 0:
+        raise ValueError("derivative order must be nonnegative")
+    if guard := partials_guard(h.nvars, k):
+        raise ResourceLimit(guard)
+    s, terms = h.integer_terms()
+    out = []
+    for multi in combinations_with_replacement(range(h.nvars), k):
+        a = [multi.count(i) for i in range(h.nvars)]
+        shifted = ((tuple(map(sub, m, a)), m, c) for m, c in terms.items())
+        out.append({e: c * prod(map(perm, m, a)) for e, m, c in shifted if min(e, default=0) >= 0})
+    return s, out
 
 
 # -- face-lattice references: the listing, simplicity, smoothness (test-only) -----

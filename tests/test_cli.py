@@ -725,3 +725,27 @@ def test_polytope_conflicting_inputs_exit_usage(capsys, argv, message):
     for fmt in ("text", "json"):
         code, out, err = run(capsys, "polytope", "--format", fmt, *argv)
         assert (code, out, err) == (64, "", message)
+
+
+NOT_HOMOGENEOUS = ["--vars", "x,y", "x^2 + y"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["certify", "--vars", ",", "x"], "--vars must list at least one variable"),
+        (["certify", "--vars", "x,2y", "x*2y"], "--vars: variable name '2y' starts with a digit"),
+        (["certify", "--vars", "x", "--file", "no-such.poly"], "cannot read no-such.poly: "),
+        (["polytope", "--matroid", "12,1x"], "bad basis '1x'; write e.g. 12,13,14,23,24,34"),
+        (["polytope"], "give --matroid, --setfunction, or a polynomial"),
+        (["polytope", *NOT_HOMOGENEOUS], "polynomial input must be nonzero homogeneous"),
+        (["mconvex", *NOT_HOMOGENEOUS], "mconvex needs a nonzero homogeneous polynomial"),
+        (["probe-smoothable", *NOT_HOMOGENEOUS], "probe-smoothable needs a nonzero homogeneous polynomial"),
+        (["rank", "--vars", "x,y", "x*y", "--at", "1,a", "--dir", "1,1"], "bad --at point '1,a'; write e.g. 1,1,1"),
+        (["rank", "--vars", "x,y", "x*y", "--at", "1,1", "--dir", "1"], "--dir point needs 2 coordinates"),
+    ],
+)
+def test_usage_errors_exit_64_with_their_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,7 @@ from omegalab import (
     rank_from_support,
 )
 from omegalab.derivatives import (
+    _partial_terms,
     all_partials,
     binomial_identity_report,
     elementary_symmetric,
@@ -30,6 +32,7 @@ from helpers import (
     random_mconvex_support,
     random_positive_polynomial,
     random_sparse_polynomial,
+    reference_partial_terms,
 )
 
 
@@ -46,6 +49,7 @@ def test_plane_cubic_first_order_space():
     for text in displayed:
         assert span_contains(space, parse_polynomial(text, X123))
     assert not span_contains(space, parse_polynomial("x1^2 + x3^2", X123))
+    assert span_contains(space, Polynomial.zero(3))
 
 
 def test_plane_cubic_centre():
@@ -273,7 +277,7 @@ def test_partial_count_guard_fires_before_any_partial(monkeypatch):
 
     names = [f"x{i}" for i in range(1, 13)]
     h = parse_polynomial("*".join(names), names)
-    built = []  # every partial is built while walking the multisets
+    built = []  # the partials are keyed by walking the multisets, after the guard
     monkeypatch.setattr(
         omegalab.derivatives, "combinations_with_replacement", lambda *args: built.append(args)
     )
@@ -289,3 +293,19 @@ def test_partial_count_guard_fires_before_any_partial(monkeypatch):
     assert len(all_partials(elementary_symmetric(2, 3), 1)) == 3
     with pytest.raises(ResourceLimit, match="6 order-2 partials exceed the cap 3"):
         derivative_support(elementary_symmetric(3, 3), 2)
+
+
+def test_partials_read_term_by_term_match_the_multiset_scan():
+    rng = random.Random(24)
+    polys = [elementary_symmetric(d, n) for n in range(2, 8) for d in range(2, n + 1)]
+    polys.append(Polynomial.zero(3))
+    for _ in range(40):  # sparse, with negative and rational coefficients
+        polys.append(random_sparse_polynomial(rng, rng.randint(1, 5), rng.randint(1, 5), 6))
+    for _ in range(20):  # dense: every monomial of one degree, or up to it
+        n, d = rng.randint(1, 4), rng.randint(1, 4)
+        grid = [m for m in product(range(d + 1), repeat=n) if sum(m) == d or rng.random() < 0.5]
+        polys.append(Polynomial(n, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for m in grid}))
+    assert any(len(h) > 20 and not h.is_homogeneous for h in polys)
+    for h in polys:
+        for k in range(max(h.total_degree, 0) + 2):
+            assert _partial_terms(h, k) == reference_partial_terms(h, k), (h, k)

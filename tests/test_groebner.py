@@ -258,6 +258,11 @@ def test_torus_feasible_monomial_shortcut():
     assert verdict.certificate[0] == "monomial"
 
 
+def test_torus_feasible_constant_generator():
+    verdict = torus_feasible([{(0, 0): 3}, {(1, 0): 1, (0, 1): -1}])
+    assert verdict.is_infeasible and verdict.certificate == ("constant", None)
+
+
 def test_torus_feasible_empty_system():
     assert torus_feasible([]).is_feasible
     # zero generators carry no equation, whatever their exponent length

@@ -103,7 +103,7 @@ def test_parser_character_classes_are_the_str_predicates():
     assert re.findall(r"\d", chars) == list(filter(str.isdecimal, chars))
 
 
-_NAMES = ["x", "y", "z1", "w_2", "é", "3a"]
+_NAMES = ["x", "y", "z1", "w_2", "é"]
 _SPACES = ["", "", "", " ", "  ", "\t", "\n", "\xa0", "\u2003"]
 _STRAY = ["+", "-", "*", "^", "/", "0", "7", "٣", "²", "q", "2y", "x", "#", ".", " ", "\xa0", "("]
 _STRAY += ["**", "^0", "/0", "+-", "3a"]
@@ -124,12 +124,10 @@ def _random_text(rng: random.Random) -> str:
             if rng.random() < 0.4:
                 tokens[-1] += sp() + "/" + sp() + str(rng.randint(1, 12))
         for _ in range(rng.randint(0 if tokens else 1, 4)):  # names may repeat
-            factor = rng.choice(_NAMES[:-1] if not tokens and rng.random() < 0.5 else _NAMES)
+            factor = rng.choice(_NAMES)
             if rng.random() < 0.4:
                 factor += sp() + "^" + sp() + str(rng.randint(1, 4))
             tokens.append(factor)
-        if tokens[0] == "3a":  # a leading digit starts a coefficient
-            tokens.insert(0, "2")
         terms.append(sp() + sign + sp() + (sp() + "*" + sp()).join(tokens) + sp())
     return "".join(terms)
 
@@ -185,18 +183,16 @@ def test_constructor_keeps_the_types_it_accepts():
         def items(self):
             return iter(self)
 
-    for exponent in ([1, 1], (True, 1), (1.9, 1), ("1", True)):
-        q = Polynomial(2, Pairs([(exponent, Fraction(3))]))
-        assert q == p and all(type(e) is int for m in q.terms for e in m), exponent
+    q = Polynomial(2, Pairs([([1, 1], Fraction(3))]))
+    assert q == p and all(type(m) is tuple for m in q.terms)
     assert Polynomial(2, {(1, 1): 1.5, (0, 2): "2/3", (2, 0): True}) == Polynomial(
         2, {(1, 1): Fraction(3, 2), (0, 2): Fraction(2, 3), (2, 0): Fraction(1)}
     )
-    assert Polynomial(1, Pairs([((1,), Fraction(1)), ([True], -1)])).is_zero
+    assert Polynomial(1, Pairs([((1,), Fraction(1)), ([1], -1)])).is_zero
     for nvars, terms, error in [
         (2, {(1, -1): 1}, ValueError),
         (2, {(1,): 1}, ValueError),
         (2, {("a", 1): 1}, ValueError),
-        (2, {(None, 1): 1}, TypeError),
         (2, {(1, 1): "x"}, ValueError),
         (2, {(1, 1): None}, TypeError),
         (2, {(1, 1): [3]}, TypeError),
@@ -335,6 +331,24 @@ def test_variable_order_entry_no_text_can_name_raises_value_error():
         with pytest.raises(ValueError, match=f"^variable name {bad} is not a run") as exc:
             parse_polynomial("y^2", names)
         assert not isinstance(exc.value, ParseError)  # the order is at fault, not the text
+
+
+def test_variable_order_entry_starting_with_a_digit_raises_value_error():
+    # a term that starts with a digit starts with its coefficient, so no text names '2y' first
+    for text in ("2y^2", "x*2y"):
+        with pytest.raises(ValueError, match="^variable name '2y' starts with a digit$") as exc:
+            parse_polynomial(text, ["x", "2y"])
+        assert not isinstance(exc.value, ParseError)
+    with pytest.raises(ValueError, match="^variable name '٣a' starts with a digit$"):
+        parse_polynomial("x", ["x", "٣a"])
+
+
+def test_constructor_rejects_an_exponent_entry_that_is_not_an_int():
+    for bad in (1.5, 1.0, True, "1", Fraction(1), None):
+        with pytest.raises(ValueError, match=re.escape(f"exponent entry {bad!r} is not an int")):
+            Polynomial(2, {(0, 2): 1, (bad, 0): 1})
+    with pytest.raises(ValueError, match="^exponent entry 1.5 is not an int$"):
+        Polynomial(2, {(1.5, 0.5): 1, (0, 2): 1})
 
 
 def test_scaling_and_arithmetic():

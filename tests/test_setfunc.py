@@ -1,6 +1,7 @@
 """Set functions: axioms, rank tables, truncations, inseparability."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from omegalab import (
     Polynomial,
     SetFunction,
     ZeroRestrictionError,
+    base_polytope,
     check_simplicity_conditions,
     hyperbolic_rank,
     is_inseparable,
@@ -341,6 +343,14 @@ def test_json_names_a_non_integer_value():
         with pytest.raises(ValueError) as err:
             SetFunction.from_json(text)
         assert str(err.value) == f"{bad} is not an integer"
+
+
+def test_constructor_rejects_a_value_that_is_not_an_int():
+    for bad in (1.7, 1.0, True, "1", Fraction(1)):
+        with pytest.raises(ValueError, match=re.escape(f"set function value {bad!r} is not an int")):
+            SetFunction(2, [0, bad, 1, 2])
+    with pytest.raises(ValueError, match="^set function value 1.9 is not an int$"):
+        base_polytope(SetFunction(2, [0, 1.9, 1.2, 2.5]))
 
 
 def test_from_bases_uniform():
