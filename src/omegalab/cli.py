@@ -410,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-pairs",
             type=_positive_int,
             default=DEFAULT_MAX_PAIRS,
-            help="Groebner pair-queue cap before reporting undecided",
+            help="cap on the S-pairs one Groebner basis reduces, after Gebauer-Moeller"
+            " pruning, before reporting undecided",
         )
     return parser
 

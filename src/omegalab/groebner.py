@@ -25,6 +25,9 @@ Terms are primitive integer dictionaries, content-stripped after every
 reduction, and exponent tuples appear only at the boundary: inputs, returned
 bases and the public `normal_form`.
 
+Pairs are pruned as each element enters (Gebauer & Moeller, J. Symbolic
+Comput. 6, 1988); the pair cap counts the S-pairs reduced.
+
 Resource caps surface as the explicit verdict "undecided", never as a wrong
 answer.
 """
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import gcd
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -172,14 +174,14 @@ def _run_packed(order: MonomialOrder | None, polys: list[IntPoly], run: Callable
             width *= 2
 
 
-def _reduce(pk: _Packing, f: dict[int, int], reducers: Sequence[Reducer]) -> dict[int, int]:
+def _reduce(pk: _Packing, f: dict[int, int], reducers: Iterable[Reducer]) -> dict[int, int]:
     """Full multivariate division remainder, fraction-free, content-stripped.
 
     Raises _Overflow when a popped leading monomial's degree reaches the
     guard bit, so every term ever formed is the sum of two in-range monomials.
     """
     s, guard, half = pk.s, pk.guard, pk.half
-    rem, out = dict(f), {}
+    rem, out, scale = dict(f), [], 1
     while rem:
         lm = max(rem)
         top = -(-lm >> s)
@@ -189,15 +191,15 @@ def _reduce(pk: _Packing, f: dict[int, int], reducers: Sequence[Reducer]) -> dic
         for e, lead, g in reducers:
             if (lm_guarded - e) & guard == guard:  # lead divides lm
                 break
-        else:
-            out[lm] = rem.pop(lm)
+        else:  # lm leaves the remainder, at the scale it has reached so far
+            out.append((lm, rem.pop(lm), scale))
             continue
         c, lc = rem[lm], g[lead]
         d = gcd(c, lc)
         mult_rem, mult_g = lc // d, c // d
         if mult_rem != 1:
             rem = {m: v * mult_rem for m, v in rem.items()}
-            out = {m: v * mult_rem for m, v in out.items()}
+            scale *= mult_rem
         shift = lm - lead
         for m, v in g.items():
             m += shift
@@ -206,7 +208,7 @@ def _reduce(pk: _Packing, f: dict[int, int], reducers: Sequence[Reducer]) -> dic
                 rem[m] = v
             else:
                 del rem[m]
-    return _content_strip(out)
+    return _content_strip({m: v * (scale // at) for m, v, at in out})
 
 
 def _s_poly(pk: _Packing, f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
@@ -221,53 +223,61 @@ def _s_poly(pk: _Packing, f: dict[int, int], g: dict[int, int]) -> dict[int, int
 
 
 def _buchberger(pk: _Packing, gens: list[dict[int, int]], max_pairs: int) -> list[dict]:
-    basis: list[Reducer] = []
-    for g in gens:
-        g = _content_strip(g)
-        if g and all(g != h for _, _, h in basis):
-            basis.append(pk.reducer(g))
     guard = pk.guard
-    # the set answers the chain criterion's membership tests, the heap the order
-    pending: set[tuple[int, int]] = set(combinations(range(len(basis)), 2))
-    queue = [(pk.lcm(basis[i][0], basis[j][0]), i, j) for i, j in pending]
-    heapq.heapify(queue)
-    treated = 0
+    basis: list[Reducer] = []  # every element that entered, by index
+    active: dict[int, Reducer] = {}  # the reducers: elements whose lead no later lead divides
+    live: dict[tuple[int, int], int] = {}  # pair -> K of the lcm of its leads
+    queue: list[tuple[int, int, int]] = []
+
+    def divides(e: int, k: int) -> bool:  # the monomial with fields e divides K = k
+        return (pk.exponents(k) + guard - e) & guard == guard
+
+    def enter(g: dict[int, int]) -> None:
+        """Gebauer-Moeller update: prune the pairs, then add g to the basis."""
+        t = len(basis)
+        e_t, lead_t, _ = new = pk.reducer(g)
+        lcms = [pk.lcm(e, e_t) for e, _, _ in basis]
+        for (i, j), lcm in list(live.items()):  # criterion B
+            if lcms[i] != lcm != lcms[j] and divides(e_t, lcm):
+                del live[i, j]
+        # criterion M: of the new pairs sharing an lcm that no other new pair's
+        # lcm divides, keep the lowest a; a coprime pair drops its whole lcm
+        # class (criterion F)
+        classes: dict[int, int | None] = {}
+        for a, (_, lead, _) in active.items():
+            classes[lcms[a]] = None if lcms[a] == lead + lead_t else classes.get(lcms[a], a)
+        kept: list[int] = []
+        for lcm in sorted(classes):
+            lcm_guarded = pk.exponents(lcm) + guard
+            if any((lcm_guarded - f) & guard == guard for f in kept):
+                continue
+            kept.append(lcm_guarded - guard)
+            if (a := classes[lcm]) is not None:
+                live[a, t] = lcm
+                heapq.heappush(queue, (lcm, a, t))
+        for a in [a for a, (_, lead, _) in active.items() if divides(e_t, lead)]:
+            del active[a]
+        basis.append(new)
+        active[t] = new
+
+    for g in gens:  # reduced on entry, so no lead divides another
+        g = _reduce(pk, g, active.values())
+        if g:
+            enter(g)
+    pairs = 0  # S-pairs reduced
     while queue:
         lcm, i, j = heapq.heappop(queue)
-        pending.discard((i, j))
-        treated += 1
-        if treated > max_pairs:
+        if live.pop((i, j), None) is None:
+            continue  # pruned after it was queued
+        pairs += 1
+        if pairs > max_pairs:
             raise ResourceLimit(f"pair queue cap {max_pairs} exceeded")
-        if lcm == basis[i][1] + basis[j][1]:
-            continue  # coprime leading terms
-        lcm_guarded = pk.exponents(lcm) + guard
-        if any(
-            (lcm_guarded - e) & guard == guard
-            and (min(i, k), max(i, k)) not in pending
-            and (min(j, k), max(j, k)) not in pending
-            for k, (e, _, _) in enumerate(basis)
-            if k != i and k != j
-        ):
-            continue  # chain criterion
-        r = _reduce(pk, _s_poly(pk, basis[i][2], basis[j][2]), basis)
+        r = _reduce(pk, _s_poly(pk, basis[i][2], basis[j][2]), active.values())
         if r:
-            t = len(basis)
-            basis.append(pk.reducer(r))
-            for a in range(t):
-                pending.add((a, t))
-                heapq.heappush(queue, (pk.lcm(basis[a][0], basis[t][0]), a, t))
-    # minimal basis: a strict divisor always wins; among equal leads keep the first
-    minimal = [
-        (e, lead, g)
-        for i, (e, lead, g) in enumerate(basis)
-        if not any(
-            (e + guard - f) & guard == guard and (other != lead or j < i)
-            for j, (f, other, _) in enumerate(basis)
-            if j != i
-        )
-    ]
+            enter(r)
+    minimal = list(active.values())  # the minimal leads, each once
     reduced = [_reduce(pk, g, minimal[:i] + minimal[i + 1 :]) for i, (*_, g) in enumerate(minimal)]
-    return sorted((r for r in reduced if r), key=max)
+    return sorted(reduced, key=max)
 
 
 # -- public boundary: exponent tuples in and out ---------------------------------------
@@ -293,11 +303,13 @@ def buchberger_intdicts(
     """Reduced Groebner basis of integer term dictionaries.
 
     `order` defaults to grevlex in index order.  Normal pair-selection strategy
-    with the coprime-leading-term and chain criteria.  Each pair is keyed
-    once, when it is created, by the lcm of its leading monomials with the
-    pair's indices breaking ties, and pairs are popped from a heap in that
-    order.  Raises ResourceLimit once more than `max_pairs` pairs have been
-    treated.  The basis is sorted by ascending leading monomial.
+    with the Gebauer-Moeller criteria (B, M and F, coprime leading terms
+    included) applied as each element enters.  Each pair is keyed once, when
+    it is created, by the lcm of its leading monomials with the pair's indices
+    breaking ties, and pairs are popped from a heap in that order.  Raises
+    ResourceLimit once more than `max_pairs` S-pairs have been reduced; pairs
+    the criteria pruned are not counted.  The basis is sorted by ascending
+    leading monomial.
     """
 
     def run(pk: _Packing, packed: list[dict[int, int]]) -> list[IntPoly]:

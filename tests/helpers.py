@@ -7,6 +7,7 @@ weakening the suite.
 
 from __future__ import annotations
 
+import heapq
 import random
 import sys
 import types
@@ -22,6 +23,7 @@ from omegalab import (
     SetFunction,
     base_polytope,
     faces,
+    groebner,
     is_matroid,
     is_mconvex,
     lattice_points,
@@ -581,3 +583,71 @@ def reference_parse_polynomial(text: str, variable_order) -> Polynomial:
 
     return Polynomial(nvars, acc)
 
+
+# -- Buchberger with the chain criterion (test-only) -----------------------------------
+
+
+def _reference_buchberger(pk, gens, max_pairs):
+    """The pair loop that the Gebauer-Moeller update in omegalab.groebner._buchberger
+    replaced: every pair is queued, the coprime and chain criteria are tested as
+    each pair is popped, and the minimal basis is filtered out at the end."""
+    basis = []
+    for g in gens:
+        g = groebner._content_strip(g)
+        if g and all(g != h for _, _, h in basis):
+            basis.append(pk.reducer(g))
+    guard = pk.guard
+    # the set answers the chain criterion's membership tests, the heap the order
+    pending = set(combinations(range(len(basis)), 2))
+    queue = [(pk.lcm(basis[i][0], basis[j][0]), i, j) for i, j in pending]
+    heapq.heapify(queue)
+    treated = 0
+    while queue:
+        lcm, i, j = heapq.heappop(queue)
+        pending.discard((i, j))
+        treated += 1
+        if treated > max_pairs:
+            raise ResourceLimit(f"pair queue cap {max_pairs} exceeded")
+        if lcm == basis[i][1] + basis[j][1]:
+            continue  # coprime leading terms
+        lcm_guarded = pk.exponents(lcm) + guard
+        if any(
+            (lcm_guarded - e) & guard == guard
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, (e, _, _) in enumerate(basis)
+            if k != i and k != j
+        ):
+            continue  # chain criterion
+        r = groebner._reduce(pk, groebner._s_poly(pk, basis[i][2], basis[j][2]), basis)
+        if r:
+            t = len(basis)
+            basis.append(pk.reducer(r))
+            for a in range(t):
+                pending.add((a, t))
+                heapq.heappush(queue, (pk.lcm(basis[a][0], basis[t][0]), a, t))
+    # minimal basis: a strict divisor always wins; among equal leads keep the first
+    minimal = [
+        (e, lead, g)
+        for i, (e, lead, g) in enumerate(basis)
+        if not any(
+            (e + guard - f) & guard == guard and (other != lead or j < i)
+            for j, (f, other, _) in enumerate(basis)
+            if j != i
+        )
+    ]
+    reduced = [
+        groebner._reduce(pk, g, minimal[:i] + minimal[i + 1 :]) for i, (*_, g) in enumerate(minimal)
+    ]
+    return sorted((r for r in reduced if r), key=max)
+
+
+def reference_buchberger_intdicts(gens, order=None, max_pairs=groebner.DEFAULT_MAX_PAIRS):
+    """omegalab.groebner.buchberger_intdicts on the chain-criterion pair loop; the
+    packing, division and S-polynomials are the program's own."""
+
+    def run(pk, packed):
+        return [pk.decode(g) for g in _reference_buchberger(pk, packed, max_pairs)]
+
+    gens = [g for g in gens if g]
+    return groebner._run_packed(order, gens, run) if gens else []

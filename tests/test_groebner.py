@@ -11,12 +11,16 @@ import pytest
 from omegalab import (
     Polynomial,
     ResourceLimit,
+    certify_smooth,
     elementary_symmetric,
+    oracle_centre_disjoint,
     parse_polynomial,
     toric_ideal,
     torus_feasible,
 )
 from omegalab.groebner import (
+    DEFAULT_MAX_PAIRS,
+    MonomialOrder,
     buchberger_intdicts,
     is_unit_ideal,
     normal_form,
@@ -27,7 +31,13 @@ from omegalab.groebner import (
 from omegalab.linalg import integer_kernel_basis
 from omegalab.poly import grevlex_key
 
-from helpers import PLANE_CUBIC_TEXT, X123, random_sparse_polynomial
+from helpers import (
+    PLANE_CUBIC_TEXT,
+    X123,
+    bench_fixtures,
+    random_sparse_polynomial,
+    reference_buchberger_intdicts,
+)
 
 
 def P(text, names):
@@ -109,9 +119,10 @@ def test_pair_cap_raises_resource_limit():
 
 
 def test_pair_queue_order_pinned_by_cap_thresholds():
-    # The smallest cap that lets each computation finish counts the pairs it
-    # treats, chain- and coprime-skipped ones included.  Any change that drops,
-    # adds or reorders pairs moves these values.
+    # The smallest cap that lets each computation finish is the largest number
+    # of S-pairs one of its Groebner bases reduces; pairs the Gebauer-Moeller
+    # update pruned are not counted.  Any change that prunes, adds or drops
+    # reductions moves these values.
     def assert_threshold(run, threshold):
         run(threshold)
         with pytest.raises(ResourceLimit):
@@ -122,8 +133,8 @@ def test_pair_queue_order_pinned_by_cap_thresholds():
         I("x^2*y - 2*y^2 + x*z", ["x", "y", "z"]),
         I("y^3 - x*z^2", ["x", "y", "z"]),
     ]
-    assert_threshold(lambda cap: buchberger_intdicts(gens, max_pairs=cap), 28)
-    for d, threshold in ((2, 120), (3, 105)):
+    assert_threshold(lambda cap: buchberger_intdicts(gens, max_pairs=cap), 10)
+    for d, threshold in ((2, 29), (3, 36)):
         points = sorted(elementary_symmetric(d, 5).support())
         assert_threshold(lambda cap: toric_ideal(points, max_pairs=cap), threshold)
 
@@ -137,9 +148,9 @@ QUARTIC_TEXT = (
 
 def test_reduction_sequence_pinned(monkeypatch):
     # The number of S-polynomials reduced and a SHA-256 over each of them, as
-    # sorted exponent-tuple terms, in the order Buchberger forms them.  The
-    # values were taken from the exponent-tuple kernel this one replaced; any
-    # change that drops, adds, reorders or alters a reduction moves them.
+    # sorted exponent-tuple terms, in the order Buchberger forms them, under
+    # the Gebauer-Moeller pair update; any change that drops, adds, reorders or
+    # alters a reduction moves them.
     import omegalab.groebner
     from omegalab.derivatives import derivative_space
 
@@ -155,12 +166,12 @@ def test_reduction_sequence_pinned(monkeypatch):
     e35 = elementary_symmetric(3, 5)
     quartic = P(QUARTIC_TEXT, ["x1", "x2", "x3", "x4"])
     runs = [
-        (lambda: toric_ideal(sorted(elementary_symmetric(2, 5).support())), 243,
-         "e8fda8e9dca35499ab8d956c9709d6dc7c4d41d71ae6319c040c6be69a8f14d9"),
-        (lambda: torus_feasible(_ints(derivative_space(e35, 1).basis)), 20,
-         "2dccce12408f2abb0d5ee32838eb1ac970939e6da501d1e5cd6e9cb86688add9"),
-        (lambda: torus_feasible(_ints(derivative_space(quartic, 1).basis)), 100,
-         "e07a5ad9810399d668ae5d3e3ab58bb4c6505d3037602063062029f34ad42258"),
+        (lambda: toric_ideal(sorted(elementary_symmetric(2, 5).support())), 221,
+         "50877c2d17567e0901c3614415103b777a90bdb9cb4e1cafd872c13c91f3fefb"),
+        (lambda: torus_feasible(_ints(derivative_space(e35, 1).basis)), 13,
+         "cb18ff2802165adb1353d068e6d96e0b3dc483247cd292cbb312eb94fd22007c"),
+        (lambda: torus_feasible(_ints(derivative_space(quartic, 1).basis)), 60,
+         "e69f469e66402a3f56ca1b7cfc4effff7d3f079b7b7e1dc8d64586f48fd36ab7"),
     ]
     for run, count, digest in runs:
         seen.clear()
@@ -211,6 +222,91 @@ def test_field_overflow_gives_the_same_basis(monkeypatch):
     assert digest.hexdigest() == (
         "3f93c521cbe9eda006237131bfecb4c3abb190f1d9a34695f854e3ede19dab0c"
     )
+
+
+def _recorded_bases(monkeypatch, run):
+    """(generators, order, basis) of every buchberger_intdicts call that `run` makes."""
+    import omegalab.certify
+    import omegalab.groebner
+
+    calls = []
+
+    def recording(gens, order=None, max_pairs=DEFAULT_MAX_PAIRS):
+        gens = list(gens)
+        calls.append((gens, order, buchberger_intdicts(gens, order, max_pairs)))
+        return calls[-1][2]
+
+    with monkeypatch.context() as patched:
+        for module in (omegalab.groebner, omegalab.certify):
+            patched.setattr(module, "buchberger_intdicts", recording)
+        run()
+    return calls
+
+
+def test_gebauer_moeller_matches_the_chain_criterion_reference(monkeypatch):
+    # The reduced basis is unique, so pruning pairs on entry and reducing by the
+    # active elements only must give the chain-criterion loop's basis exactly.
+    fixtures = bench_fixtures()
+    names = ["x1", "x2", "x3", "x4"]
+    polys = [P(QUARTIC_TEXT, names), P(QUARTIC_TEXT, ["x1", "x3", "x2", "x4"])]
+    for name, _ in fixtures.LADDER:
+        if name not in fixtures.GUARDED:
+            f = fixtures.fixture(name)
+            polys.append(P(f.text, list(f.names)))
+    systems = [c for h in polys for c in _recorded_bases(monkeypatch, lambda: certify_smooth(h))]
+    assert len(systems) >= 40
+    for name, k, *_ in fixtures.ORACLE_PAIRS:  # the toric ideal, then the centre
+        f = fixtures.fixture(name)
+        h = P(f.text, list(f.names))
+        systems += _recorded_bases(monkeypatch, lambda: oracle_centre_disjoint(h, k))
+    for gens, order, basis in systems:
+        assert reference_buchberger_intdicts(gens, order) == basis, (gens, order)
+
+    rng = random.Random(67)
+    orders = (None, MonomialOrder((2, 0, 3, 1)), MonomialOrder((1, 3, 0, 2), eliminate=True))
+    for order in orders:
+        for _ in range(12):
+            gens = [
+                {tuple(rng.randint(0, 2) for _ in range(4)): rng.randint(-3, 3) for _ in range(3)}
+                for _ in range(rng.randint(2, 3))
+            ]
+            gens = [{m: c for m, c in g.items() if c} for g in gens]
+            assert buchberger_intdicts(gens, order) == reference_buchberger_intdicts(gens, order)
+    names = ["x", "y", "z"]
+    for gens in (
+        [I("x^40000*y - z^40001", names), I("x*z - y^2", names)],
+        [I("x^127 - z^127", names), I("x*y - z^2", names)],
+    ):
+        assert buchberger_intdicts(gens) == reference_buchberger_intdicts(gens)
+
+
+def test_chain_criterion_reference_keeps_the_old_reduction_sequence(monkeypatch):
+    # The reference is the loop the Gebauer-Moeller update replaced: it still
+    # forms the S-polynomials that loop was pinned to, 20 and 100 of them.
+    import omegalab.groebner
+    from omegalab.derivatives import derivative_space
+
+    real = omegalab.groebner._s_poly
+    seen = []
+
+    def traced(packing, f, g):
+        s = real(packing, f, g)
+        seen.append(repr(sorted(packing.decode(s).items())))
+        return s
+
+    monkeypatch.setattr(omegalab.groebner, "_s_poly", traced)
+    monkeypatch.setattr(omegalab.groebner, "buchberger_intdicts", reference_buchberger_intdicts)
+    quartic = P(QUARTIC_TEXT, ["x1", "x2", "x3", "x4"])
+    runs = [
+        (elementary_symmetric(3, 5), 20,
+         "2dccce12408f2abb0d5ee32838eb1ac970939e6da501d1e5cd6e9cb86688add9"),
+        (quartic, 100, "e07a5ad9810399d668ae5d3e3ab58bb4c6505d3037602063062029f34ad42258"),
+    ]
+    for h, count, digest in runs:
+        seen.clear()
+        torus_feasible(_ints(derivative_space(h, 1).basis))
+        assert len(seen) == count
+        assert hashlib.sha256("".join(seen).encode()).hexdigest() == digest
 
 
 def test_basis_independent_of_generator_order():
