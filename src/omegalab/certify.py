@@ -11,13 +11,17 @@ which is emitted with the certificate.
 The per-order test decomposes the toric variety into torus orbits indexed by
 the faces of the truncation polytope and decides torus feasibility of each
 face-restricted derivative system, one face per orbit of the variable swaps
-fixing the polynomial.  One certificate computes the support's M-convexity,
-its rank function rho, its swaps and each truncation polytope with its face
-lattice once, after its guards (rho only below the greedy guard), and skips
-the polymatroid axiom check: rho of an M-convex support, its truncations and
-their sum are polymatroids.  An independent Groebner oracle (toric ideal plus
-centre forms, decided by one Groebner basis and the finiteness theorem) and a
-derivative-support check are provided for cross-validation on small instances.
+fixing the polynomial.  When every variable occurs, the order-(d-1)
+truncation min(1, rho) is the rank function of U(1, n), so its polytope is
+the standard simplex, built in closed form.  One certificate computes the
+support's M-convexity, its swaps and each truncation polytope with its face
+lattice once, after its guards, and its rank function rho at most once, below
+the greedy guard and only for the orders k < d - 1 and the summed polytope:
+never for a quadric.  It skips the polymatroid axiom check, as rho of an
+M-convex support, its truncations and their sum are polymatroids.  An
+independent Groebner oracle (toric ideal plus centre forms, decided by one
+Groebner basis and the finiteness theorem) and a derivative-support check are
+provided for cross-validation on small instances.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .groebner import (
 from .guards import MAX_CERTIFY_DEGREE, ResourceLimit, degree_guard
 from .poly import Exponent, Polynomial, grevlex_key
 from .polytope import LatticePolytope, base_polytope, faces, is_simple, lattice_points
-from .polytope import _polymatroid_polytope, require_greedy
+from .polytope import _polymatroid_polytope, _simplex, require_greedy
 from .setfunc import MAX_GROUND_SET, rank_from_support, truncate, truncation_sum
 
 VERDICT_SMOOTH = "smooth-toric"
@@ -280,6 +284,8 @@ def centre_disjoint(
     face is the span basis restricted to the derivative monomials on it: the
     same span as the restricted partials, hence the same ideal.  Faces in the
     orbit of an infeasible face under the variable swaps fixing h are skipped.
+    For k = deg(h) - 1 with every variable occurring in h the polytope is the
+    standard simplex; otherwise it is built from the support rank function.
     """
     truncation = lambda k: base_polytope(truncate(rank_from_support(h.support()), k))  # any h
     return _decide(h, k, truncation, max_pairs, lambda: _swap_generators(h))[0]
@@ -300,7 +306,9 @@ def _decide(
     )
     try:
         require_greedy(h.nvars)  # before rho's 2^n table
-        body = truncation(k)
+        # min(1, rho) is U(1, n)'s rank function when every variable occurs in h
+        simplex = k == h.total_degree - 1 and all(map(any, zip(*h.support())))
+        body = _simplex(h.nvars) if simplex else truncation(k)
     except ResourceLimit as exc:
         return report(disjoint="undecided", detail=f"order-{k} truncation polytope: {exc}"), None
     # A swap fixing h maps the polytope onto itself, so it permutes the vertices:

@@ -246,28 +246,20 @@ class Polynomial:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            magnitude = abs(coeff)
-            if not factors:
-                body = _fraction_str(magnitude)
-            elif magnitude == 1:
+            num, den = coeff.numerator, coeff.denominator  # read off, no Fraction arithmetic
+            if factors and abs(num) == den == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([_fraction_str(magnitude)] + factors)
+                body = "*".join([str(abs(num)) if den == 1 else f"{abs(num)}/{den}", *factors])
             if not chunks:
-                chunks.append(body if coeff > 0 else "-" + body)
+                chunks.append("-" + body if num < 0 else body)
             else:
-                chunks.append(("+ " if coeff > 0 else "- ") + body)
+                chunks.append(("- " if num < 0 else "+ ") + body)
         return " ".join(chunks)
 
     def __repr__(self) -> str:
         names = [f"x{i+1}" for i in range(self.nvars)]
         return f"Polynomial({self.to_string(names)!r}, nvars={self.nvars})"
-
-
-def _fraction_str(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _univ_add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

@@ -299,6 +299,19 @@ def _polymatroid_polytope(f: SetFunction, bases_only: bool) -> LatticePolytope:
     return _polytope(n, verts, [(_normal(named[m], n), m) for m in _maximal(proper)], equations)
 
 
+def _simplex(n: int) -> LatticePolytope:
+    """B(f) for f(S) = min(1, |S|), the rank function of U(1, n): the standard simplex.
+
+    Its vertices are the unit vectors, e_i the vertex n - 1 - i in sorted
+    order, its facets x(E - i) <= 1 and its equation x(E) = 1; for n = 1 it
+    is a point, with no facet.
+    """
+    full = (1 << n) - 1
+    verts = sorted(_normal(1 << i, n) for i in range(n))
+    facets = [(_normal(full ^ 1 << i, n), full ^ 1 << n - 1 - i) for i in range(n)]
+    return _polytope(n, verts, facets if n > 1 else [], ((_normal(full, n), 1),))
+
+
 def _normal(code: int, n: int) -> tuple[int, ...]:
     """The indicator vector of the set code, or its negative for the code -set."""
     return tuple((abs(code) >> i & 1) * (1 if code > 0 else -1) for i in range(n))

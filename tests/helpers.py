@@ -28,6 +28,8 @@ from omegalab import (
     is_mconvex,
     lattice_points,
     linalg,
+    rank_from_support,
+    truncate,
 )
 from omegalab.derivatives import partials_guard
 from omegalab.guards import ResourceLimit
@@ -128,6 +130,11 @@ def _rank_of_columns(columns: list[list[Fraction]], height: int) -> int:
     if not columns or height == 0:
         return 0
     return rank([[col[i] for col in columns] for i in range(height)])
+
+
+def reference_truncation_polytope(h: Polynomial, k: int):
+    """B(truncate(rho, k)) for rho the rank function of h's support, read off rho's table."""
+    return base_polytope(truncate(rank_from_support(h.support()), k))
 
 
 def random_mconvex_support(rng: random.Random, n: int, degree: int) -> list[tuple[int, ...]]:

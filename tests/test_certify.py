@@ -35,6 +35,7 @@ from helpers import (
     random_product_of_linear_forms,
     reference_char_poly,
     reference_is_mconvex,
+    reference_truncation_polytope,
 )
 
 
@@ -495,6 +496,8 @@ def test_certificate_builds_each_intermediate_once(monkeypatch):
 
     # Builds of rho, of base polytopes (by the unchecked greedy builder, as rho and
     # its truncations are polymatroids) and M-convexity checks, in that order.
+    # Order d - 1 is the simplex, built without rho: a quadric never builds rho.
+    quadric = bench_fixtures().sweep_quadrics(1)[2]  # q5.0, a seeded random quadric
     counts = dict.fromkeys(("rank_from_support", "_polymatroid_polytope", "is_mconvex"), 0)
     for name in counts:
 
@@ -504,9 +507,10 @@ def test_certificate_builds_each_intermediate_once(monkeypatch):
 
         monkeypatch.setattr(certify, name, counted)
     cases = [
-        (elementary_symmetric(2, 4), "smooth-toric", (1, 1, 1)),
-        (elementary_symmetric(3, 5), "smooth-toric", (1, 3, 1)),
+        (elementary_symmetric(2, 4), "smooth-toric", (0, 0, 1)),
+        (elementary_symmetric(3, 5), "smooth-toric", (1, 2, 1)),
         (parse_polynomial("x1^3 + x1*x2^2 + x3^3", X123), "not-applicable", (0, 0, 1)),
+        (parse_polynomial(quadric.text, list(quadric.names)), "smooth-toric", (0, 0, 1)),
     ]
     for h, verdict, builds in cases:
         for _ in range(2):  # the second call builds as much again: nothing is kept
@@ -656,6 +660,54 @@ def test_certificate_orders_match_centre_disjoint():
         cert = certify_smooth(h)
         assert cert.k_reports == tuple(centre_disjoint(h, k) for k in range(1, d)), supp
         checked += 1
+
+
+def test_closed_form_orders_match_the_rank_function_route(monkeypatch):
+    import omegalab.certify as certify
+
+    built = []  # the polytope of every order, as its face lattice is walked
+
+    def spied(p, _real=certify.faces):
+        built.append(p)
+        return _real(p)
+
+    monkeypatch.setattr(certify, "faces", spied)
+    pairs = 20  # keeps the quartics on 5 variables quick; both routes meet the same cap
+    rng = random.Random(2602)
+    absent = 0
+    for n in range(2, 6):
+        for d in range(2, 5):
+            checked = 0
+            while checked < 2:  # supports with an absent variable check centre_disjoint only
+                h = random_positive_polynomial(rng, random_mconvex_support(rng, n, d), 20)
+                everywhere = all(map(any, zip(*h.support())))
+                orders = range(1, d) if everywhere else [d - 1]
+                built.clear()
+                got = [centre_disjoint(h, k, pairs) for k in orders]
+                assert built == [reference_truncation_polytope(h, k) for k in orders], h
+                assert [p.facet_masks for p in built] == [
+                    reference_truncation_polytope(h, k).facet_masks for k in orders
+                ]
+                cert = certify_smooth(h, max_pairs=pairs) if everywhere else None
+                with monkeypatch.context() as m:  # the rank function route at order d - 1
+                    m.setattr(certify, "_simplex", lambda n: reference_truncation_polytope(h, d - 1))
+                    assert got == [centre_disjoint(h, k, pairs) for k in orders], h
+                    assert cert is None or cert == certify_smooth(h, max_pairs=pairs), h
+                checked += everywhere
+                absent += not everywhere
+    assert absent > 0
+
+    # A variable absent from h is a loop of rho: not the simplex, so the fallback.
+    h = parse_polynomial("x1^2 + x1*x2 + x2^2", X123)
+    built.clear()
+    with monkeypatch.context() as m:
+        m.setattr(certify, "_simplex", None)  # calling it would raise
+        report = centre_disjoint(h, 1)
+    assert report.disjoint == "yes"
+    assert built == [reference_truncation_polytope(h, 1)] and built[0].vertices == (
+        (0, 1, 0),
+        (1, 0, 0),
+    )
 
 
 def test_oracle_agrees_on_small_instances():

@@ -102,6 +102,21 @@ def test_certify_json_schema(capsys):
     assert {r["k"] for r in data["k_reports"]} == {1, 2}
 
 
+def test_certify_one_variable_is_a_point_with_no_facet(capsys):
+    for text, d, top in (("x^2", 2, 1), ("x^3", 3, 3)):  # the summed rank d(d-1)/2
+        code, out, _ = run(capsys, "certify", "--format", "json", "--vars", "x", text)
+        assert code == 0
+        data = json.loads(out)
+        assert data["verdict"] == "smooth-toric"
+        assert [r["disjoint"] for r in data["k_reports"]] == ["yes"] * (d - 1)
+        assert data["polytope"] == {
+            "dim": 0,
+            "vertices": [[top]],
+            "inequalities": [],
+            "equations": [{"a": [1], "b": top}],
+        }
+
+
 def test_text_and_json_verdicts_agree(capsys):
     code_t, out_t, _ = run(capsys, "certify", "--vars", "w,x,y,z", SINGULAR_CUBIC_TEXT)
     code_j, out_j, _ = run(

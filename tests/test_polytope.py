@@ -98,6 +98,16 @@ def test_base_polytope_simplex_octahedron_truncated_tetrahedron():
     assert is_smooth(summed) == (True, None)
 
 
+def test_simplex_matches_the_uniform_matroid_base_polytope():
+    for n in range(1, 9):
+        simplex = omegalab.polytope._simplex(n)
+        reference = base_polytope(SetFunction.uniform_matroid(1, n))
+        assert simplex == reference, n  # ambient_dim, vertices, inequalities, equations, dim
+        assert simplex.facet_masks == reference.facet_masks, n
+        assert faces(simplex) == faces(reference), n
+    assert omegalab.polytope._simplex(1).inequalities == ()  # a point: no facet
+
+
 def test_matroid_staircase_vertices_examples():
     assert matroid_staircase_vertices(U24) == perms_of((2, 1, 0, 0))
     free2 = SetFunction.uniform_matroid(2, 2)
