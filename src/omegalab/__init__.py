@@ -4,7 +4,9 @@ The package decides, in exact rational arithmetic, the sufficient smoothness
 criterion for the resolution attached to the gradient map of a homogeneous
 polynomial: M-convexity of the support, Lorentzian signature tests, base
 polytopes of truncated rank functions, and Groebner-based torus feasibility
-of face-restricted derivative systems.
+of face-restricted derivative systems, cross-checked by a toric-ideal oracle.
+It holds what the certificate and the command line run; the paper-lemma
+checks and the generic hull are test code, in `tests/paper_checks.py`.
 """
 
 from .certify import (
@@ -14,7 +16,6 @@ from .certify import (
     SmoothnessCertificate,
     centre_disjoint,
     certify_smooth,
-    check_derivative_supports,
     is_lorentzian,
     is_mconvex,
     oracle_centre_disjoint,
@@ -24,12 +25,9 @@ from .certify import (
 from .derivatives import (
     DerivativeSpace,
     all_partials,
-    binomial_identity_report,
     derivative_space,
     derivative_support,
     elementary_symmetric,
-    projection_centre,
-    span_contains,
 )
 from .groebner import (
     FeasibilityVerdict,
@@ -38,7 +36,7 @@ from .groebner import (
     torus_feasible,
 )
 from .guards import ResourceLimit
-from .linalg import smith_normal_form, snf_divisors
+from .linalg import smith_normal_form
 from .poly import (
     ParseError,
     Polynomial,
@@ -49,28 +47,18 @@ from .polytope import (
     Face,
     LatticePolytope,
     base_polytope,
-    enumerate_basic_vertices,
     faces,
     independence_polytope,
     is_simple,
-    is_smooth,
     lattice_points,
-    matroid_staircase_vertices,
-    minkowski_sum,
-    polytope_from_points,
 )
 from .setfunc import (
     PolymatroidCheckReport,
     SetFunction,
-    SimplicityReport,
     ZeroRestrictionError,
-    check_simplicity_conditions,
     hyperbolic_rank,
-    is_inseparable,
-    is_matroid,
     is_polymatroid,
     mask_to_set,
-    polymatroid_from_hyperbolic,
     rank_from_support,
     set_to_mask,
     truncate,

@@ -20,8 +20,8 @@ the greedy guard and only for the orders k < d - 1 and the summed polytope:
 never for a quadric.  It skips the polymatroid axiom check, as rho of an
 M-convex support, its truncations and their sum are polymatroids.  An
 independent Groebner oracle (toric ideal plus centre forms, decided by one
-Groebner basis and the finiteness theorem) and a derivative-support check are
-provided for cross-validation on small instances.
+Groebner basis and the finiteness theorem) cross-validates the face walk on
+small instances.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from math import factorial, lcm, prod
 from operator import itemgetter, mul, or_
 from typing import Callable, Iterable, Sequence
 
-from .derivatives import derivative_space, derivative_support, partials_guard
+from .derivatives import derivative_space, partials_guard
 from .groebner import (
     DEFAULT_MAX_PAIRS,
     buchberger_intdicts,
@@ -405,25 +405,6 @@ def oracle_centre_disjoint(
     return "yes" if len(pure) == nz else "no"
 
 
-def check_derivative_supports(h: Polynomial) -> list[int]:
-    """Orders k where the derivative support differs from the truncation polytope.
-
-    Compares, for every 0 <= k <= deg(h), the union of order-k partial
-    supports with the lattice points of the base polytope of the k-th
-    truncation of the support rank function.  Expected empty for M-convex
-    support; reported literally otherwise.
-    """
-    if h.is_zero or not h.is_homogeneous:
-        raise ValueError("polynomial must be nonzero and homogeneous")
-    rho = rank_from_support(h.support())
-    failures = []
-    for k in range(h.total_degree + 1):
-        expected = set(lattice_points(base_polytope(truncate(rho, k))))
-        if set(derivative_support(h, k)) != expected:
-            failures.append(k)
-    return failures
-
-
 # -- full certificate -----------------------------------------------------------------
 
 
@@ -561,16 +542,18 @@ def smoothable_probe(
 
     A sampling probe for generic behavior over a fixed M-convex support, not
     a decision procedure.  Coefficients are uniform integers in
-    1..PROBE_MAX_COEFF from a seeded generator; at most MAX_PROBE_TRIALS
+    1..PROBE_MAX_COEFF from a seeded generator; 0 to MAX_PROBE_TRIALS
     trials.
     """
+    if trials < 0:
+        raise ValueError(f"trials {trials} is negative")
     if trials > MAX_PROBE_TRIALS:
         raise ValueError(f"trials {trials} exceeds the cap {MAX_PROBE_TRIALS}")
     pts = sorted({tuple(int(x) for x in p) for p in support})
-    mcx, witness = is_mconvex(pts)
+    mcx, witness = is_mconvex(pts)  # ValueError on an empty support
     if not mcx:
         raise ValueError(f"support is not M-convex, witness {witness}")
-    nvars = len(pts[0]) if pts else 0
+    nvars = len(pts[0])
     for i in range(nvars):
         if all(p[i] == 0 for p in pts):
             raise ValueError(f"variable index {i} does not occur in the support")

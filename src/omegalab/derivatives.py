@@ -1,10 +1,11 @@
 """Spans of higher-order partial derivatives and their monomial data.
 
 For a homogeneous polynomial and an order k this module computes all k-th
-order partials, the union of their supports, a canonical echelon basis of
-their span, and the coefficient matrix of that basis over the support
-monomials (the matrix of the linear projection from monomial coordinates to
-the derivative span).  The kernel of that matrix is the projection centre.
+order partials, the union of their supports, and a canonical echelon basis
+of their span, stored as its coefficient matrix over the support monomials
+(the matrix of the linear projection from monomial coordinates to the
+derivative span; its kernel, `linalg.kernel_basis` of it, is the projection
+centre).
 
 The partials are read off the terms: for a multiset a of variable indices,
 the order-|a| partial of sum c_m x^m is the sum over m >= a of
@@ -19,7 +20,6 @@ nor primitive echelon rows; only `all_partials` divides by s again.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -109,58 +109,9 @@ def derivative_space(h: Polynomial, k: int) -> DerivativeSpace:
     return DerivativeSpace(k, h.nvars, columns, tuple(reduced))
 
 
-def projection_centre(space: DerivativeSpace) -> list[tuple[int, ...]]:
-    """Canonical kernel basis of the projection matrix (primitive integer rows)."""
-    return linalg.kernel_basis(space.matrix, len(space.columns))
-
-
-def span_contains(space: DerivativeSpace, p: Polynomial) -> bool:
-    """True iff p lies in the rational span of the order-k partials."""
-    if p.is_zero:
-        return True
-    if not p.support() <= set(space.columns):
-        return False
-    return linalg.in_row_space(space.matrix, [p.coefficient(c) for c in space.columns])
-
-
 def elementary_symmetric(degree: int, nvars: int) -> Polynomial:
     """Sum of all squarefree degree-d monomials in n variables."""
     if not 1 <= degree <= nvars:
         raise ValueError("need 1 <= degree <= nvars")
     subsets = combinations(range(nvars), degree)
     return Polynomial(nvars, {tuple(int(i in s) for i in range(nvars)): 1 for s in subsets})
-
-
-@dataclass(frozen=True)
-class SubsetIdentityReport:
-    holds: bool
-    coefficient: int
-    both_sides_zero: bool
-
-
-def binomial_identity_report(n: int, d: int, k: int) -> SubsetIdentityReport:
-    """Check the scaled hyperplane-sum identity in subset coordinates.
-
-    Coordinates z_S are indexed by subsets S of [n] of size d - k.  For each
-    ground element i the claim is
-
-        C(n+k-1-d, n-d) * sum(z_S : S avoids i)
-            == sum over T avoiding i, |T| = n-k, of sum(z_S : S inside T),
-
-    verified symbolically as an equality of linear forms.
-    """
-    if not 1 <= d <= n:
-        raise ValueError("need 1 <= d <= n")
-    if not 1 <= k < d:
-        raise ValueError("need 1 <= k < d")
-    size = d - k
-    coefficient = comb(n + k - 1 - d, n - d)
-    holds, nonzero_seen = True, False
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        lhs = {frozenset(s): coefficient for s in combinations(others, size)}  # coefficient > 0
-        tops = combinations(others, n - k)
-        rhs = Counter(frozenset(s) for t in tops for s in combinations(t, size))
-        nonzero_seen |= bool(lhs or rhs)
-        holds &= lhs == dict(rhs)
-    return SubsetIdentityReport(holds, coefficient, not nonzero_seen)

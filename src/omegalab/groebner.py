@@ -367,24 +367,6 @@ def saturate_coordinates(
     return buchberger_intdicts(current, max_pairs=max_pairs)
 
 
-def saturate_by_product_elimination(
-    gens: Sequence[IntPoly], nvars: int, max_pairs: int = DEFAULT_MAX_PAIRS
-) -> list[IntPoly]:
-    """Independent saturation route: adjoin t * (product of variables) - 1,
-    eliminate t, return the elimination ideal's basis.  Used as a cross-check
-    oracle for saturate_coordinates."""
-
-    extended = [{m + (0,): c for m, c in g.items()} for g in gens if g]
-    extended.append({(1,) * (nvars + 1): 1, (0,) * (nvars + 1): -1})
-    t_first = MonomialOrder(tuple(range(nvars + 1)), eliminate=True)
-    gb = buchberger_intdicts(extended, t_first, max_pairs)
-    out = []
-    for g in gb:
-        if all(m[nvars] == 0 for m in g):
-            out.append({m[:nvars]: c for m, c in g.items()})
-    return buchberger_intdicts(out, max_pairs=max_pairs)
-
-
 # -- toric ideals -------------------------------------------------------------------
 
 

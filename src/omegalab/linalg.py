@@ -1,14 +1,13 @@
 """Exact linear algebra over the rationals and the integers.
 
-Every elimination runs on one fraction-free (Bareiss) kernel over Python
-ints; rational rows are first scaled by the lcm of their denominators, which
-changes neither the row space nor the reduced echelon form.  RREF rows and
-kernel vectors come back as primitive integer vectors, the rational ones up
-to a positive scale; only `solve` returns Fractions, and lattice
-coordinates are its integral answers.  The same kernel gives the
-determinants of the lattice-smoothness test.  Smith normal form returns the
+Every elimination runs on one fraction-free (Bareiss) Gauss-Jordan kernel
+over Python ints; rational rows are first scaled by the lcm of their
+denominators, which changes neither the row space nor the reduced echelon
+form.  RREF rows and kernel vectors come back as primitive integer vectors,
+the rational ones up to a positive scale.  Smith normal form returns the
 divisor matrix together with the unimodular transforms, read off one
-augmented matrix, which integer kernels are built on.
+augmented matrix; the saturated integer kernels of toric ideals are built on
+it.
 """
 
 from __future__ import annotations
@@ -29,16 +28,13 @@ def _int_row(row: Sequence) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in values]
 
 
-def _echelon(
-    mat: list[list[int]], ncols: int, reduced: bool
-) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free (Bareiss) elimination of integer rows, in place.
+def _echelon(mat: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows, in place.
 
     Pivots are sought in the first `ncols` columns.  Returns the pivot rows,
-    their pivot columns and the last pivot d.  Without `reduced` the pivot
-    rows are a row echelon form.  With `reduced` the rows above each pivot
-    are cleared as well (fraction-free Gauss-Jordan): every pivot entry ends
-    equal to d and the pivot rows are d times the reduced row echelon form.
+    their pivot columns and the last pivot d.  The rows above each pivot are
+    cleared as well as those below: every pivot entry ends equal to d and the
+    pivot rows are d times the reduced row echelon form.
     """
     nrows = len(mat)
     pivots: list[int] = []
@@ -53,7 +49,7 @@ def _echelon(
         mat[r], mat[i] = mat[i], mat[r]
         top = mat[r]
         p = top[c]
-        for i in range(0 if reduced else r + 1, nrows):
+        for i in range(nrows):
             if i == r:
                 continue
             row = mat[i]
@@ -76,20 +72,15 @@ def rref(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[IntRows, l
     mat = [_int_row(row) for row in rows]
     if ncols is None:
         ncols = len(mat[0]) if mat else 0
-    reduced, pivots, d = _echelon(mat, ncols, True)
+    reduced, pivots, d = _echelon(mat, ncols)
     sign = 1 if d > 0 else -1
     return [primitive_vector([sign * x for x in row]) for row in reduced], pivots
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    mat = [_int_row(row) for row in rows]
-    return len(_echelon(mat, len(mat[0]) if mat else 0, False)[1])
 
 
 def kernel_basis(rows: Sequence[Sequence], ncols: int) -> IntRows:
     """Canonical basis of {v : M v = 0}, one vector per free column f of the
     RREF: 1 at f and -RREF[i][f] at pivot i, scaled to be primitive integer."""
-    reduced, pivots, d = _echelon([_int_row(row) for row in rows], ncols, True)
+    reduced, pivots, d = _echelon([_int_row(row) for row in rows], ncols)
     pivot_set = set(pivots)
     sign = 1 if d > 0 else -1
     basis = []
@@ -100,37 +91,6 @@ def kernel_basis(rows: Sequence[Sequence], ncols: int) -> IntRows:
             vec[p] = -sign * row[f]
         basis.append(primitive_vector(vec))
     return basis
-
-
-def abs_det(rows: Sequence[Sequence[int]]) -> int:
-    """|det M| of a square integer matrix: Bareiss's last pivot is +-det M."""
-    reduced, _, d = _echelon([list(row) for row in rows], len(rows), False)
-    return abs(d) if len(reduced) == len(rows) else 0
-
-
-def in_row_space(rows: Sequence[Sequence], vector: Sequence) -> bool:
-    """True iff `vector` is a rational combination of the rows."""
-    base = [_int_row(row) for row in rows]
-    return rank(base + [_int_row(vector)]) == rank(base)
-
-
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """One exact solution of M x = b, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    rows = list(rows)
-    if not rows:
-        return [] if all(Fraction(b) == 0 for b in rhs) else None
-    ncols = len(rows[0])
-    mat = [_int_row([*row, b]) for row, b in zip(rows, rhs)]
-    reduced, pivots, d = _echelon(mat, ncols + 1, True)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, p in zip(reduced, pivots):
-        x[p] = Fraction(row[ncols], d)
-    return x
 
 
 # -- integer routines -----------------------------------------------------------
@@ -192,16 +152,6 @@ def smith_normal_form(
     return [row[:n] for row in w[:m]], [row[n:] for row in w[:m]], [row[:n] for row in w[m:]]
 
 
-def snf_divisors(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Nonzero elementary divisors d_1 | d_2 | ... of an integer matrix."""
-    d, _, _ = smith_normal_form(matrix)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i]:
-            out.append(d[i][i])
-    return out
-
-
 def integer_kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
     """Basis of the saturated lattice {v in Z^ncols : M v = 0}."""
     rows = [list(row) for row in matrix]
@@ -213,13 +163,3 @@ def integer_kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> list[tu
     for j in range(r, ncols):
         basis.append(tuple(v[i][j] for i in range(ncols)))
     return basis
-
-
-def integer_lattice_coordinates(
-    basis: Sequence[Sequence[int]], vector: Sequence[int]
-) -> list[int] | None:
-    """Express `vector` in the given integer lattice basis; None if impossible."""
-    x = solve([[b[i] for b in basis] for i in range(len(vector))], vector)
-    if x is None or any(c.denominator != 1 for c in x):
-        return None
-    return [int(c) for c in x]

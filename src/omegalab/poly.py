@@ -128,10 +128,6 @@ class Polynomial:
     def support(self) -> frozenset[Exponent]:
         return frozenset(self._terms)
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
-        """Terms in descending graded reverse lexicographic order."""
-        return sorted(self._terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
-
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -239,7 +235,8 @@ class Polynomial:
         if not self._terms:
             return "0"
         chunks: list[str] = []
-        for exponent, coeff in self.sorted_terms():
+        for exponent in sorted(self._terms, key=grevlex_key, reverse=True):  # descending grevlex
+            coeff = self._terms[exponent]
             factors = []
             for name, e in zip(names, exponent):
                 if e == 1:

@@ -1,4 +1,4 @@
-"""Exact lattice-polytope geometry for submodular set functions.
+"""Exact lattice polytopes of polymatroids: the certificate's geometry.
 
 Polytopes are stored with an exact integer V-representation plus an
 irredundant integer H-representation (facet inequalities and affine-hull
@@ -10,31 +10,23 @@ unchecked.  The vertices are the greedy vectors, over prefixes closed under
 elements of marginal 0; the equations are x(C) = f(C) for the components C of
 f on B(f) and x_i = 0 for the loops i on P(f); the facets are the maximal
 proper vertex sets tight at some x(S) <= f(S), or -x_i <= 0 on P(f), with x(S)
-summed at every vertex at once.  Generic hulls (Newton polytopes, point-set
-sums) get candidate inequalities from a brute-force facet search with exact
-orientation tests, in the chart of the affine hull by its free coordinates,
-and read the rest off the point-facet incidences: the facets are the maximal
-proper tight sets and a vertex is the only point on every facet through it.  A
-face's dimension follows from the meets of the face lattice.  Simplicity needs
-no face lattice: a vertex is simple when it lies on dim facets.  On a
-polymatroid polytope simple is already smooth (see `is_simple`); for a generic
-lattice polytope each edge at a simple vertex is the meet of all but one of
-its facets, and lattice smoothness is one determinant per vertex.
+summed at every vertex at once.  The order-(d-1) truncation is the standard
+simplex, built in closed form.  A face's dimension follows from the meets of
+the face lattice.  Simplicity needs no face lattice: a vertex is simple when
+it lies on dim facets, and on a polymatroid polytope simple is already lattice
+smooth (see `is_simple`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations
-from math import comb
 from operator import and_, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .guards import ResourceLimit
-from .setfunc import SetFunction, is_matroid, is_polymatroid, mask_to_set
+from .setfunc import SetFunction, is_polymatroid, mask_to_set
 
 __all__ = [
     "LatticePolytope",
@@ -42,21 +34,13 @@ __all__ = [
     "ResourceLimit",
     "independence_polytope",
     "base_polytope",
-    "matroid_staircase_vertices",
-    "polytope_from_points",
-    "minkowski_sum",
     "lattice_points",
     "faces",
     "is_simple",
-    "is_smooth",
-    "enumerate_basic_vertices",
 ]
 
 MAX_GREEDY_GROUND_SET = 8
-MAX_HULL_AMBIENT_DIM = 6
-MAX_HULL_SUBSETS = 500_000
 MAX_SCAN_CELLS = 5_000_000
-MAX_VERTEX_PRODUCT = 10**6
 _ZERO_FLAGS = bytes.maketrans(b"\0\x80", b"10")  # a field's top byte: 1 where the field is 0
 
 Point = tuple[int, ...]
@@ -81,12 +65,6 @@ class LatticePolytope:
     equations: tuple[Inequality, ...]  # affine hull, a.x == b
     dim: int
     facet_masks: tuple[int, ...] = field(compare=False, repr=False)
-
-    def contains(self, point: Sequence) -> bool:
-        vals = [Fraction(x) for x in point]
-        return all(_dot(a, vals) == b for a, b in self.equations) and all(
-            _dot(a, vals) <= b for a, b in self.inequalities
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -123,61 +101,6 @@ class Face(NamedTuple):
     @property
     def facets(self) -> frozenset[int]:
         return frozenset(mask_to_set(self.facet_mask, 0))
-
-
-# -- affine chart helpers --------------------------------------------------------
-
-
-def _equations_from_points(points: Sequence[Point], ambient: int) -> tuple[Inequality, ...]:
-    v0 = points[0]
-    diffs = [[p[i] - v0[i] for i in range(ambient)] for p in points[1:]]
-    return tuple(sorted((a, _dot(a, v0)) for a in linalg.kernel_basis(diffs, ambient)))
-
-
-def _assemble(
-    ambient: int,
-    points: Iterable[Point],
-    candidates: Iterable[Inequality],
-    equations: tuple[Inequality, ...] | None = None,
-) -> LatticePolytope:
-    """Build the hull of the points from a complete candidate inequality set.
-
-    `candidates` must include every facet, and one violated by a point raises
-    ValueError; `equations` is the points' affine hull when the caller has it.
-    """
-    pts = sorted(set(points))
-    if not pts:
-        raise ValueError("a polytope needs at least one point")
-
-    # Tight sets as point masks, each with the first candidate tight there and its points.
-    columns = list(zip(*pts))
-    tight_sets: dict[int, tuple[tuple[int, ...], list[int]]] = {}
-    for a, b in candidates:
-        values = [0] * len(pts)  # a.x at every point, a column per nonzero entry of a
-        for c, column in zip(a, columns):
-            if c:
-                values = [v + c * x for v, x in zip(values, column)]
-        if max(values) > b:
-            raise ValueError(f"inequality {list(a)}.x <= {b} is violated by a point")
-        on = [i for i, v in enumerate(values) if v == b]
-        if on and len(on) < len(pts):  # tight at every point: an equation
-            tight_sets.setdefault(sum(1 << i for i in on), (a, on))
-
-    if equations is None:
-        equations = _equations_from_points(pts, ambient)
-    facet_masks = _maximal(tight_sets)
-    meet = [(1 << len(pts)) - 1] * len(pts)  # a vertex: the only point on every facet through it
-    for mask in facet_masks:
-        for i in tight_sets[mask][1]:
-            meet[i] &= mask
-    vertex_index = {i: j for j, i in enumerate(k for k in range(len(pts)) if meet[k] == 1 << k)}
-    facets = []
-    for mask in facet_masks:
-        a, on = tight_sets[mask]
-        if len(vertex_index) < len(pts):  # the tight set's vertices, by vertex index
-            mask = sum(1 << vertex_index[i] for i in on if i in vertex_index)
-        facets.append((a, mask))
-    return _polytope(ambient, list(map(pts.__getitem__, vertex_index)), facets, equations)
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:
@@ -327,109 +250,6 @@ def base_polytope(f: SetFunction) -> LatticePolytope:
     return _polymatroid_polytope(_require_polymatroid(f), bases_only=True)
 
 
-def matroid_staircase_vertices(f: SetFunction) -> set[Point]:
-    """Direct vertex construction for the summed-truncation polytope of a matroid.
-
-    Emits, for every basis and every assignment of the values 1..d to its
-    elements, the corresponding point.  Must coincide with the vertex set of
-    base_polytope(truncation_sum(f)).
-    """
-    if not is_matroid(f):
-        raise ValueError("not a matroid rank function")
-    n, d = f.n, f.rank
-    out: set[Point] = set()
-    bases = [mask for mask in range(1 << n) if mask.bit_count() == f.values[mask] == d]
-    for mask in bases:
-        elements = [i for i in range(n) if mask >> i & 1]
-        for assignment in permutations(range(1, d + 1)):
-            value = dict(zip(elements, assignment))
-            out.add(tuple(value.get(i, 0) for i in range(n)))
-    if not bases:
-        out.add((0,) * n)
-    return out
-
-
-# -- generic hulls ----------------------------------------------------------------
-
-
-def polytope_from_points(points: Iterable[Sequence[int]]) -> LatticePolytope:
-    """Convex hull via brute-force facet search with exact orientation tests.
-
-    The search runs in the chart of the affine hull by its free coordinates:
-    the hull is a graph over the non-pivot columns of the equations' RREF, so
-    a chart normal lifts to the ambient normal with the same entries on those
-    columns and 0 elsewhere.
-    """
-    pts = sorted({tuple(int(x) for x in p) for p in points})
-    if not pts:
-        raise ValueError("a polytope needs at least one point")
-    ambient = len(pts[0])
-    if ambient > MAX_HULL_AMBIENT_DIM:
-        raise ResourceLimit(f"hull search capped at ambient dimension {MAX_HULL_AMBIENT_DIM}")
-    equations = _equations_from_points(pts, ambient)
-    pivots = set(linalg.rref([a for a, _ in equations], ambient)[1])
-    free = [i for i in range(ambient) if i not in pivots]
-    dim = len(free)
-    if comb(len(pts), dim) > MAX_HULL_SUBSETS:
-        raise ResourceLimit(
-            f"facet search over {len(pts)} points in dimension {dim} exceeds the cap"
-        )
-    charted = [[p[i] for i in free] for p in pts]
-
-    # the hyperplane w.x = b through each affinely independent dim-subset
-    normals: set[tuple[tuple[int, ...], int]] = set()
-    for subset in combinations(charted, dim):
-        kern = linalg.kernel_basis([[*c, -1] for c in subset], dim + 1)
-        if len(kern) != 1:
-            continue
-        *w, b = kern[0]
-        values = [_dot(w, c) for c in charted]
-        top, bottom = max(values), min(values)
-        if top == b and bottom < b:
-            normals.add((tuple(w), b))
-        elif bottom == b and top > b:
-            normals.add((tuple(-x for x in w), -b))
-
-    chart = {i: k for k, i in enumerate(free)}  # the chart coordinate of each free column
-    lift = [[w[chart[i]] if i in chart else 0 for i in range(ambient)] for w, _ in normals]
-    candidates = [(tuple(a), b) for a, (_, b) in zip(lift, normals)]
-    return _assemble(ambient, pts, candidates, equations)
-
-
-def _edges_in_arrangement(p: LatticePolytope) -> bool:
-    """True when every edge is parallel to some e_i or e_i - e_j.
-
-    Then the normal fan coarsens the fan of the arrangement of the hyperplanes
-    x_i = 0 and x_i = x_j, whose rays are (negated) indicator vectors.
-    """
-    for f in faces(p):
-        if f.dim == 1:
-            u, v = f.vertices
-            step = sorted(x for x in linalg.primitive_vector([b - a for a, b in zip(u, v)]) if x)
-            if step not in ([1], [-1], [-1, 1]):
-                return False
-    return True
-
-
-def minkowski_sum(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
-    """Convex hull of pairwise vertex sums with irredundant V- and H-rep."""
-    if p.ambient_dim != q.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if len(p.vertices) * len(q.vertices) > MAX_VERTEX_PRODUCT:
-        raise ResourceLimit("vertex product exceeds the desk-scale cap")
-    ambient = p.ambient_dim
-    sums = sorted({tuple(a + b for a, b in zip(u, w)) for u in p.vertices for w in q.vertices})
-
-    if ambient <= MAX_HULL_AMBIENT_DIM and _edges_in_arrangement(p) and _edges_in_arrangement(q):
-        # Each edge of the sum is parallel to an edge of a summand, so the
-        # sum's normal fan coarsens the arrangement's too: every facet normal
-        # is a (negated) indicator vector.
-        normals = [_normal(c, ambient) for m in range(1, 1 << ambient) for c in (m, -m)]
-        return _assemble(ambient, sums, [(a, max(_dot(a, s) for s in sums)) for a in normals])
-
-    return polytope_from_points(sums)
-
-
 # -- lattice points ----------------------------------------------------------------
 
 
@@ -477,7 +297,7 @@ def lattice_points(p: LatticePolytope) -> list[Point]:
     return sorted(out)
 
 
-# -- faces, simplicity, smoothness ---------------------------------------------------
+# -- faces and simplicity ----------------------------------------------------------
 
 
 def faces(p: LatticePolytope) -> list[Face]:
@@ -544,59 +364,3 @@ def is_simple(p: LatticePolytope) -> tuple[bool, Point | None]:
     full = (1 << len(p.vertices)) - 1  # each vertex is on at least dim facets: planes cover dim
     wrong = reduce(or_, (plane ^ full * (p.dim >> k & 1) for k, plane in enumerate(planes)), 0)
     return (False, p.vertices[(wrong & -wrong).bit_length() - 1]) if wrong else (True, None)
-
-
-def is_smooth(p: LatticePolytope) -> tuple[bool, Point | None]:
-    """Simple with a lattice basis of primitive edge vectors at every vertex.
-
-    The determinant test for a generic lattice polytope; on a polymatroid
-    polytope `is_simple` gives the same answer.  At a simple vertex each edge
-    is the meet of all but one of its dim facets.  The primitive edge vectors
-    U lie in the saturated direction lattice with basis B, so U = T B for an
-    integer T, and they are a lattice basis iff |det T| = 1, iff
-    |det U_R| = |det B_R| on pivot columns R of B.
-    """
-    simple, witness = is_simple(p)
-    if not simple:
-        return False, witness
-    full = (1 << len(p.vertices)) - 1
-    basis = linalg.integer_kernel_basis([a for a, _ in p.equations], p.ambient_dim)
-    _, cols = linalg.rref(basis)
-    index = linalg.abs_det([[b[c] for c in cols] for b in basis])
-    for i, v in enumerate(p.vertices):
-        at = [m for m in p.facet_masks if m >> i & 1]
-        rows = []
-        for j in range(p.dim):
-            edge = reduce(and_, at[:j] + at[j + 1 :], full) ^ 1 << i
-            w = p.vertices[edge.bit_length() - 1]
-            u = linalg.primitive_vector([w[c] - v[c] for c in range(p.ambient_dim)])
-            rows.append([u[c] for c in cols])
-        if linalg.abs_det(rows) != index:
-            return False, v
-    return True, None
-
-
-# -- vertex cross-check helper ---------------------------------------------------
-
-
-def enumerate_basic_vertices(p: LatticePolytope) -> set[tuple[Fraction, ...]]:
-    """All basic feasible points of the H-representation (test oracle).
-
-    Solves every maximal tight subsystem of facet equalities together with
-    the affine-hull equations and keeps feasible unique solutions.
-    """
-    n = p.ambient_dim
-    eq_rows = [[Fraction(x) for x in a] for a, _ in p.equations]
-    eq_rhs = [Fraction(b) for _, b in p.equations]
-    out: set[tuple[Fraction, ...]] = set()
-    for subset in combinations(range(len(p.inequalities)), min(p.dim, len(p.inequalities))):
-        rows = eq_rows + [[Fraction(x) for x in p.inequalities[j][0]] for j in subset]
-        rhs = eq_rhs + [Fraction(p.inequalities[j][1]) for j in subset]
-        if linalg.kernel_basis(rows, n):
-            continue  # the subsystem has no unique solution
-        sol = linalg.solve(rows, rhs)
-        if sol is None:
-            continue
-        if p.contains(sol):
-            out.add(tuple(sol))
-    return out

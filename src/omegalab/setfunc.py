@@ -3,22 +3,19 @@
 A SetFunction stores a dense table of 2^n integers indexed by subset bitmask
 (bit i-1 of the mask corresponds to ground-set element i).  This is the home
 of the one polymatroid axiom check, a local scan, support rank functions,
-truncations and their sums, inseparability, the combinatorial simplicity
-conditions, and hyperbolic rank evaluation along coordinate directions.
+truncations and their sums, and hyperbolic rank evaluation along a line.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .guards import ResourceLimit, degree_guard
 from .poly import Exponent, Polynomial
 
 MAX_GROUND_SET = 20
-MAX_PARTITION_GROUND_SET = 8
 
 
 class GroundSetTooLarge(ResourceLimit):
@@ -107,8 +104,8 @@ class SetFunction:
         """Rank table r(S) = max |B & S| over the given basis family.
 
         Raises ValueError as `basis_masks` does.  The family is not
-        otherwise validated; run is_polymatroid / is_matroid on the result to
-        reject non-matroid input.
+        otherwise validated; run is_polymatroid on the result to reject
+        input whose rank table is not a polymatroid.
         """
         masks = basis_masks(n, bases)
         require_ground_set(n)
@@ -166,13 +163,6 @@ def is_polymatroid(f: SetFunction) -> PolymatroidCheckReport:
     return PolymatroidCheckReport(monotone, submodular, normalized, violating)
 
 
-def is_matroid(f: SetFunction) -> bool:
-    report = is_polymatroid(f)
-    if not report.ok:
-        return False
-    return all(f.values[1 << i] <= 1 for i in range(f.n))
-
-
 def rank_from_support(supp: Iterable[Exponent]) -> SetFunction:
     """Table S -> max over the support of the coordinate sum on S.
 
@@ -216,109 +206,6 @@ def truncation_sum(f: SetFunction, start: int = 0) -> SetFunction:
     return SetFunction(f.n, [sum(min(cap, v) for cap in caps) for v in f.values])
 
 
-def _proper_splits(mask: int):
-    """Yield (part, complement) over unordered 2-partitions of mask."""
-    low = mask & -mask
-    sub = (mask - 1) & mask
-    while sub:
-        if sub & low:
-            rest = mask & ~sub
-            if rest:
-                yield sub, rest
-        sub = (sub - 1) & mask
-
-
-def is_inseparable(f: SetFunction, mask: int) -> bool:
-    """True iff every 2-partition of the subset has strictly subadditive value.
-
-    Subsets of size at most one are inseparable by convention.
-    """
-    if mask.bit_count() <= 1:
-        return True
-    fm = f.values[mask]
-    for part, rest in _proper_splits(mask):
-        if fm >= f.values[part] + f.values[rest]:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class SimplicityReport:
-    holds: bool
-    kind: str | None = None  # "meet-join" or "partition"
-    witness: tuple | None = None
-
-
-def _partitions_of_mask(mask: int):
-    """All partitions of the subset `mask` into >= 1 nonempty blocks."""
-    elements = [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-    def rec(idx: int, blocks: list[int]):
-        if idx == len(elements):
-            yield list(blocks)
-            return
-        bit = 1 << elements[idx]
-        for i in range(len(blocks)):
-            blocks[i] |= bit
-            yield from rec(idx + 1, blocks)
-            blocks[i] &= ~bit
-        blocks.append(bit)
-        yield from rec(idx + 1, blocks)
-        blocks.pop()
-
-    yield from rec(0, [])
-
-
-def check_simplicity_conditions(f: SetFunction) -> SimplicityReport:
-    """Exhaustively verify the two combinatorial simplicity conditions.
-
-    (a) for subsets S, T that overlap properly, both exceed their meet, and
-        are inseparable together with their join: strict submodularity
-        f(S&T) + f(S|T) < f(S) + f(T);
-    (b) for every family of >= 2 disjoint nonempty parts whose union U is
-        dominated by an inseparable S (same value): f(U) < sum of part values.
-
-    Returns the first violation in deterministic scan order, if any.
-    """
-    if f.n > MAX_PARTITION_GROUND_SET:
-        raise GroundSetTooLarge(
-            f"ground set of size {f.n} exceeds the cap {MAX_PARTITION_GROUND_SET}"
-        )
-    size = 1 << f.n
-    insep = [is_inseparable(f, mask) for mask in range(size)]
-
-    for s in range(size):
-        for t in range(size):
-            meet = s & t
-            if meet == 0 or meet == s or meet == t:
-                continue
-            if f.values[meet] >= f.values[s] or f.values[meet] >= f.values[t]:
-                continue
-            join = s | t
-            if not (insep[s] and insep[t] and insep[join]):
-                continue
-            if f.values[meet] + f.values[join] >= f.values[s] + f.values[t]:
-                return SimplicityReport(False, "meet-join", (s, t))
-
-    for union in range(size):
-        if union.bit_count() < 2:
-            continue
-        fu = f.values[union]
-        witness_s = next(
-            (s for s in range(size) if (s & union) == union and insep[s] and f.values[s] == fu),
-            None,
-        )
-        if witness_s is None:
-            continue
-        for blocks in _partitions_of_mask(union):
-            if len(blocks) < 2:
-                continue
-            if fu >= sum(f.values[b] for b in blocks):
-                return SimplicityReport(False, "partition", (tuple(blocks), witness_s))
-
-    return SimplicityReport(True)
-
-
 # -- hyperbolic rank ---------------------------------------------------------
 
 
@@ -337,17 +224,3 @@ def hyperbolic_rank(h: Polynomial, base: Sequence, direction: Sequence) -> int:
     if not coeffs:
         raise ZeroRestrictionError("polynomial vanishes identically on the line")
     return len(coeffs) - 1
-
-
-def polymatroid_from_hyperbolic(h: Polynomial, base: Sequence) -> SetFunction:
-    """Table of line degrees along indicator-sum directions from `base`."""
-    point = [Fraction(x) for x in base]
-    if h.evaluate(point) == 0:
-        raise ValueError("polynomial vanishes at the base point")
-    n = h.nvars
-    require_ground_set(n)
-    values = []
-    for mask in range(1 << n):
-        direction = [Fraction(1) if mask >> i & 1 else Fraction(0) for i in range(n)]
-        values.append(hyperbolic_rank(h, point, direction))
-    return SetFunction(n, values)

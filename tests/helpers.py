@@ -24,7 +24,6 @@ from omegalab import (
     base_polytope,
     faces,
     groebner,
-    is_matroid,
     is_mconvex,
     lattice_points,
     linalg,
@@ -120,16 +119,16 @@ def random_matroid(rng: random.Random, n: int, max_rank: int) -> SetFunction:
         chosen = [columns[i] for i in range(n) if mask >> i & 1]
         values.append(_rank_of_columns(chosen, d))
     f = SetFunction(n, values)
+    from paper_checks import is_matroid  # paper_checks imports this module
+
     assert is_matroid(f)
     return f
 
 
 def _rank_of_columns(columns: list[list[Fraction]], height: int) -> int:
-    from omegalab.linalg import rank
-
     if not columns or height == 0:
         return 0
-    return rank([[col[i] for col in columns] for i in range(height)])
+    return len(linalg.rref([[col[i] for col in columns] for i in range(height)])[1])
 
 
 def reference_truncation_polytope(h: Polynomial, k: int):
@@ -441,8 +440,9 @@ def reference_is_smooth(p):
     """Simple, with a unimodular primitive edge basis at every vertex.
 
     Each edge of the face lattice is written in a basis of the saturated
-    direction lattice of the affine hull, and a vertex is smooth when the
-    Smith normal form of its edge coordinates has dim divisors, all 1.
+    direction lattice of the affine hull by `reference_solve`, and a vertex is
+    smooth when the Smith normal form of its edge coordinates has dim
+    divisors, all 1.
     """
     if p.dim == 0:
         return True, None
@@ -461,12 +461,12 @@ def reference_is_smooth(p):
         rows = []
         for w in edges_at[i]:
             direction = linalg.primitive_vector([w[k] - v[k] for k in range(p.ambient_dim)])
-            coords = linalg.integer_lattice_coordinates(basis, direction)
-            if coords is None:
+            coords = reference_solve([[b[k] for b in basis] for k in range(p.ambient_dim)], direction)
+            if coords is None or any(c.denominator != 1 for c in coords):
                 return False, v
-            rows.append(coords)
-        divisors = linalg.snf_divisors(rows)
-        if len(divisors) != p.dim or any(d != 1 for d in divisors):
+            rows.append([int(c) for c in coords])
+        d, _, _ = linalg.smith_normal_form(rows)
+        if any(d[j][j] != 1 for j in range(p.dim)):
             return False, v
     return True, None
 

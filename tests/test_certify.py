@@ -624,12 +624,13 @@ def test_quadric_self_check_reuses_the_order_one_face_lattice(monkeypatch):
     assert len(calls) == 1
 
 
-def test_self_check_builds_no_face_lattice_lattice_coordinates_or_smith_form(monkeypatch):
+def test_self_check_builds_no_face_lattice_or_smith_form(monkeypatch):
     import omegalab.certify
+    import omegalab.groebner
     import omegalab.linalg
     import omegalab.polytope
 
-    counts = dict.fromkeys(("faces", "integer_lattice_coordinates", "snf_divisors"), 0)
+    counts = dict.fromkeys(("faces", "smith_normal_form", "integer_kernel_basis"), 0)
 
     def counter(name, real):
         def counted(*args, **kwargs):
@@ -641,10 +642,13 @@ def test_self_check_builds_no_face_lattice_lattice_coordinates_or_smith_form(mon
     faces = counter("faces", omegalab.polytope.faces)
     for module in (omegalab.certify, omegalab.polytope):
         monkeypatch.setattr(module, "faces", faces)
-    for name in ("integer_lattice_coordinates", "snf_divisors"):
-        monkeypatch.setattr(omegalab.linalg, name, counter(name, getattr(omegalab.linalg, name)))
+    for name in ("smith_normal_form", "integer_kernel_basis"):
+        counted = counter(name, getattr(omegalab.linalg, name))
+        for module in (omegalab.linalg, omegalab.groebner):  # every module that binds the name
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     assert certify_smooth(elementary_symmetric(3, 5)).verdict == "smooth-toric"
-    assert counts == {"faces": 2, "integer_lattice_coordinates": 0, "snf_divisors": 0}
+    assert counts == {"faces": 2, "smith_normal_form": 0, "integer_kernel_basis": 0}
 
 
 def test_certificate_orders_match_centre_disjoint():
@@ -804,6 +808,13 @@ def test_probe_shared_support_separates_coefficients():
 def test_probe_empty():
     report = smoothable_probe(elementary_symmetric(2, 3).support(), trials=0)
     assert report.verdicts == () and report.counts == {}
+
+
+def test_probe_rejects_negative_trials():
+    support = elementary_symmetric(2, 3).support()
+    for trials in (-1, -3):
+        with pytest.raises(ValueError, match=f"^trials {trials} is negative$"):
+            smoothable_probe(support, trials=trials)
 
 
 def test_probe_rejects_non_mconvex():

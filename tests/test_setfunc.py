@@ -11,12 +11,9 @@ from omegalab import (
     SetFunction,
     ZeroRestrictionError,
     base_polytope,
-    check_simplicity_conditions,
     hyperbolic_rank,
-    is_inseparable,
     is_polymatroid,
     parse_polynomial,
-    polymatroid_from_hyperbolic,
     rank_from_support,
     truncate,
     truncation_sum,
@@ -30,6 +27,7 @@ from helpers import (
     random_polymatroid,
     random_positive_polynomial,
 )
+from paper_checks import check_simplicity_conditions, is_inseparable, polymatroid_from_hyperbolic
 
 U24 = SetFunction.uniform_matroid(2, 4)
 
