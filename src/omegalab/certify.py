@@ -28,15 +28,15 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
-from math import factorial, lcm, prod
+from math import lcm
 from operator import itemgetter, mul, or_
 from typing import Callable, Iterable, Sequence
 
-from .derivatives import derivative_space, partials_guard
+from .derivatives import _partial_terms, derivative_space, partials_guard
 from .groebner import (
     DEFAULT_MAX_PAIRS,
     buchberger_intdicts,
@@ -177,31 +177,33 @@ def is_lorentzian(h: Polynomial, mconvex: bool | None = None) -> LorentzianRepor
     d = h.total_degree
     if d < 2:
         raise ValueError("Lorentzian test needs degree at least 2")
-    if guard := degree_guard(d) or partials_guard(h.nvars, d - 2):
+    if guard := degree_guard(d):
         raise ResourceLimit(guard)
+    partials = _partial_terms(h, d - 2)[1]  # ResourceLimit above the partial-count cap
     if mconvex is None:
         mconvex = is_mconvex(h.support())[0]
-    terms = h.integer_terms()[1]
-    nonneg = all(c > 0 for c in terms.values())
-    # A term c_m x^m puts c_m * m! (m! = prod m_l!) at (i, j) of the Hessian of
-    # the order-(d-2) partial at the multiset a = m - e_i - e_j.  The entries
-    # come from h's integer view, whose positive scale keeps the eigenvalues' signs.
+    # Each order-(d-2) partial of h's integer view (its positive scale keeps the
+    # eigenvalues' signs) is a quadric g; its Hessian has g's coefficient of
+    # x_i x_j off the diagonal and twice that of x_i^2 on it.  Every term of h
+    # reaches some partial with a positive factor, so they carry its signs too.
+    nonneg = all(c > 0 for g in partials for c in g.values())
     n = h.nvars
-    hessians: dict[Exponent, list[list[int]]] = defaultdict(lambda: [[0] * n for _ in range(n)])
-    for m, c in terms.items():
-        weight = c * prod(map(factorial, m))
-        for i, j in combinations_with_replacement([i for i in range(n) if m[i]], 2):
-            a = list(m)
-            a[i] -= 1
-            a[j] -= 1
-            if a[i] >= 0:
-                hessian = hessians[tuple(a)]
-                hessian[i][j] = hessian[j][i] = weight
-    failures = sorted(
-        tuple(i for i in range(n) for _ in range(a[i]))  # a as a multiset
-        for a, hessian in hessians.items()
-        if positive_eigenvalue_count(hessian) > 1
-    )
+    entry = {}  # the exponent of x_i x_j -> (i, j, the factor on its coefficient)
+    for i, j in combinations_with_replacement(range(n), 2):
+        e = [0] * n
+        e[i] += 1
+        e[j] += 1
+        entry[tuple(e)] = i, j, 1 + (i == j)
+    failures = []
+    for a, g in zip(combinations_with_replacement(range(n), d - 2), partials):
+        if not g:
+            continue
+        hessian = [[0] * n for _ in range(n)]
+        for e, c in g.items():
+            i, j, factor = entry[e]
+            hessian[i][j] = hessian[j][i] = factor * c
+        if positive_eigenvalue_count(hessian) > 1:
+            failures.append(a)
     return LorentzianReport(
         mconvex=mconvex,
         nonneg_coeffs=nonneg,

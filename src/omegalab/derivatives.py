@@ -76,7 +76,7 @@ def _partial_terms(h: Polynomial, k: int) -> tuple[int, list[dict[Exponent, int]
     for m, c in terms.items():
         for a in combinations_with_replacement([i for i, x in enumerate(m) if x], k):
             e, coefficient = list(m), c
-            for i in a:  # the falling factorial m_i (m_i - 1) ... (m_i - a_i + 1)
+            for i in a:  # the falling power m_i (m_i - 1) ... (m_i - a_i + 1)
                 coefficient *= e[i]
                 e[i] -= 1
             if coefficient:

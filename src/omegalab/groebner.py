@@ -10,8 +10,8 @@ the torus-feasibility decisions used by the smoothness criterion:
 
 Every operation takes and returns integer term dictionaries (IntPoly) keyed by
 exponent tuples, toric generators included; a caller holding a `Polynomial`
-converts it with `poly_to_intdict`.  A monomial order is a `MonomialOrder`, or
-None for grevlex in index order.
+reads one off `Polynomial.integer_terms`.  A monomial order is a
+`MonomialOrder`, or None for grevlex in index order.
 
 Inside the Buchberger kernel a monomial is one int K = top * 2^s - E: E packs
 the exponents in w-bit fields, placed by the order's ranking of the variables,
@@ -42,7 +42,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .guards import ResourceLimit
 from .linalg import integer_kernel_basis, kernel_basis
-from .poly import Exponent, Polynomial, grevlex_key
+from .poly import Exponent, grevlex_key
 
 IntPoly = dict[Exponent, int]
 
@@ -69,29 +69,18 @@ class FeasibilityVerdict:
         return self.status == INFEASIBLE
 
 
-# -- integer term dictionaries -----------------------------------------------------
+# -- packed monomials ----------------------------------------------------------------
 
 
-def _content_strip(p: dict, key: Callable[[Exponent], tuple] | None = None) -> dict:
-    """Divide by the coefficient gcd and make the leading coefficient positive.
-
-    Terms are keyed by exponent tuples ordered by `key`, or by packed ints."""
+def _content_strip(p: dict[int, int]) -> dict[int, int]:
+    """Divide packed-int terms by their gcd and make the leading coefficient positive."""
     p = {m: c for m, c in p.items() if c}
     if not p:
         return {}
-    g = 0
-    for c in p.values():
-        g = gcd(g, c)
-    if p[max(p, key=key)] < 0:
+    g = gcd(*p.values())
+    if p[max(p)] < 0:
         g = -g
     return {m: c // g for m, c in p.items()}
-
-
-def poly_to_intdict(p: Polynomial) -> IntPoly:
-    return _content_strip(p.integer_terms()[1], grevlex_key)
-
-
-# -- packed monomials ----------------------------------------------------------------
 
 
 class MonomialOrder(NamedTuple):
@@ -390,6 +379,8 @@ def toric_ideal(
     pts = sorted({tuple(int(x) for x in p) for p in points}, key=grevlex_key, reverse=True)
     if not pts:
         raise ValueError("empty point configuration")
+    if len(set(map(len, pts))) != 1:
+        raise ValueError("points must have equal length")
     if len(pts) > MAX_TORIC_POINTS:
         raise ResourceLimit(f"toric ideal capped at {MAX_TORIC_POINTS} points")
     n = len(pts[0])

@@ -7,7 +7,7 @@ error, never as a mathematical verdict.
 
 # Total-degree cap of certify_smooth, is_lorentzian and hyperbolic_rank, whose
 # work grows faster than the degree: above it they stop before any partial or
-# expansion, the certificate as undecided and the others with ResourceLimit.
+# evaluation, the certificate as undecided and the others with ResourceLimit.
 MAX_CERTIFY_DEGREE = 12
 
 

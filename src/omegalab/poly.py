@@ -3,6 +3,8 @@
 A polynomial is a mapping from exponent tuples to nonzero Fraction
 coefficients.  All arithmetic is exact; there is no floating point anywhere.
 Values are immutable after construction, so they can be shared freely.
+Besides arithmetic they differentiate, evaluate at a point and print; the
+parser reads the printed form back.
 
   Exponent = tuple[int, ...]     one entry per variable
   terms    = {Exponent: Fraction, ...}   zero coefficients never stored
@@ -206,26 +208,6 @@ class Polynomial:
             total += term
         return total
 
-    def substitute_line(self, base: Sequence, direction: Sequence) -> list[Fraction]:
-        """Coefficients of t -> p(base + t*direction), ascending, trailing zeros trimmed.
-
-        Returns [] exactly when the restriction is identically zero.
-        """
-        if len(base) != self.nvars or len(direction) != self.nvars:
-            raise ValueError("point length mismatch")
-        e = [Fraction(v) for v in base]
-        v = [Fraction(w) for w in direction]
-        out = [Fraction(0)]
-        for exponent, coeff in self._terms.items():
-            term = [coeff]
-            for i, power in enumerate(exponent):
-                for _ in range(power):
-                    term = _univ_mul(term, [e[i], v[i]])
-            out = _univ_add(out, term)
-        while out and not out[-1]:
-            out.pop()
-        return out
-
     # -- printing / parsing ------------------------------------------------------
 
     def to_string(self, names: Sequence[str]) -> str:
@@ -257,26 +239,6 @@ class Polynomial:
     def __repr__(self) -> str:
         names = [f"x{i+1}" for i in range(self.nvars)]
         return f"Polynomial({self.to_string(names)!r}, nvars={self.nvars})"
-
-
-def _univ_add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _univ_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] += ca * cb
-    return out
 
 
 # -- parser --------------------------------------------------------------------

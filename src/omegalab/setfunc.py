@@ -3,13 +3,15 @@
 A SetFunction stores a dense table of 2^n integers indexed by subset bitmask
 (bit i-1 of the mask corresponds to ground-set element i).  This is the home
 of the one polymatroid axiom check, a local scan, support rank functions,
-truncations and their sums, and hyperbolic rank evaluation along a line.
+truncations and their sums, and the hyperbolic rank along a line, read off
+the polynomial's values at deg + 1 points of it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .guards import ResourceLimit, degree_guard
@@ -216,11 +218,24 @@ class ZeroRestrictionError(ValueError):
 def hyperbolic_rank(h: Polynomial, base: Sequence, direction: Sequence) -> int:
     """Degree of t -> h(base + t*direction); error if identically zero.
 
-    Raises ResourceLimit above MAX_CERTIFY_DEGREE; the work is quadratic in the degree.
+    Evaluates h at t = 0..deg h and returns the highest order j whose forward
+    difference at 0 is nonzero.  Raises ResourceLimit above MAX_CERTIFY_DEGREE,
+    before any evaluation.
     """
     if guard := degree_guard(h.total_degree):
         raise ResourceLimit(guard)
-    coeffs = h.substitute_line(base, direction)
-    if not coeffs:
+    if len(base) != h.nvars or len(direction) != h.nvars:
+        raise ValueError("point length mismatch")
+    base, direction = [Fraction(x) for x in base], [Fraction(x) for x in direction]
+    values = [
+        h.evaluate([b + t * v for b, v in zip(base, direction)])
+        for t in range(h.total_degree + 1)
+    ]
+    rank = -1
+    for j in range(len(values)):  # values[0] is the j-th forward difference at 0
+        if values[0]:
+            rank = j
+        values = [y - x for x, y in zip(values, values[1:])]
+    if rank < 0:
         raise ZeroRestrictionError("polynomial vanishes identically on the line")
-    return len(coeffs) - 1
+    return rank

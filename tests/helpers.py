@@ -13,7 +13,7 @@ import sys
 import types
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import perm, prod
+from math import gcd, perm, prod
 from operator import sub
 from pathlib import Path
 
@@ -23,6 +23,7 @@ from omegalab import (
     SetFunction,
     base_polytope,
     faces,
+    grevlex_key,
     groebner,
     is_mconvex,
     lattice_points,
@@ -658,3 +659,55 @@ def reference_buchberger_intdicts(gens, order=None, max_pairs=groebner.DEFAULT_M
 
     gens = [g for g in gens if g]
     return groebner._run_packed(order, gens, run) if gens else []
+
+
+# -- integer term dicts and line restrictions (test-only) --------------------------------
+
+
+def poly_to_intdict(p: Polynomial) -> dict[tuple, int]:
+    """p's primitive integer term dict, its grevlex-leading coefficient positive."""
+    terms = p.integer_terms()[1]
+    g = gcd(*terms.values())
+    if terms and terms[max(terms, key=grevlex_key)] < 0:
+        g = -g
+    return {m: c // g for m, c in terms.items()}
+
+
+def reference_substitute_line(p: Polynomial, base, direction) -> list[Fraction]:
+    """The expansion that omegalab.setfunc.hyperbolic_rank replaced: coefficients of
+    t -> p(base + t*direction), ascending, trailing zeros trimmed; [] exactly when
+    the restriction is identically zero."""
+    if len(base) != p.nvars or len(direction) != p.nvars:
+        raise ValueError("point length mismatch")
+    e = [Fraction(v) for v in base]
+    v = [Fraction(w) for w in direction]
+    out = [Fraction(0)]
+    for exponent, coeff in p.items():
+        term = [coeff]
+        for i, power in enumerate(exponent):
+            for _ in range(power):
+                term = _univ_mul(term, [e[i], v[i]])
+        out = _univ_add(out, term)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _univ_add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def _univ_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for j, cb in enumerate(b):
+            if cb:
+                out[i + j] += ca * cb
+    return out

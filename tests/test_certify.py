@@ -30,6 +30,7 @@ from helpers import (
     WXYZ,
     X123,
     bench_fixtures,
+    poly_to_intdict,
     random_mconvex_support,
     random_positive_polynomial,
     random_product_of_linear_forms,
@@ -817,6 +818,11 @@ def test_probe_rejects_negative_trials():
             smoothable_probe(support, trials=trials)
 
 
+def test_probe_rejects_a_variable_that_does_not_occur():
+    with pytest.raises(ValueError, match="^variable index 2 does not occur in the support$"):
+        smoothable_probe({(1, 1, 0)}, trials=0)
+
+
 def test_probe_rejects_non_mconvex():
     with pytest.raises(ValueError):
         smoothable_probe({(1, 1, 0), (0, 0, 2)}, trials=1)
@@ -969,7 +975,6 @@ def test_orbit_images_of_face_masks_match_the_index_tuple_images():
 def _cap_on_calls(monkeypatch, capped_calls):
     """Make the given torus feasibility calls (counted from 1) hit the pair cap."""
     import omegalab.certify as certify
-    from omegalab.groebner import poly_to_intdict
 
     system = [
         poly_to_intdict(parse_polynomial("x^3 - 2*x*y*z + y*z^2", ["x", "y", "z"])),
@@ -1021,7 +1026,7 @@ def _restrict(p, allowed):
 def test_certificate_is_invariant_under_variable_permutation():
     from omegalab import base_polytope, faces, rank_from_support, truncate
     from omegalab.derivatives import derivative_space
-    from omegalab.groebner import poly_to_intdict, torus_feasible
+    from omegalab.groebner import torus_feasible
 
     rng = random.Random(8080)
     witnesses = 0

@@ -743,6 +743,7 @@ def test_polytope_conflicting_inputs_exit_usage(capsys, argv, message):
 
 
 NOT_HOMOGENEOUS = ["--vars", "x,y", "x^2 + y"]
+ABSENT_Z = ["--vars", "x,y,z", "x*y + y^2"]
 
 
 @pytest.mark.parametrize(
@@ -758,6 +759,8 @@ NOT_HOMOGENEOUS = ["--vars", "x,y", "x^2 + y"]
         (["probe-smoothable", *NOT_HOMOGENEOUS], "probe-smoothable needs a nonzero homogeneous polynomial"),
         (["rank", "--vars", "x,y", "x*y", "--at", "1,a", "--dir", "1,1"], "bad --at point '1,a'; write e.g. 1,1,1"),
         (["rank", "--vars", "x,y", "x*y", "--at", "1,1", "--dir", "1"], "--dir point needs 2 coordinates"),
+        (["certify", *ABSENT_Z], "variable index 2 does not occur in the polynomial"),
+        (["probe-smoothable", *ABSENT_Z], "variable index 2 does not occur in the support"),
     ],
 )
 def test_usage_errors_exit_64_with_their_message(capsys, argv, message):

@@ -24,7 +24,6 @@ from omegalab.groebner import (
     buchberger_intdicts,
     is_unit_ideal,
     normal_form,
-    poly_to_intdict,
     saturate_coordinates,
 )
 from omegalab.linalg import integer_kernel_basis
@@ -34,6 +33,7 @@ from helpers import (
     PLANE_CUBIC_TEXT,
     X123,
     bench_fixtures,
+    poly_to_intdict,
     random_sparse_polynomial,
     reference_buchberger_intdicts,
 )
@@ -587,6 +587,14 @@ def test_toric_ideal_contains_displayed_binomials():
 def test_toric_ideal_point_cap():
     with pytest.raises(ResourceLimit):
         toric_ideal([tuple([i, 13 - i]) for i in range(13)])
+
+
+def test_toric_ideal_rejects_points_of_mixed_length():
+    # the width was read off the first point after sorting: the first input gave
+    # an empty ideal, the second an IndexError
+    for points in ([(1, 0), (0, 0, 1)], [(2, 0), (0, 2), (1, 1, 7)]):
+        with pytest.raises(ValueError, match="^points must have equal length$"):
+            toric_ideal(points)
 
 
 def test_unit_ideal_detection():

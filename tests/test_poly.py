@@ -1,4 +1,4 @@
-"""Parser, arithmetic, differentiation, and line substitution."""
+"""Parser, arithmetic and differentiation."""
 
 import random
 import re
@@ -245,22 +245,6 @@ def test_support_of_symmetric_polynomial():
     assert Polynomial.zero(3).support() == frozenset()
 
 
-def test_substitute_line_values():
-    s = elementary_symmetric(2, 3)
-    assert s.substitute_line([1, 1, 1], [1, 0, 0]) == [3, 2]
-    assert s.substitute_line([1, 1, 1], [1, 1, 1]) == [3, 6, 3]
-    assert s.substitute_line([1, 1, 1], [0, 0, 0]) == [3]
-
-
-def test_substitute_line_zero_cases():
-    s = elementary_symmetric(2, 3)
-    # base with s(e) = 0 and zero direction: identically zero restriction
-    e = [Fraction(1), Fraction(1), Fraction(-1, 2)]
-    assert s.evaluate(e) == 0
-    assert s.substitute_line(e, [0, 0, 0]) == []
-    assert Polynomial.zero(2).substitute_line([1, 1], [1, 1]) == []
-
-
 def test_print_parse_round_trip_random():
     rng = random.Random(123)
     names = ["x1", "x2", "x3"]
@@ -307,23 +291,6 @@ def test_derivative_support_shift_property():
                 if e[i] > 0
             }
             assert p.partial_derivative(i).support() <= frozenset(shifted)
-
-
-def test_substitute_line_degree_bounds():
-    rng = random.Random(29)
-    for _ in range(40):
-        p = random_sparse_polynomial(rng, 3, 4, 4)
-        if p.is_zero:
-            continue
-        e = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
-        v = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
-        coeffs = p.substitute_line(e, v)
-        assert len(coeffs) - 1 <= p.total_degree
-    # homogeneous case along the diagonal through a nonvanishing point
-    s = elementary_symmetric(2, 4)
-    e = [Fraction(1), Fraction(2), Fraction(1), Fraction(1)]
-    coeffs = s.substitute_line(e, e)
-    assert len(coeffs) - 1 == s.total_degree
 
 
 def test_variable_order_entry_no_text_can_name_raises_value_error():

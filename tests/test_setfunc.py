@@ -1,4 +1,4 @@
-"""Set functions: axioms, rank tables, truncations, inseparability."""
+"""Set functions: axioms, rank tables, truncations, inseparability, hyperbolic rank."""
 
 import random
 import re
@@ -26,6 +26,9 @@ from helpers import (
     random_mconvex_support,
     random_polymatroid,
     random_positive_polynomial,
+    random_product_of_linear_forms,
+    random_sparse_polynomial,
+    reference_substitute_line,
 )
 from paper_checks import check_simplicity_conditions, is_inseparable, polymatroid_from_hyperbolic
 
@@ -277,10 +280,78 @@ def test_hyperbolic_rank_degree_guard_fires_before_any_expansion(monkeypatch):
     at_cap = parse_polynomial(f"x^{MAX_CERTIFY_DEGREE - 1}*y", ["x", "y"])
     assert hyperbolic_rank(at_cap, [1, 1], [1, 1]) == 12
     over = parse_polynomial(f"x^{MAX_CERTIFY_DEGREE}*y", ["x", "y"])
-    monkeypatch.setattr(Polynomial, "substitute_line", lambda *a: pytest.fail("expanded"))
+    monkeypatch.setattr(Polynomial, "evaluate", lambda *a: pytest.fail("evaluated"))
     with pytest.raises(ResourceLimit) as err:
         hyperbolic_rank(over, [1, 1], [1, 1])
     assert str(err.value) == "degree guard: total degree 13 exceeds the cap 12"
+
+
+def test_hyperbolic_rank_zero_cases():
+    s = elementary_symmetric(2, 3)
+    # base with s(e) = 0 and zero direction: identically zero restriction
+    e = [Fraction(1), Fraction(1), Fraction(-1, 2)]
+    assert s.evaluate(e) == 0
+    with pytest.raises(ZeroRestrictionError, match="^polynomial vanishes identically on the line$"):
+        hyperbolic_rank(s, e, [0, 0, 0])
+    with pytest.raises(ZeroRestrictionError):
+        hyperbolic_rank(Polynomial.zero(2), [1, 1], [1, 1])
+    # a zero at t = 0 only: s(e + t e_1) = t/2
+    assert hyperbolic_rank(s, e, [1, 0, 0]) == 1
+
+
+def test_hyperbolic_rank_degree_bounds():
+    rng = random.Random(29)
+    for _ in range(40):
+        p = random_sparse_polynomial(rng, 3, 4, 4)
+        if p.is_zero:
+            continue
+        e = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
+        v = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
+        try:
+            assert hyperbolic_rank(p, e, v) <= p.total_degree
+        except ZeroRestrictionError:
+            pass
+    # homogeneous case along the diagonal through a nonvanishing point
+    s = elementary_symmetric(2, 4)
+    e = [Fraction(1), Fraction(2), Fraction(1), Fraction(1)]
+    assert hyperbolic_rank(s, e, e) == s.total_degree
+
+
+def test_hyperbolic_rank_matches_the_line_expansion_reference():
+    rng = random.Random(2828)
+
+    def point(n, kind):
+        if kind == "zero":
+            return [0] * n
+        if kind == "int":
+            return [rng.randint(-2, 2) for _ in range(n)]
+        return [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+
+    kinds = ("rational", "int", "zero")
+    seen = {"below the degree": 0, "vanishes": 0, "zero polynomial": 0}
+    for trial in range(1500):
+        n = rng.randint(1, 4)
+        if trial % 4 == 0:  # products of linear forms vanish along many lines
+            p = random_product_of_linear_forms(rng, n, rng.randint(1, 3))
+        else:  # not homogeneous in general, and zero when every term drops out
+            p = random_sparse_polynomial(rng, n, rng.randint(0, 5), rng.randint(0, 12))
+        base, direction = point(n, kinds[trial % 3]), point(n, kinds[trial // 3 % 3])
+        coeffs = reference_substitute_line(p, base, direction)
+        if coeffs:
+            assert hyperbolic_rank(p, base, direction) == len(coeffs) - 1, (p, base, direction)
+            seen["below the degree"] += len(coeffs) - 1 < p.total_degree
+        else:
+            with pytest.raises(ZeroRestrictionError):
+                hyperbolic_rank(p, base, direction)
+            seen["vanishes"] += 1
+            seen["zero polynomial"] += p.is_zero
+    assert min(seen.values()) >= 30, seen
+    for p in (elementary_symmetric(2, 3), Polynomial.zero(3)):
+        for base, direction in (([1, 1], [1, 1, 1]), ([1, 1, 1], [1, 1, 1, 1])):
+            with pytest.raises(ValueError, match="^point length mismatch$"):
+                reference_substitute_line(p, base, direction)
+            with pytest.raises(ValueError, match="^point length mismatch$"):
+                hyperbolic_rank(p, base, direction)
 
 
 def test_polymatroid_from_hyperbolic_matches_support_rank():
