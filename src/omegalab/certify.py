@@ -380,7 +380,8 @@ def oracle_centre_disjoint(
 
     Builds the toric ideal of the truncation polytope's lattice points, adds
     the centre's defining linear forms, and tests projective emptiness with
-    one Groebner basis.  Returns "yes" (disjoint) or "no".
+    one Groebner basis, which extends the toric ideal's reduced basis by the
+    forms.  Returns "yes" (disjoint) or "no".
     Raises ValueError when the derivative support does not fill the
     truncation polytope, and ResourceLimit above MAX_TORIC_POINTS (12)
     points, at the pair cap, or at the greedy or lattice-scan cap.
@@ -394,6 +395,7 @@ def oracle_centre_disjoint(
         )
     nz = len(pts)  # variable z_i <-> pts[i] == space.columns[i]
     gens = list(toric_ideal(pts, max_pairs).generators)
+    toric = len(gens)  # a reduced grevlex basis: the final basis extends it
     z = [tuple(int(i == j) for j in range(nz)) for i in range(nz)]  # z[i] is z_i
     gens += [{z[i]: c for i, c in enumerate(row) if c} for row in space.matrix]
     # The toric ideal and the centre forms are homogeneous, so the projective
@@ -401,7 +403,7 @@ def oracle_centre_disjoint(
     # every z_i has a pure power (1 included) among the leading monomials of a
     # Groebner basis (Cox, Little & O'Shea, Ideals, Varieties, and
     # Algorithms, ch. 5, sec. 3, the finiteness theorem).
-    gb = buchberger_intdicts(gens, max_pairs=max_pairs)
+    gb = buchberger_intdicts(gens, max_pairs=max_pairs, known=toric)
     leads = [max(g, key=grevlex_key) for g in gb]
     pure = {i for m in leads for i in range(nz) if m[i] == sum(m)}
     return "yes" if len(pure) == nz else "no"

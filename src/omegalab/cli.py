@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -67,6 +68,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reads a value that starts with '-' as an option unless it is a
+        # plain number, so `--at -1,2` becomes `--at=-1,2`
+        args = list(sys.argv[1:] if args is None else args)
+        joined: list[str] = []
+        for arg in args:
+            if joined and joined[-1] in ("--at", "--dir") and re.match(r"-[\d.]", arg):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
 
 
 def _positive_int(text: str) -> int:

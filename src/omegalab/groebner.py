@@ -26,7 +26,16 @@ reduction, and exponent tuples appear only at the boundary: inputs, returned
 bases and the public `normal_form`.
 
 Pairs are pruned as each element enters (Gebauer & Moeller, J. Symbolic
-Comput. 6, 1988); the pair cap counts the S-pairs reduced.
+Comput. 6, 1988); the pair cap counts the S-pairs reduced.  A call may be
+handed a reduced basis as a known prefix of its generators, and then forms
+only the pairs that involve the new elements.
+
+Coordinate saturation skips the variables it can prove are already
+saturated.  If J is saturated by every variable in a set tau and holds a
+two-term element c*z^u + c'*z^v with supp(v) in tau, then J is saturated by
+every variable in supp(u): from f*z_j^M in J with j in supp(u), N*u_j >= M
+gives f*z^(Nu) in J, so f*z^(Nv) is in J, so f is.  A toric ideal of e(2,5)'s
+support takes 5 saturation steps instead of 10.
 
 Resource caps surface as the explicit verdict "undecided", never as a wrong
 answer.
@@ -211,7 +220,9 @@ def _s_poly(pk: _Packing, f: dict[int, int], g: dict[int, int]) -> dict[int, int
     return _content_strip(out)
 
 
-def _buchberger(pk: _Packing, gens: list[dict[int, int]], max_pairs: int) -> list[dict]:
+def _buchberger(
+    pk: _Packing, gens: list[dict[int, int]], max_pairs: int, known: int
+) -> list[dict]:
     guard = pk.guard
     basis: list[Reducer] = []  # every element that entered, by index
     active: dict[int, Reducer] = {}  # the reducers: elements whose lead no later lead divides
@@ -249,7 +260,10 @@ def _buchberger(pk: _Packing, gens: list[dict[int, int]], max_pairs: int) -> lis
         basis.append(new)
         active[t] = new
 
-    for g in gens:  # reduced on entry, so no lead divides another
+    for g in gens[:known]:  # a reduced basis already: no pairs among them
+        basis.append(pk.reducer(g))
+        active[len(basis) - 1] = basis[-1]
+    for g in gens[known:]:  # reduced on entry, so no lead divides another
         g = _reduce(pk, g, active.values())
         if g:
             enter(g)
@@ -288,6 +302,8 @@ def buchberger_intdicts(
     gens: Iterable[IntPoly],
     order: MonomialOrder | None = None,
     max_pairs: int = DEFAULT_MAX_PAIRS,
+    *,
+    known: int = 0,
 ) -> list[IntPoly]:
     """Reduced Groebner basis of integer term dictionaries.
 
@@ -299,11 +315,20 @@ def buchberger_intdicts(
     ResourceLimit once more than `max_pairs` S-pairs have been reduced; pairs
     the criteria pruned are not counted.  The basis is sorted by ascending
     leading monomial.
+
+    The first `known` generators must be a reduced Groebner basis under
+    `order`.  They enter the basis and the active set as they are, without
+    reduction and without pairs among them: their S-pairs already have
+    standard representations, and the Gebauer-Moeller criteria need only that
+    every untreated pair be queued or standard.  So a basis is extended by
+    new generators at the cost of the new pairs alone.
     """
 
     def run(pk: _Packing, packed: list[dict[int, int]]) -> list[IntPoly]:
-        return [pk.decode(g) for g in _buchberger(pk, packed, max_pairs)]
+        return [pk.decode(g) for g in _buchberger(pk, packed, max_pairs, known)]
 
+    gens = list(gens)
+    known = sum(1 for g in gens[:known] if g)
     gens = [g for g in gens if g]
     return _run_packed(order, gens, run) if gens else []
 
@@ -336,23 +361,60 @@ def _is_standard_homogeneous(g: IntPoly) -> bool:
     return len({sum(m) for m in g}) <= 1
 
 
+def _support(m: Exponent) -> set[int]:
+    return {i for i, e in enumerate(m) if e}
+
+
+def _grow_saturated(gens: list[IntPoly], tau: set[int]) -> set[int]:
+    """tau grown by the two-term rule of `saturate_coordinates` until it is stable."""
+    supports = [[_support(m) for m in g] for g in gens if len(g) == 2]
+    size = -1
+    while size < len(tau):
+        size = len(tau)
+        for u, v in supports:
+            if v <= tau:
+                tau |= u
+            elif u <= tau:
+                tau |= v
+    return tau
+
+
 def saturate_coordinates(
     gens: Sequence[IntPoly], nvars: int, max_pairs: int = DEFAULT_MAX_PAIRS
 ) -> list[IntPoly]:
     """Saturation of a standard-homogeneous ideal by the product of all variables.
 
-    Performs one coordinate saturation per variable: a reverse-lexicographic
-    Groebner basis with that variable cheapest, followed by dividing each
-    element by its largest variable power.  Requires every generator to be
-    homogeneous in the standard grading.
+    Keeps a set tau of variables by which the current ideal J is saturated,
+    and saturates only by the variables outside it (after Bigatti, La Scala
+    & Robbiano, J. Symbolic Comput. 27, 1999):
+
+      * tau starts as the variables that occur in no generator, since z_i is
+        a nonzerodivisor modulo an ideal generated without z_i;
+      * each step saturates by the lowest-index variable not in tau (a
+        reverse-lexicographic Groebner basis with that variable cheapest,
+        each element divided by its largest power of it) and adds it to tau;
+      * then every two-term element c*z^u + c'*z^v (c, c' nonzero) of the
+        current basis with supp(v) in tau adds supp(u) to tau, until tau
+        stops growing.
+
+    The rule is sound for any ideal, binomial or not.  Suppose
+    f*z_j^M is in J with j in supp(u), and take N*u_j >= M.  Then f*z^(Nu)
+    is in J, and z^(Nu) = (-c'/c)^N z^(Nv) modulo J, so f*z^(Nv) is in J;
+    z^(Nv) is a product of tau variables, so f is in J.  Saturations
+    commute, and saturating by one variable keeps the saturation by
+    another, so the last basis is J : (z_1...z_m)^infinity.  Requires every
+    generator to be homogeneous in the standard grading.
     """
     current = [g for g in gens if g]
     for g in current:
         if not _is_standard_homogeneous(g):
             raise ValueError("coordinate saturation requires homogeneous generators")
-    for var in range(nvars):
+    tau = set(range(nvars)).difference(*(_support(m) for g in current for m in g))
+    while len(tau) < nvars:
+        var = min(set(range(nvars)) - tau)
         gb = buchberger_intdicts(current, _cheap_variable_order(nvars, var), max_pairs)
         current = [_divide_out(g, var) for g in gb]
+        tau = _grow_saturated(current, tau | {var})
     return buchberger_intdicts(current, max_pairs=max_pairs)
 
 

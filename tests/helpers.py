@@ -661,6 +661,18 @@ def reference_buchberger_intdicts(gens, order=None, max_pairs=groebner.DEFAULT_M
     return groebner._run_packed(order, gens, run) if gens else []
 
 
+def reference_saturate_coordinates(gens, nvars, max_pairs=groebner.DEFAULT_MAX_PAIRS):
+    """The loop that the two-term rule in omegalab.groebner.saturate_coordinates
+    replaced: one saturation step by every variable in index order, then a final
+    grevlex basis; the steps are the program's own."""
+    current = [g for g in gens if g]
+    for var in range(nvars):
+        order = groebner._cheap_variable_order(nvars, var)
+        gb = groebner.buchberger_intdicts(current, order, max_pairs)
+        current = [groebner._divide_out(g, var) for g in gb]
+    return groebner.buchberger_intdicts(current, max_pairs=max_pairs)
+
+
 # -- integer term dicts and line restrictions (test-only) --------------------------------
 
 

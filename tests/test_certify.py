@@ -18,6 +18,7 @@ from omegalab import (
     oracle_centre_disjoint,
     parse_polynomial,
     smoothable_probe,
+    toric_ideal,
 )
 from omegalab.certify import positive_eigenvalue_count
 from omegalab.derivatives import derivative_support, elementary_symmetric
@@ -351,8 +352,6 @@ def test_singular_cubic_explicit_intersection_point():
     for row in space.matrix:
         assert sum(c * v for c, v in zip(row, vec)) == 0
     # the point lies on the toric variety: every toric-ideal generator kills it
-    from omegalab import toric_ideal
-
     ideal = toric_ideal(space.columns)
     for g in ideal.generators:
         assert sum(c * prod(v**e for v, e in zip(vec, m)) for m, c in g.items()) == 0
@@ -757,7 +756,7 @@ def test_oracle_decides_with_one_groebner_basis_after_the_toric_ideal(monkeypatc
     calls = []
 
     def counted(*args, _real=omegalab.groebner.buchberger_intdicts, **kwargs):
-        calls.append(args)
+        calls.append((args, kwargs.get("known", 0)))
         return _real(*args, **kwargs)
 
     for module in (omegalab.certify, omegalab.groebner):
@@ -766,8 +765,13 @@ def test_oracle_decides_with_one_groebner_basis_after_the_toric_ideal(monkeypatc
     nz = len(derivative_support(h, 1))
     assert nz == 10
     assert oracle_centre_disjoint(h, 1) == "yes"
-    # toric_ideal: one saturation step per variable and a final basis; then one
-    assert len(calls) == nz + 2
+    # toric_ideal: five saturation steps (the two-term rule frees the other
+    # five variables) and a final basis; then one basis that extends the
+    # toric basis by the centre's forms
+    assert len(calls) == 7
+    toric = toric_ideal(derivative_support(h, 1)).generators
+    assert [known for _, known in calls[:7]] == [0] * 6 + [len(toric)]
+    assert calls[6][0][0][: len(toric)] == list(toric)
 
 
 def test_oracle_agrees_on_a_corpus_with_intersecting_centres():

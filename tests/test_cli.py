@@ -215,6 +215,26 @@ def test_rank_command(capsys):
     assert "rank: 1" in out
 
 
+def test_rank_reads_a_negative_first_coordinate_of_at(capsys):
+    # argparse took `-1,2` for an option and exited 64 with
+    # "argument --at: expected one argument"
+    args = ("rank", "--vars", "x,y", "x*y", "--dir", "1,1")
+    assert run(capsys, *args, "--at", "-1,2") == (0, "rank: 2\n", "")
+    assert run(capsys, *args, "--at=-1,2") == (0, "rank: 2\n", "")
+    assert run(capsys, *args, "--at", "-1/2,-3") == (0, "rank: 2\n", "")
+    # a value that is no point still reaches the point parser's message
+    code, _, err = run(capsys, *args, "--at", "-1,a")
+    assert code == 64 and err == "error: bad --at point '-1,a'; write e.g. 1,1,1\n"
+
+
+def test_rank_reads_a_negative_first_coordinate_of_dir(capsys):
+    args = ("rank", "--vars", "x,y", "x*y", "--at", "1,2")
+    assert run(capsys, *args, "--dir", "-1,1") == (0, "rank: 2\n", "")
+    assert run(capsys, *args, "--dir", "-1/2,-1") == (0, "rank: 2\n", "")
+    # (1 - t)(2 + 0 t): the direction -1,0 meets x*y in degree 1
+    assert run(capsys, *args, "--dir", "-1,0") == (0, "rank: 1\n", "")
+
+
 def test_rank_stops_at_the_degree_guard(capsys):
     args = ("--vars", "x,y", "--at", "1,1", "--dir", "1,1", "--format", "json")
     code, out, _ = run(capsys, "rank", "x^11*y", *args)

@@ -36,6 +36,7 @@ from helpers import (
     poly_to_intdict,
     random_sparse_polynomial,
     reference_buchberger_intdicts,
+    reference_saturate_coordinates,
 )
 from paper_checks import saturate_by_product_elimination
 
@@ -166,8 +167,8 @@ def test_reduction_sequence_pinned(monkeypatch):
     e35 = elementary_symmetric(3, 5)
     quartic = P(QUARTIC_TEXT, ["x1", "x2", "x3", "x4"])
     runs = [
-        (lambda: toric_ideal(sorted(elementary_symmetric(2, 5).support())), 221,
-         "50877c2d17567e0901c3614415103b777a90bdb9cb4e1cafd872c13c91f3fefb"),
+        (lambda: toric_ideal(sorted(elementary_symmetric(2, 5).support())), 131,
+         "eed0da46f38568b6cdf647a4feef2320148b3e5bbd3b3e4b578fef27720bab98"),
         (lambda: torus_feasible(_ints(derivative_space(e35, 1).basis)), 13,
          "cb18ff2802165adb1353d068e6d96e0b3dc483247cd292cbb312eb94fd22007c"),
         (lambda: torus_feasible(_ints(derivative_space(quartic, 1).basis)), 60,
@@ -225,15 +226,16 @@ def test_field_overflow_gives_the_same_basis(monkeypatch):
 
 
 def _recorded_bases(monkeypatch, run):
-    """(generators, order, basis) of every buchberger_intdicts call that `run` makes."""
+    """(generators, order, basis) of every buchberger_intdicts call that `run` makes;
+    a known prefix is forwarded, so the reference checks that path too."""
     import omegalab.certify
     import omegalab.groebner
 
     calls = []
 
-    def recording(gens, order=None, max_pairs=DEFAULT_MAX_PAIRS):
+    def recording(gens, order=None, max_pairs=DEFAULT_MAX_PAIRS, *, known=0):
         gens = list(gens)
-        calls.append((gens, order, buchberger_intdicts(gens, order, max_pairs)))
+        calls.append((gens, order, buchberger_intdicts(gens, order, max_pairs, known=known)))
         return calls[-1][2]
 
     with monkeypatch.context() as patched:
@@ -514,33 +516,94 @@ def test_torus_feasible_rejects_malformed_integer_generators():
         torus_feasible([{(1, 1): 1, (2, 0): 3}, {(1, 0): 1, (0, 0): -1}])
 
 
-def test_saturation_routes_agree_on_lattice_ideals():
-    def monomial_grid(dim, degree):
-        if dim == 1:
-            return [(degree,)]
-        out = []
-        for first in range(degree + 1):
-            out += [(first,) + rest for rest in monomial_grid(dim - 1, degree - first)]
-        return out
+def _monomial_grid(dim, degree):
+    if dim == 1:
+        return [(degree,)]
+    out = []
+    for first in range(degree + 1):
+        out += [(first,) + rest for rest in _monomial_grid(dim - 1, degree - first)]
+    return out
 
+
+def _lattice_binomials(pts, rng=None):
+    """c*z^u+ + c'*z^u- for each u of a lattice basis of the integer kernel of the
+    graded configuration; (c, c') is (1, -1), or with `rng` drawn from 1..3 and
+    -3..-1."""
+    rows = [[p[i] for p in pts] for i in range(len(pts[0]))] + [[1] * len(pts)]
+    gens = []
+    for u in integer_kernel_basis(rows, len(pts)):
+        plus = tuple(max(x, 0) for x in u)
+        minus = tuple(max(-x, 0) for x in u)
+        c, c_minus = (rng.randint(1, 3), -rng.randint(1, 3)) if rng else (1, -1)
+        gens.append({plus: c, minus: c_minus})
+    return gens
+
+
+def test_saturation_routes_agree_on_lattice_ideals():
     rng = random.Random(65)
-    for _ in range(12):
-        dim = rng.randint(2, 3)
-        degree = rng.randint(1, 3)
-        grid = monomial_grid(dim, degree)
-        npts = rng.randint(3, min(6, len(grid))) if len(grid) >= 3 else len(grid)
+    for _ in range(40):
+        grid = _monomial_grid(rng.randint(2, 4), rng.randint(1, 3))
+        npts = rng.randint(3, min(8, len(grid))) if len(grid) >= 3 else len(grid)
         pts = sorted(rng.sample(grid, npts))
-        rows = [[p[i] for p in pts] for i in range(dim)] + [[1] * len(pts)]
-        lattice = integer_kernel_basis(rows, len(pts))
-        gens = []
-        for u in lattice:
-            plus = tuple(max(x, 0) for x in u)
-            minus = tuple(max(-x, 0) for x in u)
-            if plus != minus:
-                gens.append({plus: 1, minus: -1})
+        gens = _lattice_binomials(pts)
         a = saturate_coordinates(gens, len(pts))
         b = saturate_by_product_elimination(gens, len(pts))
         assert a == b, pts
+
+
+def test_saturation_agrees_with_the_every_variable_loop():
+    # The two-term rule skips saturation steps; the reduced basis of the
+    # saturation is unique, so the skipping must not change a single byte.
+    rng = random.Random(68)
+    empty = 0
+    for _ in range(200):
+        grid = _monomial_grid(rng.randint(2, 5), rng.randint(1, 3))
+        pts = rng.sample(grid, rng.randint(1, min(10, len(grid))))
+        pts.sort(key=grevlex_key, reverse=True)  # toric_ideal's column order
+        gens = _lattice_binomials(pts)
+        empty += not gens
+        expected = reference_saturate_coordinates(gens, len(pts))
+        assert saturate_coordinates(gens, len(pts)) == expected, pts
+        assert list(toric_ideal(pts).generators) == expected, pts
+        scaled = _lattice_binomials(pts, rng)
+        assert saturate_coordinates(scaled, len(pts)) == reference_saturate_coordinates(
+            scaled, len(pts)
+        ), scaled
+    assert empty >= 10
+    for _ in range(80):  # homogeneous, mostly not binomial
+        nvars, degree = rng.randint(2, 4), rng.randint(1, 3)
+        grid = _monomial_grid(nvars, degree)
+        gens = [
+            {m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in rng.sample(grid, rng.randint(1, min(4, len(grid))))}
+            for _ in range(rng.randint(1, 3))
+        ]
+        expected = reference_saturate_coordinates(gens, nvars)
+        assert saturate_coordinates(gens, nvars) == expected, gens
+
+
+def test_saturation_steps_skip_the_variables_two_term_elements_free(monkeypatch):
+    import omegalab.groebner
+
+    orders = []
+
+    def counted(gens, order=None, *args, _real=buchberger_intdicts, **kwargs):
+        orders.append(order and order.ranking[-1])  # the variable saturated; None: final
+        return _real(gens, order, *args, **kwargs)
+
+    monkeypatch.setattr(omegalab.groebner, "buchberger_intdicts", counted)
+    g = {(1, 1, 0): 2, (0, 0, 2): -3}  # 2*z0*z1 - 3*z2^2
+    assert saturate_coordinates([g], 3) == [g]
+    # after z0 and z1, supp(z0*z1) is saturated, so the element frees z2
+    assert orders == [0, 1, None]
+    orders.clear()
+    h = {(0, 2, 0, 0): 1, (1, 0, 0, 1): -5}  # z1^2 - 5*z0*z3; z2 occurs nowhere
+    assert saturate_coordinates([h], 4) == [h]
+    # z2 starts saturated; after z0 and z1, supp(z1^2) is, so z3 is freed
+    assert orders == [0, 1, None]
+    orders.clear()
+    # a lattice basis of e(2,5)'s support needs 5 of the 10 steps
+    toric_ideal(elementary_symmetric(2, 5).support())
+    assert len(orders) == 6
 
 
 def test_toric_ideal_of_squared_segment():
