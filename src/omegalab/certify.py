@@ -11,17 +11,18 @@ which is emitted with the certificate.
 The per-order test decomposes the toric variety into torus orbits indexed by
 the faces of the truncation polytope and decides torus feasibility of each
 face-restricted derivative system, one face per orbit of the variable swaps
-fixing the polynomial.  When every variable occurs, the order-(d-1)
-truncation min(1, rho) is the rank function of U(1, n), so its polytope is
-the standard simplex, built in closed form.  One certificate computes the
-support's M-convexity, its swaps and each truncation polytope with its face
-lattice once, after its guards, and its rank function rho at most once, below
-the greedy guard and only for the orders k < d - 1 and the summed polytope:
-never for a quadric.  It skips the polymatroid axiom check, as rho of an
-M-convex support, its truncations and their sum are polymatroids.  An
-independent Groebner oracle (toric ideal plus centre forms, decided by one
-Groebner basis and the finiteness theorem) cross-validates the face walk on
-small instances.
+fixing the polynomial.  When every variable occurs, the order-(d-1) truncation
+min(1, rho) is the rank function of U(1, n), so its polytope is the standard
+simplex, built in closed form once per n with its face lattice (the only state
+kept between calls: past the greedy guard, at most 8 frozen simplices).  One
+certificate computes the support's M-convexity, its swaps and each other
+truncation polytope with its face lattice once, after its guards, and its rank
+function rho at most once, below the greedy guard and only for the orders
+k < d - 1 and the summed polytope: never for a quadric.  It skips the polymatroid
+axiom check, as rho of an M-convex support, its truncations and their sum are
+polymatroids.  An independent Groebner oracle (toric ideal plus centre forms,
+decided by one Groebner basis and the finiteness theorem) cross-validates the
+face walk on small instances.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .groebner import (
 )
 from .guards import MAX_CERTIFY_DEGREE, ResourceLimit, degree_guard
 from .poly import Exponent, Polynomial, grevlex_key
-from .polytope import LatticePolytope, base_polytope, faces, is_simple, lattice_points
+from .polytope import Face, LatticePolytope, base_polytope, faces, is_simple, lattice_points
 from .polytope import _polymatroid_polytope, _simplex, require_greedy
 from .setfunc import MAX_GROUND_SET, rank_from_support, truncate, truncation_sum
 
@@ -310,7 +311,7 @@ def _decide(
         require_greedy(h.nvars)  # before rho's 2^n table
         # min(1, rho) is U(1, n)'s rank function when every variable occurs in h
         simplex = k == h.total_degree - 1 and all(map(any, zip(*h.support())))
-        body = _simplex(h.nvars) if simplex else truncation(k)
+        body, lattice = _simplex_lattice(h.nvars) if simplex else (truncation(k), None)
     except ResourceLimit as exc:
         return report(disjoint="undecided", detail=f"order-{k} truncation polytope: {exc}"), None
     # A swap fixing h maps the polytope onto itself, so it permutes the vertices:
@@ -333,7 +334,7 @@ def _decide(
     rows = [(sum(bit for bit, _, _ in row), row, {c: x for _, c, x in row}) for row in rows]
     settled: set[int] = set()  # vertex masks of the faces in an infeasible orbit
     undecided = []
-    for face in faces(body):
+    for face in lattice or faces(body):
         if face.mask in settled:
             continue
         on = every ^ _image(face.facet_mask, off)
@@ -362,6 +363,12 @@ def _decide(
     # A face at the pair cap is undecided only if no face of its orbit was infeasible.
     detail = next((d for key, d in undecided if key not in settled), None)
     return report(disjoint="undecided" if detail else "yes", detail=detail), body
+
+
+@functools.cache  # n <= MAX_GREEDY_GROUND_SET past the guard: at most 8 entries
+def _simplex_lattice(n: int) -> tuple[LatticePolytope, tuple[Face, ...]]:
+    """The standard simplex on n vertices and its face lattice, built once per n."""
+    return (body := _simplex(n)), tuple(faces(body))
 
 
 def _image(mask: int, bits: dict[int, int]) -> int:

@@ -70,16 +70,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
     def parse_known_args(self, args=None, namespace=None):
-        # argparse reads a value that starts with '-' as an option unless it is a
-        # plain number, so `--at -1,2` becomes `--at=-1,2`
+        # argparse reads a value that starts with '-' as an option unless it is a plain
+        # number: `--at -1,2` becomes `--at=-1,2`, and a text such as "-x*y" moves behind `--`
         args = list(sys.argv[1:] if args is None else args)
-        joined: list[str] = []
-        for arg in args:
+        cut = args.index("--") if "--" in args else len(args)
+        joined, texts = [], args[cut + 1 :]  # texts: what follows `--`, then the moved ones
+        for arg in args[:cut]:
             if joined and joined[-1] in ("--at", "--dir") and re.match(r"-[\d.]", arg):
                 joined[-1] += "=" + arg
+            elif re.match(r"-[^-]", arg) and not self._negative_number_matcher.match(arg):
+                (joined if arg in self._option_string_actions else texts).append(arg)
             else:
                 joined.append(arg)
-        return super().parse_known_args(joined, namespace)
+        return super().parse_known_args(joined + ["--"] * bool(texts) + texts, namespace)
 
 
 def _positive_int(text: str) -> int:

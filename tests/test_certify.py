@@ -12,6 +12,7 @@ from omegalab import (
     Polynomial,
     centre_disjoint,
     certify_smooth,
+    faces,
     is_lorentzian,
     is_mconvex,
     lattice_points,
@@ -608,7 +609,21 @@ def test_past_the_greedy_guard_rho_is_not_built(monkeypatch):
     assert calls == []
 
 
-def test_quadric_self_check_reuses_the_order_one_face_lattice(monkeypatch):
+@pytest.fixture
+def fresh_simplices():
+    """The per-n simplex cache, emptied before and after the test.
+
+    A test that spies on `faces` or patches `_simplex` empties it so that the
+    spied or patched function really runs.
+    """
+    from omegalab.certify import _simplex_lattice
+
+    _simplex_lattice.cache_clear()
+    yield _simplex_lattice
+    _simplex_lattice.cache_clear()
+
+
+def test_quadric_self_check_reuses_the_order_one_face_lattice(monkeypatch, fresh_simplices):
     import omegalab.certify
     import omegalab.polytope
 
@@ -624,7 +639,7 @@ def test_quadric_self_check_reuses_the_order_one_face_lattice(monkeypatch):
     assert len(calls) == 1
 
 
-def test_self_check_builds_no_face_lattice_or_smith_form(monkeypatch):
+def test_self_check_builds_no_face_lattice_or_smith_form(monkeypatch, fresh_simplices):
     import omegalab.certify
     import omegalab.groebner
     import omegalab.linalg
@@ -666,7 +681,7 @@ def test_certificate_orders_match_centre_disjoint():
         checked += 1
 
 
-def test_closed_form_orders_match_the_rank_function_route(monkeypatch):
+def test_closed_form_orders_match_the_rank_function_route(monkeypatch, fresh_simplices):
     import omegalab.certify as certify
 
     built = []  # the polytope of every order, as its face lattice is walked
@@ -687,6 +702,7 @@ def test_closed_form_orders_match_the_rank_function_route(monkeypatch):
                 everywhere = all(map(any, zip(*h.support())))
                 orders = range(1, d) if everywhere else [d - 1]
                 built.clear()
+                fresh_simplices.cache_clear()  # the simplex lattice is walked, not read
                 got = [centre_disjoint(h, k, pairs) for k in orders]
                 assert built == [reference_truncation_polytope(h, k) for k in orders], h
                 assert [p.facet_masks for p in built] == [
@@ -694,9 +710,13 @@ def test_closed_form_orders_match_the_rank_function_route(monkeypatch):
                 ]
                 cert = certify_smooth(h, max_pairs=pairs) if everywhere else None
                 with monkeypatch.context() as m:  # the rank function route at order d - 1
-                    m.setattr(certify, "_simplex", lambda n: reference_truncation_polytope(h, d - 1))
+                    patched = []
+                    reference = lambda n: patched.append(n) or reference_truncation_polytope(h, d - 1)
+                    m.setattr(certify, "_simplex", reference)
+                    fresh_simplices.cache_clear()  # else the patched _simplex never runs
                     assert got == [centre_disjoint(h, k, pairs) for k in orders], h
                     assert cert is None or cert == certify_smooth(h, max_pairs=pairs), h
+                    assert patched == [n] * everywhere  # once, then read from the cache
                 checked += everywhere
                 absent += not everywhere
     assert absent > 0
@@ -712,6 +732,52 @@ def test_closed_form_orders_match_the_rank_function_route(monkeypatch):
         (0, 1, 0),
         (1, 0, 0),
     )
+
+
+def test_the_cached_simplex_lattice_is_a_fresh_one(fresh_simplices):
+    from omegalab.polytope import _simplex
+
+    for n in range(1, 9):
+        body, lattice = fresh_simplices(n)
+        assert fresh_simplices(n)[0] is body and type(lattice) is tuple
+        fresh = _simplex(n)
+        assert body == fresh and body.facet_masks == fresh.facet_masks
+        # the same faces in the same order, with the same masks and facet masks
+        assert lattice == tuple(faces(fresh)) and len(lattice) == 2**n - 1
+    assert fresh_simplices.cache_info().currsize == 8
+
+
+def test_quadrics_on_one_n_build_the_simplex_lattice_once(monkeypatch, fresh_simplices):
+    faces_calls = _count_calls(monkeypatch, "faces")
+    simplex_calls = _count_calls(monkeypatch, "_simplex")
+    texts = [
+        "x1*x2 + x1*x3 + x2*x3",
+        "x1^2 + x1*x2 + x2^2 + x1*x3 + x2*x3 + x3^2",
+        "x1*x2 + 2*x1*x3 + 3*x2*x3",
+    ]
+    certs = [certify_smooth(parse_polynomial(text, X123)) for text in texts]
+    assert [cert.verdict for cert in certs] == ["smooth-toric"] * 3
+    assert len(faces_calls) == 1 and simplex_calls == [(3,)]
+    assert all(cert.polytope is fresh_simplices(3)[0] for cert in certs)  # the shared simplex
+
+
+def test_the_greedy_guard_fires_before_the_simplex_cache(fresh_simplices):
+    assert certify_smooth(elementary_symmetric(2, 3)).verdict == "smooth-toric"
+    size = fresh_simplices.cache_info().currsize
+    cert = certify_smooth(elementary_symmetric(2, 9))
+    assert cert.verdict == "undecided"
+    detail = "order-1 truncation polytope: greedy enumeration capped at n <= 8"
+    assert cert.k_reports[0].detail == detail
+    assert fresh_simplices.cache_info().currsize == size == 1
+
+
+def test_faces_still_returns_a_fresh_list(fresh_simplices):
+    assert certify_smooth(elementary_symmetric(2, 4)).verdict == "smooth-toric"
+    body, lattice = fresh_simplices(4)
+    first, second = faces(body), faces(body)
+    assert type(first) is list and first is not second and first == second == list(lattice)
+    first.clear()
+    assert faces(body) == list(lattice) and len(lattice) == 15
 
 
 def test_oracle_agrees_on_small_instances():

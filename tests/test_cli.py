@@ -235,6 +235,33 @@ def test_rank_reads_a_negative_first_coordinate_of_dir(capsys):
     assert run(capsys, *args, "--dir", "-1,0") == (0, "rank: 1\n", "")
 
 
+def test_a_polynomial_text_that_starts_with_a_minus_is_the_positional(capsys):
+    # argparse took "-x*y" for an unknown option and exited 64 with
+    # "unrecognized arguments: -x*y"
+    cases = [
+        (("rank", "--vars", "x,y"), "-x*y", ("--at", "1,2", "--dir", "1,1")),
+        (("rank", "--vars", "x,y"), "-x*y", ("--at", "-1,2", "--dir", "-1,1")),
+        (("analyze", "--vars", "x,y"), "-x^2", ()),
+        (("certify", "--vars", "x,y"), "-x*y", ("--format", "json")),
+        (("certify", "--vars", "x,y"), "-2*x*y", ()),
+        (("lorentzian", "--vars", "h,y"), "-h*y", ()),  # not the -h option
+    ]
+    for head, text, tail in cases:
+        expected = run(capsys, *head, *tail, "--", text)
+        assert expected[0] in (0, 1) and expected[2] == "", (text, expected)
+        assert run(capsys, *head, text, *tail) == expected, (head, text)
+        assert run(capsys, *head, *tail, text) == expected, (head, text)
+
+
+def test_a_misspelt_option_still_exits_usage(capsys):
+    code, err = usage_exit(capsys, "certify", "--vars", "x,y", "x*y", "--frmat", "json")
+    assert code == 64 and "unrecognized arguments: --frmat json" in err
+    code, err = usage_exit(capsys, "certify", "--vars", "x,y", "-x*y", "y^2")  # two texts
+    assert code == 64 and "unrecognized arguments: -x*y" in err
+    code, _ = usage_exit(capsys, "certify", "-h")  # a known option is still the option
+    assert code == 0
+
+
 def test_rank_stops_at_the_degree_guard(capsys):
     args = ("--vars", "x,y", "--at", "1,1", "--dir", "1,1", "--format", "json")
     code, out, _ = run(capsys, "rank", "x^11*y", *args)
