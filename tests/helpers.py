@@ -673,6 +673,20 @@ def reference_saturate_coordinates(gens, nvars, max_pairs=groebner.DEFAULT_MAX_P
     return groebner.buchberger_intdicts(current, max_pairs=max_pairs)
 
 
+def reference_lowest_index_saturate_coordinates(gens, nvars, max_pairs=groebner.DEFAULT_MAX_PAIRS):
+    """The loop that the step rule in omegalab.groebner.saturate_coordinates
+    replaced: the two-term rule, with each step by the lowest-index variable
+    outside tau; the steps are the program's own."""
+    current = [g for g in gens if g]
+    tau = set(range(nvars)).difference(*(groebner._support(m) for g in current for m in g))
+    while len(tau) < nvars:
+        var = min(set(range(nvars)) - tau)
+        gb = groebner.buchberger_intdicts(current, groebner._cheap_variable_order(nvars, var), max_pairs)
+        current = [groebner._divide_out(g, var) for g in gb]
+        tau = groebner._grow_saturated(groebner._two_term_supports(current), tau | {var})
+    return groebner.buchberger_intdicts(current, max_pairs=max_pairs)
+
+
 # -- integer term dicts and line restrictions (test-only) --------------------------------
 
 

@@ -831,13 +831,13 @@ def test_oracle_decides_with_one_groebner_basis_after_the_toric_ideal(monkeypatc
     nz = len(derivative_support(h, 1))
     assert nz == 10
     assert oracle_centre_disjoint(h, 1) == "yes"
-    # toric_ideal: five saturation steps (the two-term rule frees the other
-    # five variables) and a final basis; then one basis that extends the
+    # toric_ideal: three saturation steps (the two-term rule frees the other
+    # seven variables) and a final basis; then one basis that extends the
     # toric basis by the centre's forms
-    assert len(calls) == 7
+    assert len(calls) == 5
     toric = toric_ideal(derivative_support(h, 1)).generators
-    assert [known for _, known in calls[:7]] == [0] * 6 + [len(toric)]
-    assert calls[6][0][0][: len(toric)] == list(toric)
+    assert [known for _, known in calls[:5]] == [0] * 4 + [len(toric)]
+    assert calls[4][0][0][: len(toric)] == list(toric)
 
 
 def test_oracle_agrees_on_a_corpus_with_intersecting_centres():

@@ -36,6 +36,7 @@ from helpers import (
     poly_to_intdict,
     random_sparse_polynomial,
     reference_buchberger_intdicts,
+    reference_lowest_index_saturate_coordinates,
     reference_saturate_coordinates,
 )
 from paper_checks import saturate_by_product_elimination
@@ -135,7 +136,7 @@ def test_pair_queue_order_pinned_by_cap_thresholds():
         I("y^3 - x*z^2", ["x", "y", "z"]),
     ]
     assert_threshold(lambda cap: buchberger_intdicts(gens, max_pairs=cap), 10)
-    for d, threshold in ((2, 29), (3, 36)):
+    for d, threshold in ((2, 26), (3, 26)):
         points = sorted(elementary_symmetric(d, 5).support())
         assert_threshold(lambda cap: toric_ideal(points, max_pairs=cap), threshold)
 
@@ -155,7 +156,7 @@ def test_reduction_sequence_pinned(monkeypatch):
     import omegalab.groebner
     from omegalab.derivatives import derivative_space
 
-    real = omegalab.groebner._s_poly
+    real, real_binomial = omegalab.groebner._s_poly, omegalab.groebner._s_binomial
     seen = []
 
     def traced(packing, f, g):
@@ -163,12 +164,18 @@ def test_reduction_sequence_pinned(monkeypatch):
         seen.append(repr(sorted(packing.decode(s).items())))
         return s
 
+    def traced_binomial(packing, f, g):  # the same record as the general kernel's
+        s = real_binomial(packing, f, g)
+        seen.append(repr(sorted(packing.decode({s[0]: 1, s[1]: -1} if s else {}).items())))
+        return s
+
     monkeypatch.setattr(omegalab.groebner, "_s_poly", traced)
+    monkeypatch.setattr(omegalab.groebner, "_s_binomial", traced_binomial)
     e35 = elementary_symmetric(3, 5)
     quartic = P(QUARTIC_TEXT, ["x1", "x2", "x3", "x4"])
-    runs = [
-        (lambda: toric_ideal(sorted(elementary_symmetric(2, 5).support())), 131,
-         "eed0da46f38568b6cdf647a4feef2320148b3e5bbd3b3e4b578fef27720bab98"),
+    runs = [  # the toric ideal runs on the two-term kernel, the others on the general one
+        (lambda: toric_ideal(sorted(elementary_symmetric(2, 5).support())), 87,
+         "c38b505085b3787d58c1ad6dd6c804759a49f85f0524e67da962bf908216a45b"),
         (lambda: torus_feasible(_ints(derivative_space(e35, 1).basis)), 13,
          "cb18ff2802165adb1353d068e6d96e0b3dc483247cd292cbb312eb94fd22007c"),
         (lambda: torus_feasible(_ints(derivative_space(quartic, 1).basis)), 60,
@@ -212,9 +219,15 @@ def test_field_overflow_gives_the_same_basis(monkeypatch):
     ]
     # Degree 127 fits 8-bit fields; the basis reaches degree 191, so the call
     # runs again with wider fields and gives the exponent-tuple kernel's basis.
+    # The pure differences run on the two-term kernel, their doubles on the
+    # general one, and both kernels overflow at the same width.
+    gens = [I("x^127 - z^127", names), I("x*y - z^2", names)]
     widths.clear()
-    gb = buchberger_intdicts([I("x^127 - z^127", names), I("x*y - z^2", names)])
+    doubled = buchberger_intdicts([{m: 2 * c for m, c in g.items()} for g in gens])
     assert widths == [8, 16]
+    widths.clear()
+    gb = buchberger_intdicts(gens)
+    assert widths == [8, 16] and gb == doubled
     assert len(gb) == 66 and max(sum(m) for g in gb for m in g) == 191
     # the digest was taken over Fraction coefficients
     digest = hashlib.sha256(
@@ -593,17 +606,96 @@ def test_saturation_steps_skip_the_variables_two_term_elements_free(monkeypatch)
     monkeypatch.setattr(omegalab.groebner, "buchberger_intdicts", counted)
     g = {(1, 1, 0): 2, (0, 0, 2): -3}  # 2*z0*z1 - 3*z2^2
     assert saturate_coordinates([g], 3) == [g]
-    # after z0 and z1, supp(z0*z1) is saturated, so the element frees z2
-    assert orders == [0, 1, None]
+    # once supp(z2^2) = {z2} is saturated, the element frees z0 and z1; z0 or
+    # z1 alone frees nothing, so the step rule takes z2 and only z2
+    assert orders == [2, None]
     orders.clear()
     h = {(0, 2, 0, 0): 1, (1, 0, 0, 1): -5}  # z1^2 - 5*z0*z3; z2 occurs nowhere
     assert saturate_coordinates([h], 4) == [h]
-    # z2 starts saturated; after z0 and z1, supp(z1^2) is, so z3 is freed
-    assert orders == [0, 1, None]
+    # z2 starts saturated; after z1, supp(z1^2) is, so z0 and z3 are freed
+    assert orders == [1, None]
     orders.clear()
-    # a lattice basis of e(2,5)'s support needs 5 of the 10 steps
+    # a lattice basis of e(2,5)'s support needs 3 of the 10 steps
     toric_ideal(elementary_symmetric(2, 5).support())
-    assert len(orders) == 6
+    assert len(orders) == 4
+
+
+def test_the_step_rule_never_takes_more_steps_than_the_lowest_index_rule(monkeypatch):
+    import omegalab.groebner
+
+    steps = [0]
+
+    def counted(gens, order=None, *args, _real=buchberger_intdicts, **kwargs):
+        steps[0] += order is not None  # a saturation step; None: the final basis
+        return _real(gens, order, *args, **kwargs)
+
+    monkeypatch.setattr(omegalab.groebner, "buchberger_intdicts", counted)
+
+    def count(saturate, gens, nvars):
+        steps[0] = 0
+        return saturate(gens, nvars), steps[0]
+
+    # the draws of test_saturation_agrees_with_the_every_variable_loop
+    rng = random.Random(68)
+    totals = [0, 0]
+    for _ in range(200):
+        grid = _monomial_grid(rng.randint(2, 5), rng.randint(1, 3))
+        pts = rng.sample(grid, rng.randint(1, min(10, len(grid))))
+        pts.sort(key=grevlex_key, reverse=True)
+        for gens in (_lattice_binomials(pts), _lattice_binomials(pts, rng)):
+            basis, new = count(saturate_coordinates, gens, len(pts))
+            expected, old = count(reference_lowest_index_saturate_coordinates, gens, len(pts))
+            assert basis == expected, pts
+            assert new <= old, pts
+            totals[0] += new
+            totals[1] += old
+    assert totals == [2 * 127, 2 * 223]
+
+
+def test_two_term_kernel_agrees_with_the_general_kernel(monkeypatch):
+    # Every buchberger_intdicts call of omegalab.groebner also runs on its
+    # generators doubled, which are no pure differences and so take the general
+    # kernel; both must give the same basis.
+    import omegalab.groebner
+    from omegalab.derivatives import derivative_support
+
+    real, real_reduce = buchberger_intdicts, omegalab.groebner._reduce_binomial
+    calls, two_term = [], [False]  # (generators, whether the two-term kernel ran)
+
+    def spied(*args):
+        two_term[0] = True
+        return real_reduce(*args)
+
+    def both(gens, order=None, *args, **kwargs):
+        gens = list(gens)
+        two_term[0] = False
+        basis = real(gens, order, *args, **kwargs)
+        calls.append((gens, two_term[0]))
+        two_term[0] = False
+        doubled = [{m: 2 * c for m, c in g.items()} for g in gens]
+        assert real(doubled, order, *args, **kwargs) == basis, (gens, order)
+        assert not two_term[0]
+        return basis
+
+    monkeypatch.setattr(omegalab.groebner, "_reduce_binomial", spied)
+    monkeypatch.setattr(omegalab.groebner, "buchberger_intdicts", both)
+    rng = random.Random(69)
+    for _ in range(150):  # seeded grid configurations
+        grid = _monomial_grid(rng.randint(2, 5), rng.randint(1, 3))
+        toric_ideal(rng.sample(grid, rng.randint(1, min(10, len(grid)))))
+    fixtures = bench_fixtures()
+    for name, k, *_ in fixtures.ORACLE_PAIRS:  # the lattices of the oracle's toric ideals
+        f = fixtures.fixture(name)
+        toric_ideal(derivative_support(P(f.text, list(f.names)), k))
+    pts = sorted(
+        (tuple(int(i in pair) for i in range(6)) for pair in combinations(range(6), 2)),
+        key=grevlex_key,
+        reverse=True,
+    )  # Delta(2,6), 15 points, above MAX_TORIC_POINTS
+    assert len(saturate_coordinates(_lattice_binomials(pts), len(pts))) == 36
+    assert len(calls) >= 300
+    # every call had pure-difference generators, and so ran on the two-term kernel
+    assert all(used for gens, used in calls if gens)
 
 
 def test_toric_ideal_of_squared_segment():
@@ -658,6 +750,21 @@ def test_toric_ideal_rejects_points_of_mixed_length():
     for points in ([(1, 0), (0, 0, 1)], [(2, 0), (0, 2), (1, 1, 7)]):
         with pytest.raises(ValueError, match="^points must have equal length$"):
             toric_ideal(points)
+
+
+def test_exponents_of_mixed_length_are_rejected():
+    # these gave the unit ideal, a binomial in 2 variables, a zero remainder
+    # and "the order must rank every variable"
+    calls = [
+        lambda: buchberger_intdicts([{(1, 0): 1, (0, 1): -1}, {(0, 0, 1): 1}]),
+        lambda: buchberger_intdicts([{(1, 0): 1, (0, 1, 0): -1}]),
+        lambda: normal_form({(1, 0): 1}, [{(1, 0, 0): 1}]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^exponents of mixed length: 2, 3$"):
+            call()
+    with pytest.raises(ValueError, match="^the order ranks 3 variables, the exponents have length 2$"):
+        saturate_coordinates([{(1, 0): 1, (0, 1): -1}], 3)
 
 
 def test_unit_ideal_detection():
