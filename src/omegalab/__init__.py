@@ -24,9 +24,7 @@ from .certify import (
 )
 from .derivatives import (
     DerivativeSpace,
-    all_partials,
     derivative_space,
-    derivative_support,
     elementary_symmetric,
 )
 from .groebner import (

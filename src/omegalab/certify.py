@@ -45,7 +45,7 @@ from .groebner import (
     torus_feasible,
 )
 from .guards import MAX_CERTIFY_DEGREE, ResourceLimit, degree_guard
-from .poly import Exponent, Polynomial, grevlex_key
+from .poly import Exponent, Polynomial, grevlex_key, read_exponent
 from .polytope import Face, LatticePolytope, base_polytope, faces, is_simple, lattice_points
 from .polytope import _polymatroid_polytope, _simplex, require_greedy
 from .setfunc import MAX_GROUND_SET, rank_from_support, truncate, truncation_sum
@@ -77,7 +77,7 @@ def is_mconvex(
     and y + e_i - e_j in B.  The tables of both sets are built once, so the
     test costs O(|B| n^2) operations on |B|-bit ints, not O(|B|^2 n^2) pairs.
     """
-    pts = sorted({tuple(int(v) for v in p) for p in points})
+    pts = sorted({read_exponent(p) for p in points})
     if not pts:
         raise ValueError("M-convexity is defined for nonempty point sets")
     if len(set(map(len, pts))) != 1:
@@ -560,7 +560,7 @@ def smoothable_probe(
         raise ValueError(f"trials {trials} is negative")
     if trials > MAX_PROBE_TRIALS:
         raise ValueError(f"trials {trials} exceeds the cap {MAX_PROBE_TRIALS}")
-    pts = sorted({tuple(int(x) for x in p) for p in support})
+    pts = sorted({read_exponent(p) for p in support})
     mcx, witness = is_mconvex(pts)  # ValueError on an empty support
     if not mcx:
         raise ValueError(f"support is not M-convex, witness {witness}")

@@ -14,14 +14,13 @@ m give distinct m - a.  Each term is visited once, for the size-k multisets a
 over its own support only (an a asking more of a variable than m holds meets a
 zero factor), so the work follows the terms produced, under the partial-count
 cap per term.  They are read off h's integer view s*h
-(`Polynomial.integer_terms`), whose positive scale changes neither supports
-nor primitive echelon rows; only `all_partials` divides by s again.
+(`Polynomial.integer_terms`), whose positive scale changes no support, no
+primitive echelon row and no Hessian's signs, so no caller divides by s again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -65,8 +64,11 @@ class DerivativeSpace:
 
 
 def _partial_terms(h: Polynomial, k: int) -> tuple[int, list[dict[Exponent, int]]]:
-    """(s, the int term dicts of s times all_partials(h, k)), in its order and
-    with its guard, for s the scale of h's integer view."""
+    """(s, the int term dicts of s times every order-k partial of h), one per
+    multiset of variable indices in `combinations_with_replacement` order, for s
+    the scale of h's integer view.
+
+    Raises ResourceLimit above MAX_PARTIALS partials, before building any."""
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
     if guard := partials_guard(h.nvars, k):
@@ -82,19 +84,6 @@ def _partial_terms(h: Polynomial, k: int) -> tuple[int, list[dict[Exponent, int]
             if coefficient:
                 out[a][tuple(e)] = coefficient
     return s, list(out.values())
-
-
-def all_partials(h: Polynomial, k: int) -> list[Polynomial]:
-    """Every order-k partial derivative, one per multiset of variable indices.
-
-    Raises ResourceLimit above MAX_PARTIALS partials, before building any."""
-    s, partials = _partial_terms(h, k)
-    return [Polynomial(h.nvars, {e: Fraction(c, s) for e, c in g.items()}) for g in partials]
-
-
-def derivative_support(h: Polynomial, k: int) -> frozenset[Exponent]:
-    """Union of the supports of all order-k partials."""
-    return frozenset().union(*_partial_terms(h, k)[1])
 
 
 def derivative_space(h: Polynomial, k: int) -> DerivativeSpace:

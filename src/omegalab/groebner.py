@@ -1,8 +1,8 @@
 """Buchberger engine and torus feasibility over the rationals.
 
-The engine provides reduced Groebner bases, ideal membership, coordinate
-saturation for homogeneous ideals, toric ideals of point configurations, and
-the torus-feasibility decisions used by the smoothness criterion:
+The engine provides reduced Groebner bases, coordinate saturation for
+homogeneous ideals, toric ideals of point configurations, and the
+torus-feasibility decisions used by the smoothness criterion:
 
   * a linear fast path deciding feasibility by one integer kernel,
   * a general path that dehomogenizes, adjoins an inverted variable product,
@@ -15,15 +15,14 @@ reads one off `Polynomial.integer_terms`.  A monomial order is a
 
 Inside the Buchberger kernel a monomial is one int K = top * 2^s - E: E packs
 the exponents in w-bit fields, placed by the order's ranking of the variables,
-and top is the degree (plus, for an elimination order, the eliminated
-exponent shifted above it).  K's integer order is the monomial order and K is
+and top is the degree.  K's integer order is the monomial order and K is
 linear in the exponents, so a product is `+` and a leading term is `max`;
 E = ceil(K / 2^s) * 2^s - K, and divisibility and lcm are tests on each
 field's top (guard) bit.  Every popped leading monomial must keep its degree
 below the guard bit; otherwise the call runs again with fields twice as wide.
 Terms are primitive integer dictionaries, content-stripped after every
-reduction, and exponent tuples appear only at the boundary: inputs, returned
-bases and the public `normal_form`.
+reduction, and exponent tuples appear only at the boundary: inputs and
+returned bases.
 
 When every generator is a pure difference x^u - x^v, as the lattice bases
 and saturation steps of a toric ideal are, the kernel keeps each element as
@@ -62,7 +61,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .guards import ResourceLimit
 from .linalg import integer_kernel_basis, kernel_basis
-from .poly import Exponent, grevlex_key
+from .poly import Exponent, grevlex_key, read_exponent
 
 IntPoly = dict[Exponent, int]
 
@@ -84,10 +83,6 @@ class FeasibilityVerdict:
     def is_feasible(self) -> bool:
         return self.status == FEASIBLE
 
-    @property
-    def is_infeasible(self) -> bool:
-        return self.status == INFEASIBLE
-
 
 # -- packed monomials ----------------------------------------------------------------
 
@@ -107,12 +102,10 @@ class MonomialOrder(NamedTuple):
     """Grevlex after a ranking of the variables: variable ranking[j] owns field j.
 
     Monomials compare by degree, then by the top field's exponent (less wins),
-    then the next field down.  With `eliminate` the top field's exponent comes
-    before the degree and more of it wins: an elimination order for it.
+    then the next field down.
     """
 
     ranking: tuple[int, ...]
-    eliminate: bool = False
 
 
 class _Overflow(Exception):
@@ -134,9 +127,6 @@ class _Packing:
         self.guard = sum(self.half << (w * j) for j in range(n))
         self.shifts = [w * order.ranking.index(v) for v in range(n)]
         self.weights = [(1 << self.s) - (1 << sh) for sh in self.shifts]
-        self.elim_shift = self.s - w if order.eliminate else self.s
-        if order.eliminate:
-            self.weights[order.ranking[-1]] += 1 << (self.s + w)
 
     def encode(self, p: IntPoly) -> dict[int, int]:
         return {sum(map(mul, m, self.weights)): c for m, c in p.items() if c}
@@ -157,8 +147,7 @@ class _Packing:
         d = a - b + self.guard  # no field borrows
         ge = d & self.guard  # guard bit set where a's field is at least b's
         e = b + (d & (ge - (ge >> (self.w - 1))))  # field-wise max
-        # the degree (below mask), plus the eliminated exponent shifted above it
-        top = e % self.mask + (e >> self.elim_shift << self.w)
+        top = e % self.mask  # the degree: the sum of the fields, below mask
         return (top << self.s) - e
 
     def reducer(self, g: dict[int, int] | Binomial) -> Reducer:
@@ -358,18 +347,6 @@ def _buchberger(
 # -- public boundary: exponent tuples in and out ---------------------------------------
 
 
-def normal_form(
-    f: IntPoly, basis: Sequence[IntPoly], order: MonomialOrder | None = None
-) -> IntPoly:
-    """Full multivariate division remainder, fraction-free, under `order`
-    (None: grevlex in index order)."""
-
-    def run(pk: _Packing, packed: list[dict[int, int]]) -> IntPoly:
-        return pk.decode(_reduce(pk, packed[0], [pk.reducer(g) for g in packed[1:] if g]))
-
-    return _run_packed(order, [f, *basis], run) if f else {}
-
-
 def buchberger_intdicts(
     gens: Iterable[IntPoly],
     order: MonomialOrder | None = None,
@@ -527,7 +504,7 @@ def toric_ideal(
     basis of the integer kernel of the (graded) configuration matrix with
     respect to the product of all coordinates.
     """
-    pts = sorted({tuple(int(x) for x in p) for p in points}, key=grevlex_key, reverse=True)
+    pts = sorted({read_exponent(p) for p in points}, key=grevlex_key, reverse=True)
     if not pts:
         raise ValueError("empty point configuration")
     if len(set(map(len, pts))) != 1:

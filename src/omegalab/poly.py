@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -29,6 +29,15 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+def read_exponent(entries: Iterable) -> Exponent:
+    """The entries as an exponent tuple; ValueError on an entry that is not an
+    int, so 1.5, Fraction(3, 2) and True are refused, never truncated."""
+    exponent = tuple(entries)
+    if bad := [x for x in exponent if type(x) is not int]:
+        raise ValueError(f"exponent entry {bad[0]!r} is not an int")
+    return exponent
 
 
 def grevlex_key(exponent: Sequence[int]) -> tuple:
@@ -52,9 +61,7 @@ class Polynomial:
         clean: dict[Exponent, Fraction] = {}
         if terms:
             for exponent, coeff in terms.items():
-                exponent = tuple(exponent)
-                if bad := [x for x in exponent if type(x) is not int]:  # never truncate
-                    raise ValueError(f"exponent entry {bad[0]!r} is not an int")
+                exponent = read_exponent(exponent)
                 if len(exponent) != nvars:
                     raise ValueError(
                         f"exponent {exponent} has length {len(exponent)}, expected {nvars}"

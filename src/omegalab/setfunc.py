@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .guards import ResourceLimit, degree_guard
-from .poly import Exponent, Polynomial
+from .poly import Exponent, Polynomial, read_exponent
 
 MAX_GROUND_SET = 20
 
@@ -82,9 +82,6 @@ class SetFunction:
 
     def __repr__(self) -> str:
         return f"SetFunction(n={self.n}, values={list(self.values)})"
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "values": list(self.values)})
 
     @classmethod
     def from_json(cls, text: str) -> "SetFunction":
@@ -171,7 +168,7 @@ def rank_from_support(supp: Iterable[Exponent]) -> SetFunction:
     Requires a nonempty support of constant total degree.  The result is a
     polymatroid whenever the support is M-convex.
     """
-    points = [tuple(int(x) for x in p) for p in supp]
+    points = [read_exponent(p) for p in supp]
     if not points:
         raise ValueError("support is empty")
     if len(set(map(len, points))) != 1:

@@ -14,7 +14,7 @@ import types
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd, perm, prod
-from operator import sub
+from operator import add, ge, sub
 from pathlib import Path
 
 from omegalab import (
@@ -31,7 +31,7 @@ from omegalab import (
     rank_from_support,
     truncate,
 )
-from omegalab.derivatives import partials_guard
+from omegalab.derivatives import derivative_space, partials_guard
 from omegalab.guards import ResourceLimit
 from omegalab.setfunc import PolymatroidCheckReport
 
@@ -369,6 +369,14 @@ def reference_hull(points):
 # -- the order-k partials by the multiset-major scan (test-only) -----------------------
 
 
+def partials_support(h: Polynomial, k: int) -> set[tuple]:
+    """B_k, the union of the order-k partials' supports: derivative_space's
+    columns for 1 <= k < deg h, the reference scan's supports at k = 0 and deg h."""
+    if 1 <= k < h.total_degree:
+        return set(derivative_space(h, k).columns)
+    return set().union(*reference_partial_terms(h, k)[1])
+
+
 def reference_partial_terms(h: Polynomial, k: int) -> tuple[int, list[dict[tuple, int]]]:
     """The scan that omegalab.derivatives._partial_terms replaced: every order-k
     multiset against every term, keeping the terms whose exponent stays nonnegative."""
@@ -659,6 +667,70 @@ def reference_buchberger_intdicts(gens, order=None, max_pairs=groebner.DEFAULT_M
 
     gens = [g for g in gens if g]
     return groebner._run_packed(order, gens, run) if gens else []
+
+
+# -- an elimination order and a division on exponent tuples (test-only) ----------------
+
+
+class EliminationPacking(groebner._Packing):
+    """Packed monomials of the elimination order for the variable ranked last:
+    more of its exponent wins before the degree, then grevlex after the ranking.
+    K = top * 2^s - E as in omegalab.groebner, with top the degree plus that
+    exponent shifted above it."""
+
+    def __init__(self, order, w):
+        super().__init__(order, w)
+        self.weights[order.ranking[-1]] += 1 << (self.s + w)
+
+    def lcm(self, a, b):
+        k = super().lcm(a, b)  # grevlex K; its fields E are the lcm's
+        return k + (self.exponents(k) >> (self.s - self.w) << (self.s + self.w))
+
+
+def eliminating_buchberger_intdicts(
+    gens, order, max_pairs=groebner.DEFAULT_MAX_PAIRS, *, reference=False
+):
+    """Reduced basis under the elimination order for order.ranking[-1], by the
+    program's kernel, or with `reference` by the chain-criterion loop; the
+    fields double in width on overflow, as in omegalab.groebner._run_packed."""
+    gens = [g for g in gens if g]
+    if not gens:
+        return []
+    width = max(8, max(sum(m) for g in gens for m in g).bit_length() + 1)
+    while True:
+        pk = EliminationPacking(order, width)
+        packed = [pk.encode(g) for g in gens]
+        try:
+            if reference:
+                basis = _reference_buchberger(pk, packed, max_pairs)
+            else:
+                basis = groebner._buchberger(pk, packed, max_pairs, 0)
+            return [pk.decode(g) for g in basis]
+        except groebner._Overflow:
+            width *= 2
+
+
+def reference_normal_form(f, basis):
+    """The remainder of f on full division by `basis` under grevlex: the
+    textbook loop on exponent tuples and Fraction coefficients, sharing no code
+    with the packed kernel."""
+    divisors = [(max(g, key=grevlex_key), g) for g in basis if g]
+    rem = {m: Fraction(c) for m, c in f.items() if c}
+    out = {}
+    while rem:
+        lm = max(rem, key=grevlex_key)
+        for lead, g in divisors:
+            if all(map(ge, lm, lead)):
+                q, shift = rem[lm] / g[lead], tuple(map(sub, lm, lead))
+                for m, c in g.items():
+                    m = tuple(map(add, m, shift))
+                    rem[m] = rem.get(m, 0) - q * c
+                    if not rem[m]:
+                        del rem[m]
+                break
+        else:
+            out[lm] = rem.pop(lm)
+    return out
 
 
 def reference_saturate_coordinates(gens, nvars, max_pairs=groebner.DEFAULT_MAX_PAIRS):

@@ -20,7 +20,8 @@ library against these independent routes:
     membership and the subset-sum identity;
   * `check_derivative_supports`, the derivative supports against the
     truncation polytopes' lattice points;
-  * `saturate_by_product_elimination`, the saturation by one elimination.
+  * `saturate_by_product_elimination`, the saturation by one elimination, on
+    the test-side elimination order `helpers.EliminationPacking`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from omegalab import linalg
-from omegalab.derivatives import DerivativeSpace, derivative_support
+from omegalab.derivatives import DerivativeSpace
 from omegalab.groebner import DEFAULT_MAX_PAIRS, IntPoly, MonomialOrder, buchberger_intdicts
 from omegalab.guards import ResourceLimit
 from omegalab.poly import Polynomial
@@ -59,7 +60,7 @@ from omegalab.setfunc import (
     truncate,
 )
 
-from helpers import reference_solve
+from helpers import eliminating_buchberger_intdicts, partials_support, reference_solve
 
 MAX_HULL_AMBIENT_DIM = 6
 MAX_HULL_SUBSETS = 500_000
@@ -435,7 +436,7 @@ def check_derivative_supports(h: Polynomial) -> list[int]:
     failures = []
     for k in range(h.total_degree + 1):
         expected = set(lattice_points(base_polytope(truncate(rho, k))))
-        if set(derivative_support(h, k)) != expected:
+        if partials_support(h, k) != expected:
             failures.append(k)
     return failures
 
@@ -452,8 +453,8 @@ def saturate_by_product_elimination(
 
     extended = [{m + (0,): c for m, c in g.items()} for g in gens if g]
     extended.append({(1,) * (nvars + 1): 1, (0,) * (nvars + 1): -1})
-    t_first = MonomialOrder(tuple(range(nvars + 1)), eliminate=True)
-    gb = buchberger_intdicts(extended, t_first, max_pairs)
+    t_first = MonomialOrder(tuple(range(nvars + 1)))  # t, ranked last, is eliminated
+    gb = eliminating_buchberger_intdicts(extended, t_first, max_pairs)
     out = []
     for g in gb:
         if all(m[nvars] == 0 for m in g):

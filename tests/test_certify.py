@@ -22,7 +22,7 @@ from omegalab import (
     toric_ideal,
 )
 from omegalab.certify import positive_eigenvalue_count
-from omegalab.derivatives import derivative_support, elementary_symmetric
+from omegalab.derivatives import derivative_space, elementary_symmetric
 
 from helpers import (
     _compositions,
@@ -268,9 +268,6 @@ def test_lorentzian_partial_count_guard_fires_before_any_hessian(monkeypatch):
 
 
 def test_certificate_builds_no_partial_polynomial(monkeypatch):
-    import omegalab.certify
-    import omegalab.derivatives
-
     e46 = elementary_symmetric(4, 6)
     cubic = parse_polynomial(SINGULAR_CUBIC_TEXT, WXYZ)
     calls = []
@@ -282,8 +279,6 @@ def test_certificate_builds_no_partial_polynomial(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "__init__", counted_init)
     monkeypatch.setattr(Polynomial, "partial_derivative", lambda *args: calls.append(args))
-    for module in (omegalab.derivatives, omegalab.certify):
-        monkeypatch.setattr(module, "all_partials", lambda *a: calls.append(a), raising=False)
     assert certify_smooth(e46).verdict == "smooth-toric"
     assert [centre_disjoint(cubic, k).disjoint for k in (1, 2)] == ["no", "yes"]
     assert calls == []
@@ -344,8 +339,6 @@ def test_singular_cubic_explicit_intersection_point():
     # direct, engine-free certificate that the centre meets the variety: the
     # monomial-map image of the torus point (w, x, y, z) = (1, 7, 7, -6),
     # supported on the witness face, is annihilated by every first partial
-    from omegalab.derivatives import derivative_space
-
     h = parse_polynomial(SINGULAR_CUBIC_TEXT, WXYZ)
     space = derivative_space(h, 1)
     orbit_point = {(1, 1, 0, 0): 7, (1, 0, 1, 0): 7, (1, 0, 0, 1): -6}
@@ -441,7 +434,7 @@ def test_certificate_lattice_points_match_support_sums():
         d = h.total_degree
         sums = {(0,) * h.nvars}
         for k in range(1, d):
-            layer = derivative_support(h, k)
+            layer = derivative_space(h, k).columns
             sums = {tuple(a + b for a, b in zip(p, q)) for p in sums for q in layer}
         assert sums == set(lattice_points(cert.polytope))
 
@@ -828,14 +821,14 @@ def test_oracle_decides_with_one_groebner_basis_after_the_toric_ideal(monkeypatc
     for module in (omegalab.certify, omegalab.groebner):
         monkeypatch.setattr(module, "buchberger_intdicts", counted)
     h = elementary_symmetric(3, 5)
-    nz = len(derivative_support(h, 1))
+    nz = len(derivative_space(h, 1).columns)
     assert nz == 10
     assert oracle_centre_disjoint(h, 1) == "yes"
     # toric_ideal: three saturation steps (the two-term rule frees the other
     # seven variables) and a final basis; then one basis that extends the
     # toric basis by the centre's forms
     assert len(calls) == 5
-    toric = toric_ideal(derivative_support(h, 1)).generators
+    toric = toric_ideal(derivative_space(h, 1).columns).generators
     assert [known for _, known in calls[:5]] == [0] * 4 + [len(toric)]
     assert calls[4][0][0][: len(toric)] == list(toric)
 
@@ -1095,7 +1088,6 @@ def _restrict(p, allowed):
 
 def test_certificate_is_invariant_under_variable_permutation():
     from omegalab import base_polytope, faces, rank_from_support, truncate
-    from omegalab.derivatives import derivative_space
     from omegalab.groebner import torus_feasible
 
     rng = random.Random(8080)

@@ -9,11 +9,10 @@ import pytest
 from omegalab import (
     Polynomial,
     derivative_space,
-    derivative_support,
     parse_polynomial,
     rank_from_support,
 )
-from omegalab.derivatives import _partial_terms, all_partials, elementary_symmetric
+from omegalab.derivatives import _partial_terms, elementary_symmetric
 from omegalab.certify import is_mconvex
 from omegalab.linalg import kernel_basis, rref
 
@@ -22,6 +21,7 @@ from helpers import (
     SINGULAR_CUBIC_TEXT,
     WXYZ,
     X123,
+    partials_support,
     random_mconvex_support,
     random_positive_polynomial,
     random_sparse_polynomial,
@@ -89,36 +89,38 @@ def test_space_rejects_bad_order():
 
 def test_derivative_support_first_order_of_quadratic():
     s = elementary_symmetric(2, 4)
-    assert derivative_support(s, 1) == frozenset(
-        {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
-    )
+    assert set(derivative_space(s, 1).columns) == {
+        (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+    }
 
 
 def test_derivative_support_plane_cubic():
     h = parse_polynomial(PLANE_CUBIC_TEXT, X123)
-    assert derivative_support(h, 1) == frozenset(
-        {(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1)}
-    )
+    assert set(derivative_space(h, 1).columns) == {
+        (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1)
+    }
 
 
 def test_derivative_support_order_zero_is_support():
     h = parse_polynomial(SINGULAR_CUBIC_TEXT, WXYZ)
-    assert derivative_support(h, 0) == h.support()
+    assert partials_support(h, 0) == h.support()
 
 
 def test_span_dimension_independent_of_partial_order():
     rng = random.Random(9)
     h = parse_polynomial(PLANE_CUBIC_TEXT, X123)
     space = derivative_space(h, 1)
-    partials = [g for g in all_partials(h, 1) if not g.is_zero]
+    partials = [g for g in _partial_terms(h, 1)[1] if g]
     columns = list(space.columns)
     for _ in range(10):
         rng.shuffle(partials)
-        rows = [[g.coefficient(c) for c in columns] for g in partials]
+        rows = [[g.get(c, 0) for c in columns] for g in partials]
         assert len(rref(rows)[1]) == space.span_dimension
 
 
 def test_all_partials_match_iterated_partial_derivatives():
+    # _partial_terms reads the partials off the terms of h's integer view s*h;
+    # scaled by 1/s they are the formal derivatives, in multiset order
     from itertools import combinations_with_replacement
 
     rng = random.Random(22)
@@ -132,7 +134,9 @@ def test_all_partials_match_iterated_partial_derivatives():
                 for i in multi:
                     g = g.partial_derivative(i)
                 expected.append(g)
-            assert all_partials(h, k) == expected, (h, k)
+            s, partials = _partial_terms(h, k)
+            scaled = [Polynomial(n, {e: Fraction(c, s) for e, c in g.items()}) for g in partials]
+            assert scaled == expected, (h, k)
 
 
 def test_support_union_covers_each_partial():
@@ -141,9 +145,9 @@ def test_support_union_covers_each_partial():
         supp = random_mconvex_support(rng, 3, 3)
         h = random_positive_polynomial(rng, supp)
         for k in range(1, h.total_degree):
-            union = derivative_support(h, k)
-            for g in all_partials(h, k):
-                assert g.support() <= union
+            union = set(derivative_space(h, k).columns)
+            for g in _partial_terms(h, k)[1]:
+                assert g.keys() <= union
 
 
 def test_support_union_equals_directional_derivative_support():
@@ -163,7 +167,7 @@ def test_support_union_equals_directional_derivative_support():
                 for i in range(n):
                     step = step + g.partial_derivative(i).scale(e[i])
                 g = step
-            assert g.support() == derivative_support(h, k)
+            assert g.support() == set(derivative_space(h, k).columns)
 
 
 def test_centre_dimension_formula():
@@ -185,7 +189,7 @@ def test_derivative_supports_stay_mconvex():
         supp = random_mconvex_support(rng, n, d)
         h = random_positive_polynomial(rng, supp)
         for k in range(1, d):
-            ok, _ = is_mconvex(derivative_support(h, k))
+            ok, _ = is_mconvex(derivative_space(h, k).columns)
             assert ok
 
 
@@ -218,7 +222,7 @@ def test_minkowski_sum_of_derivative_supports_matches_polytope():
         h = random_positive_polynomial(rng, supp)
         sums = {(0,) * n}
         for k in range(1, d):
-            layer = derivative_support(h, k)
+            layer = derivative_space(h, k).columns
             sums = {tuple(a + b for a, b in zip(p, q)) for p in sums for q in layer}
         rho = rank_from_support(supp)
         expected = set(lattice_points(base_polytope(truncation_sum(rho, 1))))
@@ -275,7 +279,7 @@ def test_partial_count_guard_fires_before_any_partial(monkeypatch):
         omegalab.derivatives, "combinations_with_replacement", lambda *args: built.append(args)
     )
     with pytest.raises(ResourceLimit) as excinfo:
-        all_partials(h, 10)
+        _partial_terms(h, 10)
     assert str(excinfo.value) == (
         "partial-count guard: 352716 order-10 partials exceed the cap 10000"
     )
@@ -283,9 +287,9 @@ def test_partial_count_guard_fires_before_any_partial(monkeypatch):
     monkeypatch.undo()
     # C(n+k-1, k) partials: 3 first partials of e(2,3) are at a cap of 3, not above it
     monkeypatch.setattr(omegalab.derivatives, "MAX_PARTIALS", 3)
-    assert len(all_partials(elementary_symmetric(2, 3), 1)) == 3
+    assert len(_partial_terms(elementary_symmetric(2, 3), 1)[1]) == 3
     with pytest.raises(ResourceLimit, match="6 order-2 partials exceed the cap 3"):
-        derivative_support(elementary_symmetric(3, 3), 2)
+        derivative_space(elementary_symmetric(3, 3), 2)
 
 
 def test_partials_read_term_by_term_match_the_multiset_scan():

@@ -318,6 +318,23 @@ def test_constructor_rejects_an_exponent_entry_that_is_not_an_int():
         Polynomial(2, {(1.5, 0.5): 1, (0, 2): 1})
 
 
+def test_point_readers_refuse_an_entry_that_is_not_an_int():
+    # is_mconvex and rank_from_support read these points as U(1,2)'s bases, and
+    # toric_ideal gave the empty ideal: every entry was truncated by int()
+    from omegalab import is_mconvex, rank_from_support, smoothable_probe, toric_ideal
+
+    readers = (
+        is_mconvex,
+        rank_from_support,
+        lambda pts: toric_ideal([*pts, (1, 1)]),
+        lambda pts: smoothable_probe(pts, trials=1),
+    )
+    for bad, good in ((1.5, 0.5), (Fraction(3, 2), Fraction(1, 2)), (True, False)):
+        for read in readers:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'exponent entry {bad!r} is not an int')}$"):
+                read([(bad, good), (good, bad)])
+
+
 def test_scaling_and_arithmetic():
     p = parse_polynomial("x^2 - 2*x*y", ["x", "y"])
     assert p.scale(Fraction(1, 2)).coefficient((2, 0)) == Fraction(1, 2)

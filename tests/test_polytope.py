@@ -23,7 +23,7 @@ from omegalab import (
     truncate,
     truncation_sum,
 )
-from omegalab.derivatives import derivative_support, elementary_symmetric
+from omegalab.derivatives import derivative_space, elementary_symmetric
 from omegalab.guards import ResourceLimit
 from omegalab.poly import parse_polynomial
 
@@ -415,8 +415,7 @@ def test_skew_simplex_simple_but_not_smooth():
 
 def test_derivative_support_sum_simple_not_smooth():
     h = parse_polynomial("x1*x2^2 + x3^3", X123)
-    b1 = derivative_support(h, 1)
-    b2 = derivative_support(h, 2)
+    b1, b2 = (derivative_space(h, k).columns for k in (1, 2))
     sums = {tuple(a + b for a, b in zip(p, q)) for p in b1 for q in b2}
     body = polytope_from_points(sums)
     assert is_simple(body)[0]

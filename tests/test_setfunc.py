@@ -1,5 +1,6 @@
 """Set functions: axioms, rank tables, truncations, inseparability, hyperbolic rank."""
 
+import json
 import random
 import re
 from fractions import Fraction
@@ -398,7 +399,7 @@ def test_positive_polynomials_match_support_rank_random():
 
 
 def test_json_round_trip():
-    text = U24.to_json()
+    text = json.dumps({"n": U24.n, "values": list(U24.values)})
     assert SetFunction.from_json(text) == U24
 
 
