@@ -13,8 +13,10 @@ the faces of the truncation polytope and decides torus feasibility of each
 face-restricted derivative system, one face per orbit of the variable swaps
 fixing the polynomial.  When every variable occurs, the order-(d-1) truncation
 min(1, rho) is the rank function of U(1, n), so its polytope is the standard
-simplex, built in closed form once per n with its face lattice (the only state
-kept between calls: past the greedy guard, at most 8 frozen simplices).  One
+simplex, built in closed form once per n with its face lattice and, in a cache
+of its own, the mask of the derivative columns on each face: its columns are
+then the n unit vectors.  These are the only state kept between calls: past
+the greedy guard, at most 8 frozen simplices and 8 mask tables.  One
 certificate computes the support's M-convexity, its swaps and each other
 truncation polytope with its face lattice once, after its guards, and its rank
 function rho at most once, below the greedy guard and only for the orders
@@ -311,7 +313,12 @@ def _decide(
         require_greedy(h.nvars)  # before rho's 2^n table
         # min(1, rho) is U(1, n)'s rank function when every variable occurs in h
         simplex = k == h.total_degree - 1 and all(map(any, zip(*h.support())))
-        body, lattice = _simplex_lattice(h.nvars) if simplex else (truncation(k), None)
+        if simplex:
+            body, lattice = _simplex_lattice(h.nvars)
+            on_facets = _simplex_column_masks(h.nvars).__getitem__
+        else:
+            body = truncation(k)
+            lattice, on_facets = faces(body), _column_masks(body, space.columns)
     except ResourceLimit as exc:
         return report(disjoint="undecided", detail=f"order-{k} truncation polytope: {exc}"), None
     # A swap fixing h maps the polytope onto itself, so it permutes the vertices:
@@ -320,24 +327,17 @@ def _decide(
     swapped = [_transposition(h.nvars, i, j) for i, j in swaps()]
     perms = [{bit: index[swap(v)] for v, bit in index.items()} for swap in swapped]
 
-    # The derivative monomials lie in the truncation polytope, so the ones off
-    # a face are those off some facet containing it: bit i of a facet's `off`
-    # mask is column i, and each basis row keeps its nonzero (bit, column, value).
+    # Each basis row keeps its nonzero (bit, column, value), bit i for column i.
     # A row wholly on a face passes its prebuilt dict; only a cut row is rebuilt.
     columns = space.columns
-    every = (1 << len(columns)) - 1
-    off = {
-        1 << j: every ^ sum(1 << i for i, c in enumerate(columns) if sum(map(mul, a, c)) == b)
-        for j, (a, b) in enumerate(body.inequalities)
-    }
     rows = [[(1 << i, c, x) for i, (c, x) in enumerate(zip(columns, r)) if x] for r in space.matrix]
     rows = [(sum(bit for bit, _, _ in row), row, {c: x for _, c, x in row}) for row in rows]
     settled: set[int] = set()  # vertex masks of the faces in an infeasible orbit
     undecided = []
-    for face in lattice or faces(body):
+    for face in lattice:
         if face.mask in settled:
             continue
-        on = every ^ _image(face.facet_mask, off)
+        on = on_facets(face.facet_mask)
         gens = [
             whole if mask & on == mask else {c: x for bit, c, x in row if bit & on}
             for mask, row, whole in rows
@@ -369,6 +369,34 @@ def _decide(
 def _simplex_lattice(n: int) -> tuple[LatticePolytope, tuple[Face, ...]]:
     """The standard simplex on n vertices and its face lattice, built once per n."""
     return (body := _simplex(n)), tuple(faces(body))
+
+
+@functools.cache  # filled past the greedy guard as `_simplex_lattice` is: at most 8 entries
+def _simplex_column_masks(n: int) -> dict[int, int]:
+    """`_column_masks` of `_simplex_lattice(n)` at the facet mask of each face, in its order.
+
+    The order-(d-1) columns are the n unit vectors in descending grevlex
+    order whenever every variable occurs in h, so the masks depend on n alone;
+    a face of a simplex is the only face with its facet mask.
+    """
+    body, lattice = _simplex_lattice(n)
+    on_facets = _column_masks(body, [tuple(int(i == j) for j in range(n)) for i in range(n)])
+    return {face.facet_mask: on_facets(face.facet_mask) for face in lattice}
+
+
+def _column_masks(body: LatticePolytope, columns: Sequence[Exponent]) -> Callable[[int], int]:
+    """The map from a face's facet mask to the mask of the columns on it, bit i for column i.
+
+    The derivative monomials lie in the truncation polytope, so the ones off a
+    face are those off some facet containing it: bit i of a facet's `off` mask
+    is column i.
+    """
+    every = (1 << len(columns)) - 1
+    off = {
+        1 << j: every ^ sum(1 << i for i, c in enumerate(columns) if sum(map(mul, a, c)) == b)
+        for j, (a, b) in enumerate(body.inequalities)
+    }
+    return lambda facet_mask: every ^ _image(facet_mask, off)
 
 
 def _image(mask: int, bits: dict[int, int]) -> int:

@@ -73,8 +73,7 @@ INFEASIBLE = "infeasible"
 UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(NamedTuple):
     status: str  # feasible | infeasible | undecided
     method: str  # linear-algebra | groebner
     certificate: object = None
@@ -286,19 +285,16 @@ def _buchberger(
         reduce, s_poly = _reduce, _s_poly
     basis: list[Reducer] = []  # every element that entered, by index
     active: dict[int, Reducer] = {}  # the reducers: elements whose lead no later lead divides
-    live: dict[tuple[int, int], int] = {}  # pair -> K of the lcm of its leads
+    live: dict[tuple[int, int], tuple[int, int]] = {}  # pair -> (K, fields E) of its leads' lcm
     queue: list[tuple[int, int, int]] = []
-
-    def divides(e: int, k: int) -> bool:  # the monomial with fields e divides K = k
-        return (pk.exponents(k) + guard - e) & guard == guard
 
     def enter(g: dict[int, int]) -> None:
         """Gebauer-Moeller update: prune the pairs, then add g to the basis."""
         t = len(basis)
         e_t, lead_t, _ = new = pk.reducer(g)
         lcms = [pk.lcm(e, e_t) for e, _, _ in basis]
-        for (i, j), lcm in list(live.items()):  # criterion B
-            if lcms[i] != lcm != lcms[j] and divides(e_t, lcm):
+        for (i, j), (lcm, e) in list(live.items()):  # criterion B
+            if lcms[i] != lcm != lcms[j] and (e + guard - e_t) & guard == guard:
                 del live[i, j]
         # criterion M: of the new pairs sharing an lcm that no other new pair's
         # lcm divides, keep the lowest a; a coprime pair drops its whole lcm
@@ -313,9 +309,9 @@ def _buchberger(
                 continue
             kept.append(lcm_guarded - guard)
             if (a := classes[lcm]) is not None:
-                live[a, t] = lcm
+                live[a, t] = lcm, lcm_guarded - guard
                 heapq.heappush(queue, (lcm, a, t))
-        for a in [a for a, (_, lead, _) in active.items() if divides(e_t, lead)]:
+        for a in [a for a, (e, _, _) in active.items() if (e + guard - e_t) & guard == guard]:
             del active[a]
         basis.append(new)
         active[t] = new
@@ -559,18 +555,35 @@ def torus_feasible(
     Rabinowitsch system.
     """
     sizes: set[int] = set()
+    degrees: set[int] = set()
     live: list[IntPoly] = []
-    degrees: list[int] = []
     homogeneous = True
-    for g in system:  # one pass; a count mismatch outranks an inhomogeneous generator
-        sizes.update(map(len, g))
-        if 0 in g.values():  # the only copy: the caller's dicts are never changed
-            g = {m: c for m, c in g.items() if c}
-        if g:
-            live.append(g)
-            degree, *rest = set(map(sum, g))
-            degrees.append(degree)
-            homogeneous = homogeneous and not rest
+    monomial = None  # the first single-term generator
+    # One pass; the verdicts below keep their precedence: a count mismatch,
+    # then an inhomogeneous generator, the empty system, a constant, a monomial.
+    for g in system:
+        if len(g) == 1:  # one term: no map over it, no set of its degrees
+            ((m, c),) = g.items()
+            sizes.add(len(m))
+            if not c:
+                continue
+        else:
+            sizes.update(map(len, g))
+            if 0 in g.values():  # the only copy: the caller's dicts are never changed
+                g = {m: c for m, c in g.items() if c}
+            if len(g) > 1:
+                degree, *rest = set(map(sum, g))
+                degrees.add(degree)
+                homogeneous = homogeneous and not rest
+                live.append(g)
+                continue
+            if not g:
+                continue
+            (m,) = g  # a monomial once its zero terms are gone
+        degrees.add(sum(m))
+        if monomial is None:
+            monomial = m
+        live.append(g)
     if len(sizes) > 1:
         raise ValueError("generator variable count mismatch")
     if not homogeneous:
@@ -580,10 +593,9 @@ def torus_feasible(
     (nvars,) = sizes
     if 0 in degrees:
         return FeasibilityVerdict(INFEASIBLE, "linear-algebra", ("constant", None))
-    for g in live:
-        if len(g) == 1:
-            return FeasibilityVerdict(INFEASIBLE, "linear-algebra", ("monomial", next(iter(g))))
-    if all(d == 1 for d in degrees):
+    if monomial is not None:
+        return FeasibilityVerdict(INFEASIBLE, "linear-algebra", ("monomial", monomial))
+    if degrees == {1}:
         return _linear_verdict(live, nvars)
 
     occurring = sorted({i for g in live for exponent in g for i in range(nvars) if exponent[i]})

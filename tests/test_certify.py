@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from operator import mul
 
 import pytest
 
@@ -762,6 +763,33 @@ def test_the_greedy_guard_fires_before_the_simplex_cache(fresh_simplices):
     detail = "order-1 truncation polytope: greedy enumeration capped at n <= 8"
     assert cert.k_reports[0].detail == detail
     assert fresh_simplices.cache_info().currsize == size == 1
+
+
+def test_the_cached_simplex_column_masks_are_those_of_a_fresh_simplex(fresh_simplices):
+    from omegalab.certify import _image, _simplex_column_masks
+    from omegalab.polytope import _simplex
+
+    _simplex_column_masks.cache_clear()
+    for n in range(1, 9):
+        units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        # the order-(d - 1) columns whenever every variable occurs
+        h = Polynomial(n, {tuple(2 * x for x in u): 1 for u in units})
+        assert derivative_space(h, 1).columns == units
+        fresh = _simplex(n)
+        every = (1 << n) - 1
+        off = {
+            1 << j: every ^ sum(1 << i for i, c in enumerate(units) if sum(map(mul, a, c)) == b)
+            for j, (a, b) in enumerate(fresh.inequalities)
+        }
+        masks = _simplex_column_masks(n)
+        lattice = faces(fresh)
+        assert list(masks) == [face.facet_mask for face in lattice]  # each face, in lattice order
+        assert list(masks.values()) == [every ^ _image(face.facet_mask, off) for face in lattice]
+        # a simplex face's columns are its vertices
+        assert list(masks.values()) == [
+            sum(1 << units.index(v) for v in face.vertices) for face in lattice
+        ]
+    assert _simplex_column_masks.cache_info().currsize == 8
 
 
 def test_faces_still_returns_a_fresh_list(fresh_simplices):

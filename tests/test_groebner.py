@@ -21,7 +21,9 @@ from omegalab import (
 )
 from omegalab.groebner import (
     DEFAULT_MAX_PAIRS,
+    FEASIBLE,
     INFEASIBLE,
+    UNDECIDED,
     MonomialOrder,
     _Packing,
     buchberger_intdicts,
@@ -456,6 +458,71 @@ def test_torus_feasible_leaves_its_inputs_unchanged():
         first, second = torus_feasible(system), torus_feasible(system)
         assert first == second
         assert system == before
+
+
+MISMATCH, INHOMOGENEOUS = "generator variable count mismatch", "requires homogeneous generators"
+
+
+def _linear(status, *certificate):
+    return status, "linear-algebra", certificate
+
+
+@pytest.mark.parametrize(
+    "system, expected",  # the ValueError's message, or the verdict (status, method, certificate)
+    [
+        ([{(2, 0): 1, (1, 0): 1}, {(1, 0, 0): 1}], MISMATCH),  # outranks an inhomogeneous one
+        ([{(1, 0): 1}, {(1, 0, 0): 1, (0, 1, 0): -1}], MISMATCH),  # and a leading monomial
+        ([{(1, 0): 1}, {(0, 0, 1): 0}], MISMATCH),  # a zero term's length counts
+        ([{(1, 1): 1}, {(2, 0): 1, (1, 0): 1}], INHOMOGENEOUS),  # outranks a monomial
+        (  # a zero term makes no generator inhomogeneous
+            [{(2, 0): 1, (0, 2): -1, (1, 0): 0}],
+            (FEASIBLE, "groebner", ("proper-saturated-ideal", None)),
+        ),
+        ([{}, {(0, 0, 0): 0}], _linear(FEASIBLE, "empty-system", None)),
+        ([{(1, 0): 1}, {(0, 0): 5}], _linear(INFEASIBLE, "constant", None)),  # outranks a monomial
+        # the first monomial in generator order, a two-term generator with a zero coefficient
+        (
+            [{(1, 0): 1, (0, 1): -1}, {(1, 1): 3, (2, 0): 0}, {(0, 2): 1}],
+            _linear(INFEASIBLE, "monomial", (1, 1)),
+        ),
+        (
+            [{(2, 0): 0}, {(1, 0): 1, (0, 1): 1}, {(0, 2): 4}],
+            _linear(INFEASIBLE, "monomial", (0, 2)),
+        ),
+        # degree-1 systems reach the kernel
+        (
+            [{(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): 0}],
+            _linear(FEASIBLE, "kernel-basis", [(1, 1, 0), (0, 0, 1)]),
+        ),
+        (
+            [{(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}],
+            _linear(INFEASIBLE, "zero-kernel", None),
+        ),
+        (
+            [{(1, 0, 0): 1, (0, 1, 0): 1}, {(1, 0, 0): 1, (0, 1, 0): -1}],
+            _linear(INFEASIBLE, "coordinate-hyperplane", 0),
+        ),
+        (  # mixed degrees go to Groebner
+            [{(1, 0): 1, (0, 1): -1}, {(2, 0): 1, (0, 2): 1}],
+            (INFEASIBLE, "groebner", ("unit-saturated-ideal", None)),
+        ),
+    ],
+)
+def test_torus_feasible_screen(system, expected):
+    before = copy.deepcopy(system)
+    for given in (system, iter(system)):  # any iterable, read once
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                torus_feasible(given)
+            continue
+        verdict = torus_feasible(given)
+        assert verdict == expected
+        assert (verdict.status, verdict.method, verdict.certificate) == expected
+        assert verdict.is_feasible == (expected[0] == FEASIBLE)
+        with pytest.raises(AttributeError):  # immutable
+            verdict.status = UNDECIDED
+        assert verdict.status == expected[0]
+    assert system == before  # the caller's dicts are never changed
 
 
 def test_torus_feasible_undecided_propagates():
