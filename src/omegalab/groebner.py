@@ -5,8 +5,11 @@ homogeneous ideals, toric ideals of point configurations, and the
 torus-feasibility decisions used by the smoothness criterion:
 
   * a linear fast path deciding feasibility by one integer kernel,
-  * a general path that dehomogenizes, adjoins an inverted variable product,
-    and tests whether the saturated ideal is the unit ideal.
+  * a general path that divides each generator by its monomial content,
+    dehomogenizes, adjoins an inverted variable product, and tests whether
+    the saturated ideal is the unit ideal.  On the torus x^a*g and g have
+    the same zeros, so the division is exact; the path is chosen on the
+    degrees as given, before it.
 
 Every operation takes and returns integer term dictionaries (IntPoly) keyed by
 exponent tuples, toric generators included; a caller holding a `Polynomial`
@@ -56,7 +59,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from math import gcd
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .guards import ResourceLimit
@@ -551,7 +554,9 @@ def torus_feasible(
 
     The generators are integer term dictionaries (IntPoly), and the variable
     count is the length of their exponents.  Linear systems are decided by
-    one integer kernel, others by the unit-ideal test of the dehomogenized
+    one integer kernel.  Others, chosen on the degrees as given, are divided
+    generator by generator by the gcd of their monomials, which changes no
+    torus zero, and decided by the unit-ideal test of the dehomogenized
     Rabinowitsch system.
     """
     sizes: set[int] = set()
@@ -598,6 +603,12 @@ def torus_feasible(
     if degrees == {1}:
         return _linear_verdict(live, nvars)
 
+    # x^a*g and g have the same torus zeros: divide each generator by the gcd
+    # of its monomials, into a new dict
+    for j, g in enumerate(live):
+        content = [min(column) for column in zip(*g)]
+        if any(content):
+            live[j] = {tuple(map(sub, m, content)): c for m, c in g.items()}
     occurring = sorted({i for g in live for exponent in g for i in range(nvars) if exponent[i]})
     # dehomogenize at the last occurring variable, which homogeneity makes
     # injective on each generator's terms, and keep only the occurring ones;

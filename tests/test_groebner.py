@@ -35,6 +35,9 @@ from omegalab.poly import grevlex_key
 
 from helpers import (
     PLANE_CUBIC_TEXT,
+    SINGULAR_CUBIC_TEXT,
+    SMOOTH_CUBIC_TEXT,
+    WXYZ,
     X123,
     bench_fixtures,
     eliminating_buchberger_intdicts,
@@ -182,8 +185,8 @@ def test_reduction_sequence_pinned(monkeypatch):
     runs = [  # the toric ideal runs on the two-term kernel, the others on the general one
         (lambda: toric_ideal(sorted(elementary_symmetric(2, 5).support())), 87,
          "c38b505085b3787d58c1ad6dd6c804759a49f85f0524e67da962bf908216a45b"),
-        (lambda: torus_feasible(_ints(derivative_space(e35, 1).basis)), 13,
-         "cb18ff2802165adb1353d068e6d96e0b3dc483247cd292cbb312eb94fd22007c"),
+        (lambda: torus_feasible(_ints(derivative_space(e35, 1).basis)), 11,
+         "006317ee79d12d8e2ad71d58dfe3de74449e6e60f1ffdbe544f8d79505ea3074"),
         (lambda: torus_feasible(_ints(derivative_space(quartic, 1).basis)), 60,
          "e69f469e66402a3f56ca1b7cfc4effff7d3f079b7b7e1dc8d64586f48fd36ab7"),
     ]
@@ -344,7 +347,8 @@ def test_gebauer_moeller_matches_the_chain_criterion_reference(monkeypatch):
 
 def test_chain_criterion_reference_keeps_the_old_reduction_sequence(monkeypatch):
     # The reference is the loop the Gebauer-Moeller update replaced: it still
-    # forms the S-polynomials that loop was pinned to, 20 and 100 of them.
+    # forms the S-polynomials that loop was pinned to on the systems
+    # torus_feasible hands it, 11 and 100 of them.
     import omegalab.groebner
     from omegalab.derivatives import derivative_space
 
@@ -360,8 +364,8 @@ def test_chain_criterion_reference_keeps_the_old_reduction_sequence(monkeypatch)
     monkeypatch.setattr(omegalab.groebner, "buchberger_intdicts", reference_buchberger_intdicts)
     quartic = P(QUARTIC_TEXT, ["x1", "x2", "x3", "x4"])
     runs = [
-        (elementary_symmetric(3, 5), 20,
-         "2dccce12408f2abb0d5ee32838eb1ac970939e6da501d1e5cd6e9cb86688add9"),
+        (elementary_symmetric(3, 5), 11,
+         "89c95f9b0ed057733dc1bdc74ef248bf0a9d42326f0a6faf540a1c0096446338"),
         (quartic, 100, "e07a5ad9810399d668ae5d3e3ab58bb4c6505d3037602063062029f34ad42258"),
     ]
     for h, count, digest in runs:
@@ -506,6 +510,10 @@ def _linear(status, *certificate):
             [{(1, 0): 1, (0, 1): -1}, {(2, 0): 1, (0, 2): 1}],
             (INFEASIBLE, "groebner", ("unit-saturated-ideal", None)),
         ),
+        (  # x*y*(x + y) is chosen for Groebner by its degree, then decided as x + y
+            [{(1, 0): 1, (0, 1): -1}, {(2, 1): 1, (1, 2): 1}],
+            (INFEASIBLE, "groebner", ("unit-saturated-ideal", None)),
+        ),
     ],
 )
 def test_torus_feasible_screen(system, expected):
@@ -630,6 +638,73 @@ def test_integer_and_polynomial_generators_agree():
         ("groebner", "unit-saturated-ideal"),
         ("groebner", "proper-saturated-ideal"),
     } <= methods
+
+
+def _face_systems(monkeypatch):
+    """The face systems certify_smooth hands torus_feasible on e(3,5), e(4,6)
+    and the three cubics, as integer dicts in call order."""
+    import omegalab.certify as certify
+
+    systems = []
+
+    def captured(system, *args, _real=certify.torus_feasible, **kwargs):
+        systems.append(copy.deepcopy(list(system)))
+        return _real(systems[-1], *args, **kwargs)
+
+    monkeypatch.setattr(certify, "torus_feasible", captured)
+    for h in (
+        elementary_symmetric(3, 5),
+        elementary_symmetric(4, 6),
+        P(PLANE_CUBIC_TEXT, X123),
+        P(SINGULAR_CUBIC_TEXT, WXYZ),
+        P(SMOOTH_CUBIC_TEXT, WXYZ),
+    ):
+        certify_smooth(h)
+    monkeypatch.undo()
+    return systems
+
+
+def _random_homogeneous_systems(rng, count):
+    """Seeded systems of 1-3 homogeneous forms of degree 1-3 in 2-4 variables."""
+    for _ in range(count):
+        nvars = rng.randint(2, 4)
+        system = []
+        for _ in range(rng.randint(1, 3)):
+            grid = _monomial_grid(nvars, rng.randint(1, 3))
+            support = rng.sample(grid, min(len(grid), rng.randint(1, 4)))
+            system.append({m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in support})
+        yield system
+
+
+def test_torus_feasibility_ignores_monomial_factors(monkeypatch):
+    # x^a*g and g have the same torus zeros: multiplying each generator by a
+    # monomial of degree at most 2 keeps the status, and a system whose
+    # generators all carry two or more terms, one with a monomial factor,
+    # takes the Groebner route, which the given degrees choose.
+    rng = random.Random(72)
+    systems = _face_systems(monkeypatch)
+    assert len(systems) > 50
+    systems += _random_homogeneous_systems(rng, 150)
+    routes = set()
+    for system in systems:
+        nvars = len(next(iter(system[0])))
+        expected = torus_feasible(system).status
+        scaled = []
+        for g in system:
+            a = [0] * nvars
+            for _ in range(rng.randint(0, 2)):
+                a[rng.randrange(nvars)] += 1
+            scaled.append({tuple(map(sum, zip(m, a))): c for m, c in g.items()})
+        before = copy.deepcopy(scaled)
+        verdict = torus_feasible(scaled)
+        assert verdict.status == expected, system
+        assert scaled == before  # the caller's dicts are never changed
+        if all(len(g) > 1 for g in scaled) and any(
+            any(min(column) for column in zip(*g)) for g in scaled
+        ):
+            assert verdict.method == "groebner", system
+            routes.add(expected)
+    assert routes == {FEASIBLE, INFEASIBLE}
 
 
 def test_torus_feasible_rejects_malformed_integer_generators():
