@@ -34,7 +34,6 @@ from .groebner import (
     torus_feasible,
 )
 from .guards import ResourceLimit
-from .linalg import smith_normal_form
 from .poly import (
     ParseError,
     Polynomial,
@@ -48,7 +47,6 @@ from .polytope import (
     faces,
     independence_polytope,
     is_simple,
-    lattice_points,
 )
 from .setfunc import (
     PolymatroidCheckReport,

@@ -13,18 +13,19 @@ the faces of the truncation polytope and decides torus feasibility of each
 face-restricted derivative system, one face per orbit of the variable swaps
 fixing the polynomial.  When every variable occurs, the order-(d-1) truncation
 min(1, rho) is the rank function of U(1, n), so its polytope is the standard
-simplex, built in closed form once per n with its face lattice and, in a cache
-of its own, the mask of the derivative columns on each face: its columns are
-then the n unit vectors.  These are the only state kept between calls: past
-the greedy guard, at most 8 frozen simplices and 8 mask tables.  One
-certificate computes the support's M-convexity, its swaps and each other
-truncation polytope with its face lattice once, after its guards, and its rank
-function rho at most once, below the greedy guard and only for the orders
-k < d - 1 and the summed polytope: never for a quadric.  It skips the polymatroid
-axiom check, as rho of an M-convex support, its truncations and their sum are
-polymatroids.  An independent Groebner oracle (toric ideal plus centre forms,
-decided by one Groebner basis and the finiteness theorem) cross-validates the
-face walk on small instances.
+simplex, built in closed form once per n, in one cache with its face lattice
+and the mask of the derivative columns on each face: its columns are then the
+n unit vectors.  That cache is the only state kept between calls: past the
+greedy guard, at most 8 entries.  One certificate computes the support's
+M-convexity, its swaps and each other truncation polytope with its face
+lattice once, after its guards, and its rank function rho at most once, below
+the greedy guard and only for the orders k < d - 1 and the summed polytope:
+never for a quadric.  It skips the polymatroid axiom check, as rho of an
+M-convex support, its truncations and their sum are polymatroids.  An
+independent Groebner oracle (toric ideal plus centre forms, decided by one
+Groebner basis and the finiteness theorem) cross-validates the face walk on
+small instances.  It builds no rho and no polytope: the derivative columns
+fill the truncation polytope iff they are M-convex.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .groebner import (
 )
 from .guards import MAX_CERTIFY_DEGREE, ResourceLimit, degree_guard
 from .poly import Exponent, Polynomial, grevlex_key, read_exponent
-from .polytope import Face, LatticePolytope, base_polytope, faces, is_simple, lattice_points
+from .polytope import Face, LatticePolytope, base_polytope, faces, is_simple
 from .polytope import _polymatroid_polytope, _simplex, require_greedy
 from .setfunc import MAX_GROUND_SET, rank_from_support, truncate, truncation_sum
 
@@ -314,8 +315,7 @@ def _decide(
         # min(1, rho) is U(1, n)'s rank function when every variable occurs in h
         simplex = k == h.total_degree - 1 and all(map(any, zip(*h.support())))
         if simplex:
-            body, lattice = _simplex_lattice(h.nvars)
-            on_facets = _simplex_column_masks(h.nvars).__getitem__
+            body, lattice, on_facets = _simplex_lattice(h.nvars)
         else:
             body = truncation(k)
             lattice, on_facets = faces(body), _column_masks(body, space.columns)
@@ -366,22 +366,19 @@ def _decide(
 
 
 @functools.cache  # n <= MAX_GREEDY_GROUND_SET past the guard: at most 8 entries
-def _simplex_lattice(n: int) -> tuple[LatticePolytope, tuple[Face, ...]]:
-    """The standard simplex on n vertices and its face lattice, built once per n."""
-    return (body := _simplex(n)), tuple(faces(body))
-
-
-@functools.cache  # filled past the greedy guard as `_simplex_lattice` is: at most 8 entries
-def _simplex_column_masks(n: int) -> dict[int, int]:
-    """`_column_masks` of `_simplex_lattice(n)` at the facet mask of each face, in its order.
+def _simplex_lattice(n: int) -> tuple[LatticePolytope, tuple[Face, ...], Callable[[int], int]]:
+    """The standard simplex on n vertices, its face lattice and its column masks, once per n.
 
     The order-(d-1) columns are the n unit vectors in descending grevlex
-    order whenever every variable occurs in h, so the masks depend on n alone;
-    a face of a simplex is the only face with its facet mask.
+    order whenever every variable occurs in h, so the `_column_masks` lookup
+    depends on n alone; it reads a table keyed by facet mask, as a face of a
+    simplex is the only face with its facet mask.
     """
-    body, lattice = _simplex_lattice(n)
+    body = _simplex(n)
+    lattice = tuple(faces(body))
     on_facets = _column_masks(body, [tuple(int(i == j) for j in range(n)) for i in range(n)])
-    return {face.facet_mask: on_facets(face.facet_mask) for face in lattice}
+    masks = {face.facet_mask: on_facets(face.facet_mask) for face in lattice}
+    return body, lattice, masks.__getitem__
 
 
 def _column_masks(body: LatticePolytope, columns: Sequence[Exponent]) -> Callable[[int], int]:
@@ -413,23 +410,26 @@ def oracle_centre_disjoint(
 ) -> str:
     """Independent disjointness decision via the toric ideal.
 
-    Builds the toric ideal of the truncation polytope's lattice points, adds
-    the centre's defining linear forms, and tests projective emptiness with
-    one Groebner basis, which extends the toric ideal's reduced basis by the
+    Builds the toric ideal of the order-k derivative columns C_k, adds the
+    centre's defining linear forms, and tests projective emptiness with one
+    Groebner basis, which extends the toric ideal's reduced basis by the
     forms.  Returns "yes" (disjoint) or "no".
-    Raises ValueError when the derivative support does not fill the
-    truncation polytope, and ResourceLimit above MAX_TORIC_POINTS (12)
-    points, at the pair cap, or at the greedy or lattice-scan cap.
+
+    The rank function of C_k = {m - a : m in supp h, |a| = k} is truncate(rho,
+    k), as the max over a of (m - a)(S) is min(m(S), d - k), and an M-convex
+    set is the set of lattice points of the base polytope of its rank function
+    (Murota, Discrete Convex Analysis, 2003, ch. 4).  So C_k fills the
+    truncation polytope iff it is M-convex, and ValueError is raised when it
+    is not.  No rho and no polytope is built.  ResourceLimit comes from the
+    partial-count cap, above MAX_TORIC_POINTS (12) columns, or at the pair cap.
     """
     space = derivative_space(h, k)
-    body = base_polytope(truncate(rank_from_support(h.support()), k))
-    pts = sorted(lattice_points(body), key=grevlex_key, reverse=True)
-    if set(pts) != set(space.columns):
+    if not is_mconvex(space.columns)[0]:
         raise ValueError(
             "oracle requires the derivative support to fill the truncation polytope"
         )
-    nz = len(pts)  # variable z_i <-> pts[i] == space.columns[i]
-    gens = list(toric_ideal(pts, max_pairs).generators)
+    nz = len(space.columns)  # descending grevlex, as toric_ideal orders them: z_i <-> columns[i]
+    gens = list(toric_ideal(space.columns, max_pairs).generators)
     toric = len(gens)  # a reduced grevlex basis: the final basis extends it
     z = [tuple(int(i == j) for j in range(nz)) for i in range(nz)]  # z[i] is z_i
     gens += [{z[i]: c for i, c in enumerate(row) if c} for row in space.matrix]

@@ -4,10 +4,9 @@ Every elimination runs on one fraction-free (Bareiss) Gauss-Jordan kernel
 over Python ints; rational rows are first scaled by the lcm of their
 denominators, which changes neither the row space nor the reduced echelon
 form.  RREF rows and kernel vectors come back as primitive integer vectors,
-the rational ones up to a positive scale.  Smith normal form returns the
-divisor matrix together with the unimodular transforms, read off one
-augmented matrix; the saturated integer kernels of toric ideals are built on
-it.
+the rational ones up to a positive scale.  The saturated integer kernels of
+toric ideals come from one reduction of [M; I] by unimodular column
+operations.
 """
 
 from __future__ import annotations
@@ -102,64 +101,28 @@ def primitive_vector(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in vec) if g > 1 else tuple(vec)
 
 
-def smith_normal_form(
-    matrix: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form: returns (D, U, V) with U @ M @ V = D.
+def integer_kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
+    """Basis of the saturated lattice {v in Z^ncols : M v = 0}.
 
-    D is diagonal with nonnegative elementary divisors d_1 | d_2 | ...;
-    U and V are unimodular.  Exact over the integers.  Each elementary
-    operation runs once on W = [[M, I_m], [I_n, 0]]: row operations on the
-    first m rows carry U beside M, column operations on the first n columns
-    carry V below it.
+    One reduction of the stacked matrix [M; I] by unimodular column
+    operations (Cohen, A Course in Computational Algebraic Number Theory,
+    1993, sec. 2.4): row by row, Euclid's steps on the columns not yet holding
+    a pivot leave one nonzero entry there, which becomes the next pivot.  The
+    columns with no pivot are then zero on M, and their identity parts are a
+    basis of the kernel lattice, as the column operations are unimodular.
     """
     m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    w = [[int(x) for x in row] + [int(i == j) for j in range(m)] for i, row in enumerate(matrix)]
-    w += [[int(i == j) for j in range(n)] + [0] * m for i in range(n)]
-    t = 0
-    while t < min(m, n):
-        # a nonzero pivot of least absolute value, the first in row-major order
-        entries = [(abs(w[i][j]), i, j) for i in range(t, m) for j in range(t, n) if w[i][j]]
-        if not entries:
-            break
-        _, i, j = min(entries)
-        w[t], w[i] = w[i], w[t]
-        for row in w:
-            row[t], row[j] = row[j], row[t]
-        if w[t][t] < 0:
-            w[t] = [-x for x in w[t]]
-        p = w[t][t]
-        dirty = False
-        for i in range(t + 1, m):
-            if q := w[i][t] // p:
-                w[i] = [x - q * y for x, y in zip(w[i], w[t])]
-                dirty |= w[i][t] != 0
-        for j in range(t + 1, n):
-            if q := w[t][j] // p:
-                for row in w:
-                    row[j] -= q * row[t]
-                dirty |= w[t][j] != 0
-        if dirty:
-            continue
-        # the pivot must divide every remaining entry; otherwise fold one in and redo
-        rest = range(t + 1, n)
-        offender = next((i for i in range(t + 1, m) if any(w[i][j] % p for j in rest)), None)
-        if offender is None:
-            t += 1
-        else:
-            w[t] = [x + y for x, y in zip(w[t], w[offender])]
-    return [row[:n] for row in w[:m]], [row[n:] for row in w[:m]], [row[:n] for row in w[m:]]
-
-
-def integer_kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
-    """Basis of the saturated lattice {v in Z^ncols : M v = 0}."""
-    rows = [list(row) for row in matrix]
-    if not rows:
-        return [tuple(1 if i == j else 0 for j in range(ncols)) for i in range(ncols)]
-    d, _, v = smith_normal_form(rows)
-    r = sum(1 for i in range(min(len(d), ncols)) if d[i][i])
-    basis = []
-    for j in range(r, ncols):
-        basis.append(tuple(v[i][j] for i in range(ncols)))
-    return basis
+    cols = [[row[j] for row in matrix] + [int(i == j) for i in range(ncols)] for j in range(ncols)]
+    t = 0  # the columns before t hold the pivots
+    for i in range(m):
+        while live := [(abs(col[i]), j) for j, col in enumerate(cols[t:], t) if col[i]]:
+            _, j = min(live)  # the least entry, the first of a tie
+            cols[t], cols[j] = cols[j], cols[t]
+            pivot = cols[t]
+            for col in cols[t + 1 :]:
+                if q := col[i] // pivot[i]:
+                    col[:] = [x - q * y for x, y in zip(col, pivot)]
+            if len(live) == 1:
+                t += 1
+                break
+    return [tuple(col[m:]) for col in cols[t:]]

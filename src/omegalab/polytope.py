@@ -34,13 +34,11 @@ __all__ = [
     "ResourceLimit",
     "independence_polytope",
     "base_polytope",
-    "lattice_points",
     "faces",
     "is_simple",
 ]
 
 MAX_GREEDY_GROUND_SET = 8
-MAX_SCAN_CELLS = 5_000_000
 _ZERO_FLAGS = bytes.maketrans(b"\0\x80", b"10")  # a field's top byte: 1 where the field is 0
 
 Point = tuple[int, ...]
@@ -248,53 +246,6 @@ def independence_polytope(f: SetFunction) -> LatticePolytope:
 def base_polytope(f: SetFunction) -> LatticePolytope:
     """B(f), the face of P(f) at x(E) = f(E); ValueError when f is not a polymatroid."""
     return _polymatroid_polytope(_require_polymatroid(f), bases_only=True)
-
-
-# -- lattice points ----------------------------------------------------------------
-
-
-def lattice_points(p: LatticePolytope) -> list[Point]:
-    """All integer points of the polytope, by pruned bounding-box scan."""
-    n = p.ambient_dim
-    lo = [min(v[i] for v in p.vertices) for i in range(n)]
-    hi = [max(v[i] for v in p.vertices) for i in range(n)]
-    constraints: list[Inequality] = list(p.inequalities)
-    for a, b in p.equations:
-        constraints += [(a, b), (tuple(-x for x in a), -b)]
-
-    # suffix_min[c][i] = minimal achievable contribution of coordinates i.. to a.x
-    suffix_min = []
-    for a, _ in constraints:
-        row = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            row[i] = row[i + 1] + min(a[i] * lo[i], a[i] * hi[i])
-        suffix_min.append(row)
-
-    out: list[Point] = []
-    budget = [MAX_SCAN_CELLS]
-    point = [0] * n
-
-    def rec(i: int, partial: list[int]) -> None:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ResourceLimit("lattice-point scan exceeded the cell cap")
-        if i == n:
-            out.append(tuple(point))
-            return
-        for x in range(lo[i], hi[i] + 1):
-            nxt = [s + a[i] * x for s, (a, _) in zip(partial, constraints)]
-            ok = True
-            for c, (s, (_, b)) in enumerate(zip(nxt, constraints)):
-                if s + suffix_min[c][i + 1] > b:
-                    ok = False
-                    break
-            if ok:
-                point[i] = x
-                rec(i + 1, nxt)
-        point[i] = 0
-
-    rec(0, [0] * len(constraints))
-    return sorted(out)
 
 
 # -- faces and simplicity ----------------------------------------------------------

@@ -26,7 +26,6 @@ from omegalab import (
     grevlex_key,
     groebner,
     is_mconvex,
-    lattice_points,
     linalg,
     rank_from_support,
     truncate,
@@ -366,6 +365,106 @@ def reference_hull(points):
     return dim, set(normals), vertices
 
 
+# -- lattice points and the Smith normal form (test-only references) -------------------
+
+MAX_SCAN_CELLS = 5_000_000
+
+
+def lattice_points(p) -> list[tuple[int, ...]]:
+    """All integer points of the polytope, by pruned bounding-box scan.
+
+    Raises ResourceLimit past MAX_SCAN_CELLS visited cells.
+    """
+    n = p.ambient_dim
+    lo = [min(v[i] for v in p.vertices) for i in range(n)]
+    hi = [max(v[i] for v in p.vertices) for i in range(n)]
+    constraints = list(p.inequalities)
+    for a, b in p.equations:
+        constraints += [(a, b), (tuple(-x for x in a), -b)]
+
+    # suffix_min[c][i] = minimal achievable contribution of coordinates i.. to a.x
+    suffix_min = []
+    for a, _ in constraints:
+        row = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            row[i] = row[i + 1] + min(a[i] * lo[i], a[i] * hi[i])
+        suffix_min.append(row)
+
+    out = []
+    budget = [MAX_SCAN_CELLS]
+    point = [0] * n
+
+    def rec(i: int, partial: list[int]) -> None:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise ResourceLimit("lattice-point scan exceeded the cell cap")
+        if i == n:
+            out.append(tuple(point))
+            return
+        for x in range(lo[i], hi[i] + 1):
+            nxt = [s + a[i] * x for s, (a, _) in zip(partial, constraints)]
+            ok = True
+            for c, (s, (_, b)) in enumerate(zip(nxt, constraints)):
+                if s + suffix_min[c][i + 1] > b:
+                    ok = False
+                    break
+            if ok:
+                point[i] = x
+                rec(i + 1, nxt)
+        point[i] = 0
+
+    rec(0, [0] * len(constraints))
+    return sorted(out)
+
+
+def smith_normal_form(matrix):
+    """Smith normal form: returns (D, U, V) with U @ M @ V = D.
+
+    D is diagonal with nonnegative elementary divisors d_1 | d_2 | ...;
+    U and V are unimodular.  Exact over the integers.  Each elementary
+    operation runs once on W = [[M, I_m], [I_n, 0]]: row operations on the
+    first m rows carry U beside M, column operations on the first n columns
+    carry V below it.
+    """
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    w = [[int(x) for x in row] + [int(i == j) for j in range(m)] for i, row in enumerate(matrix)]
+    w += [[int(i == j) for j in range(n)] + [0] * m for i in range(n)]
+    t = 0
+    while t < min(m, n):
+        # a nonzero pivot of least absolute value, the first in row-major order
+        entries = [(abs(w[i][j]), i, j) for i in range(t, m) for j in range(t, n) if w[i][j]]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        w[t], w[i] = w[i], w[t]
+        for row in w:
+            row[t], row[j] = row[j], row[t]
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
+        p = w[t][t]
+        dirty = False
+        for i in range(t + 1, m):
+            if q := w[i][t] // p:
+                w[i] = [x - q * y for x, y in zip(w[i], w[t])]
+                dirty |= w[i][t] != 0
+        for j in range(t + 1, n):
+            if q := w[t][j] // p:
+                for row in w:
+                    row[j] -= q * row[t]
+                dirty |= w[t][j] != 0
+        if dirty:
+            continue
+        # the pivot must divide every remaining entry; otherwise fold one in and redo
+        rest = range(t + 1, n)
+        offender = next((i for i in range(t + 1, m) if any(w[i][j] % p for j in rest)), None)
+        if offender is None:
+            t += 1
+        else:
+            w[t] = [x + y for x, y in zip(w[t], w[offender])]
+    return [row[:n] for row in w[:m]], [row[n:] for row in w[:m]], [row[:n] for row in w[m:]]
+
+
 # -- the order-k partials by the multiset-major scan (test-only) -----------------------
 
 
@@ -474,7 +573,7 @@ def reference_is_smooth(p):
             if coords is None or any(c.denominator != 1 for c in coords):
                 return False, v
             rows.append([int(c) for c in coords])
-        d, _, _ = linalg.smith_normal_form(rows)
+        d, _, _ = smith_normal_form(rows)
         if any(d[j][j] != 1 for j in range(p.dim)):
             return False, v
     return True, None

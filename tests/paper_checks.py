@@ -48,7 +48,6 @@ from omegalab.polytope import (
     _polytope,
     base_polytope,
     faces,
-    lattice_points,
 )
 from omegalab.setfunc import (
     GroundSetTooLarge,
@@ -60,7 +59,12 @@ from omegalab.setfunc import (
     truncate,
 )
 
-from helpers import eliminating_buchberger_intdicts, partials_support, reference_solve
+from helpers import (
+    eliminating_buchberger_intdicts,
+    lattice_points,
+    partials_support,
+    reference_solve,
+)
 
 MAX_HULL_AMBIENT_DIM = 6
 MAX_HULL_SUBSETS = 500_000

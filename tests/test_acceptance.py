@@ -21,7 +21,6 @@ from omegalab import (
     is_lorentzian,
     is_mconvex,
     is_simple,
-    lattice_points,
     oracle_centre_disjoint,
     parse_polynomial,
     rank_from_support,
@@ -38,6 +37,7 @@ from helpers import (
     SMOOTH_CUBIC_TEXT,
     WXYZ,
     X123,
+    lattice_points,
     partials_support,
     random_mconvex_support,
     random_polymatroid,

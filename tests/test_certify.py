@@ -16,7 +16,6 @@ from omegalab import (
     faces,
     is_lorentzian,
     is_mconvex,
-    lattice_points,
     oracle_centre_disjoint,
     parse_polynomial,
     smoothable_probe,
@@ -33,6 +32,7 @@ from helpers import (
     WXYZ,
     X123,
     bench_fixtures,
+    lattice_points,
     poly_to_intdict,
     random_mconvex_support,
     random_positive_polynomial,
@@ -639,7 +639,7 @@ def test_self_check_builds_no_face_lattice_or_smith_form(monkeypatch, fresh_simp
     import omegalab.linalg
     import omegalab.polytope
 
-    counts = dict.fromkeys(("faces", "smith_normal_form", "integer_kernel_basis"), 0)
+    counts = dict.fromkeys(("faces", "integer_kernel_basis"), 0)
 
     def counter(name, real):
         def counted(*args, **kwargs):
@@ -651,13 +651,12 @@ def test_self_check_builds_no_face_lattice_or_smith_form(monkeypatch, fresh_simp
     faces = counter("faces", omegalab.polytope.faces)
     for module in (omegalab.certify, omegalab.polytope):
         monkeypatch.setattr(module, "faces", faces)
-    for name in ("smith_normal_form", "integer_kernel_basis"):
-        counted = counter(name, getattr(omegalab.linalg, name))
-        for module in (omegalab.linalg, omegalab.groebner):  # every module that binds the name
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+    counted = counter("integer_kernel_basis", omegalab.linalg.integer_kernel_basis)
+    for module in (omegalab.linalg, omegalab.groebner):  # every module that binds the name
+        monkeypatch.setattr(module, "integer_kernel_basis", counted)
     assert certify_smooth(elementary_symmetric(3, 5)).verdict == "smooth-toric"
-    assert counts == {"faces": 2, "smith_normal_form": 0, "integer_kernel_basis": 0}
+    assert counts == {"faces": 2, "integer_kernel_basis": 0}
+    assert not hasattr(omegalab.linalg, "smith_normal_form")  # the library holds no Smith form
 
 
 def test_certificate_orders_match_centre_disjoint():
@@ -732,8 +731,9 @@ def test_the_cached_simplex_lattice_is_a_fresh_one(fresh_simplices):
     from omegalab.polytope import _simplex
 
     for n in range(1, 9):
-        body, lattice = fresh_simplices(n)
-        assert fresh_simplices(n)[0] is body and type(lattice) is tuple
+        entry = fresh_simplices(n)
+        body, lattice, _ = entry
+        assert fresh_simplices(n) is entry and type(lattice) is tuple  # built once per n
         fresh = _simplex(n)
         assert body == fresh and body.facet_masks == fresh.facet_masks
         # the same faces in the same order, with the same masks and facet masks
@@ -744,6 +744,7 @@ def test_the_cached_simplex_lattice_is_a_fresh_one(fresh_simplices):
 def test_quadrics_on_one_n_build_the_simplex_lattice_once(monkeypatch, fresh_simplices):
     faces_calls = _count_calls(monkeypatch, "faces")
     simplex_calls = _count_calls(monkeypatch, "_simplex")
+    mask_calls = _count_calls(monkeypatch, "_column_masks")
     texts = [
         "x1*x2 + x1*x3 + x2*x3",
         "x1^2 + x1*x2 + x2^2 + x1*x3 + x2*x3 + x3^2",
@@ -751,7 +752,7 @@ def test_quadrics_on_one_n_build_the_simplex_lattice_once(monkeypatch, fresh_sim
     ]
     certs = [certify_smooth(parse_polynomial(text, X123)) for text in texts]
     assert [cert.verdict for cert in certs] == ["smooth-toric"] * 3
-    assert len(faces_calls) == 1 and simplex_calls == [(3,)]
+    assert len(faces_calls) == len(mask_calls) == 1 and simplex_calls == [(3,)]
     assert all(cert.polytope is fresh_simplices(3)[0] for cert in certs)  # the shared simplex
 
 
@@ -766,10 +767,9 @@ def test_the_greedy_guard_fires_before_the_simplex_cache(fresh_simplices):
 
 
 def test_the_cached_simplex_column_masks_are_those_of_a_fresh_simplex(fresh_simplices):
-    from omegalab.certify import _image, _simplex_column_masks
+    from omegalab.certify import _image
     from omegalab.polytope import _simplex
 
-    _simplex_column_masks.cache_clear()
     for n in range(1, 9):
         units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         # the order-(d - 1) columns whenever every variable occurs
@@ -781,7 +781,7 @@ def test_the_cached_simplex_column_masks_are_those_of_a_fresh_simplex(fresh_simp
             1 << j: every ^ sum(1 << i for i, c in enumerate(units) if sum(map(mul, a, c)) == b)
             for j, (a, b) in enumerate(fresh.inequalities)
         }
-        masks = _simplex_column_masks(n)
+        masks = fresh_simplices(n)[2].__self__  # the table the lookup reads
         lattice = faces(fresh)
         assert list(masks) == [face.facet_mask for face in lattice]  # each face, in lattice order
         assert list(masks.values()) == [every ^ _image(face.facet_mask, off) for face in lattice]
@@ -789,12 +789,12 @@ def test_the_cached_simplex_column_masks_are_those_of_a_fresh_simplex(fresh_simp
         assert list(masks.values()) == [
             sum(1 << units.index(v) for v in face.vertices) for face in lattice
         ]
-    assert _simplex_column_masks.cache_info().currsize == 8
+    assert fresh_simplices.cache_info().currsize == 8
 
 
 def test_faces_still_returns_a_fresh_list(fresh_simplices):
     assert certify_smooth(elementary_symmetric(2, 4)).verdict == "smooth-toric"
-    body, lattice = fresh_simplices(4)
+    body, lattice, _ = fresh_simplices(4)
     first, second = faces(body), faces(body)
     assert type(first) is list and first is not second and first == second == list(lattice)
     first.clear()
@@ -880,6 +880,58 @@ def test_oracle_agrees_on_a_corpus_with_intersecting_centres():
             assert oracle == centre_disjoint(h, k).disjoint, (supp, k)
             answers.append(oracle)
     assert answers.count("no") >= 5
+
+
+def test_oracle_refuses_a_derivative_support_that_does_not_fill():
+    # the order-1 columns are x^2 and y^2; the truncation polytope also holds x*y
+    h = parse_polynomial("x^3 + y^3", ["x", "y"])
+    assert derivative_space(h, 1).columns == ((2, 0), (0, 2))
+    with pytest.raises(ValueError, match="fill the truncation polytope"):
+        oracle_centre_disjoint(h, 1)
+
+
+def test_oracle_builds_no_rank_function_and_no_polytope(monkeypatch):
+    import omegalab.certify
+    from omegalab.guards import ResourceLimit
+
+    def refuse(*args):
+        raise AssertionError("the oracle built rho or a polytope")
+
+    for name in ("rank_from_support", "base_polytope", "require_greedy", "_polymatroid_polytope"):
+        monkeypatch.setattr(omegalab.certify, name, refuse)
+    assert not hasattr(omegalab.certify, "lattice_points")
+    assert oracle_centre_disjoint(elementary_symmetric(3, 5), 1) == "yes"
+    # past the greedy guard, within the 12-point cap: an answer, not a ResourceLimit
+    assert oracle_centre_disjoint(elementary_symmetric(2, 9), 1) == "yes"
+    with pytest.raises(ResourceLimit, match="toric ideal capped at 12 points"):
+        oracle_centre_disjoint(elementary_symmetric(2, 13), 1)
+
+
+def test_derivative_columns_are_mconvex_iff_they_fill_the_truncation_polytope():
+    # The oracle's refusal test: the columns C_k have rank function
+    # truncate(rho, k), and an M-convex set is the set of lattice points of
+    # the base polytope of its rank function.
+    from omegalab import base_polytope, rank_from_support, truncate
+
+    rng = random.Random(3535)
+    seen = {"fills": 0, "does not fill": 0, "not a polymatroid": 0}
+    for _ in range(500):
+        n, d = rng.randint(2, 5), rng.randint(2, 4)
+        monomials = _compositions(d, n)
+        supp = rng.sample(monomials, rng.randint(1, min(8, len(monomials))))
+        h = Polynomial(n, dict.fromkeys(supp, 1))
+        rho = rank_from_support(supp)
+        for k in range(1, d):
+            columns = derivative_space(h, k).columns
+            assert rank_from_support(columns) == truncate(rho, k), (supp, k)
+            try:
+                fills = set(columns) == set(lattice_points(base_polytope(truncate(rho, k))))
+            except ValueError:  # truncate(rho, k) is not a polymatroid
+                fills = False
+                seen["not a polymatroid"] += 1
+            assert is_mconvex(columns)[0] == fills, (supp, k)
+            seen["fills" if fills else "does not fill"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_probe_symmetric_support_all_smooth():

@@ -212,7 +212,9 @@ def test_check_derivative_supports_reports_non_mconvex_comparison():
 
 
 def test_minkowski_sum_of_derivative_supports_matches_polytope():
-    from omegalab import base_polytope, lattice_points, truncation_sum
+    from omegalab import base_polytope, truncation_sum
+
+    from helpers import lattice_points
 
     rng = random.Random(55)
     for _ in range(12):

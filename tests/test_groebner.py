@@ -836,7 +836,7 @@ def test_the_step_rule_never_takes_more_steps_than_the_lowest_index_rule(monkeyp
             assert new <= old, pts
             totals[0] += new
             totals[1] += old
-    assert totals == [2 * 127, 2 * 223]
+    assert totals == [2 * 125, 2 * 223]
 
 
 def test_two_term_kernel_agrees_with_the_general_kernel(monkeypatch):

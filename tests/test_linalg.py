@@ -5,10 +5,11 @@ import json
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
-from omegalab.linalg import integer_kernel_basis, kernel_basis, rref, smith_normal_form
+from omegalab.linalg import integer_kernel_basis, kernel_basis, rref
 
-from helpers import reference_kernel, reference_rref
+from helpers import reference_kernel, reference_rref, smith_normal_form
 
 
 def _divisors(matrix):
@@ -143,6 +144,23 @@ def test_elimination_matches_fraction_reference():
         reduced, pivots = reference_rref(rows, n)
         assert rref(rows, n) == ([_primitive(row) for row in reduced], pivots)
         assert kernel_basis(rows, n) == [_primitive(vec) for vec in reference_kernel(rows, n)]
+
+
+def test_integer_kernel_matches_the_smith_reference():
+    # a basis of the saturated kernel: in the kernel, ncols - rank vectors,
+    # and Smith divisors all 1 (the lattice it spans is the whole kernel's)
+    rng = random.Random(35)
+    shapes = [(0, 0), (0, 4), (3, 0), (2, 3)]
+    shapes += [(rng.randint(0, 6), rng.randint(1, 7)) for _ in range(400)]
+    for m, n in shapes:
+        rows = _matrix(rng, m, n, rng.choice(("int", "sparse")))
+        basis = integer_kernel_basis(rows, n)
+        assert all(sum(map(mul, row, vec)) == 0 for row in rows for vec in basis), rows
+        assert len(basis) == n - len(rref(rows, n)[1]), rows
+        assert all(len(vec) == n for vec in basis), rows
+        assert not basis or _divisors(basis) == [1] * len(basis), rows
+    assert integer_kernel_basis([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert integer_kernel_basis([[0, 0]], 2) == [(1, 0), (0, 1)]
 
 
 def test_empty_and_inconsistent_systems():

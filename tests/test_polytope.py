@@ -18,7 +18,6 @@ from omegalab import (
     independence_polytope,
     is_polymatroid,
     is_simple,
-    lattice_points,
     rank_from_support,
     truncate,
     truncation_sum,
@@ -27,10 +26,12 @@ from omegalab.derivatives import derivative_space, elementary_symmetric
 from omegalab.guards import ResourceLimit
 from omegalab.poly import parse_polynomial
 
+import helpers
 import paper_checks
 from helpers import (
     PLANE_CUBIC_TEXT,
     X123,
+    lattice_points,
     random_matroid,
     random_mconvex_support,
     random_polymatroid,
@@ -250,7 +251,7 @@ def test_lattice_points_equal_support_for_plane_cubic():
 
 
 def test_lattice_points_guard(monkeypatch):
-    monkeypatch.setattr(omegalab.polytope, "MAX_SCAN_CELLS", 3)
+    monkeypatch.setattr(helpers, "MAX_SCAN_CELLS", 3)
     body = base_polytope(truncation_sum(U24))
     with pytest.raises(ResourceLimit):
         lattice_points(body)
