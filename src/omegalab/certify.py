@@ -4,28 +4,26 @@ Given a homogeneous polynomial with rational coefficients this module gates
 on M-convexity of the support, runs the exact Lorentzian signature test, and
 decides for every derivative order k whether the centre of the projection
 from monomial coordinates meets the toric variety of the truncated base
-polytope.  Disjointness for all orders certifies that the associated
+polytope P_k.  Disjointness for all orders certifies that the associated
 resolution is the smooth toric variety of the summed-truncation polytope,
 which is emitted with the certificate.
 
 The per-order test decomposes the toric variety into torus orbits indexed by
-the faces of the truncation polytope and decides torus feasibility of each
-face-restricted derivative system, one face per orbit of the variable swaps
-fixing the polynomial.  When every variable occurs, the order-(d-1) truncation
-min(1, rho) is the rank function of U(1, n), so its polytope is the standard
-simplex, built in closed form once per n, in one cache with its face lattice
-and the mask of the derivative columns on each face: its columns are then the
-n unit vectors.  That cache is the only state kept between calls: past the
-greedy guard, at most 8 entries.  One certificate computes the support's
-M-convexity, its swaps and each other truncation polytope with its face
-lattice once, after its guards, and its rank function rho at most once, below
-the greedy guard and only for the orders k < d - 1 and the summed polytope:
-never for a quadric.  It skips the polymatroid axiom check, as rho of an
-M-convex support, its truncations and their sum are polymatroids.  An
-independent Groebner oracle (toric ideal plus centre forms, decided by one
-Groebner basis and the finiteness theorem) cross-validates the face walk on
-small instances.  It builds no rho and no polytope: the derivative columns
-fill the truncation polytope iff they are M-convex.
+the faces of P_k and decides torus feasibility of each face-restricted
+derivative system, one face per orbit of the variable swaps fixing the
+polynomial.  M-convex order-k derivative columns are the lattice points of
+P_k, so a face is the mask of the columns on it: the walk reads the facets as
+masks off truncate(rho, k), closes them under meets, and builds no polytope.
+`centre_disjoint` and the independent Groebner oracle (toric ideal plus
+centre forms, one Groebner basis) share that precondition and raise
+ValueError without it; an M-convex support meets it.  When every variable
+occurs, the order-(d-1) truncation min(1, rho) is the rank function of
+U(1, n): the standard simplex, with the columns as vertices, built in closed
+form with its face lattice in the only cache kept between calls, once per n.
+One certificate computes the support's swaps once, and rho at most once,
+below the greedy guard, for the orders k < d - 1 and the summed polytope:
+never for a quadric.  It runs no polymatroid axiom check, as rho of an
+M-convex support, its truncations and their sum are polymatroids.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from math import lcm
 from operator import itemgetter, mul, or_
 from typing import Callable, Iterable, Sequence
 
-from .derivatives import _partial_terms, derivative_space, partials_guard
+from .derivatives import DerivativeSpace, _partial_terms, derivative_space, partials_guard
 from .groebner import (
     DEFAULT_MAX_PAIRS,
     buchberger_intdicts,
@@ -49,9 +47,9 @@ from .groebner import (
 )
 from .guards import MAX_CERTIFY_DEGREE, ResourceLimit, degree_guard
 from .poly import Exponent, Polynomial, grevlex_key, read_exponent
-from .polytope import Face, LatticePolytope, base_polytope, faces, is_simple
-from .polytope import _polymatroid_polytope, _simplex, require_greedy
-from .setfunc import MAX_GROUND_SET, rank_from_support, truncate, truncation_sum
+from .polytope import LatticePolytope, _facets, _lattice, _polymatroid_polytope, _simplex
+from .polytope import is_simple, require_greedy
+from .setfunc import MAX_GROUND_SET, SetFunction, rank_from_support, truncate, truncation_sum
 
 VERDICT_SMOOTH = "smooth-toric"
 VERDICT_FAILS = "criterion-fails"
@@ -283,61 +281,76 @@ def centre_disjoint(
 ) -> OrderReport:
     """Decide whether the order-k projection centre misses the toric variety.
 
-    Enumerates all faces of the base polytope of the k-th truncation of the
-    support rank function; the centre meets the variety iff some face's
-    restricted derivative system has a torus zero.  The first feasible face
-    in the deterministic face order is reported as witness.  The system of a
-    face is the span basis restricted to the derivative monomials on it: the
-    same span as the restricted partials, hence the same ideal.  Faces in the
-    orbit of an infeasible face under the variable swaps fixing h are skipped.
-    For k = deg(h) - 1 with every variable occurring in h the polytope is the
-    standard simplex; otherwise it is built from the support rank function.
+    Walks the faces of the base polytope P_k of truncate(rho, k), each as the
+    mask of the order-k derivative columns on it: the centre meets the variety
+    iff some face's system, the span basis restricted to its columns, has a
+    torus zero.  The first feasible face in the face order is the witness, by
+    its vertices, and the orbit of an infeasible face under the swaps fixing h
+    is skipped.  ValueError is raised, as by `oracle_centre_disjoint`, when the
+    columns are not M-convex: the walk is exact when they fill P_k.
     """
-    truncation = lambda k: base_polytope(truncate(rank_from_support(h.support()), k))  # any h
-    return _decide(h, k, truncation, max_pairs, lambda: _swap_generators(h))[0]
+    rho = lambda: rank_from_support(h.support())
+    return _decide(h, _filling_space(h, k), rho, max_pairs, lambda: _swap_generators(h))
+
+
+def _filling_space(h: Polynomial, k: int) -> DerivativeSpace:
+    """derivative_space(h, k); ValueError unless its columns fill the truncation polytope.
+
+    The rank function of C_k = {m - a : m in supp h, |a| = k} is truncate(rho, k), as
+    the max over a of (m - a)(S) is min(m(S), d - k), and an M-convex set is the set of
+    lattice points of its rank function's base polytope (Murota, Discrete Convex Analysis,
+    2003, ch. 4).  So C_k fills it iff C_k is M-convex; then truncate(rho, k) is a polymatroid.
+    Any set of unit vectors, as C_(d-1), is M-convex.
+    """
+    space = derivative_space(h, k)
+    if k < h.total_degree - 1 and not is_mconvex(space.columns)[0]:
+        raise ValueError(f"the order-{k} derivative columns do not fill the truncation polytope")
+    return space
 
 
 def _decide(
-    h: Polynomial, k: int, truncation: Callable[[int], LatticePolytope], max_pairs: int,
+    h: Polynomial, space: DerivativeSpace, rho: Callable[[], SetFunction], max_pairs: int,
     swaps: Callable[[], list],
-) -> tuple[OrderReport, LatticePolytope | None]:
-    """(order-k report, truncation polytope or None); truncation(k), swaps() run past the guard."""
-    space = derivative_space(h, k)
+) -> OrderReport:
+    """The report of the order of `space`, whose columns fill its truncation polytope.
+
+    A face is the mask of the columns on it, bit t for the t-th in lexicographic
+    order, and its facets are read off truncate(rho(), k), or the simplex's.
+    """
+    k, columns = space.order, space.columns
     report = functools.partial(
         OrderReport,
         k=k,
         span_dim=space.span_dimension,
-        num_monomials=len(space.columns),
-        centre_dim=len(space.columns) - space.span_dimension,
+        num_monomials=len(columns),
+        centre_dim=len(columns) - space.span_dimension,
     )
     try:
         require_greedy(h.nvars)  # before rho's 2^n table
-        # min(1, rho) is U(1, n)'s rank function when every variable occurs in h
-        simplex = k == h.total_degree - 1 and all(map(any, zip(*h.support())))
-        if simplex:
-            body, lattice, on_facets = _simplex_lattice(h.nvars)
-        else:
-            body = truncation(k)
-            lattice, on_facets = faces(body), _column_masks(body, space.columns)
     except ResourceLimit as exc:
-        return report(disjoint="undecided", detail=f"order-{k} truncation polytope: {exc}"), None
-    # A swap fixing h maps the polytope onto itself, so it permutes the vertices:
-    # each perm maps a vertex's bit to its image's, and a face's mask to its image's.
-    index = {v: 1 << t for t, v in enumerate(body.vertices)}
+        return report(disjoint="undecided", detail=f"order-{k} truncation polytope: {exc}")
+    points = sorted(columns)
+    # min(1, rho) is U(1, n)'s rank function when every variable occurs in h
+    if k == h.total_degree - 1 and all(map(any, zip(*h.support()))):
+        lattice = _simplex_lattice(h.nvars)[1]
+    else:
+        lattice = _lattice(list(_facets(truncate(rho(), k), points, True)), len(points))
+    vertices = sum(mask for dim, mask, _ in lattice if dim == 0)
+    # A swap fixing h permutes the columns: each perm maps a column's bit to its
+    # image's, and a face's mask to its image's.
+    index = {c: 1 << t for t, c in enumerate(points)}
     swapped = [_transposition(h.nvars, i, j) for i, j in swaps()]
-    perms = [{bit: index[swap(v)] for v, bit in index.items()} for swap in swapped]
+    perms = [{bit: index[swap(c)] for c, bit in index.items()} for swap in swapped]
 
-    # Each basis row keeps its nonzero (bit, column, value), bit i for column i.
-    # A row wholly on a face passes its prebuilt dict; only a cut row is rebuilt.
-    columns = space.columns
-    rows = [[(1 << i, c, x) for i, (c, x) in enumerate(zip(columns, r)) if x] for r in space.matrix]
+    # Each basis row keeps its nonzero (bit, column, value).  A row wholly on
+    # a face passes its prebuilt dict; only a cut row is rebuilt.
+    rows = [[(index[c], c, x) for c, x in zip(columns, r) if x] for r in space.matrix]
     rows = [(sum(bit for bit, _, _ in row), row, {c: x for _, c, x in row}) for row in rows]
-    settled: set[int] = set()  # vertex masks of the faces in an infeasible orbit
+    settled: set[int] = set()  # masks of the faces in an infeasible orbit
     undecided = []
-    for face in lattice:
-        if face.mask in settled:
+    for _, on, _ in lattice:
+        if on in settled:
             continue
-        on = on_facets(face.facet_mask)
         gens = [
             whole if mask & on == mask else {c: x for bit, c, x in row if bit & on}
             for mask, row, whole in rows
@@ -347,14 +360,14 @@ def _decide(
         if verdict.is_feasible:
             return report(
                 disjoint="no",
-                witness_face=face.vertices,
+                witness_face=tuple(c for t, c in enumerate(points) if (on & vertices) >> t & 1),
                 detail=f"torus point on the face orbit ({verdict.method})",
-            ), body
+            )
         if verdict.status == "undecided":
             detail = f"{verdict.method} undecided on a face orbit: {verdict.certificate}"
-            undecided.append((face.mask, detail))
+            undecided.append((on, detail))
         elif perms:  # infeasible: settle the orbit
-            orbit = [face.mask]
+            orbit = [on]
             while orbit:
                 cur = orbit.pop()
                 if cur not in settled:
@@ -362,38 +375,15 @@ def _decide(
                     orbit += [_image(cur, perm) for perm in perms]
     # A face at the pair cap is undecided only if no face of its orbit was infeasible.
     detail = next((d for key, d in undecided if key not in settled), None)
-    return report(disjoint="undecided" if detail else "yes", detail=detail), body
+    return report(disjoint="undecided" if detail else "yes", detail=detail)
 
 
 @functools.cache  # n <= MAX_GREEDY_GROUND_SET past the guard: at most 8 entries
-def _simplex_lattice(n: int) -> tuple[LatticePolytope, tuple[Face, ...], Callable[[int], int]]:
-    """The standard simplex on n vertices, its face lattice and its column masks, once per n.
-
-    The order-(d-1) columns are the n unit vectors in descending grevlex
-    order whenever every variable occurs in h, so the `_column_masks` lookup
-    depends on n alone; it reads a table keyed by facet mask, as a face of a
-    simplex is the only face with its facet mask.
-    """
+def _simplex_lattice(n: int) -> tuple[LatticePolytope, tuple[tuple[int, int, int], ...]]:
+    """The standard simplex on n vertices and its face lattice, once per n: the
+    vertices are the order-(d-1) columns, in order, when every variable occurs in h."""
     body = _simplex(n)
-    lattice = tuple(faces(body))
-    on_facets = _column_masks(body, [tuple(int(i == j) for j in range(n)) for i in range(n)])
-    masks = {face.facet_mask: on_facets(face.facet_mask) for face in lattice}
-    return body, lattice, masks.__getitem__
-
-
-def _column_masks(body: LatticePolytope, columns: Sequence[Exponent]) -> Callable[[int], int]:
-    """The map from a face's facet mask to the mask of the columns on it, bit i for column i.
-
-    The derivative monomials lie in the truncation polytope, so the ones off a
-    face are those off some facet containing it: bit i of a facet's `off` mask
-    is column i.
-    """
-    every = (1 << len(columns)) - 1
-    off = {
-        1 << j: every ^ sum(1 << i for i, c in enumerate(columns) if sum(map(mul, a, c)) == b)
-        for j, (a, b) in enumerate(body.inequalities)
-    }
-    return lambda facet_mask: every ^ _image(facet_mask, off)
+    return body, tuple(_lattice(body.facet_masks, n))
 
 
 def _image(mask: int, bits: dict[int, int]) -> int:
@@ -415,19 +405,12 @@ def oracle_centre_disjoint(
     Groebner basis, which extends the toric ideal's reduced basis by the
     forms.  Returns "yes" (disjoint) or "no".
 
-    The rank function of C_k = {m - a : m in supp h, |a| = k} is truncate(rho,
-    k), as the max over a of (m - a)(S) is min(m(S), d - k), and an M-convex
-    set is the set of lattice points of the base polytope of its rank function
-    (Murota, Discrete Convex Analysis, 2003, ch. 4).  So C_k fills the
-    truncation polytope iff it is M-convex, and ValueError is raised when it
-    is not.  No rho and no polytope is built.  ResourceLimit comes from the
-    partial-count cap, above MAX_TORIC_POINTS (12) columns, or at the pair cap.
+    ValueError is raised when C_k does not fill the truncation polytope, as by
+    `centre_disjoint`.  No rho and no polytope is built.  ResourceLimit comes
+    from the partial-count cap, above MAX_TORIC_POINTS (12) columns, or at the
+    pair cap.
     """
-    space = derivative_space(h, k)
-    if not is_mconvex(space.columns)[0]:
-        raise ValueError(
-            "oracle requires the derivative support to fill the truncation polytope"
-        )
+    space = _filling_space(h, k)
     nz = len(space.columns)  # descending grevlex, as toric_ideal orders them: z_i <-> columns[i]
     gens = list(toric_ideal(space.columns, max_pairs).generators)
     toric = len(gens)  # a reduced grevlex basis: the final basis extends it
@@ -525,9 +508,8 @@ def certify_smooth(
 
     rho = functools.cache(lambda: rank_from_support(h.support()))  # made once, if at all
     swaps = functools.cache(lambda: _swap_generators(h))  # made once, if at all
-    truncation = lambda k: _polymatroid_polytope(truncate(rho(), k), True)  # rho is a polymatroid
-    decided = [_decide(h, k, truncation, max_pairs, swaps) for k in range(1, d)]
-    reports = tuple(report for report, _ in decided)
+    # An M-convex support's derivative columns are M-convex: they fill each order's polytope.
+    reports = tuple(_decide(h, derivative_space(h, k), rho, max_pairs, swaps) for k in range(1, d))
     detail = None
     if any(r.disjoint == "no" for r in reports):
         verdict = VERDICT_FAILS
@@ -539,7 +521,10 @@ def certify_smooth(
         verdict = VERDICT_SMOOTH
         # For d = 2 the summed truncation is order 1's, as truncate(rho, 2) is 0;
         # for d >= 3 its rank d(d-1)/2 exceeds every order's rank d - k.
-        body = decided[0][1] if d == 2 else _polymatroid_polytope(truncation_sum(rho(), 1), True)
+        if d == 2:  # order 1 is then the simplex
+            body = _simplex_lattice(h.nvars)[0]
+        else:  # rho is a polymatroid
+            body = _polymatroid_polytope(truncation_sum(rho(), 1), True)
         smooth, witness = is_simple(body)
         if not smooth:
             verdict, body = VERDICT_UNDECIDED, None

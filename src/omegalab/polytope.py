@@ -5,16 +5,17 @@ irredundant integer H-representation (facet inequalities and affine-hull
 equations), with each facet's vertices as `facet_masks`.  Independence and
 base polytopes P(f) and B(f) are read off f's table.  The public constructors
 run `setfunc.is_polymatroid` on f, else raise ValueError naming the broken
-axiom and its witness; the certificate's truncations of rho, a polymatroid, go
-unchecked.  The vertices are the greedy vectors, over prefixes closed under
-elements of marginal 0; the equations are x(C) = f(C) for the components C of
-f on B(f) and x_i = 0 for the loops i on P(f); the facets are the maximal
-proper vertex sets tight at some x(S) <= f(S), or -x_i <= 0 on P(f), with x(S)
-summed at every vertex at once.  The order-(d-1) truncation is the standard
-simplex, built in closed form.  A face's dimension follows from the meets of
-the face lattice.  Simplicity needs no face lattice: a vertex is simple when
-it lies on dim facets, and on a polymatroid polytope simple is already lattice
-smooth (see `is_simple`).
+axiom and its witness; the certificate's polymatroids go unchecked.  The
+vertices are the greedy vectors, over prefixes closed under elements of
+marginal 0; the equations are x(C) = f(C) for the components C of f on B(f)
+and x_i = 0 for the loops i on P(f).  The facets are the maximal proper
+point sets tight at some x(S) <= f(S), or -x_i <= 0 on P(f), over points of
+the polytope that include its vertices, and the face lattice is their meet
+closure: over the vertices for `faces`, over the derivative columns for the
+certificate's walk.  The order-(d-1) truncation is the standard simplex.
+Simplicity needs no face lattice: a vertex is simple when it lies on dim
+facets, and on a polymatroid polytope simple is already lattice smooth (see
+`is_simple`).
 """
 
 from __future__ import annotations
@@ -196,28 +197,39 @@ def _polymatroid_polytope(f: SetFunction, bases_only: bool) -> LatticePolytope:
     else:  # the loops
         parts = {1 << i for i in range(n) if values[1 << i] == 0}
     equations = tuple(sorted((_normal(c, n), values[c]) for c in parts))
+    facets = _facets(f, verts, bases_only)
+    return _polytope(n, verts, [(_normal(code, n), m) for m, code in facets.items()], equations)
 
-    # One field of `width` bytes per vertex holds f(E) below its top bit, so
+
+def _facets(f: SetFunction, points: Sequence[Point], bases_only: bool) -> dict[int, int]:
+    """The facets of B(f) or P(f) as {mask of the points on it: code}, bit i for points[i].
+
+    The points lie in the polytope and include its vertices; the code is S for
+    x(S) <= f(S), or -{i} for -x_i <= 0, and x(S) is summed at every point at once.
+    """
+    n, values = f.n, f.values
+    size, full = 1 << n, (1 << n) - 1
+    # One field of `width` bytes per point holds f(E) below its top bit, so
     # adding top - ones to a nonnegative slack sets the top bit iff it is not 0.
-    width, count = (values[full].bit_length() + 8) // 8, len(verts)
+    width, count = (values[full].bit_length() + 8) // 8, len(points)
     ones = int.from_bytes(b"\1".ljust(width, b"\0") * count, "little")
     top = ones << 8 * width - 1
 
-    def tight(slack: int) -> int:  # the mask of the vertices where the slack is 0
+    def tight(slack: int) -> int:  # the mask of the points where the slack is 0
         flags = ((slack + top - ones) & top).to_bytes(width * count, "little")[width - 1 :: width]
         return int(flags.translate(_ZERO_FLAGS)[::-1], 2)
 
-    packed = (b"".join(v[i].to_bytes(width, "little") for v in verts) for i in range(n))
+    packed = (b"".join(v[i].to_bytes(width, "little") for v in points) for i in range(n))
     columns = [int.from_bytes(column, "little") for column in packed]
-    sums = [0] * size  # x(S) at every vertex
+    sums = [0] * size  # x(S) at every point
     named: dict[int, int] = {}  # tight mask: S for x(S) <= f(S), or -{i} for -x_i <= 0
     for s in range(1, size):
         sums[s] = sums[s & s - 1] + columns[(s & -s).bit_length() - 1]
         named.setdefault(tight(values[s] * ones - sums[s]), s)
     for i in range(0 if bases_only else n):
         named.setdefault(tight(columns[i]), -1 << i)
-    proper = named.keys() - {0, (1 << count) - 1}  # tight at every vertex: an equation
-    return _polytope(n, verts, [(_normal(named[m], n), m) for m in _maximal(proper)], equations)
+    proper = named.keys() - {0, (1 << count) - 1}  # tight at every point: an equation
+    return {m: named[m] for m in _maximal(proper)}
 
 
 def _simplex(n: int) -> LatticePolytope:
@@ -252,18 +264,22 @@ def base_polytope(f: SetFunction) -> LatticePolytope:
 
 
 def faces(p: LatticePolytope) -> list[Face]:
-    """All nonempty faces as the meet-closure of facet vertex incidences.
+    """All nonempty faces, by dimension, then by `vertex_indices` in lexicographic order."""
+    return [Face(*face, p.vertices) for face in _lattice(p.facet_masks, len(p.vertices))]
 
+
+def _lattice(facet_masks: Sequence[int], count: int) -> list[tuple[int, int, int]]:
+    """(dim, mask, facet mask) of every nonempty face, as the meet closure of the facets.
+
+    The masks are over `count` sorted points of the polytope that include its
+    vertices, so a face is its set of points and a vertex is a one-point face.
     A face's dimension is one more than the largest among its nonempty proper
-    meets with the facets (its own facets are among them); a vertex has none.
-    The faces come by dimension, then by `vertex_indices` in lexicographic
-    order.  Two faces of one dimension are incomparable, so neither index
-    tuple is a prefix of the other and that order is the descending order of
-    the bit-reversed masks; each face but the polytope is the meet of its
-    facets, so its reversed mask is the meet of theirs.
+    meets with the facets; a vertex has none.  The faces come by dimension,
+    then by their vertices' indices in lexicographic order: two faces of one
+    dimension are incomparable, so neither index tuple is a prefix of the
+    other, and that order is the descending order of their bit-reversed masks
+    cut to the vertices.
     """
-    facet_masks, verts = p.facet_masks, p.vertices
-    count = len(verts)
     full = (1 << count) - 1
     closed = {full}
     frontier = [full]
@@ -277,20 +293,19 @@ def faces(p: LatticePolytope) -> list[Face]:
                     new.append(meet)
         frontier = new
 
-    flipped = [(1 << j, int(f"{fs:0{count}b}"[::-1], 2)) for j, fs in enumerate(facet_masks)]
+    vertices = sum(mask for mask in closed if mask & mask - 1 == 0)
     dims: dict[int, int] = {}
-    by_key: dict[int, Face] = {}  # dim, then the complemented reversed mask
+    out = []
     for mask in sorted(closed, key=int.bit_count):  # meets come before the face
-        dim, on, rev = -1, 0, full
-        for fs, (bit, flip) in zip(facet_masks, flipped):  # the facets, and the proper meets
+        dim, on = -1, 0
+        for j, fs in enumerate(facet_masks):  # the facets, and the proper meets
             if (m := mask & fs) == mask:
-                on |= bit
-                rev &= flip
+                on |= 1 << j
             elif m and dims[m] > dim:
                 dim = dims[m]
         dims[mask] = dim = dim + 1
-        by_key[dim << count | full ^ rev] = Face(dim, mask, on, verts)
-    return [by_key[key] for key in sorted(by_key)]
+        out.append((dim, mask, on))
+    return sorted(out, key=lambda face: (face[0], -int(f"{face[1] & vertices:0{count}b}"[::-1], 2)))
 
 
 def is_simple(p: LatticePolytope) -> tuple[bool, Point | None]:

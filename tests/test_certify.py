@@ -10,6 +10,7 @@ from operator import mul
 import pytest
 
 from omegalab import (
+    Face,
     Polynomial,
     centre_disjoint,
     certify_smooth,
@@ -18,14 +19,17 @@ from omegalab import (
     is_mconvex,
     oracle_centre_disjoint,
     parse_polynomial,
+    rank_from_support,
     smoothable_probe,
     toric_ideal,
+    truncate,
 )
 from omegalab.certify import positive_eigenvalue_count
 from omegalab.derivatives import derivative_space, elementary_symmetric
 
 from helpers import (
     _compositions,
+    all_mconvex_sets,
     PLANE_CUBIC_TEXT,
     SINGULAR_CUBIC_TEXT,
     SMOOTH_CUBIC_TEXT,
@@ -38,6 +42,7 @@ from helpers import (
     random_positive_polynomial,
     random_product_of_linear_forms,
     reference_char_poly,
+    reference_faces,
     reference_is_mconvex,
     reference_truncation_polytope,
 )
@@ -489,11 +494,13 @@ def test_certificate_json_shape():
 def test_certificate_builds_each_intermediate_once(monkeypatch):
     import omegalab.certify as certify
 
-    # Builds of rho, of base polytopes (by the unchecked greedy builder, as rho and
-    # its truncations are polymatroids) and M-convexity checks, in that order.
-    # Order d - 1 is the simplex, built without rho: a quadric never builds rho.
+    # Builds of rho, of an order's facets over its columns, of the summed polytope (by
+    # the unchecked greedy builder, as rho and its truncation sum are polymatroids) and
+    # M-convexity checks, in that order.  Order d - 1 is the simplex, built without rho:
+    # a quadric never builds rho, and its summed polytope is that simplex.
     quadric = bench_fixtures().sweep_quadrics(1)[2]  # q5.0, a seeded random quadric
-    counts = dict.fromkeys(("rank_from_support", "_polymatroid_polytope", "is_mconvex"), 0)
+    names = ("rank_from_support", "_facets", "_polymatroid_polytope", "is_mconvex")
+    counts = dict.fromkeys(names, 0)
     for name in counts:
 
         def counted(*args, _name=name, _fn=getattr(certify, name), **kwargs):
@@ -502,10 +509,10 @@ def test_certificate_builds_each_intermediate_once(monkeypatch):
 
         monkeypatch.setattr(certify, name, counted)
     cases = [
-        (elementary_symmetric(2, 4), "smooth-toric", (0, 0, 1)),
-        (elementary_symmetric(3, 5), "smooth-toric", (1, 2, 1)),
-        (parse_polynomial("x1^3 + x1*x2^2 + x3^3", X123), "not-applicable", (0, 0, 1)),
-        (parse_polynomial(quadric.text, list(quadric.names)), "smooth-toric", (0, 0, 1)),
+        (elementary_symmetric(2, 4), "smooth-toric", (0, 0, 0, 1)),
+        (elementary_symmetric(3, 5), "smooth-toric", (1, 1, 1, 1)),
+        (parse_polynomial("x1^3 + x1*x2^2 + x3^3", X123), "not-applicable", (0, 0, 0, 1)),
+        (parse_polynomial(quadric.text, list(quadric.names)), "smooth-toric", (0, 0, 0, 1)),
     ]
     for h, verdict, builds in cases:
         for _ in range(2):  # the second call builds as much again: nothing is kept
@@ -607,7 +614,7 @@ def test_past_the_greedy_guard_rho_is_not_built(monkeypatch):
 def fresh_simplices():
     """The per-n simplex cache, emptied before and after the test.
 
-    A test that spies on `faces` or patches `_simplex` empties it so that the
+    A test that spies on `_lattice` or patches `_simplex` empties it so that the
     spied or patched function really runs.
     """
     from omegalab.certify import _simplex_lattice
@@ -623,14 +630,15 @@ def test_quadric_self_check_reuses_the_order_one_face_lattice(monkeypatch, fresh
 
     calls = []
 
-    def counted(*args, _real=omegalab.polytope.faces, **kwargs):
+    def counted(*args, _real=omegalab.polytope._lattice, **kwargs):
         calls.append(args)
         return _real(*args, **kwargs)
 
     for module in (omegalab.certify, omegalab.polytope):
-        monkeypatch.setattr(module, "faces", counted)
-    assert certify_smooth(elementary_symmetric(2, 4)).verdict == "smooth-toric"
-    assert len(calls) == 1
+        monkeypatch.setattr(module, "_lattice", counted)
+    cert = certify_smooth(elementary_symmetric(2, 4))
+    assert cert.verdict == "smooth-toric"
+    assert len(calls) == 1 and cert.polytope is fresh_simplices(4)[0]
 
 
 def test_self_check_builds_no_face_lattice_or_smith_form(monkeypatch, fresh_simplices):
@@ -639,7 +647,7 @@ def test_self_check_builds_no_face_lattice_or_smith_form(monkeypatch, fresh_simp
     import omegalab.linalg
     import omegalab.polytope
 
-    counts = dict.fromkeys(("faces", "integer_kernel_basis"), 0)
+    counts = dict.fromkeys(("faces", "_lattice", "integer_kernel_basis"), 0)
 
     def counter(name, real):
         def counted(*args, **kwargs):
@@ -648,14 +656,16 @@ def test_self_check_builds_no_face_lattice_or_smith_form(monkeypatch, fresh_simp
 
         return counted
 
-    faces = counter("faces", omegalab.polytope.faces)
-    for module in (omegalab.certify, omegalab.polytope):
-        monkeypatch.setattr(module, "faces", faces)
+    for name in ("faces", "_lattice"):
+        spy = counter(name, getattr(omegalab.polytope, name))
+        for module in (omegalab.certify, omegalab.polytope):
+            monkeypatch.setattr(module, name, spy, raising=False)
     counted = counter("integer_kernel_basis", omegalab.linalg.integer_kernel_basis)
     for module in (omegalab.linalg, omegalab.groebner):  # every module that binds the name
         monkeypatch.setattr(module, "integer_kernel_basis", counted)
     assert certify_smooth(elementary_symmetric(3, 5)).verdict == "smooth-toric"
-    assert counts == {"faces": 2, "integer_kernel_basis": 0}
+    # order 1's column lattice and the simplex's; the walk lists no faces
+    assert counts == {"faces": 0, "_lattice": 2, "integer_kernel_basis": 0}
     assert not hasattr(omegalab.linalg, "smith_normal_form")  # the library holds no Smith form
 
 
@@ -677,13 +687,13 @@ def test_certificate_orders_match_centre_disjoint():
 def test_closed_form_orders_match_the_rank_function_route(monkeypatch, fresh_simplices):
     import omegalab.certify as certify
 
-    built = []  # the polytope of every order, as its face lattice is walked
+    built = []  # (f, points) of every order whose facets are read off rho
 
-    def spied(p, _real=certify.faces):
-        built.append(p)
-        return _real(p)
+    def spied(f, points, bases_only, _real=certify._facets):
+        built.append((f, points))
+        return _real(f, points, bases_only)
 
-    monkeypatch.setattr(certify, "faces", spied)
+    monkeypatch.setattr(certify, "_facets", spied)
     pairs = 20  # keeps the quartics on 5 variables quick; both routes meet the same cap
     rng = random.Random(2602)
     absent = 0
@@ -697,10 +707,12 @@ def test_closed_form_orders_match_the_rank_function_route(monkeypatch, fresh_sim
                 built.clear()
                 fresh_simplices.cache_clear()  # the simplex lattice is walked, not read
                 got = [centre_disjoint(h, k, pairs) for k in orders]
-                assert built == [reference_truncation_polytope(h, k) for k in orders], h
-                assert [p.facet_masks for p in built] == [
-                    reference_truncation_polytope(h, k).facet_masks for k in orders
-                ]
+                rho = rank_from_support(h.support())
+                assert built == [
+                    (truncate(rho, k), sorted(derivative_space(h, k).columns))
+                    for k in orders
+                    if k < d - 1 or not everywhere
+                ], h
                 cert = certify_smooth(h, max_pairs=pairs) if everywhere else None
                 with monkeypatch.context() as m:  # the rank function route at order d - 1
                     patched = []
@@ -721,10 +733,51 @@ def test_closed_form_orders_match_the_rank_function_route(monkeypatch, fresh_sim
         m.setattr(certify, "_simplex", None)  # calling it would raise
         report = centre_disjoint(h, 1)
     assert report.disjoint == "yes"
-    assert built == [reference_truncation_polytope(h, 1)] and built[0].vertices == (
-        (0, 1, 0),
-        (1, 0, 0),
-    )
+    assert built == [(truncate(rank_from_support(h.support()), 1), [(0, 1, 0), (1, 0, 0)])]
+    assert reference_truncation_polytope(h, 1).vertices == ((0, 1, 0), (1, 0, 0))
+
+
+def test_the_column_lattice_is_the_face_lattice_of_the_truncation_polytope(fresh_simplices):
+    # Over the sorted columns, face for face as reference_faces lists the
+    # truncation polytope: a face's mask is its set of columns, and its vertices
+    # are its one-column faces.  The sort key reads vertex bits only: a later
+    # column that is not a vertex would swap two faces of one dimension.
+    from omegalab import base_polytope
+    from omegalab.polytope import _facets, _lattice
+
+    rng = random.Random(3636)
+    grids = ((2, 3), (3, 2), (3, 3), (4, 2))
+    supports = [sorted(s) for n, d in grids for s in all_mconvex_sets(n, d)]
+    absent = 0
+    while absent < 20:  # every order, the simplex's included, takes the general route
+        n, d = rng.randint(3, 5), rng.randint(2, 4)
+        supp = random_mconvex_support(rng, n, d)
+        if not all(map(any, zip(*supp))):
+            supports.append(supp)
+            absent += 1
+    interior = 0
+    for supp in supports:
+        n, d = len(supp[0]), sum(supp[0])
+        h = Polynomial(n, dict.fromkeys(supp, 1))
+        for k in range(1, d):
+            points = sorted(derivative_space(h, k).columns)
+            f = truncate(rank_from_support(supp), k)
+            lattice = _lattice(list(_facets(f, points, True)), len(points))
+            body = base_polytope(f)
+            reference = reference_faces(body)
+            assert [dim for dim, _, _ in lattice] == [dim for _, _, dim, _ in reference]
+            for (_, mask, _), (_, vertices, _, facets) in zip(lattice, reference, strict=True):
+                tight = [body.inequalities[j] for j in facets]
+                on = [all(sum(map(mul, a, c)) == b for a, b in tight) for c in points]
+                assert mask == sum(1 << t for t, x in enumerate(on) if x), (supp, k)
+            assert [points[mask.bit_length() - 1] for dim, mask, _ in lattice if dim == 0] == list(
+                body.vertices
+            )
+            interior += len(points) > len(body.vertices)
+            if k == d - 1 and all(map(any, zip(*supp))):  # the closed form agrees
+                simplex = fresh_simplices(n)[1]
+                assert [face[:2] for face in lattice] == [face[:2] for face in simplex]
+    assert interior >= 20, interior
 
 
 def test_the_cached_simplex_lattice_is_a_fresh_one(fresh_simplices):
@@ -732,19 +785,20 @@ def test_the_cached_simplex_lattice_is_a_fresh_one(fresh_simplices):
 
     for n in range(1, 9):
         entry = fresh_simplices(n)
-        body, lattice, _ = entry
+        body, lattice = entry
         assert fresh_simplices(n) is entry and type(lattice) is tuple  # built once per n
         fresh = _simplex(n)
         assert body == fresh and body.facet_masks == fresh.facet_masks
         # the same faces in the same order, with the same masks and facet masks
-        assert lattice == tuple(faces(fresh)) and len(lattice) == 2**n - 1
+        listing = tuple((face.dim, face.mask, face.facet_mask) for face in faces(fresh))
+        assert lattice == listing and len(lattice) == 2**n - 1
     assert fresh_simplices.cache_info().currsize == 8
 
 
 def test_quadrics_on_one_n_build_the_simplex_lattice_once(monkeypatch, fresh_simplices):
-    faces_calls = _count_calls(monkeypatch, "faces")
+    lattice_calls = _count_calls(monkeypatch, "_lattice")
     simplex_calls = _count_calls(monkeypatch, "_simplex")
-    mask_calls = _count_calls(monkeypatch, "_column_masks")
+    facet_calls = _count_calls(monkeypatch, "_facets")
     texts = [
         "x1*x2 + x1*x3 + x2*x3",
         "x1^2 + x1*x2 + x2^2 + x1*x3 + x2*x3 + x3^2",
@@ -752,7 +806,7 @@ def test_quadrics_on_one_n_build_the_simplex_lattice_once(monkeypatch, fresh_sim
     ]
     certs = [certify_smooth(parse_polynomial(text, X123)) for text in texts]
     assert [cert.verdict for cert in certs] == ["smooth-toric"] * 3
-    assert len(faces_calls) == len(mask_calls) == 1 and simplex_calls == [(3,)]
+    assert len(lattice_calls) == 1 and facet_calls == [] and simplex_calls == [(3,)]
     assert all(cert.polytope is fresh_simplices(3)[0] for cert in certs)  # the shared simplex
 
 
@@ -775,30 +829,29 @@ def test_the_cached_simplex_column_masks_are_those_of_a_fresh_simplex(fresh_simp
         # the order-(d - 1) columns whenever every variable occurs
         h = Polynomial(n, {tuple(2 * x for x in u): 1 for u in units})
         assert derivative_space(h, 1).columns == units
+        points = sorted(units)  # bit t of a column mask is points[t]
         fresh = _simplex(n)
         every = (1 << n) - 1
         off = {
-            1 << j: every ^ sum(1 << i for i, c in enumerate(units) if sum(map(mul, a, c)) == b)
+            1 << j: every ^ sum(1 << i for i, c in enumerate(points) if sum(map(mul, a, c)) == b)
             for j, (a, b) in enumerate(fresh.inequalities)
         }
-        masks = fresh_simplices(n)[2].__self__  # the table the lookup reads
+        masks = [mask for _, mask, _ in fresh_simplices(n)[1]]  # the masks the walk reads
         lattice = faces(fresh)
-        assert list(masks) == [face.facet_mask for face in lattice]  # each face, in lattice order
-        assert list(masks.values()) == [every ^ _image(face.facet_mask, off) for face in lattice]
+        assert masks == [every ^ _image(face.facet_mask, off) for face in lattice]
         # a simplex face's columns are its vertices
-        assert list(masks.values()) == [
-            sum(1 << units.index(v) for v in face.vertices) for face in lattice
-        ]
+        assert masks == [sum(1 << points.index(v) for v in face.vertices) for face in lattice]
     assert fresh_simplices.cache_info().currsize == 8
 
 
 def test_faces_still_returns_a_fresh_list(fresh_simplices):
     assert certify_smooth(elementary_symmetric(2, 4)).verdict == "smooth-toric"
-    body, lattice, _ = fresh_simplices(4)
+    body, lattice = fresh_simplices(4)
+    listing = [Face(*face, body.vertices) for face in lattice]
     first, second = faces(body), faces(body)
-    assert type(first) is list and first is not second and first == second == list(lattice)
+    assert type(first) is list and first is not second and first == second == listing
     first.clear()
-    assert faces(body) == list(lattice) and len(lattice) == 15
+    assert faces(body) == listing and len(lattice) == 15
 
 
 def test_oracle_agrees_on_small_instances():
@@ -890,6 +943,20 @@ def test_oracle_refuses_a_derivative_support_that_does_not_fill():
         oracle_centre_disjoint(h, 1)
 
 
+def test_centre_disjoint_refuses_columns_that_do_not_fill():
+    # Order 1 of y^3 + x*z^2 has columns y^2, x*z and z^2, but the truncation
+    # polytope also holds x*y, a vertex: a walk over it once answered "no",
+    # with witness x*y and an empty centre.
+    h = parse_polynomial("y^3 + x*z^2", ["x", "y", "z"])
+    assert derivative_space(h, 1).columns == ((0, 2, 0), (1, 0, 1), (0, 0, 2))
+    assert (1, 1, 0) in reference_truncation_polytope(h, 1).vertices
+    message = "the order-1 derivative columns do not fill the truncation polytope"
+    for decide in (centre_disjoint, oracle_centre_disjoint):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            decide(h, 1)
+    assert centre_disjoint(h, 2).disjoint == "yes"  # the order-2 columns fill the simplex
+
+
 def test_oracle_builds_no_rank_function_and_no_polytope(monkeypatch):
     import omegalab.certify
     from omegalab.guards import ResourceLimit
@@ -897,7 +964,9 @@ def test_oracle_builds_no_rank_function_and_no_polytope(monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle built rho or a polytope")
 
-    for name in ("rank_from_support", "base_polytope", "require_greedy", "_polymatroid_polytope"):
+    for name in (
+        "rank_from_support", "require_greedy", "_facets", "_lattice", "_polymatroid_polytope"
+    ):
         monkeypatch.setattr(omegalab.certify, name, refuse)
     assert not hasattr(omegalab.certify, "lattice_points")
     assert oracle_centre_disjoint(elementary_symmetric(3, 5), 1) == "yes"
@@ -908,10 +977,21 @@ def test_oracle_builds_no_rank_function_and_no_polytope(monkeypatch):
 
 
 def test_derivative_columns_are_mconvex_iff_they_fill_the_truncation_polytope():
-    # The oracle's refusal test: the columns C_k have rank function
+    # The deciders' refusal test: the columns C_k have rank function
     # truncate(rho, k), and an M-convex set is the set of lattice points of
-    # the base polytope of its rank function.
-    from omegalab import base_polytope, rank_from_support, truncate
+    # the base polytope of its rank function.  Both deciders refuse exactly
+    # the (h, k) whose columns do not fill; one pair keeps their work small.
+    from omegalab import base_polytope
+    from omegalab.guards import ResourceLimit
+
+    def refusal(decide, h, k):
+        try:
+            decide(h, k, 1)
+        except ValueError as exc:
+            return str(exc)
+        except ResourceLimit:
+            pass
+        return None
 
     rng = random.Random(3535)
     seen = {"fills": 0, "does not fill": 0, "not a polymatroid": 0}
@@ -930,6 +1010,10 @@ def test_derivative_columns_are_mconvex_iff_they_fill_the_truncation_polytope():
                 fills = False
                 seen["not a polymatroid"] += 1
             assert is_mconvex(columns)[0] == fills, (supp, k)
+            message = f"the order-{k} derivative columns do not fill the truncation polytope"
+            deciders = (centre_disjoint, oracle_centre_disjoint)
+            refusals = {refusal(decide, h, k) for decide in deciders}
+            assert refusals == {None if fills else message}, (supp, k)
             seen["fills" if fills else "does not fill"] += 1
     assert min(seen.values()) >= 10, seen
 
