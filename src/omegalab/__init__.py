@@ -41,10 +41,8 @@ from .poly import (
     parse_polynomial,
 )
 from .polytope import (
-    Face,
     LatticePolytope,
     base_polytope,
-    faces,
     independence_polytope,
     is_simple,
 )

@@ -18,8 +18,9 @@ masks off truncate(rho, k), closes them under meets, and builds no polytope.
 centre forms, one Groebner basis) share that precondition and raise
 ValueError without it; an M-convex support meets it.  When every variable
 occurs, the order-(d-1) truncation min(1, rho) is the rank function of
-U(1, n): the standard simplex, with the columns as vertices, built in closed
-form with its face lattice in the only cache kept between calls, once per n.
+U(1, n): its base polytope is the standard simplex, with the columns as
+vertices, built with its face lattice in the only cache kept between calls,
+once per n.
 One certificate computes the support's swaps once, and rho at most once,
 below the greedy guard, for the orders k < d - 1 and the summed polytope:
 never for a quadric.  It runs no polymatroid axiom check, as rho of an
@@ -47,9 +48,9 @@ from .groebner import (
 )
 from .guards import MAX_CERTIFY_DEGREE, ResourceLimit, degree_guard
 from .poly import Exponent, Polynomial, grevlex_key, read_exponent
-from .polytope import LatticePolytope, _facets, _lattice, _polymatroid_polytope, _simplex
-from .polytope import is_simple, require_greedy
-from .setfunc import MAX_GROUND_SET, SetFunction, rank_from_support, truncate, truncation_sum
+from .polytope import LatticePolytope, _facets, _lattice, _polymatroid_polytope, is_simple
+from .polytope import require_greedy
+from .setfunc import SetFunction, ground_set_guard, rank_from_support, truncate, truncation_sum
 
 VERDICT_SMOOTH = "smooth-toric"
 VERDICT_FAILS = "criterion-fails"
@@ -380,9 +381,10 @@ def _decide(
 
 @functools.cache  # n <= MAX_GREEDY_GROUND_SET past the guard: at most 8 entries
 def _simplex_lattice(n: int) -> tuple[LatticePolytope, tuple[tuple[int, int, int], ...]]:
-    """The standard simplex on n vertices and its face lattice, once per n: the
-    vertices are the order-(d-1) columns, in order, when every variable occurs in h."""
-    body = _simplex(n)
+    """B(f) for f(S) = min(1, |S|), U(1, n)'s rank function, and its face lattice, once
+    per n: the standard simplex, whose vertices are the order-(d-1) columns, in order,
+    when every variable occurs in h."""
+    body = _polymatroid_polytope(SetFunction.uniform_matroid(1, n), True)
     return body, tuple(_lattice(body.facet_masks, n))
 
 
@@ -490,10 +492,8 @@ def certify_smooth(
             raise ValueError(f"variable index {i} does not occur in the polynomial")
     echo = text if text is not None else h.to_string([f"x{i+1}" for i in range(h.nvars)])
 
-    guard = degree_guard(d)
-    if guard is None and h.nvars > MAX_GROUND_SET:
-        guard = f"ground-set guard: {h.nvars} variables exceed the cap {MAX_GROUND_SET}"
-    guard = guard or partials_guard(h.nvars, d - 1)  # the highest order computed
+    # the partials guard at d - 1, the highest order computed
+    guard = degree_guard(d) or ground_set_guard(h.nvars) or partials_guard(h.nvars, d - 1)
     if guard:  # before the M-convexity scan
         return SmoothnessCertificate(
             echo, h.nvars, d, None, None, None, (), VERDICT_UNDECIDED, None, detail=guard

@@ -30,13 +30,12 @@ from .derivatives import derivative_space
 from .groebner import DEFAULT_MAX_PAIRS
 from .guards import ResourceLimit
 from .poly import ParseError, Polynomial, parse_polynomial
-from .polytope import _polymatroid_polytope, is_simple, require_greedy
+from .polytope import _polymatroid_polytope, _require_polymatroid, is_simple, require_greedy
 from .setfunc import (
     SetFunction,
     ZeroRestrictionError,
     basis_masks,
     hyperbolic_rank,
-    is_polymatroid,
     mask_to_set,
     rank_from_support,
     require_ground_set,
@@ -246,7 +245,7 @@ def _parse_setfunction_arg(args) -> SetFunction:
         return SetFunction.from_bases(n, bases)
     try:
         return SetFunction.from_json(args.setfunction)
-    except (ValueError, KeyError, TypeError) as exc:  # TypeError: JSON of the wrong shape
+    except ValueError as exc:
         raise UsageError(f"bad set function JSON: {exc}")
 
 
@@ -269,11 +268,7 @@ def _cmd_polytope(args) -> int:
         require_ground_set(h.nvars)
         require_greedy(h.nvars)  # both guards before rho's 2^n table
         f = rank_from_support(h.support())
-    require_greedy(f.n)  # before the axiom scan, for --setfunction too
-    report = is_polymatroid(f)
-    if not report.ok:
-        s, t = map(mask_to_set, report.violating_pair)
-        raise UsageError(f"not a polymatroid: violating pair S={s}, T={t}")
+    f = _require_polymatroid(f)  # the greedy guard, then the axiom scan
     f = truncation_sum(f) if args.function == "bar" else f  # a sum of polymatroids is one
     body = _polymatroid_polytope(f, bases_only=args.function != "independence")
     # every body is a polymatroid polytope, where simple is smooth

@@ -11,11 +11,10 @@ marginal 0; the equations are x(C) = f(C) for the components C of f on B(f)
 and x_i = 0 for the loops i on P(f).  The facets are the maximal proper
 point sets tight at some x(S) <= f(S), or -x_i <= 0 on P(f), over points of
 the polytope that include its vertices, and the face lattice is their meet
-closure: over the vertices for `faces`, over the derivative columns for the
-certificate's walk.  The order-(d-1) truncation is the standard simplex.
-Simplicity needs no face lattice: a vertex is simple when it lies on dim
-facets, and on a polymatroid polytope simple is already lattice smooth (see
-`is_simple`).
+closure, `_lattice`, which the certificate's walk runs over the derivative
+columns.  Simplicity needs no face lattice: a vertex is simple when it lies on
+dim facets, and on a polymatroid polytope simple is already lattice smooth
+(see `is_simple`).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, or_
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from . import linalg
 from .guards import ResourceLimit
@@ -31,11 +30,9 @@ from .setfunc import SetFunction, is_polymatroid, mask_to_set
 
 __all__ = [
     "LatticePolytope",
-    "Face",
     "ResourceLimit",
     "independence_polytope",
     "base_polytope",
-    "faces",
     "is_simple",
 ]
 
@@ -72,34 +69,6 @@ class LatticePolytope:
             "inequalities": [{"a": list(a), "b": b} for a, b in self.inequalities],
             "equations": [{"a": list(a), "b": b} for a, b in self.equations],
         }
-
-
-class Face(NamedTuple):
-    """Nonempty face of a parent polytope, held as bit masks.
-
-    Bit i of `mask` is the parent's vertex i, and bit j of `facet_mask` is
-    the parent's `inequalities[j]`, a facet containing the face; the face is
-    the parent cut by those facets' equalities.  `parent_vertices` is the
-    parent's own vertex tuple.  `vertex_indices`, `vertices` and `facets` are
-    read off the masks on access.
-    """
-
-    dim: int
-    mask: int
-    facet_mask: int
-    parent_vertices: tuple[Point, ...]
-
-    @property
-    def vertex_indices(self) -> tuple[int, ...]:
-        return mask_to_set(self.mask, 0)
-
-    @property
-    def vertices(self) -> tuple[Point, ...]:
-        return tuple(map(self.parent_vertices.__getitem__, mask_to_set(self.mask, 0)))
-
-    @property
-    def facets(self) -> frozenset[int]:
-        return frozenset(mask_to_set(self.facet_mask, 0))
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:
@@ -232,19 +201,6 @@ def _facets(f: SetFunction, points: Sequence[Point], bases_only: bool) -> dict[i
     return {m: named[m] for m in _maximal(proper)}
 
 
-def _simplex(n: int) -> LatticePolytope:
-    """B(f) for f(S) = min(1, |S|), the rank function of U(1, n): the standard simplex.
-
-    Its vertices are the unit vectors, e_i the vertex n - 1 - i in sorted
-    order, its facets x(E - i) <= 1 and its equation x(E) = 1; for n = 1 it
-    is a point, with no facet.
-    """
-    full = (1 << n) - 1
-    verts = sorted(_normal(1 << i, n) for i in range(n))
-    facets = [(_normal(full ^ 1 << i, n), full ^ 1 << n - 1 - i) for i in range(n)]
-    return _polytope(n, verts, facets if n > 1 else [], ((_normal(full, n), 1),))
-
-
 def _normal(code: int, n: int) -> tuple[int, ...]:
     """The indicator vector of the set code, or its negative for the code -set."""
     return tuple((abs(code) >> i & 1) * (1 if code > 0 else -1) for i in range(n))
@@ -260,12 +216,7 @@ def base_polytope(f: SetFunction) -> LatticePolytope:
     return _polymatroid_polytope(_require_polymatroid(f), bases_only=True)
 
 
-# -- faces and simplicity ----------------------------------------------------------
-
-
-def faces(p: LatticePolytope) -> list[Face]:
-    """All nonempty faces, by dimension, then by `vertex_indices` in lexicographic order."""
-    return [Face(*face, p.vertices) for face in _lattice(p.facet_masks, len(p.vertices))]
+# -- face lattices and simplicity -------------------------------------------------
 
 
 def _lattice(facet_masks: Sequence[int], count: int) -> list[tuple[int, int, int]]:

@@ -24,9 +24,16 @@ class GroundSetTooLarge(ResourceLimit):
     pass
 
 
-def require_ground_set(n: int) -> None:  # before any 2^n table is built
+def ground_set_guard(n: int) -> str | None:
+    """The ground-set guard's message when n elements exceed the cap."""
     if n > MAX_GROUND_SET:
-        raise GroundSetTooLarge(f"ground set of size {n} exceeds the cap {MAX_GROUND_SET}")
+        return f"ground-set guard: ground set of size {n} exceeds the cap {MAX_GROUND_SET}"
+    return None
+
+
+def require_ground_set(n: int) -> None:  # before any 2^n table is built
+    if guard := ground_set_guard(n):
+        raise GroundSetTooLarge(guard)
 
 
 def mask_to_set(mask: int, start: int = 1) -> tuple[int, ...]:
@@ -85,9 +92,15 @@ class SetFunction:
 
     @classmethod
     def from_json(cls, text: str) -> "SetFunction":
-        """Read {"n": ..., "values": [...]}; ValueError on a non-integer n or value."""
-        data = json.loads(text)
-        n, values = data["n"], list(data["values"])
+        """Read {"n": ..., "values": [...]}; ValueError naming what else it finds."""
+        data = json.loads(text)  # a JSONDecodeError is a ValueError
+        if not isinstance(data, dict):
+            raise ValueError('expected an object {"n": ..., "values": [...]}')
+        if missing := [key for key in ("n", "values") if key not in data]:
+            raise ValueError(f'missing key "{missing[0]}"')
+        n, values = data["n"], data["values"]
+        if not isinstance(values, list):
+            raise ValueError(f'"values" must be an array, got {json.dumps(values)}')
         for x in (n, *values):
             if type(x) is not int:  # JSON 1.7 is a float and true a bool: never truncate
                 raise ValueError(f"{json.dumps(x)} is not an integer")

@@ -22,7 +22,6 @@ from omegalab import (
     Polynomial,
     SetFunction,
     base_polytope,
-    faces,
     grevlex_key,
     groebner,
     is_mconvex,
@@ -532,11 +531,10 @@ def reference_is_simple(p):
     """Every vertex on exactly dim edges of the face lattice; (verdict, witness)."""
     if p.dim == 0:
         return True, None
-    face_list = faces(p)
     degree = [0] * len(p.vertices)
-    for f in face_list:
-        if f.dim == 1:
-            for i in f.vertex_indices:
+    for members, _, dim, _ in reference_faces(p):
+        if dim == 1:
+            for i in members:
                 degree[i] += 1
     for i, v in enumerate(p.vertices):
         if degree[i] != p.dim:
@@ -554,15 +552,14 @@ def reference_is_smooth(p):
     """
     if p.dim == 0:
         return True, None
-    face_list = faces(p)
     simple, witness = reference_is_simple(p)
     if not simple:
         return False, witness
     basis = linalg.integer_kernel_basis([a for a, _ in p.equations], p.ambient_dim)
     edges_at = {i: [] for i in range(len(p.vertices))}
-    for f in face_list:
-        if f.dim == 1:
-            i, j = f.vertex_indices
+    for members, _, dim, _ in reference_faces(p):
+        if dim == 1:
+            i, j = members
             edges_at[i].append(p.vertices[j])
             edges_at[j].append(p.vertices[i])
     for i, v in enumerate(p.vertices):

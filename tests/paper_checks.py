@@ -43,17 +43,18 @@ from omegalab.polytope import (
     LatticePolytope,
     Point,
     _dot,
+    _lattice,
     _maximal,
     _normal,
     _polytope,
     base_polytope,
-    faces,
 )
 from omegalab.setfunc import (
     GroundSetTooLarge,
     SetFunction,
     hyperbolic_rank,
     is_polymatroid,
+    mask_to_set,
     rank_from_support,
     require_ground_set,
     truncate,
@@ -179,9 +180,9 @@ def _edges_in_arrangement(p: LatticePolytope) -> bool:
     Then the normal fan coarsens the fan of the arrangement of the hyperplanes
     x_i = 0 and x_i = x_j, whose rays are (negated) indicator vectors.
     """
-    for f in faces(p):
-        if f.dim == 1:
-            u, v = f.vertices
+    for dim, mask, _ in _lattice(p.facet_masks, len(p.vertices)):
+        if dim == 1:
+            u, v = (p.vertices[i] for i in mask_to_set(mask, 0))
             step = sorted(x for x in linalg.primitive_vector([b - a for a, b in zip(u, v)]) if x)
             if step not in ([1], [-1], [-1, 1]):
                 return False

@@ -1,5 +1,6 @@
 """M-convexity, Lorentzian signatures, disjointness, certificates."""
 
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -10,11 +11,11 @@ from operator import mul
 import pytest
 
 from omegalab import (
-    Face,
     Polynomial,
+    SetFunction,
+    base_polytope,
     centre_disjoint,
     certify_smooth,
-    faces,
     is_lorentzian,
     is_mconvex,
     oracle_centre_disjoint,
@@ -501,6 +502,14 @@ def test_certificate_builds_each_intermediate_once(monkeypatch):
     quadric = bench_fixtures().sweep_quadrics(1)[2]  # q5.0, a seeded random quadric
     names = ("rank_from_support", "_facets", "_polymatroid_polytope", "is_mconvex")
     counts = dict.fromkeys(names, 0)
+    cases = [
+        (elementary_symmetric(2, 4), "smooth-toric", (0, 0, 0, 1)),
+        (elementary_symmetric(3, 5), "smooth-toric", (1, 1, 1, 1)),
+        (parse_polynomial("x1^3 + x1*x2^2 + x3^3", X123), "not-applicable", (0, 0, 0, 1)),
+        (parse_polynomial(quadric.text, list(quadric.names)), "smooth-toric", (0, 0, 0, 1)),
+    ]
+    for h, _, _ in cases:  # the per-n simplex, the one thing kept, is built before the count
+        certify_smooth(h)
     for name in counts:
 
         def counted(*args, _name=name, _fn=getattr(certify, name), **kwargs):
@@ -508,12 +517,6 @@ def test_certificate_builds_each_intermediate_once(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(certify, name, counted)
-    cases = [
-        (elementary_symmetric(2, 4), "smooth-toric", (0, 0, 0, 1)),
-        (elementary_symmetric(3, 5), "smooth-toric", (1, 1, 1, 1)),
-        (parse_polynomial("x1^3 + x1*x2^2 + x3^3", X123), "not-applicable", (0, 0, 0, 1)),
-        (parse_polynomial(quadric.text, list(quadric.names)), "smooth-toric", (0, 0, 0, 1)),
-    ]
     for h, verdict, builds in cases:
         for _ in range(2):  # the second call builds as much again: nothing is kept
             counts.update(dict.fromkeys(counts, 0))
@@ -564,7 +567,7 @@ def test_ground_set_guard_is_undecided():
     cert = certify_smooth(parse_polynomial(" + ".join(f"x1*{v}" for v in names), names))
     assert cert.verdict == "undecided"
     assert cert.k_reports == () and cert.polytope is None and cert.lorentzian is None
-    assert cert.detail == "ground-set guard: 21 variables exceed the cap 20"
+    assert cert.detail == "ground-set guard: ground set of size 21 exceeds the cap 20"
 
 
 def _count_calls(monkeypatch, name):
@@ -584,7 +587,10 @@ def test_guards_fire_before_the_mconvexity_scan(monkeypatch):
     calls = _count_calls(monkeypatch, "is_mconvex")
     names = [f"x{i}" for i in range(1, 13)]
     cases = [
-        (elementary_symmetric(3, 21), "ground-set guard: 21 variables exceed the cap 20"),
+        (
+            elementary_symmetric(3, 21),
+            "ground-set guard: ground set of size 21 exceeds the cap 20",
+        ),
         (parse_polynomial("x1^12*x2", names[:2]), "degree guard: total degree 13 exceeds the cap 12"),
         (
             parse_polynomial("*".join(names), names),
@@ -614,8 +620,8 @@ def test_past_the_greedy_guard_rho_is_not_built(monkeypatch):
 def fresh_simplices():
     """The per-n simplex cache, emptied before and after the test.
 
-    A test that spies on `_lattice` or patches `_simplex` empties it so that the
-    spied or patched function really runs.
+    A test that spies on `_lattice` or `_polymatroid_polytope` empties it so that
+    the spied function really runs.
     """
     from omegalab.certify import _simplex_lattice
 
@@ -647,7 +653,7 @@ def test_self_check_builds_no_face_lattice_or_smith_form(monkeypatch, fresh_simp
     import omegalab.linalg
     import omegalab.polytope
 
-    counts = dict.fromkeys(("faces", "_lattice", "integer_kernel_basis"), 0)
+    counts = dict.fromkeys(("_lattice", "integer_kernel_basis"), 0)
 
     def counter(name, real):
         def counted(*args, **kwargs):
@@ -656,16 +662,16 @@ def test_self_check_builds_no_face_lattice_or_smith_form(monkeypatch, fresh_simp
 
         return counted
 
-    for name in ("faces", "_lattice"):
-        spy = counter(name, getattr(omegalab.polytope, name))
-        for module in (omegalab.certify, omegalab.polytope):
-            monkeypatch.setattr(module, name, spy, raising=False)
+    spy = counter("_lattice", omegalab.polytope._lattice)
+    for module in (omegalab.certify, omegalab.polytope):
+        monkeypatch.setattr(module, "_lattice", spy)
     counted = counter("integer_kernel_basis", omegalab.linalg.integer_kernel_basis)
     for module in (omegalab.linalg, omegalab.groebner):  # every module that binds the name
         monkeypatch.setattr(module, "integer_kernel_basis", counted)
     assert certify_smooth(elementary_symmetric(3, 5)).verdict == "smooth-toric"
-    # order 1's column lattice and the simplex's; the walk lists no faces
-    assert counts == {"faces": 0, "_lattice": 2, "integer_kernel_basis": 0}
+    # order 1's column lattice and the simplex's; the library lists no faces
+    assert counts == {"_lattice": 2, "integer_kernel_basis": 0}
+    assert not hasattr(omegalab.polytope, "faces") and not hasattr(omegalab, "faces")
     assert not hasattr(omegalab.linalg, "smith_normal_form")  # the library holds no Smith form
 
 
@@ -716,9 +722,14 @@ def test_closed_form_orders_match_the_rank_function_route(monkeypatch, fresh_sim
                 cert = certify_smooth(h, max_pairs=pairs) if everywhere else None
                 with monkeypatch.context() as m:  # the rank function route at order d - 1
                     patched = []
-                    reference = lambda n: patched.append(n) or reference_truncation_polytope(h, d - 1)
-                    m.setattr(certify, "_simplex", reference)
-                    fresh_simplices.cache_clear()  # else the patched _simplex never runs
+
+                    @functools.cache
+                    def reference(n):
+                        patched.append(n)
+                        body = reference_truncation_polytope(h, d - 1)
+                        return body, tuple(certify._lattice(body.facet_masks, n))
+
+                    m.setattr(certify, "_simplex_lattice", reference)
                     assert got == [centre_disjoint(h, k, pairs) for k in orders], h
                     assert cert is None or cert == certify_smooth(h, max_pairs=pairs), h
                     assert patched == [n] * everywhere  # once, then read from the cache
@@ -730,7 +741,7 @@ def test_closed_form_orders_match_the_rank_function_route(monkeypatch, fresh_sim
     h = parse_polynomial("x1^2 + x1*x2 + x2^2", X123)
     built.clear()
     with monkeypatch.context() as m:
-        m.setattr(certify, "_simplex", None)  # calling it would raise
+        m.setattr(certify, "_simplex_lattice", None)  # calling it would raise
         report = centre_disjoint(h, 1)
     assert report.disjoint == "yes"
     assert built == [(truncate(rank_from_support(h.support()), 1), [(0, 1, 0), (1, 0, 0)])]
@@ -774,30 +785,31 @@ def test_the_column_lattice_is_the_face_lattice_of_the_truncation_polytope(fresh
                 body.vertices
             )
             interior += len(points) > len(body.vertices)
-            if k == d - 1 and all(map(any, zip(*supp))):  # the closed form agrees
+            if k == d - 1 and all(map(any, zip(*supp))):  # the cached simplex agrees
                 simplex = fresh_simplices(n)[1]
                 assert [face[:2] for face in lattice] == [face[:2] for face in simplex]
     assert interior >= 20, interior
 
 
 def test_the_cached_simplex_lattice_is_a_fresh_one(fresh_simplices):
-    from omegalab.polytope import _simplex
-
     for n in range(1, 9):
         entry = fresh_simplices(n)
         body, lattice = entry
         assert fresh_simplices(n) is entry and type(lattice) is tuple  # built once per n
-        fresh = _simplex(n)
+        fresh = base_polytope(SetFunction.uniform_matroid(1, n))
         assert body == fresh and body.facet_masks == fresh.facet_masks
         # the same faces in the same order, with the same masks and facet masks
-        listing = tuple((face.dim, face.mask, face.facet_mask) for face in faces(fresh))
+        listing = tuple(
+            (dim, sum(1 << i for i in members), sum(1 << j for j in facets))
+            for members, _, dim, facets in reference_faces(fresh)
+        )
         assert lattice == listing and len(lattice) == 2**n - 1
     assert fresh_simplices.cache_info().currsize == 8
 
 
 def test_quadrics_on_one_n_build_the_simplex_lattice_once(monkeypatch, fresh_simplices):
     lattice_calls = _count_calls(monkeypatch, "_lattice")
-    simplex_calls = _count_calls(monkeypatch, "_simplex")
+    body_calls = _count_calls(monkeypatch, "_polymatroid_polytope")
     facet_calls = _count_calls(monkeypatch, "_facets")
     texts = [
         "x1*x2 + x1*x3 + x2*x3",
@@ -806,7 +818,8 @@ def test_quadrics_on_one_n_build_the_simplex_lattice_once(monkeypatch, fresh_sim
     ]
     certs = [certify_smooth(parse_polynomial(text, X123)) for text in texts]
     assert [cert.verdict for cert in certs] == ["smooth-toric"] * 3
-    assert len(lattice_calls) == 1 and facet_calls == [] and simplex_calls == [(3,)]
+    assert len(lattice_calls) == 1 and facet_calls == []
+    assert body_calls == [(SetFunction.uniform_matroid(1, 3), True)]  # the simplex, and no other
     assert all(cert.polytope is fresh_simplices(3)[0] for cert in certs)  # the shared simplex
 
 
@@ -822,7 +835,6 @@ def test_the_greedy_guard_fires_before_the_simplex_cache(fresh_simplices):
 
 def test_the_cached_simplex_column_masks_are_those_of_a_fresh_simplex(fresh_simplices):
     from omegalab.certify import _image
-    from omegalab.polytope import _simplex
 
     for n in range(1, 9):
         units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
@@ -830,28 +842,30 @@ def test_the_cached_simplex_column_masks_are_those_of_a_fresh_simplex(fresh_simp
         h = Polynomial(n, {tuple(2 * x for x in u): 1 for u in units})
         assert derivative_space(h, 1).columns == units
         points = sorted(units)  # bit t of a column mask is points[t]
-        fresh = _simplex(n)
+        fresh = base_polytope(SetFunction.uniform_matroid(1, n))
         every = (1 << n) - 1
         off = {
             1 << j: every ^ sum(1 << i for i, c in enumerate(points) if sum(map(mul, a, c)) == b)
             for j, (a, b) in enumerate(fresh.inequalities)
         }
         masks = [mask for _, mask, _ in fresh_simplices(n)[1]]  # the masks the walk reads
-        lattice = faces(fresh)
-        assert masks == [every ^ _image(face.facet_mask, off) for face in lattice]
+        lattice = reference_faces(fresh)
+        facet_masks = [sum(1 << j for j in facets) for _, _, _, facets in lattice]
+        assert masks == [every ^ _image(facet_mask, off) for facet_mask in facet_masks]
         # a simplex face's columns are its vertices
-        assert masks == [sum(1 << points.index(v) for v in face.vertices) for face in lattice]
+        assert masks == [sum(1 << points.index(v) for v in face[1]) for face in lattice]
     assert fresh_simplices.cache_info().currsize == 8
 
 
-def test_faces_still_returns_a_fresh_list(fresh_simplices):
+def test_a_lattice_listing_is_fresh_and_the_cached_one_immutable(fresh_simplices):
+    from omegalab.polytope import _lattice
+
     assert certify_smooth(elementary_symmetric(2, 4)).verdict == "smooth-toric"
     body, lattice = fresh_simplices(4)
-    listing = [Face(*face, body.vertices) for face in lattice]
-    first, second = faces(body), faces(body)
-    assert type(first) is list and first is not second and first == second == listing
+    first, second = _lattice(body.facet_masks, 4), _lattice(body.facet_masks, 4)
+    assert type(first) is list and first is not second and first == second == list(lattice)
     first.clear()
-    assert faces(body) == listing and len(lattice) == 15
+    assert fresh_simplices(4)[1] is lattice == tuple(second) and len(lattice) == 15
 
 
 def test_oracle_agrees_on_small_instances():
@@ -1162,7 +1176,6 @@ def test_one_torus_feasibility_call_per_face_orbit(monkeypatch):
 
 def test_orbit_images_of_face_masks_match_the_index_tuple_images():
     # every swap fixing h, not only the generators, at every order of the ladder fixtures
-    from omegalab import base_polytope, faces, rank_from_support, truncate
     from omegalab.certify import _image
 
     def swap(e, i, j):
@@ -1184,16 +1197,18 @@ def test_orbit_images_of_face_masks_match_the_index_tuple_images():
         rho = rank_from_support(h.support())
         for k in range(1, h.total_degree):
             body = base_polytope(truncate(rho, k))
-            listing = faces(body)
-            masks = {face.mask for face in listing}
+            listing = [
+                (members, sum(1 << x for x in members)) for members, *_ in reference_faces(body)
+            ]
+            masks = {mask for _, mask in listing}
             index = {v: t for t, v in enumerate(body.vertices)}
             for i, j in swaps:
                 perm = [index[swap(v, i, j)] for v in body.vertices]
                 bits = {1 << t: 1 << x for t, x in enumerate(perm)}
-                for face in listing:
-                    image = tuple(sorted(perm[x] for x in face.vertex_indices))  # the old key
+                for members, face_mask in listing:
+                    image = tuple(sorted(perm[x] for x in members))  # the old key
                     mask = sum(1 << x for x in image)
-                    assert _image(face.mask, bits) == mask, (name, k, i, j)
+                    assert _image(face_mask, bits) == mask, (name, k, i, j)
                     assert mask in masks
                     images += 1
     assert images >= 40000, images
@@ -1251,7 +1266,6 @@ def _restrict(p, allowed):
 
 
 def test_certificate_is_invariant_under_variable_permutation():
-    from omegalab import base_polytope, faces, rank_from_support, truncate
     from omegalab.groebner import torus_feasible
 
     rng = random.Random(8080)
@@ -1271,9 +1285,9 @@ def test_certificate_is_invariant_under_variable_permutation():
             inverse = [perm.index(i) for i in range(h.nvars)]
             witness = {_move(v, inverse) for v in s.witness_face}
             body = base_polytope(truncate(rank_from_support(h.support()), s.k))
-            face = next(f for f in faces(body) if set(f.vertices) == witness)
+            on = next(f for _, v, _, f in reference_faces(body) if set(v) == witness)
             space = derivative_space(h, s.k)
-            facets = [body.inequalities[j] for j in face.facets]
+            facets = [body.inequalities[j] for j in on]
             on_face = {
                 c for c in space.columns
                 if all(sum(x * y for x, y in zip(a, c)) == b for a, b in facets)

@@ -1,10 +1,17 @@
 """Command-line interface: exit codes, JSON schema, error paths."""
 
 import json
+import re
 
 import pytest
 
-from omegalab import SetFunction, truncation_sum
+from omegalab import (
+    SetFunction,
+    base_polytope,
+    parse_polynomial,
+    rank_from_support,
+    truncation_sum,
+)
 from omegalab.cli import main
 
 from helpers import SINGULAR_CUBIC_TEXT, SMOOTH_CUBIC_TEXT
@@ -181,7 +188,10 @@ def test_polytope_rejects_non_polymatroid(capsys):
         capsys, "polytope", "--setfunction", '{"n": 2, "values": [0, 1, 1, 4]}'
     )
     assert code == 64
-    assert "violating pair" in err
+    assert err == (
+        "error: not a polymatroid: not submodular, f(S+i) - f(S) < f(S+i+j) - f(S+j) "
+        "at S=[], i=1, j=2\n"
+    )
 
 
 def test_mconvex_command(capsys):
@@ -363,7 +373,7 @@ def test_certify_degree_guard_text_and_json(capsys):
 def test_certify_ground_set_guard_text_and_json(capsys):
     names = [f"x{i}" for i in range(1, 22)]
     text = " + ".join(f"x1*{v}" for v in names)
-    detail = "ground-set guard: 21 variables exceed the cap 20"
+    detail = "ground-set guard: ground set of size 21 exceeds the cap 20"
     code, out, _ = run(capsys, "certify", "--format", "json", "--vars", ",".join(names), text)
     assert code == 3
     payload = json.loads(out)
@@ -376,7 +386,7 @@ def test_certify_ground_set_guard_text_and_json(capsys):
 def test_analyze_and_polytope_ground_set_guard_text_and_json(capsys):
     names = [f"x{i}" for i in range(1, 22)]
     text = " + ".join(f"x1*{v}" for v in names)
-    detail = "ground set of size 21 exceeds the cap 20"
+    detail = "ground-set guard: ground set of size 21 exceeds the cap 20"
     for command in ("analyze", "polytope"):
         code, out, err = run(capsys, command, "--vars", ",".join(names), text)
         assert code == 3 and out == ""
@@ -496,28 +506,28 @@ def test_matroid_element_outside_the_ground_set_exits_usage(capsys):
 
 
 def test_polytope_reaches_the_greedy_guard_without_the_polymatroid_scan(capsys, monkeypatch):
-    import omegalab.cli
+    import omegalab.polytope
 
     calls = []
 
-    def counted(*args, _real=omegalab.cli.is_polymatroid, **kwargs):
+    def counted(*args, _real=omegalab.polytope.is_polymatroid, **kwargs):
         calls.append(args)
         return _real(*args, **kwargs)
 
-    monkeypatch.setattr(omegalab.cli, "is_polymatroid", counted)
+    monkeypatch.setattr(omegalab.polytope, "is_polymatroid", counted)
     code, out, err = run(
         capsys, "polytope", "--matroid", "12,13", "--ground-set", "20", "--format", "json"
     )
     assert code == 3 and json.loads(out)["status"] == "undecided"
     assert err == "undecided: greedy enumeration capped at n <= 8\n"
     assert calls == []
-    # a non-polymatroid within the guard still names its violating pair
+    # a non-polymatroid within the guard is scanned once and its broken axiom named
     code, _, err = run(capsys, "polytope", "--setfunction", '{"n": 2, "values": [0, 2, 2, 1]}')
-    assert code == 64 and "violating pair" in err and len(calls) == 1
+    assert code == 64 and "not monotone" in err and len(calls) == 1
     code, _, err = run(
         capsys, "polytope", "--function", "bar", "--setfunction", '{"n": 2, "values": [0, 2, 0, 1]}'
     )
-    assert code == 64 and "violating pair" in err and len(calls) == 2
+    assert code == 64 and "not monotone" in err and len(calls) == 2
 
 
 def test_polytope_bar_builds_only_the_summed_polytope(capsys, monkeypatch):
@@ -723,23 +733,31 @@ def test_partial_count_guard_text_and_json(capsys):
         }
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "[1,2]",
-        "null",
-        '{"n": 2, "values": 5}',
-        '{"n": null, "values": []}',
-        '{"n": 2, "values": [0, 1.7, 1, 2]}',
-        '{"n": 2.9, "values": [0, 1, 1, 2]}',
-        '{"n": true, "values": [0, 1]}',
-        '{"n": 1, "values": [0, false]}',
-    ],
-)
+OBJECT = 'expected an object {"n": ..., "values": [...]}'
+# each text with the ValueError that SetFunction.from_json raises on it
+WRONG_SHAPES = {
+    "[1,2]": OBJECT,
+    "null": OBJECT,
+    '{"n": 2, "values": 5}': '"values" must be an array, got 5',
+    '{"n": null, "values": []}': "null is not an integer",
+    '{"n": 2, "values": [0, 1.7, 1, 2]}': "1.7 is not an integer",
+    '{"n": 2.9, "values": [0, 1, 1, 2]}': "2.9 is not an integer",
+    '{"n": true, "values": [0, 1]}': "true is not an integer",
+    '{"n": 1, "values": [0, false]}': "false is not an integer",
+    '"x"': OBJECT,
+    '{"values": [0]}': 'missing key "n"',
+    '{"n": 1}': 'missing key "values"',
+    '{"n": 1, "values": {"0": 0}}': '"values" must be an array, got {"0": 0}',
+}
+
+
+@pytest.mark.parametrize("text", list(WRONG_SHAPES))
 def test_setfunction_json_of_the_wrong_shape_exits_usage(capsys, text):
+    with pytest.raises(ValueError) as raised:  # not a TypeError or KeyError
+        SetFunction.from_json(text)
+    assert str(raised.value) == WRONG_SHAPES[text]
     code, out, err = run(capsys, "polytope", "--setfunction", text)
-    assert code == 64 and out == ""
-    assert err.startswith("error: bad set function JSON: ") and err.count("\n") == 1
+    assert (code, out, err) == (64, "", f"error: bad set function JSON: {raised.value}\n")
 
 
 def test_ground_set_must_be_positive(capsys):
@@ -764,7 +782,11 @@ VARS = "error: --vars applies to a polynomial only\n"
 PAIR = '{"n": 2, "values": [0, 1, 1, 2]}'
 # a quadric whose support rank function is not submodular
 QUADRIC = ["--vars", "x1,x2,x3,x4,x5", "x3*x4 + x2*x3 + x1*x5 + x1*x2"]
-NOT_POLYMATROID = "error: not a polymatroid: violating pair S=(1, 3), T=(1, 4)\n"
+QUADRIC_RHO = rank_from_support(parse_polynomial(QUADRIC[2], QUADRIC[1].split(",")).support())
+NOT_POLYMATROID = (
+    "error: not a polymatroid: not submodular, f(S+i) - f(S) < f(S+i+j) - f(S+j) "
+    "at S=[1], i=3, j=4\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -787,6 +809,33 @@ def test_polytope_conflicting_inputs_exit_usage(capsys, argv, message):
     for fmt in ("text", "json"):
         code, out, err = run(capsys, "polytope", "--format", fmt, *argv)
         assert (code, out, err) == (64, "", message)
+
+
+def _setfunction(values):
+    """polytope's arguments for the set function on 2 elements, and the set function."""
+    return ["--setfunction", json.dumps({"n": 2, "values": values})], SetFunction(2, values)
+
+
+@pytest.mark.parametrize(
+    "argv, f, axiom",
+    [
+        (*_setfunction([1, 1, 1, 1]), "f(empty set) = 1"),
+        (*_setfunction([0, -1, 1, 1]), "not monotone"),
+        (*_setfunction([0, 1, 1, 4]), "not submodular"),
+        (["--matroid", "12,34"], SetFunction.from_bases(4, [[1, 2], [3, 4]]), "not submodular"),
+        (QUADRIC, QUADRIC_RHO, "not submodular"),
+    ],
+    ids=["normalized", "monotone", "submodular", "matroid", "polynomial"],
+)
+def test_polytope_names_the_broken_axiom_as_base_polytope_does(capsys, argv, f, axiom):
+    with pytest.raises(ValueError, match=rf"^not a polymatroid: {re.escape(axiom)}") as raised:
+        base_polytope(f)
+    for function in ("base", "independence", "bar"):
+        for fmt in ("text", "json"):
+            code, out, err = run(
+                capsys, "polytope", "--function", function, "--format", fmt, *argv
+            )
+            assert (code, out, err) == (64, "", f"error: {raised.value}\n"), (function, fmt)
 
 
 NOT_HOMOGENEOUS = ["--vars", "x,y", "x^2 + y"]

@@ -14,10 +14,10 @@ import omegalab.polytope
 from omegalab import (
     SetFunction,
     base_polytope,
-    faces,
     independence_polytope,
     is_polymatroid,
     is_simple,
+    mask_to_set,
     rank_from_support,
     truncate,
     truncation_sum,
@@ -25,6 +25,7 @@ from omegalab import (
 from omegalab.derivatives import derivative_space, elementary_symmetric
 from omegalab.guards import ResourceLimit
 from omegalab.poly import parse_polynomial
+from omegalab.polytope import _lattice
 
 import helpers
 import paper_checks
@@ -100,14 +101,32 @@ def test_base_polytope_simplex_octahedron_truncated_tetrahedron():
     assert reference_is_smooth(summed) == (True, None)
 
 
+def face_lattice(body):
+    """The library's face lattice of body: (dim, vertex indices, facet indices) per face."""
+    listing = _lattice(body.facet_masks, len(body.vertices))
+    return [(dim, mask_to_set(mask, 0), mask_to_set(on, 0)) for dim, mask, on in listing]
+
+
 def test_simplex_matches_the_uniform_matroid_base_polytope():
+    # B(U(1, n)) is the standard simplex: the unit vectors, x(E) = 1, and one
+    # facet x(E - i) <= 1 off each e_i alone; for n = 1 a point, with no facet
     for n in range(1, 9):
-        simplex = omegalab.polytope._simplex(n)
-        reference = base_polytope(SetFunction.uniform_matroid(1, n))
-        assert simplex == reference, n  # ambient_dim, vertices, inequalities, equations, dim
-        assert simplex.facet_masks == reference.facet_masks, n
-        assert faces(simplex) == faces(reference), n
-    assert omegalab.polytope._simplex(1).inequalities == ()  # a point: no facet
+        simplex = base_polytope(SetFunction.uniform_matroid(1, n))
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        assert simplex.vertices == tuple(sorted(units)), n
+        assert (simplex.equations, simplex.dim) == ((((1,) * n, 1),), n - 1), n
+        every = (1 << n) - 1
+        off = sorted(every ^ mask for mask in simplex.facet_masks)
+        assert off == [1 << t for t in range(n)] * (n > 1), n
+        for (a, b), mask in zip(simplex.inequalities, simplex.facet_masks, strict=True):
+            values = [sum(map(mul, a, v)) for v in simplex.vertices]
+            assert max(values) == b and [x == b for x in values] == [
+                bool(mask >> t & 1) for t in range(n)
+            ], n
+        # every nonempty vertex set is a face, as the reference lists them
+        reference = reference_faces(simplex)
+        assert face_lattice(simplex) == [(d, i, tuple(sorted(f))) for i, _, d, f in reference]
+        assert len(reference) == every, n
 
 
 def test_matroid_staircase_vertices_examples():
@@ -259,16 +278,14 @@ def test_lattice_points_guard(monkeypatch):
 
 def test_faces_triangle():
     tri = independence_polytope(SetFunction.uniform_matroid(1, 2))
-    fl = faces(tri)
+    fl = face_lattice(tri)
     assert len(fl) == 7
-    assert sorted(f.dim for f in fl) == [0, 0, 0, 1, 1, 1, 2]
+    assert sorted(dim for dim, _, _ in fl) == [0, 0, 0, 1, 1, 1, 2]
 
 
 def test_faces_octahedron_count():
-    fl = faces(base_polytope(U24))
-    by_dim = {}
-    for f in fl:
-        by_dim[f.dim] = by_dim.get(f.dim, 0) + 1
+    fl = face_lattice(base_polytope(U24))
+    by_dim = Counter(dim for dim, _, _ in fl)
     assert by_dim == {0: 6, 1: 12, 2: 8, 3: 1}
     assert len(fl) == 27
 
@@ -276,11 +293,11 @@ def test_faces_octahedron_count():
 def test_faces_segment_lattice_points():
     seg = polytope_from_points([(0,), (2,)])
     assert seg.inequalities == (((-1,), 0), ((1,), 2))
-    fl = faces(seg)
-    assert [(f.vertices, f.facets) for f in fl] == [
-        (((0,),), frozenset({0})),
-        (((2,),), frozenset({1})),
-        (((0,), (2,)), frozenset()),
+    assert seg.vertices == ((0,), (2,))
+    assert [(members, facets) for _, members, facets in face_lattice(seg)] == [
+        ((0,), (0,)),
+        ((1,), (1,)),
+        ((0, 1), ()),
     ]
     assert lattice_points(seg) == [(0,), (1,), (2,)]
 
@@ -290,13 +307,13 @@ def test_face_facets_are_the_inequalities_tight_at_its_vertices():
     for _ in range(25):
         n = rng.randint(2, 4)
         body = base_polytope(random_polymatroid(rng, n, 4))
-        for face in faces(body):
-            tight = {
+        for _, members, facets in face_lattice(body):
+            tight = tuple(
                 j
                 for j, (a, b) in enumerate(body.inequalities)
-                if all(sum(x * y for x, y in zip(a, v)) == b for v in face.vertices)
-            }
-            assert face.facets == tight
+                if all(sum(x * y for x, y in zip(a, body.vertices[i])) == b for i in members)
+            )
+            assert facets == tight
 
 
 def test_faces_match_the_tuple_and_set_reference():
@@ -313,17 +330,15 @@ def test_faces_match_the_tuple_and_set_reference():
         pts = {tuple(rng.randint(-2, 2) for _ in range(ambient)) for _ in range(rng.randint(1, 8))}
         bodies["hull"] = polytope_from_points(pts)
         for kind, body in bodies.items():
-            listing = faces(body)
-            got = [(face.vertex_indices, face.vertices, face.dim, face.facets) for face in listing]
-            assert got == reference_faces(body), (kind, body)
-            assert all(face.parent_vertices is body.vertices for face in listing)
-            assert all(type(face.facets) is frozenset for face in listing)
+            reference = reference_faces(body)
+            got = face_lattice(body)
+            assert got == [(d, i, tuple(sorted(f))) for i, _, d, f in reference], (kind, body)
             kinds[kind] += 1
     assert sum(kinds.values()) >= 300 and min(kinds.values()) >= 60, kinds
 
 
 def test_face_dims_pinned_on_hypersimplices_and_summed_truncations():
-    # f-vectors and SHA-256 of [(vertex_indices, dim), ...] in faces() order
+    # f-vectors and SHA-256 of [(vertex indices, dim), ...] in the lattice's order
     pins = {
         (3, 5, "base"): ([10, 30, 30, 10, 1], "52396cdfea0177b3426cf6f673fd50267aedb0efe7da2faa2ca5e8d0cd96f604"),
         (3, 5, "summed"): ([20, 40, 30, 10, 1], "325ff90de769f77d77281749b5fc5ee22a62da084fb655599e8518ef22c8e3a0"),
@@ -336,14 +351,14 @@ def test_face_dims_pinned_on_hypersimplices_and_summed_truncations():
     for (d, n, which), (fvector, digest) in pins.items():
         rho = rank_from_support(elementary_symmetric(d, n).support())
         body = base_polytope(truncation_sum(rho, 1) if which == "summed" else rho)
-        fl = faces(body)
-        assert [sum(1 for f in fl if f.dim == k) for k in range(body.dim + 1)] == fvector
-        listing = repr([(f.vertex_indices, f.dim) for f in fl]).encode()
+        fl = face_lattice(body)
+        assert [sum(1 for dim, _, _ in fl if dim == k) for k in range(body.dim + 1)] == fvector
+        listing = repr([(members, dim) for dim, members, _ in fl]).encode()
         assert hashlib.sha256(listing).hexdigest() == digest
-        for f in fl:
-            v0 = f.vertices[0]
-            diffs = [[a - b for a, b in zip(v, v0)] for v in f.vertices[1:]]
-            assert f.dim == len(reference_rref(diffs, n)[1])
+        for dim, members, _ in fl:
+            v0, *rest = (body.vertices[i] for i in members)
+            diffs = [[a - b for a, b in zip(v, v0)] for v in rest]
+            assert dim == len(reference_rref(diffs, n)[1])
 
 
 def test_hull_incidences_match_rank_reference():
@@ -396,8 +411,8 @@ def _assert_matches_reference_hull(body, pts):
         for a, b in body.inequalities
     }
     assert tight_sets == facet_sets and len(body.inequalities) == len(facet_sets)
-    for face in faces(body):
-        assert face.dim == reference_affine_rank(face.vertices)
+    for dim, members, _ in face_lattice(body):
+        assert dim == reference_affine_rank([body.vertices[i] for i in members])
     return reference
 
 

@@ -79,7 +79,9 @@ def test_table_builders_check_the_ground_set_cap():
         lambda: SetFunction.from_bases(21, [[1]]),
         lambda: SetFunction.uniform_matroid(1, 21),
     ):
-        with pytest.raises(GroundSetTooLarge, match="ground set of size 21 exceeds the cap 20"):
+        with pytest.raises(
+            GroundSetTooLarge, match="^ground-set guard: ground set of size 21 exceeds the cap 20$"
+        ):
             build()
 
 
