@@ -13,7 +13,8 @@ the faces of P_k and decides torus feasibility of each face-restricted
 derivative system, one face per orbit of the variable swaps fixing the
 polynomial.  M-convex order-k derivative columns are the lattice points of
 P_k, so a face is the mask of the columns on it: the walk reads the facets as
-masks off truncate(rho, k), closes them under meets, and builds no polytope.
+masks off the columns' own rank function, which is truncate(rho, k), closes
+them under meets, and builds no polytope.
 `centre_disjoint` and the independent Groebner oracle (toric ideal plus
 centre forms, one Groebner basis) share that precondition and raise
 ValueError without it; an M-convex support meets it.  When every variable
@@ -22,9 +23,9 @@ U(1, n): its base polytope is the standard simplex, with the columns as
 vertices, built with its face lattice in the only cache kept between calls,
 once per n.
 One certificate computes the support's swaps once, and rho at most once,
-below the greedy guard, for the orders k < d - 1 and the summed polytope:
-never for a quadric.  It runs no polymatroid axiom check, as rho of an
-M-convex support, its truncations and their sum are polymatroids.
+for the summed polytope at d >= 3: never for a quadric.  It runs no
+polymatroid axiom check, as rho of an M-convex support, its truncations and
+their sum are polymatroids.
 """
 
 from __future__ import annotations
@@ -35,22 +36,22 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
-from math import lcm
+from math import factorial, lcm, prod
 from operator import itemgetter, mul, or_
 from typing import Callable, Iterable, Sequence
 
-from .derivatives import DerivativeSpace, _partial_terms, derivative_space, partials_guard
+from .derivatives import DerivativeSpace, derivative_space, partials_guard
 from .groebner import (
     DEFAULT_MAX_PAIRS,
     buchberger_intdicts,
     toric_ideal,
     torus_feasible,
 )
-from .guards import MAX_CERTIFY_DEGREE, ResourceLimit, degree_guard
+from .guards import ResourceLimit, degree_guard
 from .poly import Exponent, Polynomial, grevlex_key, read_exponent
 from .polytope import LatticePolytope, _facets, _lattice, _polymatroid_polytope, is_simple
 from .polytope import require_greedy
-from .setfunc import SetFunction, ground_set_guard, rank_from_support, truncate, truncation_sum
+from .setfunc import SetFunction, ground_set_guard, rank_from_support, truncation_sum
 
 VERDICT_SMOOTH = "smooth-toric"
 VERDICT_FAILS = "criterion-fails"
@@ -180,33 +181,26 @@ def is_lorentzian(h: Polynomial, mconvex: bool | None = None) -> LorentzianRepor
     d = h.total_degree
     if d < 2:
         raise ValueError("Lorentzian test needs degree at least 2")
-    if guard := degree_guard(d):
+    if guard := degree_guard(d) or partials_guard(h.nvars, d - 2):
         raise ResourceLimit(guard)
-    partials = _partial_terms(h, d - 2)[1]  # ResourceLimit above the partial-count cap
     if mconvex is None:
         mconvex = is_mconvex(h.support())[0]
-    # Each order-(d-2) partial of h's integer view (its positive scale keeps the
-    # eigenvalues' signs) is a quadric g; its Hessian has g's coefficient of
-    # x_i x_j off the diagonal and twice that of x_i^2 on it.  Every term of h
-    # reaches some partial with a positive factor, so they carry its signs too.
-    nonneg = all(c > 0 for g in partials for c in g.values())
-    n = h.nvars
-    entry = {}  # the exponent of x_i x_j -> (i, j, the factor on its coefficient)
-    for i, j in combinations_with_replacement(range(n), 2):
-        e = [0] * n
-        e[i] += 1
-        e[j] += 1
-        entry[tuple(e)] = i, j, 1 + (i == j)
-    failures = []
-    for a, g in zip(combinations_with_replacement(range(n), d - 2), partials):
-        if not g:
-            continue
-        hessian = [[0] * n for _ in range(n)]
-        for e, c in g.items():
-            i, j, factor = entry[e]
-            hessian[i][j] = hessian[j][i] = factor * c
-        if positive_eigenvalue_count(hessian) > 1:
-            failures.append(a)
+    # For m = a + e_i + e_j, the Hessian of the partial d^a of h's integer view
+    # (its positive scale keeps the eigenvalues' signs) has c_m * prod m_l! at (i, j).
+    terms, n = h.integer_terms()[1], h.nvars
+    nonneg = all(c > 0 for c in terms.values())
+    hessians: dict[Exponent, list[list[int]]] = {}  # a -> the Hessian of d^a h
+    for m, c in terms.items():
+        value = c * prod(map(factorial, m))
+        for i, j in combinations_with_replacement([i for i, x in enumerate(m) if x], 2):
+            if i != j or m[i] > 1:
+                a = m[:i] + (m[i] - 1,) + m[i + 1 :]
+                a = a[:j] + (a[j] - 1,) + a[j + 1 :]
+                hessian = hessians.get(a) or hessians.setdefault(a, [[0] * n for _ in range(n)])
+                hessian[i][j] = hessian[j][i] = value
+    # each a as its sorted variable indices, in combinations_with_replacement order
+    failed = (a for a, hessian in hessians.items() if positive_eigenvalue_count(hessian) > 1)
+    failures = sorted(tuple(l for l, x in enumerate(a) for _ in range(x)) for a in failed)
     return LorentzianReport(
         mconvex=mconvex,
         nonneg_coeffs=nonneg,
@@ -290,8 +284,7 @@ def centre_disjoint(
     is skipped.  ValueError is raised, as by `oracle_centre_disjoint`, when the
     columns are not M-convex: the walk is exact when they fill P_k.
     """
-    rho = lambda: rank_from_support(h.support())
-    return _decide(h, _filling_space(h, k), rho, max_pairs, lambda: _swap_generators(h))
+    return _decide(h, _filling_space(h, k), max_pairs, lambda: _swap_generators(h))
 
 
 def _filling_space(h: Polynomial, k: int) -> DerivativeSpace:
@@ -310,13 +303,13 @@ def _filling_space(h: Polynomial, k: int) -> DerivativeSpace:
 
 
 def _decide(
-    h: Polynomial, space: DerivativeSpace, rho: Callable[[], SetFunction], max_pairs: int,
-    swaps: Callable[[], list],
+    h: Polynomial, space: DerivativeSpace, max_pairs: int, swaps: Callable[[], list]
 ) -> OrderReport:
     """The report of the order of `space`, whose columns fill its truncation polytope.
 
     A face is the mask of the columns on it, bit t for the t-th in lexicographic
-    order, and its facets are read off truncate(rho(), k), or the simplex's.
+    order, and its facets are read off the columns' rank function, truncate(rho, k)
+    by `_filling_space`'s lemma, or the simplex's.
     """
     k, columns = space.order, space.columns
     report = functools.partial(
@@ -327,7 +320,7 @@ def _decide(
         centre_dim=len(columns) - space.span_dimension,
     )
     try:
-        require_greedy(h.nvars)  # before rho's 2^n table
+        require_greedy(h.nvars)  # before the rank function's 2^n table
     except ResourceLimit as exc:
         return report(disjoint="undecided", detail=f"order-{k} truncation polytope: {exc}")
     points = sorted(columns)
@@ -335,7 +328,7 @@ def _decide(
     if k == h.total_degree - 1 and all(map(any, zip(*h.support()))):
         lattice = _simplex_lattice(h.nvars)[1]
     else:
-        lattice = _lattice(list(_facets(truncate(rho(), k), points, True)), len(points))
+        lattice = _lattice(list(_facets(rank_from_support(points), points, True)), len(points))
     vertices = sum(mask for dim, mask, _ in lattice if dim == 0)
     # A swap fixing h permutes the columns: each perm maps a column's bit to its
     # image's, and a face's mask to its image's.
@@ -506,10 +499,9 @@ def certify_smooth(
             echo, h.nvars, d, False, mcx_witness, lorentzian, (), VERDICT_NOT_APPLICABLE, None
         )
 
-    rho = functools.cache(lambda: rank_from_support(h.support()))  # made once, if at all
     swaps = functools.cache(lambda: _swap_generators(h))  # made once, if at all
     # An M-convex support's derivative columns are M-convex: they fill each order's polytope.
-    reports = tuple(_decide(h, derivative_space(h, k), rho, max_pairs, swaps) for k in range(1, d))
+    reports = tuple(_decide(h, derivative_space(h, k), max_pairs, swaps) for k in range(1, d))
     detail = None
     if any(r.disjoint == "no" for r in reports):
         verdict = VERDICT_FAILS
@@ -523,8 +515,8 @@ def certify_smooth(
         # for d >= 3 its rank d(d-1)/2 exceeds every order's rank d - k.
         if d == 2:  # order 1 is then the simplex
             body = _simplex_lattice(h.nvars)[0]
-        else:  # rho is a polymatroid
-            body = _polymatroid_polytope(truncation_sum(rho(), 1), True)
+        else:  # rho, the support's rank function, is a polymatroid
+            body = _polymatroid_polytope(truncation_sum(rank_from_support(h.support()), 1), True)
         smooth, witness = is_simple(body)
         if not smooth:
             verdict, body = VERDICT_UNDECIDED, None

@@ -14,8 +14,8 @@ m give distinct m - a.  Each term is visited once, for the size-k multisets a
 over its own support only (an a asking more of a variable than m holds meets a
 zero factor), so the work follows the terms produced, under the partial-count
 cap per term.  They are read off h's integer view s*h
-(`Polynomial.integer_terms`), whose positive scale changes no support, no
-primitive echelon row and no Hessian's signs, so no caller divides by s again.
+(`Polynomial.integer_terms`), whose positive scale changes no support and no
+primitive echelon row, so no caller divides by s again.
 """
 
 from __future__ import annotations

@@ -13,13 +13,14 @@ torus-feasibility decisions used by the smoothness criterion:
 
 Every operation takes and returns integer term dictionaries (IntPoly) keyed by
 exponent tuples, toric generators included; a caller holding a `Polynomial`
-reads one off `Polynomial.integer_terms`.  A monomial order is a
-`MonomialOrder`, or None for grevlex in index order.
+reads one off `Polynomial.integer_terms`.  The one monomial order is grevlex
+in index order; a caller that wants another variable cheapest renames it
+last, as coordinate saturation does.
 
 Inside the Buchberger kernel a monomial is one int K = top * 2^s - E: E packs
-the exponents in w-bit fields, placed by the order's ranking of the variables,
-and top is the degree.  K's integer order is the monomial order and K is
-linear in the exponents, so a product is `+` and a leading term is `max`;
+the exponents in w-bit fields, variable i in field i, and top is the degree.
+K's integer order is the monomial order and K is linear in the exponents, so
+a product is `+` and a leading term is `max`;
 E = ceil(K / 2^s) * 2^s - K, and divisibility and lcm are tests on each
 field's top (guard) bit.  Every popped leading monomial must keep its degree
 below the guard bit; otherwise the call runs again with fields twice as wide.
@@ -60,7 +61,7 @@ import heapq
 from dataclasses import dataclass, field
 from math import gcd
 from operator import mul, sub
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .guards import ResourceLimit
 from .linalg import integer_kernel_basis, kernel_basis
@@ -100,16 +101,6 @@ def _content_strip(p: dict[int, int]) -> dict[int, int]:
     return {m: c // g for m, c in p.items()}
 
 
-class MonomialOrder(NamedTuple):
-    """Grevlex after a ranking of the variables: variable ranking[j] owns field j.
-
-    Monomials compare by degree, then by the top field's exponent (less wins),
-    then the next field down.
-    """
-
-    ranking: tuple[int, ...]
-
-
 class _Overflow(Exception):
     """A popped leading monomial reached the guard bit of the degree field."""
 
@@ -121,13 +112,16 @@ Reducer = tuple[int, int, dict[int, int] | Binomial]
 
 
 class _Packing:
-    """Packed monomials (see the module docstring) of one order with w-bit fields."""
+    """Packed monomials (see the module docstring) in n variables with w-bit fields.
 
-    def __init__(self, order: MonomialOrder, w: int):
-        n = len(order.ranking)
+    Monomials compare by degree, then by the last variable's exponent (less
+    wins), then the one before it: grevlex in index order.
+    """
+
+    def __init__(self, n: int, w: int):
         self.w, self.s, self.mask, self.half = w, w * n, (1 << w) - 1, 1 << (w - 1)
-        self.guard = sum(self.half << (w * j) for j in range(n))
-        self.shifts = [w * order.ranking.index(v) for v in range(n)]
+        self.shifts = [w * j for j in range(n)]
+        self.guard = sum(self.half << sh for sh in self.shifts)
         self.weights = [(1 << self.s) - (1 << sh) for sh in self.shifts]
 
     def encode(self, p: IntPoly) -> dict[int, int]:
@@ -155,33 +149,6 @@ class _Packing:
     def reducer(self, g: dict[int, int] | Binomial) -> Reducer:
         lead = max(g)
         return self.exponents(lead), lead, g
-
-
-def _run_packed(order: MonomialOrder | None, polys: list[IntPoly], run: Callable):
-    """`run(packing, packed polys)` with fields wide enough for the inputs.
-
-    None is grevlex in index order.  On overflow the whole call runs again
-    with fields twice as wide, so the answer never depends on the width.
-    Raises ValueError when the exponents differ in length, or when the
-    order ranks another number of variables than they have.
-    """
-    shapes = {(len(m), sum(m)) for p in polys for m in p}  # (length, degree) of every exponent
-    lengths = sorted({n for n, _ in shapes})
-    if len(lengths) > 1:
-        raise ValueError(f"exponents of mixed length: {', '.join(map(str, lengths))}")
-    (nvars,) = lengths
-    order = order or MonomialOrder(tuple(range(nvars)))
-    if len(order.ranking) != nvars:
-        raise ValueError(
-            f"the order ranks {len(order.ranking)} variables, the exponents have length {nvars}"
-        )
-    width = max(8, max(d for _, d in shapes).bit_length() + 1)
-    while True:
-        packing = _Packing(order, width)
-        try:
-            return run(packing, [packing.encode(p) for p in polys])
-        except _Overflow:
-            width *= 2
 
 
 def _reduce(pk: _Packing, f: dict[int, int], reducers: Iterable[Reducer]) -> dict[int, int]:
@@ -347,39 +314,49 @@ def _buchberger(
 
 
 def buchberger_intdicts(
-    gens: Iterable[IntPoly],
-    order: MonomialOrder | None = None,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    *,
-    known: int = 0,
+    gens: Iterable[IntPoly], max_pairs: int = DEFAULT_MAX_PAIRS, *, known: int = 0
 ) -> list[IntPoly]:
-    """Reduced Groebner basis of integer term dictionaries.
+    """Reduced Groebner basis of integer term dictionaries, grevlex in index order.
 
-    `order` defaults to grevlex in index order.  Normal pair-selection strategy
-    with the Gebauer-Moeller criteria (B, M and F, coprime leading terms
-    included) applied as each element enters.  Each pair is keyed once, when
-    it is created, by the lcm of its leading monomials with the pair's indices
-    breaking ties, and pairs are popped from a heap in that order.  Raises
-    ResourceLimit once more than `max_pairs` S-pairs have been reduced; pairs
-    the criteria pruned are not counted.  The basis is sorted by ascending
-    leading monomial.  Pure differences x^u - x^v run on the two-term kernel
-    (see the module docstring), with the same pairs and the same basis.
+    Normal pair-selection strategy with the Gebauer-Moeller criteria (B, M
+    and F, coprime leading terms included) applied as each element enters.
+    Each pair is keyed once, when it is created, by the lcm of its leading
+    monomials with the pair's indices breaking ties, and pairs are popped from
+    a heap in that order.  Raises ResourceLimit once more than `max_pairs`
+    S-pairs have been reduced; pairs the criteria pruned are not counted.  The
+    basis is sorted by ascending leading monomial.  Pure differences x^u - x^v
+    run on the two-term kernel (see the module docstring), with the same pairs
+    and the same basis.
 
-    The first `known` generators must be a reduced Groebner basis under
-    `order`.  They enter the basis and the active set as they are, without
-    reduction and without pairs among them: their S-pairs already have
-    standard representations, and the Gebauer-Moeller criteria need only that
-    every untreated pair be queued or standard.  So a basis is extended by
-    new generators at the cost of the new pairs alone.
+    The first `known` generators must be a reduced Groebner basis.  They
+    enter the basis and the active set as they are, without reduction and
+    without pairs among them: their S-pairs already have standard
+    representations, and the Gebauer-Moeller criteria need only that every
+    untreated pair be queued or standard.  So a basis is extended by new
+    generators at the cost of the new pairs alone.
+
+    The fields are as wide as the inputs need; on overflow the whole call runs
+    again with fields twice as wide, so the answer never depends on the width.
+    Raises ValueError when the exponents differ in length.
     """
-
-    def run(pk: _Packing, packed: list[dict[int, int]]) -> list[IntPoly]:
-        return [pk.decode(g) for g in _buchberger(pk, packed, max_pairs, known)]
-
     gens = list(gens)
     known = sum(1 for g in gens[:known] if g)
     gens = [g for g in gens if g]
-    return _run_packed(order, gens, run) if gens else []
+    if not gens:
+        return []
+    shapes = {(len(m), sum(m)) for g in gens for m in g}  # (length, degree) of every exponent
+    lengths = sorted({n for n, _ in shapes})
+    if len(lengths) > 1:
+        raise ValueError(f"exponents of mixed length: {', '.join(map(str, lengths))}")
+    width = max(8, max(d for _, d in shapes).bit_length() + 1)
+    while True:
+        pk = _Packing(lengths[0], width)
+        try:
+            basis = _buchberger(pk, [pk.encode(g) for g in gens], max_pairs, known)
+        except _Overflow:
+            width *= 2
+        else:
+            return [pk.decode(g) for g in basis]
 
 
 def is_unit_ideal(gb: Sequence[IntPoly]) -> bool:
@@ -387,11 +364,6 @@ def is_unit_ideal(gb: Sequence[IntPoly]) -> bool:
 
 
 # -- homogeneous coordinate saturation ----------------------------------------------
-
-
-def _cheap_variable_order(nvars: int, var: int) -> MonomialOrder:
-    """Graded reverse lexicographic order in which `var` is the cheapest variable."""
-    return MonomialOrder(tuple(i for i in range(nvars) if i != var) + (var,))
 
 
 def _divide_out(g: IntPoly, var: int) -> IntPoly:
@@ -443,9 +415,10 @@ def saturate_coordinates(
 
       * tau starts as the variables that occur in no generator, since z_i is
         a nonzerodivisor modulo an ideal generated without z_i;
-      * each step saturates by one variable not in tau (a
-        reverse-lexicographic Groebner basis with that variable cheapest,
-        each element divided by its largest power of it) and adds it to tau;
+      * each step saturates by one variable not in tau (a grevlex Groebner
+        basis with that variable renamed last, so that it is the cheapest,
+        each element renamed back and divided by its largest power of it)
+        and adds it to tau;
       * then every two-term element c*z^u + c'*z^v (c, c' nonzero) of the
         current basis with supp(v) in tau adds supp(u) to tau, until tau
         stops growing.
@@ -463,12 +436,15 @@ def saturate_coordinates(
     commute, and saturating by one variable keeps the saturation by
     another, so the last basis is J : (z_1...z_m)^infinity, whichever
     variables the steps take.  Requires every generator to be homogeneous
-    in the standard grading.
+    in the standard grading, with exponents of length `nvars`.
     """
     current = [g for g in gens if g]
     for g in current:
         if not _is_standard_homogeneous(g):
             raise ValueError("coordinate saturation requires homogeneous generators")
+        for m in g:
+            if len(m) != nvars:
+                raise ValueError(f"exponents of length {len(m)} in {nvars} variables")
     tau = set(range(nvars)).difference(*(_support(m) for g in current for m in g))
     supports = _two_term_supports(current)
     while len(tau) < nvars:
@@ -476,8 +452,14 @@ def saturate_coordinates(
             [v for v in range(nvars) if v not in tau],  # max keeps the first, lowest, of a tie
             key=lambda v: len(_grow_saturated(supports, tau | {v})),
         )
-        gb = buchberger_intdicts(current, _cheap_variable_order(nvars, var), max_pairs)
-        current = [_divide_out(g, var) for g in gb]
+        # grevlex with var cheapest: rename variable rank[j] to j, where
+        # rank = [v != var in index order] + [var], and back
+        renamed = [
+            {m[:var] + m[var + 1 :] + m[var : var + 1]: c for m, c in g.items()} for g in current
+        ]
+        gb = buchberger_intdicts(renamed, max_pairs)
+        back = [{m[:var] + m[-1:] + m[var:-1]: c for m, c in g.items()} for g in gb]
+        current = [_divide_out(g, var) for g in back]
         supports = _two_term_supports(current)
         tau = _grow_saturated(supports, tau | {var})
     return buchberger_intdicts(current, max_pairs=max_pairs)

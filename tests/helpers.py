@@ -754,29 +754,49 @@ def _reference_buchberger(pk, gens, max_pairs):
     return sorted((r for r in reduced if r), key=max)
 
 
-def reference_buchberger_intdicts(gens, order=None, max_pairs=groebner.DEFAULT_MAX_PAIRS):
+def _widening(packing, gens, kernel):
+    """kernel(pk, packed generators), decoded, for pk = packing(n, w): the fields
+    start as wide as the degrees need and double on overflow, as in
+    omegalab.groebner.buchberger_intdicts."""
+    gens = [g for g in gens if g]
+    if not gens:
+        return []
+    width = max(8, max(sum(m) for g in gens for m in g).bit_length() + 1)
+    while True:
+        pk = packing(len(next(iter(gens[0]))), width)
+        try:
+            basis = kernel(pk, [pk.encode(g) for g in gens])
+        except groebner._Overflow:
+            width *= 2
+        else:
+            return [pk.decode(g) for g in basis]
+
+
+def reference_buchberger_intdicts(gens, max_pairs=groebner.DEFAULT_MAX_PAIRS):
     """omegalab.groebner.buchberger_intdicts on the chain-criterion pair loop; the
     packing, division and S-polynomials are the program's own."""
+    return _widening(
+        groebner._Packing, gens, lambda pk, packed: _reference_buchberger(pk, packed, max_pairs)
+    )
 
-    def run(pk, packed):
-        return [pk.decode(g) for g in _reference_buchberger(pk, packed, max_pairs)]
 
-    gens = [g for g in gens if g]
-    return groebner._run_packed(order, gens, run) if gens else []
+def reorder(g, order):
+    """g with variable order[j] renamed j."""
+    return {tuple(m[v] for v in order): c for m, c in g.items()}
 
 
 # -- an elimination order and a division on exponent tuples (test-only) ----------------
 
 
 class EliminationPacking(groebner._Packing):
-    """Packed monomials of the elimination order for the variable ranked last:
-    more of its exponent wins before the degree, then grevlex after the ranking.
-    K = top * 2^s - E as in omegalab.groebner, with top the degree plus that
-    exponent shifted above it."""
+    """Packed monomials of the elimination order for the last variable: more of
+    its exponent wins before the degree, then grevlex in index order.  K = top *
+    2^s - E as in omegalab.groebner, with top the degree plus that exponent
+    shifted above it."""
 
-    def __init__(self, order, w):
-        super().__init__(order, w)
-        self.weights[order.ranking[-1]] += 1 << (self.s + w)
+    def __init__(self, n, w):
+        super().__init__(n, w)
+        self.weights[-1] += 1 << (self.s + w)
 
     def lcm(self, a, b):
         k = super().lcm(a, b)  # grevlex K; its fields E are the lcm's
@@ -784,26 +804,17 @@ class EliminationPacking(groebner._Packing):
 
 
 def eliminating_buchberger_intdicts(
-    gens, order, max_pairs=groebner.DEFAULT_MAX_PAIRS, *, reference=False
+    gens, max_pairs=groebner.DEFAULT_MAX_PAIRS, *, reference=False
 ):
-    """Reduced basis under the elimination order for order.ranking[-1], by the
-    program's kernel, or with `reference` by the chain-criterion loop; the
-    fields double in width on overflow, as in omegalab.groebner._run_packed."""
-    gens = [g for g in gens if g]
-    if not gens:
-        return []
-    width = max(8, max(sum(m) for g in gens for m in g).bit_length() + 1)
-    while True:
-        pk = EliminationPacking(order, width)
-        packed = [pk.encode(g) for g in gens]
-        try:
-            if reference:
-                basis = _reference_buchberger(pk, packed, max_pairs)
-            else:
-                basis = groebner._buchberger(pk, packed, max_pairs, 0)
-            return [pk.decode(g) for g in basis]
-        except groebner._Overflow:
-            width *= 2
+    """Reduced basis under the elimination order for the last variable, by the
+    program's kernel, or with `reference` by the chain-criterion loop."""
+
+    def kernel(pk, packed):
+        if reference:
+            return _reference_buchberger(pk, packed, max_pairs)
+        return groebner._buchberger(pk, packed, max_pairs, 0)
+
+    return _widening(EliminationPacking, gens, kernel)
 
 
 def reference_normal_form(f, basis):
@@ -829,28 +840,35 @@ def reference_normal_form(f, basis):
     return out
 
 
+def _saturation_step(current, nvars, var, max_pairs):
+    """The basis of current : z_var^infinity: a grevlex basis with z_var renamed
+    last, so that it is the cheapest, renamed back and divided by z_var's
+    largest power (Bayer & Stillman, Invent. Math. 87, 1987)."""
+    rank = [v for v in range(nvars) if v != var] + [var]
+    gb = groebner.buchberger_intdicts([reorder(g, rank) for g in current], max_pairs)
+    back = [rank.index(v) for v in range(nvars)]
+    return [groebner._divide_out(reorder(g, back), var) for g in gb]
+
+
 def reference_saturate_coordinates(gens, nvars, max_pairs=groebner.DEFAULT_MAX_PAIRS):
     """The loop that the two-term rule in omegalab.groebner.saturate_coordinates
     replaced: one saturation step by every variable in index order, then a final
-    grevlex basis; the steps are the program's own."""
+    grevlex basis."""
     current = [g for g in gens if g]
     for var in range(nvars):
-        order = groebner._cheap_variable_order(nvars, var)
-        gb = groebner.buchberger_intdicts(current, order, max_pairs)
-        current = [groebner._divide_out(g, var) for g in gb]
+        current = _saturation_step(current, nvars, var, max_pairs)
     return groebner.buchberger_intdicts(current, max_pairs=max_pairs)
 
 
 def reference_lowest_index_saturate_coordinates(gens, nvars, max_pairs=groebner.DEFAULT_MAX_PAIRS):
     """The loop that the step rule in omegalab.groebner.saturate_coordinates
     replaced: the two-term rule, with each step by the lowest-index variable
-    outside tau; the steps are the program's own."""
+    outside tau."""
     current = [g for g in gens if g]
     tau = set(range(nvars)).difference(*(groebner._support(m) for g in current for m in g))
     while len(tau) < nvars:
         var = min(set(range(nvars)) - tau)
-        gb = groebner.buchberger_intdicts(current, groebner._cheap_variable_order(nvars, var), max_pairs)
-        current = [groebner._divide_out(g, var) for g in gb]
+        current = _saturation_step(current, nvars, var, max_pairs)
         tau = groebner._grow_saturated(groebner._two_term_supports(current), tau | {var})
     return groebner.buchberger_intdicts(current, max_pairs=max_pairs)
 

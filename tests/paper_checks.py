@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 from omegalab import linalg
 from omegalab.derivatives import DerivativeSpace
-from omegalab.groebner import DEFAULT_MAX_PAIRS, IntPoly, MonomialOrder, buchberger_intdicts
+from omegalab.groebner import DEFAULT_MAX_PAIRS, IntPoly, buchberger_intdicts
 from omegalab.guards import ResourceLimit
 from omegalab.poly import Polynomial
 from omegalab.polytope import (
@@ -458,8 +458,7 @@ def saturate_by_product_elimination(
 
     extended = [{m + (0,): c for m, c in g.items()} for g in gens if g]
     extended.append({(1,) * (nvars + 1): 1, (0,) * (nvars + 1): -1})
-    t_first = MonomialOrder(tuple(range(nvars + 1)))  # t, ranked last, is eliminated
-    gb = eliminating_buchberger_intdicts(extended, t_first, max_pairs)
+    gb = eliminating_buchberger_intdicts(extended, max_pairs)  # t, the last variable
     out = []
     for g in gb:
         if all(m[nvars] == 0 for m in g):

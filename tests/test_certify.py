@@ -149,7 +149,7 @@ def test_lorentzian_single_square():
 
 
 def test_lorentzian_degree_guard():
-    from omegalab.certify import MAX_CERTIFY_DEGREE
+    from omegalab.guards import MAX_CERTIFY_DEGREE
     from omegalab.guards import ResourceLimit
 
     with pytest.raises(ValueError):
@@ -447,7 +447,7 @@ def test_certificate_lattice_points_match_support_sums():
 
 
 def test_certify_degree_guard_fires_before_any_order():
-    from omegalab.certify import MAX_CERTIFY_DEGREE
+    from omegalab.guards import MAX_CERTIFY_DEGREE
 
     h = parse_polynomial(f"x^{MAX_CERTIFY_DEGREE}*y", ["x", "y"])
     cert = certify_smooth(h)
@@ -495,16 +495,18 @@ def test_certificate_json_shape():
 def test_certificate_builds_each_intermediate_once(monkeypatch):
     import omegalab.certify as certify
 
-    # Builds of rho, of an order's facets over its columns, of the summed polytope (by
-    # the unchecked greedy builder, as rho and its truncation sum are polymatroids) and
-    # M-convexity checks, in that order.  Order d - 1 is the simplex, built without rho:
-    # a quadric never builds rho, and its summed polytope is that simplex.
+    # Builds of a rank function, of an order's facets over its columns, of the summed
+    # polytope (by the unchecked greedy builder, as rho and its truncation sum are
+    # polymatroids) and M-convexity checks, in that order.  An order k < d - 1 reads its
+    # facets off its columns' rank function, truncate(rho, k), and the summed polytope
+    # builds rho: one each for e(3,5).  Order d - 1 is the simplex, built without a rank
+    # function: a quadric builds none, and its summed polytope is that simplex.
     quadric = bench_fixtures().sweep_quadrics(1)[2]  # q5.0, a seeded random quadric
     names = ("rank_from_support", "_facets", "_polymatroid_polytope", "is_mconvex")
     counts = dict.fromkeys(names, 0)
     cases = [
         (elementary_symmetric(2, 4), "smooth-toric", (0, 0, 0, 1)),
-        (elementary_symmetric(3, 5), "smooth-toric", (1, 1, 1, 1)),
+        (elementary_symmetric(3, 5), "smooth-toric", (2, 1, 1, 1)),
         (parse_polynomial("x1^3 + x1*x2^2 + x3^3", X123), "not-applicable", (0, 0, 0, 1)),
         (parse_polynomial(quadric.text, list(quadric.names)), "smooth-toric", (0, 0, 0, 1)),
     ]

@@ -24,7 +24,6 @@ from omegalab.groebner import (
     FEASIBLE,
     INFEASIBLE,
     UNDECIDED,
-    MonomialOrder,
     _Packing,
     buchberger_intdicts,
     is_unit_ideal,
@@ -47,6 +46,7 @@ from helpers import (
     reference_lowest_index_saturate_coordinates,
     reference_normal_form,
     reference_saturate_coordinates,
+    reorder,
 )
 from paper_checks import saturate_by_product_elimination
 
@@ -161,25 +161,37 @@ def test_reduction_sequence_pinned(monkeypatch):
     # The number of S-polynomials reduced and a SHA-256 over each of them, as
     # sorted exponent-tuple terms, in the order Buchberger forms them, under
     # the Gebauer-Moeller pair update; any change that drops, adds, reorders or
-    # alters a reduction moves them.
+    # alters a reduction moves them.  A saturation step runs on its generators
+    # with the saturated variable renamed last; its S-polynomials are recorded
+    # in the caller's variables, named back once the step divides its basis.
     import omegalab.groebner
     from omegalab.derivatives import derivative_space
 
     real, real_binomial = omegalab.groebner._s_poly, omegalab.groebner._s_binomial
-    seen = []
+    real_divide = omegalab.groebner._divide_out
+    seen, pending = [], []  # pending: the current call's S-polynomials, decoded
+
+    def record(name_back=lambda m: m):
+        seen.extend(repr(sorted((name_back(m), c) for m, c in s.items())) for s in pending)
+        pending.clear()
 
     def traced(packing, f, g):
         s = real(packing, f, g)
-        seen.append(repr(sorted(packing.decode(s).items())))
+        pending.append(packing.decode(s))
         return s
 
     def traced_binomial(packing, f, g):  # the same record as the general kernel's
         s = real_binomial(packing, f, g)
-        seen.append(repr(sorted(packing.decode({s[0]: 1, s[1]: -1} if s else {}).items())))
+        pending.append(packing.decode({s[0]: 1, s[1]: -1} if s else {}))
         return s
+
+    def divided(g, var):  # variable var was renamed last, the others kept their order
+        record(lambda m: m[:var] + m[-1:] + m[var:-1])
+        return real_divide(g, var)
 
     monkeypatch.setattr(omegalab.groebner, "_s_poly", traced)
     monkeypatch.setattr(omegalab.groebner, "_s_binomial", traced_binomial)
+    monkeypatch.setattr(omegalab.groebner, "_divide_out", divided)
     e35 = elementary_symmetric(3, 5)
     quartic = P(QUARTIC_TEXT, ["x1", "x2", "x3", "x4"])
     runs = [  # the toric ideal runs on the two-term kernel, the others on the general one
@@ -193,6 +205,7 @@ def test_reduction_sequence_pinned(monkeypatch):
     for run, count, digest in runs:
         seen.clear()
         run()
+        record()  # the last call's, in the caller's variables
         assert len(seen) == count
         assert hashlib.sha256("".join(seen).encode()).hexdigest() == digest
 
@@ -209,8 +222,8 @@ def test_packed_monomials_round_trip_and_take_the_fieldwise_lcm():
 
     for n in range(1, 7):
         for w in (8, 16):
-            ranking = rng.sample(range(n), n)
-            pk = _Packing(MonomialOrder(tuple(ranking)), w)
+            ranking = rng.sample(range(n), n)  # variable ranking[j] is packed in field j
+            pk = _Packing(n, w)
             pairs = [
                 tuple(monomial(n, rng.randint(0, pk.half - 1), range(n)) for _ in "ab")
                 for _ in range(40)
@@ -222,6 +235,7 @@ def test_packed_monomials_round_trip_and_take_the_fieldwise_lcm():
                 assert sum(map(max, a, b)) == pk.mask - 1
                 pairs.append((a, b))
             for a, b in pairs:
+                a, b = (tuple(m[v] for v in ranking) for m in (a, b))
                 p = {a: 3, b: -2} if a != b else {a: 1}
                 assert pk.decode(pk.encode(p)) == p, (ranking, w, p)
                 (ka,), (kb,), (k_max,) = (pk.encode({m: 1}) for m in (a, b, tuple(map(max, a, b))))
@@ -234,9 +248,9 @@ def test_field_overflow_gives_the_same_basis(monkeypatch):
     widths = []
     real = omegalab.groebner._Packing.__init__
 
-    def recorded(self, order, width):
+    def recorded(self, n, width):
         widths.append(width)
-        real(self, order, width)
+        real(self, n, width)
 
     monkeypatch.setattr(omegalab.groebner._Packing, "__init__", recorded)
     names = ["x", "y", "z"]
@@ -279,17 +293,17 @@ def test_field_overflow_gives_the_same_basis(monkeypatch):
 
 
 def _recorded_bases(monkeypatch, run):
-    """(generators, order, basis) of every buchberger_intdicts call that `run` makes;
-    a known prefix is forwarded, so the reference checks that path too."""
+    """(generators, basis) of every buchberger_intdicts call that `run` makes; a
+    known prefix is forwarded, so the reference checks that path too."""
     import omegalab.certify
     import omegalab.groebner
 
     calls = []
 
-    def recording(gens, order=None, max_pairs=DEFAULT_MAX_PAIRS, *, known=0):
+    def recording(gens, max_pairs=DEFAULT_MAX_PAIRS, *, known=0):
         gens = list(gens)
-        calls.append((gens, order, buchberger_intdicts(gens, order, max_pairs, known=known)))
-        return calls[-1][2]
+        calls.append((gens, buchberger_intdicts(gens, max_pairs, known=known)))
+        return calls[-1][1]
 
     with monkeypatch.context() as patched:
         for module in (omegalab.groebner, omegalab.certify):
@@ -314,29 +328,29 @@ def test_gebauer_moeller_matches_the_chain_criterion_reference(monkeypatch):
         f = fixtures.fixture(name)
         h = P(f.text, list(f.names))
         systems += _recorded_bases(monkeypatch, lambda: oracle_centre_disjoint(h, k))
-    for gens, order, basis in systems:
-        assert reference_buchberger_intdicts(gens, order) == basis, (gens, order)
+    for gens, basis in systems:
+        assert reference_buchberger_intdicts(gens) == basis, gens
 
     rng = random.Random(67)
-    # the third order eliminates x3, ranked last, on the test-side packing
-    elimination = MonomialOrder((1, 3, 0, 2))
+    # variable ranking[j] is renamed j; the third run eliminates x2, renamed
+    # last, on the test-side packing
     runs = (
-        (None, buchberger_intdicts, reference_buchberger_intdicts),
-        (MonomialOrder((2, 0, 3, 1)), buchberger_intdicts, reference_buchberger_intdicts),
+        ((0, 1, 2, 3), buchberger_intdicts, reference_buchberger_intdicts),
+        ((2, 0, 3, 1), buchberger_intdicts, reference_buchberger_intdicts),
         (
-            elimination,
+            (1, 3, 0, 2),
             eliminating_buchberger_intdicts,
-            lambda gens, order: eliminating_buchberger_intdicts(gens, order, reference=True),
+            lambda gens: eliminating_buchberger_intdicts(gens, reference=True),
         ),
     )
-    for order, run, reference in runs:
+    for ranking, run, reference in runs:
         for _ in range(12):
             gens = [
                 {tuple(rng.randint(0, 2) for _ in range(4)): rng.randint(-3, 3) for _ in range(3)}
                 for _ in range(rng.randint(2, 3))
             ]
-            gens = [{m: c for m, c in g.items() if c} for g in gens]
-            assert run(gens, order) == reference(gens, order)
+            gens = [reorder({m: c for m, c in g.items() if c}, ranking) for g in gens]
+            assert run(gens) == reference(gens)
     names = ["x", "y", "z"]
     for gens in (
         [I("x^40000*y - z^40001", names), I("x*z - y^2", names)],
@@ -781,16 +795,28 @@ def test_saturation_agrees_with_the_every_variable_loop():
         assert saturate_coordinates(gens, nvars) == expected, gens
 
 
-def test_saturation_steps_skip_the_variables_two_term_elements_free(monkeypatch):
+def _record_saturated_variables(monkeypatch):
+    """A list that gets, per buchberger_intdicts call, the variable its basis is
+    then divided by: the variable saturated, or None for the final basis."""
     import omegalab.groebner
 
     orders = []
 
-    def counted(gens, order=None, *args, _real=buchberger_intdicts, **kwargs):
-        orders.append(order and order.ranking[-1])  # the variable saturated; None: final
-        return _real(gens, order, *args, **kwargs)
+    def counted(*args, _real=buchberger_intdicts, **kwargs):
+        orders.append(None)
+        return _real(*args, **kwargs)
+
+    def divided(g, var, _real=omegalab.groebner._divide_out):
+        orders[-1] = var
+        return _real(g, var)
 
     monkeypatch.setattr(omegalab.groebner, "buchberger_intdicts", counted)
+    monkeypatch.setattr(omegalab.groebner, "_divide_out", divided)
+    return orders
+
+
+def test_saturation_steps_skip_the_variables_two_term_elements_free(monkeypatch):
+    orders = _record_saturated_variables(monkeypatch)
     g = {(1, 1, 0): 2, (0, 0, 2): -3}  # 2*z0*z1 - 3*z2^2
     assert saturate_coordinates([g], 3) == [g]
     # once supp(z2^2) = {z2} is saturated, the element frees z0 and z1; z0 or
@@ -808,19 +834,12 @@ def test_saturation_steps_skip_the_variables_two_term_elements_free(monkeypatch)
 
 
 def test_the_step_rule_never_takes_more_steps_than_the_lowest_index_rule(monkeypatch):
-    import omegalab.groebner
-
-    steps = [0]
-
-    def counted(gens, order=None, *args, _real=buchberger_intdicts, **kwargs):
-        steps[0] += order is not None  # a saturation step; None: the final basis
-        return _real(gens, order, *args, **kwargs)
-
-    monkeypatch.setattr(omegalab.groebner, "buchberger_intdicts", counted)
+    orders = _record_saturated_variables(monkeypatch)
 
     def count(saturate, gens, nvars):
-        steps[0] = 0
-        return saturate(gens, nvars), steps[0]
+        orders.clear()
+        basis = saturate(gens, nvars)
+        return basis, sum(var is not None for var in orders)  # None: the final basis
 
     # the draws of test_saturation_agrees_with_the_every_variable_loop
     rng = random.Random(68)
@@ -839,6 +858,36 @@ def test_the_step_rule_never_takes_more_steps_than_the_lowest_index_rule(monkeyp
     assert totals == [2 * 125, 2 * 223]
 
 
+def test_renaming_the_variables_commutes_with_saturation(monkeypatch):
+    # Saturation by the product of all variables does not depend on their names:
+    # the saturation, renamed and given its grevlex basis again, is the saturation
+    # of the renamed generators, whichever variables the steps take.
+    rng = random.Random(72)
+    cases = []
+    for _ in range(60):  # lattice ideals of seeded grid configurations
+        grid = _monomial_grid(rng.randint(2, 5), rng.randint(1, 3))
+        pts = rng.sample(grid, rng.randint(1, min(9, len(grid))))
+        cases.append((_lattice_binomials(pts, rng if rng.random() < 0.5 else None), len(pts)))
+    for _ in range(40):  # homogeneous, mostly not binomial
+        nvars, degree = rng.randint(2, 4), rng.randint(1, 3)
+        grid = _monomial_grid(nvars, degree)
+        gens = [
+            {m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in rng.sample(grid, rng.randint(1, min(4, len(grid))))}
+            for _ in range(rng.randint(1, 3))
+        ]
+        cases.append((gens, nvars))
+    for gens, nvars in cases:
+        pi = rng.sample(range(nvars), nvars)
+        renamed = saturate_coordinates([reorder(g, pi) for g in gens], nvars)
+        saturated = saturate_coordinates(gens, nvars)
+        assert buchberger_intdicts(reorder(g, pi) for g in saturated) == renamed, (gens, pi)
+    # z0*(z1 - z2): the first step saturates z0, which is not the last variable
+    orders = _record_saturated_variables(monkeypatch)
+    z1_minus_z2 = {(0, 1, 0): 1, (0, 0, 1): -1}
+    assert saturate_coordinates([{(1, 1, 0): 1, (1, 0, 1): -1}], 3) == [z1_minus_z2]
+    assert orders == [0, 1, None]
+
+
 def test_two_term_kernel_agrees_with_the_general_kernel(monkeypatch):
     # Every buchberger_intdicts call of omegalab.groebner also runs on its
     # generators doubled, which are no pure differences and so take the general
@@ -853,14 +902,14 @@ def test_two_term_kernel_agrees_with_the_general_kernel(monkeypatch):
         two_term[0] = True
         return real_reduce(*args)
 
-    def both(gens, order=None, *args, **kwargs):
+    def both(gens, *args, **kwargs):
         gens = list(gens)
         two_term[0] = False
-        basis = real(gens, order, *args, **kwargs)
+        basis = real(gens, *args, **kwargs)
         calls.append((gens, two_term[0]))
         two_term[0] = False
         doubled = [{m: 2 * c for m, c in g.items()} for g in gens]
-        assert real(doubled, order, *args, **kwargs) == basis, (gens, order)
+        assert real(doubled, *args, **kwargs) == basis, gens
         assert not two_term[0]
         return basis
 
@@ -949,8 +998,10 @@ def test_exponents_of_mixed_length_are_rejected():
     for call in calls:
         with pytest.raises(ValueError, match="^exponents of mixed length: 2, 3$"):
             call()
-    with pytest.raises(ValueError, match="^the order ranks 3 variables, the exponents have length 2$"):
-        saturate_coordinates([{(1, 0): 1, (0, 1): -1}], 3)
+    for g, nvars in (({(1, 0): 1, (0, 1): -1}, 3), ({(1, 0, 0): 1, (0, 0, 1): -1}, 2)):
+        length = len(next(iter(g)))
+        with pytest.raises(ValueError, match=f"^exponents of length {length} in {nvars} variables$"):
+            saturate_coordinates([g], nvars)
 
 
 def test_unit_ideal_detection():

@@ -277,7 +277,7 @@ def test_hyperbolic_rank_examples():
 
 
 def test_hyperbolic_rank_degree_guard_fires_before_any_expansion(monkeypatch):
-    from omegalab.certify import MAX_CERTIFY_DEGREE
+    from omegalab.guards import MAX_CERTIFY_DEGREE
     from omegalab.guards import ResourceLimit
 
     at_cap = parse_polynomial(f"x^{MAX_CERTIFY_DEGREE - 1}*y", ["x", "y"])
