@@ -15,9 +15,11 @@ polynomial.  M-convex order-k derivative columns are the lattice points of
 P_k, so a face is the mask of the columns on it: the walk reads the facets as
 masks off the columns' own rank function, which is truncate(rho, k), closes
 them under meets, and builds no polytope.
-`centre_disjoint` and the independent Groebner oracle (toric ideal plus
-centre forms, one Groebner basis) share that precondition and raise
-ValueError without it; an M-convex support meets it.  When every variable
+`centre_disjoint` and the independent Groebner oracle share that
+precondition and raise ValueError without it; an M-convex support meets it.
+The oracle then checks the 12-point cap, answers an empty centre (partials
+spanning every column) with no Groebner work, and else extends the toric
+ideal's basis by the centre forms in one Groebner basis.  When every variable
 occurs, the order-(d-1) truncation min(1, rho) is the rank function of
 U(1, n): its base polytope is the standard simplex, with the columns as
 vertices, built with its face lattice in the only cache kept between calls,
@@ -43,6 +45,7 @@ from typing import Callable, Iterable, Sequence
 from .derivatives import DerivativeSpace, derivative_space, partials_guard
 from .groebner import (
     DEFAULT_MAX_PAIRS,
+    MAX_TORIC_POINTS,
     buchberger_intdicts,
     toric_ideal,
     torus_feasible,
@@ -393,20 +396,22 @@ def _image(mask: int, bits: dict[int, int]) -> int:
 def oracle_centre_disjoint(
     h: Polynomial, k: int, max_pairs: int = DEFAULT_MAX_PAIRS
 ) -> str:
-    """Independent disjointness decision via the toric ideal.
+    """Independent disjointness decision via the toric ideal: "yes" (disjoint) or "no".
 
-    Builds the toric ideal of the order-k derivative columns C_k, adds the
-    centre's defining linear forms, and tests projective emptiness with one
-    Groebner basis, which extends the toric ideal's reduced basis by the
-    forms.  Returns "yes" (disjoint) or "no".
-
-    ValueError is raised when C_k does not fill the truncation polytope, as by
-    `centre_disjoint`.  No rho and no polytope is built.  ResourceLimit comes
-    from the partial-count cap, above MAX_TORIC_POINTS (12) columns, or at the
-    pair cap.
+    In order: ValueError when C_k, the order-k derivative columns, does not
+    fill the truncation polytope, as by `centre_disjoint`; ResourceLimit above
+    MAX_TORIC_POINTS (12) columns; "yes" when the partials span every column,
+    as the centre is then {0}; else one Groebner basis that extends the toric
+    ideal of C_k's reduced basis by the centre's linear forms.  No rho and no
+    polytope is built.  ResourceLimit also comes from the partial-count cap, or
+    at the pair cap, which an empty centre never reaches.
     """
     space = _filling_space(h, k)
     nz = len(space.columns)  # descending grevlex, as toric_ideal orders them: z_i <-> columns[i]
+    if nz > MAX_TORIC_POINTS:
+        raise ResourceLimit(f"toric ideal capped at {MAX_TORIC_POINTS} points")
+    if len(space.matrix) == nz:  # the forms cut out {0}: the centre is empty
+        return "yes"
     gens = list(toric_ideal(space.columns, max_pairs).generators)
     toric = len(gens)  # a reduced grevlex basis: the final basis extends it
     z = [tuple(int(i == j) for j in range(nz)) for i in range(nz)]  # z[i] is z_i

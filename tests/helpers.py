@@ -780,6 +780,21 @@ def reference_buchberger_intdicts(gens, max_pairs=groebner.DEFAULT_MAX_PAIRS):
     )
 
 
+def reference_oracle_centre_disjoint(h: Polynomial, k: int) -> str:
+    """omegalab.certify.oracle_centre_disjoint with no empty-centre exit, for columns
+    that fill P_k: the toric basis of the order-k columns extended by the centre's
+    linear forms, then "yes" iff every z_i has a pure power among the leading monomials."""
+    space = derivative_space(h, k)
+    nz = len(space.columns)
+    toric = list(groebner.toric_ideal(space.columns).generators)
+    z = [tuple(int(i == j) for j in range(nz)) for i in range(nz)]
+    forms = [{z[i]: c for i, c in enumerate(row) if c} for row in space.matrix]
+    basis = groebner.buchberger_intdicts(toric + forms, known=len(toric))
+    leads = [max(g, key=grevlex_key) for g in basis]
+    pure = {i for m in leads for i in range(nz) if m[i] == sum(m)}
+    return "yes" if len(pure) == nz else "no"
+
+
 def reorder(g, order):
     """g with variable order[j] renamed j."""
     return {tuple(m[v] for v in order): c for m, c in g.items()}

@@ -45,6 +45,7 @@ from helpers import (
     reference_char_poly,
     reference_faces,
     reference_is_mconvex,
+    reference_oracle_centre_disjoint,
     reference_truncation_polytope,
 )
 
@@ -884,25 +885,36 @@ def test_oracle_agrees_on_small_instances():
             assert oracle_centre_disjoint(h, k) == face_orbit
 
 
-def test_oracle_agrees_on_random_supports():
-    from omegalab import base_polytope, rank_from_support, truncate
-
-    rng = random.Random(5150)
-    checked = 0
-    while checked < 20:
+def _oracle_corpus(seed, count, max_coeff, max_points):
+    """(supp, h, k) over seeded random M-convex supports in which every variable
+    occurs, for the orders k whose truncation polytope has at most max_points
+    lattice points, until at least count pairs are drawn: the last support yields
+    all its orders."""
+    rng = random.Random(seed)
+    drawn = 0
+    while drawn < count:
         n = rng.randint(2, 4)
         d = rng.randint(2, 4)
         supp = random_mconvex_support(rng, n, d)
         if any(all(p[i] == 0 for p in supp) for i in range(n)):
             continue
-        h = random_positive_polynomial(rng, supp, max_coeff=20)
+        h = random_positive_polynomial(rng, supp, max_coeff=max_coeff)
         for k in range(1, d):
             body = base_polytope(truncate(rank_from_support(supp), k))
-            if len(lattice_points(body)) > 12:
+            if len(lattice_points(body)) > max_points:
                 continue
-            face_orbit = centre_disjoint(h, k).disjoint
-            assert face_orbit == oracle_centre_disjoint(h, k), (supp, k)
-            checked += 1
+            yield supp, h, k
+            drawn += 1
+
+
+RANDOM_SUPPORTS = (5150, 20, 20, 12)  # _oracle_corpus's arguments
+INTERSECTING_CENTRES = (3, 60, 3, 10)
+
+
+def test_oracle_agrees_on_random_supports():
+    for supp, h, k in _oracle_corpus(*RANDOM_SUPPORTS):
+        face_orbit = centre_disjoint(h, k).disjoint
+        assert face_orbit == oracle_centre_disjoint(h, k), (supp, k)
 
 
 def test_oracle_decides_with_one_groebner_basis_after_the_toric_ideal(monkeypatch):
@@ -931,24 +943,55 @@ def test_oracle_decides_with_one_groebner_basis_after_the_toric_ideal(monkeypatc
 
 
 def test_oracle_agrees_on_a_corpus_with_intersecting_centres():
-    from omegalab import base_polytope, rank_from_support, truncate
-
-    rng = random.Random(3)
     answers = []
-    while len(answers) < 60:
-        n = rng.randint(2, 4)
-        d = rng.randint(2, 4)
-        supp = random_mconvex_support(rng, n, d)
-        if any(all(p[i] == 0 for p in supp) for i in range(n)):
-            continue
-        h = random_positive_polynomial(rng, supp, max_coeff=3)
-        for k in range(1, d):
-            if len(lattice_points(base_polytope(truncate(rank_from_support(supp), k)))) > 10:
-                continue
-            oracle = oracle_centre_disjoint(h, k)
-            assert oracle == centre_disjoint(h, k).disjoint, (supp, k)
-            answers.append(oracle)
+    for supp, h, k in _oracle_corpus(*INTERSECTING_CENTRES):
+        oracle = oracle_centre_disjoint(h, k)
+        assert oracle == centre_disjoint(h, k).disjoint, (supp, k)
+        answers.append(oracle)
     assert answers.count("no") >= 5
+
+
+def test_oracle_matches_the_route_with_no_empty_centre_exit():
+    # The exit answers "yes" wherever the partials span every column; the
+    # reference builds the toric ideal and the extension basis there too.
+    fixtures = bench_fixtures()
+    pairs = []
+    for name, k, *_ in fixtures.ORACLE_PAIRS:
+        f = fixtures.fixture(name)
+        pairs.append((parse_polynomial(f.text, list(f.names)), k))
+    for corpus in (RANDOM_SUPPORTS, INTERSECTING_CENTRES):
+        pairs += [(h, k) for _, h, k in _oracle_corpus(*corpus)]
+    empty = []
+    for h, k in pairs:
+        space = derivative_space(h, k)
+        empty.append(space.span_dimension == len(space.columns))
+        assert oracle_centre_disjoint(h, k) == reference_oracle_centre_disjoint(h, k), (h, k)
+    # 20 of the 26 bench pairs and 78 of all 107 pairs have an empty centre
+    assert len(pairs) == 107 and sum(empty[:26]) == 20 and sum(empty) == 78
+
+
+def test_oracle_answers_an_empty_centre_with_no_groebner_work(monkeypatch):
+    import omegalab.certify
+    from omegalab.guards import ResourceLimit
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Groebner work on an empty centre")
+
+    for name in ("toric_ideal", "buchberger_intdicts"):
+        monkeypatch.setattr(omegalab.certify, name, refuse)
+    for d, n, k in ((4, 5, 2), (5, 5, 3), (2, 9, 1)):
+        h = elementary_symmetric(d, n)
+        space = derivative_space(h, k)
+        assert space.span_dimension == len(space.columns) <= 12  # the centre is {0}
+        assert oracle_centre_disjoint(h, k) == "yes"
+        # no pair is formed, so no pair cap fires
+        assert oracle_centre_disjoint(h, k, max_pairs=0) == "yes"
+    # the 12-point cap comes before the exit: e(2,13)'s centre is empty too
+    h = elementary_symmetric(2, 13)
+    space = derivative_space(h, 1)
+    assert space.span_dimension == len(space.columns) == 13
+    with pytest.raises(ResourceLimit, match="^toric ideal capped at 12 points$"):
+        oracle_centre_disjoint(h, 1)
 
 
 def test_oracle_refuses_a_derivative_support_that_does_not_fill():

@@ -45,6 +45,7 @@ from helpers import (
     reference_buchberger_intdicts,
     reference_lowest_index_saturate_coordinates,
     reference_normal_form,
+    reference_oracle_centre_disjoint,
     reference_saturate_coordinates,
     reorder,
 )
@@ -324,10 +325,17 @@ def test_gebauer_moeller_matches_the_chain_criterion_reference(monkeypatch):
             polys.append(P(f.text, list(f.names)))
     systems = [c for h in polys for c in _recorded_bases(monkeypatch, lambda: certify_smooth(h))]
     assert len(systems) >= 40
-    for name, k, *_ in fixtures.ORACLE_PAIRS:  # the toric ideal, then the centre
+    # Every pair's toric ideal and extension basis, on the route with no
+    # empty-centre exit; then the oracle's own, on the 6 pairs with a nonempty centre.
+    routes = (reference_oracle_centre_disjoint, oracle_centre_disjoint)
+    oracle = [[], []]
+    for name, k, *_ in fixtures.ORACLE_PAIRS:
         f = fixtures.fixture(name)
         h = P(f.text, list(f.names))
-        systems += _recorded_bases(monkeypatch, lambda: oracle_centre_disjoint(h, k))
+        for calls, route in zip(oracle, routes):
+            calls += _recorded_bases(monkeypatch, lambda: route(h, k))
+    assert [len(calls) for calls in oracle] == [77, 26]
+    systems += oracle[0] + oracle[1]
     for gens, basis in systems:
         assert reference_buchberger_intdicts(gens) == basis, gens
 
