@@ -10,11 +10,11 @@ which is emitted with the certificate.
 
 The per-order test decomposes the toric variety into torus orbits indexed by
 the faces of P_k and decides torus feasibility of each face-restricted
-derivative system, one face per orbit of the variable swaps fixing the
-polynomial.  M-convex order-k derivative columns are the lattice points of
-P_k, so a face is the mask of the columns on it: the walk reads the facets as
-masks off the columns' own rank function, which is truncate(rho, k), closes
-them under meets, and builds no polytope.
+derivative system on the first face of each orbit of the variable swaps fixing
+the polynomial, the face on which no swap's two column masks fire.  M-convex
+order-k derivative columns are the lattice points of P_k, so a face is the mask
+of the columns on it: the walk reads the facets off the columns' own rank
+function, truncate(rho, k), closes them under meets, and builds no polytope.
 `centre_disjoint` and the independent Groebner oracle share that
 precondition and raise ValueError without it; an M-convex support meets it.
 The oracle then checks the 12-point cap, answers an empty centre (partials
@@ -24,10 +24,9 @@ occurs, the order-(d-1) truncation min(1, rho) is the rank function of
 U(1, n): its base polytope is the standard simplex, with the columns as
 vertices, built with its face lattice in the only cache kept between calls,
 once per n.
-One certificate computes the support's swaps once, and rho at most once,
-for the summed polytope at d >= 3: never for a quadric.  It runs no
-polymatroid axiom check, as rho of an M-convex support, its truncations and
-their sum are polymatroids.
+One certificate computes the swaps once and rho at most once, for the summed
+polytope at d >= 3.  It runs no polymatroid axiom check: rho of an M-convex
+support, its truncations and their sum are polymatroids.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 from math import factorial, lcm, prod
-from operator import itemgetter, mul, or_
+from operator import gt, itemgetter, lt, mul, or_
 from typing import Callable, Iterable, Sequence
 
 from .derivatives import DerivativeSpace, derivative_space, partials_guard
@@ -283,9 +282,9 @@ def centre_disjoint(
     mask of the order-k derivative columns on it: the centre meets the variety
     iff some face's system, the span basis restricted to its columns, has a
     torus zero.  The first feasible face in the face order is the witness, by
-    its vertices, and the orbit of an infeasible face under the swaps fixing h
-    is skipped.  ValueError is raised, as by `oracle_centre_disjoint`, when the
-    columns are not M-convex: the walk is exact when they fill P_k.
+    its vertices; of each orbit of the swaps fixing h only the first face is
+    decided (see `_decide`).  ValueError is raised, as by `oracle_centre_disjoint`,
+    when the columns are not M-convex: the walk is exact when they fill P_k.
     """
     return _decide(h, _filling_space(h, k), max_pairs, lambda: _swap_generators(h))
 
@@ -312,16 +311,23 @@ def _decide(
 
     A face is the mask of the columns on it, bit t for the t-th in lexicographic
     order, and its facets are read off the columns' rank function, truncate(rho, k)
-    by `_filling_space`'s lemma, or the simplex's.
+    by `_filling_space`'s lemma, or the simplex's.  Of each orbit of the swaps
+    fixing h only the first face F in the lattice order is decided: the face on
+    which no generator (i, j), i < j, fires, that is, has a column with c_i > c_j
+    and none with c_i < c_j.  Should a first face hit the pair cap, its orbit's
+    later faces are decided in order until one is infeasible.  The test is exact:
+    1. t = (i j) fixes the columns and P_k.  If tF != F, no w in relint N(F) has
+       w_i = w_j, as tw = w would lie in relint N(tF); so, say, w_i > w_j on it,
+       and <w, c> >= <w, tc> gives c_i >= c_j on F's columns, once strictly.
+    2. Then tc is lexicographically smaller than c: t maps F's vertex indices to
+       no larger ones, some smaller, so tF comes earlier in the lattice order.
+    3. A column sum in relint F and the count name F, and the swaps permute the
+       sums: one face per orbit has sums ascending within blocks, by 2 the first.
+    4. Any other face has sum_i > sum_j for a generator: by 1, (i, j) fires.
     """
     k, columns = space.order, space.columns
-    report = functools.partial(
-        OrderReport,
-        k=k,
-        span_dim=space.span_dimension,
-        num_monomials=len(columns),
-        centre_dim=len(columns) - space.span_dimension,
-    )
+    m, b = space.span_dimension, len(columns)  # m_k and |B_k|
+    report = functools.partial(OrderReport, k=k, span_dim=m, num_monomials=b, centre_dim=b - m)
     try:
         require_greedy(h.nvars)  # before the rank function's 2^n table
     except ResourceLimit as exc:
@@ -333,21 +339,28 @@ def _decide(
     else:
         lattice = _lattice(list(_facets(rank_from_support(points), points, True)), len(points))
     vertices = sum(mask for dim, mask, _ in lattice if dim == 0)
-    # A swap fixing h permutes the columns: each perm maps a column's bit to its
-    # image's, and a face's mask to its image's.
     index = {c: 1 << t for t, c in enumerate(points)}
-    swapped = [_transposition(h.nvars, i, j) for i, j in swaps()]
-    perms = [{bit: index[swap(c)] for c, bit in index.items()} for swap in swapped]
+    moves = []  # per generator (i, j): the columns with c_i > c_j, with c_i < c_j, and the swap
+    for i, j in swaps():
+        above, below = (sum(index[c] for c in points if op(c[i], c[j])) for op in (gt, lt))
+        moves.append((above, below, _transposition(h.nvars, i, j)))
+
+    def fired(on: int) -> Callable | None:  # a swap mapping the face earlier, by 2
+        return next((swap for above, below, swap in moves if on & above and not on & below), None)
 
     # Each basis row keeps its nonzero (bit, column, value).  A row wholly on
     # a face passes its prebuilt dict; only a cut row is rebuilt.
     rows = [[(index[c], c, x) for c, x in zip(columns, r) if x] for r in space.matrix]
     rows = [(sum(bit for bit, _, _ in row), row, {c: x for _, c, x in row}) for row in rows]
-    settled: set[int] = set()  # masks of the faces in an infeasible orbit
-    undecided = []
+    capped: dict[int, str] = {}  # first face -> detail, of the orbits with no infeasible face
     for _, on, _ in lattice:
-        if on in settled:
-            continue
+        first = on
+        if moves and (swap := fired(on)):  # not a first face: decided only if its orbit is capped
+            while capped and swap:
+                first = sum(index[swap(c)] for c in points if first & index[c])
+                swap = fired(first)
+            if first not in capped:
+                continue
         gens = [
             whole if mask & on == mask else {c: x for bit, c, x in row if bit & on}
             for mask, row, whole in rows
@@ -362,16 +375,11 @@ def _decide(
             )
         if verdict.status == "undecided":
             detail = f"{verdict.method} undecided on a face orbit: {verdict.certificate}"
-            undecided.append((on, detail))
-        elif perms:  # infeasible: settle the orbit
-            orbit = [on]
-            while orbit:
-                cur = orbit.pop()
-                if cur not in settled:
-                    settled.add(cur)
-                    orbit += [_image(cur, perm) for perm in perms]
+            capped.setdefault(first, detail)
+        else:  # infeasible: the orbit is decided
+            capped.pop(first, None)
     # A face at the pair cap is undecided only if no face of its orbit was infeasible.
-    detail = next((d for key, d in undecided if key not in settled), None)
+    detail = next(iter(capped.values()), None)
     return report(disjoint="undecided" if detail else "yes", detail=detail)
 
 
@@ -382,15 +390,6 @@ def _simplex_lattice(n: int) -> tuple[LatticePolytope, tuple[tuple[int, int, int
     when every variable occurs in h."""
     body = _polymatroid_polytope(SetFunction.uniform_matroid(1, n), True)
     return body, tuple(_lattice(body.facet_masks, n))
-
-
-def _image(mask: int, bits: dict[int, int]) -> int:
-    """The OR of bits[b] over the set bits b of mask."""
-    out = 0
-    while mask:
-        out |= bits[mask & -mask]
-        mask &= mask - 1
-    return out
 
 
 def oracle_centre_disjoint(

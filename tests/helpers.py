@@ -156,6 +156,37 @@ def random_positive_polynomial(
     )
 
 
+def young_orbit(e: tuple[int, ...], blocks: list[range]) -> set[tuple[int, ...]]:
+    """The images of e under the permutations of coordinates within each block."""
+    out = {()}
+    for block in blocks:
+        out = {x + y for x in out for y in set(permutations(e[block.start : block.stop]))}
+    return out
+
+
+def random_block_symmetric_polynomial(
+    rng: random.Random, n: int, degree: int, max_coeff: int = 3
+) -> Polynomial:
+    """A positive polynomial on an M-convex support, with its coefficients constant on
+    the orbits of the permutations within runs of consecutive variables, at least one
+    run of two or more.  The support is the union of those orbits of a random M-convex
+    support, redrawn until it is M-convex and every variable occurs."""
+    while True:
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 2)))
+        blocks = [range(a, b) for a, b in zip([0, *cuts], [*cuts, n])]
+        support = set()
+        for e in random_mconvex_support(rng, n, degree):
+            support |= young_orbit(e, blocks)
+        if is_mconvex(support)[0] and all(any(p[i] for p in support) for i in range(n)):
+            break
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for e in sorted(support):
+        if e not in terms:
+            c = Fraction(rng.randint(1, max_coeff))
+            terms.update((x, c) for x in young_orbit(e, blocks))
+    return Polynomial(n, terms)
+
+
 def random_product_of_linear_forms(rng: random.Random, n: int, degree: int) -> Polynomial:
     """Product of linear forms with positive coefficients: stable, so Lorentzian."""
     h = Polynomial.constant(n, 1)
@@ -525,6 +556,39 @@ def reference_faces(p):
         result.append((members, tuple(p.vertices[i] for i in members), dim, frozenset(facets)))
     result.sort(key=lambda f: (f[2], f[0]))
     return result
+
+
+def mask_image(mask: int, bits: dict[int, int]) -> int:
+    """The OR of bits[b] over the set bits b of mask."""
+    out = 0
+    while mask:
+        out |= bits[mask & -mask]
+        mask &= mask - 1
+    return out
+
+
+def reference_orbit_firsts(lattice, points, swaps) -> dict[int, int]:
+    """Each face mask of `lattice`, (dim, mask, facets) over the sorted `points`,
+    mapped to the first face of its orbit under the swaps (i, j) of coordinates:
+    the walk in lattice order closes each new face's orbit by breadth-first search
+    over the swaps' bit permutations."""
+    index = {c: 1 << t for t, c in enumerate(points)}
+    perms = []
+    for i, j in swaps:
+        order = list(range(len(points[0])))
+        order[i], order[j] = j, i
+        perms.append({bit: index[tuple(c[x] for x in order)] for c, bit in index.items()})
+    first: dict[int, int] = {}
+    for _, on, _ in lattice:
+        if on in first:
+            continue
+        orbit = [on]
+        while orbit:
+            cur = orbit.pop()
+            if cur not in first:
+                first[cur] = on
+                orbit += [mask_image(cur, perm) for perm in perms]
+    return first
 
 
 def reference_is_simple(p):

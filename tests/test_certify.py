@@ -4,9 +4,9 @@ import functools
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import prod
-from operator import mul
+from operator import gt, lt, mul
 
 import pytest
 
@@ -38,7 +38,9 @@ from helpers import (
     X123,
     bench_fixtures,
     lattice_points,
+    mask_image,
     poly_to_intdict,
+    random_block_symmetric_polynomial,
     random_mconvex_support,
     random_positive_polynomial,
     random_product_of_linear_forms,
@@ -46,6 +48,7 @@ from helpers import (
     reference_faces,
     reference_is_mconvex,
     reference_oracle_centre_disjoint,
+    reference_orbit_firsts,
     reference_truncation_polytope,
 )
 
@@ -837,8 +840,6 @@ def test_the_greedy_guard_fires_before_the_simplex_cache(fresh_simplices):
 
 
 def test_the_cached_simplex_column_masks_are_those_of_a_fresh_simplex(fresh_simplices):
-    from omegalab.certify import _image
-
     for n in range(1, 9):
         units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         # the order-(d - 1) columns whenever every variable occurs
@@ -854,7 +855,7 @@ def test_the_cached_simplex_column_masks_are_those_of_a_fresh_simplex(fresh_simp
         masks = [mask for _, mask, _ in fresh_simplices(n)[1]]  # the masks the walk reads
         lattice = reference_faces(fresh)
         facet_masks = [sum(1 << j for j in facets) for _, _, _, facets in lattice]
-        assert masks == [every ^ _image(facet_mask, off) for facet_mask in facet_masks]
+        assert masks == [every ^ mask_image(facet_mask, off) for facet_mask in facet_masks]
         # a simplex face's columns are its vertices
         assert masks == [sum(1 << points.index(v) for v in face[1]) for face in lattice]
     assert fresh_simplices.cache_info().currsize == 8
@@ -1221,8 +1222,6 @@ def test_one_torus_feasibility_call_per_face_orbit(monkeypatch):
 
 def test_orbit_images_of_face_masks_match_the_index_tuple_images():
     # every swap fixing h, not only the generators, at every order of the ladder fixtures
-    from omegalab.certify import _image
-
     def swap(e, i, j):
         return tuple(e[j] if t == i else e[i] if t == j else x for t, x in enumerate(e))
 
@@ -1253,10 +1252,82 @@ def test_orbit_images_of_face_masks_match_the_index_tuple_images():
                 for members, face_mask in listing:
                     image = tuple(sorted(perm[x] for x in members))  # the old key
                     mask = sum(1 << x for x in image)
-                    assert _image(face_mask, bits) == mask, (name, k, i, j)
+                    assert mask_image(face_mask, bits) == mask, (name, k, i, j)
                     assert mask in masks
                     images += 1
     assert images >= 40000, images
+
+
+def _face_walk(h, k):
+    """(points, lattice, swap generators) of the walk of order k, as `_decide` builds them."""
+    from omegalab.certify import _simplex_lattice, _swap_generators
+    from omegalab.polytope import _facets, _lattice
+
+    points = sorted(derivative_space(h, k).columns)
+    if k == h.total_degree - 1:  # every variable occurs in these inputs
+        lattice = _simplex_lattice(h.nvars)[1]
+    else:
+        lattice = _lattice(list(_facets(rank_from_support(points), points, True)), len(points))
+    return points, lattice, _swap_generators(h)
+
+
+def test_a_face_is_decided_iff_no_swap_fires_iff_it_comes_first_in_its_orbit(monkeypatch):
+    import omegalab.certify as certify
+
+    fixtures = bench_fixtures()
+    inputs = []
+    for name, _ in fixtures.LADDER:
+        if name not in fixtures.GUARDED:
+            f = fixtures.fixture(name)
+            inputs.append((name, parse_polynomial(f.text, list(f.names))))
+    rng = random.Random(40)
+    for t in range(150):
+        h = random_block_symmetric_polynomial(rng, rng.randint(3, 5), rng.randint(2, 3))
+        inputs.append((f"block-symmetric #{t}: {h.terms}", h))
+
+    decided = []
+
+    def traced(gens, **kwargs):
+        decided.append(frozenset(c for g in gens for c in g))  # the face's columns
+        return real(gens, **kwargs)
+
+    real = certify.torus_feasible
+    monkeypatch.setattr(certify, "torus_feasible", traced)
+    faces = orbits = 0
+    for name, h in inputs:
+        for k in range(1, h.total_degree):
+            points, lattice, swaps = _face_walk(h, k)
+            first = reference_orbit_firsts(lattice, points, swaps)
+            masks = [
+                [sum(1 << t for t, c in enumerate(points) if op(c[i], c[j])) for op in (gt, lt)]
+                for i, j in swaps
+            ]
+
+            def columns(on):
+                return [c for t, c in enumerate(points) if on >> t & 1]
+
+            for _, on, _ in lattice:
+                fires = any(on & above and not on & below for above, below in masks)
+                assert fires == (first[on] != on), (name, k, columns(on))
+            members = {}
+            for _, on, _ in lattice:
+                members.setdefault(first[on], []).append(on)
+            for orbit in members.values():
+                sums = [[sum(col) for col in zip(*columns(on))] for on in orbit]
+                ascending = [s for s in sums if all(s[i] <= s[j] for i, j in swaps)]
+                assert len(ascending) == 1, (name, k, columns(orbit[0]), sums)
+            # the walk decides the first faces in order, up to a witness
+            decided.clear()
+            report = certify.centre_disjoint(h, k)
+            firsts = [frozenset(columns(on)) for _, on, _ in lattice if first[on] == on]
+            assert report.detail is None or report.disjoint == "no", (name, k, report)
+            expected = firsts[: len(decided)] if report.disjoint == "no" else firsts
+            pairs = zip_longest(decided, expected)
+            wrong = next((sorted(a or b) for a, b in pairs if a != b), None)  # the first face apart
+            assert wrong is None, (name, k, wrong)
+            faces += len(lattice)
+            orbits += len(members)
+    assert faces >= 7000 and orbits >= 1800, (faces, orbits)
 
 
 def _cap_on_calls(monkeypatch, capped_calls):
@@ -1291,6 +1362,44 @@ def test_capped_orbit_stays_undecided(monkeypatch):
     report = centre_disjoint(elementary_symmetric(2, 3), 1)
     assert report.disjoint == "undecided"
     assert report.detail == f"groebner undecided on a face orbit: {capped.certificate}"
+
+
+# e(3,4) at order 1 is the octahedron on the columns 0011 ... 1100: the vertices,
+# the edges and the whole are one orbit each, and the triangles two
+VERTICES = ["0011", "0101", "0110", "1001", "1010", "1100"]
+EDGE, WHOLE = "0011 0101", " ".join(VERTICES)
+TRIANGLES = ["0011 0101 0110", "0011 0101 1001", "0011 0110 1010", "0011 1001 1010"]
+
+
+@pytest.mark.parametrize(
+    "capped_calls, disjoint, faces",
+    [
+        ({1, 2}, "yes", VERTICES[:3] + [EDGE] + TRIANGLES[:2] + [WHOLE]),
+        ({1, 2, 3, 4}, "yes", VERTICES[:5] + [EDGE] + TRIANGLES[:2] + [WHOLE]),
+        ({1, 2, 3, 4, 5, 6}, "undecided", VERTICES + [EDGE] + TRIANGLES[:2] + [WHOLE]),
+        # both triangle orbits capped: their later faces come in lattice order
+        ({3, 4}, "yes", VERTICES[:1] + [EDGE] + TRIANGLES + [WHOLE]),
+    ],
+)
+def test_a_capped_orbit_decides_its_later_faces_in_order(
+    monkeypatch, capped_calls, disjoint, faces
+):
+    import omegalab.certify as certify
+
+    capped = _cap_on_calls(monkeypatch, capped_calls)
+    decided = []
+
+    def traced(gens, _stub=certify.torus_feasible, **kwargs):
+        columns = {"".join(map(str, c)) for g in gens for c in g}  # the face's columns
+        decided.append(" ".join(sorted(columns)))
+        return _stub(gens, **kwargs)
+
+    monkeypatch.setattr(certify, "torus_feasible", traced)
+    report = centre_disjoint(elementary_symmetric(3, 4), 1)
+    assert decided == faces
+    assert report.disjoint == disjoint
+    detail = f"groebner undecided on a face orbit: {capped.certificate}"
+    assert report.detail == (detail if disjoint == "undecided" else None)
 
 
 def _metamorphic_inputs(rng, count):
