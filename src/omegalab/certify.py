@@ -36,24 +36,18 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import factorial, lcm, prod
 from operator import gt, itemgetter, lt, mul, or_
 from typing import Callable, Iterable, Sequence
 
-from .derivatives import DerivativeSpace, derivative_space, partials_guard
-from .groebner import (
-    DEFAULT_MAX_PAIRS,
-    MAX_TORIC_POINTS,
-    buchberger_intdicts,
-    toric_ideal,
-    torus_feasible,
-)
-from .guards import ResourceLimit, degree_guard
+from .derivatives import DerivativeSpace, derivative_space
+from .groebner import DEFAULT_MAX_PAIRS, buchberger_intdicts, toric_ideal, torus_feasible
+from .guards import ResourceLimit, degree_guard, greedy_guard, ground_set_guard
+from .guards import partials_guard, toric_points_guard
 from .poly import Exponent, Polynomial, grevlex_key, read_exponent
 from .polytope import LatticePolytope, _facets, _lattice, _polymatroid_polytope, is_simple
-from .polytope import require_greedy
-from .setfunc import SetFunction, ground_set_guard, rank_from_support, truncation_sum
+from .setfunc import SetFunction, rank_from_support, truncation_sum
 
 VERDICT_SMOOTH = "smooth-toric"
 VERDICT_FAILS = "criterion-fails"
@@ -80,7 +74,8 @@ def is_mconvex(
     order.  With the support B indexed by bit, the y with y_i < x_i must lie
     in the union, over the j with x - e_i + e_j in B, of the y with y_j > x_j
     and y + e_i - e_j in B.  The tables of both sets are built once, so the
-    test costs O(|B| n^2) operations on |B|-bit ints, not O(|B|^2 n^2) pairs.
+    test costs O(|B| n^2) operations on |B|-bit ints, not O(|B|^2 n^2) pairs,
+    and they are keyed by the values that occur, so no exponent's size costs space.
     """
     pts = sorted({read_exponent(p) for p in points})
     if not pts:
@@ -95,17 +90,24 @@ def is_mconvex(
     weight = [(d + 1) ** t for t in range(n)]  # base-(d+1) digits: a unit move is one addition
     code = {sum(map(mul, p, weight)): k for k, p in enumerate(pts)}
     move = [[0] * n for _ in range(n)]  # move[i][j]: the y with y + e_i - e_j in B
-    at = [[0] * (d + 1) for _ in range(n)]  # at[j][v]: the y with y_j == v
     for c, k in code.items():
         y = pts[k]
         for j in range(n):
-            at[j][y[j]] |= 1 << k
             if y[j]:
                 for i in range(n):
                     if i != j and c + weight[i] - weight[j] in code:
                         move[i][j] |= 1 << k
-    below = [list(accumulate(row, or_, initial=0)) for row in at]  # below[j][v]: y_j < v
-    above = [list(accumulate(row[:0:-1], or_, initial=0))[::-1] for row in at]  # and y_j > v
+    full = (1 << len(pts)) - 1
+    below, above = [], []  # below[j][v]: the y with y_j < v, and above[j][v]: with y_j > v
+    for column in zip(*pts):
+        at: dict[int, int] = {}  # at[v]: the y with y_j == v
+        for k, v in enumerate(column):
+            at[v] = at.get(v, 0) | 1 << k
+        low, union = {}, 0
+        for v in sorted(at):
+            low[v], union = union, union | at[v]
+        below.append(low)
+        above.append({v: full ^ b ^ at[v] for v, b in low.items()})
     for k, x in enumerate(pts):
         fails = [0] * n  # fails[i]: the y with y_i < x_i that no j completes
         for i in range(n):
@@ -183,8 +185,8 @@ def is_lorentzian(h: Polynomial, mconvex: bool | None = None) -> LorentzianRepor
     d = h.total_degree
     if d < 2:
         raise ValueError("Lorentzian test needs degree at least 2")
-    if guard := degree_guard(d) or partials_guard(h.nvars, d - 2):
-        raise ResourceLimit(guard)
+    degree_guard(d)
+    partials_guard(h.nvars, d - 2)
     if mconvex is None:
         mconvex = is_mconvex(h.support())[0]
     # For m = a + e_i + e_j, the Hessian of the partial d^a of h's integer view
@@ -329,7 +331,7 @@ def _decide(
     m, b = space.span_dimension, len(columns)  # m_k and |B_k|
     report = functools.partial(OrderReport, k=k, span_dim=m, num_monomials=b, centre_dim=b - m)
     try:
-        require_greedy(h.nvars)  # before the rank function's 2^n table
+        greedy_guard(h.nvars)  # before the rank function's 2^n table
     except ResourceLimit as exc:
         return report(disjoint="undecided", detail=f"order-{k} truncation polytope: {exc}")
     points = sorted(columns)
@@ -407,8 +409,7 @@ def oracle_centre_disjoint(
     """
     space = _filling_space(h, k)
     nz = len(space.columns)  # descending grevlex, as toric_ideal orders them: z_i <-> columns[i]
-    if nz > MAX_TORIC_POINTS:
-        raise ResourceLimit(f"toric ideal capped at {MAX_TORIC_POINTS} points")
+    toric_points_guard(nz)
     if len(space.matrix) == nz:  # the forms cut out {0}: the centre is empty
         return "yes"
     gens = list(toric_ideal(space.columns, max_pairs).generators)
@@ -489,11 +490,13 @@ def certify_smooth(
             raise ValueError(f"variable index {i} does not occur in the polynomial")
     echo = text if text is not None else h.to_string([f"x{i+1}" for i in range(h.nvars)])
 
-    # the partials guard at d - 1, the highest order computed
-    guard = degree_guard(d) or ground_set_guard(h.nvars) or partials_guard(h.nvars, d - 1)
-    if guard:  # before the M-convexity scan
+    try:  # before the M-convexity scan
+        degree_guard(d)
+        ground_set_guard(h.nvars)
+        partials_guard(h.nvars, d - 1)  # at d - 1, the highest order computed
+    except ResourceLimit as exc:
         return SmoothnessCertificate(
-            echo, h.nvars, d, None, None, None, (), VERDICT_UNDECIDED, None, detail=guard
+            echo, h.nvars, d, None, None, None, (), VERDICT_UNDECIDED, None, detail=str(exc)
         )
     mcx, mcx_witness = is_mconvex(h.support())
     lorentzian = is_lorentzian(h, mcx)

@@ -28,9 +28,9 @@ from .certify import (
 )
 from .derivatives import derivative_space
 from .groebner import DEFAULT_MAX_PAIRS
-from .guards import ResourceLimit
+from .guards import ResourceLimit, greedy_guard, ground_set_guard
 from .poly import ParseError, Polynomial, parse_polynomial
-from .polytope import _polymatroid_polytope, _require_polymatroid, is_simple, require_greedy
+from .polytope import _polymatroid_polytope, _require_polymatroid, is_simple
 from .setfunc import (
     SetFunction,
     ZeroRestrictionError,
@@ -38,7 +38,6 @@ from .setfunc import (
     hyperbolic_rank,
     mask_to_set,
     rank_from_support,
-    require_ground_set,
     truncation_sum,
 )
 
@@ -241,7 +240,7 @@ def _parse_setfunction_arg(args) -> SetFunction:
                 raise UsageError(f"bad basis {chunk!r}; write e.g. 12,13,14,23,24,34")
         n = args.ground_set or max((max(b) for b in bases), default=0)  # no basis: exits 64 below
         basis_masks(n, bases)  # a bad family exits 64 first
-        require_greedy(n)  # every polytope command stops here, before the 2^n table
+        greedy_guard(n)  # every polytope command stops here, before the 2^n table
         return SetFunction.from_bases(n, bases)
     try:
         return SetFunction.from_json(args.setfunction)
@@ -265,8 +264,8 @@ def _cmd_polytope(args) -> int:
         h, _, _ = _read_polynomial(args)
         if h.is_zero or not h.is_homogeneous:
             raise UsageError("polynomial input must be nonzero homogeneous")
-        require_ground_set(h.nvars)
-        require_greedy(h.nvars)  # both guards before rho's 2^n table
+        ground_set_guard(h.nvars)
+        greedy_guard(h.nvars)  # both guards before rho's 2^n table
         f = rank_from_support(h.support())
     f = _require_polymatroid(f)  # the greedy guard, then the axiom scan
     f = truncation_sum(f) if args.function == "bar" else f  # a sum of polymatroids is one

@@ -63,14 +63,13 @@ from math import gcd
 from operator import mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .guards import ResourceLimit
+from .guards import ResourceLimit, toric_points_guard
 from .linalg import integer_kernel_basis, kernel_basis
 from .poly import Exponent, grevlex_key, read_exponent
 
 IntPoly = dict[Exponent, int]
 
 DEFAULT_MAX_PAIRS = 100_000
-MAX_TORIC_POINTS = 12
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -490,8 +489,7 @@ def toric_ideal(
         raise ValueError("empty point configuration")
     if len(set(map(len, pts))) != 1:
         raise ValueError("points must have equal length")
-    if len(pts) > MAX_TORIC_POINTS:
-        raise ResourceLimit(f"toric ideal capped at {MAX_TORIC_POINTS} points")
+    toric_points_guard(len(pts))
     n = len(pts[0])
     rows = [[p[i] for p in pts] for i in range(n)]
     rows.append([1] * len(pts))  # projective grading row

@@ -25,18 +25,16 @@ from operator import and_, or_
 from typing import Iterable, Sequence
 
 from . import linalg
-from .guards import ResourceLimit
+from .guards import greedy_guard
 from .setfunc import SetFunction, is_polymatroid, mask_to_set
 
 __all__ = [
     "LatticePolytope",
-    "ResourceLimit",
     "independence_polytope",
     "base_polytope",
     "is_simple",
 ]
 
-MAX_GREEDY_GROUND_SET = 8
 _ZERO_FLAGS = bytes.maketrans(b"\0\x80", b"10")  # a field's top byte: 1 where the field is 0
 
 Point = tuple[int, ...]
@@ -107,15 +105,9 @@ def _polytope(
 # -- polymatroid polytopes --------------------------------------------------------
 
 
-def require_greedy(n: int) -> None:
-    """The greedy guard of every base and independence polytope on n elements."""
-    if n > MAX_GREEDY_GROUND_SET:
-        raise ResourceLimit(f"greedy enumeration capped at n <= {MAX_GREEDY_GROUND_SET}")
-
-
 def _require_polymatroid(f: SetFunction) -> SetFunction:
     """f past the greedy guard, which bounds the axiom scan; else ValueError naming a witness."""
-    require_greedy(f.n)
+    greedy_guard(f.n)
     report = is_polymatroid(f)
     if not report.is_normalized:
         raise ValueError(f"not a polymatroid: f(empty set) = {f.values[0]}, not 0")
@@ -141,7 +133,7 @@ def _polymatroid_polytope(f: SetFunction, bases_only: bool) -> LatticePolytope:
     distinct nonzero entries, as no edge is orthogonal to it, so it is a vertex.
     """
     n, values = f.n, f.values
-    require_greedy(n)
+    greedy_guard(n)
     size, full = 1 << n, (1 << n) - 1
     closures: dict[int, int] = {}  # prefix mask: the elements of marginal 0 there
 

@@ -14,26 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .guards import ResourceLimit, degree_guard
+from .guards import degree_guard, ground_set_guard
 from .poly import Exponent, Polynomial, read_exponent
-
-MAX_GROUND_SET = 20
-
-
-class GroundSetTooLarge(ResourceLimit):
-    pass
-
-
-def ground_set_guard(n: int) -> str | None:
-    """The ground-set guard's message when n elements exceed the cap."""
-    if n > MAX_GROUND_SET:
-        return f"ground-set guard: ground set of size {n} exceeds the cap {MAX_GROUND_SET}"
-    return None
-
-
-def require_ground_set(n: int) -> None:  # before any 2^n table is built
-    if guard := ground_set_guard(n):
-        raise GroundSetTooLarge(guard)
 
 
 def mask_to_set(mask: int, start: int = 1) -> tuple[int, ...]:
@@ -58,7 +40,7 @@ class SetFunction:
     def __init__(self, n: int, values: Sequence[int]):
         if n < 0:
             raise ValueError("ground-set size must be nonnegative")
-        require_ground_set(n)
+        ground_set_guard(n)  # before any 2^n table is built
         if len(values) != 1 << n:
             raise ValueError(f"expected {1 << n} values, got {len(values)}")
         if bad := [v for v in values if type(v) is not int]:  # never truncate
@@ -108,7 +90,7 @@ class SetFunction:
 
     @classmethod
     def uniform_matroid(cls, rank: int, n: int) -> "SetFunction":
-        require_ground_set(n)
+        ground_set_guard(n)
         return cls(n, [min(mask.bit_count(), rank) for mask in range(1 << n)])
 
     @classmethod
@@ -120,7 +102,7 @@ class SetFunction:
         input whose rank table is not a polymatroid.
         """
         masks = basis_masks(n, bases)
-        require_ground_set(n)
+        ground_set_guard(n)
         values = [max((b & mask).bit_count() for b in masks) for mask in range(1 << n)]
         return cls(n, values)
 
@@ -190,7 +172,7 @@ def rank_from_support(supp: Iterable[Exponent]) -> SetFunction:
     degrees = {sum(p) for p in points}
     if len(degrees) != 1:
         raise ValueError("support is not homogeneous")
-    require_ground_set(n)
+    ground_set_guard(n)
     values = None
     for p in set(points):
         table = [0]  # the subset sums of p, by mask: one addition per mask
@@ -210,12 +192,17 @@ def truncate(f: SetFunction, k: int) -> SetFunction:
 
 
 def truncation_sum(f: SetFunction, start: int = 0) -> SetFunction:
-    """Pointwise sum of all truncations from index `start` through the rank."""
+    """Pointwise sum of all truncations from index `start` through the rank.
+
+    With D = rank - start, the sum of min(cap, v) over cap = 0..D is, for
+    m = min(v, D), m(2D - m + 1)/2 when m >= 0 and (D + 1)m when m < 0: O(1)
+    per entry, whatever the rank's value."""
     d = f.rank
     if not 0 <= start <= d:
         raise ValueError(f"start index {start} out of range 0..{d}")
-    caps = range(d - start + 1)  # d - k for k = start..d
-    return SetFunction(f.n, [sum(min(cap, v) for cap in caps) for v in f.values])
+    top = d - start  # D
+    mins = [min(v, top) for v in f.values]
+    return SetFunction(f.n, [m * (2 * top - m + 1) // 2 if m >= 0 else (top + 1) * m for m in mins])
 
 
 # -- hyperbolic rank ---------------------------------------------------------
@@ -232,8 +219,7 @@ def hyperbolic_rank(h: Polynomial, base: Sequence, direction: Sequence) -> int:
     difference at 0 is nonzero.  Raises ResourceLimit above MAX_CERTIFY_DEGREE,
     before any evaluation.
     """
-    if guard := degree_guard(h.total_degree):
-        raise ResourceLimit(guard)
+    degree_guard(h.total_degree)
     if len(base) != h.nvars or len(direction) != h.nvars:
         raise ValueError("point length mismatch")
     base, direction = [Fraction(x) for x in base], [Fraction(x) for x in direction]

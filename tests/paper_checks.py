@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 from omegalab import linalg
 from omegalab.derivatives import DerivativeSpace
 from omegalab.groebner import DEFAULT_MAX_PAIRS, IntPoly, buchberger_intdicts
-from omegalab.guards import ResourceLimit
+from omegalab.guards import ResourceLimit, ground_set_guard
 from omegalab.poly import Polynomial
 from omegalab.polytope import (
     Inequality,
@@ -50,13 +50,11 @@ from omegalab.polytope import (
     base_polytope,
 )
 from omegalab.setfunc import (
-    GroundSetTooLarge,
     SetFunction,
     hyperbolic_rank,
     is_polymatroid,
     mask_to_set,
     rank_from_support,
-    require_ground_set,
     truncate,
 )
 
@@ -327,7 +325,7 @@ def check_simplicity_conditions(f: SetFunction) -> SimplicityReport:
     Returns the first violation in deterministic scan order, if any.
     """
     if f.n > MAX_PARTITION_GROUND_SET:
-        raise GroundSetTooLarge(
+        raise ResourceLimit(
             f"ground set of size {f.n} exceeds the cap {MAX_PARTITION_GROUND_SET}"
         )
     size = 1 << f.n
@@ -371,7 +369,7 @@ def polymatroid_from_hyperbolic(h: Polynomial, base: Sequence) -> SetFunction:
     if h.evaluate(point) == 0:
         raise ValueError("polynomial vanishes at the base point")
     n = h.nvars
-    require_ground_set(n)
+    ground_set_guard(n)
     values = []
     for mask in range(1 << n):
         direction = [Fraction(1) if mask >> i & 1 else Fraction(0) for i in range(n)]

@@ -109,6 +109,33 @@ def test_mconvex_cover_test_matches_the_pair_scan():
     assert len(sets) >= 3000 and failing >= 1000, (len(sets), failing)
 
 
+def test_mconvex_tables_are_keyed_by_the_values_that_occur():
+    # translating a set keeps its M-convexity and moves its witness; a shift of
+    # 1000 leaves most values between 0 and d unused in its coordinate
+    rng = random.Random(41)
+    for _ in range(300):
+        grid = _compositions(rng.randint(1, 4), rng.randint(1, 5))
+        points = rng.sample(grid, rng.randint(1, len(grid)))
+        shift = [rng.choice((0, 5, 1000)) for _ in points[0]]
+        moved = [tuple(map(sum, zip(p, shift))) for p in points]
+        ok, witness = is_mconvex(points)
+        expected = witness and (*(tuple(map(sum, zip(p, shift))) for p in witness[:2]), witness[2])
+        assert is_mconvex(moved) == (ok, expected), (points, shift)
+
+
+def test_mconvex_memory_does_not_grow_with_the_exponents():
+    import tracemalloc
+
+    points = [(10**6, 1), (10**6 - 1, 2)]
+    tracemalloc.start()
+    try:
+        assert is_mconvex(points) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak  # tables over 0..d held 10^6 entries per variable
+
+
 @pytest.mark.parametrize(
     "points, message",
     [
@@ -1025,7 +1052,7 @@ def test_oracle_builds_no_rank_function_and_no_polytope(monkeypatch):
         raise AssertionError("the oracle built rho or a polytope")
 
     for name in (
-        "rank_from_support", "require_greedy", "_facets", "_lattice", "_polymatroid_polytope"
+        "rank_from_support", "greedy_guard", "_facets", "_lattice", "_polymatroid_polytope"
     ):
         monkeypatch.setattr(omegalab.certify, name, refuse)
     assert not hasattr(omegalab.certify, "lattice_points")
@@ -1472,7 +1499,7 @@ def test_certificate_is_invariant_under_diagonal_rescaling():
 
 
 def test_partial_count_guard_is_undecided(monkeypatch):
-    import omegalab.derivatives
+    import omegalab.guards
 
     names = [f"x{i}" for i in range(1, 13)]
     cert = certify_smooth(parse_polynomial("*".join(names), names))
@@ -1480,9 +1507,9 @@ def test_partial_count_guard_is_undecided(monkeypatch):
     assert cert.k_reports == () and cert.polytope is None and cert.lorentzian is None
     assert cert.detail == "partial-count guard: 705432 order-11 partials exceed the cap 10000"
     # the highest order built is d - 1: e(3,4) builds C(5,2) = 10 partials at k = 2
-    monkeypatch.setattr(omegalab.derivatives, "MAX_PARTIALS", 10)
+    monkeypatch.setattr(omegalab.guards, "MAX_PARTIALS", 10)
     assert certify_smooth(elementary_symmetric(3, 4)).verdict == "smooth-toric"
-    monkeypatch.setattr(omegalab.derivatives, "MAX_PARTIALS", 9)
+    monkeypatch.setattr(omegalab.guards, "MAX_PARTIALS", 9)
     cert = certify_smooth(elementary_symmetric(3, 4))
     assert cert.verdict == "undecided" and cert.k_reports == ()
     assert cert.detail == "partial-count guard: 10 order-2 partials exceed the cap 9"

@@ -272,6 +272,7 @@ def test_binomial_identity_rejects_bad_parameters():
 
 def test_partial_count_guard_fires_before_any_partial(monkeypatch):
     import omegalab.derivatives
+    import omegalab.guards
     from omegalab.guards import ResourceLimit
 
     names = [f"x{i}" for i in range(1, 13)]
@@ -288,7 +289,7 @@ def test_partial_count_guard_fires_before_any_partial(monkeypatch):
     assert built == []
     monkeypatch.undo()
     # C(n+k-1, k) partials: 3 first partials of e(2,3) are at a cap of 3, not above it
-    monkeypatch.setattr(omegalab.derivatives, "MAX_PARTIALS", 3)
+    monkeypatch.setattr(omegalab.guards, "MAX_PARTIALS", 3)
     assert len(_partial_terms(elementary_symmetric(2, 3), 1)[1]) == 3
     with pytest.raises(ResourceLimit, match="6 order-2 partials exceed the cap 3"):
         derivative_space(elementary_symmetric(3, 3), 2)

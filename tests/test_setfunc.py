@@ -20,7 +20,8 @@ from omegalab import (
     truncation_sum,
 )
 from omegalab.derivatives import elementary_symmetric
-from omegalab.setfunc import GroundSetTooLarge, mask_to_set, set_to_mask
+from omegalab.guards import ResourceLimit
+from omegalab.setfunc import mask_to_set, set_to_mask
 
 from helpers import (
     all_mconvex_sets,
@@ -68,7 +69,7 @@ def test_non_monotone_detected():
 
 
 def test_ground_set_guard():
-    with pytest.raises(GroundSetTooLarge):
+    with pytest.raises(ResourceLimit):
         SetFunction(21, [0] * (1 << 21))
 
 
@@ -80,7 +81,7 @@ def test_table_builders_check_the_ground_set_cap():
         lambda: SetFunction.uniform_matroid(1, 21),
     ):
         with pytest.raises(
-            GroundSetTooLarge, match="^ground-set guard: ground set of size 21 exceeds the cap 20$"
+            ResourceLimit, match="^ground-set guard: ground set of size 21 exceeds the cap 20$"
         ):
             build()
 
@@ -151,6 +152,32 @@ def test_truncation_sum_from_one():
     rho = rank_from_support(elementary_symmetric(3, 3).support())
     rbar1 = truncation_sum(rho, 1)
     assert rbar1.rank == 3  # 2 + 1 + 0
+
+
+def test_truncation_sum_closed_form_matches_the_sum_of_truncations():
+    # the sum over cap = 0..rank - start of min(cap, v), entry by entry, negative values too
+    rng = random.Random(41)
+    cases = 0
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        values = [rng.randint(-6, 9) for _ in range(1 << n)]
+        values[-1] = rng.randint(0, 9)  # a rank, so that some start is in range
+        f = SetFunction(n, values)
+        for start in range(f.rank + 1):
+            caps = range(f.rank - start + 1)
+            assert truncation_sum(f, start).values == tuple(
+                sum(min(cap, v) for cap in caps) for v in f.values
+            ), (values, start)
+            cases += 1
+    assert cases >= 1000, cases
+
+
+def test_truncation_sum_work_does_not_grow_with_the_rank():
+    f = rank_from_support([(10**9, 1)])  # rank 10^9 + 1: a loop over its caps would not end
+    top = f.rank
+    # caps 0..v sum to v(v + 1)/2 and the top - v caps above v add v each
+    expected = tuple(v * (v + 1) // 2 + (top - v) * v for v in f.values)
+    assert truncation_sum(f).values == expected == (0, 10**9 * (10**9 + 3) // 2, top, expected[-1])
 
 
 def test_inseparable_small_sets():
@@ -263,7 +290,7 @@ def test_simplicity_conditions_rank_one_vacuous():
 
 
 def test_simplicity_guard():
-    with pytest.raises(GroundSetTooLarge):
+    with pytest.raises(ResourceLimit):
         check_simplicity_conditions(SetFunction(9, [0] * 512))
 
 
@@ -278,7 +305,6 @@ def test_hyperbolic_rank_examples():
 
 def test_hyperbolic_rank_degree_guard_fires_before_any_expansion(monkeypatch):
     from omegalab.guards import MAX_CERTIFY_DEGREE
-    from omegalab.guards import ResourceLimit
 
     at_cap = parse_polynomial(f"x^{MAX_CERTIFY_DEGREE - 1}*y", ["x", "y"])
     assert hyperbolic_rank(at_cap, [1, 1], [1, 1]) == 12
