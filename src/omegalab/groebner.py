@@ -28,16 +28,6 @@ Terms are primitive integer dictionaries, content-stripped after every
 reduction, and exponent tuples appear only at the boundary: inputs and
 returned bases.
 
-When every generator is a pure difference x^u - x^v, as the lattice bases
-and saturation steps of a toric ideal are, the kernel keeps each element as
-the pair of its packed monomials (after the exponent-vector codes of
-Hemmecke & Malkin, J. Symbolic Comput. 44, 2009).  The S-pair of two pure
-differences and a reduction step by one are again pure differences or zero,
-and a step is one `+` on the leading monomial; no dictionary, gcd or content
-strip is needed.  The pairs, their order, the reducer chosen at each step and
-the overflow tests are those of the general kernel, so the S-pairs reduced
-and the reduced basis are the same, byte for byte.
-
 Pairs are pruned as each element enters (Gebauer & Moeller, J. Symbolic
 Comput. 6, 1988); the pair cap counts the S-pairs reduced.  A call may be
 handed a reduced basis as a known prefix of its generators, and then forms
@@ -104,10 +94,8 @@ class _Overflow(Exception):
     """A popped leading monomial reached the guard bit of the degree field."""
 
 
-# a pure difference x^a - x^b, a > b, as the pair (a, b) of packed monomials
-Binomial = tuple[int, int]
 # (lead fields E, lead K, polynomial) of a content-stripped basis element
-Reducer = tuple[int, int, dict[int, int] | Binomial]
+Reducer = tuple[int, int, dict[int, int]]
 
 
 class _Packing:
@@ -145,7 +133,7 @@ class _Packing:
         top = e % self.mask  # the degree: the sum of the fields, below mask
         return (top << self.s) - e
 
-    def reducer(self, g: dict[int, int] | Binomial) -> Reducer:
+    def reducer(self, g: dict[int, int]) -> Reducer:
         lead = max(g)
         return self.exponents(lead), lead, g
 
@@ -198,60 +186,10 @@ def _s_poly(pk: _Packing, f: dict[int, int], g: dict[int, int]) -> dict[int, int
     return _content_strip(out)
 
 
-def _reduce_binomial(
-    pk: _Packing, f: Binomial | None, reducers: Iterable[Reducer]
-) -> Binomial | None:
-    """`_reduce` of a pure difference by pure differences; None is zero.
-
-    Reducing x^a by x^c - x^d gives x^(a - c + d), so a step is one `+`; the
-    two terms swap when they cross and cancel when they meet.  The monomials
-    are popped, tested for overflow and reduced in `_reduce`'s order.
-    """
-    if f is None:
-        return None
-    s, guard, half = pk.s, pk.guard, pk.half
-    terms, done = list(f), 0  # terms[done:]: the part not yet reduced, leading term first
-    while done < 2:
-        lm = terms[done]
-        top = -(-lm >> s)
-        if top & half:
-            raise _Overflow
-        lm_guarded = (top << s) - lm + guard
-        for e, lead, g in reducers:
-            if (lm_guarded - e) & guard == guard:  # lead divides lm
-                break
-        else:  # lm leaves the remainder
-            done += 1
-            continue
-        lm += g[1] - lead
-        if done == 0 and lm <= terms[1]:
-            if lm == terms[1]:
-                return None
-            terms = [terms[1], lm]
-        else:
-            terms[done] = lm
-    return terms[0], terms[1]
-
-
-def _s_binomial(pk: _Packing, f: Binomial, g: Binomial) -> Binomial | None:
-    """`_s_poly` of two pure differences; None is zero."""
-    lcm = pk.lcm(pk.exponents(f[0]), pk.exponents(g[0]))
-    a, b = lcm - f[0] + f[1], lcm - g[0] + g[1]
-    return (a, b) if a > b else (b, a) if b > a else None
-
-
 def _buchberger(
     pk: _Packing, gens: list[dict[int, int]], max_pairs: int, known: int
 ) -> list[dict]:
     guard = pk.guard
-    # Pure differences have pure-difference S-pairs and remainders: run them
-    # on the two-term kernel, which gives the general kernel's basis.
-    two_term = all(sorted(g.values()) == [-1, 1] for g in gens)
-    if two_term:
-        gens = [(max(g), min(g)) for g in gens]
-        reduce, s_poly = _reduce_binomial, _s_binomial
-    else:
-        reduce, s_poly = _reduce, _s_poly
     basis: list[Reducer] = []  # every element that entered, by index
     active: dict[int, Reducer] = {}  # the reducers: elements whose lead no later lead divides
     live: dict[tuple[int, int], tuple[int, int]] = {}  # pair -> (K, fields E) of its leads' lcm
@@ -289,7 +227,7 @@ def _buchberger(
         basis.append(pk.reducer(g))
         active[len(basis) - 1] = basis[-1]
     for g in gens[known:]:  # reduced on entry, so no lead divides another
-        g = reduce(pk, g, active.values())
+        g = _reduce(pk, g, active.values())
         if g:
             enter(g)
     pairs = 0  # S-pairs reduced
@@ -300,13 +238,13 @@ def _buchberger(
         pairs += 1
         if pairs > max_pairs:
             raise ResourceLimit(f"pair queue cap {max_pairs} exceeded")
-        r = reduce(pk, s_poly(pk, basis[i][2], basis[j][2]), active.values())
+        r = _reduce(pk, _s_poly(pk, basis[i][2], basis[j][2]), active.values())
         if r:
             enter(r)
     minimal = list(active.values())  # the minimal leads, each once
-    reduced = [reduce(pk, g, minimal[:i] + minimal[i + 1 :]) for i, (*_, g) in enumerate(minimal)]
+    reduced = [_reduce(pk, g, minimal[:i] + minimal[i + 1 :]) for i, (*_, g) in enumerate(minimal)]
     reduced.sort(key=max)
-    return [{a: 1, b: -1} for a, b in reduced] if two_term else reduced
+    return reduced
 
 
 # -- public boundary: exponent tuples in and out ---------------------------------------
@@ -323,9 +261,7 @@ def buchberger_intdicts(
     monomials with the pair's indices breaking ties, and pairs are popped from
     a heap in that order.  Raises ResourceLimit once more than `max_pairs`
     S-pairs have been reduced; pairs the criteria pruned are not counted.  The
-    basis is sorted by ascending leading monomial.  Pure differences x^u - x^v
-    run on the two-term kernel (see the module docstring), with the same pairs
-    and the same basis.
+    basis is sorted by ascending leading monomial.
 
     The first `known` generators must be a reduced Groebner basis.  They
     enter the basis and the active set as they are, without reduction and
@@ -336,14 +272,20 @@ def buchberger_intdicts(
 
     The fields are as wide as the inputs need; on overflow the whole call runs
     again with fields twice as wide, so the answer never depends on the width.
-    Raises ValueError when the exponents differ in length.
+    Raises ValueError on an exponent entry that is not a nonnegative int, and
+    when the exponents differ in length.
     """
     gens = list(gens)
     known = sum(1 for g in gens[:known] if g)
     gens = [g for g in gens if g]
     if not gens:
         return []
-    shapes = {(len(m), sum(m)) for g in gens for m in g}  # (length, degree) of every exponent
+    shapes = set()  # (length, degree) of every exponent
+    for g in gens:
+        for m in g:
+            if bad := [x for x in m if type(x) is not int or x < 0]:
+                raise ValueError(f"exponent entry {bad[0]!r} is not a nonnegative int")
+            shapes.add((len(m), sum(m)))
     lengths = sorted({n for n, _ in shapes})
     if len(lengths) > 1:
         raise ValueError(f"exponents of mixed length: {', '.join(map(str, lengths))}")
@@ -532,12 +474,13 @@ def torus_feasible(
 ) -> FeasibilityVerdict:
     """Common zero with all coordinates nonzero, over the algebraic closure.
 
-    The generators are integer term dictionaries (IntPoly), and the variable
-    count is the length of their exponents.  Linear systems are decided by
-    one integer kernel.  Others, chosen on the degrees as given, are divided
-    generator by generator by the gcd of their monomials, which changes no
-    torus zero, and decided by the unit-ideal test of the dehomogenized
-    Rabinowitsch system.
+    The generators are integer term dictionaries (IntPoly) whose exponent
+    entries are nonnegative ints, a contract this one-pass screen does not
+    check, and the variable count is the length of their exponents.  Linear
+    systems are decided by one integer kernel.  Others, chosen on the degrees
+    as given, are divided generator by generator by the gcd of their
+    monomials, which changes no torus zero, and decided by the unit-ideal
+    test of the dehomogenized Rabinowitsch system.
     """
     sizes: set[int] = set()
     degrees: set[int] = set()

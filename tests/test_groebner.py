@@ -168,7 +168,7 @@ def test_reduction_sequence_pinned(monkeypatch):
     import omegalab.groebner
     from omegalab.derivatives import derivative_space
 
-    real, real_binomial = omegalab.groebner._s_poly, omegalab.groebner._s_binomial
+    real = omegalab.groebner._s_poly
     real_divide = omegalab.groebner._divide_out
     seen, pending = [], []  # pending: the current call's S-polynomials, decoded
 
@@ -181,21 +181,15 @@ def test_reduction_sequence_pinned(monkeypatch):
         pending.append(packing.decode(s))
         return s
 
-    def traced_binomial(packing, f, g):  # the same record as the general kernel's
-        s = real_binomial(packing, f, g)
-        pending.append(packing.decode({s[0]: 1, s[1]: -1} if s else {}))
-        return s
-
     def divided(g, var):  # variable var was renamed last, the others kept their order
         record(lambda m: m[:var] + m[-1:] + m[var:-1])
         return real_divide(g, var)
 
     monkeypatch.setattr(omegalab.groebner, "_s_poly", traced)
-    monkeypatch.setattr(omegalab.groebner, "_s_binomial", traced_binomial)
     monkeypatch.setattr(omegalab.groebner, "_divide_out", divided)
     e35 = elementary_symmetric(3, 5)
     quartic = P(QUARTIC_TEXT, ["x1", "x2", "x3", "x4"])
-    runs = [  # the toric ideal runs on the two-term kernel, the others on the general one
+    runs = [
         (lambda: toric_ideal(sorted(elementary_symmetric(2, 5).support())), 87,
          "c38b505085b3787d58c1ad6dd6c804759a49f85f0524e67da962bf908216a45b"),
         (lambda: torus_feasible(_ints(derivative_space(e35, 1).basis)), 11,
@@ -274,8 +268,6 @@ def test_field_overflow_gives_the_same_basis(monkeypatch):
     ]
     # Degree 127 fits 8-bit fields; the basis reaches degree 191, so the call
     # runs again with wider fields and gives the exponent-tuple kernel's basis.
-    # The pure differences run on the two-term kernel, their doubles on the
-    # general one, and both kernels overflow at the same width.
     gens = [I("x^127 - z^127", names), I("x*y - z^2", names)]
     widths.clear()
     doubled = buchberger_intdicts([{m: 2 * c for m, c in g.items()} for g in gens])
@@ -896,50 +888,32 @@ def test_renaming_the_variables_commutes_with_saturation(monkeypatch):
     assert orders == [0, 1, None]
 
 
-def test_two_term_kernel_agrees_with_the_general_kernel(monkeypatch):
-    # Every buchberger_intdicts call of omegalab.groebner also runs on its
-    # generators doubled, which are no pure differences and so take the general
-    # kernel; both must give the same basis.
-    import omegalab.groebner
+def test_toric_bases_pinned():
+    # A SHA-256 over the reduced toric bases, each element's terms sorted, of
+    # 150 seeded grid configurations, the columns of the oracle's 26 pairs and
+    # Delta(2,6)'s saturation; any change to a basis or its order moves it.
     from omegalab.derivatives import derivative_space
 
-    real, real_reduce = buchberger_intdicts, omegalab.groebner._reduce_binomial
-    calls, two_term = [], [False]  # (generators, whether the two-term kernel ran)
-
-    def spied(*args):
-        two_term[0] = True
-        return real_reduce(*args)
-
-    def both(gens, *args, **kwargs):
-        gens = list(gens)
-        two_term[0] = False
-        basis = real(gens, *args, **kwargs)
-        calls.append((gens, two_term[0]))
-        two_term[0] = False
-        doubled = [{m: 2 * c for m, c in g.items()} for g in gens]
-        assert real(doubled, *args, **kwargs) == basis, gens
-        assert not two_term[0]
-        return basis
-
-    monkeypatch.setattr(omegalab.groebner, "_reduce_binomial", spied)
-    monkeypatch.setattr(omegalab.groebner, "buchberger_intdicts", both)
+    bases = []
     rng = random.Random(69)
     for _ in range(150):  # seeded grid configurations
         grid = _monomial_grid(rng.randint(2, 5), rng.randint(1, 3))
-        toric_ideal(rng.sample(grid, rng.randint(1, min(10, len(grid)))))
+        bases.append(toric_ideal(rng.sample(grid, rng.randint(1, min(10, len(grid))))).generators)
     fixtures = bench_fixtures()
     for name, k, *_ in fixtures.ORACLE_PAIRS:  # the lattices of the oracle's toric ideals
         f = fixtures.fixture(name)
-        toric_ideal(derivative_space(P(f.text, list(f.names)), k).columns)
+        bases.append(toric_ideal(derivative_space(P(f.text, list(f.names)), k).columns).generators)
     pts = sorted(
         (tuple(int(i in pair) for i in range(6)) for pair in combinations(range(6), 2)),
         key=grevlex_key,
         reverse=True,
     )  # Delta(2,6), 15 points, above MAX_TORIC_POINTS
-    assert len(saturate_coordinates(_lattice_binomials(pts), len(pts))) == 36
-    assert len(calls) >= 300
-    # every call had pure-difference generators, and so ran on the two-term kernel
-    assert all(used for gens, used in calls if gens)
+    bases.append(saturate_coordinates(_lattice_binomials(pts), len(pts)))
+    assert len(bases[-1]) == 36
+    text = repr([[sorted(g.items()) for g in basis] for basis in bases])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "99e4ae246d58c648c4a2e731c88c86f1690618c46d86c6c0c92f96a2290969ba"
+    )
 
 
 def test_toric_ideal_of_squared_segment():
@@ -1010,6 +984,18 @@ def test_exponents_of_mixed_length_are_rejected():
         length = len(next(iter(g)))
         with pytest.raises(ValueError, match=f"^exponents of length {length} in {nvars} variables$"):
             saturate_coordinates([g], nvars)
+
+
+def test_negative_exponent_is_rejected():
+    # this gave [{(0, 1): 1, (255, 1): -1}]: the -1 borrowed from the packed field above
+    with pytest.raises(ValueError, match="^exponent entry -1 is not a nonnegative int$"):
+        buchberger_intdicts([{(-1, 2): 1, (0, 1): -1}])
+
+
+def test_non_int_exponent_is_rejected():
+    # this died with a TypeError inside the kernel
+    with pytest.raises(ValueError, match="^exponent entry 1.0 is not a nonnegative int$"):
+        buchberger_intdicts([{(1.0, 1): 1, (0, 2): -1}])
 
 
 def test_unit_ideal_detection():
