@@ -340,7 +340,7 @@ def _decide(
         lattice = _simplex_lattice(h.nvars)[1]
     else:
         lattice = _lattice(list(_facets(rank_from_support(points), points, True)), len(points))
-    vertices = sum(mask for dim, mask, _ in lattice if dim == 0)
+    vertices = sum(mask for dim, mask in lattice if dim == 0)
     index = {c: 1 << t for t, c in enumerate(points)}
     moves = []  # per generator (i, j): the columns with c_i > c_j, with c_i < c_j, and the swap
     for i, j in swaps():
@@ -355,7 +355,7 @@ def _decide(
     rows = [[(index[c], c, x) for c, x in zip(columns, r) if x] for r in space.matrix]
     rows = [(sum(bit for bit, _, _ in row), row, {c: x for _, c, x in row}) for row in rows]
     capped: dict[int, str] = {}  # first face -> detail, of the orbits with no infeasible face
-    for _, on, _ in lattice:
+    for _, on in lattice:
         first = on
         if moves and (swap := fired(on)):  # not a first face: decided only if its orbit is capped
             while capped and swap:
@@ -386,7 +386,7 @@ def _decide(
 
 
 @functools.cache  # n <= MAX_GREEDY_GROUND_SET past the guard: at most 8 entries
-def _simplex_lattice(n: int) -> tuple[LatticePolytope, tuple[tuple[int, int, int], ...]]:
+def _simplex_lattice(n: int) -> tuple[LatticePolytope, tuple[tuple[int, int], ...]]:
     """B(f) for f(S) = min(1, |S|), U(1, n)'s rank function, and its face lattice, once
     per n: the standard simplex, whose vertices are the order-(d-1) columns, in order,
     when every variable occurs in h."""

@@ -33,7 +33,6 @@ from .poly import ParseError, Polynomial, parse_polynomial
 from .polytope import _polymatroid_polytope, _require_polymatroid, is_simple
 from .setfunc import (
     SetFunction,
-    ZeroRestrictionError,
     basis_masks,
     hyperbolic_rank,
     mask_to_set,
@@ -339,10 +338,7 @@ def _cmd_rank(args) -> int:
     h, _, text = _read_polynomial(args)
     base = _parse_point(args.at, h.nvars, "--at point")
     direction = _parse_point(args.direction, h.nvars, "--dir point")
-    try:
-        value = hyperbolic_rank(h, base, direction)
-    except ZeroRestrictionError as exc:
-        raise UsageError(str(exc))
+    value = hyperbolic_rank(h, base, direction)
     payload = {"command": "rank", "polynomial": text, "rank": value}
     _emit(args, payload, [f"rank: {value}"])
     return 0

@@ -250,6 +250,12 @@ def _buchberger(
 # -- public boundary: exponent tuples in and out ---------------------------------------
 
 
+def _check_exponents(polys: Iterable[IntPoly]) -> None:
+    """ValueError naming the first exponent entry that is not a nonnegative int."""
+    if bad := [x for g in polys for m in g for x in m if type(x) is not int or x < 0]:
+        raise ValueError(f"exponent entry {bad[0]!r} is not a nonnegative int")
+
+
 def buchberger_intdicts(
     gens: Iterable[IntPoly], max_pairs: int = DEFAULT_MAX_PAIRS, *, known: int = 0
 ) -> list[IntPoly]:
@@ -280,12 +286,8 @@ def buchberger_intdicts(
     gens = [g for g in gens if g]
     if not gens:
         return []
-    shapes = set()  # (length, degree) of every exponent
-    for g in gens:
-        for m in g:
-            if bad := [x for x in m if type(x) is not int or x < 0]:
-                raise ValueError(f"exponent entry {bad[0]!r} is not a nonnegative int")
-            shapes.add((len(m), sum(m)))
+    _check_exponents(gens)
+    shapes = {(len(m), sum(m)) for g in gens for m in g}  # (length, degree) of every exponent
     lengths = sorted({n for n, _ in shapes})
     if len(lengths) > 1:
         raise ValueError(f"exponents of mixed length: {', '.join(map(str, lengths))}")
@@ -474,13 +476,15 @@ def torus_feasible(
 ) -> FeasibilityVerdict:
     """Common zero with all coordinates nonzero, over the algebraic closure.
 
-    The generators are integer term dictionaries (IntPoly) whose exponent
-    entries are nonnegative ints, a contract this one-pass screen does not
-    check, and the variable count is the length of their exponents.  Linear
-    systems are decided by one integer kernel.  Others, chosen on the degrees
-    as given, are divided generator by generator by the gcd of their
-    monomials, which changes no torus zero, and decided by the unit-ideal
-    test of the dehomogenized Rabinowitsch system.
+    The generators are integer term dictionaries (IntPoly), and the variable
+    count is the length of their exponents.  The constant and monomial exits
+    read only degrees and check no entry, as a Laurent monomial has no torus
+    zero either; past them an entry that is not a nonnegative int raises
+    ValueError naming it, before either route.  Linear systems are decided by
+    one integer kernel.  Others, chosen on the degrees as given, are divided
+    generator by generator by the gcd of their monomials, which changes no
+    torus zero, and decided by the unit-ideal test of the dehomogenized
+    Rabinowitsch system.
     """
     sizes: set[int] = set()
     degrees: set[int] = set()
@@ -523,6 +527,7 @@ def torus_feasible(
         return FeasibilityVerdict(INFEASIBLE, "linear-algebra", ("constant", None))
     if monomial is not None:
         return FeasibilityVerdict(INFEASIBLE, "linear-algebra", ("monomial", monomial))
+    _check_exponents(live)
     if degrees == {1}:
         return _linear_verdict(live, nvars)
 

@@ -10,11 +10,13 @@ vertices are the greedy vectors, over prefixes closed under elements of
 marginal 0; the equations are x(C) = f(C) for the components C of f on B(f)
 and x_i = 0 for the loops i on P(f).  The facets are the maximal proper
 point sets tight at some x(S) <= f(S), or -x_i <= 0 on P(f), over points of
-the polytope that include its vertices, and the face lattice is their meet
-closure, `_lattice`, which the certificate's walk runs over the derivative
-columns.  Simplicity needs no face lattice: a vertex is simple when it lies on
-dim facets, and on a polymatroid polytope simple is already lattice smooth
-(see `is_simple`).
+the polytope that include its vertices.  A facet's normal is that of S or -{i}
+less its entry at min C on each equation set C: the sets are disjoint, so this
+is the equations' RREF elimination, and its 0/+-1 entries are primitive.  The
+face lattice, (dim, mask) per face, is the facets' meet closure `_lattice`,
+which the certificate's walk runs over the derivative columns.  Simplicity
+needs no face lattice: a vertex is simple when it lies on dim facets, and on a
+polymatroid polytope simple is already lattice smooth (see `is_simple`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from functools import reduce
 from operator import and_, or_
 from typing import Iterable, Sequence
 
-from . import linalg
 from .guards import greedy_guard
 from .setfunc import SetFunction, is_polymatroid, mask_to_set
 
@@ -76,30 +77,6 @@ def _maximal(masks: Iterable[int]) -> list[int]:
         if all(mask & m != mask for m in out):
             out.append(mask)
     return out
-
-
-def _polytope(
-    ambient: int, verts: list[Point], facets: list, equations: tuple[Inequality, ...]
-) -> LatticePolytope:
-    """The polytope of the vertices, each facet given by a normal and its vertex mask.
-
-    Normals supporting one facet differ by an equation-normal combination, so
-    eliminating the equations' pivot coordinates and rescaling to a primitive
-    integer vector gives each facet one representative.  That moves a.x by one
-    constant on the affine hull and scales it by a positive factor, so the
-    bound is the new normal's value at any vertex of the facet.
-    """
-    eq_rref, eq_pivots = linalg.rref([list(a) for a, _ in equations], ambient)
-    canonical = []
-    for a, mask in facets:
-        for row, pivot in zip(eq_rref, eq_pivots):  # integer RREF rows, row[pivot] > 0
-            if factor := a[pivot]:
-                a = [row[pivot] * x - factor * y for x, y in zip(a, row)]
-        a = linalg.primitive_vector(a)
-        canonical.append(((a, _dot(a, verts[(mask & -mask).bit_length() - 1])), mask))
-    inequalities, masks = zip(*sorted(canonical)) if canonical else ((), ())
-    dim = ambient - len(equations)
-    return LatticePolytope(ambient, tuple(verts), inequalities, equations, dim, masks)
 
 
 # -- polymatroid polytopes --------------------------------------------------------
@@ -158,8 +135,15 @@ def _polymatroid_polytope(f: SetFunction, bases_only: bool) -> LatticePolytope:
     else:  # the loops
         parts = {1 << i for i in range(n) if values[1 << i] == 0}
     equations = tuple(sorted((_normal(c, n), values[c]) for c in parts))
-    facets = _facets(f, verts, bases_only)
-    return _polytope(n, verts, [(_normal(code, n), m) for m, code in facets.items()], equations)
+    # a_{min C} off each part C moves a.x by a constant on the hull: b is a.x at a facet vertex
+    low = {i: (c & -c).bit_length() - 1 for c in parts for i in mask_to_set(c, 0)}
+    facets = []
+    for mask, code in _facets(f, verts, bases_only).items():
+        a = _normal(code, n)
+        a = tuple(x - a[low[i]] if i in low else x for i, x in enumerate(a))
+        facets.append(((a, _dot(a, verts[(mask & -mask).bit_length() - 1])), mask))
+    inequalities, masks = zip(*sorted(facets)) if facets else ((), ())
+    return LatticePolytope(n, tuple(verts), inequalities, equations, n - len(parts), masks)
 
 
 def _facets(f: SetFunction, points: Sequence[Point], bases_only: bool) -> dict[int, int]:
@@ -211,11 +195,12 @@ def base_polytope(f: SetFunction) -> LatticePolytope:
 # -- face lattices and simplicity -------------------------------------------------
 
 
-def _lattice(facet_masks: Sequence[int], count: int) -> list[tuple[int, int, int]]:
-    """(dim, mask, facet mask) of every nonempty face, as the meet closure of the facets.
+def _lattice(facet_masks: Sequence[int], count: int) -> list[tuple[int, int]]:
+    """(dim, mask) of every nonempty face, as the meet closure of the facets.
 
     The masks are over `count` sorted points of the polytope that include its
-    vertices, so a face is its set of points and a vertex is a one-point face.
+    vertices, so a face is its set of points and a vertex is a one-point face;
+    the facets through a face are those whose mask contains its mask.
     A face's dimension is one more than the largest among its nonempty proper
     meets with the facets; a vertex has none.  The faces come by dimension,
     then by their vertices' indices in lexicographic order: two faces of one
@@ -238,17 +223,14 @@ def _lattice(facet_masks: Sequence[int], count: int) -> list[tuple[int, int, int
 
     vertices = sum(mask for mask in closed if mask & mask - 1 == 0)
     dims: dict[int, int] = {}
-    out = []
     for mask in sorted(closed, key=int.bit_count):  # meets come before the face
-        dim, on = -1, 0
-        for j, fs in enumerate(facet_masks):  # the facets, and the proper meets
-            if (m := mask & fs) == mask:
-                on |= 1 << j
-            elif m and dims[m] > dim:
+        dim = -1
+        for fs in facet_masks:  # the nonempty proper meets
+            if mask != (m := mask & fs) and m and dims[m] > dim:
                 dim = dims[m]
-        dims[mask] = dim = dim + 1
-        out.append((dim, mask, on))
-    return sorted(out, key=lambda face: (face[0], -int(f"{face[1] & vertices:0{count}b}"[::-1], 2)))
+        dims[mask] = dim + 1
+    faces = zip(dims.values(), dims)
+    return sorted(faces, key=lambda face: (face[0], -int(f"{face[1] & vertices:0{count}b}"[::-1], 2)))
 
 
 def is_simple(p: LatticePolytope) -> tuple[bool, Point | None]:

@@ -567,7 +567,7 @@ def mask_image(mask: int, bits: dict[int, int]) -> int:
 
 
 def reference_orbit_firsts(lattice, points, swaps) -> dict[int, int]:
-    """Each face mask of `lattice`, (dim, mask, facets) over the sorted `points`,
+    """Each face mask of `lattice`, (dim, mask) over the sorted `points`,
     mapped to the first face of its orbit under the swaps (i, j) of coordinates:
     the walk in lattice order closes each new face's orbit by breadth-first search
     over the swaps' bit permutations."""
@@ -578,7 +578,7 @@ def reference_orbit_firsts(lattice, points, swaps) -> dict[int, int]:
         order[i], order[j] = j, i
         perms.append({bit: index[tuple(c[x] for x in order)] for c, bit in index.items()})
     first: dict[int, int] = {}
-    for _, on, _ in lattice:
+    for _, on in lattice:
         if on in first:
             continue
         orbit = [on]

@@ -46,7 +46,6 @@ from omegalab.polytope import (
     _lattice,
     _maximal,
     _normal,
-    _polytope,
     base_polytope,
 )
 from omegalab.setfunc import (
@@ -92,6 +91,12 @@ def _assemble(
     ValueError; `equations` is the points' affine hull when the caller has it.
     The facets are the maximal proper tight sets, and a vertex is the only
     point on every facet through it.
+
+    Normals supporting one facet differ by an equation-normal combination, so
+    eliminating the equations' pivot coordinates and rescaling to a primitive
+    integer vector gives each facet one representative.  That moves a.x by one
+    constant on the affine hull and scales it by a positive factor, so the
+    bound is the new normal's value at any vertex of the facet.
     """
     pts = sorted(set(points))
     if not pts:
@@ -125,7 +130,18 @@ def _assemble(
         if len(vertex_index) < len(pts):  # the tight set's vertices, by vertex index
             mask = sum(1 << vertex_index[i] for i in on if i in vertex_index)
         facets.append((a, mask))
-    return _polytope(ambient, list(map(pts.__getitem__, vertex_index)), facets, equations)
+    verts = list(map(pts.__getitem__, vertex_index))
+    eq_rref, eq_pivots = linalg.rref([list(a) for a, _ in equations], ambient)
+    canonical = []
+    for a, mask in facets:
+        for row, pivot in zip(eq_rref, eq_pivots):  # integer RREF rows, row[pivot] > 0
+            if factor := a[pivot]:
+                a = [row[pivot] * x - factor * y for x, y in zip(a, row)]
+        a = linalg.primitive_vector(a)
+        canonical.append(((a, _dot(a, verts[(mask & -mask).bit_length() - 1])), mask))
+    inequalities, masks = zip(*sorted(canonical)) if canonical else ((), ())
+    dim = ambient - len(equations)
+    return LatticePolytope(ambient, tuple(verts), inequalities, equations, dim, masks)
 
 
 def polytope_from_points(points: Iterable[Sequence[int]]) -> LatticePolytope:
@@ -178,7 +194,7 @@ def _edges_in_arrangement(p: LatticePolytope) -> bool:
     Then the normal fan coarsens the fan of the arrangement of the hyperplanes
     x_i = 0 and x_i = x_j, whose rays are (negated) indicator vectors.
     """
-    for dim, mask, _ in _lattice(p.facet_masks, len(p.vertices)):
+    for dim, mask in _lattice(p.facet_masks, len(p.vertices)):
         if dim == 1:
             u, v = (p.vertices[i] for i in mask_to_set(mask, 0))
             step = sorted(x for x in linalg.primitive_vector([b - a for a, b in zip(u, v)]) if x)

@@ -245,6 +245,13 @@ def test_rank_reads_a_negative_first_coordinate_of_dir(capsys):
     assert run(capsys, *args, "--dir", "-1,0") == (0, "rank: 1\n", "")
 
 
+def test_rank_on_a_line_where_the_polynomial_vanishes_exits_usage(capsys):
+    args = ("rank", "--vars", "x,y", "x^2 - y^2", "--at", "1,1", "--dir", "1,1")
+    err = "error: polynomial vanishes identically on the line\n"
+    assert run(capsys, *args) == (64, "", err)
+    assert run(capsys, *args, "--format", "json") == (64, "", err)
+
+
 def test_a_polynomial_text_that_starts_with_a_minus_is_the_positional(capsys):
     # argparse took "-x*y" for an unknown option and exited 64 with
     # "unrecognized arguments: -x*y"

@@ -998,6 +998,33 @@ def test_non_int_exponent_is_rejected():
         buchberger_intdicts([{(1.0, 1): 1, (0, 2): -1}])
 
 
+def test_torus_feasible_rejects_a_negative_exponent_on_the_linear_route():
+    # this raised "tuple.index(x): x not in tuple"
+    with pytest.raises(ValueError, match="^exponent entry -1 is not a nonnegative int$"):
+        torus_feasible([{(-1, 2): 1, (0, 1): -1}])
+
+
+def test_torus_feasible_rejects_a_float_exponent_on_the_linear_route():
+    # this answered feasible, as (1.0, 0).index(1) is 0
+    with pytest.raises(ValueError, match="^exponent entry 1.0 is not a nonnegative int$"):
+        torus_feasible([{(1.0, 0): 1, (0, 1): -1}])
+
+
+def test_torus_feasible_rejects_a_negative_exponent_before_shedding_contents():
+    # this answered feasible: shedding the content (-1, 2) left x - y
+    with pytest.raises(ValueError, match="^exponent entry -1 is not a nonnegative int$"):
+        torus_feasible([{(-1, 3): 1, (0, 2): -1}])
+
+
+def test_torus_feasible_names_the_entry_of_the_input_not_a_shifted_one():
+    # this named 0.0, the entry left once the content (0.5, 1) was shed
+    with pytest.raises(ValueError, match="^exponent entry 0.5 is not a nonnegative int$"):
+        torus_feasible([{(0.5, 1.5): 1, (1, 1): -1}])
+    # the monomial exit reads no entry: a Laurent monomial has no torus zero either
+    verdict = torus_feasible([{(-1, 2): 1}])
+    assert verdict == (INFEASIBLE, "linear-algebra", ("monomial", (-1, 2)))
+
+
 def test_unit_ideal_detection():
     gb = buchberger_intdicts([{(1, 0): 1}, {(1, 0): 1, (0, 0): -1}])
     assert is_unit_ideal(gb)

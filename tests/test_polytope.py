@@ -102,9 +102,13 @@ def test_base_polytope_simplex_octahedron_truncated_tetrahedron():
 
 
 def face_lattice(body):
-    """The library's face lattice of body: (dim, vertex indices, facet indices) per face."""
-    listing = _lattice(body.facet_masks, len(body.vertices))
-    return [(dim, mask_to_set(mask, 0), mask_to_set(on, 0)) for dim, mask, on in listing]
+    """The library's face lattice of body: (dim, vertex indices, facet indices) per face,
+    a face's facets being those whose vertex mask contains its mask."""
+    masks = body.facet_masks
+    return [
+        (dim, mask_to_set(mask, 0), tuple(j for j, fs in enumerate(masks) if mask & fs == mask))
+        for dim, mask in _lattice(masks, len(body.vertices))
+    ]
 
 
 def test_simplex_matches_the_uniform_matroid_base_polytope():
