@@ -45,7 +45,7 @@ from .derivatives import DerivativeSpace, derivative_space
 from .groebner import DEFAULT_MAX_PAIRS, buchberger_intdicts, toric_ideal, torus_feasible
 from .guards import ResourceLimit, degree_guard, greedy_guard, ground_set_guard
 from .guards import partials_guard, toric_points_guard
-from .poly import Exponent, Polynomial, grevlex_key, read_exponent
+from .poly import Exponent, Polynomial, grevlex_key, read_points
 from .polytope import LatticePolytope, _facets, _lattice, _polymatroid_polytope, is_simple
 from .setfunc import SetFunction, rank_from_support, truncation_sum
 
@@ -77,15 +77,9 @@ def is_mconvex(
     test costs O(|B| n^2) operations on |B|-bit ints, not O(|B|^2 n^2) pairs,
     and they are keyed by the values that occur, so no exponent's size costs space.
     """
-    pts = sorted({read_exponent(p) for p in points})
-    if not pts:
-        raise ValueError("M-convexity is defined for nonempty point sets")
-    if len(set(map(len, pts))) != 1:
-        raise ValueError("points must have equal length")
+    pts = sorted(read_points(points))
     if len({sum(p) for p in pts}) != 1:
         raise ValueError("points must have equal coordinate sums")
-    if any(v < 0 for p in pts for v in p):
-        raise ValueError("points must be nonnegative")
     n, d = len(pts[0]), sum(pts[0])
     weight = [(d + 1) ** t for t in range(n)]  # base-(d+1) digits: a unit move is one addition
     code = {sum(map(mul, p, weight)): k for k, p in enumerate(pts)}
@@ -288,7 +282,7 @@ def centre_disjoint(
     decided (see `_decide`).  ValueError is raised, as by `oracle_centre_disjoint`,
     when the columns are not M-convex: the walk is exact when they fill P_k.
     """
-    return _decide(h, _filling_space(h, k), max_pairs, lambda: _swap_generators(h))
+    return _decide(_filling_space(h, k), max_pairs, lambda: _swap_generators(h))
 
 
 def _filling_space(h: Polynomial, k: int) -> DerivativeSpace:
@@ -306,9 +300,7 @@ def _filling_space(h: Polynomial, k: int) -> DerivativeSpace:
     return space
 
 
-def _decide(
-    h: Polynomial, space: DerivativeSpace, max_pairs: int, swaps: Callable[[], list]
-) -> OrderReport:
+def _decide(space: DerivativeSpace, max_pairs: int, swaps: Callable[[], list]) -> OrderReport:
     """The report of the order of `space`, whose columns fill its truncation polytope.
 
     A face is the mask of the columns on it, bit t for the t-th in lexicographic
@@ -331,13 +323,14 @@ def _decide(
     m, b = space.span_dimension, len(columns)  # m_k and |B_k|
     report = functools.partial(OrderReport, k=k, span_dim=m, num_monomials=b, centre_dim=b - m)
     try:
-        greedy_guard(h.nvars)  # before the rank function's 2^n table
+        greedy_guard(space.nvars)  # before the rank function's 2^n table
     except ResourceLimit as exc:
         return report(disjoint="undecided", detail=f"order-{k} truncation polytope: {exc}")
     points = sorted(columns)
-    # min(1, rho) is U(1, n)'s rank function when every variable occurs in h
-    if k == h.total_degree - 1 and all(map(any, zip(*h.support()))):
-        lattice = _simplex_lattice(h.nvars)[1]
+    # n columns of degree 1 (k = d - 1, every variable occurring): min(1, rho) is
+    # U(1, n)'s rank function
+    if sum(points[0]) == 1 and len(points) == space.nvars:
+        lattice = _simplex_lattice(space.nvars)[1]
     else:
         lattice = _lattice(list(_facets(rank_from_support(points), points, True)), len(points))
     vertices = sum(mask for dim, mask in lattice if dim == 0)
@@ -345,7 +338,7 @@ def _decide(
     moves = []  # per generator (i, j): the columns with c_i > c_j, with c_i < c_j, and the swap
     for i, j in swaps():
         above, below = (sum(index[c] for c in points if op(c[i], c[j])) for op in (gt, lt))
-        moves.append((above, below, _transposition(h.nvars, i, j)))
+        moves.append((above, below, _transposition(space.nvars, i, j)))
 
     def fired(on: int) -> Callable | None:  # a swap mapping the face earlier, by 2
         return next((swap for above, below, swap in moves if on & above and not on & below), None)
@@ -508,7 +501,7 @@ def certify_smooth(
 
     swaps = functools.cache(lambda: _swap_generators(h))  # made once, if at all
     # An M-convex support's derivative columns are M-convex: they fill each order's polytope.
-    reports = tuple(_decide(h, derivative_space(h, k), max_pairs, swaps) for k in range(1, d))
+    reports = tuple(_decide(derivative_space(h, k), max_pairs, swaps) for k in range(1, d))
     detail = None
     if any(r.disjoint == "no" for r in reports):
         verdict = VERDICT_FAILS
@@ -572,8 +565,8 @@ def smoothable_probe(
         raise ValueError(f"trials {trials} is negative")
     if trials > MAX_PROBE_TRIALS:
         raise ValueError(f"trials {trials} exceeds the cap {MAX_PROBE_TRIALS}")
-    pts = sorted({read_exponent(p) for p in support})
-    mcx, witness = is_mconvex(pts)  # ValueError on an empty support
+    pts = sorted(read_points(support))
+    mcx, witness = is_mconvex(pts)
     if not mcx:
         raise ValueError(f"support is not M-convex, witness {witness}")
     nvars = len(pts[0])

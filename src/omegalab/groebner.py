@@ -55,7 +55,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .guards import ResourceLimit, toric_points_guard
 from .linalg import integer_kernel_basis, kernel_basis
-from .poly import Exponent, grevlex_key, read_exponent
+from .poly import Exponent, check_exponents, check_lengths, grevlex_key, read_points
 
 IntPoly = dict[Exponent, int]
 
@@ -250,12 +250,6 @@ def _buchberger(
 # -- public boundary: exponent tuples in and out ---------------------------------------
 
 
-def _check_exponents(polys: Iterable[IntPoly]) -> None:
-    """ValueError naming the first exponent entry that is not a nonnegative int."""
-    if bad := [x for g in polys for m in g for x in m if type(x) is not int or x < 0]:
-        raise ValueError(f"exponent entry {bad[0]!r} is not a nonnegative int")
-
-
 def buchberger_intdicts(
     gens: Iterable[IntPoly], max_pairs: int = DEFAULT_MAX_PAIRS, *, known: int = 0
 ) -> list[IntPoly]:
@@ -278,22 +272,18 @@ def buchberger_intdicts(
 
     The fields are as wide as the inputs need; on overflow the whole call runs
     again with fields twice as wide, so the answer never depends on the width.
-    Raises ValueError on an exponent entry that is not a nonnegative int, and
-    when the exponents differ in length.
+    The exponents are read by `read_points`, so a bad entry or mixed lengths
+    raise ValueError.
     """
     gens = list(gens)
     known = sum(1 for g in gens[:known] if g)
     gens = [g for g in gens if g]
     if not gens:
         return []
-    _check_exponents(gens)
-    shapes = {(len(m), sum(m)) for g in gens for m in g}  # (length, degree) of every exponent
-    lengths = sorted({n for n, _ in shapes})
-    if len(lengths) > 1:
-        raise ValueError(f"exponents of mixed length: {', '.join(map(str, lengths))}")
-    width = max(8, max(d for _, d in shapes).bit_length() + 1)
+    exponents = read_points(m for g in gens for m in g)
+    width = max(8, max(map(sum, exponents)).bit_length() + 1)
     while True:
-        pk = _Packing(lengths[0], width)
+        pk = _Packing(len(exponents[0]), width)
         try:
             basis = _buchberger(pk, [pk.encode(g) for g in gens], max_pairs, known)
         except _Overflow:
@@ -428,11 +418,7 @@ def toric_ideal(
     basis of the integer kernel of the (graded) configuration matrix with
     respect to the product of all coordinates.
     """
-    pts = sorted({read_exponent(p) for p in points}, key=grevlex_key, reverse=True)
-    if not pts:
-        raise ValueError("empty point configuration")
-    if len(set(map(len, pts))) != 1:
-        raise ValueError("points must have equal length")
+    pts = sorted(read_points(points), key=grevlex_key, reverse=True)
     toric_points_guard(len(pts))
     n = len(pts[0])
     rows = [[p[i] for p in pts] for i in range(n)]
@@ -477,22 +463,24 @@ def torus_feasible(
     """Common zero with all coordinates nonzero, over the algebraic closure.
 
     The generators are integer term dictionaries (IntPoly), and the variable
-    count is the length of their exponents.  The constant and monomial exits
-    read only degrees and check no entry, as a Laurent monomial has no torus
-    zero either; past them an entry that is not a nonnegative int raises
-    ValueError naming it, before either route.  Linear systems are decided by
-    one integer kernel.  Others, chosen on the degrees as given, are divided
-    generator by generator by the gcd of their monomials, which changes no
-    torus zero, and decided by the unit-ideal test of the dehomogenized
-    Rabinowitsch system.
+    count is the length of their exponents; mixed lengths raise ValueError.
+    The monomial exit reads only degrees and checks no entry, as a Laurent
+    monomial has no torus zero either.  Past it an entry that is not a
+    nonnegative int raises ValueError naming it (`check_exponents`), before
+    the homogeneity test, the constant exit and either route.  Linear systems
+    are decided by one integer kernel.  Others, chosen on the degrees as
+    given, are divided generator by generator by the gcd of their monomials,
+    which changes no torus zero, and decided by the unit-ideal test of the
+    dehomogenized Rabinowitsch system.
     """
     sizes: set[int] = set()
     degrees: set[int] = set()
     live: list[IntPoly] = []
     homogeneous = True
     monomial = None  # the first single-term generator
-    # One pass; the verdicts below keep their precedence: a count mismatch,
-    # then an inhomogeneous generator, the empty system, a constant, a monomial.
+    # One pass; the outcomes below keep their precedence: mixed lengths, then an
+    # inhomogeneous generator, the empty system, a constant, a monomial.  Past
+    # the monomial exit the live entries are checked before any other outcome.
     for g in system:
         if len(g) == 1:  # one term: no map over it, no set of its degrees
             ((m, c),) = g.items()
@@ -516,18 +504,17 @@ def torus_feasible(
         if monomial is None:
             monomial = m
         live.append(g)
-    if len(sizes) > 1:
-        raise ValueError("generator variable count mismatch")
+    check_lengths(sizes)
+    if not live:  # then no generator is inhomogeneous
+        return FeasibilityVerdict(FEASIBLE, "linear-algebra", ("empty-system", None))
+    if homogeneous and 0 not in degrees and monomial is not None:
+        return FeasibilityVerdict(INFEASIBLE, "linear-algebra", ("monomial", monomial))
+    check_exponents(m for g in live for m in g)
     if not homogeneous:
         raise ValueError("torus feasibility requires homogeneous generators")
-    if not live:
-        return FeasibilityVerdict(FEASIBLE, "linear-algebra", ("empty-system", None))
-    (nvars,) = sizes
     if 0 in degrees:
         return FeasibilityVerdict(INFEASIBLE, "linear-algebra", ("constant", None))
-    if monomial is not None:
-        return FeasibilityVerdict(INFEASIBLE, "linear-algebra", ("monomial", monomial))
-    _check_exponents(live)
+    (nvars,) = sizes
     if degrees == {1}:
         return _linear_verdict(live, nvars)
 

@@ -9,6 +9,11 @@ parser reads the printed form back.
   Exponent = tuple[int, ...]     one entry per variable
   terms    = {Exponent: Fraction, ...}   zero coefficients never stored
 
+This module is the one place that checks exponents, for the whole library:
+`check_exponents` refuses an entry that is not a nonnegative int,
+`check_lengths` exponents of mixed length, and `read_points` also an empty
+point set.  Each fault has one message wherever it is found.
+
 The canonical term order used for printing and for linear algebra over
 monomials is graded reverse lexicographic with the first variable largest.
 """
@@ -31,13 +36,30 @@ class ParseError(ValueError):
         self.position = position
 
 
-def read_exponent(entries: Iterable) -> Exponent:
-    """The entries as an exponent tuple; ValueError on an entry that is not an
-    int, so 1.5, Fraction(3, 2) and True are refused, never truncated."""
-    exponent = tuple(entries)
-    if bad := [x for x in exponent if type(x) is not int]:
-        raise ValueError(f"exponent entry {bad[0]!r} is not an int")
-    return exponent
+def check_exponents(exponents: Iterable[Iterable]) -> None:
+    """ValueError naming the first entry that is not a nonnegative int, so -1,
+    1.5, Fraction(3, 2) and True are refused, never truncated."""
+    for exponent in exponents:
+        for x in exponent:
+            if type(x) is not int or x < 0:
+                raise ValueError(f"exponent entry {x!r} is not a nonnegative int")
+
+
+def check_lengths(lengths: set[int]) -> None:
+    """ValueError listing the lengths when exponents come in more than one."""
+    if len(lengths) > 1:
+        raise ValueError(f"exponents of mixed length: {', '.join(map(str, sorted(lengths)))}")
+
+
+def read_points(points: Iterable[Iterable]) -> list[Exponent]:
+    """The distinct points as exponent tuples, in first-seen order.  ValueError,
+    in this order, on a bad entry, an empty set and exponents of mixed length."""
+    pts = [tuple(p) for p in points]
+    check_exponents(pts)  # before True and 1 could merge
+    if not pts:
+        raise ValueError("the point set is empty")
+    check_lengths(set(map(len, pts)))
+    return list(dict.fromkeys(pts))
 
 
 def grevlex_key(exponent: Sequence[int]) -> tuple:
@@ -61,13 +83,12 @@ class Polynomial:
         clean: dict[Exponent, Fraction] = {}
         if terms:
             for exponent, coeff in terms.items():
-                exponent = read_exponent(exponent)
+                exponent = tuple(exponent)
+                check_exponents((exponent,))
                 if len(exponent) != nvars:
                     raise ValueError(
                         f"exponent {exponent} has length {len(exponent)}, expected {nvars}"
                     )
-                if exponent and min(exponent) < 0:
-                    raise ValueError(f"negative exponent in {exponent}")
                 if type(coeff) is not Fraction:
                     coeff = Fraction(coeff)
                 if coeff:

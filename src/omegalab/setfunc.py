@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .guards import degree_guard, ground_set_guard
-from .poly import Exponent, Polynomial, read_exponent
+from .poly import Exponent, Polynomial, read_points
 
 
 def mask_to_set(mask: int, start: int = 1) -> tuple[int, ...]:
@@ -160,21 +160,16 @@ def is_polymatroid(f: SetFunction) -> PolymatroidCheckReport:
 def rank_from_support(supp: Iterable[Exponent]) -> SetFunction:
     """Table S -> max over the support of the coordinate sum on S.
 
-    Requires a nonempty support of constant total degree.  The result is a
-    polymatroid whenever the support is M-convex.
+    Requires a nonempty set of exponents (`read_points`) of constant total
+    degree.  The result is a polymatroid whenever the support is M-convex.
     """
-    points = [read_exponent(p) for p in supp]
-    if not points:
-        raise ValueError("support is empty")
-    if len(set(map(len, points))) != 1:
-        raise ValueError("points must have equal length")
+    points = read_points(supp)
     n = len(points[0])
-    degrees = {sum(p) for p in points}
-    if len(degrees) != 1:
+    if len({sum(p) for p in points}) != 1:
         raise ValueError("support is not homogeneous")
     ground_set_guard(n)
     values = None
-    for p in set(points):
+    for p in points:
         table = [0]  # the subset sums of p, by mask: one addition per mask
         for x in p:
             table += [v + x for v in table]

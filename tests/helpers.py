@@ -229,13 +229,16 @@ def all_mconvex_sets(n: int, degree: int) -> list[frozenset]:
 
 def reference_is_mconvex(points):
     """The exchange axiom by the scan over every (x, y, i, j) of the support."""
-    pts = sorted({tuple(int(v) for v in p) for p in points})
+    pts = [tuple(p) for p in points]
+    if bad := [v for p in pts for v in p if type(v) is not int or v < 0]:
+        raise ValueError(f"exponent entry {bad[0]!r} is not a nonnegative int")
+    pts = sorted(set(pts))
     if not pts:
-        raise ValueError("M-convexity is defined for nonempty point sets")
+        raise ValueError("the point set is empty")
+    if len(lengths := sorted({len(p) for p in pts})) > 1:
+        raise ValueError(f"exponents of mixed length: {', '.join(map(str, lengths))}")
     if len({sum(p) for p in pts}) != 1:
         raise ValueError("points must have equal coordinate sums")
-    if any(v < 0 for p in pts for v in p):
-        raise ValueError("points must be nonnegative")
     index = set(pts)
     n = len(pts[0])
     for x in pts:

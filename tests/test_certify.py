@@ -139,10 +139,10 @@ def test_mconvex_memory_does_not_grow_with_the_exponents():
 @pytest.mark.parametrize(
     "points, message",
     [
-        ([], "nonempty point sets"),
+        ([], "the point set is empty"),
         ([(1, 0), (2, 0)], "equal coordinate sums"),
-        ([(2, -1), (0, 0)], "equal coordinate sums"),  # before the sign test
-        ([(1, -1), (0, 0)], "must be nonnegative"),
+        ([(2, -1), (0, 0)], "exponent entry -1 is not a nonnegative int"),  # before the sums
+        ([(1, -1), (0, 0)], "exponent entry -1 is not a nonnegative int"),
     ],
 )
 def test_mconvex_errors_match_the_pair_scan(points, message):
@@ -154,11 +154,12 @@ def test_mconvex_errors_match_the_pair_scan(points, message):
 def test_mixed_point_lengths_raise():
     # checked right after emptiness, so before the coordinate sums
     for points in ({(1, 0), (1,)}, {(1, 0), (0, 1, 0)}, {(1, 0), (2,)}):
-        with pytest.raises(ValueError, match="points must have equal length"):
+        lengths = ", ".join(map(str, sorted({len(p) for p in points})))
+        with pytest.raises(ValueError, match=f"^exponents of mixed length: {lengths}$"):
             is_mconvex(points)
-    with pytest.raises(ValueError, match="points must have equal length"):
+    with pytest.raises(ValueError, match="^exponents of mixed length: 2, 3$"):
         smoothable_probe([(1, 1), (2, 0), (0, 1, 1)], trials=1)
-    with pytest.raises(ValueError, match="nonempty point sets"):
+    with pytest.raises(ValueError, match="^the point set is empty$"):
         smoothable_probe([], trials=1)
 
 
@@ -185,6 +186,9 @@ def test_lorentzian_degree_guard():
 
     with pytest.raises(ValueError):
         is_lorentzian(parse_polynomial("x1 + x2", ["x1", "x2"]))
+    for h in (Polynomial.zero(2), parse_polynomial("x1^2 + x2", ["x1", "x2"])):
+        with pytest.raises(ValueError, match="^polynomial must be nonzero and homogeneous$"):
+            is_lorentzian(h)
     over = parse_polynomial(f"x^{MAX_CERTIFY_DEGREE}*y", ["x", "y"])
     with pytest.raises(ResourceLimit, match=f"total degree {MAX_CERTIFY_DEGREE + 1} exceeds"):
         is_lorentzian(over)
@@ -214,6 +218,8 @@ def test_hessian_eigenvalue_count():
     assert positive_eigenvalue_count(_hessian(q2)) == 2
     q3 = Polynomial.zero(2)
     assert positive_eigenvalue_count(_hessian(q3)) == 0
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        positive_eigenvalue_count([[1, 0]])
 
 
 def _symmetric_draw(rng, n, kind):

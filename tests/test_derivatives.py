@@ -85,6 +85,11 @@ def test_space_rejects_bad_order():
         derivative_space(h, 0)
     with pytest.raises(ValueError):
         derivative_space(h, 2)
+    for bad in (Polynomial.zero(3), h + parse_polynomial("x1", ["x1", "x2", "x3"])):
+        with pytest.raises(ValueError, match="^polynomial must be nonzero and homogeneous$"):
+            derivative_space(bad, 1)
+    with pytest.raises(ValueError, match="^derivative order must be nonnegative$"):
+        _partial_terms(h, -1)
 
 
 def test_derivative_support_first_order_of_quadratic():

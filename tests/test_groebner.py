@@ -453,7 +453,7 @@ def test_torus_feasible_requires_homogeneous():
 def test_torus_feasible_validation_order():
     inhomogeneous = {(2, 0): 1, (1, 0): 1}
     for system in ([inhomogeneous, {(1, 0, 0): 1}], [{(1, 0, 0): 1}, inhomogeneous]):
-        with pytest.raises(ValueError, match="generator variable count mismatch"):
+        with pytest.raises(ValueError, match="^exponents of mixed length: 2, 3$"):
             torus_feasible(system)
     with pytest.raises(ValueError, match="requires homogeneous generators"):
         torus_feasible([{(1, 1): 1}, inhomogeneous])
@@ -478,7 +478,7 @@ def test_torus_feasible_leaves_its_inputs_unchanged():
         assert system == before
 
 
-MISMATCH, INHOMOGENEOUS = "generator variable count mismatch", "requires homogeneous generators"
+MISMATCH, INHOMOGENEOUS = "exponents of mixed length: 2, 3", "requires homogeneous generators"
 
 
 def _linear(status, *certificate):
@@ -557,7 +557,7 @@ def test_torus_feasible_undecided_propagates():
 
 
 def test_poly_system_validates_variable_count():
-    with pytest.raises(ValueError, match="variable count mismatch"):
+    with pytest.raises(ValueError, match="^exponents of mixed length: 2, 3$"):
         torus_feasible([I("x1 - x2", ["x1", "x2", "x3"]), I("x1 - x2", ["x1", "x2"])])
 
 
@@ -722,7 +722,7 @@ def test_torus_feasibility_ignores_monomial_factors(monkeypatch):
 
 
 def test_torus_feasible_rejects_malformed_integer_generators():
-    with pytest.raises(ValueError, match="variable count mismatch"):
+    with pytest.raises(ValueError, match="^exponents of mixed length: 2, 3$"):
         torus_feasible([{(1, 0): 1, (0, 1): -1}, {(1, 0, 0): 1, (0, 0, 1): 2}])
     with pytest.raises(ValueError, match="homogeneous"):
         torus_feasible([{(2, 0): 1, (0, 1): -1}])
@@ -966,7 +966,8 @@ def test_toric_ideal_rejects_points_of_mixed_length():
     # the width was read off the first point after sorting: the first input gave
     # an empty ideal, the second an IndexError
     for points in ([(1, 0), (0, 0, 1)], [(2, 0), (0, 2), (1, 1, 7)]):
-        with pytest.raises(ValueError, match="^points must have equal length$"):
+        lengths = ", ".join(map(str, sorted({len(p) for p in points})))
+        with pytest.raises(ValueError, match=f"^exponents of mixed length: {lengths}$"):
             toric_ideal(points)
 
 
@@ -984,6 +985,8 @@ def test_exponents_of_mixed_length_are_rejected():
         length = len(next(iter(g)))
         with pytest.raises(ValueError, match=f"^exponents of length {length} in {nvars} variables$"):
             saturate_coordinates([g], nvars)
+    with pytest.raises(ValueError, match="^coordinate saturation requires homogeneous generators$"):
+        saturate_coordinates([{(2, 0): 1, (1, 0): -1}], 2)
 
 
 def test_negative_exponent_is_rejected():
@@ -1023,6 +1026,18 @@ def test_torus_feasible_names_the_entry_of_the_input_not_a_shifted_one():
     # the monomial exit reads no entry: a Laurent monomial has no torus zero either
     verdict = torus_feasible([{(-1, 2): 1}])
     assert verdict == (INFEASIBLE, "linear-algebra", ("monomial", (-1, 2)))
+
+
+def test_torus_feasible_checks_the_entries_of_a_constant():
+    # this answered infeasible ("constant"), though x^-1*y + 1 has torus zeros
+    with pytest.raises(ValueError, match="^exponent entry -1 is not a nonnegative int$"):
+        torus_feasible([{(-1, 1): 1, (0, 0): 1}])
+
+
+def test_torus_feasible_names_the_entry_before_the_homogeneity_test():
+    # this raised "torus feasibility requires homogeneous generators"
+    with pytest.raises(ValueError, match="^exponent entry -1 is not a nonnegative int$"):
+        torus_feasible([{(-1, 3): 1, (0, 1): -1}])
 
 
 def test_unit_ideal_detection():

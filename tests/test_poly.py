@@ -196,6 +196,7 @@ def test_constructor_keeps_the_types_it_accepts():
         (2, {(1, 1): "x"}, ValueError),
         (2, {(1, 1): None}, TypeError),
         (2, {(1, 1): [3]}, TypeError),
+        (-1, None, ValueError),
     ]:
         with pytest.raises(error):
             Polynomial(nvars, terms)
@@ -237,6 +238,11 @@ def test_partial_derivative_of_symmetric_sum():
 def test_partial_derivative_absent_variable():
     p = parse_polynomial("x2^3", ["x1", "x2"])
     assert p.partial_derivative(0).is_zero
+    for index in (-1, 2):
+        with pytest.raises(ValueError, match=f"^variable index {index} out of range for nvars=2$"):
+            p.partial_derivative(index)
+        with pytest.raises(ValueError, match=f"^variable index {index} out of range$"):
+            Polynomial.variable(2, index)
 
 
 def test_support_of_symmetric_polynomial():
@@ -257,6 +263,8 @@ def test_print_parse_round_trip_random():
 def test_zero_prints_and_reparses():
     z = Polynomial.zero(2)
     assert z.to_string(["x", "y"]) == "0"
+    with pytest.raises(ValueError, match="^variable name count mismatch$"):
+        z.to_string(["x"])
     assert parse_polynomial("0", ["x", "y"]).is_zero
 
 
@@ -298,6 +306,12 @@ def test_variable_order_entry_no_text_can_name_raises_value_error():
         with pytest.raises(ValueError, match=f"^variable name {bad} is not a run") as exc:
             parse_polynomial("y^2", names)
         assert not isinstance(exc.value, ParseError)  # the order is at fault, not the text
+    for names, message in (
+        ([], "variable_order must be nonempty"),
+        (["x", "x"], "duplicate variable names"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_polynomial("x^2", names)
 
 
 def test_variable_order_entry_starting_with_a_digit_raises_value_error():
@@ -311,10 +325,11 @@ def test_variable_order_entry_starting_with_a_digit_raises_value_error():
 
 
 def test_constructor_rejects_an_exponent_entry_that_is_not_an_int():
-    for bad in (1.5, 1.0, True, "1", Fraction(1), None):
-        with pytest.raises(ValueError, match=re.escape(f"exponent entry {bad!r} is not an int")):
+    for bad in (1.5, 1.0, True, "1", Fraction(1), None, -1):
+        message = re.escape(f"exponent entry {bad!r} is not a nonnegative int")
+        with pytest.raises(ValueError, match=message):
             Polynomial(2, {(0, 2): 1, (bad, 0): 1})
-    with pytest.raises(ValueError, match="^exponent entry 1.5 is not an int$"):
+    with pytest.raises(ValueError, match="^exponent entry 1.5 is not a nonnegative int$"):
         Polynomial(2, {(1.5, 0.5): 1, (0, 2): 1})
 
 
@@ -329,10 +344,16 @@ def test_point_readers_refuse_an_entry_that_is_not_an_int():
         lambda pts: toric_ideal([*pts, (1, 1)]),
         lambda pts: smoothable_probe(pts, trials=1),
     )
-    for bad, good in ((1.5, 0.5), (Fraction(3, 2), Fraction(1, 2)), (True, False)):
+    for bad, good in ((1.5, 0.5), (Fraction(3, 2), Fraction(1, 2)), (True, False), (-1, 1)):
+        message = f"^{re.escape(f'exponent entry {bad!r} is not a nonnegative int')}$"
         for read in readers:
-            with pytest.raises(ValueError, match=f"^{re.escape(f'exponent entry {bad!r} is not an int')}$"):
+            with pytest.raises(ValueError, match=message):
                 read([(bad, good), (good, bad)])
+    # rank_from_support gave a table and toric_ideal an ideal: negative coordinates passed
+    with pytest.raises(ValueError, match="^exponent entry -1 is not a nonnegative int$"):
+        rank_from_support([(2, -1), (0, 1)])
+    with pytest.raises(ValueError, match="^exponent entry -1 is not a nonnegative int$"):
+        toric_ideal([(1, -1), (0, 0)])
 
 
 def test_scaling_and_arithmetic():

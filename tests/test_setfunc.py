@@ -41,6 +41,8 @@ def test_mask_roundtrip():
     assert mask_to_set(set_to_mask([1, 3])) == (1, 3)
     assert mask_to_set(0) == ()
     assert mask_to_set(0b1010, 0) == (1, 3)
+    with pytest.raises(ValueError, match="^ground-set elements are 1-based$"):
+        set_to_mask([0])
 
 
 def test_uniform_matroid_is_polymatroid():
@@ -71,6 +73,10 @@ def test_non_monotone_detected():
 def test_ground_set_guard():
     with pytest.raises(ResourceLimit):
         SetFunction(21, [0] * (1 << 21))
+    with pytest.raises(ValueError, match="^ground-set size must be nonnegative$"):
+        SetFunction(-1, [0])
+    with pytest.raises(ValueError, match="^expected 4 values, got 3$"):
+        SetFunction(2, [0, 1, 1])
 
 
 def test_table_builders_check_the_ground_set_cap():
@@ -91,6 +97,8 @@ def test_from_bases_rejects_elements_outside_the_ground_set():
         SetFunction.from_bases(2, [[1, 3], [2, 3]])
     with pytest.raises(ValueError, match="basis element 0 lies outside"):
         SetFunction.from_bases(3, [[0, 1]])
+    with pytest.raises(ValueError, match="^bases must share one cardinality$"):
+        SetFunction.from_bases(3, [[1], [2, 3]])
     assert SetFunction.from_bases(3, [[1, 3], [2, 3]]).rank == 2
 
 
@@ -117,13 +125,14 @@ def test_rank_from_support_basis_indicators():
 
 
 def test_rank_from_support_rejects_bad_input():
-    with pytest.raises(ValueError, match="support is empty"):
+    with pytest.raises(ValueError, match="^the point set is empty$"):
         rank_from_support(set())
     with pytest.raises(ValueError, match="support is not homogeneous"):
         rank_from_support({(1, 0), (2, 0)})
     # mixed lengths, checked right after emptiness
     for points in ([(1, 0), (0, 1, 0)], [(1,), (0, 1)], [(1, 0), (2,)]):
-        with pytest.raises(ValueError, match="points must have equal length"):
+        lengths = ", ".join(map(str, sorted({len(p) for p in points})))
+        with pytest.raises(ValueError, match=f"^exponents of mixed length: {lengths}$"):
             rank_from_support(points)
 
 
@@ -152,6 +161,9 @@ def test_truncation_sum_from_one():
     rho = rank_from_support(elementary_symmetric(3, 3).support())
     rbar1 = truncation_sum(rho, 1)
     assert rbar1.rank == 3  # 2 + 1 + 0
+    for start in (-1, 4):
+        with pytest.raises(ValueError, match=f"^start index {start} out of range 0..3$"):
+            truncation_sum(rho, start)
 
 
 def test_truncation_sum_closed_form_matches_the_sum_of_truncations():
@@ -228,6 +240,8 @@ def test_sum_of_polymatroids_is_polymatroid():
         f = random_polymatroid(rng, n, 4)
         g = random_polymatroid(rng, n, 4)
         assert is_polymatroid(f + g).ok
+    with pytest.raises(ValueError, match="^ground-set size mismatch$"):
+        U24 + SetFunction.uniform_matroid(1, 3)
 
 
 def test_truncations_are_polymatroids():
@@ -381,6 +395,8 @@ def test_hyperbolic_rank_matches_the_line_expansion_reference():
                 reference_substitute_line(p, base, direction)
             with pytest.raises(ValueError, match="^point length mismatch$"):
                 hyperbolic_rank(p, base, direction)
+        with pytest.raises(ValueError, match="^point length mismatch$"):
+            p.evaluate([1, 1])
 
 
 def test_polymatroid_from_hyperbolic_matches_support_rank():
