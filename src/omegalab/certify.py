@@ -237,13 +237,6 @@ class OrderReport:
         return out
 
 
-def _transposition(n: int, i: int, j: int) -> Callable[[Sequence], tuple]:
-    """The map from an n-tuple to it with entries i and j exchanged (i != j)."""
-    order = list(range(n))
-    order[i], order[j] = j, i
-    return itemgetter(*order)
-
-
 def _swap_generators(h: Polynomial) -> list[tuple[int, int]]:
     """Generators of the variable swaps fixing h: adjacent swaps within blocks.
 
@@ -260,7 +253,9 @@ def _swap_generators(h: Polynomial) -> list[tuple[int, int]]:
         for block in blocks:
             if column[block[0]] != column[i]:
                 continue
-            swap = _transposition(h.nvars, block[0], i)
+            order = list(range(h.nvars))
+            order[block[0]], order[i] = i, block[0]
+            swap = itemgetter(*order)
             if all(terms.get(swap(e)) == c for e, c in terms.items()):
                 block.append(i)
                 break
@@ -308,8 +303,10 @@ def _decide(space: DerivativeSpace, max_pairs: int, swaps: Callable[[], list]) -
     by `_filling_space`'s lemma, or the simplex's.  Of each orbit of the swaps
     fixing h only the first face F in the lattice order is decided: the face on
     which no generator (i, j), i < j, fires, that is, has a column with c_i > c_j
-    and none with c_i < c_j.  Should a first face hit the pair cap, its orbit's
-    later faces are decided in order until one is infeasible.  The test is exact:
+    and none with c_i < c_j.  Each first face gets one torus feasibility call: the
+    systems of its orbit are its own with the variables renamed, so a first face
+    at the pair cap leaves the order undecided, unless a later face is feasible.
+    The test is exact:
     1. t = (i j) fixes the columns and P_k.  If tF != F, no w in relint N(F) has
        w_i = w_j, as tw = w would lie in relint N(tF); so, say, w_i > w_j on it,
        and <w, c> >= <w, tc> gives c_i >= c_j on F's columns, once strictly.
@@ -335,27 +332,18 @@ def _decide(space: DerivativeSpace, max_pairs: int, swaps: Callable[[], list]) -
         lattice = _lattice(list(_facets(rank_from_support(points), points, True)), len(points))
     vertices = sum(mask for dim, mask in lattice if dim == 0)
     index = {c: 1 << t for t, c in enumerate(points)}
-    moves = []  # per generator (i, j): the columns with c_i > c_j, with c_i < c_j, and the swap
+    moves = []  # per generator (i, j): the columns with c_i > c_j and with c_i < c_j
     for i, j in swaps():
-        above, below = (sum(index[c] for c in points if op(c[i], c[j])) for op in (gt, lt))
-        moves.append((above, below, _transposition(space.nvars, i, j)))
-
-    def fired(on: int) -> Callable | None:  # a swap mapping the face earlier, by 2
-        return next((swap for above, below, swap in moves if on & above and not on & below), None)
-
+        moves.append(tuple(sum(index[c] for c in points if op(c[i], c[j])) for op in (gt, lt)))
     # Each basis row keeps its nonzero (bit, column, value).  A row wholly on
     # a face passes its prebuilt dict; only a cut row is rebuilt.
     rows = [[(index[c], c, x) for c, x in zip(columns, r) if x] for r in space.matrix]
     rows = [(sum(bit for bit, _, _ in row), row, {c: x for _, c, x in row}) for row in rows]
-    capped: dict[int, str] = {}  # first face -> detail, of the orbits with no infeasible face
+    detail = None  # the first capped face's
     for _, on in lattice:
-        first = on
-        if moves and (swap := fired(on)):  # not a first face: decided only if its orbit is capped
-            while capped and swap:
-                first = sum(index[swap(c)] for c in points if first & index[c])
-                swap = fired(first)
-            if first not in capped:
-                continue
+        # a swap that fires maps the face earlier, by 2: not its orbit's first
+        if moves and any(on & above and not on & below for above, below in moves):
+            continue
         gens = [
             whole if mask & on == mask else {c: x for bit, c, x in row if bit & on}
             for mask, row, whole in rows
@@ -368,13 +356,8 @@ def _decide(space: DerivativeSpace, max_pairs: int, swaps: Callable[[], list]) -
                 witness_face=tuple(c for t, c in enumerate(points) if (on & vertices) >> t & 1),
                 detail=f"torus point on the face orbit ({verdict.method})",
             )
-        if verdict.status == "undecided":
+        if verdict.status == "undecided" and detail is None:
             detail = f"{verdict.method} undecided on a face orbit: {verdict.certificate}"
-            capped.setdefault(first, detail)
-        else:  # infeasible: the orbit is decided
-            capped.pop(first, None)
-    # A face at the pair cap is undecided only if no face of its orbit was infeasible.
-    detail = next(iter(capped.values()), None)
     return report(disjoint="undecided" if detail else "yes", detail=detail)
 
 

@@ -54,10 +54,6 @@ VERDICT_EXIT_CODES = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit 64, not argparse's 2, which
     certify reserves for not-applicable.  Subparsers inherit the class."""
@@ -104,25 +100,25 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _read_polynomial(args) -> tuple[Polynomial, list[str], str]:
     if not args.vars:
-        raise UsageError("--vars is required")
+        raise ValueError("--vars is required")
     names = [v.strip() for v in args.vars.split(",") if v.strip()]
     if not names:
-        raise UsageError("--vars must list at least one variable")
+        raise ValueError("--vars must list at least one variable")
     sources = [s for s in (args.polynomial, args.file) if s]
     if len(sources) != 1:
-        raise UsageError("give exactly one input: inline text or --file")
+        raise ValueError("give exactly one input: inline text or --file")
     if args.file:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 text = fh.read().strip()
         except OSError as exc:
-            raise UsageError(f"cannot read {args.file}: {exc}")
+            raise ValueError(f"cannot read {args.file}: {exc}")
     else:
         text = args.polynomial
     try:
         return parse_polynomial(text, names), names, text
     except ValueError as exc:  # a ParseError blames the text, any other the variable order
-        raise exc if isinstance(exc, ParseError) else UsageError(f"--vars: {exc}")
+        raise exc if isinstance(exc, ParseError) else ValueError(f"--vars: {exc}")
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -176,7 +172,7 @@ def _certificate_lines(cert: SmoothnessCertificate, names: list[str]) -> list[st
 def _cmd_analyze(args) -> int:
     h, names, text = _read_polynomial(args)
     if h.is_zero or not h.is_homogeneous or h.total_degree < 1:
-        raise UsageError("analyze needs a nonzero homogeneous polynomial of degree >= 1")
+        raise ValueError("analyze needs a nonzero homogeneous polynomial of degree >= 1")
     supp = sorted(h.support())
     rho = rank_from_support(supp)  # its ground-set guard first
     mcx, witness = is_mconvex(supp)
@@ -236,7 +232,7 @@ def _parse_setfunction_arg(args) -> SetFunction:
             try:
                 bases.append([int(ch) for ch in chunk])
             except ValueError:
-                raise UsageError(f"bad basis {chunk!r}; write e.g. 12,13,14,23,24,34")
+                raise ValueError(f"bad basis {chunk!r}; write e.g. 12,13,14,23,24,34")
         n = args.ground_set or max((max(b) for b in bases), default=0)  # no basis: exits 64 below
         basis_masks(n, bases)  # a bad family exits 64 first
         greedy_guard(n)  # every polytope command stops here, before the 2^n table
@@ -244,25 +240,25 @@ def _parse_setfunction_arg(args) -> SetFunction:
     try:
         return SetFunction.from_json(args.setfunction)
     except ValueError as exc:
-        raise UsageError(f"bad set function JSON: {exc}")
+        raise ValueError(f"bad set function JSON: {exc}")
 
 
 def _cmd_polytope(args) -> int:
     given = [s for s in (args.matroid, args.setfunction, args.polynomial or args.file) if s]
     if not given:
-        raise UsageError("give --matroid, --setfunction, or a polynomial")
+        raise ValueError("give --matroid, --setfunction, or a polynomial")
     if len(given) > 1:
-        raise UsageError("give only one of --matroid, --setfunction, or a polynomial")
+        raise ValueError("give only one of --matroid, --setfunction, or a polynomial")
     if args.ground_set and not args.matroid:
-        raise UsageError("--ground-set applies to --matroid only")
+        raise ValueError("--ground-set applies to --matroid only")
     if args.vars and (args.matroid or args.setfunction):
-        raise UsageError("--vars applies to a polynomial only")
+        raise ValueError("--vars applies to a polynomial only")
     if args.matroid or args.setfunction:
         f = _parse_setfunction_arg(args)
     else:
         h, _, _ = _read_polynomial(args)
         if h.is_zero or not h.is_homogeneous:
-            raise UsageError("polynomial input must be nonzero homogeneous")
+            raise ValueError("polynomial input must be nonzero homogeneous")
         ground_set_guard(h.nvars)
         greedy_guard(h.nvars)  # both guards before rho's 2^n table
         f = rank_from_support(h.support())
@@ -292,7 +288,7 @@ def _cmd_polytope(args) -> int:
 def _cmd_mconvex(args) -> int:
     h, _, text = _read_polynomial(args)
     if h.is_zero or not h.is_homogeneous:
-        raise UsageError("mconvex needs a nonzero homogeneous polynomial")
+        raise ValueError("mconvex needs a nonzero homogeneous polynomial")
     mcx, witness = is_mconvex(h.support())
     payload = {
         "command": "mconvex",
@@ -328,9 +324,9 @@ def _parse_point(text: str, n: int, what: str) -> list[Fraction]:
     try:
         values = [Fraction(ch.strip()) for ch in text.split(",")]
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"bad {what} {text!r}; write e.g. 1,1,1")
+        raise ValueError(f"bad {what} {text!r}; write e.g. 1,1,1")
     if len(values) != n:
-        raise UsageError(f"{what} needs {n} coordinates")
+        raise ValueError(f"{what} needs {n} coordinates")
     return values
 
 
@@ -347,7 +343,7 @@ def _cmd_rank(args) -> int:
 def _cmd_probe(args) -> int:
     h, _, text = _read_polynomial(args)
     if h.is_zero or not h.is_homogeneous:
-        raise UsageError("probe-smoothable needs a nonzero homogeneous polynomial")
+        raise ValueError("probe-smoothable needs a nonzero homogeneous polynomial")
     report = smoothable_probe(
         h.support(), trials=args.trials, seed=args.seed, max_pairs=args.max_pairs
     )
@@ -430,9 +426,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -372,6 +372,7 @@ def saturate_coordinates(
     in the standard grading, with exponents of length `nvars`.
     """
     current = [g for g in gens if g]
+    check_exponents(m for g in current for m in g)  # before a bad entry reads as inhomogeneous
     for g in current:
         if not _is_standard_homogeneous(g):
             raise ValueError("coordinate saturation requires homogeneous generators")

@@ -1387,13 +1387,6 @@ def _cap_on_calls(monkeypatch, capped_calls):
     return capped
 
 
-def test_capped_face_in_an_infeasible_orbit_is_decided(monkeypatch):
-    # e(2,3) at order 1: the simplex, faces ordered vertices (one orbit) first
-    _cap_on_calls(monkeypatch, {1})
-    report = centre_disjoint(elementary_symmetric(2, 3), 1)
-    assert report.disjoint == "yes" and report.detail is None
-
-
 def test_capped_orbit_stays_undecided(monkeypatch):
     capped = _cap_on_calls(monkeypatch, {1, 2, 3})
     report = centre_disjoint(elementary_symmetric(2, 3), 1)
@@ -1408,35 +1401,66 @@ EDGE, WHOLE = "0011 0101", " ".join(VERTICES)
 TRIANGLES = ["0011 0101 0110", "0011 0101 1001", "0011 0110 1010", "0011 1001 1010"]
 
 
-@pytest.mark.parametrize(
-    "capped_calls, disjoint, faces",
-    [
-        ({1, 2}, "yes", VERTICES[:3] + [EDGE] + TRIANGLES[:2] + [WHOLE]),
-        ({1, 2, 3, 4}, "yes", VERTICES[:5] + [EDGE] + TRIANGLES[:2] + [WHOLE]),
-        ({1, 2, 3, 4, 5, 6}, "undecided", VERTICES + [EDGE] + TRIANGLES[:2] + [WHOLE]),
-        # both triangle orbits capped: their later faces come in lattice order
-        ({3, 4}, "yes", VERTICES[:1] + [EDGE] + TRIANGLES + [WHOLE]),
-    ],
-)
-def test_a_capped_orbit_decides_its_later_faces_in_order(
-    monkeypatch, capped_calls, disjoint, faces
-):
+def _trace_faces(monkeypatch):
+    """The columns of each face the walk decides, appended to the returned list."""
     import omegalab.certify as certify
 
-    capped = _cap_on_calls(monkeypatch, capped_calls)
     decided = []
 
-    def traced(gens, _stub=certify.torus_feasible, **kwargs):
-        columns = {"".join(map(str, c)) for g in gens for c in g}  # the face's columns
-        decided.append(" ".join(sorted(columns)))
-        return _stub(gens, **kwargs)
+    def traced(gens, _inner=certify.torus_feasible, **kwargs):
+        decided.append(frozenset(c for g in gens for c in g))  # the face's columns
+        return _inner(gens, **kwargs)
 
     monkeypatch.setattr(certify, "torus_feasible", traced)
-    report = centre_disjoint(elementary_symmetric(3, 4), 1)
-    assert decided == faces
-    assert report.disjoint == disjoint
-    detail = f"groebner undecided on a face orbit: {capped.certificate}"
-    assert report.detail == (detail if disjoint == "undecided" else None)
+    return decided
+
+
+def test_a_capped_orbit_is_decided_once_on_its_first_face(monkeypatch):
+    # every call capped: no face of a capped orbit but its first is decided
+    capped = _cap_on_calls(monkeypatch, range(1, 10**6))
+    decided = _trace_faces(monkeypatch)
+    walks = {}
+    for d, n in [(2, 3), (3, 4), (5, 7)]:
+        h = elementary_symmetric(d, n)
+        for k in range(1, d):
+            points, lattice, swaps = _face_walk(h, k)
+            first = reference_orbit_firsts(lattice, points, swaps)
+            decided.clear()
+            report = centre_disjoint(h, k)
+            walks[d, n, k] = list(decided)
+            assert walks[d, n, k] == [
+                frozenset(c for t, c in enumerate(points) if on >> t & 1)
+                for _, on in lattice
+                if first[on] == on
+            ], (d, n, k)
+            assert report.disjoint == "undecided"
+            assert report.detail == f"groebner undecided on a face orbit: {capped.certificate}"
+    faces = VERTICES[:1] + [EDGE] + TRIANGLES[:2] + [WHOLE]
+    assert walks[3, 4, 1] == [frozenset(tuple(map(int, c)) for c in f.split()) for f in faces]
+
+
+def test_the_pair_cap_bounds_the_walk_to_one_call_per_orbit(monkeypatch):
+    decided = _trace_faces(monkeypatch)
+    cert = certify_smooth(elementary_symmetric(5, 7), max_pairs=2)
+    # 164 calls when a capped orbit's later faces were decided one by one
+    assert len(decided) == 44
+    detail = "groebner undecided on a face orbit: pair queue cap 2 exceeded"
+    assert [(r.disjoint, r.detail) for r in cert.k_reports] == [
+        ("undecided", detail),
+        ("undecided", detail),
+        ("yes", None),
+        ("yes", None),
+    ]
+
+
+def test_a_feasible_face_after_capped_orbits_still_fails_the_criterion(monkeypatch):
+    h = parse_polynomial(SINGULAR_CUBIC_TEXT, WXYZ)
+    witness = [r.witness_face for r in certify_smooth(h).k_reports]
+    _cap_on_calls(monkeypatch, {1, 2, 3})
+    decided = _trace_faces(monkeypatch)
+    cert = certify_smooth(h)
+    assert cert.verdict == "criterion-fails" and len(decided) == 25
+    assert [r.witness_face for r in cert.k_reports] == witness
 
 
 def _metamorphic_inputs(rng, count):

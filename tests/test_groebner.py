@@ -1040,6 +1040,12 @@ def test_torus_feasible_names_the_entry_before_the_homogeneity_test():
         torus_feasible([{(-1, 3): 1, (0, 1): -1}])
 
 
+def test_saturate_coordinates_names_the_entry_before_the_homogeneity_test():
+    # this raised "coordinate saturation requires homogeneous generators"
+    with pytest.raises(ValueError, match="^exponent entry -1 is not a nonnegative int$"):
+        saturate_coordinates([{(-1, 3): 1, (0, 1): -1}], 2)
+
+
 def test_unit_ideal_detection():
     gb = buchberger_intdicts([{(1, 0): 1}, {(1, 0): 1, (0, 0): -1}])
     assert is_unit_ideal(gb)
