@@ -14,7 +14,8 @@ derivative system on the first face of each orbit of the variable swaps fixing
 the polynomial, the face on which no swap's two column masks fire.  M-convex
 order-k derivative columns are the lattice points of P_k, so a face is the mask
 of the columns on it: the walk reads the facets off the columns' own rank
-function, truncate(rho, k), closes them under meets, and builds no polytope.
+function, truncate(rho, k), closes them under meets kept only where no swap
+fires, so it lists just the faces it decides, and builds no polytope.
 `centre_disjoint` and the independent Groebner oracle share that
 precondition and raise ValueError without it; an M-convex support meets it.
 The oracle then checks the 12-point cap, answers an empty centre (partials
@@ -46,7 +47,8 @@ from .groebner import DEFAULT_MAX_PAIRS, buchberger_intdicts, toric_ideal, torus
 from .guards import ResourceLimit, degree_guard, greedy_guard, ground_set_guard
 from .guards import partials_guard, toric_points_guard
 from .poly import Exponent, Polynomial, grevlex_key, read_points
-from .polytope import LatticePolytope, _facets, _lattice, _polymatroid_polytope, is_simple
+from .polytope import LatticePolytope, _facets, _fires, _lattice, _polymatroid_polytope
+from .polytope import _vertex_mask, is_simple
 from .setfunc import SetFunction, rank_from_support, truncation_sum
 
 VERDICT_SMOOTH = "smooth-toric"
@@ -301,12 +303,15 @@ def _decide(space: DerivativeSpace, max_pairs: int, swaps: Callable[[], list]) -
     A face is the mask of the columns on it, bit t for the t-th in lexicographic
     order, and its facets are read off the columns' rank function, truncate(rho, k)
     by `_filling_space`'s lemma, or the simplex's.  Of each orbit of the swaps
-    fixing h only the first face F in the lattice order is decided: the face on
-    which no generator (i, j), i < j, fires, that is, has a column with c_i > c_j
-    and none with c_i < c_j.  Each first face gets one torus feasibility call: the
-    systems of its orbit are its own with the variables renamed, so a first face
-    at the pair cap leaves the order undecided, unless a later face is feasible.
-    The test is exact:
+    fixing h only the first face F in the lattice order is listed and decided: the
+    face on which no generator (i, j), i < j, fires (`_fires`), that is, has a
+    column with c_i > c_j and none with c_i < c_j.  `_lattice` prunes its meet
+    closure by that rule, losing none of those faces by its lemmas (a) and (b);
+    the cached simplex lattice is filtered by it.  Each listed face gets one torus
+    feasibility call: the systems of its orbit are its own with the variables
+    renamed, so a first face at the pair cap leaves the order undecided, unless a
+    later face is feasible.  A witness is named by its vertices, read off the facets.
+    The first-face test is exact:
     1. t = (i j) fixes the columns and P_k.  If tF != F, no w in relint N(F) has
        w_i = w_j, as tw = w would lie in relint N(tF); so, say, w_i > w_j on it,
        and <w, c> >= <w, tc> gives c_i >= c_j on F's columns, once strictly.
@@ -324,26 +329,25 @@ def _decide(space: DerivativeSpace, max_pairs: int, swaps: Callable[[], list]) -
     except ResourceLimit as exc:
         return report(disjoint="undecided", detail=f"order-{k} truncation polytope: {exc}")
     points = sorted(columns)
-    # n columns of degree 1 (k = d - 1, every variable occurring): min(1, rho) is
-    # U(1, n)'s rank function
-    if sum(points[0]) == 1 and len(points) == space.nvars:
-        lattice = _simplex_lattice(space.nvars)[1]
-    else:
-        lattice = _lattice(list(_facets(rank_from_support(points), points, True)), len(points))
-    vertices = sum(mask for dim, mask in lattice if dim == 0)
     index = {c: 1 << t for t, c in enumerate(points)}
     moves = []  # per generator (i, j): the columns with c_i > c_j and with c_i < c_j
     for i, j in swaps():
         moves.append(tuple(sum(index[c] for c in points if op(c[i], c[j])) for op in (gt, lt)))
+    # n columns of degree 1 (k = d - 1, every variable occurring): min(1, rho) is
+    # U(1, n)'s rank function
+    if sum(points[0]) == 1 and len(points) == space.nvars:
+        body, faces = _simplex_lattice(space.nvars)
+        facets = body.facet_masks
+        lattice = [face for face in faces if not _fires(face[1], moves)] if moves else faces
+    else:
+        facets = list(_facets(rank_from_support(points), points, True))
+        lattice = _lattice(facets, len(points), moves)
     # Each basis row keeps its nonzero (bit, column, value).  A row wholly on
     # a face passes its prebuilt dict; only a cut row is rebuilt.
     rows = [[(index[c], c, x) for c, x in zip(columns, r) if x] for r in space.matrix]
     rows = [(sum(bit for bit, _, _ in row), row, {c: x for _, c, x in row}) for row in rows]
     detail = None  # the first capped face's
     for _, on in lattice:
-        # a swap that fires maps the face earlier, by 2: not its orbit's first
-        if moves and any(on & above and not on & below for above, below in moves):
-            continue
         gens = [
             whole if mask & on == mask else {c: x for bit, c, x in row if bit & on}
             for mask, row, whole in rows
@@ -351,9 +355,10 @@ def _decide(space: DerivativeSpace, max_pairs: int, swaps: Callable[[], list]) -
         ]
         verdict = torus_feasible(gens, max_pairs=max_pairs)
         if verdict.is_feasible:
+            vertices = on & _vertex_mask(facets, len(points))
             return report(
                 disjoint="no",
-                witness_face=tuple(c for t, c in enumerate(points) if (on & vertices) >> t & 1),
+                witness_face=tuple(c for t, c in enumerate(points) if vertices >> t & 1),
                 detail=f"torus point on the face orbit ({verdict.method})",
             )
         if verdict.status == "undecided" and detail is None:

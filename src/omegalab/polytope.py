@@ -13,8 +13,8 @@ point sets tight at some x(S) <= f(S), or -x_i <= 0 on P(f), over points of
 the polytope that include its vertices.  A facet's normal is that of S or -{i}
 less its entry at min C on each equation set C: the sets are disjoint, so this
 is the equations' RREF elimination, and its 0/+-1 entries are primitive.  The
-face lattice, (dim, mask) per face, is the facets' meet closure `_lattice`,
-which the certificate's walk runs over the derivative columns.  Simplicity
+face lattice, (dim, mask) per face, is the facets' meet closure `_lattice`; over
+the derivative columns it keeps only the first face of each swap orbit.  Simplicity
 needs no face lattice: a vertex is simple when it lies on dim facets, and on a
 polymatroid polytope simple is already lattice smooth (see `is_simple`).
 """
@@ -195,41 +195,68 @@ def base_polytope(f: SetFunction) -> LatticePolytope:
 # -- face lattices and simplicity -------------------------------------------------
 
 
-def _lattice(facet_masks: Sequence[int], count: int) -> list[tuple[int, int]]:
-    """(dim, mask) of every nonempty face, as the meet closure of the facets.
+def _fires(mask: int, moves: Sequence[tuple[int, int]]) -> bool:
+    """Some (above, below) pair of `moves` fires on the face `mask`: it meets above, not below."""
+    return any(mask & above and not mask & below for above, below in moves)
 
-    The masks are over `count` sorted points of the polytope that include its
-    vertices, so a face is its set of points and a vertex is a one-point face;
-    the facets through a face are those whose mask contains its mask.
-    A face's dimension is one more than the largest among its nonempty proper
-    meets with the facets; a vertex has none.  The faces come by dimension,
-    then by their vertices' indices in lexicographic order: two faces of one
-    dimension are incomparable, so neither index tuple is a prefix of the
-    other, and that order is the descending order of their bit-reversed masks
-    cut to the vertices.
+
+def _vertex_mask(facet_masks: Sequence[int], count: int) -> int:
+    """The vertices among `count` points: those where the facets through them meet alone."""
+    full = (1 << count) - 1
+    bits = (1 << t for t in range(count))
+    return sum(b for b in bits if reduce(and_, (fs for fs in facet_masks if fs & b), full) == b)
+
+
+def _lattice(
+    facet_masks: Sequence[int], count: int, moves: Sequence[tuple[int, int]] = ()
+) -> list[tuple[int, int]]:
+    """(dim, mask) of every nonempty face on which no pair of `moves` fires, by meets of facets.
+
+    The masks are over `count` sorted points of the polytope P that include its
+    vertices, so a face is its set of points.  The closure meets kept faces only
+    with the facets and keeps a meet unless `_fires`: with no moves, every face.
+    `certify._decide` passes, per swap (i, j), i < j, fixing the points, those with
+    c_i > c_j and those with c_i < c_j; the list is then exactly the unpruned one
+    less the faces where a pair fires.  Let D = {w : w_i <= w_j for each (i, j)}:
+    (a) No pair fires on F iff relint N(F), F's normal cone, meets D.  If (i, j)
+        fires, w in relint N(F) has w_i > w_j, else its swap t would map a column
+        c of F with c_i > c_j to tc on F, with tc_i < tc_j.  If none fires,
+        relint N(F) lies in w_i < w_j for each t moving F (by `_decide`'s step 1),
+        and averaging a point of it over the swaps fixing F gives a point of D.
+    (b) Every such F != P is covered by another.  The swaps whose wall w_i = w_j
+        meets relint N(F) fix F and generate a parabolic W; N(F) ∩ D = N(F) ∩ D_W
+        for W's fundamental domain D_W (Humphreys, Reflection Groups and Coxeter
+        Groups, 1.12).  For a cover G of F some g in W moves a point of relint N(G)
+        into D_W, so gG is kept by (a) and covers gF = F.
+    A cover G of F has F = G & H for a facet H, so the closure reaches each kept
+    face.  By (b) the longest chain of meets from P to a kept F runs through covers:
+    dim F is the deepest chain's depth, a vertex's, less F's depth, found in one
+    pass in descending popcount.  The faces come by dimension, then by their
+    vertices' indices in lexicographic order: two faces of one dimension are
+    incomparable, so neither index tuple is a prefix of the other, and that order
+    is the descending order of their bit-reversed masks cut to the vertices.
     """
     full = (1 << count) - 1
-    closed = {full}
-    frontier = [full]
+    kept, seen, frontier = [full], {0, full}, [full]
     while frontier:
         new: list[int] = []
         for fs in facet_masks:
             for cur in frontier:
-                meet = cur & fs
-                if meet and meet not in closed:
-                    closed.add(meet)
-                    new.append(meet)
+                if (meet := cur & fs) not in seen:
+                    seen.add(meet)
+                    if not _fires(meet, moves):
+                        new.append(meet)
+        kept += new
         frontier = new
-
-    vertices = sum(mask for mask in closed if mask & mask - 1 == 0)
-    dims: dict[int, int] = {}
-    for mask in sorted(closed, key=int.bit_count):  # meets come before the face
-        dim = -1
-        for fs in facet_masks:  # the nonempty proper meets
-            if mask != (m := mask & fs) and m and dims[m] > dim:
-                dim = dims[m]
-        dims[mask] = dim + 1
-    faces = zip(dims.values(), dims)
+    kept.sort(key=int.bit_count, reverse=True)  # each face after every face above it
+    depth = dict.fromkeys(kept, 0)
+    for face in kept:
+        step = depth[face] + 1
+        for fs in facet_masks:
+            if (meet := face & fs) in depth and meet != face and depth[meet] < step:
+                depth[meet] = step
+    top, vertices = max(depth.values()), _vertex_mask(facet_masks, count)
+    faces = [(top - below, mask) for mask, below in depth.items()]
     return sorted(faces, key=lambda face: (face[0], -int(f"{face[1] & vertices:0{count}b}"[::-1], 2)))
 
 

@@ -1367,6 +1367,76 @@ def test_a_face_is_decided_iff_no_swap_fires_iff_it_comes_first_in_its_orbit(mon
     assert faces >= 7000 and orbits >= 1800, (faces, orbits)
 
 
+def test_the_pruned_closure_lists_the_unpruned_faces_on_which_no_swap_fires():
+    # Every order takes the rank-function route here, the simplex's included.
+    from omegalab.certify import _swap_generators
+    from omegalab.polytope import _facets, _lattice, _vertex_mask
+
+    fixtures = bench_fixtures()
+    inputs = []
+    for name, _ in fixtures.LADDER:
+        if name not in fixtures.GUARDED:
+            f = fixtures.fixture(name)
+            inputs.append(parse_polynomial(f.text, list(f.names)))
+    rng = random.Random(46)
+    inputs += [
+        random_block_symmetric_polynomial(rng, rng.randint(3, 6), rng.randint(2, 4))
+        for _ in range(300)
+    ]
+    orders = listed = 0
+    for h in inputs:
+        swaps = _swap_generators(h)
+        for k in range(1, h.total_degree):
+            points = sorted(derivative_space(h, k).columns)
+            facets = list(_facets(rank_from_support(points), points, True))
+            moves = [  # per swap (i, j): the points with c_i > c_j and with c_i < c_j
+                tuple(sum(1 << t for t, c in enumerate(points) if op(c[i], c[j])) for op in (gt, lt))
+                for i, j in swaps
+            ]
+            every = _lattice(facets, len(points))
+            unfired = [
+                (dim, on)
+                for dim, on in every
+                if not any(on & above and not on & below for above, below in moves)
+            ]
+            pruned = _lattice(facets, len(points), moves)
+            assert pruned == unfired, (h.terms, k)
+            first = reference_orbit_firsts(every, points, swaps)
+            assert pruned == [(dim, on) for dim, on in every if first[on] == on], (h.terms, k)
+            assert _vertex_mask(facets, len(points)) == sum(on for dim, on in every if dim == 0)
+            orders += 1
+            listed += len(pruned)
+    assert orders >= 600 and listed >= 8000, (orders, listed)
+
+
+def test_the_walk_lists_only_the_faces_it_decides(monkeypatch):
+    import omegalab.certify as certify
+
+    listed, calls = [], []
+
+    def spied_lattice(facet_masks, count, moves=(), _real=certify._lattice):
+        faces = _real(facet_masks, count, moves)
+        listed.append((len(faces), len(_real(facet_masks, count))))  # (pruned, every face)
+        return faces
+
+    def spied_feasible(*args, _real=certify.torus_feasible, **kwargs):
+        calls.append(args)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "_lattice", spied_lattice)
+    monkeypatch.setattr(certify, "torus_feasible", spied_feasible)
+    expected = {(3, 7, 1): (11, 519), (5, 6, 1): (9, 213), (5, 6, 2): (10, 303), (5, 6, 3): (9, 213)}
+    for (d, n, k), counts in expected.items():
+        listed.clear()
+        calls.clear()
+        assert centre_disjoint(elementary_symmetric(d, n), k).disjoint == "yes"
+        assert listed == [counts] and len(calls) == counts[0], (d, n, k, listed, len(calls))
+    for d, n in [(3, 7), (5, 6)]:  # the cached simplex, filtered: one face per dimension
+        calls.clear()
+        assert centre_disjoint(elementary_symmetric(d, n), d - 1).disjoint == "yes"
+        assert len(calls) == n, (d, n)
+
+
 def _cap_on_calls(monkeypatch, capped_calls):
     """Make the given torus feasibility calls (counted from 1) hit the pair cap."""
     import omegalab.certify as certify
