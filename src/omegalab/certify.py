@@ -25,9 +25,12 @@ occurs, the order-(d-1) truncation min(1, rho) is the rank function of
 U(1, n): its base polytope is the standard simplex, with the columns as
 vertices, built with its face lattice in the only cache kept between calls,
 once per n.
-One certificate computes the swaps once and rho at most once, for the summed
-polytope at d >= 3.  It runs no polymatroid axiom check: rho of an M-convex
-support, its truncations and their sum are polymatroids.
+One certificate reads h once, as one integer view s*h: its exponents give the
+degree, homogeneity and support, and the Lorentzian test, the swaps and each
+order's span read its terms.  Nothing derived from h outlives the call.  It
+finds the swaps at most once and rho at most once, for the summed polytope at
+d >= 3.  It runs no polymatroid axiom check: rho of an M-convex support, its
+truncations and their sum are polymatroids.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from math import factorial, lcm, prod
 from operator import gt, itemgetter, lt, mul, or_
 from typing import Callable, Iterable, Sequence
 
-from .derivatives import DerivativeSpace, derivative_space
+from .derivatives import DerivativeSpace, _span, derivative_space
 from .groebner import DEFAULT_MAX_PAIRS, buchberger_intdicts, toric_ideal, torus_feasible
 from .guards import ResourceLimit, degree_guard, greedy_guard, ground_set_guard
 from .guards import partials_guard, toric_points_guard
@@ -185,9 +188,13 @@ def is_lorentzian(h: Polynomial, mconvex: bool | None = None) -> LorentzianRepor
     partials_guard(h.nvars, d - 2)
     if mconvex is None:
         mconvex = is_mconvex(h.support())[0]
-    # For m = a + e_i + e_j, the Hessian of the partial d^a of h's integer view
-    # (its positive scale keeps the eigenvalues' signs) has c_m * prod m_l! at (i, j).
-    terms, n = h.integer_terms()[1], h.nvars
+    return _lorentzian(h.integer_terms()[1], h.nvars, mconvex)
+
+
+def _lorentzian(terms: dict[Exponent, int], n: int, mconvex: bool) -> LorentzianReport:
+    """`is_lorentzian` on the terms of h's integer view, unchecked: its positive
+    scale keeps every sign and every eigenvalue's sign."""
+    # For m = a + e_i + e_j, the Hessian of the partial d^a of h has c_m * prod m_l! at (i, j).
     nonneg = all(c > 0 for c in terms.values())
     hessians: dict[Exponent, list[list[int]]] = {}  # a -> the Hessian of d^a h
     for m, c in terms.items():
@@ -239,23 +246,30 @@ class OrderReport:
         return out
 
 
-def _swap_generators(h: Polynomial) -> list[tuple[int, int]]:
-    """Generators of the variable swaps fixing h: adjacent swaps within blocks.
+def _swap_generators(terms: dict[Exponent, int], n: int) -> list[tuple[int, int]]:
+    """Generators of the variable swaps fixing h, given the terms of h or of its
+    integer view in n variables (the same swaps fix both): adjacent swaps within blocks.
 
     Variables i and j share a block iff swapping them fixes h's coefficients.
     That is an equivalence, as (i k) = (i j)(j k)(i j), so these swaps
     generate the product of the symmetric groups on the blocks.  A swap of i
-    and j maps i's sorted (exponent, coefficient) column onto j's, so equal
-    columns are tested first.
+    and j maps i's multiset of (exponent, coefficient) pairs onto j's, so it
+    leaves equal any function of that multiset: the signature, the sum of
+    c * (e_i + |e|) over the terms with e_i > 0, is compared before the terms are.
+    When all n signatures differ, one pass over the terms shows no swap fixes h.
     """
-    terms = h.integer_terms()[1]  # a positive multiple of h: the same swaps fix it
-    column = [sorted((e[i], c) for e, c in terms.items()) for i in range(h.nvars)]
+    signature = [0] * n
+    for e, c in terms.items():
+        t = sum(e)
+        for i, x in enumerate(e):
+            if x:
+                signature[i] += c * (x + t)
     blocks: list[list[int]] = []
-    for i in range(h.nvars):
+    for i in range(n):
         for block in blocks:
-            if column[block[0]] != column[i]:
+            if signature[block[0]] != signature[i]:
                 continue
-            order = list(range(h.nvars))
+            order = list(range(n))
             order[block[0]], order[i] = i, block[0]
             swap = itemgetter(*order)
             if all(terms.get(swap(e)) == c for e, c in terms.items()):
@@ -279,7 +293,8 @@ def centre_disjoint(
     decided (see `_decide`).  ValueError is raised, as by `oracle_centre_disjoint`,
     when the columns are not M-convex: the walk is exact when they fill P_k.
     """
-    return _decide(_filling_space(h, k), max_pairs, lambda: _swap_generators(h))
+    space = _filling_space(h, k)
+    return _decide(space, max_pairs, lambda: _swap_generators(h.integer_terms()[1], h.nvars))
 
 
 def _filling_space(h: Polynomial, k: int) -> DerivativeSpace:
@@ -459,37 +474,40 @@ def certify_smooth(
     smoothness self-check, with `detail` naming which.  The first three fire
     before the M-convexity scan and leave `mconvex` None.
     """
-    if h.is_zero:
+    # the call's one integer view s*h: a positive multiple of h, with its support, signs and swaps
+    terms, n = h.integer_terms()[1], h.nvars
+    degrees = {sum(m) for m in terms}
+    if not degrees:
         raise ValueError("polynomial must be nonzero")
-    if not h.is_homogeneous:
+    if len(degrees) > 1:
         raise ValueError("polynomial must be homogeneous")
-    d = h.total_degree
+    (d,) = degrees
     if d < 2:
         raise ValueError("degree must be at least 2")
-    for i, column in enumerate(zip(*h.support())):
+    for i, column in enumerate(zip(*terms)):
         if not any(column):
             raise ValueError(f"variable index {i} does not occur in the polynomial")
-    echo = text if text is not None else h.to_string([f"x{i+1}" for i in range(h.nvars)])
+    echo = text if text is not None else h.to_string([f"x{i+1}" for i in range(n)])
 
     try:  # before the M-convexity scan
         degree_guard(d)
-        ground_set_guard(h.nvars)
-        partials_guard(h.nvars, d - 1)  # at d - 1, the highest order computed
+        ground_set_guard(n)
+        partials_guard(n, d - 1)  # at d - 1, the highest order computed, and the Hessians' d - 2
     except ResourceLimit as exc:
         return SmoothnessCertificate(
-            echo, h.nvars, d, None, None, None, (), VERDICT_UNDECIDED, None, detail=str(exc)
+            echo, n, d, None, None, None, (), VERDICT_UNDECIDED, None, detail=str(exc)
         )
-    mcx, mcx_witness = is_mconvex(h.support())
-    lorentzian = is_lorentzian(h, mcx)
+    mcx, mcx_witness = is_mconvex(terms)
+    lorentzian = _lorentzian(terms, n, mcx)
 
     if not mcx:
         return SmoothnessCertificate(
-            echo, h.nvars, d, False, mcx_witness, lorentzian, (), VERDICT_NOT_APPLICABLE, None
+            echo, n, d, False, mcx_witness, lorentzian, (), VERDICT_NOT_APPLICABLE, None
         )
 
-    swaps = functools.cache(lambda: _swap_generators(h))  # made once, if at all
+    swaps = functools.cache(lambda: _swap_generators(terms, n))  # made once, if at all
     # An M-convex support's derivative columns are M-convex: they fill each order's polytope.
-    reports = tuple(_decide(derivative_space(h, k), max_pairs, swaps) for k in range(1, d))
+    reports = tuple(_decide(_span(terms, n, k), max_pairs, swaps) for k in range(1, d))
     detail = None
     if any(r.disjoint == "no" for r in reports):
         verdict = VERDICT_FAILS
@@ -502,9 +520,9 @@ def certify_smooth(
         # For d = 2 the summed truncation is order 1's, as truncate(rho, 2) is 0;
         # for d >= 3 its rank d(d-1)/2 exceeds every order's rank d - k.
         if d == 2:  # order 1 is then the simplex
-            body = _simplex_lattice(h.nvars)[0]
+            body = _simplex_lattice(n)[0]
         else:  # rho, the support's rank function, is a polymatroid
-            body = _polymatroid_polytope(truncation_sum(rank_from_support(h.support()), 1), True)
+            body = _polymatroid_polytope(truncation_sum(rank_from_support(terms), 1), True)
         smooth, witness = is_simple(body)
         if not smooth:
             verdict, body = VERDICT_UNDECIDED, None
@@ -512,9 +530,7 @@ def certify_smooth(
                 "summed-truncation self-check: the polytope is not smooth "
                 f"at vertex {list(witness)}"
             )
-    return SmoothnessCertificate(
-        echo, h.nvars, d, True, None, lorentzian, reports, verdict, body, detail
-    )
+    return SmoothnessCertificate(echo, n, d, True, None, lorentzian, reports, verdict, body, detail)
 
 
 # -- generic-coefficient probe ---------------------------------------------------------

@@ -15,7 +15,8 @@ over its own support only (an a asking more of a variable than m holds meets a
 zero factor), so the work follows the terms produced, under the partial-count
 cap per term.  They are read off h's integer view s*h
 (`Polynomial.integer_terms`), whose positive scale changes no support and no
-primitive echelon row, so no caller divides by s again.
+primitive echelon row, so no caller divides by s again; `certify_smooth`
+passes its own view to `_span` for every order.
 """
 
 from __future__ import annotations
@@ -50,17 +51,16 @@ class DerivativeSpace:
         )
 
 
-def _partial_terms(h: Polynomial, k: int) -> tuple[int, list[dict[Exponent, int]]]:
-    """(s, the int term dicts of s times every order-k partial of h), one per
-    multiset of variable indices in `combinations_with_replacement` order, for s
-    the scale of h's integer view.
+def _partial_terms(terms: dict[Exponent, int], nvars: int, k: int) -> list[dict[Exponent, int]]:
+    """The int term dicts of every order-k partial of the polynomial with integer
+    terms `terms` in `nvars` variables, one per multiset of variable indices in
+    `combinations_with_replacement` order.
 
     Raises ResourceLimit above MAX_PARTIALS partials, before building any."""
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
-    partials_guard(h.nvars, k)
-    s, terms = h.integer_terms()
-    out = {a: {} for a in combinations_with_replacement(range(h.nvars), k)}
+    partials_guard(nvars, k)
+    out = {a: {} for a in combinations_with_replacement(range(nvars), k)}
     for m, c in terms.items():
         for a in combinations_with_replacement([i for i, x in enumerate(m) if x], k):
             e, coefficient = list(m), c
@@ -69,7 +69,7 @@ def _partial_terms(h: Polynomial, k: int) -> tuple[int, list[dict[Exponent, int]
                 e[i] -= 1
             if coefficient:
                 out[a][tuple(e)] = coefficient
-    return s, list(out.values())
+    return list(out.values())
 
 
 def derivative_space(h: Polynomial, k: int) -> DerivativeSpace:
@@ -78,10 +78,16 @@ def derivative_space(h: Polynomial, k: int) -> DerivativeSpace:
         raise ValueError("polynomial must be nonzero and homogeneous")
     if not 1 <= k < h.total_degree:
         raise ValueError(f"order {k} out of range 1..{h.total_degree - 1}")
-    partials = [g for g in _partial_terms(h, k)[1] if g]
+    return _span(h.integer_terms()[1], h.nvars, k)
+
+
+def _span(terms: dict[Exponent, int], nvars: int, k: int) -> DerivativeSpace:
+    """`derivative_space` of the polynomial whose integer view has terms `terms`,
+    unchecked: the caller has validated the polynomial and k."""
+    partials = [g for g in _partial_terms(terms, nvars, k) if g]
     columns = tuple(sorted(set().union(*partials), key=grevlex_key, reverse=True))
     reduced, _ = linalg.rref([[g.get(c, 0) for c in columns] for g in partials], len(columns))
-    return DerivativeSpace(k, h.nvars, columns, tuple(reduced))
+    return DerivativeSpace(k, nvars, columns, tuple(reduced))
 
 
 def elementary_symmetric(degree: int, nvars: int) -> Polynomial:

@@ -245,7 +245,9 @@ class Polynomial:
         if not self._terms:
             return "0"
         chunks: list[str] = []
-        for exponent in sorted(self._terms, key=grevlex_key, reverse=True):  # descending grevlex
+        # descending grevlex: ascending (-degree, reversed exponent), as grevlex_key negates the
+        # reversed exponent under the degree
+        for exponent in sorted(self._terms, key=lambda e: (-sum(e), e[::-1])):
             coeff = self._terms[exponent]
             factors = []
             for name, e in zip(names, exponent):

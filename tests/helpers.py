@@ -593,6 +593,20 @@ def reference_orbit_firsts(lattice, points, swaps) -> dict[int, int]:
     return first
 
 
+def reference_swap_generators(h: Polynomial) -> list[tuple[int, int]]:
+    """The adjacent swaps within each block of variables, by brute force: i and j
+    share a block iff renaming x_i <-> x_j maps h's terms onto themselves."""
+    n, terms = h.nvars, h.terms
+    fixed = set()
+    for i, j in combinations(range(n), 2):
+        order = list(range(n))
+        order[i], order[j] = j, i
+        if {tuple(e[x] for x in order): c for e, c in terms.items()} == terms:
+            fixed |= {(i, j), (j, i)}
+    blocks = sorted({tuple(j for j in range(n) if j == i or (i, j) in fixed) for i in range(n)})
+    return [pair for block in blocks for pair in zip(block, block[1:])]
+
+
 def reference_is_simple(p):
     """Every vertex on exactly dim edges of the face lattice; (verdict, witness)."""
     if p.dim == 0:

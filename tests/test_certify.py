@@ -49,6 +49,7 @@ from helpers import (
     reference_is_mconvex,
     reference_oracle_centre_disjoint,
     reference_orbit_firsts,
+    reference_swap_generators,
     reference_truncation_polytope,
 )
 
@@ -563,14 +564,46 @@ def test_certificate_builds_each_intermediate_once(monkeypatch):
             assert tuple(counts.values()) == builds, h
 
 
+def test_certificate_reads_h_once(monkeypatch):
+    # One integer view s*h per call: its exponents give the degrees, homogeneity and
+    # support in one pass, and the Lorentzian test, the swaps and every order's span
+    # read its terms.  h's own degree and support accessors are never read.
+    quadric = bench_fixtures().sweep_quadrics(1)[2]  # q5.0, a seeded random quadric
+    cases = [
+        (parse_polynomial(quadric.text, list(quadric.names)), "smooth-toric"),
+        (parse_polynomial(PLANE_CUBIC_TEXT, X123), "smooth-toric"),
+        (elementary_symmetric(4, 6), "smooth-toric"),
+    ]
+    reads = dict.fromkeys(("integer_terms", "support", "total_degree", "is_homogeneous"), 0)
+
+    def counted(name, fn):
+        def read(self, *args):
+            reads[name] += 1
+            return fn(self, *args)
+
+        return read
+
+    for name in ("integer_terms", "support"):
+        monkeypatch.setattr(Polynomial, name, counted(name, getattr(Polynomial, name)))
+    for name in ("total_degree", "is_homogeneous"):
+        getter = getattr(Polynomial, name).fget
+        monkeypatch.setattr(Polynomial, name, property(counted(name, getter)))
+    once = {"integer_terms": 1, "support": 0, "total_degree": 0, "is_homogeneous": 0}
+    for h, verdict in cases:
+        for _ in range(2):  # the second call reads as much again: nothing is kept
+            reads.update(dict.fromkeys(reads, 0))
+            assert certify_smooth(h).verdict == verdict
+            assert reads == once, h
+
+
 def test_certificate_finds_swaps_once_and_only_past_the_greedy_guard(monkeypatch):
     import omegalab.certify as certify
 
     calls = []
 
-    def counted(h, _fn=certify._swap_generators):
-        calls.append(h)
-        return _fn(h)
+    def counted(terms, n, _fn=certify._swap_generators):
+        calls.append(terms)
+        return _fn(terms, n)
 
     monkeypatch.setattr(certify, "_swap_generators", counted)
     cases = [
@@ -1180,23 +1213,26 @@ def _rescaled(h, lam):
 def test_swap_generators_are_the_adjacent_swaps_of_each_block():
     from omegalab.certify import _swap_generators
 
-    assert _swap_generators(elementary_symmetric(3, 5)) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    def swaps(h):
+        return _swap_generators(h.terms, h.nvars)
+
+    assert swaps(elementary_symmetric(3, 5)) == [(0, 1), (1, 2), (2, 3), (3, 4)]
     x4 = ["x1", "x2", "x3", "x4"]
     # distinct scales break every swap of e(2,4), but the swap inside a
     # monomial fixes it whatever its coefficient
-    assert _swap_generators(_rescaled(elementary_symmetric(2, 4), (1, 2, 3, 5))) == []
+    assert swaps(_rescaled(elementary_symmetric(2, 4), (1, 2, 3, 5))) == []
     matching = _rescaled(parse_polynomial("x1*x2 + x3*x4", x4), (1, 2, 3, 5))
     assert matching.terms == {(1, 1, 0, 0): 2, (0, 0, 1, 1): 15}
-    assert _swap_generators(matching) == [(0, 1), (2, 3)]
+    assert swaps(matching) == [(0, 1), (2, 3)]
     two_blocks = parse_polynomial(
         "x1*x2 + 2*x3*x4 + x1*x3 + x1*x4 + x2*x3 + x2*x4", x4
     )
-    assert _swap_generators(two_blocks) == [(0, 1), (2, 3)]
+    assert swaps(two_blocks) == [(0, 1), (2, 3)]
     # every swap fixes the support of e(2,3); with these coefficients none
     # fixes h, then only (x2 x3) does
-    assert _swap_generators(parse_polynomial("x1*x2 + 2*x1*x3 + 3*x2*x3", X123)) == []
-    assert _swap_generators(parse_polynomial("x1*x2 + x1*x3 + 2*x2*x3", X123)) == [(1, 2)]
-    assert _swap_generators(parse_polynomial(SINGULAR_CUBIC_TEXT, WXYZ)) == [(1, 2)]
+    assert swaps(parse_polynomial("x1*x2 + 2*x1*x3 + 3*x2*x3", X123)) == []
+    assert swaps(parse_polynomial("x1*x2 + x1*x3 + 2*x2*x3", X123)) == [(1, 2)]
+    assert swaps(parse_polynomial(SINGULAR_CUBIC_TEXT, WXYZ)) == [(1, 2)]
 
 
 def test_swap_generators_match_a_brute_force_transposition_test():
@@ -1207,9 +1243,15 @@ def test_swap_generators_match_a_brute_force_transposition_test():
         e[i], e[j] = e[j], e[i]
         return tuple(e)
 
+    def fixes(h, i, j):
+        return {transposed(e, i, j): c for e, c in h.items()} == h.terms
+
+    def signature(h, i):  # _swap_generators' screen: equal on the two variables of a swap
+        return sum(c * (e[i] + sum(e)) for e, c in h.items() if e[i])
+
     rng = random.Random(7)
-    columns_only = 0  # pairs with equal column signatures that no swap fixes
-    for _ in range(200):
+    inputs = []
+    for _ in range(1000):
         n = rng.randint(2, 6)
         planted = [rng.randrange(3) for _ in range(n)]  # block label of each variable
         terms = {}
@@ -1223,18 +1265,27 @@ def test_swap_generators_match_a_brute_force_transposition_test():
             c = Fraction(rng.randint(1, 2), rng.randint(1, 2))
             terms.update((e, c) for e in orbit if any(e))
         h = Polynomial(n, terms)
-        column = [sorted((e[i], c) for e, c in h.items()) for i in range(n)]
-        fixes = [
-            [{transposed(e, i, j): c for e, c in h.items()} == h.terms for j in range(n)]
-            for i in range(n)
-        ]
-        blocks = sorted({tuple(j for j in range(n) if fixes[i][j]) for i in range(n)})
-        columns_only += sum(
-            column[i] == column[j] and not fixes[i][j] for i, j in combinations(range(n), 2)
-        )
-        assert all(planted[i] != planted[j] or fixes[i][j] for i in range(n) for j in range(n))
-        assert _swap_generators(h) == [pair for b in blocks for pair in zip(b, b[1:])], h.terms
-    assert columns_only >= 5, columns_only
+        assert all(planted[i] != planted[j] or fixes(h, i, j) for i in range(n) for j in range(n))
+        inputs.append(h)
+    fixtures = bench_fixtures()
+    for name, _ in fixtures.LADDER:
+        f = fixtures.fixture(name)
+        inputs.append(parse_polynomial(f.text, list(f.names)))
+    # x1 and x2 share a signature, 3 * (2 + 2) = 4 * (1 + 2), but not their
+    # (exponent, coefficient) columns: the terms show that no swap fixes h
+    shared = parse_polynomial("3*x1^2 + 4*x2*x3 + x3^2", X123)
+    assert signature(shared, 0) == signature(shared, 1) != signature(shared, 2)
+    assert reference_swap_generators(shared) == []
+    inputs.append(shared)
+    columns_only = with_swaps = 0  # pairs with equal columns that no swap fixes; h with swaps
+    for h in inputs:
+        column = [sorted((e[i], c) for e, c in h.items()) for i in range(h.nvars)]
+        pairs = combinations(range(h.nvars), 2)
+        columns_only += sum(column[i] == column[j] and not fixes(h, i, j) for i, j in pairs)
+        swaps = reference_swap_generators(h)
+        with_swaps += bool(swaps)
+        assert _swap_generators(h.integer_terms()[1], h.nvars) == swaps, h.terms
+    assert columns_only >= 5 and with_swaps >= 500, (columns_only, with_swaps)
 
 
 def test_one_torus_feasibility_call_per_face_orbit(monkeypatch):
@@ -1305,7 +1356,7 @@ def _face_walk(h, k):
         lattice = _simplex_lattice(h.nvars)[1]
     else:
         lattice = _lattice(list(_facets(rank_from_support(points), points, True)), len(points))
-    return points, lattice, _swap_generators(h)
+    return points, lattice, _swap_generators(h.terms, h.nvars)
 
 
 def test_a_face_is_decided_iff_no_swap_fires_iff_it_comes_first_in_its_orbit(monkeypatch):
@@ -1385,7 +1436,7 @@ def test_the_pruned_closure_lists_the_unpruned_faces_on_which_no_swap_fires():
     ]
     orders = listed = 0
     for h in inputs:
-        swaps = _swap_generators(h)
+        swaps = _swap_generators(h.terms, h.nvars)
         for k in range(1, h.total_degree):
             points = sorted(derivative_space(h, k).columns)
             facets = list(_facets(rank_from_support(points), points, True))

@@ -30,6 +30,12 @@ from helpers import (
 from paper_checks import binomial_identity_report, check_derivative_supports, span_contains
 
 
+def partial_terms(h: Polynomial, k: int) -> tuple[int, list[dict]]:
+    """(s, _partial_terms of h's integer view s*h), as reference_partial_terms returns them."""
+    s, terms = h.integer_terms()
+    return s, _partial_terms(terms, h.nvars, k)
+
+
 def test_plane_cubic_first_order_space():
     h = parse_polynomial(PLANE_CUBIC_TEXT, X123)
     space = derivative_space(h, 1)
@@ -89,7 +95,7 @@ def test_space_rejects_bad_order():
         with pytest.raises(ValueError, match="^polynomial must be nonzero and homogeneous$"):
             derivative_space(bad, 1)
     with pytest.raises(ValueError, match="^derivative order must be nonnegative$"):
-        _partial_terms(h, -1)
+        partial_terms(h, -1)
 
 
 def test_derivative_support_first_order_of_quadratic():
@@ -115,7 +121,7 @@ def test_span_dimension_independent_of_partial_order():
     rng = random.Random(9)
     h = parse_polynomial(PLANE_CUBIC_TEXT, X123)
     space = derivative_space(h, 1)
-    partials = [g for g in _partial_terms(h, 1)[1] if g]
+    partials = [g for g in partial_terms(h, 1)[1] if g]
     columns = list(space.columns)
     for _ in range(10):
         rng.shuffle(partials)
@@ -139,7 +145,7 @@ def test_all_partials_match_iterated_partial_derivatives():
                 for i in multi:
                     g = g.partial_derivative(i)
                 expected.append(g)
-            s, partials = _partial_terms(h, k)
+            s, partials = partial_terms(h, k)
             scaled = [Polynomial(n, {e: Fraction(c, s) for e, c in g.items()}) for g in partials]
             assert scaled == expected, (h, k)
 
@@ -151,7 +157,7 @@ def test_support_union_covers_each_partial():
         h = random_positive_polynomial(rng, supp)
         for k in range(1, h.total_degree):
             union = set(derivative_space(h, k).columns)
-            for g in _partial_terms(h, k)[1]:
+            for g in partial_terms(h, k)[1]:
                 assert g.keys() <= union
 
 
@@ -287,7 +293,7 @@ def test_partial_count_guard_fires_before_any_partial(monkeypatch):
         omegalab.derivatives, "combinations_with_replacement", lambda *args: built.append(args)
     )
     with pytest.raises(ResourceLimit) as excinfo:
-        _partial_terms(h, 10)
+        partial_terms(h, 10)
     assert str(excinfo.value) == (
         "partial-count guard: 352716 order-10 partials exceed the cap 10000"
     )
@@ -295,7 +301,7 @@ def test_partial_count_guard_fires_before_any_partial(monkeypatch):
     monkeypatch.undo()
     # C(n+k-1, k) partials: 3 first partials of e(2,3) are at a cap of 3, not above it
     monkeypatch.setattr(omegalab.guards, "MAX_PARTIALS", 3)
-    assert len(_partial_terms(elementary_symmetric(2, 3), 1)[1]) == 3
+    assert len(partial_terms(elementary_symmetric(2, 3), 1)[1]) == 3
     with pytest.raises(ResourceLimit, match="6 order-2 partials exceed the cap 3"):
         derivative_space(elementary_symmetric(3, 3), 2)
 
@@ -313,4 +319,4 @@ def test_partials_read_term_by_term_match_the_multiset_scan():
     assert any(len(h) > 20 and not h.is_homogeneous for h in polys)
     for h in polys:
         for k in range(max(h.total_degree, 0) + 2):
-            assert _partial_terms(h, k) == reference_partial_terms(h, k), (h, k)
+            assert partial_terms(h, k) == reference_partial_terms(h, k), (h, k)

@@ -260,6 +260,22 @@ def test_print_parse_round_trip_random():
         assert parse_polynomial(text, names) == p or (p.is_zero and text == "0")
 
 
+def test_terms_print_in_descending_grevlex_order():
+    from omegalab.poly import grevlex_key
+
+    rng = random.Random(47)
+    inhomogeneous = 0
+    for _ in range(150):
+        nvars = rng.randint(1, 5)
+        names = [f"x{i + 1}" for i in range(nvars)]
+        p = random_sparse_polynomial(rng, nvars, 5, rng.randint(1, 12))
+        inhomogeneous += not p.is_homogeneous
+        chunks = re.split(r" (?=[+-] )", p.to_string(names)) if p else []
+        printed = [next(iter(parse_polynomial(chunk, names).terms)) for chunk in chunks]
+        assert printed == sorted(p.terms, key=grevlex_key, reverse=True), p
+    assert inhomogeneous >= 40, inhomogeneous
+
+
 def test_zero_prints_and_reparses():
     z = Polynomial.zero(2)
     assert z.to_string(["x", "y"]) == "0"
