@@ -20,11 +20,12 @@ fires, so it lists just the faces it decides, and builds no polytope.
 precondition and raise ValueError without it; an M-convex support meets it.
 The oracle then checks the 12-point cap, answers an empty centre (partials
 spanning every column) with no Groebner work, and else extends the toric
-ideal's basis by the centre forms in one Groebner basis.  When every variable
-occurs, the order-(d-1) truncation min(1, rho) is the rank function of
-U(1, n): its base polytope is the standard simplex, with the columns as
-vertices, built with its face lattice in the only cache kept between calls,
-once per n.
+ideal's basis by the centre forms in one Groebner run, which answers "yes" at
+the first pure-power lead of every variable and builds no reduced basis.
+When every variable occurs, the order-(d-1) truncation min(1, rho) is the rank
+function of U(1, n): its base polytope is the standard simplex, with the
+columns as vertices, built with its face lattice in the only cache kept
+between calls, once per n.
 One certificate reads h once, as one integer view s*h: its exponents give the
 degree, homogeneity and support, and the Lorentzian test, the swaps and each
 order's span read its terms.  Nothing derived from h outlives the call.  It
@@ -46,10 +47,10 @@ from operator import gt, itemgetter, lt, mul, or_
 from typing import Callable, Iterable, Sequence
 
 from .derivatives import DerivativeSpace, _span, derivative_space
-from .groebner import DEFAULT_MAX_PAIRS, buchberger_intdicts, toric_ideal, torus_feasible
+from .groebner import DEFAULT_MAX_PAIRS, _cone_is_origin, toric_ideal, torus_feasible
 from .guards import ResourceLimit, degree_guard, greedy_guard, ground_set_guard
 from .guards import partials_guard, toric_points_guard
-from .poly import Exponent, Polynomial, grevlex_key, read_points
+from .poly import Exponent, Polynomial, read_points
 from .polytope import LatticePolytope, _facets, _fires, _lattice, _polymatroid_polytope
 from .polytope import _vertex_mask, is_simple
 from .setfunc import SetFunction, rank_from_support, truncation_sum
@@ -398,10 +399,13 @@ def oracle_centre_disjoint(
     In order: ValueError when C_k, the order-k derivative columns, does not
     fill the truncation polytope, as by `centre_disjoint`; ResourceLimit above
     MAX_TORIC_POINTS (12) columns; "yes" when the partials span every column,
-    as the centre is then {0}; else one Groebner basis that extends the toric
-    ideal of C_k's reduced basis by the centre's linear forms.  No rho and no
-    polytope is built.  ResourceLimit also comes from the partial-count cap, or
-    at the pair cap, which an empty centre never reaches.
+    as the centre is then {0}; else one Groebner run that extends the reduced
+    basis of C_k's toric ideal by the centre's linear forms (`_cone_is_origin`).
+    It answers "yes" as soon as every variable has a pure-power lead, and "no"
+    when its pair queue empties; it never interreduces.  No rho and no polytope
+    is built.  ResourceLimit also comes from the partial-count cap, or at the
+    pair cap, which an empty centre never reaches: the cap bounds the S-pairs
+    of each basis of the toric ideal and of the run up to its answer.
     """
     space = _filling_space(h, k)
     nz = len(space.columns)  # descending grevlex, as toric_ideal orders them: z_i <-> columns[i]
@@ -413,14 +417,8 @@ def oracle_centre_disjoint(
     z = [tuple(int(i == j) for j in range(nz)) for i in range(nz)]  # z[i] is z_i
     gens += [{z[i]: c for i, c in enumerate(row) if c} for row in space.matrix]
     # The toric ideal and the centre forms are homogeneous, so the projective
-    # variety is empty iff the affine cone is {0}, iff the cone is finite, iff
-    # every z_i has a pure power (1 included) among the leading monomials of a
-    # Groebner basis (Cox, Little & O'Shea, Ideals, Varieties, and
-    # Algorithms, ch. 5, sec. 3, the finiteness theorem).
-    gb = buchberger_intdicts(gens, max_pairs=max_pairs, known=toric)
-    leads = [max(g, key=grevlex_key) for g in gb]
-    pure = {i for m in leads for i in range(nz) if m[i] == sum(m)}
-    return "yes" if len(pure) == nz else "no"
+    # variety is empty iff the affine cone is {0}.
+    return "yes" if _cone_is_origin(gens, max_pairs, known=toric) else "no"
 
 
 # -- full certificate -----------------------------------------------------------------

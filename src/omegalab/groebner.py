@@ -31,7 +31,9 @@ returned bases.
 Pairs are pruned as each element enters (Gebauer & Moeller, J. Symbolic
 Comput. 6, 1988); the pair cap counts the S-pairs reduced.  A call may be
 handed a reduced basis as a known prefix of its generators, and then forms
-only the pairs that involve the new elements.
+only the pairs that involve the new elements.  The finiteness test
+(`_cone_is_origin`) reads each lead as it enters and stops at the first pure
+power of every variable, with no reduced basis.
 
 Coordinate saturation skips the variables it can prove are already
 saturated.  If J is saturated by every variable in a set tau and holds a
@@ -51,7 +53,7 @@ import heapq
 from dataclasses import dataclass, field
 from math import gcd
 from operator import mul, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .guards import ResourceLimit, toric_points_guard
 from .linalg import integer_kernel_basis, kernel_basis
@@ -187,16 +189,18 @@ def _s_poly(pk: _Packing, f: dict[int, int], g: dict[int, int]) -> dict[int, int
 
 
 def _buchberger(
-    pk: _Packing, gens: list[dict[int, int]], max_pairs: int, known: int
-) -> list[dict]:
+    pk: _Packing, gens: list[dict[int, int]], max_pairs: int, known: int, stop=lambda lead: False
+) -> list[Reducer] | None:
+    """The minimal basis; None at once when stop(K), called on the lead K of each
+    element as it enters, the `known` prefix included, returns True."""
     guard = pk.guard
     basis: list[Reducer] = []  # every element that entered, by index
     active: dict[int, Reducer] = {}  # the reducers: elements whose lead no later lead divides
     live: dict[tuple[int, int], tuple[int, int]] = {}  # pair -> (K, fields E) of its leads' lcm
     queue: list[tuple[int, int, int]] = []
 
-    def enter(g: dict[int, int]) -> None:
-        """Gebauer-Moeller update: prune the pairs, then add g to the basis."""
+    def enter(g: dict[int, int]) -> bool:
+        """Gebauer-Moeller update: prune the pairs, then add g to the basis; `stop`'s answer."""
         t = len(basis)
         e_t, lead_t, _ = new = pk.reducer(g)
         lcms = [pk.lcm(e, e_t) for e, _, _ in basis]
@@ -222,14 +226,17 @@ def _buchberger(
             del active[a]
         basis.append(new)
         active[t] = new
+        return stop(lead_t)
 
     for g in gens[:known]:  # a reduced basis already: no pairs among them
         basis.append(pk.reducer(g))
         active[len(basis) - 1] = basis[-1]
+        if stop(basis[-1][1]):
+            return None
     for g in gens[known:]:  # reduced on entry, so no lead divides another
         g = _reduce(pk, g, active.values())
-        if g:
-            enter(g)
+        if g and enter(g):
+            return None
     pairs = 0  # S-pairs reduced
     while queue:
         lcm, i, j = heapq.heappop(queue)
@@ -239,12 +246,36 @@ def _buchberger(
         if pairs > max_pairs:
             raise ResourceLimit(f"pair queue cap {max_pairs} exceeded")
         r = _reduce(pk, _s_poly(pk, basis[i][2], basis[j][2]), active.values())
-        if r:
-            enter(r)
-    minimal = list(active.values())  # the minimal leads, each once
+        if r and enter(r):
+            return None
+    return list(active.values())
+
+
+def _interreduce(pk: _Packing, minimal: list[Reducer]) -> list[dict[int, int]]:
+    """The reduced basis of a minimal one, by ascending leading monomial."""
     reduced = [_reduce(pk, g, minimal[:i] + minimal[i + 1 :]) for i, (*_, g) in enumerate(minimal)]
-    reduced.sort(key=max)
-    return reduced
+    return sorted(reduced, key=max)
+
+
+def _widths(
+    gens: Iterable[IntPoly], known: int
+) -> Iterator[tuple[_Packing, list[dict[int, int]], int]]:
+    """(pk, packed nonzero generators, `known` recounted among them) at each field
+    width in turn; none if there are no generators.  The fields start as wide as
+    the inputs need and double at each turn, so a caller that moves on at
+    _Overflow gets an answer that never depends on the width.  The exponents
+    are read by `read_points`, so a bad entry or mixed lengths raise ValueError."""
+    gens = list(gens)
+    known = sum(1 for g in gens[:known] if g)
+    gens = [g for g in gens if g]
+    if not gens:
+        return
+    exponents = read_points(m for g in gens for m in g)
+    width = max(8, max(map(sum, exponents)).bit_length() + 1)
+    while True:
+        pk = _Packing(len(exponents[0]), width)
+        yield pk, [pk.encode(g) for g in gens], known
+        width *= 2
 
 
 # -- public boundary: exponent tuples in and out ---------------------------------------
@@ -270,26 +301,43 @@ def buchberger_intdicts(
     untreated pair be queued or standard.  So a basis is extended by new
     generators at the cost of the new pairs alone.
 
-    The fields are as wide as the inputs need; on overflow the whole call runs
-    again with fields twice as wide, so the answer never depends on the width.
-    The exponents are read by `read_points`, so a bad entry or mixed lengths
-    raise ValueError.
+    A bad exponent entry or mixed lengths raise ValueError (`_widths`).
     """
-    gens = list(gens)
-    known = sum(1 for g in gens[:known] if g)
-    gens = [g for g in gens if g]
-    if not gens:
-        return []
-    exponents = read_points(m for g in gens for m in g)
-    width = max(8, max(map(sum, exponents)).bit_length() + 1)
-    while True:
-        pk = _Packing(len(exponents[0]), width)
+    for pk, packed, known in _widths(gens, known):
         try:
-            basis = _buchberger(pk, [pk.encode(g) for g in gens], max_pairs, known)
+            return [
+                pk.decode(g) for g in _interreduce(pk, _buchberger(pk, packed, max_pairs, known))
+            ]
         except _Overflow:
-            width *= 2
-        else:
-            return [pk.decode(g) for g in basis]
+            continue
+    return []
+
+
+def _cone_is_origin(gens: Iterable[IntPoly], max_pairs: int, *, known: int = 0) -> bool:
+    """Whether homogeneous generators cut out only 0; the first `known` are a reduced basis.
+
+    The cone is {0} iff it is finite, iff every z_i has a pure power (1 included)
+    among the leads of a Groebner basis (Cox, Little & O'Shea, Ideals, Varieties,
+    and Algorithms, ch. 5, sec. 3, the finiteness theorem).  Each entered element
+    lies in the ideal, so True comes as soon as the entered leads hold such a cover.
+    False comes when the pair queue empties short of it: the reduced basis's leads
+    are entered leads, and a minimal lead dividing an entered z_i^a is z_i^b or 1,
+    so no basis would cover more.  Neither interreduces.  The cover starts afresh
+    at each field width.
+    """
+    for pk, packed, known in _widths(gens, known):
+        pure: set[int] = set()  # the variables with a pure-power lead so far
+
+        def stop(lead: int) -> bool:
+            (m,) = pk.decode({lead: 1})
+            pure.update(i for i, a in enumerate(m) if a == sum(m))
+            return len(pure) == len(m)
+
+        try:
+            return _buchberger(pk, packed, max_pairs, known, stop) is None
+        except _Overflow:
+            continue
+    return False
 
 
 def is_unit_ideal(gb: Sequence[IntPoly]) -> bool:

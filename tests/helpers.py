@@ -860,19 +860,25 @@ def reference_buchberger_intdicts(gens, max_pairs=groebner.DEFAULT_MAX_PAIRS):
     )
 
 
+def reference_cone_is_origin(gens, nvars, known=0):
+    """omegalab.groebner._cone_is_origin on the whole reduced basis: True iff every
+    z_i has a pure power (1 included) among its leading monomials."""
+    basis = groebner.buchberger_intdicts(gens, known=known)
+    leads = [max(g, key=grevlex_key) for g in basis]
+    return len({i for m in leads for i in range(nvars) if m[i] == sum(m)}) == nvars
+
+
 def reference_oracle_centre_disjoint(h: Polynomial, k: int) -> str:
     """omegalab.certify.oracle_centre_disjoint with no empty-centre exit, for columns
     that fill P_k: the toric basis of the order-k columns extended by the centre's
-    linear forms, then "yes" iff every z_i has a pure power among the leading monomials."""
+    linear forms in one reduced basis, then "yes" iff every z_i has a pure power
+    among its leading monomials."""
     space = derivative_space(h, k)
     nz = len(space.columns)
     toric = list(groebner.toric_ideal(space.columns).generators)
     z = [tuple(int(i == j) for j in range(nz)) for i in range(nz)]
     forms = [{z[i]: c for i, c in enumerate(row) if c} for row in space.matrix]
-    basis = groebner.buchberger_intdicts(toric + forms, known=len(toric))
-    leads = [max(g, key=grevlex_key) for g in basis]
-    pure = {i for m in leads for i in range(nz) if m[i] == sum(m)}
-    return "yes" if len(pure) == nz else "no"
+    return "yes" if reference_cone_is_origin(toric + forms, nz, known=len(toric)) else "no"
 
 
 def reorder(g, order):
@@ -907,7 +913,7 @@ def eliminating_buchberger_intdicts(
     def kernel(pk, packed):
         if reference:
             return _reference_buchberger(pk, packed, max_pairs)
-        return groebner._buchberger(pk, packed, max_pairs, 0)
+        return groebner._interreduce(pk, groebner._buchberger(pk, packed, max_pairs, 0))
 
     return _widening(EliminationPacking, gens, kernel)
 

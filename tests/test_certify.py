@@ -983,43 +983,69 @@ INTERSECTING_CENTRES = (3, 60, 3, 10)
 
 
 def test_oracle_agrees_on_random_supports():
+    # with the face walk, and with the full reduced extension basis
     for supp, h, k in _oracle_corpus(*RANDOM_SUPPORTS):
-        face_orbit = centre_disjoint(h, k).disjoint
-        assert face_orbit == oracle_centre_disjoint(h, k), (supp, k)
+        oracle = oracle_centre_disjoint(h, k)
+        assert oracle == centre_disjoint(h, k).disjoint, (supp, k)
+        assert oracle == reference_oracle_centre_disjoint(h, k), (supp, k)
 
 
 def test_oracle_decides_with_one_groebner_basis_after_the_toric_ideal(monkeypatch):
     import omegalab.certify
     import omegalab.groebner
 
-    calls = []
+    calls, cones = [], []
 
     def counted(*args, _real=omegalab.groebner.buchberger_intdicts, **kwargs):
         calls.append((args, kwargs.get("known", 0)))
         return _real(*args, **kwargs)
 
-    for module in (omegalab.certify, omegalab.groebner):
-        monkeypatch.setattr(module, "buchberger_intdicts", counted)
+    def cone(gens, max_pairs, *, known=0, _real=omegalab.groebner._cone_is_origin):
+        cones.append((list(gens), known))
+        return _real(gens, max_pairs, known=known)
+
+    monkeypatch.setattr(omegalab.groebner, "buchberger_intdicts", counted)
+    monkeypatch.setattr(omegalab.certify, "_cone_is_origin", cone)
     h = elementary_symmetric(3, 5)
-    nz = len(derivative_space(h, 1).columns)
+    space = derivative_space(h, 1)
+    nz = len(space.columns)
     assert nz == 10
     assert oracle_centre_disjoint(h, 1) == "yes"
     # toric_ideal: three saturation steps (the two-term rule frees the other
-    # seven variables) and a final basis; then one basis that extends the
-    # toric basis by the centre's forms
-    assert len(calls) == 5
-    toric = toric_ideal(derivative_space(h, 1).columns).generators
-    assert [known for _, known in calls[:5]] == [0] * 4 + [len(toric)]
-    assert calls[4][0][0][: len(toric)] == list(toric)
+    # seven variables) and a final basis; then one Groebner run that extends
+    # the toric basis by the centre's forms, up to the first pure-power cover
+    assert [known for _, known in calls] == [0] * 4
+    toric = toric_ideal(space.columns).generators
+    assert len(cones) == 1
+    gens, known = cones[0]
+    assert known == len(toric) and gens[:known] == list(toric)
+    assert len(gens) == len(toric) + len(space.matrix)
 
 
 def test_oracle_agrees_on_a_corpus_with_intersecting_centres():
+    # with the face walk, and with the full reduced extension basis, on both
+    # answers: a "no" runs the whole pair queue
     answers = []
     for supp, h, k in _oracle_corpus(*INTERSECTING_CENTRES):
         oracle = oracle_centre_disjoint(h, k)
         assert oracle == centre_disjoint(h, k).disjoint, (supp, k)
+        assert oracle == reference_oracle_centre_disjoint(h, k), (supp, k)
         answers.append(oracle)
     assert answers.count("no") >= 5
+
+
+def test_oracle_pair_cap_bounds_the_run_to_the_first_cover():
+    # A "yes" answers once every variable has a pure-power lead, short of the
+    # reduced basis; a "no" still runs the whole pair queue.  The smallest caps
+    # that answer, the toric ideal's pairs included: e(3,5) at k = 1 needed 53
+    # when the oracle built the whole reduced extension basis.
+    from omegalab.guards import ResourceLimit
+
+    singular = parse_polynomial(SINGULAR_CUBIC_TEXT, WXYZ)
+    for h, least, answer in ((elementary_symmetric(3, 5), 30, "yes"), (singular, 35, "no")):
+        assert oracle_centre_disjoint(h, 1, max_pairs=least) == answer
+        with pytest.raises(ResourceLimit, match="^pair queue cap"):
+            oracle_centre_disjoint(h, 1, max_pairs=least - 1)
 
 
 def test_oracle_matches_the_route_with_no_empty_centre_exit():
@@ -1048,7 +1074,7 @@ def test_oracle_answers_an_empty_centre_with_no_groebner_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Groebner work on an empty centre")
 
-    for name in ("toric_ideal", "buchberger_intdicts"):
+    for name in ("toric_ideal", "_cone_is_origin"):
         monkeypatch.setattr(omegalab.certify, name, refuse)
     for d, n, k in ((4, 5, 2), (5, 5, 3), (2, 9, 1)):
         h = elementary_symmetric(d, n)

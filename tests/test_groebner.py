@@ -25,6 +25,7 @@ from omegalab.groebner import (
     INFEASIBLE,
     UNDECIDED,
     _Packing,
+    _cone_is_origin,
     buchberger_intdicts,
     is_unit_ideal,
     saturate_coordinates,
@@ -43,6 +44,7 @@ from helpers import (
     poly_to_intdict,
     random_sparse_polynomial,
     reference_buchberger_intdicts,
+    reference_cone_is_origin,
     reference_lowest_index_saturate_coordinates,
     reference_normal_form,
     reference_oracle_centre_disjoint,
@@ -285,10 +287,53 @@ def test_field_overflow_gives_the_same_basis(monkeypatch):
     )
 
 
+def test_cone_is_origin_stops_at_the_first_pure_power_cover(monkeypatch):
+    import omegalab.groebner
+
+    assert _cone_is_origin([{(2, 0): 1}, {(0, 2): 1}], DEFAULT_MAX_PAIRS)
+    assert not _cone_is_origin([{(1, 1): 1}], DEFAULT_MAX_PAIRS)
+    assert _cone_is_origin([{(1, 1): 1}, {(0, 0): 3}], DEFAULT_MAX_PAIRS)  # a constant
+    assert not _cone_is_origin([{}], DEFAULT_MAX_PAIRS)  # the zero ideal
+    # a known prefix that covers every variable answers before any reduction
+    with monkeypatch.context() as patched:
+        patched.setattr(omegalab.groebner, "_reduce", lambda *args: pytest.fail("reduced"))
+        gens = [{(2, 0): 1}, {(0, 2): 1}, {(1, 1): 1, (2, 0): -1}]
+        assert _cone_is_origin(gens, 0, known=2)
+    # the basis outgrows 8-bit fields: the run starts again at 16 bits, afresh,
+    # and answers as the whole reduced basis does
+    widths = []
+    real = omegalab.groebner._Packing.__init__
+
+    def recorded(self, n, width):
+        widths.append(width)
+        real(self, n, width)
+
+    monkeypatch.setattr(omegalab.groebner._Packing, "__init__", recorded)
+    names = ["x", "y", "z"]
+    gens = [I("x^127 - z^127", names), I("x*y - z^2", names)]
+    for extra, answer in ((), False), ((I("y^127 - 2*z^127", names),), True):
+        widths.clear()
+        assert _cone_is_origin(gens + list(extra), DEFAULT_MAX_PAIRS) is answer
+        assert widths == [8, 16]
+        assert reference_cone_is_origin(gens + list(extra), 3) is answer
+    # random homogeneous systems, on both answers
+    rng = random.Random(48)
+    answers = []
+    for _ in range(40):
+        degree = rng.randint(1, 3)
+        monomials = [m for m in product(range(degree + 1), repeat=3) if sum(m) == degree]
+        gens = [
+            {m: rng.choice((-2, -1, 1, 2)) for m in rng.sample(monomials, rng.randint(1, 3))}
+            for _ in range(3)
+        ]
+        answers.append(_cone_is_origin(gens, DEFAULT_MAX_PAIRS))
+        assert answers[-1] == reference_cone_is_origin(gens, 3), gens
+    assert 10 <= sum(answers) <= 30, answers
+
+
 def _recorded_bases(monkeypatch, run):
     """(generators, basis) of every buchberger_intdicts call that `run` makes; a
     known prefix is forwarded, so the reference checks that path too."""
-    import omegalab.certify
     import omegalab.groebner
 
     calls = []
@@ -299,8 +344,7 @@ def _recorded_bases(monkeypatch, run):
         return calls[-1][1]
 
     with monkeypatch.context() as patched:
-        for module in (omegalab.groebner, omegalab.certify):
-            patched.setattr(module, "buchberger_intdicts", recording)
+        patched.setattr(omegalab.groebner, "buchberger_intdicts", recording)
         run()
     return calls
 
@@ -318,7 +362,8 @@ def test_gebauer_moeller_matches_the_chain_criterion_reference(monkeypatch):
     systems = [c for h in polys for c in _recorded_bases(monkeypatch, lambda: certify_smooth(h))]
     assert len(systems) >= 40
     # Every pair's toric ideal and extension basis, on the route with no
-    # empty-centre exit; then the oracle's own, on the 6 pairs with a nonempty centre.
+    # empty-centre exit; then the oracle's own toric ideals, on the 6 pairs with a
+    # nonempty centre, whose extension it decides with no reduced basis.
     routes = (reference_oracle_centre_disjoint, oracle_centre_disjoint)
     oracle = [[], []]
     for name, k, *_ in fixtures.ORACLE_PAIRS:
@@ -326,7 +371,7 @@ def test_gebauer_moeller_matches_the_chain_criterion_reference(monkeypatch):
         h = P(f.text, list(f.names))
         for calls, route in zip(oracle, routes):
             calls += _recorded_bases(monkeypatch, lambda: route(h, k))
-    assert [len(calls) for calls in oracle] == [77, 26]
+    assert [len(calls) for calls in oracle] == [77, 20]
     systems += oracle[0] + oracle[1]
     for gens, basis in systems:
         assert reference_buchberger_intdicts(gens) == basis, gens
