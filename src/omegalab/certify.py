@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial, lcm, prod
-from operator import gt, itemgetter, lt, mul, or_
+from operator import gt, itemgetter, lt, mul
 from typing import Callable, Iterable, Sequence
 
 from .derivatives import DerivativeSpace, _span, derivative_space
@@ -73,30 +73,23 @@ PROBE_MAX_COEFF = 1000
 def is_mconvex(
     points: Iterable[Exponent],
 ) -> tuple[bool, tuple[Exponent, Exponent, int] | None]:
-    """Exchange-axiom check as one cover test per (x, i).
+    """The one-sided exchange axiom (B-EXC+) as one cover test per (x, i).
 
-    Returns (True, None) or (False, (x, y, i)) for the first exchange
-    direction with no valid completion, scanning x, then y, then i in sorted
-    order.  With the support B indexed by bit, the y with y_i < x_i must lie
-    in the union, over the j with x - e_i + e_j in B, of the y with y_j > x_j
-    and y + e_i - e_j in B.  The tables of both sets are built once, so the
-    test costs O(|B| n^2) operations on |B|-bit ints, not O(|B|^2 n^2) pairs,
-    and they are keyed by the values that occur, so no exponent's size costs space.
+    B is M-convex if and only if for x, y in B and each i with x_i > y_i some
+    j with x_j < y_j has x - e_i + e_j in B (Murota, Discrete Convex Analysis,
+    SIAM 2003, ch. 4); the equivalent two-sided axiom also asks y + e_i - e_j.
+    Returns (True, None) or (False, (x, y, i)) for the first triple, by x, then
+    y, then i in sorted order, that no j completes, so it fails both axioms.
+    With B indexed by bit, the y with y_i < x_i must lie in the union of the y
+    with y_j > x_j over the j with x - e_i + e_j in B: O(|B| n^2) lookups and
+    ORs of |B|-bit ints, over tables keyed by the values that occur.
     """
     pts = sorted(read_points(points))
     if len({sum(p) for p in pts}) != 1:
         raise ValueError("points must have equal coordinate sums")
     n, d = len(pts[0]), sum(pts[0])
     weight = [(d + 1) ** t for t in range(n)]  # base-(d+1) digits: a unit move is one addition
-    code = {sum(map(mul, p, weight)): k for k, p in enumerate(pts)}
-    move = [[0] * n for _ in range(n)]  # move[i][j]: the y with y + e_i - e_j in B
-    for c, k in code.items():
-        y = pts[k]
-        for j in range(n):
-            if y[j]:
-                for i in range(n):
-                    if i != j and c + weight[i] - weight[j] in code:
-                        move[i][j] |= 1 << k
+    codes = {sum(map(mul, p, weight)) for p in pts}
     full = (1 << len(pts)) - 1
     below, above = [], []  # below[j][v]: the y with y_j < v, and above[j][v]: with y_j > v
     for column in zip(*pts):
@@ -108,12 +101,17 @@ def is_mconvex(
             low[v], union = union, union | at[v]
         below.append(low)
         above.append({v: full ^ b ^ at[v] for v, b in low.items()})
-    for k, x in enumerate(pts):
+    for x in pts:
+        c = sum(map(mul, x, weight))
+        higher = [(c + w, above[j][x[j]]) for j, w in enumerate(weight)]  # code(x + e_j), y_j > x_j
         fails = [0] * n  # fails[i]: the y with y_i < x_i that no j completes
-        for i in range(n):
-            if x[i]:
-                cover = (above[j][x[j]] & move[i][j] for j in range(n) if move[j][i] >> k & 1)
-                fails[i] = below[i][x[i]] & ~functools.reduce(or_, cover, 0)
+        for i, w in enumerate(weight):
+            if low := below[i][x[i]]:
+                cover = 0  # j = i adds only y with y_i > x_i, outside low
+                for target, ys in higher:
+                    if target - w in codes:
+                        cover |= ys
+                fails[i] = low & ~cover
         if any(fails):
             y = min(f & -f for f in fails if f)  # the lowest y, then its lowest i
             i = next(i for i, f in enumerate(fails) if f & y)

@@ -169,6 +169,11 @@ def _certificate_lines(cert: SmoothnessCertificate, names: list[str]) -> list[st
     return lines
 
 
+def _witness_text(witness: tuple) -> str:
+    x, y, i = witness  # is_mconvex's, worded with i counted from 1
+    return f"x={list(x)}, y={list(y)}, index {i + 1} has no exchange"
+
+
 def _cmd_analyze(args) -> int:
     h, names, text = _read_polynomial(args)
     if h.is_zero or not h.is_homogeneous or h.total_degree < 1:
@@ -189,7 +194,7 @@ def _cmd_analyze(args) -> int:
         f"polynomial: {text}",
         f"degree {h.total_degree} in {h.nvars} variables, {len(supp)} terms",
         f"support: {[list(e) for e in supp]}",
-        f"M-convex: {mcx}" + ("" if mcx else f" (witness {witness})"),
+        f"M-convex: {mcx}" + ("" if mcx else f" (witness {_witness_text(witness)})"),
     ]
     rho_table = {
         ",".join(map(str, mask_to_set(mask))) or "{}": rho.values[mask]
@@ -294,14 +299,11 @@ def _cmd_mconvex(args) -> int:
         "command": "mconvex",
         "polynomial": text,
         "mconvex": mcx,
-        "witness": [list(w) if isinstance(w, tuple) else w for w in witness]
-        if witness
-        else None,
+        "witness": witness and [list(witness[0]), list(witness[1]), witness[2]],
     }
     lines = [f"M-convex: {mcx}"]
     if witness:
-        x, y, i = witness
-        lines.append(f"witness: x={list(x)}, y={list(y)}, index {i + 1} has no exchange")
+        lines.append(f"witness: {_witness_text(witness)}")
     _emit(args, payload, lines)
     return 0
 

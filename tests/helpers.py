@@ -227,8 +227,12 @@ def all_mconvex_sets(n: int, degree: int) -> list[frozenset]:
     return out
 
 
-def reference_is_mconvex(points):
-    """The exchange axiom by the scan over every (x, y, i, j) of the support."""
+def reference_is_mconvex(points, one_sided: bool = False):
+    """The exchange axiom by the scan over every (x, y, i, j) of the support.
+
+    With `one_sided`, (B-EXC+): only x - e_i + e_j must lie in the support,
+    and the first (x, y, i) that fails it is `is_mconvex`'s witness.
+    """
     pts = [tuple(p) for p in points]
     if bad := [v for p in pts for v in p if type(v) is not int or v < 0]:
         raise ValueError(f"exponent entry {bad[0]!r} is not a nonnegative int")
@@ -256,7 +260,7 @@ def reference_is_mconvex(points):
                     yy = list(y)
                     yy[i] += 1
                     yy[j] -= 1
-                    if tuple(xx) in index and tuple(yy) in index:
+                    if tuple(xx) in index and (one_sided or tuple(yy) in index):
                         ok = True
                         break
                 if not ok:

@@ -67,6 +67,15 @@ def test_mconvex_failure_witness():
     assert x == (0, 0, 2) and y == (1, 1, 0) and i == 2
 
 
+def test_mconvex_witness_is_the_first_one_sided_failure():
+    # at i = 1, x - e_1 + e_0 = (1, 0, 0, 1) is in B but y + e_1 - e_0 = (1, 1, 0, 0)
+    # is not: only the two-sided axiom fails there; at i = 3 the one j = 0 gives
+    # x - e_3 + e_0 = (1, 1, 0, 0), so both fail
+    points = [(0, 1, 0, 1), (0, 2, 0, 0), (1, 0, 0, 1), (2, 0, 0, 0)]
+    assert is_mconvex(points) == (False, ((0, 1, 0, 1), (2, 0, 0, 0), 3))
+    assert reference_is_mconvex(points) == (False, ((0, 1, 0, 1), (2, 0, 0, 0), 1))
+
+
 def test_mconvex_singleton():
     ok, _ = is_mconvex({(2, 3, 1)})
     assert ok
@@ -105,9 +114,29 @@ def test_mconvex_cover_test_matches_the_pair_scan():
     failing = 0
     for points in sets:
         got = is_mconvex(points)
-        assert got == reference_is_mconvex(points), points
+        assert got[0] == reference_is_mconvex(points)[0], points
+        assert got == reference_is_mconvex(points, one_sided=True), points
         failing += not got[0]
     assert len(sets) >= 3000 and failing >= 1000, (len(sets), failing)
+
+
+def test_mconvex_matches_the_pair_scan_on_every_subset_of_small_grids():
+    count = 0
+    for n, d in [(2, 5), (3, 2), (3, 3), (4, 2), (3, 4), (5, 2)]:
+        grid = _compositions(d, n)
+        for mask in range(1, 1 << len(grid)):
+            points = [p for t, p in enumerate(grid) if mask >> t & 1]
+            ok, witness = is_mconvex(points)
+            assert ok == reference_is_mconvex(points)[0], points
+            count += 1
+            if ok:
+                continue
+            x, y, i = witness  # fails the one-sided axiom, so the two-sided one too
+            assert x in points and y in points and x[i] > y[i], (points, witness)
+            for j in range(n):
+                moved = tuple(v - (t == i) + (t == j) for t, v in enumerate(x))
+                assert y[j] <= x[j] or moved not in points, (points, witness, j)
+    assert count == 67_706
 
 
 def test_mconvex_tables_are_keyed_by_the_values_that_occur():

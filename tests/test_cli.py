@@ -200,6 +200,28 @@ def test_mconvex_command(capsys):
     assert "M-convex: False" in out
 
 
+def test_mconvex_witness_fails_the_one_sided_exchange(capsys):
+    argv = ["mconvex", "--vars", "x1,x2,x3,x4", "x2*x4 + x2^2 + x1*x4 + x1^2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "M-convex: False",
+        "witness: x=[0, 1, 0, 1], y=[2, 0, 0, 0], index 4 has no exchange",
+    ]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["witness"] == [[0, 1, 0, 1], [2, 0, 0, 0], 3]
+
+
+def test_analyze_words_the_witness_as_mconvex_does(capsys):
+    argv = ["--vars", "x,y,z", "x*y + z^2"]
+    witness = "x=[0, 0, 2], y=[1, 1, 0], index 3 has no exchange"
+    _, out, _ = run(capsys, "analyze", *argv)
+    assert f"M-convex: False (witness {witness})" in out.splitlines()
+    _, out, _ = run(capsys, "mconvex", *argv)
+    assert f"witness: {witness}" in out.splitlines()
+
+
 def test_lorentzian_command(capsys):
     code, out, _ = run(
         capsys, "lorentzian", "--format", "json", "--vars", "x1,x2,x3",
